@@ -189,14 +189,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    store = ResultStore(args.store)
-    report = run_campaign(
-        spec,
-        store,
-        jobs=args.jobs,
-        batch_size=args.batch_size,
-        verbose=not args.quiet,
-    )
+    with ResultStore(args.store) as store:
+        report = run_campaign(
+            spec,
+            store,
+            jobs=args.jobs,
+            batch_size=args.batch_size,
+            verbose=not args.quiet,
+        )
     print(report.summary())
     print(f"store: {args.store} ({len(store)} records)")
     if args.csv or args.tables:

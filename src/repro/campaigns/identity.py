@@ -25,9 +25,11 @@ them without importing the executor machinery.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Dict
+from operator import attrgetter
+from typing import Any, Dict, Tuple
 
 from repro.simulator.config import SimulationConfig
 
@@ -55,6 +57,15 @@ POINT_FIELDS = ("algorithm", "offered_load", "seed")
 #: they are never served wrongly.
 SIGNATURE_EXCLUDED = POINT_FIELDS + ("backend",)
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationConfig))
+_SHARED_FIELDS = tuple(n for n in _FIELDS if n not in SIGNATURE_EXCLUDED)
+_shared_values = attrgetter(*_SHARED_FIELDS)
+#: Types whose values are their own memo key.  Any other value is keyed
+#: by its JSON text, because Python equates values that JSON writes
+#: apart (80 == 80.0, True == 1, 0.0 == -0.0).
+_PLAIN = frozenset((str, int, type(None)))
+_to_json = json.JSONEncoder(sort_keys=True, default=repr).encode
+
 
 def point_key(config: SimulationConfig) -> str:
     """Stable identity of one sweep point within a campaign."""
@@ -63,6 +74,31 @@ def point_key(config: SimulationConfig) -> str:
         f"{config.radix}^{config.n_dims}|{config.switching}"
         f"|load={config.offered_load:.6g}|seed={config.seed}"
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _derive_shared(values: Tuple[Any, ...]) -> Tuple[str, str]:
+    """(signature, stored-config JSON with null point fields) of one set
+    of shared values.  Spelling the JSON field by field is byte for byte
+    what one ``sort_keys`` dump of the whole dict writes."""
+    texts = {
+        name: value[0] if type(value) is tuple else json.dumps(value)
+        for name, value in zip(_SHARED_FIELDS, values)
+    }
+    blob = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
+    texts.update(dict.fromkeys(POINT_FIELDS, "null"))
+    stored = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16], stored
+
+
+def _shared(config: SimulationConfig) -> Tuple[str, str]:
+    """The campaign-shared part of an identity, derived once per distinct
+    set of values (a bounded memo).  The key is the values as they are
+    now, never the config instance, which is mutable."""
+    return _derive_shared(tuple(
+        value if type(value) in _PLAIN else (_to_json(value),)
+        for value in _shared_values(config)
+    ))
 
 
 def campaign_signature(config: SimulationConfig) -> str:
@@ -74,11 +110,7 @@ def campaign_signature(config: SimulationConfig) -> str:
     under different sampling schedules, switching modes, etc. is
     rejected instead of silently reused.
     """
-    shared = dataclasses.asdict(config)
-    for name in SIGNATURE_EXCLUDED:
-        shared.pop(name, None)
-    blob = json.dumps(shared, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _shared(config)[0]
 
 
 def result_key(signature: str, point: str) -> str:
@@ -87,21 +119,31 @@ def result_key(signature: str, point: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+def identify(config: SimulationConfig) -> Tuple[str, str, str, Dict[str, Any]]:
+    """(signature, point key, record key, stored config), derived once.
+
+    The stored config is every field the result depends on (not the
+    backend, as for the signature), as the store's JSON reads back.
+    """
+    signature, stored_text = _shared(config)
+    point = point_key(config)
+    stored = json.loads(stored_text)
+    for name in POINT_FIELDS:
+        value = getattr(config, name)
+        if type(value) not in _PLAIN and type(value) is not float:
+            value = json.loads(_to_json(value))
+        stored[name] = value
+    return signature, point, result_key(signature, point), stored
+
+
 def config_key(config: SimulationConfig) -> str:
     """Content address of one config's simulation result."""
-    return result_key(campaign_signature(config), point_key(config))
+    return identify(config)[2]
 
 
 def config_record_dict(config: SimulationConfig) -> Dict[str, Any]:
-    """The config as stored beside its result, for collision hygiene.
-
-    Everything the result depends on appears; the backend is excluded
-    for the same reason it is excluded from the signature (per-seed
-    results are backend-independent).  Values are JSON-safe.
-    """
-    record = dataclasses.asdict(config)
-    record.pop("backend", None)
-    return json.loads(json.dumps(record, sort_keys=True, default=repr))
+    """The config as stored beside its result, for collision hygiene."""
+    return identify(config)[3]
 
 
 __all__ = [
@@ -110,6 +152,7 @@ __all__ = [
     "campaign_signature",
     "config_key",
     "config_record_dict",
+    "identify",
     "point_key",
     "result_key",
 ]

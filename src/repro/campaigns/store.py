@@ -10,12 +10,12 @@ of the config).
 
 Durability discipline:
 
-* **Append-only.**  Recording a point appends one line; the bytes
-  written per point are bounded by that record's own size, never by the
-  number of points already stored (the earlier checkpoint format
-  re-serialized everything on every record — O(N^2) I/O over a
-  campaign).  A torn final line from a killed process is recovered on
-  the next load.
+* **Append-only.**  Recording a point appends one line, flushed to the
+  OS before ``put`` returns, through a handle the store keeps open
+  (:meth:`ResultStore.close` or ``with`` releases it); the bytes written
+  per point are bounded by that record's own size, never by the number
+  of points already stored.  A torn final line from a killed process is
+  recovered on the next load.
 * **Nothing untrusted is silently overwritten.**  Corrupt lines and
   records with an unknown schema version are surfaced with a warning,
   and the original file is preserved as a ``<path>.corrupt`` /
@@ -40,14 +40,9 @@ import shutil
 import tempfile
 import time
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from repro.campaigns.identity import (
-    campaign_signature,
-    config_record_dict,
-    point_key,
-    result_key,
-)
+from repro.campaigns.identity import identify, result_key
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
 from repro.util.errors import ReproError
@@ -103,7 +98,21 @@ class ResultStore:
         self.path = path
         self._records: Dict[str, Dict[str, Any]] = {}
         self._decoded: Dict[str, SimulationResult] = {}
+        #: The append handle, opened by the first write and kept.
+        self._handle: Optional[TextIO] = None
         self._load(legacy_signature)
+
+    def close(self) -> None:
+        """Release the append handle; a later write reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- loading ---------------------------------------------------------
 
@@ -112,7 +121,7 @@ class ResultStore:
             return
         try:
             with open(self.path, encoding="utf-8") as stream:
-                text = stream.read()
+                lines = [line for line in stream if line.strip()]
         except OSError as error:
             _quarantine(
                 self.path,
@@ -121,19 +130,16 @@ class ResultStore:
                 "starting fresh",
             )
             return
-        if not text.strip():
+        if not lines:
             return
-
-        first_line = text.splitlines()[0]
         try:
-            first = json.loads(first_line)
+            first = json.loads(lines[0])
         except json.JSONDecodeError:
             first = None
         if isinstance(first, dict) and "points" in first:
             self._adopt_legacy(first, legacy_signature)
             return
 
-        lines = [line for line in text.splitlines() if line.strip()]
         bad = 0
         for line in lines:
             try:
@@ -172,7 +178,7 @@ class ResultStore:
                 f"checkpoint file {self.path!r} has unknown schema "
                 f"version {data.get('version')!r}; starting fresh",
             )
-            self._truncate()
+            self._rewrite()
             return
         signature = data.get("signature")
         if legacy_signature is not None and signature != legacy_signature:
@@ -182,7 +188,7 @@ class ResultStore:
                 f"checkpoint file {self.path!r} was recorded by a "
                 "different campaign (signature mismatch); starting fresh",
             )
-            self._truncate()
+            self._rewrite()
             return
         for point, payload in data.get("points", {}).items():
             key = result_key(str(signature), point)
@@ -197,15 +203,13 @@ class ResultStore:
             }
         self._rewrite()
 
-    def _truncate(self) -> None:
-        self._rewrite()
-
     def _rewrite(self) -> None:
         """Atomically rewrite the file from the in-memory records.
 
         Only used for one-time recovery/migration; the steady-state
         write path is the append in :meth:`put_record`.
         """
+        self.close()  # the handle's file is about to be replaced
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp_path = tempfile.mkstemp(
             dir=directory, prefix=".campaign-store-", suffix=".tmp"
@@ -226,12 +230,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._records)
 
     def signatures(self) -> Dict[str, int]:
         """Record count per campaign signature (for ``status``)."""
@@ -267,12 +265,12 @@ class ResultStore:
         treated as a miss: the store never serves a result for a config
         it was not simulated from.
         """
-        key = result_key(campaign_signature(config), point_key(config))
+        _, _, key, requested = identify(config)
         record = self._records.get(key)
         if record is None:
             return None
         stored = record.get("config")
-        if stored is not None and stored != config_record_dict(config):
+        if stored is not None and stored != requested:
             warnings.warn(
                 f"store record {key} does not match the requested config "
                 "(fingerprint collision?); treating it as a miss",
@@ -281,13 +279,6 @@ class ResultStore:
             )
             return None
         return self._decode(key)
-
-    def config_dict(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored config dict of one record (None for legacy records)."""
-        record = self._records.get(key)
-        if record is None:
-            return None
-        return record.get("config")
 
     # -- writing ---------------------------------------------------------
 
@@ -306,6 +297,12 @@ class ResultStore:
         is upgraded in place when the config is now known.
         """
         key = result_key(signature, point)
+        return self._put(key, signature, point, result, config_dict)
+
+    def _put(
+        self, key: str, signature: str, point: str,
+        result: SimulationResult, config_dict: Optional[Dict[str, Any]],
+    ) -> bool:
         existing = self._records.get(key)
         if existing is not None:
             stored = existing.get("config")
@@ -334,24 +331,25 @@ class ResultStore:
             # first under any budget).
             "recorded_at": time.time(),
         }
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
         # Append-only: one line per point, O(record) bytes regardless of
         # how many points the store already holds.
-        with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record) + "\n")
+        handle = self._handle
+        if handle is not None and not os.fstat(handle.fileno()).st_nlink:
+            self.close()  # another process replaced or removed the file
+        if self._handle is None:
+            directory = os.path.dirname(os.path.abspath(self.path))
+            os.makedirs(directory, exist_ok=True)
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(json.dumps(record) + "\n")
+        self._handle.flush()  # the record reaches the OS before we return
         self._records[key] = record
         self._decoded.pop(key, None)
         return True
 
     def put(self, config: SimulationConfig, result: SimulationResult) -> bool:
         """Append *config*'s finished result; returns False if cached."""
-        return self.put_record(
-            campaign_signature(config),
-            point_key(config),
-            result,
-            config_record_dict(config),
-        )
+        signature, point, key, config_dict = identify(config)
+        return self._put(key, signature, point, result, config_dict)
 
     # -- maintenance -----------------------------------------------------
 

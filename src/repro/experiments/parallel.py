@@ -37,8 +37,8 @@ process, through the same checkpoint logic.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
+from contextlib import closing
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import (
     Callable,
@@ -48,9 +48,11 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
 )
 
 from repro.campaigns.identity import (
+    SIGNATURE_EXCLUDED,
     campaign_signature,
     config_record_dict,
     point_key,
@@ -108,6 +110,9 @@ class SweepCheckpoint:
     def __len__(self) -> int:
         return len(self._store)
 
+    def close(self) -> None:
+        self._store.close()
+
     def record(
         self,
         key: str,
@@ -115,9 +120,7 @@ class SweepCheckpoint:
         config: Optional[SimulationConfig] = None,
     ) -> None:
         """Append one finished point (O(record) bytes, not O(N))."""
-        config_dict = (
-            config_record_dict(config) if config is not None else None
-        )
+        config_dict = config_record_dict(config) if config is not None else None
         self._store.put_record(self.signature, key, result, config_dict)
 
 
@@ -158,11 +161,15 @@ def _batch_groups(
     interrupted campaign re-runs exactly the missing seeds of a group,
     never its already-recorded siblings.
     """
-    by_key: Dict[str, List[int]] = {}
+    by_key: Dict[Tuple[object, ...], List[int]] = {}
     for index in pending:
-        shared = dataclasses.asdict(configs[index])
-        shared.pop("seed", None)
-        key = json.dumps(shared, sort_keys=True, default=repr)
+        config = configs[index]
+        # The signature stands for every campaign-shared field.
+        key = (campaign_signature(config),) + tuple(
+            getattr(config, name)
+            for name in SIGNATURE_EXCLUDED
+            if name != "seed"
+        )
         by_key.setdefault(key, []).append(index)
     groups: List[List[int]] = []
     for members in by_key.values():
@@ -207,7 +214,11 @@ def run_points(
         signature = (
             campaign_signature(configs[0]) if configs else "empty"
         )
-        checkpoint = SweepCheckpoint(checkpoint_path, signature)
+        with closing(SweepCheckpoint(checkpoint_path, signature)) as owned:
+            return run_points(
+                configs, jobs, progress=progress, batch_size=batch_size,
+                checkpoint=owned,
+            )
 
     total = len(configs)
     results: List[Optional[SimulationResult]] = [None] * total

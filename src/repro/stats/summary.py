@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Dict, FrozenSet, List, Optional
+
+
+def _unshared(value: Any) -> Any:
+    """*value* with fresh dicts and lists all the way down."""
+    if isinstance(value, dict):
+        return {key: _unshared(item) for key, item in value.items()}
+    return [_unshared(v) for v in value] if isinstance(value, list) else value
 
 
 @dataclass
@@ -135,7 +142,8 @@ class SimulationResult:
         field so a result written to a checkpoint file deserializes back
         to an equal :class:`SimulationResult`.
         """
-        return asdict(self)
+        # What asdict() returns, without its deepcopy of every scalar.
+        return {f.name: _unshared(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "SimulationResult":
@@ -145,8 +153,7 @@ class SimulationResult:
         ``hop_class_latency`` into strings; they are converted back here
         so the round-trip is exact.
         """
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         for int_keyed in ("latency_percentiles", "hop_class_latency"):
             mapping = kwargs.get(int_keyed)
             if mapping:
