@@ -77,10 +77,15 @@ BATCH_SIZES = (1, 8, 32)
 #: field each is judged on.  Object and batch backends are both gated;
 #: congested batch rows are additionally held to their flit-event
 #: throughput, which catches regressions that cycle rates mask (e.g. a
-#: change that stalls traffic, moving fewer flits per cycle).  Older
-#: baselines lacking a gated field are skipped with a warning.
+#: change that stalls traffic, moving fewer flits per cycle).  The
+#: ideal-flow-control congested row is also held to its transmit poll
+#: efficiency (flits moved per channel poll), a count ratio that falls
+#: when the scheduler's arming rules start waking channels that cannot
+#: move.  Older baselines lacking a gated field are skipped with a
+#: warning.
 _GATED_ROWS = (
     ("congested", "cycles_per_sec"),
+    ("congested", "moves_per_poll"),
     ("congested_conservative", "cycles_per_sec"),
     ("batch_b32", "aggregate_cycles_per_sec"),
     ("batch_b32", "flit_events_per_sec"),
@@ -128,16 +133,13 @@ def warm_engine(
     return engine
 
 
-def _git_sha() -> str:
+def _git(*args: str) -> Optional[str]:
     try:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
+            ["git", *args], capture_output=True, text=True, check=True
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return None
 
 
 def time_engine(
@@ -152,10 +154,12 @@ def time_engine(
     for _ in range(max(1, repeats)):
         engine = warm_engine(algorithm, offered_load, flow_control)
         flits_before = engine.flits_moved_total
+        polls_before = engine.polls_total
         start = time.perf_counter()
         engine.run_cycles(cycles)
         elapsed = time.perf_counter() - start
         flit_events = engine.flits_moved_total - flits_before
+        polls = engine.polls_total - polls_before
         assert engine.conservation_check()
         run = {
             "offered_load": offered_load,
@@ -164,6 +168,7 @@ def time_engine(
             "cycles_per_sec": round(cycles / elapsed, 1),
             "flit_events": flit_events,
             "flit_events_per_sec": round(flit_events / elapsed, 1),
+            "moves_per_poll": round(flit_events / polls, 4),
         }
         if best is None or run["cycles_per_sec"] > best["cycles_per_sec"]:
             best = run
@@ -252,12 +257,17 @@ def run_speed_suite(
     engines: Dict[str, Dict[str, object]] = {}
     report: Dict[str, object] = {
         "benchmark": "bench_engine_speed",
-        "schema_version": 4,
+        "schema_version": 5,
         "quick": quick,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat(timespec="seconds"),
-        "git_sha": _git_sha(),
+        # A report cannot name the commit that will contain it: git_sha
+        # is HEAD, and git_dirty says whether the measured tree had
+        # moved on from it (a baseline regenerated inside the change it
+        # measures reads dirty on its parent's sha).
+        "git_sha": _git("rev-parse", "HEAD") or "unknown",
+        "git_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "host": host_info(),
         "network": "8x8 torus, 16-flit worms, seed 42",
         "engines": engines,
@@ -347,7 +357,8 @@ def compare_reports(
     Returns (ok, report lines).  A gated row (object congested rows by
     ``cycles_per_sec``, batch rows by ``aggregate_cycles_per_sec``)
     fails when it falls below ``baseline * machine_scale *
-    (1 - tolerance)``.  When the baseline's ``host`` metadata differs
+    (1 - tolerance)``; ``moves_per_poll`` is held to the unscaled
+    baseline.  When the baseline's ``host`` metadata differs
     from this machine's, every would-be failure is downgraded to a
     warning: idle-point rescaling corrects for raw speed but not for
     cache-hierarchy or SIMD differences between hosts, so a committed
@@ -393,7 +404,15 @@ def compare_reports(
                 )
                 continue
             compared += 1
-            expected = base_value * scale
+            if field == "moves_per_poll":
+                # A ratio of counts, the same on every machine.
+                expected, unit, digits = base_value, "moves/poll", 3
+            else:
+                expected, digits = base_value * scale, 0
+                unit = (
+                    "flit-ev/s" if field == "flit_events_per_sec"
+                    else "cyc/s"
+                )
             floor = expected * (1.0 - tolerance)
             ratio = cur_value / expected
             if cur_value >= floor:
@@ -403,14 +422,10 @@ def compare_reports(
                 ok = False
             else:
                 status = "WARN (host differs)"
-            unit = (
-                "flit-ev/s" if field == "flit_events_per_sec"
-                else "cyc/s"
-            )
             lines.append(
                 f"{algorithm:6s} {row_name:22s} "
-                f"{cur_value:>9.0f} {unit} vs expected "
-                f"{expected:>9.0f} ({ratio:6.2f}x)  {status}"
+                f"{cur_value:>9.{digits}f} {unit} vs expected "
+                f"{expected:>9.{digits}f} ({ratio:6.2f}x)  {status}"
             )
     if compared == 0:
         ok = False
@@ -426,7 +441,10 @@ def print_report(report: Dict[str, object]) -> None:
                 extra = f"{data['speedup_vs_object']:>6.2f}x vs object"
             else:
                 rate = data["cycles_per_sec"]
-                extra = f"{data['flit_events_per_sec']:>12.0f} flit-ev/s"
+                extra = (
+                    f"{data['flit_events_per_sec']:>12.0f} flit-ev/s  "
+                    f"{data['moves_per_poll']:.2f} moves/poll"
+                )
             print(
                 f"{algorithm:6s} {point:22s} {rate:>10.0f} cyc/s  {extra}"
             )

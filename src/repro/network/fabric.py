@@ -68,38 +68,6 @@ class Fabric:
                 totals[vc.vc_class] += vc.occupancy
         return totals
 
-    def arm_all(self, cycle: int) -> None:
-        """Arm every channel for *cycle* (activity-tracking reset).
-
-        The event-driven scheduler polls only channels whose
-        ``armed_cycle`` is current; stamping the whole fabric forces one
-        full re-examination, which is how an engine (re)enters the
-        activity-tracked mode from an arbitrary fabric state.
-        """
-        for channel in self.channels:
-            if channel.armed_cycle < cycle:
-                channel.armed_cycle = cycle
-
-    def parked_waiters(self) -> int:
-        """Routing requests currently parked on virtual channels.
-
-        Counts waiter-list entries (stale epochs included) — an
-        introspection aid for tests and debugging of the activity-tracked
-        scheduler, not a statistic.
-        """
-        return sum(
-            len(vc.waiters)
-            for vc in self.virtual_channels()
-            if vc.waiters is not None
-        )
-
-    def reset_flit_counters(self) -> None:
-        """Zero the utilization counters (used between sampling periods)."""
-        for channel in self.channels:
-            channel.flits_moved = 0
-            for vc in channel.vcs:
-                vc.flits_carried_total = 0
-
     def occupied_flits(self) -> int:
         """Flits currently buffered anywhere in the network."""
         return sum(vc.occupancy for vc in self.virtual_channels())

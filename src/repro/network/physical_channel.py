@@ -44,7 +44,7 @@ class PhysicalChannel:
         "_rr_next",
         "owned_idx",
         "owned_count",
-        "flits_moved",
+        "flits_retired",
         "last_transmit_cycle",
         "retry_hint",
         "armed_cycle",
@@ -67,8 +67,9 @@ class PhysicalChannel:
         self.owned_idx: List[int] = []
         #: Virtual channels currently reserved (drives the active-link set).
         self.owned_count = 0
-        #: Lifetime flits moved, for channel-utilization measurement.
-        self.flits_moved = 0
+        #: Flits moved for worms that have since released their virtual
+        #: channel (added by VirtualChannel.release; see flits_moved).
+        self.flits_retired = 0
         #: Enforces the one-flit-per-cycle bandwidth across retry passes.
         self.last_transmit_cycle = -1
         #: Set by a failed transmit: True when some virtual channel was
@@ -95,11 +96,19 @@ class PhysicalChannel:
     def vc(self, vc_class: int) -> VirtualChannel:
         return self.vcs[vc_class]
 
-    def __lt__(self, other: "PhysicalChannel") -> bool:
-        # Heap ordering for the activity-tracked transmit phase: channels
-        # are polled in ascending active-set insertion order, matching
-        # the full scan's iteration order over the active set.
-        return self.active_seq < other.active_seq
+    @property
+    def flits_moved(self) -> int:
+        """Lifetime flits moved, for channel-utilization measurement.
+
+        Nothing counts per flit: released worms are in ``flits_retired``
+        and each reserved virtual channel's ``flits_in`` is the count of
+        the worm still crossing.
+        """
+        moved = self.flits_retired
+        vcs = self.vcs
+        for idx in self.owned_idx:
+            moved += vcs[idx].flits_in
+        return moved
 
     def transmit(
         self,
@@ -185,8 +194,6 @@ class PhysicalChannel:
             vc.occupancy = occupancy + 1
             vc.flits_in += 1
             vc.last_arrival_cycle = cycle
-            vc.flits_carried_total += 1
-            self.flits_moved += 1
             self.last_transmit_cycle = cycle
             if not highest_class_first:
                 next_idx = idx + 1

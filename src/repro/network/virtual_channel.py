@@ -12,9 +12,12 @@ if it was already there at the start of the cycle, and may enter only if a
 slot was free at the start of the cycle.  Because a buffer receives at most
 one flit per cycle (its own link's bandwidth) and sends at most one (the
 downstream link's), the start-of-cycle state is recoverable from two
-timestamps instead of a per-cycle reset sweep.  With the default two-flit
-buffers this reproduces ideal full-rate wormhole pipelining: a contiguous
-worm advances one flit per channel per cycle.
+timestamps instead of a per-cycle reset sweep.  Either flow-control model
+reproduces ideal full-rate wormhole pipelining — a contiguous worm
+advances one flit per channel per cycle — at its own default depth
+(``SimulationConfig.effective_buffer_depth``): one-flit buffers under
+ideal flow control, where a flit may enter a slot freed earlier in the same
+cycle, and two-flit buffers under conservative flow control.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class VirtualChannel:
 
     __slots__ = (
         "link",
+        "dst_node",
         "vc_class",
         "capacity",
         "owner",
@@ -43,13 +47,15 @@ class VirtualChannel:
         "downstream",
         "last_arrival_cycle",
         "last_departure_cycle",
-        "flits_carried_total",
+        "flits_retired",
         "channel",
         "waiters",
     )
 
     def __init__(self, link: "Link", vc_class: int, capacity: int) -> None:
         self.link = link
+        #: ``link.dst``, cached: the transmit loop reads it once per flit.
+        self.dst_node = link.dst
         self.vc_class = vc_class
         self.capacity = capacity
         #: Message currently holding the channel, or None when free.
@@ -70,8 +76,10 @@ class VirtualChannel:
         self.downstream: Optional["VirtualChannel"] = None
         self.last_arrival_cycle = -1
         self.last_departure_cycle = -1
-        #: Lifetime flit count, for virtual-channel load-balance studies.
-        self.flits_carried_total = 0
+        #: Flits carried for owners that have since released the channel;
+        #: the current owner's are still in ``flits_in`` (see
+        #: :attr:`flits_carried_total`).
+        self.flits_retired = 0
         #: Owning physical channel (set by PhysicalChannel.__init__), so
         #: reservation bookkeeping stays correct no matter who reserves.
         self.channel: Optional["PhysicalChannel"] = None
@@ -109,10 +117,23 @@ class VirtualChannel:
         self.owner = None
         self.upstream = None
         self.downstream = None
+        # Lifetime accounting happens here, once per worm, not per flit.
+        # flits_in itself stays put until the next reserve(): a released
+        # channel's last counters are part of the state fingerprint.
+        carried = self.flits_in
+        self.flits_retired += carried
         channel = self.channel
         if channel is not None:
             channel.owned_idx.remove(self.vc_class)
             channel.owned_count -= 1
+            channel.flits_retired += carried
+
+    @property
+    def flits_carried_total(self) -> int:
+        """Lifetime flit count, for virtual-channel load-balance studies."""
+        if self.owner is None:
+            return self.flits_retired
+        return self.flits_retired + self.flits_in
 
     # -- snapshot-based flit movement ---------------------------------------
 
@@ -144,7 +165,6 @@ class VirtualChannel:
         self.occupancy += 1
         self.flits_in += 1
         self.last_arrival_cycle = cycle
-        self.flits_carried_total += 1
 
     @property
     def drained(self) -> bool:

@@ -4,8 +4,8 @@ Two per-physical-channel counters are accumulated while an observer is
 attached:
 
 * ``carried`` — flits that crossed the link (from the channels'
-  lifetime ``flits_moved`` counters, accumulated as positive deltas so
-  counter resets between sampling periods cannot corrupt the totals);
+  lifetime ``flits_moved`` counts, accumulated as deltas between
+  observations);
 * ``blocked`` — head-blocked waits: each cycle a message fails virtual-
   channel allocation, every physical channel in its candidate set is
   charged one wait.  A hot ``blocked`` link is one worms queue for —
@@ -49,20 +49,14 @@ class CongestionHeatmap:
     ) -> None:
         """Fold the channels' flit counters into ``carried``.
 
-        Accumulates deltas since the previous call.  A *negative* delta
-        means the counter was reset (`Fabric.reset_flit_counters`)
-        between observations; the full new count is credited and the
-        baseline restarts.  (A reset is only undetectable if the counter
-        re-exceeds its old value between two observations — observers
-        call this every sampling stride precisely to keep that window
-        small.)
+        Accumulates deltas since the previous call (the lifetime counts
+        never decrease).
         """
         last = self._last_flits_moved
         carried = self.carried
         for index, channel in enumerate(channels):
             moved = channel.flits_moved
-            delta = moved - last[index]
-            carried[index] += delta if delta >= 0 else moved
+            carried[index] += moved - last[index]
             last[index] = moved
 
     def note_blocked(self, link_index: int) -> None:

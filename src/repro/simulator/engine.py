@@ -201,6 +201,10 @@ class Engine:
 
         # lifetime counters
         self.flits_moved_total = 0
+        #: Transmit polls made; flits_moved_total / polls_total is the
+        #: transmit phase's efficiency.  Scheduler bookkeeping, not
+        #: simulated state: it stays out of state_fingerprint.
+        self.polls_total = 0
         self.generated_total = 0
         self.delivered_total = 0
 
@@ -743,12 +747,13 @@ class Engine:
         ideal = self._ideal
         priority = self._highest_class_first
         cycle = self.cycle
-        moved = 0
+        moved = polls = 0
         handle_arrival = self._handle_flit_arrival
         pending = list(self._active_channels)
         while pending:
             retry: List[PhysicalChannel] = []
             progress = False
+            polls += len(pending)
             for channel in pending:
                 vc = channel.transmit(cycle, saf, ideal, priority)
                 if vc is None:
@@ -770,6 +775,7 @@ class Engine:
             # settled-flits rule still caps every flit at one hop/cycle.
             pending = retry
         self.flits_moved_total += moved
+        self.polls_total += polls
         return moved > 0
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
@@ -785,6 +791,20 @@ class Engine:
         The arming-event enumeration is complete (settled-flit counts
         only change at cycle boundaries, via exactly these events), so an
         unarmed channel's poll would fail; skipping it is unobservable.
+
+        One event *disarms*: a successful move on a channel with a single
+        reserved VC.  The readiness of that VC for the next cycle is
+        recomputed right after the move, from the state the move left,
+        and is written to ``armed_cycle`` either way — so a "next cycle"
+        arm set earlier in the cycle (by the downstream departure that
+        spliced the channel in, under one-flit ideal-flow-control
+        buffers) is cancelled when the VC it was set for has just
+        refilled.  This is sound for the same reason skipping is: every
+        term of the predicate (flits left, buffer space, a flit upstream,
+        assembly) changes only through a departure from the VC, an
+        arrival upstream, an ejection or an allocation, and each of those
+        arms the channel itself.  Channels with several reserved VCs are
+        still re-armed unconditionally.
 
         Within the cycle, successes happen in ascending active-set order
         — the full scan's order — because the armed subset is drained
@@ -804,14 +824,16 @@ class Engine:
         per cycle needs no explicit guard here: a successful poll clears
         the channel from every poll list for the rest of the cycle (the
         queue_cycle/last_transmit_cycle splice guards below), so a
-        channel is never polled again after it moved.
+        channel is never polled again after it moved.  Lifetime flit
+        counts are not touched per flit at all: ``flits_in`` already is
+        the count, and :meth:`VirtualChannel.release` retires it.
         """
         saf = self._saf
         ideal = self._ideal
         priority = self._highest_class_first
         cycle = self.cycle
         next_cycle = cycle + 1
-        moved = 0
+        moved = polls = 0
         # Flit tracing shadows _handle_flit_arrival with an instance
         # attribute; use it instead of the fused arrival epilogue so the
         # observer hook keeps firing per flit.
@@ -835,45 +857,36 @@ class Engine:
             retry: List[PhysicalChannel] = []
             i = 0
             n = len(pending)
+            polls += n
             while i < n or aux:
                 if aux and (
                     i >= n or aux[0][0] < pending[i].active_seq
                 ):
                     channel = heappop(aux)[1]
+                    polls += 1
                 else:
                     channel = pending[i]
                     i += 1
-                channel.queue_cycle = -1  # no longer scheduled
                 # -- PhysicalChannel.transmit, fused ------------------
-                # The round-robin rotation walks owned_idx with a
-                # wrapping cursor instead of materializing the rotated
-                # list the method version builds (same visit order, no
-                # per-poll allocation).
                 vcs = channel.vcs
                 owned = channel.owned_idx
                 m = channel.owned_count
-                if priority:
+                if m == 1:
+                    # Sole owner, the common poll: one candidate, no
+                    # round-robin rotation to work out.
+                    order = owned
+                elif priority:
                     # Strict priority: top virtual-channel class down.
-                    pos = m - 1
-                    step = -1
+                    order = owned[::-1]
                 else:
-                    step = 1
-                    if m == 1:
-                        pos = 0
+                    start = bisect_left(owned, channel._rr_next)
+                    if start == 0 or start == m:
+                        order = owned
                     else:
-                        pos = bisect_left(owned, channel._rr_next)
-                        if pos == m:
-                            pos = 0
-                for _ in range(m):
-                    idx = owned[pos]
-                    pos += step
-                    if pos == m:
-                        pos = 0
+                        order = owned[start:] + owned[:start]
+                for idx in order:
                     vc = vcs[idx]
-                    owner = vc.owner
-                    if owner is None:
-                        # Free (skipped), or see the tail-guard below.
-                        continue
+                    owner = vc.owner  # reserved: owned_idx lists no other
                     owner_len = owner.length
                     f_in = vc.flits_in
                     if f_in >= owner_len:
@@ -923,8 +936,6 @@ class Engine:
                     f_in += 1
                     vc.flits_in = f_in
                     vc.last_arrival_cycle = cycle
-                    vc.flits_carried_total += 1
-                    channel.flits_moved += 1
                     channel.last_transmit_cycle = cycle
                     if not priority:
                         next_idx = idx + 1
@@ -941,16 +952,22 @@ class Engine:
                     # its packet, and the scan's extra re-polls are
                     # no-ops without such an event — so the success
                     # sequence is unchanged.
+                    channel.queue_cycle = -1  # may be queued again
                     continue
                 # -- move epilogue: event hooks + arrival bookkeeping --
                 progress = True
                 moved += 1
-                # Re-arm this channel for next cycle only if the VC that
-                # just moved can move again (more flits upstream, buffer
-                # space, assembly done) or other reserved VCs share the
-                # channel.  Every skipped condition is re-established
-                # only by an event that re-arms the channel itself.
-                if channel.owned_count > 1 or (
+                # Re-arm this channel for next cycle if other reserved VCs
+                # share it, or the VC that just moved can move again (more
+                # flits upstream, buffer space, assembly done).  For a
+                # sole owner that predicate, taken after the move, is the
+                # whole truth about next cycle, so a false answer also
+                # *cancels* a "next cycle" arm left by an earlier event
+                # this cycle (typically the downstream departure that
+                # spliced this channel in): each condition it found false
+                # turns true only through an event that re-arms the
+                # channel itself.
+                if m > 1 or (
                     f_in < owner_len
                     and occupancy < cap
                     and (
@@ -963,6 +980,8 @@ class Engine:
                     )
                 ):
                     channel.armed_cycle = next_cycle
+                else:
+                    channel.armed_cycle = cycle
                 if upstream is not None:
                     # The departed flit freed a slot in *upstream*: the
                     # channel feeding it may move next cycle — or this
@@ -1037,15 +1056,16 @@ class Engine:
                 if traced is not None:
                     traced(vc)
                     continue
-                if vc is owner.path[-1] and vc.link.dst != owner.dst:
-                    # The worm's front advanced into an intermediate
-                    # router: request the next channel once the router
-                    # has seen the head flit (wormhole/VCT) or the whole
-                    # packet (SAF).
-                    if f_in == (owner_len if saf else 1):
-                        self._enqueue_route(owner)
-                elif vc.link.dst == owner.dst and f_in == 1:
-                    delivering.append(vc)
+                if downstream is None:  # vc is owner.path[-1]
+                    if vc.dst_node != owner.dst:
+                        # The worm's front advanced into an intermediate
+                        # router: request the next channel once the
+                        # router has seen the head flit (wormhole/VCT)
+                        # or the whole packet (SAF).
+                        if f_in == (owner_len if saf else 1):
+                            self._enqueue_route(owner)
+                    elif f_in == 1:
+                        delivering.append(vc)
                 if upstream is None:
                     if inject_left == 1:  # flits_to_inject hit zero
                         controller.injection_complete(
@@ -1056,25 +1076,25 @@ class Engine:
                     self._release(upstream, owner)
             if not ideal or not progress or not retry:
                 break
-            # attrgetter key: C-level extraction instead of one Python
-            # __lt__ call per comparison (seqs are unique, so the order
-            # is the same either way).
+            # Channels carry no ordering of their own; active_seq is
+            # unique, so the key alone fixes the order.
             retry.sort(key=_BY_ACTIVE_SEQ)
             pending = retry
         self.flits_moved_total += moved
+        self.polls_total += polls
         return moved > 0
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _handle_flit_arrival(self, vc: VirtualChannel) -> None:
         owner = vc.owner
-        if vc is owner.path[-1] and vc.link.dst != owner.dst:
+        if vc is owner.path[-1] and vc.dst_node != owner.dst:
             # The worm's front advanced into an intermediate router:
             # request the next channel once the router has seen the
             # head flit (wormhole/VCT) or the whole packet (SAF).
             trigger = owner.length if self._saf else 1
             if vc.flits_in == trigger:
                 self._enqueue_route(owner)
-        elif vc.link.dst == owner.dst and vc.flits_in == 1:
+        elif vc.dst_node == owner.dst and vc.flits_in == 1:
             self._delivering.append(vc)
         upstream = vc.upstream
         if upstream is None:

@@ -3,7 +3,8 @@
 Synthetic report dicts only — no engine runs.  The contract: gated
 rows fail on same-host throughput regressions beyond tolerance, the
 congested batch rows are additionally held to flit-event throughput,
-and rows from older baseline schemas that lack a gated field are
+the ideal-flow-control congested row to its (unscaled) transmit poll
+efficiency, and rows from older baseline schemas that lack a gated field are
 skipped with a warning instead of failing the gate.
 """
 
@@ -18,7 +19,7 @@ def report(batch_relaxed=None):
     """A minimal single-algorithm report with every gated row."""
     rows = {
         "idle": {"cycles_per_sec": 1000.0},
-        "congested": {"cycles_per_sec": 500.0},
+        "congested": {"cycles_per_sec": 500.0, "moves_per_poll": 0.8},
         "congested_conservative": {"cycles_per_sec": 400.0},
         "batch_b32": {
             "aggregate_cycles_per_sec": 8000.0,
@@ -30,6 +31,16 @@ def report(batch_relaxed=None):
         },
     }
     return {"host": dict(HOST), "engines": {"ecube": rows}}
+
+
+def half_speed(source):
+    """*source* as a machine half as fast would measure it."""
+    slow = copy.deepcopy(source)
+    for row in slow["engines"]["ecube"].values():
+        for field in row:
+            if field.endswith("_per_sec"):  # counts do not slow down
+                row[field] = row[field] / 2.0
+    return slow
 
 
 class TestCompareGate:
@@ -88,13 +99,32 @@ class TestCompareGate:
     def test_idle_rescaling_absorbs_machine_speed(self):
         # Same host, everything uniformly 2x slower including idle:
         # the idle-derived scale normalizes it away.
-        current = copy.deepcopy(report())
-        for row in current["engines"]["ecube"].values():
-            for field in row:
-                row[field] = row[field] / 2.0
+        current = half_speed(report())
         ok, lines = compare_reports(current, report(), tolerance=0.2)
         assert ok
         assert any("scale" in line and "0.500" in line for line in lines)
+
+    def test_poll_efficiency_is_gated_unscaled(self):
+        assert ("congested", "moves_per_poll") in _GATED_ROWS
+        # Everything (idle too) at half speed, poll efficiency back at
+        # its pre-disarming level: the machine scale must not excuse it.
+        current = half_speed(report())
+        current["engines"]["ecube"]["congested"]["moves_per_poll"] = 0.6
+        ok, lines = compare_reports(current, report(), tolerance=0.2)
+        assert not ok
+        failing = [line for line in lines if "REGRESSION" in line]
+        assert len(failing) == 1 and "moves/poll" in failing[0]
+        current["engines"]["ecube"]["congested"]["moves_per_poll"] = 0.8
+        assert compare_reports(current, report(), tolerance=0.2)[0]
+
+    def test_schema4_baseline_without_poll_efficiency_warns(self):
+        baseline = report()
+        del baseline["engines"]["ecube"]["congested"]["moves_per_poll"]
+        ok, lines = compare_reports(report(), baseline, tolerance=0.2)
+        assert ok
+        assert any(
+            "baseline row lacks 'moves_per_poll'" in line for line in lines
+        )
 
     def test_empty_overlap_fails_the_gate(self):
         ok, lines = compare_reports(

@@ -81,16 +81,27 @@ class TestFabric:
         with pytest.raises(ConfigurationError):
             Fabric(torus4, num_vcs=1, vc_capacity=0)
 
-    def test_flit_counters_reset(self, torus4):
-        fabric = Fabric(torus4, num_vcs=1, vc_capacity=2)
-        message = make_message(length=4)
+    def test_lifetime_flit_counts_span_release(self, torus4):
+        # Lifetime = flits retired at release + the live owner's flits_in,
+        # equal at every instant to a per-flit counter.
+        fabric = Fabric(torus4, num_vcs=2, vc_capacity=2)
         channel = fabric.channel(0)
-        channel.vcs[0].reserve(message)
-        channel.transmit(0, False, True)
-        assert fabric.total_flits_moved() == 1
-        fabric.reset_flit_counters()
-        assert fabric.total_flits_moved() == 0
-        assert fabric.channel(0).vcs[0].flits_carried_total == 0
+        vc = channel.vcs[1]
+        first = make_message(length=2)
+        vc.reserve(first)
+        for cycle in range(2):
+            assert channel.transmit(cycle, False, True) is vc
+            assert vc.flits_carried_total == channel.flits_moved == cycle + 1
+        vc.occupancy = 0  # the worm drains downstream
+        vc.release()
+        assert vc.flits_in == 2  # kept: part of the state fingerprint
+        assert vc.flits_carried_total == channel.flits_moved == 2
+        vc.reserve(make_message(length=2))
+        assert vc.flits_carried_total == channel.flits_moved == 2
+        assert channel.transmit(2, False, True) is vc
+        assert vc.flits_carried_total == channel.flits_moved == 3
+        assert fabric.total_flits_moved() == 3
+        assert fabric.vc_class_totals() == [0, 3]
 
     def test_occupied_flits(self, torus4):
         fabric = Fabric(torus4, num_vcs=1, vc_capacity=2)

@@ -12,7 +12,11 @@ same number of cycles is the equivalence oracle used throughout.
 Covered here:
 
 * the full matrix of 6 algorithms x {mesh, torus} x {wormhole, vct},
-  observer enabled and disabled;
+  observer enabled and disabled, fingerprints compared every 16 cycles;
+* fixed ideal-flow-control corner cases for the transmit phase's disarm
+  rule (buffer depths, short worms, a queueing source, SAF/VCT, strict
+  priority, the sanitizer, an observer attached and detached mid-run),
+  its poll efficiency, and the uniqueness of its splice-heap keys;
 * a 50-configuration fuzz sweep over random short configs (switching,
   flow control, mux policy, selection policy, load, message length,
   buffer depth, seeds);
@@ -33,14 +37,39 @@ from repro.util.errors import ConfigurationError
 ALGORITHMS = ("ecube", "nlast", "2pn", "phop", "nhop", "nbc")
 
 
-def _run_pair(cycles, **options):
-    """Run one scan engine and one active engine on the same config."""
-    engines = []
-    for scheduler in ("scan", "active"):
-        engine = Engine(SimulationConfig(scheduler=scheduler, **options))
-        engine.run_cycles(cycles)
-        engines.append(engine)
-    return engines
+#: Fingerprints are compared this often, not only at the end: a wrongly
+#: skipped poll delays a flit by a cycle or two and the schedules can
+#: re-converge long before a run's last cycle.
+CHECK_EVERY = 16
+
+
+def _run_pair(cycles, at_cycle=None, **options):
+    """Run a scan and an active engine in lockstep on the same config.
+
+    *at_cycle* maps a cycle count to a callable applied to both engines
+    when they reach it (attach/detach an observer mid-run).
+    """
+    scan, active = (
+        Engine(SimulationConfig(scheduler=scheduler, **options))
+        for scheduler in ("scan", "active")
+    )
+    stops = sorted(
+        set(range(CHECK_EVERY, cycles, CHECK_EVERY))
+        | set(at_cycle or ())
+        | {cycles}
+    )
+    done = 0
+    for stop in stops:
+        for engine in (scan, active):
+            engine.run_cycles(stop - done)
+        done = stop
+        assert scan.state_fingerprint() == active.state_fingerprint(), (
+            f"diverged by cycle {stop}: {options}"
+        )
+        if at_cycle and stop in at_cycle:
+            for engine in (scan, active):
+                at_cycle[stop](engine)
+    return scan, active
 
 
 class TestSchedulerIdentity:
@@ -65,6 +94,64 @@ class TestSchedulerIdentity:
         )
         assert scan.state_fingerprint() == active.state_fingerprint()
         assert scan.flits_moved_total > 0  # the run exercised the fabric
+        assert active.conservation_check()
+
+    # Where the disarm rule of _transmit_active is most delicate: a sole
+    # owner's "can it move next cycle" must be exact for every buffer
+    # depth, for worms shorter than their path (releases mid-flight), for
+    # a source that queues, and under both other switching modes.
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"vc_buffer_depth": 1},
+            {"vc_buffer_depth": 2},
+            {"vc_buffer_depth": 4},
+            {"message_length": 2, "radix": 6},
+            {"injection_limit": 1, "offered_load": 0.8},
+            {"switching": "saf"},
+            {"switching": "vct"},
+            {"mux_policy": "highest_class", "algorithm": "phop"},
+            {"sanitize": True},
+        ],
+        ids=lambda options: "-".join(
+            f"{key}={value}" for key, value in options.items()
+        ),
+    )
+    @pytest.mark.parametrize("algorithm", ["ecube", "nbc"])
+    def test_ideal_flow_control_corner_cases(self, algorithm, options):
+        config = {
+            "radix": 4,
+            "n_dims": 2,
+            "algorithm": algorithm,
+            "flow_control": "ideal",
+            "offered_load": 0.5,
+            "message_length": 8,
+            "seed": 41,
+        }
+        config.update(options)
+        _, active = _run_pair(480, **config)
+        assert active.flits_moved_total > 0
+        assert active.conservation_check()
+
+    def test_observer_attached_and_detached_mid_run(self):
+        from repro.obs.observer import ObsConfig, Observer
+
+        _, active = _run_pair(
+            640,
+            at_cycle={
+                200: lambda engine: engine.attach_observer(
+                    Observer(ObsConfig(stride=32))
+                ),
+                424: lambda engine: engine.detach_observer(),
+            },
+            radix=4,
+            n_dims=2,
+            algorithm="nbc",
+            flow_control="ideal",
+            offered_load=0.6,
+            seed=9,
+        )
+        assert active.observer is None and active._parking
         assert active.conservation_check()
 
     def test_fingerprint_detects_divergence(self):
@@ -107,10 +194,76 @@ class TestSchedulerFuzz:
                 "seed": rng.randrange(10_000),
             }
             cycles = rng.randrange(200, 500)
-            scan, active = _run_pair(cycles, **options)
-            assert (
-                scan.state_fingerprint() == active.state_fingerprint()
-            ), f"trial {trial} diverged: {options}, cycles={cycles}"
+            _run_pair(cycles, **options)
+
+
+class TestTransmitPolls:
+    """Transmit does work proportional to flits moved, not to polls."""
+
+    #: 0.57 before sole-owner disarming (every body flit cost one failed
+    #: poll per hop), 0.92-0.94 with it.
+    FLOOR = 0.85
+
+    def test_lone_worm_on_idle_torus(self):
+        from repro.traffic.trace import MessageTrace
+
+        engine = Engine(
+            SimulationConfig(radix=8, n_dims=2, algorithm="ecube"),
+            trace=MessageTrace([(0, 0, 36)]),  # 4 + 4 hops
+        )
+        engine.run_cycles(64)
+        assert engine.delivered_total == 1
+        assert engine.flits_moved_total == 8 * engine.config.message_length
+        assert engine.flits_moved_total / engine.polls_total >= self.FLOOR
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_uncontended_load_wastes_few_polls(self, algorithm):
+        engine = Engine(SimulationConfig(
+            radix=8, n_dims=2, algorithm=algorithm, offered_load=0.1, seed=101,
+        ))
+        engine.run_cycles(1500)
+        assert engine.flits_moved_total > 10_000
+        assert engine.flits_moved_total / engine.polls_total >= self.FLOOR
+
+    def test_poll_counter_is_not_simulated_state(self):
+        """Scan polls far more, yet fingerprints agree: not in the digest."""
+        scan, active = _run_pair(
+            320, radix=4, n_dims=2, algorithm="2pn", offered_load=0.5, seed=3
+        )
+        assert scan.flits_moved_total == active.flits_moved_total
+        assert scan.polls_total > active.polls_total > 0
+
+    @pytest.mark.parametrize("switching", ["wormhole", "saf"])
+    def test_splice_heap_keys_never_tie(self, monkeypatch, switching):
+        """Mid-pass splices order (active_seq, channel) tuples.
+
+        The queue_cycle guard keeps a channel from being spliced twice in
+        a cycle and active_seq is unique, so the tuple comparison never
+        reaches the channel — which therefore defines no ordering.
+        """
+        import heapq
+
+        from repro.network.physical_channel import PhysicalChannel
+        from repro.simulator import engine as engine_module
+
+        splices = []
+
+        def checked_heappush(heap, entry):
+            if isinstance(entry[1], PhysicalChannel):
+                assert all(entry[0] != queued[0] for queued in heap)
+                splices.append(entry[0])
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(engine_module, "heappush", checked_heappush)
+        engine = Engine(SimulationConfig(
+            radix=4, n_dims=2, algorithm="nbc", switching=switching,
+            flow_control="ideal", offered_load=0.7, seed=11,
+        ))
+        engine.run_cycles(500)
+        assert splices, "no mid-pass splice happened"
+        first, second = engine.fabric.channels[:2]
+        with pytest.raises(TypeError):
+            first < second  # noqa: B015
 
 
 class TestRoutingMemo:
