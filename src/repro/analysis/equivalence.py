@@ -1,14 +1,15 @@
-"""Statistical equivalence of the batch backend's identity modes.
+"""Statistical equivalence of the batch backend to the object engine.
 
-The relaxed identity mode (:mod:`repro.simulator.batch`) replaces the
-strict mode's bit-identical scalar rng/routing seams with batched numpy
-draws and table-driven kernels.  Individual runs are *not* bit-identical
-to strict runs — the draw order differs — so relaxed mode is validated
-distributionally: over many seeds, every reported metric must agree
-between the two modes up to sampling noise.
+The batch backend (:mod:`repro.simulator.batch`, ``identity="relaxed"``)
+draws from per-lane numpy generators and routes through table-driven
+kernels.  Individual runs are *not* bit-identical to the object
+engine's (``identity="strict"``) — the draw order differs — so it is
+validated distributionally: over many seeds, every reported metric must
+agree between the two engines up to sampling noise.  The reference side
+runs one object engine per seed, spread over this host's cores.
 
 The dual criterion (mirroring the convergence checker's spirit): a
-metric is discrepant only when the mode means differ *practically* AND
+metric is discrepant only when the two means differ *practically* AND
 *statistically* —
 
 ``|mean_r - mean_s|  >  rel_tol * max(|mean_s|, floor)``   (practical)
@@ -23,18 +24,20 @@ offsets nor rewards noisy small-n runs.
 Compared metrics per point: mean latency, mean wait, achieved
 utilization, delivered throughput, delivered-message count, and the
 per-VC-class usage shares (the paper's load-balance quantity).  Both
-modes run the exact same seeds and the exact same sampling schedule
+engines run the exact same seeds and the exact same sampling schedule
 (``min_samples == max_samples``), so the paired distributions differ
-only by the identity mode.
+only by the engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.experiments.parallel import run_points
 from repro.experiments.runner import run_batch
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
@@ -52,7 +55,7 @@ _REL_FLOOR = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class MetricComparison:
-    """One metric's strict-vs-relaxed verdict."""
+    """One metric's object (strict) vs batch (relaxed) verdict."""
 
     name: str
     mean_strict: float
@@ -128,7 +131,7 @@ def compare_metric(
 def _point_metrics(
     results: Sequence[SimulationResult],
 ) -> Dict[str, List[float]]:
-    """Per-seed metric samples from one mode's results."""
+    """Per-seed metric samples from one engine's results."""
     metrics: Dict[str, List[float]] = {
         "average_latency": [],
         "average_wait": [],
@@ -167,15 +170,19 @@ def compare_point(
     rel_tol: float = 0.05,
     z: float = 3.0,
 ) -> PointReport:
-    """Run one configuration under both identity modes and compare.
+    """Run one configuration on both engines and compare.
 
-    *config* should select ``backend="batch"``; its ``identity`` field
-    is overridden per mode.  Both modes run the same seeds in one
-    lockstep engine each, on a fixed sampling schedule.
+    *config*'s ``backend``/``identity`` are overridden per side.  Both
+    run the same seeds on a fixed sampling schedule: the batch side in
+    one lockstep engine, the reference side as one object engine per
+    seed on as many worker processes as the host has cores.
     """
-    strict_cfg = replace(config, backend="batch", identity="strict")
+    strict_cfg = replace(config, backend="object", identity="strict")
     relaxed_cfg = replace(config, backend="batch", identity="relaxed")
-    strict_results = run_batch(strict_cfg, seeds)
+    strict_results = run_points(
+        [replace(strict_cfg, seed=seed) for seed in seeds],
+        jobs=os.cpu_count() or 1,
+    )
     relaxed_results = run_batch(relaxed_cfg, seeds)
     strict_metrics = _point_metrics(strict_results)
     relaxed_metrics = _point_metrics(relaxed_results)
@@ -215,10 +222,10 @@ def run_suite(
 ) -> List[PointReport]:
     """Equivalence over the full algorithm x topology grid.
 
-    Conservative flow control throughout (the paper's realistic regime
-    and the mode where both engines share the transmit kernel).  The
-    sampling schedule is pinned (``min_samples == max_samples``) so both
-    modes simulate identical cycle counts.
+    Conservative flow control throughout (the only node model the
+    batch backend evaluates).  The sampling schedule is pinned
+    (``min_samples == max_samples``) so both engines simulate identical
+    cycle counts.
     """
     seeds = list(range(101, 101 + num_seeds))
     reports: List[PointReport] = []
@@ -237,7 +244,6 @@ def run_suite(
                 gap_cycles=0,
                 min_samples=samples,
                 max_samples=samples,
-                backend="batch",
             )
             report = compare_point(config, seeds, rel_tol=rel_tol, z=z)
             reports.append(report)
@@ -259,13 +265,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-equivalence",
         description=(
-            "Statistical equivalence of the batch backend's relaxed "
-            "identity mode against the strict (bit-identical) mode."
+            "Statistical equivalence of the batch backend against "
+            "the object engine (the bit-exact reference)."
         ),
     )
     parser.add_argument(
         "--seeds", type=int, default=30,
-        help="seeds per mode per point (default 30)",
+        help="seeds per engine per point (default 30)",
     )
     parser.add_argument(
         "--algorithms", default=",".join(SUITE_ALGORITHMS),

@@ -13,19 +13,16 @@ at several operating points:
   conservative (snapshot-based) node model — the object-engine baseline
   that the batch backend is compared against, since batch execution
   requires conservative flow control.
-* **batch_b1 / batch_b8 / batch_b32**: the same conservative congested
-  point run on the vectorized batch backend
+* **batch_relaxed_b1 / batch_relaxed_b8 / batch_relaxed_b32**: the
+  same conservative congested point run on the vectorized batch backend
   (:class:`repro.simulator.batch.BatchEngine`) with 1, 8 and 32
   lockstep seeds.  The headline figure is ``aggregate_cycles_per_sec``
   (lanes x lane-cycles per wall second); each row also records its
   speedup over the object conservative baseline measured in the same
-  report.
-* **batch_relaxed_b1 / batch_relaxed_b8 / batch_relaxed_b32**: the
-  batch points again under ``identity="relaxed"`` — batched rng draws
-  and table-driven routing kernels instead of the strict mode's
-  bit-identical scalar seams (see ``docs/performance.md``, "identity
-  modes").  Relaxed runs are statistically, not bitwise, equivalent to
-  strict runs, so these rows measure what the looser contract buys.
+  report.  Batch runs are statistically, not bitwise, equivalent to
+  object runs (``identity="relaxed"``; see ``docs/performance.md``,
+  "identity modes"), so these rows measure what the looser contract
+  buys.
 
 The report is written to ``BENCH_engine_speed.json`` and committed, so
 the repo carries its own performance trajectory.  ``--compare BASELINE``
@@ -87,8 +84,6 @@ _GATED_ROWS = (
     ("congested", "cycles_per_sec"),
     ("congested", "moves_per_poll"),
     ("congested_conservative", "cycles_per_sec"),
-    ("batch_b32", "aggregate_cycles_per_sec"),
-    ("batch_b32", "flit_events_per_sec"),
     ("batch_relaxed_b32", "aggregate_cycles_per_sec"),
     ("batch_relaxed_b32", "flit_events_per_sec"),
 )
@@ -184,17 +179,13 @@ def time_batch(
     cycles: int,
     lanes: int,
     repeats: int = 1,
-    identity: str = "strict",
 ) -> Dict[str, object]:
     """Time one lockstep batch point; best-of-*repeats* observation.
 
     All lanes share one config and differ only by seed (42, 43, ...),
     matching how ``repro-sweep --backend batch`` claims seed-batches.
     The headline is ``aggregate_cycles_per_sec``: summed simulated
-    cycles across lanes per wall second.  *identity* selects the batch
-    backend's execution contract: ``"strict"`` (bit-identical to the
-    object engine) or ``"relaxed"`` (batched rng + vectorized routing,
-    statistically equivalent).
+    cycles across lanes per wall second.
     """
     config = SimulationConfig(
         radix=8,
@@ -204,7 +195,7 @@ def time_batch(
         seed=42,
         flow_control="conservative",
         backend="batch",
-        identity=identity,
+        identity="relaxed",
     )
     seeds = [42 + lane for lane in range(lanes)]
     best: Optional[Dict[str, object]] = None
@@ -227,7 +218,7 @@ def time_batch(
         run = {
             "offered_load": offered_load,
             "lanes": lanes,
-            "identity": identity,
+            "identity": "relaxed",
             "timed_cycles": cycles,
             "seconds": round(elapsed, 4),
             "lane_cycles_per_sec": round(cycles / elapsed, 1),
@@ -257,7 +248,7 @@ def run_speed_suite(
     engines: Dict[str, Dict[str, object]] = {}
     report: Dict[str, object] = {
         "benchmark": "bench_engine_speed",
-        "schema_version": 5,
+        "schema_version": 6,
         "quick": quick,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc
@@ -291,23 +282,16 @@ def run_speed_suite(
             ),
         }
         object_rate = rows["congested_conservative"]["cycles_per_sec"]
-        for identity in ("strict", "relaxed"):
-            prefix = "batch" if identity == "strict" else "batch_relaxed"
-            for lanes in BATCH_SIZES:
-                row = time_batch(
-                    algorithm,
-                    CONGESTED_LOAD,
-                    cycles,
-                    lanes,
-                    repeats,
-                    identity=identity,
-                )
-                # Speedup over the object engine running the same
-                # conservative congested point, one seed at a time.
-                row["speedup_vs_object"] = round(
-                    row["aggregate_cycles_per_sec"] / object_rate, 2
-                )
-                rows[f"{prefix}_b{lanes}"] = row
+        for lanes in BATCH_SIZES:
+            row = time_batch(
+                algorithm, CONGESTED_LOAD, cycles, lanes, repeats
+            )
+            # Speedup over the object engine running the same
+            # conservative congested point, one seed at a time.
+            row["speedup_vs_object"] = round(
+                row["aggregate_cycles_per_sec"] / object_rate, 2
+            )
+            rows[f"batch_relaxed_b{lanes}"] = row
         engines[algorithm] = rows
     return report
 

@@ -11,9 +11,8 @@ The identity is split the same way sweep checkpoints always split it:
 
 * :func:`campaign_signature` hashes every field **shared** by the points
   of one campaign (everything except algorithm / offered load / seed, and
-  except the backend — per-seed results are bit-identical across
-  backends, so a result simulated under one backend is equally valid
-  under the other);
+  except the backend — what tells an object-engine result from a batch
+  one is the ``identity`` field, which is hashed);
 * :func:`point_key` names one point **within** a campaign;
 * :func:`result_key` combines the two into the store's record key.
 
@@ -38,18 +37,17 @@ from repro.simulator.config import SimulationConfig
 POINT_FIELDS = ("algorithm", "offered_load", "seed")
 
 #: Fields excluded from the campaign signature: the point fields, plus
-#: the backend — per-seed results are bit-identical across backends (the
-#: cross-backend test matrix pins this), so a result recorded under one
-#: backend is equally valid under the other and a resumed campaign may
-#: switch backends without losing completed points.
+#: the backend.  ``backend`` stays out because every store written so
+#: far was addressed without it (it dates from when a strict batch
+#: stepper returned the object engine's bytes, whose records —
+#: ``identity="strict"`` — the object engine now serves and extends).
 #:
-#: ``identity`` is deliberately NOT excluded.  Backend exclusion rests
-#: on bit-identity, which only ``identity="strict"`` guarantees;
-#: relaxed-mode results are statistically, not bitwise, equivalent and
-#: must never be served from a strict record (or vice versa).  The
-#: exclusion stays sound alongside relaxed mode because
-#: ``identity="relaxed"`` is only constructible with
-#: ``backend="batch"`` (config validation), so a backendless identity
+#: ``identity`` is deliberately NOT excluded, and is what keeps the two
+#: backends apart: batch results are statistically, not bitwise,
+#: equivalent to the object engine's and must never be served where
+#: those were asked for (or vice versa).  Config validation admits
+#: exactly ``backend="object", identity="strict"`` and
+#: ``backend="batch", identity="relaxed"``, so a backendless identity
 #: never conflates the two contracts.  Since the signature hashes every
 #: non-excluded field of the config dataclass, stores written before
 #: the ``identity`` field existed hash differently and show up as cache

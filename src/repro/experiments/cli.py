@@ -14,19 +14,26 @@ import argparse
 import dataclasses
 import sys
 from types import MappingProxyType
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.experiments import paper_figures
-from repro.experiments.profiles import PROFILES, apply_profile
+from repro.experiments.profiles import (
+    PROFILES,
+    apply_profile,
+    current_profile,
+)
 from repro.experiments.sweep import PAPER_LOADS, sweep_algorithms
 from repro.experiments.tables import format_figure, peak_summary, write_csv
-from repro.routing.registry import ALGORITHM_NAMES
+from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
 from repro.simulator.config import (
+    BACKEND_IDENTITY,
     BACKENDS,
     FLOW_CONTROL_MODES,
     SimulationConfig,
 )
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RoutingError
+
+_T = TypeVar("_T")
 
 # Immutable figure dispatch table (DET005: no worker-divergent state).
 _FIGURES = MappingProxyType(
@@ -80,8 +87,8 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         metavar="S1,S2,...",
         help=(
             "comma-separated seeds: every (algorithm, load) point runs "
-            "once per seed (overrides --seed; pairs naturally with "
-            "--backend batch, which runs a point's seeds in lockstep)"
+            "once per seed (overrides --seed; spread them over cores "
+            "with --jobs, or run them in lockstep with --backend batch)"
         ),
     )
     parser.add_argument(
@@ -100,9 +107,12 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         default=None,
         help=(
             "simulation backend for custom sweeps: 'object' (default) "
-            "runs one engine per seed, 'batch' runs each point's seeds "
-            "in one vectorized lockstep engine (bit-identical per seed; "
-            "requires a conservative-flow-control configuration)"
+            "runs one engine per seed and is the bit-exact path (use "
+            "--jobs for cores); 'batch' runs each point's seeds in one "
+            "vectorized lockstep engine — faster in aggregate from "
+            "about 16 seeds, statistically (not bitwise) equivalent, "
+            "filed under its own store addresses; requires "
+            "--flow-control conservative (see docs/performance.md)"
         ),
     )
     parser.add_argument(
@@ -111,18 +121,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         default=32,
         metavar="B",
         help="max seeds per lockstep batch with --backend batch",
-    )
-    parser.add_argument(
-        "--identity",
-        choices=("strict", "relaxed"),
-        default=None,
-        help=(
-            "batch-backend execution contract: 'strict' (default; "
-            "per-seed results bit-identical to the object engine) or "
-            "'relaxed' (batched rng + vectorized routing kernels, "
-            "statistically equivalent — see docs/performance.md, "
-            "'identity modes'; requires --backend batch)"
-        ),
     )
     parser.add_argument(
         "--jobs",
@@ -194,14 +192,64 @@ def _obs_settings(args: argparse.Namespace) -> Tuple[bool, dict]:
     return enabled, options
 
 
+def _items(
+    flag: str, text: str, convert: Callable[[str], _T], kind: str
+) -> List[_T]:
+    """The items of a comma-separated flag value, each through
+    *convert*; ValueError (carrying the message to print) unless every
+    item is non-empty and converts."""
+    try:
+        items = [item.strip() for item in text.split(",")]
+        if not all(items):
+            raise ValueError(text)
+        return [convert(item) for item in items]
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be {kind}, got {text!r}"
+        ) from None
+
+
+def _load(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise ValueError(text)
+    return value
+
+
+def _algorithms_error(
+    config: SimulationConfig, algorithms: Sequence[str]
+) -> Optional[str]:
+    """Why some name in *algorithms* does not build on *config*'s
+    network, or None when all do."""
+    topology = config.build_topology()
+    for name in algorithms:
+        try:
+            make_algorithm(name, topology)
+        except (ConfigurationError, RoutingError) as error:
+            return f"--algorithms: {error}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    loads = (
-        PAPER_LOADS
-        if args.loads is None
-        else tuple(float(x) for x in args.loads.split(","))
-    )
+    # The list flags are checked here, before any point simulates.
+    seeds: Optional[List[int]] = None
+    try:
+        algorithms = _items(
+            "--algorithms", args.algorithms, str,
+            "comma-separated algorithm names",
+        )
+        loads = PAPER_LOADS if args.loads is None else tuple(_items(
+            "--loads", args.loads, _load,
+            "comma-separated non-negative numbers",
+        ))
+        if args.seeds is not None:
+            seeds = _items(
+                "--seeds", args.seeds, int, "comma-separated integers"
+            )
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
 
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
@@ -212,35 +260,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    seeds: Optional[List[int]] = None
-    if args.seeds is not None:
-        try:
-            seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
-        except ValueError:
-            print(f"--seeds must be integers, got {args.seeds!r}",
-                  file=sys.stderr)
-            return 2
-        if not seeds:
-            print("--seeds must name at least one seed", file=sys.stderr)
-            return 2
 
     obs_enabled, obs_options = _obs_settings(args)
 
     if args.figure is not None:
         if args.backend == "batch":
             # The paper figures pin the paper's node model (ideal flow
-            # control), which the batch backend cannot reproduce
-            # bit-identically; see the batch module docstring.
+            # control), which the batch backend cannot evaluate; see
+            # the batch module docstring.
             print(
                 "--backend batch applies to custom sweeps only "
                 "(the paper figures use ideal flow control)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.identity is not None:
-            print(
-                "--identity applies to custom sweeps only (the paper "
-                "figures run on the object backend, the strict oracle)",
                 file=sys.stderr,
             )
             return 2
@@ -254,6 +284,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "(the paper figures pin the paper's node model)",
                 file=sys.stderr,
             )
+            return 2
+        error = _algorithms_error(
+            apply_profile(
+                SimulationConfig(),
+                args.profile if args.profile is not None
+                else current_profile(),
+            ),
+            algorithms,
+        )
+        if error is not None:
+            print(error, file=sys.stderr)
             return 2
         run, check = _FIGURES[args.figure]
         series = run(
@@ -283,7 +324,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.backend is not None:
             try:
-                config = dataclasses.replace(config, backend=args.backend)
+                config = dataclasses.replace(
+                    config,
+                    backend=args.backend,
+                    identity=BACKEND_IDENTITY[args.backend],
+                )
             except ConfigurationError as error:
                 # e.g. batch over ideal flow control: surface the
                 # prerequisite instead of a traceback.
@@ -294,18 +339,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        if args.identity is not None:
-            try:
-                config = dataclasses.replace(
-                    config, identity=args.identity
-                )
-            except ConfigurationError as error:
-                # e.g. relaxed without the batch backend.
-                print(f"--identity {args.identity}: {error}",
-                      file=sys.stderr)
-                print("hint: --identity relaxed needs --backend batch",
-                      file=sys.stderr)
-                return 2
+        error = _algorithms_error(config, algorithms)
+        if error is not None:
+            print(error, file=sys.stderr)
+            return 2
         series = sweep_algorithms(
             config,
             algorithms,

@@ -55,121 +55,112 @@ def _obs_overrides(
     return {"obs": True, "obs_options": dict(obs_options or {})}
 
 
-def figure3(
-    profile: Optional[str] = None,
-    offered_loads: Sequence[float] = PAPER_LOADS,
-    algorithms: Sequence[str] = ALGORITHM_NAMES,
-    seed: int = 1,
-    verbose: bool = False,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    obs: bool = False,
-    obs_options: Optional[Dict[str, Any]] = None,
-) -> Series:
-    """Uniform traffic of 16-flit worms (paper Figure 3)."""
-    config = _base_config(
-        profile,
-        traffic="uniform",
-        seed=seed,
-        **_obs_overrides(obs, obs_options),
-    )
-    return sweep_algorithms(
-        config,
-        algorithms,
-        offered_loads,
-        verbose,
-        jobs=jobs,
-        checkpoint=checkpoint,
-    )
+#: The (traffic, traffic_options, switching, algorithms) grid behind
+#: each paper figure — the declarative core the figure functions and
+#: :func:`figure_campaign_spec` share.
+FIGURE_GRIDS: Mapping[str, Dict[str, Any]] = MappingProxyType(
+    {
+        "3": {
+            "traffic": "uniform",
+            "traffic_options": {},
+            "switching": "wormhole",
+            "algorithms": ALGORITHM_NAMES,
+        },
+        "4": {
+            "traffic": "hotspot",
+            "traffic_options": {"fraction": 0.04},
+            "switching": "wormhole",
+            "algorithms": ALGORITHM_NAMES,
+        },
+        "5": {
+            "traffic": "local",
+            "traffic_options": {"radius": 3},
+            "switching": "wormhole",
+            "algorithms": ALGORITHM_NAMES,
+        },
+        "vct": {
+            "traffic": "uniform",
+            "traffic_options": {},
+            "switching": "vct",
+            "algorithms": ("ecube", "2pn", "nbc"),
+        },
+    }
+)
 
 
-def figure4(
-    profile: Optional[str] = None,
-    offered_loads: Sequence[float] = PAPER_LOADS,
-    algorithms: Sequence[str] = ALGORITHM_NAMES,
-    hotspot_fraction: float = 0.04,
-    seed: int = 1,
-    verbose: bool = False,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    obs: bool = False,
-    obs_options: Optional[Dict[str, Any]] = None,
-) -> Series:
-    """Hotspot traffic, 4% to the max-coordinate node (paper Figure 4)."""
-    config = _base_config(
-        profile,
-        traffic="hotspot",
-        traffic_options={"fraction": hotspot_fraction},
-        seed=seed,
-        **_obs_overrides(obs, obs_options),
-    )
-    return sweep_algorithms(
-        config,
-        algorithms,
-        offered_loads,
-        verbose,
-        jobs=jobs,
-        checkpoint=checkpoint,
-    )
+def _figure_sweep(
+    name: str, figure: str, doc: str, **option_names: str
+) -> Callable[..., Series]:
+    """The public sweep function *name* of one :data:`FIGURE_GRIDS` entry.
+
+    *option_names* maps an extra keyword of the function (figure 4's
+    ``hotspot_fraction``) to the traffic option it overrides.
+    """
+    grid = FIGURE_GRIDS[figure]
+
+    def sweep(
+        profile: Optional[str] = None,
+        offered_loads: Sequence[float] = PAPER_LOADS,
+        algorithms: Sequence[str] = grid["algorithms"],
+        seed: int = 1,
+        verbose: bool = False,
+        jobs: int = 1,
+        checkpoint: Optional[str] = None,
+        obs: bool = False,
+        obs_options: Optional[Dict[str, Any]] = None,
+        **overrides: Any,
+    ) -> Series:
+        unknown = sorted(set(overrides) - set(option_names))
+        if unknown:
+            raise TypeError(
+                f"{name}() got unexpected keyword arguments {unknown}"
+            )
+        options = dict(grid["traffic_options"])
+        options.update(
+            (option_names[key], value) for key, value in overrides.items()
+        )
+        config = _base_config(
+            profile,
+            traffic=grid["traffic"],
+            traffic_options=options,
+            switching=grid["switching"],
+            seed=seed,
+            **_obs_overrides(obs, obs_options),
+        )
+        return sweep_algorithms(
+            config,
+            algorithms,
+            offered_loads,
+            verbose,
+            jobs=jobs,
+            checkpoint=checkpoint,
+        )
+
+    sweep.__name__ = sweep.__qualname__ = name
+    sweep.__doc__ = doc
+    return sweep
 
 
-def figure5(
-    profile: Optional[str] = None,
-    offered_loads: Sequence[float] = PAPER_LOADS,
-    algorithms: Sequence[str] = ALGORITHM_NAMES,
-    radius: int = 3,
-    seed: int = 1,
-    verbose: bool = False,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    obs: bool = False,
-    obs_options: Optional[Dict[str, Any]] = None,
-) -> Series:
-    """Local traffic within a radius-3 neighbourhood (paper Figure 5)."""
-    config = _base_config(
-        profile,
-        traffic="local",
-        traffic_options={"radius": radius},
-        seed=seed,
-        **_obs_overrides(obs, obs_options),
-    )
-    return sweep_algorithms(
-        config,
-        algorithms,
-        offered_loads,
-        verbose,
-        jobs=jobs,
-        checkpoint=checkpoint,
-    )
-
-
-def vct_comparison(
-    profile: Optional[str] = None,
-    offered_loads: Sequence[float] = PAPER_LOADS,
-    algorithms: Sequence[str] = ("ecube", "2pn", "nbc"),
-    seed: int = 1,
-    verbose: bool = False,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    obs: bool = False,
-    obs_options: Optional[Dict[str, Any]] = None,
-) -> Series:
-    """Virtual cut-through rerun of Section 3.4 (uniform traffic)."""
-    config = _base_config(
-        profile,
-        traffic="uniform",
-        switching="vct",
-        seed=seed,
-        **_obs_overrides(obs, obs_options),
-    )
-    return sweep_algorithms(
-        config,
-        algorithms,
-        offered_loads,
-        verbose,
-        jobs=jobs,
-        checkpoint=checkpoint,
-    )
+figure3 = _figure_sweep(
+    "figure3", "3", "Uniform traffic of 16-flit worms (paper Figure 3)."
+)
+figure4 = _figure_sweep(
+    "figure4",
+    "4",
+    "Hotspot traffic, 4% to the max-coordinate node (paper Figure 4).",
+    hotspot_fraction="fraction",
+)
+figure5 = _figure_sweep(
+    "figure5",
+    "5",
+    "Local traffic within a radius-3 neighbourhood (paper Figure 5).",
+    radius="radius",
+)
+vct_comparison = _figure_sweep(
+    "vct_comparison",
+    "vct",
+    "Virtual cut-through rerun of Section 3.4 (uniform traffic).",
+)
 
 
 # ----------------------------------------------------------------------
@@ -328,39 +319,6 @@ FIGURE_CHECKS: Mapping[
         "vct": check_vct,
     }
 )
-
-#: The (traffic, traffic_options, switching, algorithms) grid behind
-#: each paper figure — the declarative core the figure functions and
-#: :func:`figure_campaign_spec` share.
-FIGURE_GRIDS: Mapping[str, Dict[str, Any]] = MappingProxyType(
-    {
-        "3": {
-            "traffic": "uniform",
-            "traffic_options": {},
-            "switching": "wormhole",
-            "algorithms": ALGORITHM_NAMES,
-        },
-        "4": {
-            "traffic": "hotspot",
-            "traffic_options": {"fraction": 0.04},
-            "switching": "wormhole",
-            "algorithms": ALGORITHM_NAMES,
-        },
-        "5": {
-            "traffic": "local",
-            "traffic_options": {"radius": 3},
-            "switching": "wormhole",
-            "algorithms": ALGORITHM_NAMES,
-        },
-        "vct": {
-            "traffic": "uniform",
-            "traffic_options": {},
-            "switching": "vct",
-            "algorithms": ("ecube", "2pn", "nbc"),
-        },
-    }
-)
-
 
 def figure_campaign_spec(
     figure: str,

@@ -141,8 +141,8 @@ def _run_batch_worker(
 
     The whole batch advances in lockstep inside one
     :class:`~repro.simulator.batch.BatchEngine`; results come back in
-    the order of *configs* (= seed order), each bit-identical to what
-    :func:`_run_point_worker` would have produced for that seed.
+    the order of *configs* (= seed order), each what that seed yields
+    in a batch of any other composition.
     """
     return run_batch(configs[0], [config.seed for config in configs])
 
@@ -199,7 +199,8 @@ def run_points(
     seed-batches of at most *batch_size*: a worker claims a whole batch
     (points identical except for the seed) and runs it in one lockstep
     :class:`~repro.simulator.batch.BatchEngine`, instead of one point.
-    Per-seed results and checkpoint records are unchanged.
+    Per-seed results and checkpoint records do not depend on the
+    grouping.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

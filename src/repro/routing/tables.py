@@ -4,8 +4,8 @@ The engine-level memoization (:meth:`RoutingAlgorithm.candidates_cached`,
 the resolved-candidate caches) already turns every shipped algorithm's
 deterministic component into a static ``(node, dst, state_key) ->
 candidates`` mapping.  :class:`RouteTable` interns that mapping into
-*dense integer rows* so the batch backend's relaxed identity mode can
-gather whole request batches at once:
+*dense integer rows* so the batch backend can gather whole request
+batches at once:
 
 * ``cand_flat[row, k]`` — flat VC index (``link.index * V + vc_class``)
   of candidate *k*, ``-1`` padded;
@@ -28,7 +28,8 @@ is stateless, the hop schemes map ``(vc_class,)`` through
 ``class_after_hop(vc_class, current)``, north-last increments its wrap
 count on wrap links, 2pn's tag never changes, and multi-lane delegates —
 and any custom algorithm whose ``advance`` consults state outside its
-key must not be run in relaxed mode (strict mode never builds tables).
+key must not be run on the batch backend (the object engine never
+builds tables).
 
 States whose ``state_key`` is ``None`` (memoization opt-out) cannot be
 interned; :meth:`RouteTable.row_for` raises ``ConfigurationError``.
@@ -132,8 +133,8 @@ class RouteTable:
                 raise ConfigurationError(
                     f"routing algorithm {self.algorithm.name!r} returned "
                     "state_key=None: its candidate sets cannot be "
-                    "table-interned, which relaxed-identity batch "
-                    "execution requires (run identity='strict' instead)"
+                    "table-interned, which the batch backend requires "
+                    "(run backend='object' instead)"
                 )
         entry = (node, dst, key)
         row = self._index.get(entry)

@@ -5,23 +5,40 @@ differing only by seed — advance in lockstep, one shared cycle at a time.
 All per-virtual-channel state (ownership, buffer occupancy, worm flit
 counters, arrival/departure stamps, lifetime counters) and all per-physical-
 channel state (round-robin pointer, activity sequence) live in flat numpy
-arrays with a leading batch axis, so the transmission and ejection phases
-become a handful of array-at-once kernels instead of a Python scan per
-lane.  Routing stays scalar per active head (algorithm callbacks and rng
-tie-breaks are inherently per-message) behind a gather/scatter seam,
-reusing the object engine's candidate memoization.
+arrays with a leading batch axis, and message state is structure-of-arrays
+(:class:`repro.simulator.soa.MessageSlab`: per-message columns in
+``[B, M]`` slabs addressed by free-list-recycled slots), so every phase of
+a cycle is a handful of array-at-once kernels instead of a Python scan
+per lane.  There is one stepper and no mode switch.
 
-**Bit-identity contract** (``identity="strict"``, the default).  For
-every supported configuration the batch backend reproduces the object
-engine's flit schedule and
-:meth:`~repro.simulator.engine.Engine.state_fingerprint` exactly, per seed
-(the object engine stays the oracle; the cross-backend tests pin this).
-The vectorization rests on one property of the engine's *conservative*
+**What this backend is for.**  Aggregate throughput of multi-seed
+replications: 2-3x the object engine per core at B=32 (1.8-3.1x by
+algorithm; ``docs/performance.md``, the ledger's ``replicate_b32``
+workload).  It is slower than the object
+engine below B of about 16.
+
+**Contract: statistical, not bitwise** (``identity="relaxed"``, the only
+identity a ``backend="batch"`` config can carry).  Per-lane numpy
+Generators replace the object engine's ``random.Random`` streams, with
+draws batched per phase (geometric arrival gaps and destination uniforms
+prefetched through stream-order-preserving buffers, routing tie-breaks
+drawn per round), and routing/VC allocation is a round-based vectorized
+kernel gathering candidate sets from an interned
+:class:`repro.routing.tables.RouteTable`.  Results are deterministic per
+(config, seed) and independent of batch composition — each lane's draw
+and buffer consumption sequence depends only on its own state — but
+differ per seed from the object engine's; their *distributions* are
+validated against object-engine runs by :mod:`repro.analysis.equivalence`
+(``repro-equivalence``).  The bit-exact path for any configuration is
+``backend="object"`` (one engine per seed, ``--jobs`` for cores).
+
+The transmit kernel rests on one property of the engine's *conservative*
 flow control: within a cycle, every transmit decision is a pure function
 of the post-ejection, pre-transmission state.  The snapshot timestamps
 (``last_arrival_cycle``/``last_departure_cycle``) exist precisely to make
 the object engine's sequential channel scan order-invariant — which means
-a simultaneous whole-array evaluation commits the exact same set of moves.
+a simultaneous whole-array evaluation commits the exact same set of moves
+from the same state.
 
 **Unsupported configurations** raise
 :class:`~repro.util.errors.ConfigurationError`:
@@ -30,7 +47,7 @@ a simultaneous whole-array evaluation commits the exact same set of moves.
   enter a slot freed *earlier in the same cycle*, so the committed move
   set depends on the intra-cycle poll order (a later pass can hand a
   freed slot to a lower-round-robin-rank VC).  That is a sequential
-  data dependence, not vectorizable bit-identically.
+  data dependence, not an array-at-once evaluation.
 * ``switching="saf"`` — store-and-forward reads the *live* upstream
   ``flits_in`` during the pass (packet assembly can complete mid-cycle),
   which is order-dependent even under conservative flow control.
@@ -41,67 +58,33 @@ Wormhole and VCT, both mux policies, and all selection policies are
 supported (conservative wormhole uses the 2-flit buffers
 ``effective_buffer_depth`` already assigns it).
 
-**Relaxed identity** (``identity="relaxed"``) trades per-seed
-bit-identity for speed past the scalar seam: per-lane ``random.Random``
-streams become per-lane numpy Generators with draws batched per phase
-(geometric arrival gaps and destination uniforms prefetched through
-stream-order-preserving buffers, routing tie-breaks drawn per round),
-and the scalar routing/VC-allocation loop becomes a round-based
-vectorized kernel gathering candidate sets from an interned
-:class:`repro.routing.tables.RouteTable`.  Message state itself is
-structure-of-arrays (:class:`repro.simulator.soa.MessageSlab`):
-per-message columns in ``[B, M]`` slabs addressed by free-list-recycled
-slots, so no ``_BatchMessage`` object is constructed or touched
-anywhere on the relaxed per-cycle path (strict mode keeps the object
-representation — it is the bit-identity oracle).  Results remain
-deterministic per (config, seed) and independent of batch composition —
-each lane's draw and buffer consumption sequence depends only on its
-own state — but differ per seed from the strict schedule; their
-distributions are validated against strict runs by
-:mod:`repro.analysis.equivalence`.
-
-**Performance structure.**  The strict per-cycle cost has three tiers:
-
-1. the transmit/eject kernels — whole-array work shared by all lanes,
-   indexed through 1-D views with absolute indices ``b*C*V + flat``;
-2. the scalar seam (routing, generation, move consequences) — reads go
-   through plain-Python mirror lists (``owner``/``owned-count`` per
-   lane), and array writes from VC allocation/release are *deferred*
-   into pending lists flushed as one batched scatter per cycle just
-   before the transmit kernel (``_flush``), so the seam never pays
-   per-element numpy indexing;
-3. sparse move consequences (head arrivals, releases, injection
-   completion) — extracted by the kernel, applied scalar per lane in
-   ascending moving-channel ``active_seq`` order, which is exactly the
-   object engine's poll order over its insertion-ordered active set.
-
-The relaxed path replaces tiers 2–3 with masked array kernels over the
-slabs: generation writes admitted messages as column scatters, routing
-is a park/wake pass (blocked requests re-test only when a candidate
-VC's release stamp advances — see ``_rel_stamp``) over a tombstoning
-:class:`~repro.simulator.soa.RequestPool`, and move consequences
-(release bookkeeping, ejection, injection completion, per-winner
-commits) are masked scatters in the per-cycle epilogue.  What remains
-per cycle is numpy kernel dispatch roughly balanced across transmit,
-route, and generate — the residual floor recorded in
-docs/performance.md.
+**Performance structure.**  Per cycle: generation writes admitted
+messages as column scatters; routing is a park/wake pass (blocked
+requests re-test only when a candidate VC's release stamp advances — see
+``_rel_stamp``) over a tombstoning
+:class:`~repro.simulator.soa.RequestPool`; array writes from VC
+allocation/release are *deferred* into pending blocks flushed as one
+batched scatter just before the transmit kernel (``_flush``); the
+transmit/eject kernels index whole-array state through 1-D views with
+absolute indices ``b*C*V + flat``; and move consequences (release
+bookkeeping, ejection, injection completion, per-winner commits) are
+masked scatters in the per-cycle epilogue, applied in ascending
+moving-channel ``active_seq`` order — the object engine's poll order
+over its insertion-ordered active set.  What remains per cycle is numpy
+kernel dispatch roughly balanced across transmit, route, and generate —
+the residual floor recorded in docs/performance.md.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
-from heapq import heappush
 from typing import (
     Any,
-    Deque,
     Dict,
     Hashable,
     Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -113,12 +96,8 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.injection import InjectionController
 from repro.simulator.soa import DeliverQueue, MessageSlab, RequestPool
 from repro.stats.counters import SampleRecord
-from repro.topology.base import Link, Topology
-from repro.traffic.arrivals import (
-    GapBuffer,
-    GeometricArrivals,
-    UniformBuffer,
-)
+from repro.topology.base import Topology
+from repro.traffic.arrivals import GapBuffer, UniformBuffer
 from repro.traffic.base import (
     TrafficPattern,
     destinations_from_uniforms,
@@ -133,69 +112,13 @@ from repro.util.rng import (
     RngStreams,
 )
 
-#: A routing candidate resolved to array coordinates:
-#: (flat VC index = channel * V + vc_class, channel index, vc_class, link).
-_Candidate = Tuple[int, int, int, Link]
-
-#: Masked-out load in the relaxed least-multiplexed kernel (any value
-#: above every possible per-channel reserved-VC count works).
+#: Masked-out load in the least-multiplexed kernel (any value above
+#: every possible per-channel reserved-VC count works).
 _LOAD_INF = np.int64(1) << 62
 
-#: "Never due" sentinel for the relaxed arrival array (matches the
-#: scalar GeometricArrivals/geometric_gaps sentinel).
+#: "Never due" sentinel for the arrival array (matches the
+#: geometric_gaps sentinel).
 _ARR_NEVER = 1 << 60
-
-
-class _BatchMessage:
-    """One worm of one lane; mirrors :class:`repro.network.message.Message`
-    with the flit counters externalized into the engine's arrays."""
-
-    __slots__ = (
-        "msg_id",
-        "src",
-        "dst",
-        "distance",
-        "route_state",
-        "msg_class",
-        "created_at",
-        "delivered_at",
-        "path",
-        "head_node",
-        "src_flat",
-        "cached_candidates",
-        "route_seq",
-        "parked",
-        "park_epoch",
-    )
-
-    def __init__(
-        self,
-        msg_id: int,
-        src: int,
-        dst: int,
-        distance: int,
-        route_state: Any,
-        msg_class: Hashable,
-        created_at: int,
-    ) -> None:
-        self.msg_id = msg_id
-        self.src = src
-        self.dst = dst
-        self.distance = distance
-        self.route_state = route_state
-        self.msg_class = msg_class
-        self.created_at = created_at
-        self.delivered_at: Optional[int] = None
-        #: Flat VC indices currently held, oldest first (cf. Message.path).
-        self.path: Deque[int] = deque()
-        self.head_node = src
-        #: Flat index of the first-hop VC (None until allocated); the
-        #: lane's flits_to_inject counter lives in the inject array there.
-        self.src_flat: Optional[int] = None
-        self.cached_candidates: Optional[Sequence[_Candidate]] = None
-        self.route_seq = -1
-        self.parked = False
-        self.park_epoch = 0
 
 
 class _Lane:
@@ -203,30 +126,17 @@ class _Lane:
 
     __slots__ = (
         "index",
-        "off",
         "seed",
-        "relaxed",
         "rng",
-        "rng_arrivals",
-        "rng_destinations",
-        "rng_routing",
         "gen_arrivals",
         "gen_destinations",
         "gen_routing",
         "injection_rate",
         "arr_buf",
         "dst_buf",
-        "arrivals",
         "controller",
-        "msgs",
-        "route_heap",
-        "route_seq",
-        "parked",
-        "waiters",
         "delivering",
         "frozen_pending",
-        "owner_py",
-        "owned_py",
         "cycle",
         "in_flight",
         "msg_counter",
@@ -234,8 +144,6 @@ class _Lane:
         "delivered_total",
         "flits_moved_total",
         "last_progress",
-        "next_active_seq",
-        "owned_total",
         "sample",
         "sample_chunks",
         "sample_flits_base",
@@ -248,52 +156,25 @@ class _Lane:
     def __init__(
         self,
         index: int,
-        off: int,
         seed: int,
-        num_nodes: int,
-        num_flat: int,
-        num_channels: int,
         injection_rate: float,
         injection_limit: Optional[int],
-        relaxed: bool = False,
     ) -> None:
         self.index = index
-        #: This lane's offset into the 1-D array views: index * C * V.
-        self.off = off
         self.seed = seed
-        self.relaxed = relaxed
         self.injection_rate = injection_rate
         self.rng = RngStreams(seed)
-        if relaxed:
-            # Relaxed identity: per-phase numpy Generators; the arrival
-            # schedule lives in the engine's lane-fused due array, so
-            # the lane carries no arrivals object.  Strict lanes never
-            # touch the numpy streams, relaxed lanes never touch the
-            # scalar ones.
-            self.arrivals: Any = None
-        else:
-            self.arrivals = GeometricArrivals(num_nodes, injection_rate)
-            self.arrivals.start(0, self.rng.stream(STREAM_ARRIVALS))
+        #: Holds the admitted/refused counts; occupancy against the
+        #: limit lives in the engine's ``_outst`` array.
         self.controller = InjectionController(injection_limit)
-        #: Live (undelivered) messages by id; owner arrays store the ids.
-        self.msgs: Dict[int, _BatchMessage] = {}
-        self.route_heap: List[Tuple[int, _BatchMessage]] = []
-        self.route_seq = 0
-        self.parked: Dict[int, _BatchMessage] = {}
-        #: flat VC index -> [(park_epoch, message), ...] waiter lists.
-        self.waiters: Dict[int, List[Tuple[int, _BatchMessage]]] = {}
-        #: Flat VC indices delivering at their destination, in
-        #: registration order (cf. Engine._delivering).
+        #: Flat VC indices delivering at their destination, frozen here
+        #: when the lane stops (running lanes' entries live in the
+        #: engine's shared deliver queue).
         self.delivering: List[int] = []
-        #: Relaxed/SoA: slab slots of route requests frozen when the
-        #: lane stopped (the shared pool drops them; fingerprints and
-        #: deadlock reports still need the pending set).
+        #: Slab slots of route requests frozen when the lane stopped
+        #: (the shared pool drops them; fingerprints and deadlock
+        #: reports still need the pending set).
         self.frozen_pending: List[int] = []
-        #: Plain-Python mirrors of the owner / per-channel owned-count
-        #: array state, so the scalar routing seam reads without numpy
-        #: scalar indexing (the arrays are batch-updated in _flush).
-        self.owner_py: List[int] = [-1] * num_flat
-        self.owned_py: List[int] = [0] * num_channels
         self.cycle = 0
         self.in_flight = 0
         self.msg_counter = 0
@@ -301,12 +182,9 @@ class _Lane:
         self.delivered_total = 0
         self.flits_moved_total = 0
         self.last_progress = 0
-        self.next_active_seq = 0
-        #: Reserved VCs across the lane (drives the all-idle early-out).
-        self.owned_total = 0
         self.sample: Optional[SampleRecord] = None
-        #: Relaxed/SoA delivery buffering: per-cycle (latency, hops)
-        #: array chunks, materialized into the sample at end_sample.
+        #: Delivery buffering: per-cycle (latency, hops) array chunks,
+        #: materialized into the sample at end_sample.
         self.sample_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self.sample_flits_base = 0
         self.sample_generated_base = 0
@@ -317,24 +195,16 @@ class _Lane:
         self.refresh_streams()
 
     def refresh_streams(self) -> None:
-        if self.relaxed:
-            self.gen_arrivals = self.rng.numpy_stream(STREAM_ARRIVALS)
-            self.gen_destinations = self.rng.numpy_stream(
-                STREAM_DESTINATIONS
-            )
-            self.gen_routing = self.rng.numpy_stream(STREAM_ROUTING)
-            # Prefetch buffers over the fresh streams: every arrival /
-            # destination draw goes through these (stream order
-            # preserved; see GapBuffer), so they renew with the
-            # generators on epoch boundaries.
-            self.arr_buf = GapBuffer(
-                self.injection_rate, self.gen_arrivals
-            )
-            self.dst_buf = UniformBuffer(self.gen_destinations)
-        else:
-            self.rng_arrivals = self.rng.stream(STREAM_ARRIVALS)
-            self.rng_destinations = self.rng.stream(STREAM_DESTINATIONS)
-            self.rng_routing = self.rng.stream(STREAM_ROUTING)
+        """Per-phase numpy Generators for the current rng epoch."""
+        self.gen_arrivals = self.rng.numpy_stream(STREAM_ARRIVALS)
+        self.gen_destinations = self.rng.numpy_stream(STREAM_DESTINATIONS)
+        self.gen_routing = self.rng.numpy_stream(STREAM_ROUTING)
+        # Prefetch buffers over the fresh streams: every arrival /
+        # destination draw goes through these (stream order preserved;
+        # see GapBuffer), so they renew with the generators on epoch
+        # boundaries.
+        self.arr_buf = GapBuffer(self.injection_rate, self.gen_arrivals)
+        self.dst_buf = UniformBuffer(self.gen_destinations)
 
 
 class BatchEngine:
@@ -348,7 +218,7 @@ class BatchEngine:
     ========================  =============  ==================================
     array                     shape/dtype    meaning
     ========================  =============  ==================================
-    ``owner``                 [B, C*V] i64   owning msg_id, -1 when free
+    ``owner``                 [B, C*V] i64   owner's slab slot, -1 when free
     ``occ/fin/fout``          [B, C*V] i32   buffer occupancy / flits in / out
     ``la/ld``                 [B, C*V] i32   last arrival/departure cycle (-1)
     ``carried``               [B, C*V] i64   lifetime flits carried
@@ -356,7 +226,6 @@ class BatchEngine:
     ``up_abs``                [B, C*V] intp  absolute upstream index (gather)
     ``inject``                [B, C*V] i32   source-side flits_to_inject
     ``issrc/front/isdst``     [B, C*V] bool  source-fed / worm front / at dst
-    ``ejected``               [B, C*V] i32   flits ejected at this dst VC
     ``rr_next``               [B, C]   i32   round-robin cursor
     ``ch_moved/last_tx``      [B, C]         lifetime moves / last move cycle
     ``active_seq``            [B, C]   i64   active-set insertion order
@@ -379,8 +248,8 @@ class BatchEngine:
             raise ConfigurationError(
                 "the batch backend requires flow_control='conservative': "
                 "ideal flow control resolves same-cycle buffer reuse with "
-                "an order-dependent fixpoint that cannot be vectorized "
-                "bit-identically (see repro.simulator.batch)"
+                "an order-dependent fixpoint that cannot be evaluated "
+                "array-at-once (see repro.simulator.batch)"
             )
         if config.switching == "saf":
             raise ConfigurationError(
@@ -397,6 +266,15 @@ class BatchEngine:
             raise ConfigurationError(
                 "the batch backend stores flit counters as int16; "
                 f"message_length {config.message_length} does not fit"
+            )
+        if config.identity != "relaxed":
+            # Results are filed under the config's identity; a batch
+            # result must never carry the object engine's.
+            raise ConfigurationError(
+                "the batch backend's results are statistically, not "
+                "bitwise, equivalent to the object engine's: the config "
+                "must say backend='batch', identity='relaxed' (the "
+                "bit-exact path is backend='object')"
             )
         self.config = config
         self.topology = topology if topology is not None else (
@@ -427,62 +305,52 @@ class BatchEngine:
         self._length = config.message_length
         self._cap = config.effective_buffer_depth()
         self._priority = config.mux_policy == "highest_class"
-        self._links: List[Link] = list(self.topology.links)
 
-        # Relaxed identity mode: table-driven routing kernels + batched
-        # numpy rng + structure-of-arrays message state (see the
-        # identity-modes section of the module/config docs).  The strict
-        # path below never reads any of this state.
-        self._relaxed = config.identity == "relaxed"
-        if self._relaxed:
-            self._table = RouteTable(self.algorithm)
-            self._dest_table = self.traffic.destination_table()
-            nn = self.topology.num_nodes
-            self._num_nodes = nn
-            #: Dense (src * N + dst) injection caches — route row,
-            #: interned class id, distance — filled on each pair's first
-            #: arrival (the callbacks are deterministic per pair), then
-            #: gathered array-at-once per generation cycle.
-            self._ic_row = np.full(nn * nn, -1, dtype=np.int64)
-            self._ic_cls = np.zeros(nn * nn, dtype=np.int64)
-            self._ic_dist = np.zeros(nn * nn, dtype=np.int64)
-            self._class_ids: Dict[Hashable, int] = {}
-            self._class_list: List[Hashable] = []
-            #: Outstanding injections, class-major [B, K*N]: the
-            #: vectorized InjectionController occupancy (class columns
-            #: append as classes intern; admission keys are unique per
-            #: lane-cycle because arrival gaps are >= 1).
-            self._outst = np.zeros((b, nn), dtype=np.int64)
-            self._outst_f = self._outst.reshape(-1)
-            #: Per-channel reserved-VC counts: least-multiplexed loads
-            #: and 0->1 activation detection both gather from these
-            #: (relaxed keeps no owned_py mirrors).
-            self._owned_ch = np.zeros((b, c), dtype=np.int64)
-            self._owned_ch_f = self._owned_ch.reshape(-1)
-            #: The SoA message state: no _BatchMessage objects anywhere
-            #: on the relaxed per-cycle path.
-            self._slab = (
-                MessageSlab(b)
-                if slab_slots is None
-                else MessageSlab(b, slab_slots)
-            )
-            self._pool = RequestPool(self._table.cand_flat.shape[1])
-            self._dv = DeliverQueue()
-            #: Cycle each VC was last released (park/wake stamp): a
-            #: pooled request re-tests only when some candidate's stamp
-            #: reaches its blocked-at cycle.  One extra sentinel slot
-            #: at the end holds -inf so the pool's -1 candidate padding
-            #: (which wraps to index b*cv) can never trigger a wake.
-            self._rel_stamp = np.full(b * cv + 1, -1, dtype=np.int64)
-            self._rel_stamp[b * cv] = np.iinfo(np.int64).min
-            #: Per-lane route-request / active-set sequence counters
-            #: (the array counterparts of lane.route_seq and
-            #: lane.next_active_seq).
-            self._rseq = np.zeros(b, dtype=np.int64)
-            self._nact = np.zeros(b, dtype=np.int64)
-            self._progress = np.zeros(b, dtype=bool)
-            #: Reserved VCs across all lanes (transmit-phase early-out).
-            self._owned_any = 0
+        # Table-driven routing kernels + batched numpy rng +
+        # structure-of-arrays message state.
+        self._table = RouteTable(self.algorithm)
+        self._dest_table = self.traffic.destination_table()
+        nn = self.topology.num_nodes
+        self._num_nodes = nn
+        #: Dense (src * N + dst) injection caches — route row, interned
+        #: class id, distance — filled on each pair's first arrival (the
+        #: callbacks are deterministic per pair), then gathered
+        #: array-at-once per generation cycle.
+        self._ic_row = np.full(nn * nn, -1, dtype=np.int64)
+        self._ic_cls = np.zeros(nn * nn, dtype=np.int64)
+        self._ic_dist = np.zeros(nn * nn, dtype=np.int64)
+        self._class_ids: Dict[Hashable, int] = {}
+        self._class_list: List[Hashable] = []
+        #: Outstanding injections, class-major [B, K*N]: the vectorized
+        #: InjectionController occupancy (class columns append as
+        #: classes intern; admission keys are unique per lane-cycle
+        #: because arrival gaps are >= 1).
+        self._outst = np.zeros((b, nn), dtype=np.int64)
+        self._outst_f = self._outst.reshape(-1)
+        #: Per-channel reserved-VC counts: least-multiplexed loads and
+        #: 0->1 activation detection both gather from these.
+        self._owned_ch = np.zeros((b, c), dtype=np.int64)
+        self._owned_ch_f = self._owned_ch.reshape(-1)
+        self._slab = (
+            MessageSlab(b)
+            if slab_slots is None
+            else MessageSlab(b, slab_slots)
+        )
+        self._pool = RequestPool(self._table.cand_flat.shape[1])
+        self._dv = DeliverQueue()
+        #: Cycle each VC was last released (park/wake stamp): a pooled
+        #: request re-tests only when some candidate's stamp reaches its
+        #: blocked-at cycle.  One extra sentinel slot at the end holds
+        #: -inf so the pool's -1 candidate padding (which wraps to index
+        #: b*cv) can never trigger a wake.
+        self._rel_stamp = np.full(b * cv + 1, -1, dtype=np.int64)
+        self._rel_stamp[b * cv] = np.iinfo(np.int64).min
+        #: Per-lane route-request / active-set sequence counters.
+        self._rseq = np.zeros(b, dtype=np.int64)
+        self._nact = np.zeros(b, dtype=np.int64)
+        self._progress = np.zeros(b, dtype=bool)
+        #: Reserved VCs across all lanes (transmit-phase early-out).
+        self._owned_any = 0
 
         def flat2(dtype: Any, fill: int = 0) -> Tuple[np.ndarray, np.ndarray]:
             arr = np.full((b, cv), fill, dtype=dtype)
@@ -515,7 +383,6 @@ class BatchEngine:
         self._inject = self._inject_f.reshape(b, cv)
         self._front, self._front_f = flat2(bool)
         self._isdst, self._isdst_f = flat2(bool)
-        self._ejected, self._ejected_f = flat2(np.int16)
 
         self._rr_next = np.zeros((b, c), dtype=np.int32)
         self._rr_next_f = self._rr_next.reshape(-1)
@@ -579,66 +446,33 @@ class BatchEngine:
         self._all_on = True
 
         # Deferred allocation/release writes, flushed as one batched
-        # scatter per cycle (see _flush).  The scalar seam reads only the
-        # per-lane Python mirrors, so these can lag until the next kernel.
-        self._pend_rel: List[int] = []  # absolute indices to free
-        #: Allocation rows (abs index, msg_id, upstream flat or -1,
-        #: absolute upstream or 0, source-fed?, ends at destination?);
-        #: one tuple per reservation, unzipped into scatters by _flush.
-        self._pa_rows: List[Tuple[int, int, int, int, bool, bool]] = []
-        #: Relaxed-mode allocation blocks: per-round ndarray tuples
-        #: (abs, msg_id, up, up_abs, issrc, isdst) landed by _flush.
+        # scatter per cycle (see _flush).
+        #: Allocation blocks: per-round ndarray tuples
+        #: (abs, slab slot, up, up_abs, issrc, isdst).
         self._pa_blocks: List[Tuple[np.ndarray, ...]] = []
-        self._pa_act_ch: List[int] = []  # activation: absolute channel
-        self._pa_act_seq: List[int] = []  # activation: assigned seq
-        #: SoA-mode array counterparts (strict never appends to these):
-        #: release blocks of absolute indices, and (channel, seq)
-        #: activation block pairs.
+        #: Release blocks of absolute indices to free.
         self._pend_rel_blocks: List[np.ndarray] = []
+        #: (absolute channel, assigned active-set seq) activation blocks.
         self._pa_act_blocks: List[Tuple[np.ndarray, np.ndarray]] = []
 
         self.cycle = 0
         self.lanes: List[_Lane] = [
-            _Lane(
-                index,
-                index * cv,
-                seed,
-                self.topology.num_nodes,
-                cv,
-                c,
-                self.injection_rate,
-                config.injection_limit,
-                self._relaxed,
-            )
+            _Lane(index, seed, self.injection_rate, config.injection_limit)
             for index, seed in enumerate(self.seeds)
         ]
-        if self._relaxed:
-            # Lane-fused arrival schedule: every lane's per-node due
-            # cycles in one [B, N] array, polled with one mask per cycle
-            # instead of one numpy round-trip per lane.  Gap redraws
-            # stay per lane (each lane's own stream), so a lane's
-            # arrival sequence is independent of the batch composition.
-            n_nodes = self.topology.num_nodes
-            self._num_nodes = n_nodes
-            self._gen_due = np.empty((b, n_nodes), dtype=np.int64)
-            self._gen_due_f = self._gen_due.reshape(-1)
-            for lane in self.lanes:
-                # First arrivals at or after cycle 0 (cf.
-                # BatchedGeometricArrivals.start(0, gen)).
-                self._gen_due[lane.index] = -1 + lane.arr_buf.take(
-                    n_nodes
-                )
-            self._gen_next = int(self._gen_due.min())
+        # Lane-fused arrival schedule: every lane's per-node due cycles
+        # in one [B, N] array, polled with one mask per cycle instead of
+        # one numpy round-trip per lane.  Gap redraws stay per lane
+        # (each lane's own stream), so a lane's arrival sequence is
+        # independent of the batch composition.
+        self._gen_due = np.empty((b, nn), dtype=np.int64)
+        self._gen_due_f = self._gen_due.reshape(-1)
+        for lane in self.lanes:
+            # First arrivals at or after cycle 0 (cf.
+            # BatchedGeometricArrivals.start(0, gen)).
+            self._gen_due[lane.index] = -1 + lane.arr_buf.take(nn)
+        self._gen_next = int(self._gen_due.min())
         self._running: List[Tuple[int, _Lane]] = list(enumerate(self.lanes))
-        # Shared resolved-candidate cache, keyed like the object engine's
-        # (head node, destination, algorithm state key); identical across
-        # lanes because topology/algorithm are shared and deterministic.
-        self._resolved_cache: Dict[
-            Tuple[int, int, Hashable], Tuple[_Candidate, ...]
-        ] = {}
-        # _select scratch lists (cf. Engine._free_scratch/_best_scratch).
-        self._free_scratch: List[_Candidate] = []
-        self._best_scratch: List[_Candidate] = []
 
     # ------------------------------------------------------------------
     # public driving interface
@@ -668,25 +502,24 @@ class BatchEngine:
         self._lane_on[index] = False
         self._lane_mask_f = np.repeat(self._lane_on, self._cv)
         self._all_on = False
-        if self._relaxed:
-            # A frozen lane must stop generating: its due row would
-            # otherwise keep matching the poll mask every cycle.
-            self._gen_due[index] = _ARR_NEVER
-            self._gen_next = int(self._gen_due.min())
-            # Pull the lane's pending requests and delivering entries
-            # out of the shared pools so the remaining lanes' kernels
-            # never revisit them; both freeze on the lane
-            # (state_fingerprint and deadlock reports still need them).
-            lane = self.lanes[index]
-            slots_p, _seqs = self._pool.lane_entries(index)
-            if slots_p.shape[0]:
-                lane.frozen_pending.extend(slots_p.tolist())
-            self._pool.drop_lane(index)
-            taken = self._dv.take_lane(index, self._cv)
-            if taken.shape[0]:
-                off = index * self._cv
-                for a in taken.tolist():
-                    lane.delivering.append(a - off)
+        # A frozen lane must stop generating: its due row would
+        # otherwise keep matching the poll mask every cycle.
+        self._gen_due[index] = _ARR_NEVER
+        self._gen_next = int(self._gen_due.min())
+        # Pull the lane's pending requests and delivering entries out
+        # of the shared pools so the remaining lanes' kernels never
+        # revisit them; both freeze on the lane (state_fingerprint and
+        # deadlock reports still need them).
+        lane = self.lanes[index]
+        slots_p, _seqs = self._pool.lane_entries(index)
+        if slots_p.shape[0]:
+            lane.frozen_pending.extend(slots_p.tolist())
+        self._pool.drop_lane(index)
+        taken = self._dv.take_lane(index, self._cv)
+        if taken.shape[0]:
+            off = index * self._cv
+            for a in taken.tolist():
+                lane.delivering.append(a - off)
 
     def run_cycles(self, cycles: int) -> None:
         """Advance every running lane by *cycles* lockstep cycles.
@@ -694,8 +527,8 @@ class BatchEngine:
         Idle fast-forward mirrors the object engine's: when every running
         lane has nothing in flight, the clock jumps to the earliest
         pending arrival across lanes (the skipped cycles touch no state
-        and no rng stream in any lane, so this is bit-identical to
-        stepping each of them).
+        and no rng stream in any lane, so this is identical to stepping
+        each of them).
         """
         end = self.cycle + cycles
         while self.cycle < end:
@@ -704,12 +537,7 @@ class BatchEngine:
                 self.cycle = end
                 return
             if all(lane.in_flight == 0 for _, lane in running):
-                if self._relaxed:
-                    next_due = self._gen_next
-                else:
-                    next_due = min(
-                        lane.arrivals.next_due for _, lane in running
-                    )
+                next_due = self._gen_next
                 if next_due > self.cycle:
                     target = next_due if next_due < end else end
                     delta = target - self.cycle
@@ -720,79 +548,27 @@ class BatchEngine:
                         return
             self.step()
 
-    def step(self) -> None:
-        """One lockstep cycle: the object engine's four phases, batched."""
-        if self._relaxed:
-            self._step_soa()
-        else:
-            self._step_strict()
-
-    def _step_strict(self) -> None:
-        """One strict-identity cycle (scalar seam + shared kernels)."""
-        cyc = self.cycle
-        running = self._running
-        for _, lane in running:
-            if lane.arrivals.next_due <= cyc:
-                self._generate_lane(lane, cyc)
-        eject_flags: Optional[np.ndarray] = None
-        for _, lane in running:
-            if lane.delivering:
-                eject_flags = self._eject_all(cyc)
-                break
-        policy = self.config.selection_policy
-        route_flags = {}
-        for b, lane in running:
-            if lane.route_heap:
-                route_flags[b] = self._route_lane(lane, b, policy)
-        moves: Optional[np.ndarray] = None
-        for _, lane in running:
-            if lane.owned_total:
-                self._flush()
-                moves = self._transmit_kernel(cyc)
-                break
-        dead: List[Tuple[int, _Lane]] = []
-        threshold = self.config.deadlock_threshold
-        moves_list = moves.tolist() if moves is not None else None
-        for b, lane in running:
-            progressed = route_flags.get(b, False)
-            if moves_list is not None:
-                moved = moves_list[b]
-                if moved:
-                    lane.flits_moved_total += moved
-                    progressed = True
-            if eject_flags is not None and eject_flags[b]:
-                progressed = True
-            if progressed:
-                lane.last_progress = cyc
-            elif lane.in_flight and cyc - lane.last_progress > threshold:
-                dead.append((b, lane))
-        for b, lane in dead:
-            self._fail_lane(b, lane)
-        self.cycle = cyc + 1
-        for _, lane in self._running:
-            lane.cycle = self.cycle
-
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _step_soa(self) -> None:
-        """One relaxed-identity cycle over the SoA message state.
+    def step(self) -> None:
+        """One lockstep cycle: the object engine's four phases, batched.
 
-        Same four phases; every per-message consequence (injection
-        completion, release bookkeeping, ejection accounting, the
-        epilogue, the winner commits) runs as masked array kernels over
-        the slab — the per-lane loop below touches only O(B) progress
-        counters, never messages.
+        Every per-message consequence (injection completion, release
+        bookkeeping, ejection accounting, the epilogue, the winner
+        commits) runs as masked array kernels over the slab — the
+        per-lane loop below touches only O(B) progress counters, never
+        messages.
         """
         cyc = self.cycle
         running = self._running
         if self._gen_next <= cyc:
-            self._generate_soa(cyc)
+            self._generate(cyc)
         eject_flags: Optional[np.ndarray] = None
         if self._dv.n:
-            eject_flags = self._eject_soa(cyc)
+            eject_flags = self._eject(cyc)
         progress = self._progress
         progress[:] = False
         if self._pool.n:
-            self._route_soa(cyc)
+            self._route(cyc)
         moves: Optional[np.ndarray] = None
         if self._owned_any:
             self._flush()
@@ -828,15 +604,12 @@ class BatchEngine:
         lane = self.lanes[index]
         lane.rng.advance_epoch()
         lane.refresh_streams()
-        if lane.relaxed:
-            # Re-draw the lane's pending gaps from the fresh stream
-            # (cf. BatchedGeometricArrivals.reseed).
-            self._gen_due[index] = self.cycle + lane.arr_buf.take(
-                self._num_nodes
-            )
-            self._gen_next = int(self._gen_due.min())
-        else:
-            lane.arrivals.reseed(self.cycle, lane.rng_arrivals)
+        # Re-draw the lane's pending gaps from the fresh stream
+        # (cf. BatchedGeometricArrivals.reseed).
+        self._gen_due[index] = self.cycle + lane.arr_buf.take(
+            self._num_nodes
+        )
+        self._gen_next = int(self._gen_due.min())
 
     # -- sampling --------------------------------------------------------
 
@@ -854,12 +627,11 @@ class BatchEngine:
         lane = self.lanes[index]
         sample = lane.sample
         assert sample is not None, "no sample is active"
-        if self._relaxed:
-            # Materialize the buffered per-cycle delivery chunks (the
-            # SoA completion kernel never touches the record itself).
-            for lat, hops in lane.sample_chunks:
-                sample.extend_deliveries(lat.tolist(), hops.tolist())
-            lane.sample_chunks = []
+        # Materialize the buffered per-cycle delivery chunks (the
+        # completion kernel never touches the record itself).
+        for lat, hops in lane.sample_chunks:
+            sample.extend_deliveries(lat.tolist(), hops.tolist())
+        lane.sample_chunks = []
         sample.cycles = lane.cycle - sample.start_cycle
         sample.flits_moved = (
             lane.flits_moved_total - lane.sample_flits_base
@@ -878,305 +650,11 @@ class BatchEngine:
         return sample
 
     # ------------------------------------------------------------------
-    # phase 1: generation (scalar per lane; identical to the object path)
-    # ------------------------------------------------------------------
-
-    def _generate_lane(self, lane: _Lane, cycle: int) -> None:
-        due = lane.arrivals.pop_due(cycle, lane.rng_arrivals)
-        rng_dest = lane.rng_destinations
-        traffic = self.traffic
-        for node in due:
-            dst = traffic.sample_destination(node, rng_dest)
-            if dst is not None:
-                self._inject_lane(lane, node, dst, cycle)
-
-    def _inject_lane(
-        self, lane: _Lane, src: int, dst: int, cycle: int
-    ) -> bool:
-        algorithm = self.algorithm
-        state = algorithm.new_state(src, dst)
-        msg_class = algorithm.message_class(src, dst, state)
-        if not lane.controller.try_admit(src, msg_class):
-            return False
-        message = _BatchMessage(
-            msg_id=lane.msg_counter,
-            src=src,
-            dst=dst,
-            distance=self.topology.distance(src, dst),
-            route_state=state,
-            msg_class=msg_class,
-            created_at=cycle,
-        )
-        lane.msg_counter += 1
-        lane.generated_total += 1
-        lane.in_flight += 1
-        lane.msgs[message.msg_id] = message
-        self._enqueue_route(lane, message)
-        return True
-
-    # ------------------------------------------------------------------
-    # phase 2: ejection (array kernel + scalar completions)
-    # ------------------------------------------------------------------
-
-    def _eject_all(self, cycle: int) -> np.ndarray:
-        """Consume settled destination flits across all lanes at once."""
-        blocks_a: List[np.ndarray] = []
-        for _, lane in self._running:
-            if lane.delivering:
-                entries = np.asarray(lane.delivering, dtype=np.intp)
-                entries += lane.off
-                blocks_a.append(entries)
-        ea = blocks_a[0] if len(blocks_a) == 1 else np.concatenate(blocks_a)
-        flags, comp_a = self._eject_kernel(ea, cycle)
-        if comp_a.size:
-            cv = self._cv
-            completed: Dict[int, Set[int]] = {}
-            for a in comp_a.tolist():
-                b, f = divmod(a, cv)
-                lane = self.lanes[b]
-                self._complete(lane, f)
-                completed.setdefault(b, set()).add(f)
-            for b, done in completed.items():
-                lane = self.lanes[b]
-                lane.delivering = [
-                    f for f in lane.delivering if f not in done
-                ]
-        return flags
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _eject_kernel(
-        self, ea: np.ndarray, cycle: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-at-once ejection over the gathered delivering VCs.
-
-        Only settled flits (present since the start of the cycle) are
-        consumed; ejection never stamps last_departure_cycle, so the
-        freed slots are visible to this same cycle's transmission — both
-        exactly as in Engine._eject.
-        """
-        occ_f = self._occ_f
-        settled = occ_f[ea] - (self._la_f[ea] == cycle)
-        pos = settled > 0
-        pa = ea[pos]
-        ps = settled[pos]
-        occ_f[pa] -= ps
-        self._fout_f[pa] += ps
-        ej_new = self._ejected_f[pa] + ps
-        self._ejected_f[pa] = ej_new
-        flags = np.zeros(self._b, dtype=bool)
-        flags[pa // self._cv] = True
-        comp = ej_new >= self._length
-        return flags, pa[comp]
-
-    def _complete(self, lane: _Lane, flat: int) -> None:
-        message = lane.msgs[lane.owner_py[flat]]
-        message.delivered_at = lane.cycle
-        self._release(lane, flat, message)
-        assert not message.path, "delivered message still holds channels"
-        lane.in_flight -= 1
-        lane.delivered_total += 1
-        del lane.msgs[message.msg_id]
-        sample = lane.sample
-        if sample is not None:
-            sample.deliveries.append(
-                (message.delivered_at - message.created_at,
-                 message.distance)
-            )
-
-    # ------------------------------------------------------------------
-    # phase 3: routing / VC allocation (scalar per lane, parked waiters)
-    # ------------------------------------------------------------------
-
-    def _enqueue_route(self, lane: _Lane, message: _BatchMessage) -> None:
-        seq = lane.route_seq
-        lane.route_seq = seq + 1
-        message.route_seq = seq
-        heappush(lane.route_heap, (seq, message))
-
-    def _route_lane(self, lane: _Lane, b: int, policy: str) -> bool:
-        """Port of Engine._route_active with parking always on.
-
-        Parking is invisible to the flit schedule (a blocked request
-        consumes no rng), and the batch backend never attaches the
-        observer/sanitizer hooks that would need per-cycle re-polls.
-        """
-        heap = lane.route_heap
-        batch = sorted(heap)  # unique seqs: messages never compared
-        heap.clear()
-        rng = lane.rng_routing
-        owner_py = lane.owner_py
-        progressed = False
-        for _seq, message in batch:
-            candidates = message.cached_candidates
-            if candidates is None:
-                candidates = self._memo_candidates(message)
-                message.cached_candidates = candidates
-            # Inlined singleton fast path (deterministic algorithms and
-            # single-free-candidate states dominate; no rng draw).
-            if len(candidates) == 1:
-                chosen: Optional[_Candidate] = candidates[0]
-                if owner_py[candidates[0][0]] >= 0:
-                    chosen = None
-            else:
-                chosen = self._select(lane, candidates, policy, rng)
-            if chosen is None:
-                self._park(lane, message, candidates)
-                continue
-            self._allocate(lane, b, message, chosen)
-            progressed = True
-        return progressed
-
-    def _memo_candidates(
-        self, message: _BatchMessage
-    ) -> Sequence[_Candidate]:
-        """Resolved candidates via the shared memo (cf. Engine version)."""
-        algorithm = self.algorithm
-        key = algorithm.state_key(message.route_state)
-        v = self._v
-        node = message.head_node
-        if key is None:
-            choices = algorithm.candidates(
-                message.route_state, node, message.dst
-            )
-            return [
-                (link.index * v + vc_class, link.index, vc_class, link)
-                for link, vc_class in choices
-            ]
-        cache = self._resolved_cache
-        entry = (node, message.dst, key)
-        resolved = cache.get(entry)
-        if resolved is None:
-            choices = algorithm.candidates_cached(
-                message.route_state, node, message.dst
-            )
-            resolved = tuple(
-                (link.index * v + vc_class, link.index, vc_class, link)
-                for link, vc_class in choices
-            )
-            cache[entry] = resolved
-        return resolved
-
-    def _select(
-        self,
-        lane: _Lane,
-        candidates: Sequence[_Candidate],
-        policy: str,
-        rng: random.Random,
-    ) -> Optional[_Candidate]:
-        """Port of Engine._select over the lane's mirror state.
-
-        rng consumption is identical: a randrange fires exactly when the
-        object engine's would (>=2 free candidates under "random", or a
-        least-multiplexed tie), so the routing stream stays in lockstep.
-        """
-        owner_py = lane.owner_py
-        if len(candidates) == 1:
-            entry = candidates[0]
-            return entry if owner_py[entry[0]] < 0 else None
-        free = self._free_scratch
-        free.clear()
-        for entry in candidates:
-            if owner_py[entry[0]] < 0:
-                free.append(entry)
-        if not free:
-            return None
-        if len(free) == 1 or policy == "first":
-            return free[0]
-        if policy == "random":
-            return free[rng.randrange(len(free))]
-        owned_py = lane.owned_py
-        best = self._best_scratch
-        best.clear()
-        best_load = owned_py[free[0][1]]
-        for entry in free:
-            load = owned_py[entry[1]]
-            if load < best_load:
-                best_load = load
-                best.clear()
-                best.append(entry)
-            elif load == best_load:
-                best.append(entry)
-        if len(best) == 1:
-            return best[0]
-        return best[rng.randrange(len(best))]
-
-    def _park(
-        self,
-        lane: _Lane,
-        message: _BatchMessage,
-        candidates: Sequence[_Candidate],
-    ) -> None:
-        epoch = message.park_epoch + 1
-        message.park_epoch = epoch
-        message.parked = True
-        lane.parked[message.msg_id] = message
-        waiters = lane.waiters
-        for entry in candidates:
-            bucket = waiters.get(entry[0])
-            if bucket is None:
-                waiters[entry[0]] = [(epoch, message)]
-            else:
-                bucket.append((epoch, message))
-
-    def _wake_waiters(self, lane: _Lane, flat: int) -> None:
-        waiters = lane.waiters.pop(flat, None)
-        if waiters is None:
-            return
-        heap = lane.route_heap
-        parked = lane.parked
-        for epoch, message in waiters:
-            if message.parked and message.park_epoch == epoch:
-                message.parked = False
-                del parked[message.msg_id]
-                heappush(heap, (message.route_seq, message))
-
-    def _allocate(
-        self,
-        lane: _Lane,
-        b: int,
-        message: _BatchMessage,
-        chosen: _Candidate,
-    ) -> None:
-        """Reserve a VC for the message's next hop (cf. Engine._allocate +
-        VirtualChannel.reserve).  Mirrors update immediately; the array
-        writes are deferred into the pending lists for _flush."""
-        flat, channel, vc_class, link = chosen
-        current = message.head_node
-        msg_id = message.msg_id
-        off = lane.off
-        lane.owner_py[flat] = msg_id
-        path = message.path
-        if path:
-            up = path[-1]
-            self._pa_rows.append(
-                (off + flat, msg_id, up, off + up, False,
-                 link.dst == message.dst)
-            )
-        else:
-            message.src_flat = flat
-            self._pa_rows.append(
-                (off + flat, msg_id, -1, 0, True, link.dst == message.dst)
-            )
-        count = lane.owned_py[channel] + 1
-        lane.owned_py[channel] = count
-        if count == 1:
-            self._pa_act_ch.append(b * self._c + channel)
-            self._pa_act_seq.append(lane.next_active_seq)
-            lane.next_active_seq += 1
-        lane.owned_total += 1
-        path.append(flat)
-        message.head_node = link.dst
-        message.route_state = self.algorithm.advance(
-            message.route_state, current, link, vc_class
-        )
-        message.cached_candidates = None
-
-    # ------------------------------------------------------------------
-    # relaxed identity: SoA generation + table-driven routing kernels
+    # phase 1: generation (lane-fused, straight into the slab)
     # ------------------------------------------------------------------
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _generate_soa(self, cycle: int) -> None:
+    def _generate(self, cycle: int) -> None:
         """Lane-fused generation straight into the message slab.
 
         One due-mask poll over every lane's per-node schedule; per due
@@ -1190,7 +668,8 @@ class BatchEngine:
 
         Frozen lanes hold _ARR_NEVER rows and never match the mask.
         Due node ids come out in ascending node order per lane (the
-        scalar heap yields heap order — a relaxed-identity difference).
+        object engine's heap yields heap order — one of the differences
+        behind the statistical contract).
         """
         due_f = self._gen_due_f
         hits = np.nonzero(due_f <= cycle)[0]
@@ -1342,7 +821,7 @@ class BatchEngine:
             self._ic_dist[key] = topology.distance(src, dst)
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _route_soa(self, cycle: int) -> None:
+    def _route(self, cycle: int) -> None:
         """Round-based routing/VC allocation over the woken requests.
 
         Park/wake, vectorized: a pooled request re-tests only when it
@@ -1353,7 +832,7 @@ class BatchEngine:
         stamp test's spurious wakes are draw-for-draw invisible,
         exactly like the object engine's wake lists).
 
-        The woken subset is ordered by (lane, seq) — the strict
+        The woken subset is ordered by (lane, seq) — the object engine's
         sequential scan order — then each round evaluates candidate
         freeness against the flushed owner array, applies the selection
         policy with per-lane batched tie-break draws, resolves same-VC
@@ -1425,7 +904,7 @@ class BatchEngine:
             if policy == "first":
                 k = free.argmax(axis=1)
             elif policy == "random":
-                t = self._relaxed_tiebreaks(lanes_p[alive], nfree)
+                t = self._tiebreaks(lanes_p[alive], nfree)
                 rank = free.cumsum(axis=1) - 1
                 k = (free & (rank == t[:, None])).argmax(axis=1)
             else:  # least_multiplexed
@@ -1435,14 +914,14 @@ class BatchEngine:
                     free, owned_ch_f[absc // v], _LOAD_INF
                 )
                 tie = loads == loads.min(axis=1)[:, None]
-                t = self._relaxed_tiebreaks(
+                t = self._tiebreaks(
                     lanes_p[alive], tie.sum(axis=1)
                 )
                 rank = tie.cumsum(axis=1) - 1
                 k = (tie & (rank == t[:, None])).argmax(axis=1)
             chosen = absc[np.arange(alive.shape[0]), k]
             # First occurrence per VC wins; requests are ordered by
-            # (lane, route_seq), so this is the strict sequential order.
+            # (lane, route_seq), so this is the sequential scan order.
             win = np.zeros(alive.shape[0], dtype=bool)
             win[np.unique(chosen, return_index=True)[1]] = True
             jw = alive[win]
@@ -1514,7 +993,7 @@ class BatchEngine:
 
         Used for route-request seqs (epilogue order) and active-set
         seqs (commit order): each lane's entries take consecutive
-        numbers from its own counter, exactly the strict per-lane
+        numbers from its own counter, exactly a per-lane sequential
         increment order.
         """
         cuts = np.nonzero(nb[1:] != nb[:-1])[0] + 1
@@ -1533,14 +1012,14 @@ class BatchEngine:
         return np.repeat(base, counts) + within
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _relaxed_tiebreaks(
+    def _tiebreaks(
         self, lane_ids: np.ndarray, high: np.ndarray
     ) -> np.ndarray:
         """Per-lane batched tie-break draws: t[j] uniform in [0, high[j]).
 
-        Entries with high <= 1 draw nothing (the strict scalar _select
-        consumes rng only on a real choice, and the relaxed streams keep
-        that discipline so draw counts stay lane-local).  *lane_ids* is
+        Entries with high <= 1 draw nothing (Engine._select consumes rng
+        only on a real choice, and the lane streams keep that discipline
+        so draw counts stay lane-local).  *lane_ids* is
         non-decreasing (requests are built lane by lane), so the needed
         draws split into contiguous per-lane segments, each served by one
         Generator.integers call on its own lane's routing stream.
@@ -1563,7 +1042,7 @@ class BatchEngine:
         return t
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _epilogue_soa(
+    def _epilogue(
         self,
         ev_b: np.ndarray,
         ev_flat: np.ndarray,
@@ -1576,7 +1055,7 @@ class BatchEngine:
 
         Events arrive sorted by (lane, active-set seq) — the object
         engine's poll order — so the per-lane route-request seq draws
-        below assign consecutive numbers in exactly the strict order;
+        below assign consecutive numbers in exactly that order;
         every other consequence (delivery registration, injection
         completion, release) is order-free bookkeeping.
         """
@@ -1621,14 +1100,16 @@ class BatchEngine:
             slab.tail_flat_f[g[r3]] = ev_flat[r3]
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _eject_soa(self, cycle: int) -> np.ndarray:
-        """_eject_kernel over the deliver queue with slab accounting.
+    def _eject(self, cycle: int) -> np.ndarray:
+        """Array-at-once ejection over the deliver queue.
 
-        Same settled-flit consumption as the strict kernel; the per
-        message ejected count lives in the slab (gathered through the
-        owner array, which stores slots in relaxed mode), and completed
-        messages retire through one masked kernel instead of scalar
-        _complete calls.
+        Only settled flits (present since the start of the cycle) are
+        consumed; ejection never stamps last_departure_cycle, so the
+        freed slots are visible to this same cycle's transmission — both
+        exactly as in Engine._eject.  The per-message ejected count
+        lives in the slab (gathered through the owner array, which
+        stores slots), and completed messages retire through one masked
+        kernel (_complete).
         """
         dv = self._dv
         ea = dv.abs[:dv.n]
@@ -1647,22 +1128,22 @@ class BatchEngine:
         flags[pa // self._cv] = True
         comp = np.nonzero(ej_new >= self._length)[0]
         if comp.shape[0]:
-            self._complete_soa(cycle, pa[comp], gp[comp])
+            self._complete(cycle, pa[comp], gp[comp])
             keep = np.ones(dv.n, dtype=bool)
             keep[pos_idx[comp]] = False
             dv.keep(keep)
         return flags
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _complete_soa(
+    def _complete(
         self, cycle: int, comp_abs: np.ndarray, g: np.ndarray
     ) -> None:
         """Retire fully-ejected messages: release the last VC, free the
         slot, buffer the sample delivery stats as array chunks.
 
         The stable lane sort preserves each lane's deliver-queue
-        registration order, which is the order strict mode appends
-        sample deliveries in.
+        registration order, the order sample deliveries are reported
+        in.
         """
         slab = self._slab
         self._pend_rel_blocks.append(comp_abs)
@@ -1702,12 +1183,6 @@ class BatchEngine:
         cells (front/up/issrc from a previous owner) are harmless: every
         kernel read of them is masked by ``owner >= 0``.
         """
-        pend_rel = self._pend_rel
-        if pend_rel:
-            rel = np.asarray(pend_rel, dtype=np.intp)
-            self._owner_f[rel] = -1
-            self._txable_f[rel] = False
-            pend_rel.clear()
         rel_blocks = self._pend_rel_blocks
         if rel_blocks:
             rel = (
@@ -1718,18 +1193,6 @@ class BatchEngine:
             self._owner_f[rel] = -1
             self._txable_f[rel] = False
             rel_blocks.clear()
-        rows = self._pa_rows
-        if rows:
-            c_abs, c_id, c_up, c_up_abs, c_src, c_dst = zip(*rows)
-            self._flush_alloc(
-                np.asarray(c_abs, dtype=np.intp),
-                np.asarray(c_id, dtype=np.int64),
-                np.asarray(c_up, dtype=np.int64),
-                np.asarray(c_up_abs, dtype=np.intp),
-                np.asarray(c_src, dtype=bool),
-                np.asarray(c_dst, dtype=bool),
-            )
-            rows.clear()
         blocks = self._pa_blocks
         if blocks:
             if len(blocks) == 1:
@@ -1742,12 +1205,6 @@ class BatchEngine:
                     )
                 )
             blocks.clear()
-        if self._pa_act_ch:
-            self._active_seq_f[
-                np.asarray(self._pa_act_ch, dtype=np.intp)
-            ] = np.asarray(self._pa_act_seq, dtype=np.int64)
-            self._pa_act_ch.clear()
-            self._pa_act_seq.clear()
         act_blocks = self._pa_act_blocks
         if act_blocks:
             if len(act_blocks) == 1:
@@ -1777,7 +1234,6 @@ class BatchEngine:
         self._fout_f[a] = 0
         self._la_f[a] = -1
         self._ld_f[a] = -1
-        self._ejected_f[a] = 0
         self._up_f[a] = up.astype(np.int32)
         # Source-fed VCs gather supply from their own inject cell in the
         # pool's upper half (see _supply_pool).
@@ -1807,8 +1263,8 @@ class BatchEngine:
         sequential scan exactly because conservative flow control makes
         the scan's outcome order-invariant (see the module docstring).
 
-        The caller applies the returned sparse events via
-        _transmit_epilogue; lane_moves is the per-lane flit count.
+        The sparse move consequences go through _epilogue; the return
+        value is the per-lane flit count (None when nothing moved).
         """
         b = self._b
         c = self._c
@@ -1878,9 +1334,9 @@ class BatchEngine:
         sa = abs_m[srcm]
         inj_new = self._inject_f[sa] - 1
         self._inject_f[sa] = inj_new
-        if self._relaxed and sa.shape[0]:
+        if sa.shape[0]:
             # Per-message injected-flit accounting lives in the slab
-            # (owner stores the slot in relaxed mode).
+            # (owner cells store the slot).
             slab = self._slab
             gi = (sa // self._cv) * slab.capacity + self._owner_f[sa]
             slab.inj_f[gi] += 1
@@ -1890,7 +1346,7 @@ class BatchEngine:
         # -- sparse move consequences ---------------------------------
         # Events pack into one int8 code per move (bit0 route request,
         # bit1 delivery, bit2 injection-complete, bit3 upstream release)
-        # so the scalar epilogue walks a single list.
+        # so the epilogue masks one array.
         k = abs_m.shape[0]
         head = fin_new == 1
         isdst_g = self._isdst_f[abs_m]
@@ -1906,99 +1362,33 @@ class BatchEngine:
         # in ascending active-set insertion order within each lane.
         seqs = self._active_seq_f[mv]
         sel = idx[np.lexsort((seqs[idx], bm[idx]))]
-        if self._relaxed:
-            self._epilogue_soa(
-                bm[sel],
-                flat[sel],
-                self._owner_f[abs_m[sel]],
-                up_g[sel].astype(np.int64),
-                code[sel],
-                cycle,
-            )
-        else:
-            self._transmit_epilogue(
-                bm[sel],
-                flat[sel],
-                self._owner_f[abs_m[sel]],
-                up_g[sel],
-                code[sel],
-            )
+        self._epilogue(
+            bm[sel],
+            flat[sel],
+            self._owner_f[abs_m[sel]],
+            up_g[sel].astype(np.int64),
+            code[sel],
+            cycle,
+        )
         return lane_moves
-
-    def _transmit_epilogue(
-        self,
-        ev_b: np.ndarray,
-        ev_flat: np.ndarray,
-        ev_owner: np.ndarray,
-        ev_up: np.ndarray,
-        ev_code: np.ndarray,
-    ) -> None:
-        """Apply the scalar move consequences in object-engine order.
-
-        Per move the order matches Engine._handle_flit_arrival: the
-        head-arrival action (route request or delivery registration)
-        first, then injection-complete, then the upstream release.
-        """
-        lanes = self.lanes
-        e_b = ev_b.tolist()
-        e_flat = ev_flat.tolist()
-        e_owner = ev_owner.tolist()
-        e_up = ev_up.tolist()
-        e_code = ev_code.tolist()
-        for j in range(len(e_b)):
-            lane = lanes[e_b[j]]
-            message = lane.msgs[e_owner[j]]
-            code = e_code[j]
-            if code & 1:
-                self._enqueue_route(lane, message)
-            elif code & 2:
-                lane.delivering.append(e_flat[j])
-            if code & 4:
-                lane.controller.injection_complete(
-                    message.src, message.msg_class
-                )
-            if code & 8:
-                self._release(lane, e_up[j], message)
 
     # ------------------------------------------------------------------
     # shared bookkeeping
     # ------------------------------------------------------------------
 
-    def _release(
-        self, lane: _Lane, flat: int, message: _BatchMessage
-    ) -> None:
-        popped = message.path.popleft()
-        assert popped == flat, "releasing out of tail order"
-        lane.owner_py[flat] = -1
-        lane.owned_py[flat // self._v] -= 1
-        lane.owned_total -= 1
-        self._pend_rel.append(lane.off + flat)
-        self._wake_waiters(lane, flat)
-
     def _fail_lane(self, b: int, lane: _Lane) -> None:
         """Record a deadlock on one lane and freeze it; others continue."""
         stuck = []
-        if self._relaxed:
-            # The lane's blocked requests sit in the shared pool (this
-            # runs before stop_lane drops them); report from the slab.
-            slots_p, _seqs = self._pool.lane_entries(b)
-            for slot in slots_p[:8].tolist():
-                mv = self._slab.view(b, slot)
-                stuck.append(
-                    f"msg#{mv.msg_id} {mv.src}->{mv.dst} "
-                    f"head at {mv.head_node} "
-                    f"(request queued at cycle {mv.wait_since})"
-                )
-        else:
-            waiting: List[_BatchMessage] = [
-                entry[1] for entry in sorted(lane.route_heap)
-            ]
-            waiting.extend(lane.parked.values())
-            for message in waiting[:8]:
-                stuck.append(
-                    f"msg#{message.msg_id} {message.src}->{message.dst} "
-                    f"head at {message.head_node}"
-                )
+        # The lane's blocked requests sit in the shared pool (this runs
+        # before stop_lane drops them); report from the slab.
+        slots_p, _seqs = self._pool.lane_entries(b)
+        for slot in slots_p[:8].tolist():
+            mv = self._slab.view(b, slot)
+            stuck.append(
+                f"msg#{mv.msg_id} {mv.src}->{mv.dst} "
+                f"head at {mv.head_node} "
+                f"(request queued at cycle {mv.wait_since})"
+            )
         summary = (
             f"no progress for {self.config.deadlock_threshold} cycles at "
             f"cycle {self.cycle} with {lane.in_flight} messages in flight "
@@ -2027,30 +1417,12 @@ class BatchEngine:
         """Flits currently buffered in one lane's network."""
         return int(self._occ[index].sum())
 
-    def _msg_flits_to_inject(self, b: int, message: _BatchMessage) -> int:
-        src_flat = message.src_flat
-        if src_flat is None:
-            return self._length  # first hop never allocated yet
-        lane = self.lanes[b]
-        if lane.owner_py[src_flat] == message.msg_id:
-            return int(self._inject[b, src_flat])
-        return 0  # source VC drained and released: all flits left
-
-    def _msg_flits_ejected(self, b: int, message: _BatchMessage) -> int:
-        path = message.path
-        if not path:
-            return 0
-        return int(self._ejected[b, path[-1]])
-
     def _iter_live_messages(self, lane: _Lane) -> Iterator[Any]:
-        # Strict: lane.msgs holds exactly the undelivered messages
-        # (inserted at admission, removed at completion), which is the
-        # set Engine._iter_live_messages walks via queue/heap/parked/
-        # owners.  Relaxed: the slab's live slots are the same set, and
-        # the yielded MessageView exposes the same attribute names.
-        if self._relaxed:
-            return self._slab.iter_live(lane.index)
-        return iter(lane.msgs.values())
+        # The slab's live slots are exactly the undelivered messages —
+        # the set Engine._iter_live_messages walks via queue/heap/
+        # parked/owners — and the yielded MessageView exposes the same
+        # attribute names.
+        return self._slab.iter_live(lane.index)
 
     def conservation_check(self, index: int) -> bool:
         """Invariant: every admitted flit is accounted for, per lane."""
@@ -2058,19 +1430,12 @@ class BatchEngine:
         lane = self.lanes[index]
         length = self._length
         expected = lane.generated_total * length
-        at_source = 0
-        ejected = 0
-        if self._relaxed:
-            slab = self._slab
-            live = slab.live[index]
-            at_source = int(
-                (slab.length[index][live] - slab.inj[index][live]).sum()
-            )
-            ejected = int(slab.ej[index][live].sum())
-        else:
-            for message in self._iter_live_messages(lane):
-                at_source += self._msg_flits_to_inject(index, message)
-                ejected += self._msg_flits_ejected(index, message)
+        slab = self._slab
+        live = slab.live[index]
+        at_source = int(
+            (slab.length[index][live] - slab.inj[index][live]).sum()
+        )
+        ejected = int(slab.ej[index][live].sum())
         delivered_flits = lane.delivered_total * length
         return expected == (
             at_source + self.network_flits(index) + ejected
@@ -2078,26 +1443,25 @@ class BatchEngine:
         )
 
     def state_fingerprint(self, index: int) -> Tuple:
-        """Per-lane digest, field-identical to Engine.state_fingerprint.
+        """Per-lane digest with the fields of Engine.state_fingerprint.
 
-        The cross-backend tests compare this tuple against an object
-        engine driven with the same config and this lane's seed.
+        Equal for equal lane states: the composition and golden tests
+        compare it across batch groupings and commits.  It is not
+        comparable with an object engine's digest (other rng streams,
+        other schedules).
         """
         self._flush()
         lane = self.lanes[index]
         b = index
         v = self._v
-        if self._relaxed:
-            # Relaxed owner cells hold slab slots; map them to the
-            # per-lane message ids the object fingerprint reports.
-            own_row = self._owner[b]
-            own_l = np.where(
-                own_row >= 0,
-                self._slab.mid[b][own_row.clip(min=0)],
-                -1,
-            ).tolist()
-        else:
-            own_l = lane.owner_py
+        # Owner cells hold slab slots; map them to the per-lane message
+        # ids the object fingerprint reports.
+        own_row = self._owner[b]
+        own_l = np.where(
+            own_row >= 0,
+            self._slab.mid[b][own_row.clip(min=0)],
+            -1,
+        ).tolist()
         occ_l = self._occ[b].tolist()
         fin_l = self._fin[b].tolist()
         fout_l = self._fout[b].tolist()
@@ -2130,97 +1494,63 @@ class BatchEngine:
             channels_fp.append(
                 (chm_l[c], rr_l[c], ltx_l[c], tuple(vcs_fp))
             )
-        if self._relaxed:
-            slab = self._slab
-            slots_p, _seqs = self._pool.lane_entries(b)
-            mid_row = slab.mid[b]
-            pending = sorted(
-                int(mid_row[s])
-                for s in slots_p.tolist() + lane.frozen_pending
-            )
-            rep_state = self._table.rep_state
-            messages_fp = tuple(
-                sorted(
-                    (
-                        int(mid_row[s]),
-                        int(slab.src[b][s]),
-                        int(slab.dst[b][s]),
-                        int(slab.born[b][s]),
-                        int(slab.length[b][s] - slab.inj[b][s]),
-                        int(slab.ej[b][s]),
-                        int(slab.head[b][s]),
-                        route_state_fingerprint(
-                            rep_state[int(slab.row[b][s])]
-                        ),
-                    )
-                    for s in np.nonzero(slab.live[b])[0].tolist()
+        slab = self._slab
+        slots_p, _seqs = self._pool.lane_entries(b)
+        mid_row = slab.mid[b]
+        pending = sorted(
+            int(mid_row[s])
+            for s in slots_p.tolist() + lane.frozen_pending
+        )
+        rep_state = self._table.rep_state
+        messages_fp = tuple(
+            sorted(
+                (
+                    int(mid_row[s]),
+                    int(slab.src[b][s]),
+                    int(slab.dst[b][s]),
+                    int(slab.born[b][s]),
+                    int(slab.length[b][s] - slab.inj[b][s]),
+                    int(slab.ej[b][s]),
+                    int(slab.head[b][s]),
+                    route_state_fingerprint(
+                        rep_state[int(slab.row[b][s])]
+                    ),
                 )
+                for s in np.nonzero(slab.live[b])[0].tolist()
             )
-            # Running lanes' delivering flats live in the shared queue
-            # (registration order); stopped lanes froze theirs locally.
-            da = self._dv.abs[:self._dv.n]
-            dflats = (
-                (da[da // self._cv == b] - b * self._cv).tolist()
-                + lane.delivering
-            )
-        else:
-            pending = sorted(
-                [entry[1].msg_id for entry in lane.route_heap]
-                + list(lane.parked)
-            )
-            messages_fp = tuple(
-                sorted(
-                    (
-                        message.msg_id,
-                        message.src,
-                        message.dst,
-                        message.created_at,
-                        self._msg_flits_to_inject(b, message),
-                        self._msg_flits_ejected(b, message),
-                        message.head_node,
-                        route_state_fingerprint(message.route_state),
-                    )
-                    for message in self._iter_live_messages(lane)
-                )
-            )
-            dflats = lane.delivering
+        )
+        # Running lanes' delivering flats live in the shared queue
+        # (registration order); stopped lanes froze theirs locally.
+        da = self._dv.abs[:self._dv.n]
+        dflats = (
+            (da[da // self._cv == b] - b * self._cv).tolist()
+            + lane.delivering
+        )
         delivering = tuple(
             (f // v, f % v) for f in dflats
         )
         controller = lane.controller
-        if self._relaxed:
-            # Relaxed lanes draw from the numpy streams; digest those
-            # (repr keeps the tuple hashable) instead of the untouched
-            # scalar streams.
-            next_due = int(self._gen_due[b].min())
-            rng_fp: Tuple[Any, ...] = tuple(
-                repr(lane.rng.numpy_stream(name).bit_generator.state)
-                for name in (
-                    STREAM_ARRIVALS, STREAM_DESTINATIONS, STREAM_ROUTING
+        next_due = int(self._gen_due[b].min())
+        # repr keeps the generator-state dicts hashable.
+        rng_fp: Tuple[Any, ...] = tuple(
+            repr(lane.rng.numpy_stream(name).bit_generator.state)
+            for name in (
+                STREAM_ARRIVALS, STREAM_DESTINATIONS, STREAM_ROUTING
+            )
+        )
+        # Rebuild the outstanding-injection items from the _outst array
+        # (the object controller deletes keys that reach zero).
+        nzo = np.nonzero(self._outst[b])[0]
+        nn = self._num_nodes
+        outst_items: Tuple[Any, ...] = tuple(
+            sorted(
+                (
+                    (int(k) % nn, self._class_list[int(k) // nn]),
+                    int(self._outst[b][k]),
                 )
+                for k in nzo.tolist()
             )
-            # The outstanding-injection dict lives in the _outst array
-            # in relaxed mode; rebuild the nonzero items (the object
-            # controller deletes keys that reach zero).
-            nzo = np.nonzero(self._outst[b])[0]
-            nn = self._num_nodes
-            outst_items: Tuple[Any, ...] = tuple(
-                sorted(
-                    (
-                        (int(k) % nn, self._class_list[int(k) // nn]),
-                        int(self._outst[b][k]),
-                    )
-                    for k in nzo.tolist()
-                )
-            )
-        else:
-            next_due = lane.arrivals.next_due
-            rng_fp = (
-                lane.rng.stream(STREAM_ARRIVALS).getstate(),
-                lane.rng.stream(STREAM_DESTINATIONS).getstate(),
-                lane.rng.stream(STREAM_ROUTING).getstate(),
-            )
-            outst_items = tuple(sorted(controller._outstanding.items()))
+        )
         return (
             lane.cycle,
             lane.msg_counter,

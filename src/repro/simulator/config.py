@@ -8,6 +8,7 @@ statistics schedule.  Experiments are reproducible from (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, Optional
 
 from repro.routing.base import RoutingAlgorithm
@@ -44,24 +45,25 @@ MUX_POLICIES = ("round_robin", "highest_class")
 SCHEDULERS = ("scan", "active")
 
 #: Simulation backends: "object" is the per-object Python engine
-#: (:class:`repro.simulator.engine.Engine`); "batch" is the vectorized
-#: flat-array engine (:class:`repro.simulator.batch.BatchEngine`) that
-#: advances a whole batch of seeds of one configuration in lockstep.
-#: Per-seed results are bit-identical between the two (fingerprint and
-#: golden-trace tests); the batch backend requires conservative flow
-#: control and wormhole/VCT switching (see the batch module docstring).
+#: (:class:`repro.simulator.engine.Engine`), the only bit-exact path and
+#: the one every option works on; "batch" is the vectorized flat-array
+#: engine (:class:`repro.simulator.batch.BatchEngine`) that advances a
+#: whole batch of seeds of one configuration in lockstep (2-3x
+#: aggregate throughput per core at 32 seeds).  The batch backend requires
+#: conservative flow control and wormhole/VCT switching (see the batch
+#: module docstring).
 BACKENDS = ("object", "batch")
 
-#: Batch-backend identity modes: "strict" reproduces the object engine's
-#: flit schedule bit-identically per seed (per-lane ``random.Random``
-#: streams, scalar routing seam); "relaxed" replaces the per-lane streams
-#: with numpy ``Generator`` draws batched per phase and runs routing/VC
-#: allocation through vectorized table-driven kernels.  Relaxed results
-#: are still deterministic per (config, seed) — independent of batch
-#: composition — but differ per seed from the object engine; their
-#: *distributions* are validated against it by the statistical-
-#: equivalence harness (:mod:`repro.analysis.equivalence`).
-IDENTITY_MODES = ("strict", "relaxed")
+#: The identity each backend's results carry: what their numbers are
+#: identical *to*, recorded in every store signature.  It follows from
+#: the backend and selects no code.  "strict" is the object engine's
+#: flit schedule, bit for bit per seed; "relaxed" is the batch
+#: backend's — deterministic per (config, seed) and independent of
+#: batch composition, but drawn from per-lane numpy ``Generator``
+#: streams, so it differs per seed from the object engine's and is held
+#: to it *distributionally* by the statistical-equivalence harness
+#: (:mod:`repro.analysis.equivalence`).
+BACKEND_IDENTITY = MappingProxyType({"object": "strict", "batch": "relaxed"})
 
 
 @dataclass
@@ -105,17 +107,17 @@ class SimulationConfig:
     #: regime); "scan" is the seed engine's full per-cycle rescan.  The
     #: flit schedule is bit-identical either way (golden-trace tests).
     scheduler: str = "active"
-    #: Simulation backend: "object" runs one seed per engine; "batch"
-    #: runs whole seed-batches in lockstep over flat numpy arrays
-    #: (bit-identical per seed; requires conservative flow control and
-    #: wormhole/VCT switching, and ignores `scheduler`).
+    #: Simulation backend: "object" runs one seed per engine (bit-exact;
+    #: parallelise with ``jobs``); "batch" runs whole seed-batches in
+    #: lockstep over flat numpy arrays (statistically equivalent; requires
+    #: conservative flow control and wormhole/VCT switching, and ignores
+    #: `scheduler`).
     backend: str = "object"
-    #: Batch-backend identity mode (see :data:`IDENTITY_MODES`).
-    #: "strict" (default) keeps the bit-identical path; "relaxed" trades
-    #: per-seed bit-identity for vectorized rng + routing kernels and is
-    #: only meaningful (and only allowed) with ``backend="batch"``.
-    #: Recorded in campaign-store signatures, so strict and relaxed
-    #: results never alias in a shared store.
+    #: The contract the results carry (see :data:`BACKEND_IDENTITY`):
+    #: must be "relaxed" with ``backend="batch"`` and "strict" otherwise.
+    #: Not a switch — it is spelled out so that it is part of every
+    #: campaign-store signature and object and batch results never alias
+    #: in a shared store.
     identity: str = "strict"
 
     # -- traffic ------------------------------------------------------------
@@ -181,23 +183,25 @@ class SimulationConfig:
         require(self.backend in BACKENDS,
                 f"backend must be one of {BACKENDS}, "
                 f"got {self.backend!r}")
-        require(self.identity in IDENTITY_MODES,
-                f"identity must be one of {IDENTITY_MODES}, "
-                f"got {self.identity!r}")
-        if self.identity == "relaxed":
-            require(self.backend == "batch",
-                    "identity='relaxed' requires backend='batch': the "
-                    "object engine is the strict oracle and has no "
-                    "relaxed execution path")
         if self.backend == "batch":
             require(self.flow_control == "conservative",
                     "backend='batch' requires flow_control='conservative' "
                     "(ideal flow control's same-cycle fixpoint is order-"
-                    "dependent and cannot be vectorized bit-identically)")
+                    "dependent and cannot be evaluated array-at-once)")
             require(self.switching != "saf",
                     "backend='batch' does not support switching='saf'")
             require(not self.obs and not self.sanitize,
                     "backend='batch' does not support obs/sanitize hooks")
+        if self.identity != BACKEND_IDENTITY[self.backend]:
+            raise ConfigurationError(
+                f"backend={self.backend!r} produces "
+                f"identity={BACKEND_IDENTITY[self.backend]!r} results, got "
+                f"identity={self.identity!r}: the batch backend is "
+                "statistically, not bitwise, equivalent to the object "
+                "engine (spell identity='relaxed' with backend='batch'); "
+                "the bit-exact path is backend='object', identity="
+                "'strict', parallelised over seeds with --jobs"
+            )
         require_positive(self.message_length, "message_length")
         require_non_negative(self.offered_load, "offered_load")
         require_positive(self.warmup_cycles, "warmup_cycles")
@@ -254,7 +258,7 @@ class SimulationConfig:
 
 __all__ = [
     "BACKENDS",
-    "IDENTITY_MODES",
+    "BACKEND_IDENTITY",
     "SCHEDULERS",
     "SELECTION_POLICIES",
     "SWITCHING_MODES",

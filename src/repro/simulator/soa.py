@@ -1,12 +1,11 @@
-"""Structure-of-arrays message state for the batch backend's relaxed mode.
+"""Structure-of-arrays message state for the batch backend.
 
-The relaxed identity mode used to mirror every in-flight worm with a
-Python ``_BatchMessage`` object, which put ~0.5M scalar attribute
-touches per congested window on the hot path (release bookkeeping, the
-transmit epilogue, ejection accounting, the per-winner commit loop).
-This module replaces those objects with flat numpy columns carrying a
-leading batch axis, so the batch engine's per-cycle phases can read and
-write message state with masked gathers/scatters only.
+A Python object per in-flight worm puts ~0.5M scalar attribute touches
+per congested window on the hot path (release bookkeeping, the transmit
+epilogue, ejection accounting, the per-winner commit loop).  This
+module holds message state as flat numpy columns carrying a leading
+batch axis instead, so the batch engine's per-cycle phases read and
+write it with masked gathers/scatters only.
 
 Three containers:
 
@@ -25,8 +24,8 @@ Three containers:
   request consumes no rng — so the stamp test's over-approximation is
   draw-for-draw equivalent to exact wake lists.
 * :class:`DeliverQueue` — absolute VC indices currently delivering at
-  their destination, in registration order (the order strict mode keeps
-  in ``lane.delivering``).
+  their destination, in registration order (the order a stopped lane
+  keeps in ``lane.delivering``).
 
 All three grow by doubling and never shrink; the engine holds exactly
 one of each.
@@ -48,8 +47,8 @@ INITIAL_ENTRIES = 256
 class MessageView(NamedTuple):
     """A read-only snapshot of one slab row (deadlock reports, debugging).
 
-    Field names match the attributes the strict path's ``_BatchMessage``
-    exposes, so diagnostic code can walk either representation.
+    Field names match the attributes of
+    :class:`repro.network.message.Message` that diagnostic code reads.
     """
 
     msg_id: int

@@ -73,7 +73,8 @@ class RngStreams:
         on the same epoch boundaries.  The numpy stream named *name* and
         the :class:`random.Random` stream of the same name are seeded
         alike but produce unrelated sequences — callers use one or the
-        other per run (the batch backend's identity modes), never both.
+        other per run (the object engine the scalar ones, the batch
+        backend the numpy ones), never both.
         """
         require_type(name, str, "name")
         existing = self._numpy_streams.get(name)

@@ -1,11 +1,11 @@
-"""The batch backend's relaxed identity mode and its kernel helpers.
+"""The batch backend's relaxed identity and its kernel helpers.
 
-Strict mode's contract (bit-identity) is pinned by
-``tests/test_backend_batch.py``; relaxed mode's contract is weaker —
-statistical equivalence, checked by ``repro-equivalence`` — but it is
-still **deterministic**: the same config and seeds must reproduce the
-same results, run to run and regardless of how seeds are grouped into
-lockstep engines.  These tests pin that, plus flit conservation across
+Bit-identity to the object engine is not the batch backend's contract —
+that is statistical equivalence, checked by ``repro-equivalence`` — but
+it is still **deterministic**: the same config and seeds must reproduce
+the same results, run to run and regardless of how seeds are grouped
+into lockstep engines (``tests/test_backend_batch.py`` holds the
+fingerprint matrix).  These tests pin that, plus flit conservation across
 the algorithm grid, the config-validation fences, the interned
 :class:`~repro.routing.tables.RouteTable`, and the batched draw helpers
 (geometric gaps, destination sampling, numpy rng streams).
@@ -46,10 +46,18 @@ class TestConfigValidation:
         assert tiny_config().identity == "strict"
 
     def test_relaxed_requires_batch_backend(self):
-        with pytest.raises(ConfigurationError, match="strict oracle"):
+        with pytest.raises(ConfigurationError, match="backend='batch'"):
             tiny_config(
                 identity="relaxed", flow_control="conservative"
             )
+
+    def test_batch_requires_relaxed_identity(self):
+        """identity is not a switch: the batch backend has one contract,
+        and the error points at the bit-exact path."""
+        with pytest.raises(ConfigurationError) as info:
+            tiny_config(backend="batch", flow_control="conservative")
+        assert "backend='object'" in str(info.value)
+        assert "--jobs" in str(info.value)
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(ConfigurationError):

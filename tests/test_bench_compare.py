@@ -21,10 +21,6 @@ def report(batch_relaxed=None):
         "idle": {"cycles_per_sec": 1000.0},
         "congested": {"cycles_per_sec": 500.0, "moves_per_poll": 0.8},
         "congested_conservative": {"cycles_per_sec": 400.0},
-        "batch_b32": {
-            "aggregate_cycles_per_sec": 8000.0,
-            "flit_events_per_sec": 90000.0,
-        },
         "batch_relaxed_b32": batch_relaxed or {
             "aggregate_cycles_per_sec": 12000.0,
             "flit_events_per_sec": 140000.0,
@@ -50,7 +46,6 @@ class TestCompareGate:
         assert not any("REGRESSION" in line for line in lines)
 
     def test_flit_event_rate_is_gated(self):
-        assert ("batch_b32", "flit_events_per_sec") in _GATED_ROWS
         assert ("batch_relaxed_b32", "flit_events_per_sec") in _GATED_ROWS
         # Cycle rate holds but flit throughput collapses — the kind of
         # regression a cycles-only gate would miss (stalled traffic
@@ -68,17 +63,18 @@ class TestCompareGate:
 
     def test_missing_field_in_old_baseline_warns_not_fails(self):
         baseline = report()
-        for row in ("batch_b32", "batch_relaxed_b32"):
-            del baseline["engines"]["ecube"][row]["flit_events_per_sec"]
+        row = baseline["engines"]["ecube"]["batch_relaxed_b32"]
+        del row["flit_events_per_sec"]
         ok, lines = compare_reports(report(), baseline, tolerance=0.2)
         assert ok
         skips = [line for line in lines if "lacks" in line]
-        assert len(skips) == 2
+        assert len(skips) == 1
         assert all("baseline" in line for line in skips)
 
     def test_missing_field_in_current_warns_not_fails(self):
         current = report()
-        del current["engines"]["ecube"]["batch_b32"]["flit_events_per_sec"]
+        row = current["engines"]["ecube"]["batch_relaxed_b32"]
+        del row["flit_events_per_sec"]
         ok, lines = compare_reports(current, report(), tolerance=0.2)
         assert ok
         assert any(
@@ -125,6 +121,20 @@ class TestCompareGate:
         assert any(
             "baseline row lacks 'moves_per_poll'" in line for line in lines
         )
+
+    def test_schema5_baseline_strict_batch_rows_are_skipped(self):
+        """A baseline from before the strict stepper went still carries
+        `batch_b1/8/32`; the gate neither compares nor misses them."""
+        assert not any(row.startswith("batch_b") for row, _ in _GATED_ROWS)
+        baseline = report()
+        for lanes in (1, 8, 32):
+            baseline["engines"]["ecube"][f"batch_b{lanes}"] = {
+                "aggregate_cycles_per_sec": 1e9,
+                "flit_events_per_sec": 1e9,
+            }
+        ok, lines = compare_reports(report(), baseline, tolerance=0.2)
+        assert ok
+        assert not any("batch_b" in line for line in lines)
 
     def test_empty_overlap_fails_the_gate(self):
         ok, lines = compare_reports(

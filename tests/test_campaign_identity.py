@@ -38,6 +38,7 @@ from repro.campaigns.identity import (
 )
 from repro.campaigns.store import ResultStore
 from repro.experiments.parallel import _batch_groups
+from repro.experiments.runner import run_point
 from repro.simulator.config import SimulationConfig
 from tests.conftest import tiny_config
 
@@ -145,6 +146,30 @@ class TestGoldenPins:
         with open(parent_path) as stream:
             assert lines(path.read_text()) == lines(stream.read())
 
+    def test_parent_strict_batch_record_serves_the_object_config(
+        self, tmp_path
+    ):
+        """``store_parent_strict_batch.jsonl`` is golden case 12 as the
+        parent commit's strict batch stepper simulated and filed it
+        (``backend="batch"``, default identity).  That spelling no
+        longer constructs; its address is the object config's, and the
+        object engine simulates the very numbers it holds."""
+        path = tmp_path / "store.jsonl"
+        shutil.copy(
+            os.path.join(DATA, "store_parent_strict_batch.jsonl"), path
+        )
+        config = SimulationConfig(**GOLDEN[12]["config"])
+        assert (config.backend, config.identity) == ("object", "strict")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = ResultStore(str(path))
+            served = store.get(config)
+        assert len(store) == 1 and served is not None
+        fresh = run_point(config).to_json_dict()
+        stored = served.to_json_dict()
+        del fresh["wall_seconds"], stored["wall_seconds"]
+        assert fresh == stored
+
 
 # -- the asdict reference, property-tested ---------------------------------
 
@@ -185,8 +210,7 @@ def configs(draw):
             st.sampled_from(["ideal", "conservative"])
         ),
         backend="batch" if batch else "object",
-        identity=draw(st.sampled_from(["strict", "relaxed"]))
-        if batch else "strict",
+        identity="relaxed" if batch else "strict",
         vc_buffer_depth=draw(st.sampled_from([None, 1, 4, 32])),
         injection_limit=draw(st.sampled_from([None, 1, 2, True])),
         traffic=draw(st.sampled_from(["uniform", "hotspot"])),
@@ -321,7 +345,9 @@ class TestBatchGrouping:
     def test_groups_are_those_of_every_field_but_the_seed(self):
         """The grouping key rides on the signature; the old one spelled
         out asdict + json.dumps per point.  Same groups, same order."""
-        base = tiny_config(flow_control="conservative", backend="batch")
+        base = tiny_config(
+            flow_control="conservative", backend="batch", identity="relaxed"
+        )
         variants = [
             base,
             dataclasses.replace(base, offered_load=0.4),
@@ -329,7 +355,7 @@ class TestBatchGrouping:
             dataclasses.replace(base, gap_cycles=80),
             dataclasses.replace(base, gap_cycles=80.0),
             dataclasses.replace(base, traffic_options={"k": [1]}),
-            dataclasses.replace(base, identity="relaxed"),
+            dataclasses.replace(base, mux_policy="highest_class"),
         ]
         points = [
             dataclasses.replace(variant, seed=seed)

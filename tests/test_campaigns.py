@@ -157,28 +157,30 @@ class TestCampaignSpec:
         assert len({campaign_signature(c) for c in configs}) == 1
         assert len({point_key(c) for c in configs}) == len(configs)
 
-    def test_identity_mode_splits_the_signature_backend_does_not(self):
-        # Strict batch results are bit-identical to object results, so
-        # the two backends share one content address — but relaxed
-        # results are only statistically equivalent and must live under
-        # their own signature, never served where strict was asked for.
-        base = tiny_config(
-            flow_control="conservative", backend="batch"
-        )
-        strict_batch = dataclasses.replace(base, identity="strict")
-        relaxed = dataclasses.replace(base, identity="relaxed")
-        object_engine = dataclasses.replace(
-            base, backend="object", identity="strict"
-        )
-        assert campaign_signature(strict_batch) == campaign_signature(
-            object_engine
+    def test_relaxed_never_aliases_object(self):
+        # Batch results are only statistically equivalent to the object
+        # engine's and must live under their own addresses, never
+        # served where the object engine's were asked for.  The
+        # signature leaves `backend` out, so it is `identity` — which
+        # config validation ties to the backend — that keeps them apart.
+        object_engine = tiny_config(flow_control="conservative")
+        relaxed = dataclasses.replace(
+            object_engine, backend="batch", identity="relaxed"
         )
         assert campaign_signature(relaxed) != campaign_signature(
-            strict_batch
+            object_engine
         )
+        assert point_key(relaxed) == point_key(object_engine)
+        assert config_key(relaxed) != config_key(object_engine)
         assert config_record_dict(relaxed) != config_record_dict(
-            strict_batch
+            object_engine
         )
+        assert "backend" not in config_record_dict(relaxed)
+        for backend, identity in (("object", "relaxed"), ("batch", "strict")):
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(
+                    object_engine, backend=backend, identity=identity
+                )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -563,6 +565,50 @@ class TestFigureSpecs:
             PAPER_LOADS,
         )
         assert spec.expand() == expected
+
+    @pytest.mark.parametrize(
+        "figure, function",
+        [
+            ("3", paper_figures.figure3),
+            ("4", paper_figures.figure4),
+            ("5", paper_figures.figure5),
+            ("vct", paper_figures.vct_comparison),
+        ],
+    )
+    def test_every_figure_function_sweeps_its_spec(
+        self, monkeypatch, figure, function
+    ):
+        """What `figureN()` hands to the sweep is `figure_campaign_spec(N)`
+        expanded: both read the one FIGURE_GRIDS entry."""
+        swept = []
+
+        def record(config, algorithms, loads, *args, **kwargs):
+            swept.extend(run_sweep_points(config, algorithms, loads))
+            return {}
+
+        monkeypatch.setattr(paper_figures, "sweep_algorithms", record)
+        function(profile="quick", seed=3)
+        spec = paper_figures.figure_campaign_spec(
+            figure, profile="quick", seed=3
+        )
+        assert swept and swept == spec.expand()
+        grid = paper_figures.FIGURE_GRIDS[figure]
+        assert {c.traffic for c in swept} == {grid["traffic"]}
+        assert {c.switching for c in swept} == {grid["switching"]}
+        assert swept[0].traffic_options == grid["traffic_options"]
+
+    def test_figure_options_override_the_grid(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            paper_figures, "sweep_algorithms",
+            lambda config, *args, **kwargs: seen.append(config) or {},
+        )
+        paper_figures.figure4(profile="quick", hotspot_fraction=0.1)
+        paper_figures.figure5(profile="quick", radius=2)
+        assert seen[0].traffic_options == {"fraction": 0.1}
+        assert seen[1].traffic_options == {"radius": 2}
+        with pytest.raises(TypeError, match="radius"):
+            paper_figures.figure3(profile="quick", radius=2)
 
     def test_vct_spec_pins_switching(self):
         spec = paper_figures.figure_campaign_spec("vct", profile="quick")

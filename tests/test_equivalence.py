@@ -1,12 +1,15 @@
 """Tests for :mod:`repro.analysis.equivalence`.
 
 The dual criterion is the load-bearing logic: a metric is discrepant
-only when the strict/relaxed means differ practically (beyond
-``rel_tol``) AND statistically (beyond ``z`` Welch standard errors).
-These tests pin each arm of the criterion with hand-built samples, then
-run one real (tiny) point through ``compare_point`` to check the
-harness wiring: same seeds, both identity modes, all metrics reported.
+only when the object (strict) and batch (relaxed) means differ
+practically (beyond ``rel_tol``) AND statistically (beyond ``z`` Welch
+standard errors).  These tests pin each arm of the criterion with
+hand-built samples, then run one real (tiny) point through
+``compare_point`` to check the harness wiring: same seeds, both
+engines, all metrics reported.
 """
+
+import dataclasses
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.analysis.equivalence import (
     main as equivalence_main,
     run_suite,
 )
+from repro.experiments.runner import run_point
 from tests.conftest import tiny_config
 
 
@@ -91,7 +95,6 @@ class TestComparePoint:
             algorithm="nbc",
             offered_load=0.3,
             flow_control="conservative",
-            backend="batch",
         )
         # rel_tol is opened up on this wiring test: on a 4x4 network
         # the mean wait is ~1.2 cycles, so the relaxed mode's small
@@ -113,11 +116,29 @@ class TestComparePoint:
             "messages_delivered",
         } <= names
         assert any(name.startswith("vc_share_") for name in names)
-        # The real relaxed mode must be equivalent to strict here; a
-        # failure on this tiny point is a genuine kernel regression.
+        # The batch backend must be equivalent to the object engine
+        # here; a failure on this tiny point is a genuine kernel
+        # regression.
         assert report.passed, [
             metric.describe() for metric in report.failures
         ]
+
+    def test_reference_side_is_the_object_engine(self):
+        """``mean_strict`` is the per-seed ``run_point`` mean, exactly."""
+        config = tiny_config(
+            algorithm="ecube", offered_load=0.3,
+            flow_control="conservative",
+        )
+        seeds = [21, 22, 23]
+        report = compare_point(config, seeds=seeds, rel_tol=0.25)
+        latencies = [
+            run_point(dataclasses.replace(config, seed=seed)).average_latency
+            for seed in seeds
+        ]
+        (latency,) = [
+            m for m in report.metrics if m.name == "average_latency"
+        ]
+        assert latency.mean_strict == sum(latencies) / len(latencies)
 
     def test_cli_smoke_single_point(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

@@ -285,7 +285,8 @@ class TestAppendOnlyCheckpoint:
 class TestBatchGroupResume:
     def _configs(self):
         base = tiny_config(
-            flow_control="conservative", backend="batch", seed=1
+            flow_control="conservative", backend="batch",
+            identity="relaxed", seed=1,
         )
         return run_sweep_points(base, ["ecube"], (0.3,), seeds=(1, 2, 3))
 

@@ -1,19 +1,19 @@
-"""Rng-draw parity between Engine._select and BatchEngine._select.
+"""Engine._select against its specification, rng draws included.
 
-The strict batch backend replays the object engine's routing decisions
-over mirror state (``owner_py`` / ``owned_py`` lists instead of VC /
-channel objects).  Bit-identity of whole runs rests on one local
-contract: for the same candidate set, occupancy and channel loads, both
-selectors must pick the same candidate AND consume the random stream
-identically — a ``randrange`` fires exactly when the final filtered set
-(free candidates under "random", tied-for-least-multiplexed under
-"least_multiplexed") has more than one entry, and never otherwise.
+``Engine._select`` is the only scalar selector in the tree (the batch
+backend selects with array kernels over its own streams).  Bit-identity
+of object runs across schedulers, job counts and commits rests on one
+local contract: for a given candidate set, occupancy and channel loads,
+the selector picks the member of the final filtered set (free
+candidates under "random", tied-for-least-multiplexed under
+"least_multiplexed") that the stream's draw names AND consumes the
+random stream exactly so — a ``randrange`` fires exactly when that set
+has more than one entry, and never otherwise.
 
-Hypothesis fuzzes synthetic candidate sets through both implementations
-side by side.  The stubs mirror exactly the attributes each selector
-reads (``vc.owner`` / ``channel.owned_count`` for the object engine,
-``owner_py`` / ``owned_py`` lists for the batch mirror), so the test
-pins the contract without building networks.
+Hypothesis fuzzes synthetic candidate sets through the selector and a
+list-based reference side by side.  The stubs mirror exactly the
+attributes the selector reads (``vc.owner`` / ``channel.owned_count``),
+so the test pins the contract without building networks.
 """
 
 import random
@@ -21,7 +21,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.batch import BatchEngine
 from repro.simulator.engine import Engine
 
 
@@ -52,17 +51,11 @@ class _ChannelStub:
 
 
 class _ScratchStub:
-    """Just the two scratch lists both selectors reuse."""
+    """Just the two scratch lists the selector reuses."""
 
     def __init__(self):
         self._free_scratch = []
         self._best_scratch = []
-
-
-class _LaneStub:
-    def __init__(self, owner_py, owned_py):
-        self.owner_py = owner_py
-        self.owned_py = owned_py
 
 
 # One fuzzed candidate: occupied? + owned_count of its channel.
@@ -76,17 +69,15 @@ _cases = st.tuples(
 )
 
 
-def _final_set_size(entries, policy):
-    """Size of the set the selector tiebreaks over (0 = no pick)."""
-    free = [entry for entry in entries if not entry[0]]
-    if not free:
-        return 0
+def _final_set(entries, policy):
+    """Indices of the candidates the selector tiebreaks over."""
+    free = [i for i, (occupied, _) in enumerate(entries) if not occupied]
+    if not free or policy == "random":
+        return free
     if policy == "first":
-        return 1
-    if policy == "random":
-        return len(free)
-    best_load = min(load for _, load in free)
-    return sum(1 for _, load in free if load == best_load)
+        return free[:1]
+    best_load = min(entries[i][1] for i in free)
+    return [i for i in free if entries[i][1] == best_load]
 
 
 @given(case=_cases)
@@ -99,44 +90,27 @@ def test_select_parity_and_rng_contract(case):
         (_VCStub(occupied), _ChannelStub(load))
         for occupied, load in entries
     ]
-    # Batch mirror view: entry = (flat_vc, channel_index, vc_class,
-    # link); indices 2/3 are never read by _select.
-    owner_py = [0 if occupied else -1 for occupied, _ in entries]
-    owned_py = [load for _, load in entries]
-    batch_candidates = [
-        (index, index, 0, None) for index in range(len(entries))
-    ]
-
     rng_object = _RecordingRandom(seed)
-    rng_batch = _RecordingRandom(seed)
+    rng_reference = random.Random(seed)
     picked_object = Engine._select(
         _ScratchStub(), object_candidates, policy, rng_object
     )
-    picked_batch = BatchEngine._select(
-        _ScratchStub(),
-        _LaneStub(owner_py, owned_py),
-        batch_candidates,
-        policy,
-        rng_batch,
-    )
 
-    # Same decision, expressed in each backend's own currency.
-    if picked_object is None:
-        assert picked_batch is None
+    # Same decision as the reference: the draw indexes the final set.
+    final = _final_set(entries, policy)
+    if not final:
+        assert picked_object is None
     else:
-        assert picked_batch is not None
-        assert picked_batch[0] == object_candidates.index(picked_object)
-
-    # Identical rng consumption: same call count AND same arguments.
-    assert rng_object.calls == rng_batch.calls
+        expected = (
+            final[0] if len(final) == 1
+            else final[rng_reference.randrange(len(final))]
+        )
+        assert object_candidates.index(picked_object) == expected
 
     # The draw-iff-ambiguous contract: randrange fires exactly when the
     # final filtered set holds >= 2 candidates.  A single-candidate
     # request never draws, whatever the policy.
-    final = _final_set_size(entries, policy)
-    expected_calls = (
-        [(final,)] if final > 1 and len(entries) > 1 else []
-    )
+    expected_calls = [(len(final),)] if len(final) > 1 else []
     assert rng_object.calls == expected_calls
 
 
@@ -146,22 +120,13 @@ def test_select_parity_and_rng_contract(case):
 )
 @settings(max_examples=20, deadline=None)
 def test_single_candidate_never_draws(occupied, policy):
-    """The len==1 early-out bypasses the rng in both backends."""
+    """The len==1 early-out bypasses the rng."""
     rng_object = _RecordingRandom(7)
-    rng_batch = _RecordingRandom(7)
     picked_object = Engine._select(
         _ScratchStub(),
         [(_VCStub(occupied), _ChannelStub(0))],
         policy,
         rng_object,
     )
-    picked_batch = BatchEngine._select(
-        _ScratchStub(),
-        _LaneStub([0 if occupied else -1], [0]),
-        [(0, 0, 0, None)],
-        policy,
-        rng_batch,
-    )
     assert (picked_object is None) == occupied
-    assert (picked_batch is None) == occupied
-    assert rng_object.calls == [] and rng_batch.calls == []
+    assert rng_object.calls == []
