@@ -48,7 +48,7 @@ class ReverseDimensionOrder(RoutingAlgorithm):
         self._check_not_delivered(current, dst)
         topo = self.topology
         for dim in reversed(range(topo.n_dims)):  # the one changed line
-            directions = topo.minimal_directions(current, dst, dim)
+            directions = topo.directions(current, dst, dim)
             if not directions:
                 continue
             direction = directions[0]

@@ -152,12 +152,9 @@ def count_minimal_paths(
             return 1
         if node in memo:
             return memo[node]
-        total = 0
-        for dim in range(topology.n_dims):
-            for direction in topology.minimal_directions(node, dst, dim):
-                link = topology.out_link(node, dim, direction)
-                if link is not None:
-                    total += recurse(link.dst)
+        total = sum(
+            recurse(link.dst) for link in topology.minimal_links(node, dst)
+        )
         memo[node] = total
         return total
 

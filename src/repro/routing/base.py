@@ -152,16 +152,9 @@ class RoutingAlgorithm(ABC):
                 "no further hop exists"
             )
 
-    def minimal_links(self, current: int, dst: int) -> List[Link]:
+    def minimal_links(self, current: int, dst: int) -> Tuple[Link, ...]:
         """All links out of *current* that lie on some minimal path to *dst*."""
-        topo = self.topology
-        links: List[Link] = []
-        for dim in range(topo.n_dims):
-            for direction in topo.minimal_directions(current, dst, dim):
-                link = topo.out_link(current, dim, direction)
-                if link is not None:
-                    links.append(link)
-        return links
+        return self.topology.minimal_links(current, dst)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -41,7 +41,7 @@ class ECube(RoutingAlgorithm):
         self._check_not_delivered(current, dst)
         topo = self.topology
         for dim in range(topo.n_dims):
-            directions = topo.minimal_directions(current, dst, dim)
+            directions = topo.directions(current, dst, dim)
             if not directions:
                 continue
             direction = directions[0]  # tie at k/2 resolves to +

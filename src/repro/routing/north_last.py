@@ -75,7 +75,7 @@ class NorthLast(RoutingAlgorithm):
         return 1 if self._is_mesh else self.topology.n_dims + 1
 
     def new_state(self, src: int, dst: int) -> _NorthLastState:
-        directions = self.topology.minimal_directions(src, dst, _DIM_Y)
+        directions = self.topology.directions(src, dst, _DIM_Y)
         # Only an unavoidable north leg (unique minimal direction -1)
         # forces e-cube order; a half-ring tie is resolved southward.
         return _NorthLastState(ecube_order=directions == (-1,))
@@ -109,7 +109,7 @@ class NorthLast(RoutingAlgorithm):
     ) -> RouteChoice:
         topo = self.topology
         for dim in (_DIM_X, _DIM_Y):
-            directions = topo.minimal_directions(current, dst, dim)
+            directions = topo.directions(current, dst, dim)
             if not directions:
                 continue
             direction = directions[0]  # tie at k/2 resolves to +
@@ -121,11 +121,11 @@ class NorthLast(RoutingAlgorithm):
     ) -> List[RouteChoice]:
         topo = self.topology
         choices: List[RouteChoice] = []
-        for direction in topo.minimal_directions(current, dst, _DIM_X):
+        for direction in topo.directions(current, dst, _DIM_X):
             choices.append(
                 (topo.out_link(current, _DIM_X, direction), vc_class)
             )
-        if 1 in topo.minimal_directions(current, dst, _DIM_Y):
+        if 1 in topo.directions(current, dst, _DIM_Y):
             # South only: an adaptive message never turns north.
             choices.append((topo.out_link(current, _DIM_Y, 1), vc_class))
         return choices

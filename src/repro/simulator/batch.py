@@ -313,18 +313,19 @@ class BatchEngine:
         nn = self.topology.num_nodes
         self._num_nodes = nn
         #: Dense (src * N + dst) injection caches — route row, interned
-        #: class id, distance — filled on each pair's first arrival (the
+        #: class id — filled on each pair's first arrival (the
         #: callbacks are deterministic per pair), then gathered
-        #: array-at-once per generation cycle.
+        #: array-at-once per generation cycle; the distances are the
+        #: topology's all-pairs table, flattened.
         self._ic_row = np.full(nn * nn, -1, dtype=np.int64)
         self._ic_cls = np.zeros(nn * nn, dtype=np.int64)
-        self._ic_dist = np.zeros(nn * nn, dtype=np.int64)
+        self._ic_dist = self.topology.distance_table().reshape(-1)
         self._class_ids: Dict[Hashable, int] = {}
         self._class_list: List[Hashable] = []
         #: Outstanding injections, class-major [B, K*N]: the vectorized
-        #: InjectionController occupancy (class columns append as
-        #: classes intern; admission keys are unique per lane-cycle
-        #: because arrival gaps are >= 1).
+        #: InjectionController occupancy (K doubles as classes intern;
+        #: admission keys are unique per lane-cycle because arrival
+        #: gaps are >= 1).
         self._outst = np.zeros((b, nn), dtype=np.int64)
         self._outst_f = self._outst.reshape(-1)
         #: Per-channel reserved-VC counts: least-multiplexed loads and
@@ -789,16 +790,16 @@ class BatchEngine:
         self._pool.extend(lb, slots, seqs, cand_abs)
 
     def _intern_pairs(self, keys: np.ndarray) -> None:
-        """Intern (src, dst) pairs: route row, class id, distance.
+        """Intern (src, dst) pairs: route row, class id.
 
         Amortized cold path — each pair runs the injection-time
         algorithm callbacks exactly once, like the object engine's
-        memoization; new message classes append a column block to the
-        outstanding array.
+        memoization; new message classes claim a column block of the
+        outstanding array, whose width doubles when they run out
+        (e-cube has one class per first-hop VC: 336 on an 8x8 torus).
         """
         algorithm = self.algorithm
         table = self._table
-        topology = self.topology
         n = self._num_nodes
         for key in keys.tolist():
             src, dst = divmod(key, n)
@@ -810,15 +811,13 @@ class BatchEngine:
                 cid = len(self._class_list)
                 self._class_ids[msg_class] = cid
                 self._class_list.append(msg_class)
-                if (cid + 1) * n > self._outst.shape[1]:
-                    wide = np.zeros(
-                        (self._b, (cid + 1) * n), dtype=np.int64
-                    )
-                    wide[:, :self._outst.shape[1]] = self._outst
+                width = self._outst.shape[1]
+                if (cid + 1) * n > width:
+                    wide = np.zeros((self._b, 2 * width), dtype=np.int64)
+                    wide[:, :width] = self._outst
                     self._outst = wide
                     self._outst_f = wide.reshape(-1)
             self._ic_cls[key] = cid
-            self._ic_dist[key] = topology.distance(src, dst)
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _route(self, cycle: int) -> None:

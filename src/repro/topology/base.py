@@ -13,11 +13,31 @@ in flat lists.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+import numpy as np
 
 from repro.topology.coords import Coords, coords_to_node, node_to_coords, parity
 from repro.util.errors import TopologyError
 from repro.util.validation import require
+
+
+T = TypeVar("T")
+
+#: One row of k entries per dimension: ``rows[dim][coord]``.
+DimRows = Tuple[Tuple[T, ...], ...]
+#: One k x k table per dimension: ``tables[dim][src_coord][dst_coord]``.
+DimTables = Tuple[DimRows[T], ...]
 
 
 class Link:
@@ -50,7 +70,16 @@ class Link:
 
 
 class Topology(ABC):
-    """Base class for k-ary n-dimensional networks with uniform radix."""
+    """Base class for k-ary n-dimensional networks with uniform radix.
+
+    The one owner of geometry.  A subclass *defines* it, one dimension
+    at a time (:meth:`dim_distance`, :meth:`minimal_directions`); this
+    class turns the definitions into per-dimension ``radix x radix``
+    tables on first use and answers every query from them:
+    :meth:`distance`, :meth:`directions`, :meth:`minimal_links`,
+    :meth:`distance_row`, :meth:`distance_table`.  Consumers call
+    those, never the per-dimension definitions.
+    """
 
     def __init__(self, radix: int, n_dims: int) -> None:
         require(radix >= 2, f"radix must be >= 2, got {radix}")
@@ -58,6 +87,7 @@ class Topology(ABC):
         self.radix = radix
         self.n_dims = n_dims
         self.num_nodes = radix**n_dims
+        self._dims = range(n_dims)
         self._links: List[Link] = []
         # (node, dim, direction) -> Link
         self._out: Dict[Tuple[int, int, int], Link] = {}
@@ -70,11 +100,13 @@ class Topology(ABC):
         self._parity_cache: List[int] = [
             parity(coords) for coords in self._coords_cache
         ]
-        # Lazily filled (src, dst) -> minimal hop count memo: distance is
-        # recomputed for the same pairs throughout a run (message
-        # creation, hop-scheme class budgets), and the pair space is
-        # small (num_nodes**2 worst case, only visited pairs stored).
-        self._distance_cache: Dict[Tuple[int, int], int] = {}
+        # node -> [dim][dst_coord] -> minimal out-links along dim, filled
+        # on a node's first minimal_links query (n_dims * radix small
+        # tuples per visited node, never a per-pair store).
+        self._links_toward: List[Optional[DimRows[Tuple[Link, ...]]]] = [
+            None
+        ] * self.num_nodes
+        self._distance_table: Optional[np.ndarray] = None
         self._build_links()
 
     # -- construction -----------------------------------------------------
@@ -133,24 +165,144 @@ class Topology(ABC):
 
     @abstractmethod
     def dim_distance(self, src: int, dst: int, dim: int) -> int:
-        """Minimal hops between *src* and *dst* along one dimension."""
+        """Minimal hops between *src* and *dst* along one dimension.
+
+        The definition :attr:`dim_distance_tables` is filled from; it
+        may depend only on the two nodes' coordinates in *dim*.
+        """
 
     @abstractmethod
     def minimal_directions(
         self, src: int, dst: int, dim: int
     ) -> Tuple[int, ...]:
-        """Directions in *dim* along which one hop moves *src* nearer *dst*."""
+        """Directions in *dim* along which one hop moves *src* nearer *dst*.
 
+        The definition :attr:`dim_direction_tables` is filled from; it
+        may depend only on the two nodes' coordinates in *dim*.
+        """
+
+    def _dim_table(self, define: Callable[[int, int, int], T]) -> DimTables[T]:
+        """``[dim][src_coord][dst_coord] -> define(src, dst, dim)``."""
+        coords = range(self.radix)
+        tables = []
+        for dim in self._dims:
+            # a * stride is the node at coordinate a in *dim*, 0 elsewhere.
+            stride = self.radix**dim
+            tables.append(
+                tuple(
+                    tuple(define(a * stride, b * stride, dim) for b in coords)
+                    for a in coords
+                )
+            )
+        return tuple(tables)
+
+    @cached_property
+    def dim_distance_tables(self) -> DimTables[int]:
+        """Per-dimension hop counts, ``[dim][src_coord][dst_coord]``.
+
+        Filled on first use with ``n_dims * radix**2`` calls of the
+        subclass's :meth:`dim_distance`; every distance query after
+        that is a lookup.
+        """
+        return self._dim_table(self.dim_distance)
+
+    @cached_property
+    def dim_direction_tables(self) -> DimTables[Tuple[int, ...]]:
+        """Per-dimension minimal directions, ``[dim][src_coord][dst_coord]``.
+
+        Filled on first use from the subclass's
+        :meth:`minimal_directions`, whose tuples (and their order: a
+        half-ring tie lists + first) are stored as returned.
+        """
+        return self._dim_table(self.minimal_directions)
+
+    # repro: hot — per-message / per-cold-route lookup (HOT001)
     def distance(self, src: int, dst: int) -> int:
-        """Minimal hop count between two nodes."""
-        cached = self._distance_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        total = sum(
-            self.dim_distance(src, dst, dim) for dim in range(self.n_dims)
-        )
-        self._distance_cache[(src, dst)] = total
+        """Minimal hop count between two nodes (a builtin ``int``)."""
+        coords = self._coords_cache
+        src_coords = coords[src]
+        dst_coords = coords[dst]
+        tables = self.dim_distance_tables
+        total = 0
+        for dim in self._dims:
+            total += tables[dim][src_coords[dim]][dst_coords[dim]]
         return total
+
+    # repro: hot — per-cold-route lookup (HOT001)
+    def directions(self, src: int, dst: int, dim: int) -> Tuple[int, ...]:
+        """:meth:`minimal_directions`, read from the table."""
+        coords = self._coords_cache
+        return self.dim_direction_tables[dim][coords[src][dim]][
+            coords[dst][dim]
+        ]
+
+    # repro: hot — per-cold-route lookup (HOT001)
+    def minimal_links(self, node: int, dst: int) -> Tuple[Link, ...]:
+        """Links out of *node* that lie on some minimal path to *dst*.
+
+        Ordered by dimension, then as :meth:`minimal_directions` orders
+        the directions.
+        """
+        toward = self._links_toward[node]
+        if toward is None:
+            toward = self._build_links_toward(node)
+        dst_coords = self._coords_cache[dst]
+        links: Tuple[Link, ...] = ()
+        for dim in self._dims:
+            links += toward[dim][dst_coords[dim]]
+        return links
+
+    def _build_links_toward(self, node: int) -> DimRows[Tuple[Link, ...]]:
+        out = self._out
+        node_coords = self._coords_cache[node]
+
+        def links(dim: int, directions: Tuple[int, ...]) -> Tuple[Link, ...]:
+            found = [out.get((node, dim, direction)) for direction in directions]
+            return tuple(link for link in found if link is not None)
+
+        toward = tuple(
+            tuple(links(dim, directions) for directions in table[node_coords[dim]])
+            for dim, table in enumerate(self.dim_direction_tables)
+        )
+        self._links_toward[node] = toward
+        return toward
+
+    def distance_row(self, src: int) -> List[int]:
+        """Hop counts from *src* to every node, indexed by node id.
+
+        Assembled from the per-dimension tables in O(num_nodes), for
+        callers that walk one source's destinations and must not force
+        the N x N :meth:`distance_table`.
+        """
+        src_coords = self._coords_cache[src]
+        row = list(self.dim_distance_tables[0][src_coords[0]])
+        for table, a in zip(self.dim_distance_tables[1:], src_coords[1:]):
+            # Dimension 0 is the least-significant digit of a node id.
+            row = [high + low for high in table[a] for low in row]
+        return row
+
+    def distance_table(self) -> np.ndarray:
+        """All-pairs hop counts, read-only ``[N, N]`` int64.
+
+        Broadcast from the per-dimension tables on first use and kept.
+        N**2 memory: meant for consumers that already hold an N x N
+        array (the batch engine's injection caches); scalar callers use
+        :meth:`distance` or :meth:`distance_row`.
+        """
+        if self._distance_table is None:
+            k = self.radix
+            table = np.zeros((1, 1), dtype=np.int64)
+            # As distance_row: each dimension becomes the next, more
+            # significant, digit of both node ids.
+            for per_dim in self.dim_distance_tables:
+                high = np.array(per_dim, dtype=np.int64)
+                size = k * table.shape[0]
+                table = (
+                    high[:, None, :, None] + table[None, :, None, :]
+                ).reshape(size, size)
+            table.setflags(write=False)
+            self._distance_table = table
+        return self._distance_table
 
     @property
     @abstractmethod
@@ -163,21 +315,13 @@ class Topology(ABC):
         For uniform traffic this is the paper's average diameter (8.03 for
         a 16x16 torus).
         """
-        total = 0
-        src = 0  # vertex-transitive for torus; meshes override
-        if self._is_vertex_transitive():
-            for dst in range(self.num_nodes):
-                if dst != src:
-                    total += self.distance(src, dst)
-            return total / (self.num_nodes - 1)
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                if dst != src:
-                    total += self.distance(src, dst)
+        # A pair of coordinates in one dimension is shared by
+        # (num_nodes / radix)**2 node pairs; distance(s, s) is 0.
+        per_dim = sum(
+            sum(map(sum, table)) for table in self.dim_distance_tables
+        )
+        total = per_dim * (self.num_nodes // self.radix) ** 2
         return total / (self.num_nodes * (self.num_nodes - 1))
-
-    def _is_vertex_transitive(self) -> bool:
-        return False
 
     # -- links ------------------------------------------------------------
 

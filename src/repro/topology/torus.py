@@ -47,8 +47,5 @@ class Torus(Topology):
         """
         return (self.diameter + 1) // 2
 
-    def _is_vertex_transitive(self) -> bool:
-        return True
-
 
 __all__ = ["Torus"]

@@ -73,8 +73,12 @@ class TrafficPattern(ABC):
                 if not dist:
                     continue
                 active_sources += 1
+                # Summed in (src, dict-order dst) sequence: the float
+                # sums and the first-occurrence key order both feed
+                # mean_distance, hence the arrival rate.
+                row = topo.distance_row(src)
                 for dst, prob in dist.items():
-                    hops = topo.distance(src, dst)
+                    hops = row[dst]
                     weights[hops] = weights.get(hops, 0.0) + prob
             if active_sources:
                 for hops in weights:
@@ -108,8 +112,9 @@ class TrafficPattern(ABC):
             n = self.topology.num_nodes
             probs = np.zeros((n, n), dtype=np.float64)
             for src in range(n):
+                row = probs[src]  # a view: 1-D sets, not [src, dst] pairs
                 for dst, prob in self.destination_distribution(src).items():
-                    probs[src, dst] = prob
+                    row[dst] = prob
             cum = np.cumsum(probs, axis=1)
             # Normalize away cumsum float drift: every active row must
             # end at exactly 1.0, or a uniform drawn in [cum[-1], 1)

@@ -372,3 +372,71 @@ class TestRngBuffers:
         chunks = [buffered.take(count).copy() for count in takes]
         direct = np.random.default_rng(17).random(sum(takes))
         assert np.array_equal(np.concatenate(chunks), direct)
+
+
+class _PerClassGrown(BatchEngine):
+    """Reference: the outstanding array widened by exactly one message
+    class per reallocation (the growth rule before it doubled)."""
+
+    def _intern_pairs(self, keys):
+        n = self._num_nodes
+        for key in keys.tolist():
+            src, dst = divmod(key, n)
+            state = self.algorithm.new_state(src, dst)
+            self._ic_row[key] = self._table.row_for(src, dst, state)
+            msg_class = self.algorithm.message_class(src, dst, state)
+            cid = self._class_ids.get(msg_class)
+            if cid is None:
+                cid = len(self._class_list)
+                self._class_ids[msg_class] = cid
+                self._class_list.append(msg_class)
+                if (cid + 1) * n > self._outst.shape[1]:
+                    wide = np.zeros((self._b, (cid + 1) * n), dtype=np.int64)
+                    wide[:, : self._outst.shape[1]] = self._outst
+                    self._outst = wide
+                    self._outst_f = wide.reshape(-1)
+            self._ic_cls[key] = cid
+
+
+class TestOutstandingGrowth:
+    """e-cube has one message class per first-hop VC — 336 on the 8x8
+    torus — so the outstanding array must not reallocate per class."""
+
+    CONFIG = dict(radix=8, algorithm="ecube", offered_load=0.6)
+
+    def test_interning_all_pairs_reallocates_log_classes_times(self):
+        engine = BatchEngine(relaxed_config(**self.CONFIG), [3, 4])
+        n = engine._num_nodes
+        arrays = {id(engine._outst): engine._outst}
+        for key in range(n * n):
+            if key // n != key % n:
+                engine._intern_pairs(np.array([key]))
+                arrays.setdefault(id(engine._outst), engine._outst)
+        classes = len(engine._class_list)
+        assert classes == 336
+        # Doubling from one class: ceil(log2(336)) = 9 reallocations.
+        assert len(arrays) - 1 <= int(np.ceil(np.log2(classes)))
+        assert engine._outst.shape[1] >= classes * n
+        assert engine._outst.shape[1] % n == 0
+        assert engine._outst_f.base is engine._outst
+
+    def test_admission_matches_per_class_grown_reference(self):
+        config = relaxed_config(**self.CONFIG)
+        seeds = [3, 4, 5]
+        doubled = BatchEngine(config, seeds)
+        reference = _PerClassGrown(config, seeds)
+        doubled.run_cycles(500)
+        reference.run_cycles(500)
+        used = reference._outst.shape[1]
+        assert doubled._outst.shape[1] > used
+        assert np.array_equal(doubled._outst[:, :used], reference._outst)
+        assert not doubled._outst[:, used:].any()
+        for index in range(len(seeds)):
+            lane, ref_lane = doubled.lanes[index], reference.lanes[index]
+            assert lane.controller.refused > 0, "test needs refusals"
+            assert lane.controller.admitted == ref_lane.controller.admitted
+            assert lane.controller.refused == ref_lane.controller.refused
+            assert doubled.state_fingerprint(index) == (
+                reference.state_fingerprint(index)
+            )
+            assert doubled.conservation_check(index)

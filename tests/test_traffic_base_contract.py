@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
 from repro.traffic.base import TrafficPattern, UniformOverSetPattern
 from repro.traffic.registry import available_patterns, make_traffic
@@ -85,3 +87,61 @@ class TestRegistry:
     def test_bad_option_surfaces(self, torus4):
         with pytest.raises(TypeError):
             make_traffic("uniform", torus4, radius=2)
+
+
+def _scalar_analytics(pattern):
+    """``hop_class_weights`` / ``mean_distance`` / ``destination_table``
+    as they were computed before ``Topology`` served geometry from
+    tables: one scalar distance per (src, dst), one ``[src, dst]`` store
+    per probability.  Float sums run in the same (src, dict-order dst)
+    sequence, so the comparison below is ``==``, not ``approx``."""
+    topology = pattern.topology
+    weights = {}
+    active_sources = 0
+    probs = np.zeros((topology.num_nodes, topology.num_nodes))
+    for src in range(topology.num_nodes):
+        dist = pattern.destination_distribution(src)
+        if not dist:
+            continue
+        active_sources += 1
+        for dst, prob in dist.items():
+            hops = sum(
+                topology.dim_distance(src, dst, dim)
+                for dim in range(topology.n_dims)
+            )
+            weights[hops] = weights.get(hops, 0.0) + prob
+            probs[src, dst] = prob
+    if active_sources:
+        for hops in weights:
+            weights[hops] /= active_sources
+    mean = sum(hops * weight for hops, weight in weights.items())
+    cum = np.cumsum(probs, axis=1)
+    active = cum[:, -1] > 0.0
+    cum[active] /= cum[active, -1][:, None]
+    return weights, mean, cum
+
+
+class TestAnalyticsBitIdentity:
+    """The arrival rate is derived from ``mean_distance``: one ulp of
+    drift there changes every simulated statistic."""
+
+    TOPOLOGIES = {
+        "torus:16x2": lambda: Torus(16, 2),
+        "torus:8x2": lambda: Torus(8, 2),
+        "mesh:4x2": lambda: Mesh(4, 2),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("name", available_patterns())
+    def test_equal_to_scalar_reference(self, spec, name):
+        topology = self.TOPOLOGIES[spec]()
+        options = {"radius": 1} if name == "local" and spec == "mesh:4x2" else {}
+        pattern = make_traffic(name, topology, **options)
+        weights, mean, table = _scalar_analytics(pattern)
+        got = pattern.hop_class_weights()
+        # Values and first-occurrence key order (mean_distance sums
+        # over it).
+        assert list(got.items()) == list(weights.items())
+        assert all(type(hops) is int for hops in got)
+        assert pattern.mean_distance() == mean
+        assert pattern.destination_table().tobytes() == table.tobytes()

@@ -1,6 +1,8 @@
 """The deadlock-freedom verification framework (repro-verify)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +181,36 @@ class TestRunner:
         assert (
             stale.get("torus:4x4", "ecube", "candidate_minimality") is None
         )
+
+    def test_touching_topology_base_invalidates_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """Geometry lives in ``topology/base.py``: an edit there must
+        re-run every check, not replay verdicts walked on other tables."""
+        import repro
+
+        package = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        # The hash reads the source tree beside repro/__init__.py.
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+        cache = str(tmp_path / "cache.json")
+
+        def run():
+            return run_verification(
+                ["torus:4x4"], algorithms=["ecube"], cache_path=cache
+            )
+
+        first = run()
+        assert not any(r.cached for r in first.results)
+        assert all(r.cached for r in run().results)
+        with open(copy / "topology" / "base.py", "a") as source:
+            source.write("# touched\n")
+        rerun = run()
+        assert not any(r.cached for r in rerun.results)
+        assert rerun.code_hash != first.code_hash
 
     def test_code_hash_is_stable(self):
         assert verification_code_hash() == verification_code_hash()
