@@ -24,6 +24,22 @@ at several operating points:
   "identity modes"), so these rows measure what the looser contract
   buys.
 
+Every row above times a *warmed* engine, so none can see what a point
+costs from construction.  Two informational rows do (top-level ``cold``
+block, never gated), each from a process state with no shared route
+table (:mod:`repro.routing.tables`):
+
+* **cold_ladder**: nbc at loads 0.1 / 0.5 / 0.9, one engine after the
+  other, 1 420 cycles each — three rungs of a Figure-3 ladder, where the
+  second and third route from the table the first one filled.
+* **cold_paper16**: one phop point on the paper's 16x16 network (mesh,
+  load 0.4, 1 400 cycles) — nothing to reuse, ~10^5 candidate sets to
+  derive.
+
+Besides ``seconds`` they carry the exact counts the time is made of:
+route-table entries interned, ``candidates()`` calls, and collections
+per generation (``gc.get_stats()`` deltas).
+
 The report is written to ``BENCH_engine_speed.json`` and committed, so
 the repo carries its own performance trajectory.  ``--compare BASELINE``
 turns the run into a regression gate covering both backends: current
@@ -46,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import os
 import platform
@@ -56,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy
 
+from repro.routing.tables import route_table, shared_table
 from repro.simulator.batch import BatchEngine
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
@@ -240,6 +258,89 @@ def time_batch(
     return best
 
 
+#: Cold rows: (name, cycles per point, the points in running order).
+COLD_POINTS: Tuple[Tuple[str, int, Tuple[SimulationConfig, ...]], ...] = (
+    (
+        "cold_ladder",
+        1420,
+        tuple(speed_config("nbc", load) for load in (0.1, 0.5, 0.9)),
+    ),
+    (
+        "cold_paper16",
+        1400,
+        (
+            SimulationConfig(
+                radix=16, n_dims=2, topology="mesh", algorithm="phop",
+                offered_load=0.4, seed=42,
+            ),
+        ),
+    ),
+)
+
+
+def time_cold(
+    configs: Sequence[SimulationConfig], cycles: int, repeats: int = 1
+) -> Dict[str, object]:
+    """Time points of one algorithm from construction, back to back,
+    starting without any shared route table; fastest of *repeats* (the
+    counts repeat exactly).
+
+    ``candidates()`` is counted on the algorithm's class — the table
+    routes with an instance of its own, which no engine attribute leads
+    to — at one extra Python call per ``candidates()`` call, inside the
+    timed region (well under 1% of either row).
+    """
+    first = configs[0]
+    algorithm_class = type(first.build_algorithm(first.build_topology()))
+    inherited = "candidates" not in vars(algorithm_class)
+    candidates = algorithm_class.candidates
+    calls = 0
+
+    def counted(self: object, state: object, current: int, dst: int) -> object:
+        nonlocal calls
+        calls += 1
+        return candidates(self, state, current, dst)
+
+    best: Optional[Dict[str, object]] = None
+    for _ in range(max(1, repeats)):
+        shared_table.cache_clear()
+        calls = 0
+        setattr(algorithm_class, "candidates", counted)
+        try:
+            collected = [gen["collections"] for gen in gc.get_stats()]
+            start = time.perf_counter()
+            for config in configs:
+                engine = Engine(config)
+                engine.run_cycles(cycles)
+            elapsed = time.perf_counter() - start
+            collected = [
+                gen["collections"] - before
+                for gen, before in zip(gc.get_stats(), collected)
+            ]
+        finally:
+            if inherited:
+                delattr(algorithm_class, "candidates")
+            else:
+                setattr(algorithm_class, "candidates", candidates)
+        assert engine.conservation_check()
+        run = {
+            "points": len(configs),
+            "timed_cycles": cycles * len(configs),
+            "seconds": round(elapsed, 4),
+            "entries_interned": len(
+                route_table(engine.algorithm, first.algorithm).entries
+            ),
+            "candidates_calls": calls,
+            "gc_collections": collected,
+        }
+        if best is None or run["seconds"] < best["seconds"]:
+            best = run
+    assert best is not None
+    if repeats > 1:
+        best["repeats"] = repeats
+    return best
+
+
 def run_speed_suite(
     quick: bool = False, repeats: int = 1
 ) -> Dict[str, object]:
@@ -248,7 +349,7 @@ def run_speed_suite(
     engines: Dict[str, Dict[str, object]] = {}
     report: Dict[str, object] = {
         "benchmark": "bench_engine_speed",
-        "schema_version": 6,
+        "schema_version": 7,
         "quick": quick,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc
@@ -262,6 +363,13 @@ def run_speed_suite(
         "host": host_info(),
         "network": "8x8 torus, 16-flit worms, seed 42",
         "engines": engines,
+        # First, before the warmed rows leave their garbage to collect.
+        # The same size in --quick: a shorter window would intern other
+        # counts, and the counts are what these rows are read for.
+        "cold": {
+            name: time_cold(configs, cold_cycles, repeats)
+            for name, cold_cycles, configs in COLD_POINTS
+        },
     }
     for algorithm in SPEED_ALGORITHMS:
         rows: Dict[str, object] = {
@@ -342,11 +450,12 @@ def compare_reports(
     ``cycles_per_sec``, batch rows by ``aggregate_cycles_per_sec``)
     fails when it falls below ``baseline * machine_scale *
     (1 - tolerance)``; ``moves_per_poll`` is held to the unscaled
-    baseline.  When the baseline's ``host`` metadata differs
-    from this machine's, every would-be failure is downgraded to a
-    warning: idle-point rescaling corrects for raw speed but not for
-    cache-hierarchy or SIMD differences between hosts, so a committed
-    baseline only hard-gates the machine that produced it.
+    baseline; the ``cold`` rows are listed, never judged.  When the
+    baseline's ``host`` metadata differs from this machine's, every
+    would-be failure is downgraded to a warning: idle-point rescaling
+    corrects for raw speed but not for cache-hierarchy or SIMD
+    differences between hosts, so a committed baseline only hard-gates
+    the machine that produced it.
     """
     scale, calibration_points = _idle_scale(current, baseline)
     same_host = current.get("host") == baseline.get("host")
@@ -414,10 +523,36 @@ def compare_reports(
     if compared == 0:
         ok = False
         lines.append("no comparable gated rows — failing the gate")
+    # The cold rows are informational: listed beside the baseline's,
+    # never part of the verdict, and skipped with a warning when the
+    # baseline predates them (schema < 7).
+    baseline_cold = baseline.get("cold", {})
+    for name, cur in current.get("cold", {}).items():
+        base = baseline_cold.get(name)
+        if not base:
+            lines.append(
+                f"{'cold':6s} {name:22s} "
+                "(baseline lacks the cold rows; not compared)"
+            )
+            continue
+        lines.append(
+            f"{'cold':6s} {name:22s} {cur['seconds']:>9.2f} s vs "
+            f"{base['seconds'] / scale:>9.2f} s scaled baseline, "
+            f"{cur['candidates_calls']} vs {base['candidates_calls']} "
+            "candidates() calls  (info)"
+        )
     return ok, lines
 
 
 def print_report(report: Dict[str, object]) -> None:
+    for name, data in report["cold"].items():
+        young, middle, full = data["gc_collections"]
+        print(
+            f"{'cold':6s} {name:22s} {data['seconds']:>10.2f} s      "
+            f"{data['entries_interned']:>12d} entries  "
+            f"{data['candidates_calls']} candidates()  "
+            f"gc {young}/{middle}/{full}"
+        )
     for algorithm, runs in report["engines"].items():
         for point, data in runs.items():
             if "aggregate_cycles_per_sec" in data:

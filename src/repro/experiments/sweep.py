@@ -13,6 +13,17 @@ point makes the serial path and the process-pool path of
 :mod:`repro.experiments.parallel` identical by construction, which the
 test suite pins down bit-for-bit.)
 
+One thing does outlive a point: the route table
+(:mod:`repro.routing.tables`), a process-level memo of ``(node, dst,
+state_key) -> candidate VC indices`` that the engines of one (network,
+algorithm) share, so the rungs of a load ladder stop re-deriving each
+other's candidate sets.  It cannot change a result, and does not weaken
+the serial == pool identity: the table computes every entry with a
+topology and algorithm of its own, from the key alone, so an entry's
+value is the same whichever point asked first and whatever process it
+sits in — history decides only which entries are already there.  A
+worker process simply starts with an empty one.
+
 ``jobs`` fans the independent points of a sweep out to worker processes;
 ``checkpoint`` persists per-point results to an append-only result-store
 file (:mod:`repro.campaigns.store`) so interrupted campaigns (e.g. a

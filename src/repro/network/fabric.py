@@ -32,14 +32,19 @@ class Fabric:
             PhysicalChannel(link, num_vcs, vc_capacity)
             for link in topology.links
         ]
+        #: Every virtual channel by flat index ``link.index * num_vcs +
+        #: vc_class`` — the integers route-table entries are made of
+        #: (:mod:`repro.routing.tables`).
+        self.vcs: List[VirtualChannel] = []
+        for channel in self.channels:
+            self.vcs.extend(channel.vcs)
 
     def channel(self, link_index: int) -> PhysicalChannel:
         return self.channels[link_index]
 
     def virtual_channels(self) -> Iterator[VirtualChannel]:
         """Iterate every virtual channel in the fabric."""
-        for channel in self.channels:
-            yield from channel.vcs
+        return iter(self.vcs)
 
     def total_flits_moved(self) -> int:
         """Lifetime flit-crossings summed over all physical channels."""

@@ -20,7 +20,7 @@ Life-cycle timestamps (all in cycles):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Hashable, List, Optional, Tuple
+from typing import Any, Deque, Hashable, Optional, Sequence
 
 from repro.network.virtual_channel import VirtualChannel
 
@@ -75,8 +75,10 @@ class Message:
         # in (or just entering) path[-1]'s buffer.
         self.path: Deque[VirtualChannel] = deque()
         # Route candidates are invariant while the head is blocked at one
-        # node, so they are computed once per node and cached here.
-        self.cached_candidates: Optional[List[Tuple[Any, int]]] = None
+        # node, so they are looked up once per node and cached here: flat
+        # VC indices (link.index * V + vc_class), usually the route
+        # table's own shared tuple.
+        self.cached_candidates: Optional[Sequence[int]] = None
         # Activity-tracked scheduler bookkeeping: the FIFO sequence number
         # of the message's current routing request (assigned per enqueue,
         # kept while the request is blocked so service order matches the

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.obs.heatmap import CongestionHeatmap
 from repro.obs.probes import ProbeRegistry
@@ -44,7 +44,6 @@ from repro.util.validation import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.message import Message
-    from repro.network.physical_channel import PhysicalChannel
     from repro.network.virtual_channel import VirtualChannel
     from repro.simulator.engine import Engine
     from repro.simulator.sanitizer import DeadlockReport
@@ -194,13 +193,16 @@ class Observer:
         self,
         engine: "Engine",
         message: "Message",
-        candidates: List[Tuple["VirtualChannel", "PhysicalChannel"]],
+        candidates: Sequence[int],
     ) -> None:
+        """*candidates* are flat VC indices: ``divmod(flat, V)`` gives
+        ``(link.index, vc_class)``."""
         self._count(EVENT_MSG_BLOCKED)
+        num_vcs = engine.fabric.num_vcs
         heatmap = self.heatmap
         if heatmap is not None:
-            for _, channel in candidates:
-                heatmap.note_blocked(channel.link.index)
+            for flat in candidates:
+                heatmap.note_blocked(flat // num_vcs)
         if self.trace is not None:
             self.trace.emit(
                 engine.cycle,
@@ -208,7 +210,7 @@ class Observer:
                 msg=message.msg_id,
                 node=message.head_node,
                 candidates=[
-                    [vc.link.index, vc.vc_class] for vc, _ in candidates
+                    list(divmod(flat, num_vcs)) for flat in candidates
                 ],
             )
 

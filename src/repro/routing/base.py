@@ -43,11 +43,9 @@ class RoutingAlgorithm(ABC):
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        # Candidate-set memo: (node, destination, state_key) -> the
-        # RouteChoice tuple candidates() would return.  Filled lazily by
-        # candidates_cached, so the deterministic component of every
-        # algorithm (e-cube order, north-last restrictions, hop-class
-        # thresholds) becomes a static route table after warm-up.
+        # candidates_cached's memo: (node, destination, state_key) -> the
+        # RouteChoice tuple candidates() would return.  No engine reads
+        # it — theirs is repro.routing.tables, in flat-index form.
         self._route_table: Dict[
             Tuple[int, int, Hashable], Tuple[RouteChoice, ...]
         ] = {}
@@ -94,9 +92,9 @@ class RoutingAlgorithm(ABC):
 
         The contract: two states with equal keys must yield equal
         :meth:`candidates` results at every (current, dst) — the key is
-        what the candidate-set memo (:meth:`candidates_cached`) and the
-        engine's resolved-candidate cache index on.  Returning ``None``
-        disables memoization for this state.
+        what the engines' route table (:mod:`repro.routing.tables`) and
+        :meth:`candidates_cached` index on.  Returning ``None`` disables
+        memoization for this state.
 
         The default covers stateless algorithms (state ``None``) and any
         state whose *entire* contents drive the candidate set, via
@@ -116,7 +114,9 @@ class RoutingAlgorithm(ABC):
     def candidates_cached(
         self, state: Any, current: int, dst: int
     ) -> Sequence[RouteChoice]:
-        """Memoized :meth:`candidates` (see :meth:`state_key`).
+        """Memoized :meth:`candidates` (see :meth:`state_key`), as
+        (link, class) pairs, for callers outside the simulator; the
+        engines memoise in :mod:`repro.routing.tables` instead.
 
         Cache hits return a shared tuple; callers must not mutate it.
         States without a key fall through to a fresh ``candidates`` call.

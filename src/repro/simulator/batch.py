@@ -23,14 +23,15 @@ Generators replace the object engine's ``random.Random`` streams, with
 draws batched per phase (geometric arrival gaps and destination uniforms
 prefetched through stream-order-preserving buffers, routing tie-breaks
 drawn per round), and routing/VC allocation is a round-based vectorized
-kernel gathering candidate sets from an interned
-:class:`repro.routing.tables.RouteTable`.  Results are deterministic per
-(config, seed) and independent of batch composition — each lane's draw
-and buffer consumption sequence depends only on its own state — but
-differ per seed from the object engine's; their *distributions* are
-validated against object-engine runs by :mod:`repro.analysis.equivalence`
-(``repro-equivalence``).  The bit-exact path for any configuration is
-``backend="object"`` (one engine per seed, ``--jobs`` for cores).
+kernel gathering candidate sets from the dense rows of the
+:class:`repro.routing.tables.RouteTable` both engines share.  Results
+are deterministic per (config, seed) and independent of batch
+composition — each lane's draw and buffer consumption sequence depends
+only on its own state — but differ per seed from the object engine's;
+their *distributions* are validated against object-engine runs by
+:mod:`repro.analysis.equivalence` (``repro-equivalence``).  The
+bit-exact path for any configuration is ``backend="object"`` (one
+engine per seed, ``--jobs`` for cores).
 
 The transmit kernel rests on one property of the engine's *conservative*
 flow control: within a cycle, every transmit decision is a pure function
@@ -91,7 +92,7 @@ from typing import (
 import numpy as np
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.tables import RouteTable
+from repro.routing.tables import route_table
 from repro.simulator.config import SimulationConfig
 from repro.simulator.injection import InjectionController
 from repro.simulator.soa import DeliverQueue, MessageSlab, RequestPool
@@ -307,8 +308,13 @@ class BatchEngine:
         self._priority = config.mux_policy == "highest_class"
 
         # Table-driven routing kernels + batched numpy rng +
-        # structure-of-arrays message state.
-        self._table = RouteTable(self.algorithm)
+        # structure-of-arrays message state.  The table is the one the
+        # object engine reads too, shared per process when the algorithm
+        # was built here by name (repro.routing.tables): it may arrive
+        # pre-grown, so nothing below depends on row numbers or width.
+        self._table = route_table(
+            self.algorithm, config.algorithm if algorithm is None else None
+        )
         self._dest_table = self.traffic.destination_table()
         nn = self.topology.num_nodes
         self._num_nodes = nn

@@ -44,7 +44,6 @@ from typing import (
     TYPE_CHECKING,
     Deque,
     Dict,
-    Hashable,
     Iterator,
     List,
     Optional,
@@ -61,6 +60,7 @@ from repro.network.message import Message
 from repro.network.physical_channel import PhysicalChannel
 from repro.network.virtual_channel import VirtualChannel
 from repro.routing.base import RoutingAlgorithm
+from repro.routing.tables import flat_candidates, route_table
 from repro.simulator.config import SimulationConfig
 from repro.simulator.injection import InjectionController
 from repro.simulator.sanitizer import WaitForGraph
@@ -77,9 +77,6 @@ from repro.util.rng import (
     STREAM_ROUTING,
     RngStreams,
 )
-
-#: A routing candidate resolved to runtime objects.
-_Candidate = Tuple[VirtualChannel, PhysicalChannel]
 
 #: Sort key for re-poll lists (ascending active-set insertion order).
 _BY_ACTIVE_SEQ = attrgetter("active_seq")
@@ -103,6 +100,13 @@ class Engine:
         self.algorithm = algorithm if algorithm is not None else (
             config.build_algorithm(self.topology)
         )
+        # Candidate sets are memoised in one place, as flat VC indices
+        # (repro.routing.tables); an algorithm built here by name shares
+        # its table with every other such engine of the process.
+        self._table = route_table(
+            self.algorithm, config.algorithm if algorithm is None else None
+        )
+        self._route_entries = self._table.entries
         self.traffic = traffic if traffic is not None else (
             config.build_traffic(self.topology)
         )
@@ -169,12 +173,6 @@ class Engine:
         self._route_seq = 0
         self._parked: Dict[int, Message] = {}
         self._next_active_seq = 0
-        # Engine-level memo of resolved candidate sets, keyed by
-        # (head node, destination, algorithm state key); only consulted
-        # by the active scheduler so "scan" stays the seed path.
-        self._resolved_cache: Dict[
-            Tuple[int, int, Hashable], Tuple[_Candidate, ...]
-        ] = {}
         if self._active_scheduler:
             self._route_pending = self._route_heap
             self._route_step = self._route_active
@@ -188,15 +186,16 @@ class Engine:
         # per-cycle blocked events, so parking turns off while either is
         # attached (attach_observer/detach_observer keep this current).
         self._parking = self._active_scheduler and self.sanitizer is None
-        # Hot-path caches: the channel array (so _release and
-        # _compute_candidates skip two attribute hops) and the named rng
-        # streams (so per-cycle phases skip the stream-dictionary lookup;
+        # Hot-path caches: the channel array, the flat VC list that
+        # candidate indices resolve through, and the named rng streams
+        # (so per-cycle phases skip the stream-dictionary lookup;
         # refreshed by _refresh_streams whenever the epoch advances).
         self._channels = self.fabric.channels
+        self._vcs = self.fabric.vcs
         # Reusable scratch lists for _select, so the per-allocation cost
         # of the free/best candidate filters is paid once per engine.
-        self._free_scratch: List[_Candidate] = []
-        self._best_scratch: List[_Candidate] = []
+        self._free_scratch: List[VirtualChannel] = []
+        self._best_scratch: List[VirtualChannel] = []
         self._refresh_streams()
 
         # lifetime counters
@@ -523,6 +522,7 @@ class Engine:
         sanitizer = self.sanitizer
         obs = self._obs
         parking = self._parking
+        num_vcs = self.fabric.num_vcs
         progressed = False
         for entry in batch:
             message = entry[1]
@@ -538,10 +538,7 @@ class Engine:
                 if sanitizer is not None:
                     sanitizer.record_blocked(
                         message,
-                        [
-                            (vc.link.index, vc.vc_class)
-                            for vc, _ in candidates
-                        ],
+                        [divmod(flat, num_vcs) for flat in candidates],
                     )
                 if obs is not None:
                     obs.on_message_blocked(self, message, candidates)
@@ -551,13 +548,11 @@ class Engine:
                 sanitizer.clear(message.msg_id)
             self._allocate(message, chosen)
             if obs is not None:
-                obs.on_vc_acquired(self, message, chosen[0])
+                obs.on_vc_acquired(self, message, chosen)
             progressed = True
         return progressed
 
-    def _park(
-        self, message: Message, candidates: Sequence[_Candidate]
-    ) -> None:
+    def _park(self, message: Message, candidates: Sequence[int]) -> None:
         """Shelve a blocked message until a candidate VC is released.
 
         A blocked message consumes no rng (the free filter in _select
@@ -571,7 +566,9 @@ class Engine:
         message.park_epoch = epoch
         message.parked = True
         self._parked[message.msg_id] = message
-        for vc, _ in candidates:
+        vcs = self._vcs
+        for flat in candidates:
+            vc = vcs[flat]
             waiters = vc.waiters
             if waiters is None:
                 vc.waiters = [(epoch, message)]
@@ -601,34 +598,25 @@ class Engine:
         # flag / epoch check in _wake_waiters.
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _memo_candidates(self, message: Message) -> Sequence[_Candidate]:
-        """Resolved candidates via the engine-level memo table.
+    def _memo_candidates(self, message: Message) -> Sequence[int]:
+        """The message's candidates, from the route table.
 
         Algorithms expose a hashable digest of the candidate-relevant
         part of their route state (state_key); when available, the
-        resolved (VirtualChannel, PhysicalChannel) tuple for a given
-        (position, destination, digest) is computed once per engine.
+        candidate set of a given (position, destination, digest) is
+        computed once per table — for a shared table, once per process.
+        The table is handed the live state only to read it on a miss.
         """
-        algorithm = self.algorithm
-        key = algorithm.state_key(message.route_state)
+        state = message.route_state
+        key = self.algorithm.state_key(state)
         if key is None:
             return self._compute_candidates(message)
-        cache = self._resolved_cache
         path = message.path
-        node = path[-1].link.dst if path else message.src
-        entry = (node, message.dst, key)
-        resolved = cache.get(entry)
-        if resolved is None:
-            choices = algorithm.candidates_cached(
-                message.route_state, node, message.dst
-            )
-            channels = self._channels
-            resolved = tuple(
-                (channels[link.index].vcs[vc_class], channels[link.index])
-                for link, vc_class in choices
-            )
-            cache[entry] = resolved
-        return resolved
+        entry = (path[-1].dst_node if path else message.src, message.dst, key)
+        flats = self._route_entries.get(entry)
+        if flats is None:
+            flats = self._table.intern(entry, state)
+        return flats
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _route(self) -> bool:
@@ -637,6 +625,7 @@ class Engine:
         rng = self._rng_routing
         sanitizer = self.sanitizer
         obs = self._obs
+        num_vcs = self.fabric.num_vcs
         progressed = False
         for _ in range(len(queue)):
             message = queue.popleft()
@@ -649,10 +638,7 @@ class Engine:
                 if sanitizer is not None:
                     sanitizer.record_blocked(
                         message,
-                        [
-                            (vc.link.index, vc.vc_class)
-                            for vc, _ in candidates
-                        ],
+                        [divmod(flat, num_vcs) for flat in candidates],
                     )
                 if obs is not None:
                     obs.on_message_blocked(self, message, candidates)
@@ -662,39 +648,48 @@ class Engine:
                 sanitizer.clear(message.msg_id)
             self._allocate(message, chosen)
             if obs is not None:
-                obs.on_vc_acquired(self, message, chosen[0])
+                obs.on_vc_acquired(self, message, chosen)
             progressed = True
         return progressed
 
-    def _compute_candidates(self, message: Message) -> List[_Candidate]:
-        choices = self.algorithm.candidates(
-            message.route_state, message.head_node, message.dst
+    def _compute_candidates(self, message: Message) -> Sequence[int]:
+        """Candidates computed for this request alone: the reference the
+        table is held to (the scan scheduler), and the only path for
+        states without a key.  Asks the engine's own algorithm."""
+        return flat_candidates(
+            self.algorithm,
+            self.fabric.num_vcs,
+            message.route_state,
+            message.head_node,
+            message.dst,
         )
-        channels = self._channels
-        resolved: List[_Candidate] = []
-        for link, vc_class in choices:
-            channel = channels[link.index]
-            resolved.append((channel.vcs[vc_class], channel))
-        return resolved
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _select(
         self,
-        candidates: Sequence[_Candidate],
+        candidates: Sequence[int],
         policy: str,
         rng: random.Random,
-    ) -> Optional[_Candidate]:
+    ) -> Optional[VirtualChannel]:
+        """The free candidate VC the policy picks, or None if none is.
+
+        *candidates* are flat VC indices, resolved through the fabric's
+        flat list; the rng is drawn from exactly when the final filtered
+        set holds more than one VC.
+        """
+        vcs = self._vcs
         if len(candidates) == 1:
-            entry = candidates[0]
-            return entry if entry[0].owner is None else None
+            vc = vcs[candidates[0]]
+            return vc if vc.owner is None else None
         # The free/best filters reuse per-engine scratch lists: _route can
         # run this thousands of times per cycle under load, and the two
         # throwaway list allocations were visible in profiles.
         free = self._free_scratch
         free.clear()
-        for entry in candidates:
-            if entry[0].owner is None:
-                free.append(entry)
+        for flat in candidates:
+            vc = vcs[flat]
+            if vc.owner is None:
+                free.append(vc)
         if not free:
             return None
         if len(free) == 1 or policy == "first":
@@ -706,21 +701,21 @@ class Engine:
         # to adaptive routers; ties broken randomly.
         best = self._best_scratch
         best.clear()
-        best_load = free[0][1].owned_count
-        for entry in free:
-            load = entry[1].owned_count
+        best_load = free[0].channel.owned_count
+        for vc in free:
+            load = vc.channel.owned_count
             if load < best_load:
                 best_load = load
                 best.clear()
-                best.append(entry)
+                best.append(vc)
             elif load == best_load:
-                best.append(entry)
+                best.append(vc)
         if len(best) == 1:
             return best[0]
         return best[rng.randrange(len(best))]
 
-    def _allocate(self, message: Message, chosen: _Candidate) -> None:
-        vc, channel = chosen
+    def _allocate(self, message: Message, vc: VirtualChannel) -> None:
+        channel = vc.channel
         current = message.head_node  # before the new hop is appended
         # reserve() captures the upstream VC from message.path and keeps
         # the channel's owned_count / owned_idx bookkeeping.

@@ -5,7 +5,9 @@ rows fail on same-host throughput regressions beyond tolerance, the
 congested batch rows are additionally held to flit-event throughput,
 the ideal-flow-control congested row to its (unscaled) transmit poll
 efficiency, and rows from older baseline schemas that lack a gated field are
-skipped with a warning instead of failing the gate.
+skipped with a warning instead of failing the gate; the informational
+cold-start rows are listed, never judged, and skipped with a warning
+against a baseline that predates them.
 """
 
 import copy
@@ -13,6 +15,14 @@ import copy
 from repro.benchmarks.engine_speed import _GATED_ROWS, compare_reports
 
 HOST = {"machine": "test", "cpu_count": 4}
+
+#: One informational cold-start row (schema 7).
+COLD_ROW = {
+    "seconds": 0.75,
+    "entries_interned": 10437,
+    "candidates_calls": 10437,
+    "gc_collections": [55, 5, 0],
+}
 
 
 def report(batch_relaxed=None):
@@ -135,6 +145,37 @@ class TestCompareGate:
         ok, lines = compare_reports(report(), baseline, tolerance=0.2)
         assert ok
         assert not any("batch_b" in line for line in lines)
+
+    def test_schema6_baseline_without_cold_rows_warns_not_fails(self):
+        """The cold rows came with schema 7; against an older baseline
+        they are skipped with a warning and the gate still judges."""
+        current = report()
+        current["cold"] = {"cold_ladder": dict(COLD_ROW)}
+        ok, lines = compare_reports(current, report(), tolerance=0.2)
+        assert ok
+        skips = [line for line in lines if "cold_ladder" in line]
+        assert len(skips) == 1
+        assert "baseline lacks the cold rows" in skips[0]
+
+    def test_cold_rows_are_listed_never_judged(self):
+        baseline = report()
+        baseline["cold"] = {"cold_ladder": dict(COLD_ROW)}
+        current = report()
+        current["cold"] = {
+            "cold_ladder": dict(
+                COLD_ROW, seconds=10 * COLD_ROW["seconds"],
+                candidates_calls=30000,
+            )
+        }
+        ok, lines = compare_reports(current, baseline, tolerance=0.2)
+        assert ok
+        listed = [line for line in lines if "cold_ladder" in line]
+        assert len(listed) == 1
+        assert "30000 vs 10437 candidates() calls" in listed[0]
+        assert "(info)" in listed[0] and "REGRESSION" not in listed[0]
+        # Still not a substitute for the gated rows.
+        current["engines"] = {}
+        assert not compare_reports(current, baseline, tolerance=0.2)[0]
 
     def test_empty_overlap_fails_the_gate(self):
         ok, lines = compare_reports(

@@ -279,40 +279,74 @@ class TestRoutingMemo:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_memo_entries_resolve_into_live_fabric(self, algorithm):
-        """Memo entries alias the fabric's channel/VC objects exactly.
+        """Table entries name the fabric's own VC objects.
 
-        The memo stores resolved (VirtualChannel, PhysicalChannel) pairs,
-        not copies: every cached pair must be the very objects the fabric
-        owns at the memo key's head node, so allocation through a cached
-        entry mutates real network state.
+        An entry is a tuple of flat VC indices; resolved through the
+        fabric's flat list, each must be the very object the fabric owns
+        on a link leaving the entry's head node — in ``candidates()``
+        order — so allocation through an entry mutates real network
+        state.
         """
         engine = self._congested(algorithm)
         engine.run_cycles(800)
-        assert engine._resolved_cache, "memo never engaged"
+        entries = engine._table.entries
+        assert entries, "memo never engaged"
         channels = engine._channels
-        for (node, dst, key), resolved in engine._resolved_cache.items():
+        vcs = engine._vcs
+        num_vcs = engine.fabric.num_vcs
+        for (node, dst, key), flats in entries.items():
             assert node != dst
-            for vc, channel in resolved:
-                assert channels[vc.link.index] is channel
-                assert channel.vcs[vc.vc_class] is vc
+            for flat in flats:
+                vc = vcs[flat]
+                assert divmod(flat, num_vcs) == (vc.link.index, vc.vc_class)
+                assert channels[vc.link.index] is vc.channel
+                assert vc.channel.vcs[vc.vc_class] is vc
                 assert vc.link.src == node
+        # Spot-check values and order against the engine's own algorithm
+        # (the table computed them with its own instance).
+        algo = engine.algorithm
+        for src in range(0, engine.topology.num_nodes, 5):
+            dst = (src + 6) % engine.topology.num_nodes
+            state = algo.new_state(src, dst)
+            flats = entries.get((src, dst, algo.state_key(state)))
+            if flats is not None:
+                assert list(flats) == [
+                    link.index * num_vcs + vc_class
+                    for link, vc_class in algo.candidates(state, src, dst)
+                ]
 
     def test_memo_disabled_is_schedule_invisible(self):
-        """state_key -> None (memo off) must not change the schedule."""
+        """state_key -> None (memo off) must not change the schedule,
+        and must intern nothing."""
         plain = self._congested("phop")
         plain.run_cycles(600)
         unmemoized = self._congested("phop")
         unmemoized.algorithm.state_key = lambda state: None  # type: ignore
+        interned = len(unmemoized._table.entries)
         unmemoized.run_cycles(600)
-        assert not unmemoized._resolved_cache
+        assert len(unmemoized._table.entries) == interned
         assert (
             plain.state_fingerprint() == unmemoized.state_fingerprint()
         )
 
-    def test_memo_only_engages_for_active_scheduler(self):
+    def test_memo_only_engages_for_active_scheduler(self, monkeypatch):
+        """The scan scheduler is the reference: it never consults the
+        table, neither to read nor to fill it."""
         engine = self._congested("phop", scheduler="scan")
+
+        class _Untouchable(dict):
+            def get(self, *args):  # pragma: no cover - failure path
+                raise AssertionError("scan scheduler probed the table")
+
+        engine._route_entries = _Untouchable()
+        monkeypatch.setattr(
+            engine._table, "intern",
+            lambda *args: pytest.fail("scan scheduler filled the table"),
+        )
+        interned = len(engine._table.entries)
         engine.run_cycles(400)
-        assert not engine._resolved_cache
+        assert engine.delivered_total > 0
+        assert len(engine._table.entries) == interned
 
 
 class TestSchedulerConfig:

@@ -11,9 +11,11 @@ random stream exactly so — a ``randrange`` fires exactly when that set
 has more than one entry, and never otherwise.
 
 Hypothesis fuzzes synthetic candidate sets through the selector and a
-list-based reference side by side.  The stubs mirror exactly the
-attributes the selector reads (``vc.owner`` / ``channel.owned_count``),
-so the test pins the contract without building networks.
+list-based reference side by side.  Candidates are flat VC indices,
+resolved through the engine's flat VC list; the stubs mirror exactly the
+attributes the selector reads (``vc.owner`` /
+``vc.channel.owned_count``), so the test pins the contract without
+building networks.
 """
 
 import random
@@ -36,13 +38,6 @@ class _RecordingRandom(random.Random):
         return super().randrange(*args, **kwargs)
 
 
-class _VCStub:
-    __slots__ = ("owner",)
-
-    def __init__(self, occupied):
-        self.owner = object() if occupied else None
-
-
 class _ChannelStub:
     __slots__ = ("owned_count",)
 
@@ -50,10 +45,20 @@ class _ChannelStub:
         self.owned_count = owned_count
 
 
-class _ScratchStub:
-    """Just the two scratch lists the selector reuses."""
+class _VCStub:
+    __slots__ = ("owner", "channel")
 
-    def __init__(self):
+    def __init__(self, occupied, owned_count):
+        self.owner = object() if occupied else None
+        self.channel = _ChannelStub(owned_count)
+
+
+class _ScratchStub:
+    """Just what the selector reads of its engine: the flat VC list and
+    the two scratch lists it reuses."""
+
+    def __init__(self, vcs):
+        self._vcs = vcs
         self._free_scratch = []
         self._best_scratch = []
 
@@ -85,15 +90,18 @@ def _final_set(entries, policy):
 def test_select_parity_and_rng_contract(case):
     entries, policy, seed = case
 
-    # Object-engine view: (vc, channel) with one channel per candidate.
-    object_candidates = [
-        (_VCStub(occupied), _ChannelStub(load))
-        for occupied, load in entries
+    # Object-engine view: one VC (on its own channel) per candidate,
+    # named by its index in a flat list that also holds bystanders, in
+    # an order other than the list's.
+    vcs = [_VCStub(True, 0)] + [
+        _VCStub(occupied, load) for occupied, load in reversed(entries)
     ]
+    flats = list(range(len(entries), 0, -1))
+    object_candidates = [vcs[flat] for flat in flats]
     rng_object = _RecordingRandom(seed)
     rng_reference = random.Random(seed)
     picked_object = Engine._select(
-        _ScratchStub(), object_candidates, policy, rng_object
+        _ScratchStub(vcs), flats, policy, rng_object
     )
 
     # Same decision as the reference: the draw indexes the final set.
@@ -123,10 +131,7 @@ def test_single_candidate_never_draws(occupied, policy):
     """The len==1 early-out bypasses the rng."""
     rng_object = _RecordingRandom(7)
     picked_object = Engine._select(
-        _ScratchStub(),
-        [(_VCStub(occupied), _ChannelStub(0))],
-        policy,
-        rng_object,
+        _ScratchStub([_VCStub(occupied, 0)]), [0], policy, rng_object
     )
     assert (picked_object is None) == occupied
     assert rng_object.calls == []

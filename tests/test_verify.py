@@ -182,11 +182,10 @@ class TestRunner:
             stale.get("torus:4x4", "ecube", "candidate_minimality") is None
         )
 
-    def test_touching_topology_base_invalidates_the_cache(
-        self, tmp_path, monkeypatch
-    ):
-        """Geometry lives in ``topology/base.py``: an edit there must
-        re-run every check, not replay verdicts walked on other tables."""
+    @staticmethod
+    def _touch_invalidates(tmp_path, monkeypatch, relative):
+        """Appending a comment to *relative* (under src/repro) re-runs
+        every check instead of replaying the cache."""
         import repro
 
         package = Path(repro.__file__).resolve().parent
@@ -206,11 +205,25 @@ class TestRunner:
         first = run()
         assert not any(r.cached for r in first.results)
         assert all(r.cached for r in run().results)
-        with open(copy / "topology" / "base.py", "a") as source:
+        with open(copy / relative, "a") as source:
             source.write("# touched\n")
         rerun = run()
         assert not any(r.cached for r in rerun.results)
         assert rerun.code_hash != first.code_hash
+
+    def test_touching_topology_base_invalidates_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """Geometry lives in ``topology/base.py``: an edit there must
+        re-run every check, not replay verdicts walked on other tables."""
+        self._touch_invalidates(tmp_path, monkeypatch, "topology/base.py")
+
+    def test_touching_routing_tables_invalidates_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """Candidate sets have one owner, ``routing/tables.py``: verdicts
+        walked before an edit there are not evidence about it."""
+        self._touch_invalidates(tmp_path, monkeypatch, "routing/tables.py")
 
     def test_code_hash_is_stable(self):
         assert verification_code_hash() == verification_code_hash()
