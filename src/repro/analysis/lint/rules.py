@@ -61,11 +61,11 @@ WALL_CLOCK_FREE_PACKAGES = ("simulator", "routing", "network", "topology")
 ORDER_SENSITIVE_PACKAGES = WALL_CLOCK_FREE_PACKAGES + ("traffic",)
 
 #: Functions allowed to read wall-clock time inside the deterministic
-#: core: the phase-profiler sites of the observed step path, which feed
+#: core: the phase-profiler sites of the profiled step path, which feed
 #: ``PhaseProfiler`` / ``SimulationResult.wall_seconds`` and never touch
 #: simulation state (pinned by the observed golden-trace tests).
 DET002_ALLOWED_FUNCTIONS = frozenset(
-    {"simulator/engine.py::Engine._step_observed"}
+    {"simulator/engine.py::Engine._step_profiled"}
 )
 
 #: Wall-clock entry points DET002 recognises, by qualified name.

@@ -4,8 +4,11 @@ Measures every paper algorithm on an 8x8 torus (16-flit worms, seed 42)
 at several operating points:
 
 * **congested** (offered load 0.6, ideal flow control): the saturated
-  regime the activity-tracked scheduler targets — most virtual channels
-  blocked, routing queues deep.
+  regime — most virtual channels blocked, routing queues deep — where
+  :class:`repro.simulator.engine.Engine`'s parking and channel arming
+  decide the rate.  Every object row times ``Engine``, the one cycle
+  loop; the reference stepper (``repro.simulator.reference``) is a test
+  oracle and is not timed here.
 * **idle** (offered load 0.02): dominated by the idle-cycle
   fast-forward path; doubles as a machine-speed calibration point for
   cross-machine comparisons.
@@ -95,7 +98,7 @@ BATCH_SIZES = (1, 8, 32)
 #: change that stalls traffic, moving fewer flits per cycle).  The
 #: ideal-flow-control congested row is also held to its transmit poll
 #: efficiency (flits moved per channel poll), a count ratio that falls
-#: when the scheduler's arming rules start waking channels that cannot
+#: when the engine's arming rules start waking channels that cannot
 #: move.  Older baselines lacking a gated field are skipped with a
 #: warning.
 _GATED_ROWS = (

@@ -82,7 +82,7 @@ class Message:
         # Activity-tracked scheduler bookkeeping: the FIFO sequence number
         # of the message's current routing request (assigned per enqueue,
         # kept while the request is blocked so service order matches the
-        # scanning scheduler's queue discipline), and the parked flag plus
+        # reference stepper's queue discipline), and the parked flag plus
         # its epoch counter, which invalidates stale waiter-list entries.
         self.route_seq = -1
         self.parked = False

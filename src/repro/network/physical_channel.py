@@ -7,10 +7,12 @@ flit, chosen round-robin among the virtual channels that are *ready*:
 reserved, with a settled flit available upstream (present since the start
 of the cycle) and a buffer slot that was free at the start of the cycle.
 
-``transmit`` is the single hottest function of the whole simulator (it
-runs once per active link per fixpoint pass per cycle), so its scan only
-visits the *reserved* virtual channels: ``owned_idx`` is a sorted index
-list maintained by :meth:`VirtualChannel.reserve`/``release``, and the
+``transmit`` is the channel model's definition: the reference stepper
+(:mod:`repro.simulator.reference`) calls it once per active link per
+fixpoint pass per cycle, and the engine's transmit phase is this method
+fused inline, pinned to it by the golden traces.  Its scan only visits
+the *reserved* virtual channels: ``owned_idx`` is a sorted index list
+maintained by :meth:`VirtualChannel.reserve`/``release``, and the
 round-robin start position is located in it with one bisect.  For the
 hop schemes (16+ virtual channels of which a handful are reserved at any
 time) this removes almost the entire scan; the semantics are bit-identical

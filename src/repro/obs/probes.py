@@ -60,9 +60,9 @@ def _builtin_probes() -> List[Probe]:
     return [
         Probe("in_flight_messages", lambda e: e.in_flight),
         Probe("network_flits", lambda e: e.fabric.occupied_flits()),
-        # _route_pending aliases the scheduler's pending-routing container
-        # (FIFO deque or the active scheduler's heap), so the depth probe
-        # reports the same quantity under either scheduler.
+        # _route_pending is the stepper's pending-routing container (the
+        # engine's heap, the reference stepper's FIFO deque), so the
+        # depth probe reports the same quantity under either.
         Probe("route_queue_depth", lambda e: len(e._route_pending)),
         Probe(
             "injection_backlog",

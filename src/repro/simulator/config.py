@@ -37,11 +37,13 @@ FLOW_CONTROL_MODES = ("ideal", "conservative")
 #: Physical-channel multiplexer policies.
 MUX_POLICIES = ("round_robin", "highest_class")
 
-#: Engine cycle schedulers: "scan" re-examines every queued message and
-#: active channel each cycle (the seed engine's strategy); "active" is the
-#: event-driven scheduler that re-examines a blocked resource only when a
-#: condition it waits on changes.  Bit-identical flit schedules either way
-#: (pinned by the golden-trace tests).
+#: Values ``SimulationConfig.scheduler`` accepts.  The field is an address
+#: component, like ``identity``: it is in every store signature and
+#: selects no code.  :class:`repro.simulator.engine.Engine` is the one
+#: cycle loop; the full per-cycle rescan that "scan" names is the test
+#: reference :class:`repro.simulator.reference.ScanEngine`, constructed
+#: by name and bit-identical to it, so results stored under either value
+#: are the same numbers.
 SCHEDULERS = ("scan", "active")
 
 #: Simulation backends: "object" is the per-object Python engine
@@ -101,17 +103,14 @@ class SimulationConfig:
     #: model); "highest_class" is a strict priority scan from the top
     #: class down, giving the most-progressed worms bandwidth first.
     mux_policy: str = "round_robin"
-    #: Engine cycle scheduler: "active" (default) re-examines only the
-    #: virtual channels, muxes and routing requests whose blocking
-    #: conditions may have changed (several times faster in the congested
-    #: regime); "scan" is the seed engine's full per-cycle rescan.  The
-    #: flit schedule is bit-identical either way (golden-trace tests).
+    #: Not a switch (see :data:`SCHEDULERS`): validated, carried into
+    #: every campaign-store signature, and read by no engine.  Leave it
+    #: at the default; it stays a field so stored addresses do not move.
     scheduler: str = "active"
     #: Simulation backend: "object" runs one seed per engine (bit-exact;
     #: parallelise with ``jobs``); "batch" runs whole seed-batches in
     #: lockstep over flat numpy arrays (statistically equivalent; requires
-    #: conservative flow control and wormhole/VCT switching, and ignores
-    #: `scheduler`).
+    #: conservative flow control and wormhole/VCT switching).
     backend: str = "object"
     #: The contract the results carry (see :data:`BACKEND_IDENTITY`):
     #: must be "relaxed" with ``backend="batch"`` and "strict" otherwise.
@@ -144,11 +143,11 @@ class SimulationConfig:
     #: Cycles without any flit movement or channel grant (while traffic is
     #: in flight) before the watchdog declares deadlock.
     deadlock_threshold: int = 20000
-    #: Opt-in wait-for-graph sanitizer: record hold->request edges during
-    #: virtual-channel allocation so a watchdog trip reports the actual
-    #: resource cycle and blocked messages instead of a bare
-    #: :class:`~repro.util.errors.DeadlockError`.  Small per-blocked-
-    #: message overhead; off by default for production sweeps.
+    #: Opt-in wait-for-graph sanitizer: a watchdog trip reports the
+    #: actual resource cycle and the blocked messages instead of a bare
+    #: :class:`~repro.util.errors.DeadlockError`.  The hold->request
+    #: graph is built once, at the trip, from the engine's waiting set,
+    #: so a run that never trips does no work for it.
     sanitize: bool = False
 
     # -- observability (repro.obs) -------------------------------------------

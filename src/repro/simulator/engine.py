@@ -48,11 +48,13 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Sized,
     Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
+    from repro.obs.profile import PhaseProfiler
     from repro.traffic.trace import MessageTrace
 
 from repro.network.fabric import Fabric
@@ -144,48 +146,28 @@ class Engine:
         self._saf = config.switching == "saf"
         self._ideal = config.flow_control == "ideal"
         self._highest_class_first = config.mux_policy == "highest_class"
-        self._route_queue: Deque[Message] = deque()
-        # Opt-in wait-for-graph sanitizer (config.sanitize): tracks what
-        # every blocked message holds and requests so a watchdog trip can
-        # name the deadlock cycle.
-        self.sanitizer: Optional[WaitForGraph] = (
-            WaitForGraph() if config.sanitize else None
-        )
         # Insertion-ordered set of channels with >= 1 reserved VC, so the
-        # transmission scan touches only potentially active links and the
-        # iteration order is deterministic.
+        # transmission phase touches only potentially active links and
+        # the iteration order is deterministic.
         self._active_channels: Dict[PhysicalChannel, None] = {}
         self._delivering: List[VirtualChannel] = []
         self._last_progress = 0
-        # Scheduler selection (config.scheduler).  "scan" keeps the seed
-        # code paths exactly: _route drains a FIFO deque and _transmit
-        # polls every active channel each cycle.  "active" (the default)
-        # is the activity-tracked scheduler: routing requests live in a
-        # min-heap ordered by enqueue sequence (same service order as the
-        # FIFO), blocked messages park on their candidate VCs' waiter
-        # lists until a release wakes them, and transmission polls only
-        # channels *armed* by an event that could have made them ready
-        # (allocation, a flit arrival/departure on an adjacent VC, an
-        # ejection).  Both produce bit-identical flit schedules; the
-        # golden-trace and fuzz tests pin that equivalence.
-        self._active_scheduler = config.scheduler == "active"
+        # Activity tracking.  Routing requests live in a min-heap ordered
+        # by enqueue sequence (FIFO service order); a blocked message
+        # parks on its candidate VCs' waiter lists until a release wakes
+        # it; transmission polls only channels *armed* by an event that
+        # could have made them ready (allocation, a flit arrival or
+        # departure on an adjacent VC, an ejection).  The flit schedule
+        # is bit-identical to polling everything every cycle, which
+        # repro.simulator.reference.ScanEngine does: the golden-trace and
+        # fuzz tests pin the two against each other.
         self._route_heap: List[Tuple[int, Message]] = []
+        #: The pending-routing container, as step() and the depth probe
+        #: read it (the reference stepper points it at its own queue).
+        self._route_pending: Sized = self._route_heap
         self._route_seq = 0
         self._parked: Dict[int, Message] = {}
         self._next_active_seq = 0
-        if self._active_scheduler:
-            self._route_pending = self._route_heap
-            self._route_step = self._route_active
-            self._transmit_step = self._transmit_active
-        else:
-            self._route_pending = self._route_queue
-            self._route_step = self._route
-            self._transmit_step = self._transmit
-        # Parking requires that nobody needs to see a blocked message
-        # every cycle: the sanitizer and the observer both register
-        # per-cycle blocked events, so parking turns off while either is
-        # attached (attach_observer/detach_observer keep this current).
-        self._parking = self._active_scheduler and self.sanitizer is None
         # Hot-path caches: the channel array, the flat VC list that
         # candidate indices resolve through, and the named rng streams
         # (so per-cycle phases skip the stream-dictionary lookup;
@@ -214,10 +196,8 @@ class Engine:
         self._sample_refused_base = 0
         self._sample_vc_base: List[int] = []
 
-        # Optional repro.obs observer.  When None (the default) the
-        # engine runs the seed code path: step() takes the unobserved
-        # branch and the per-event hook checks all fail in one
-        # attribute-is-None test.
+        # Optional repro.obs observer.  When None (the default) step()
+        # and every per-event hook check fail in one is-None test.
         self._obs: Optional["Observer"] = None
         if config.obs:
             from repro.obs.observer import ObsConfig, Observer
@@ -232,11 +212,9 @@ class Engine:
 
     def step(self) -> None:
         """Advance the simulation by one cycle."""
-        if self._obs is not None:
-            # The observed path duplicates the phase sequence below so
-            # the unobserved path stays exactly the seed hot path (this
-            # one branch is its entire per-cycle overhead).
-            self._step_observed(self._obs)
+        obs = self._obs
+        if obs is not None and obs.profiler is not None:
+            self._step_profiled(obs, obs.profiler)
             return
         progressed = False
         self._generate_arrivals()
@@ -246,9 +224,9 @@ class Engine:
             # streams at full rate just like every other hop.
             progressed |= self._eject()
         if self._route_pending:
-            progressed |= self._route_step()
+            progressed |= self._route()
         if self._active_channels:
-            progressed |= self._transmit_step()
+            progressed |= self._transmit()
         if progressed:
             self._last_progress = self.cycle
         elif (
@@ -258,41 +236,31 @@ class Engine:
         ):
             self._report_deadlock()
         self.cycle += 1
+        if obs is not None:
+            # Observation only reads state (probes, heatmap), so observed
+            # runs stay bit-identical to unobserved ones (golden traces).
+            obs.on_cycle_end(self)
 
-    def _step_observed(self, obs: "Observer") -> None:
-        """One cycle with observability: same phases, plus hooks.
-
-        Phase order and all engine state transitions are identical to
-        :meth:`step`; the additions only read state (probes, heatmap)
-        or time the phases, so observed runs stay bit-identical to
-        unobserved ones (pinned by the golden-trace tests).
-        """
-        profiler = obs.profiler
+    def _step_profiled(
+        self, obs: "Observer", profiler: "PhaseProfiler"
+    ) -> None:
+        """:meth:`step` with every phase timed: same phases, same order."""
         progressed = False
-        if profiler is not None:
+        t0 = perf_counter()
+        self._generate_arrivals()
+        profiler.add("generation", perf_counter() - t0)
+        if self._delivering:
             t0 = perf_counter()
-            self._generate_arrivals()
-            profiler.add("generation", perf_counter() - t0)
-            if self._delivering:
-                t0 = perf_counter()
-                progressed |= self._eject()
-                profiler.add("ejection", perf_counter() - t0)
-            if self._route_pending:
-                t0 = perf_counter()
-                progressed |= self._route_step()
-                profiler.add("routing", perf_counter() - t0)
-            if self._active_channels:
-                t0 = perf_counter()
-                progressed |= self._transmit_step()
-                profiler.add("transmission", perf_counter() - t0)
-        else:
-            self._generate_arrivals()
-            if self._delivering:
-                progressed |= self._eject()
-            if self._route_pending:
-                progressed |= self._route_step()
-            if self._active_channels:
-                progressed |= self._transmit_step()
+            progressed |= self._eject()
+            profiler.add("ejection", perf_counter() - t0)
+        if self._route_pending:
+            t0 = perf_counter()
+            progressed |= self._route()
+            profiler.add("routing", perf_counter() - t0)
+        if self._active_channels:
+            t0 = perf_counter()
+            progressed |= self._transmit()
+            profiler.add("transmission", perf_counter() - t0)
         if progressed:
             self._last_progress = self.cycle
         elif (
@@ -302,12 +270,9 @@ class Engine:
         ):
             self._report_deadlock()
         self.cycle += 1
-        if profiler is not None:
-            t0 = perf_counter()
-            obs.on_cycle_end(self)
-            profiler.add("observe", perf_counter() - t0)
-        else:
-            obs.on_cycle_end(self)
+        t0 = perf_counter()
+        obs.on_cycle_end(self)
+        profiler.add("observe", perf_counter() - t0)
 
     def run_cycles(self, cycles: int) -> None:
         """Advance the simulation by *cycles* cycles.
@@ -352,10 +317,7 @@ class Engine:
     def attach_observer(self, observer: "Observer") -> None:
         """Attach a :class:`repro.obs.Observer` to this engine.
 
-        The observer's hooks start firing from the next cycle on.  Flit-
-        level tracing (``trace_flits``) shadows ``_handle_flit_arrival``
-        with an instance attribute so the transmit loop itself needs no
-        per-flit branch when it is off.
+        The observer's hooks start firing from the next cycle on.
         """
         if self._obs is not None:
             raise ConfigurationError(
@@ -364,28 +326,16 @@ class Engine:
         observer.bind(self)
         self._obs = observer
         # The observer's on_message_blocked hook must fire every cycle a
-        # message stays blocked, so parking (which skips those re-polls)
-        # turns off — and any already-parked message returns to the heap.
-        if self._parking:
-            self._parking = False
-            if self._parked:
-                self._unpark_all()
-        if observer.trace_flit_moves:
-            inner = self._handle_flit_arrival
-
-            def traced_arrival(vc: VirtualChannel) -> None:
-                observer.on_flit_arrival(self, vc)
-                inner(vc)
-
-            self._handle_flit_arrival = traced_arrival  # type: ignore[method-assign]
+        # message stays blocked, so nothing parks (parking skips those
+        # re-polls) while one is attached — and any already-parked
+        # message returns to the heap.
+        if self._parked:
+            self._unpark_all()
 
     def detach_observer(self) -> Optional["Observer"]:
         """Detach and return the observer (None if none was attached)."""
         observer = self._obs
         self._obs = None
-        # Remove the flit-arrival shadow, if tracing installed one.
-        self.__dict__.pop("_handle_flit_arrival", None)
-        self._parking = self._active_scheduler and self.sanitizer is None
         return observer
 
     # -- sampling --------------------------------------------------------
@@ -490,39 +440,32 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _enqueue_route(self, message: Message) -> None:
-        """Hand *message* to the routing phase (scheduler-appropriate)."""
-        if self._active_scheduler:
-            seq = self._route_seq
-            self._route_seq = seq + 1
-            message.route_seq = seq
-            # Sequence numbers are strictly increasing, so the new entry
-            # is >= everything in the heap and heappush is O(1) here.
-            heappush(self._route_heap, (seq, message))
-        else:
-            self._route_queue.append(message)
+        """Hand *message* to the routing phase."""
+        seq = self._route_seq
+        self._route_seq = seq + 1
+        message.route_seq = seq
+        # Sequence numbers are strictly increasing, so the new entry
+        # is >= everything in the heap and heappush is O(1) here.
+        heappush(self._route_heap, (seq, message))
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _route_active(self) -> bool:
-        """Routing phase of the activity-tracked scheduler.
+    def _route(self) -> bool:
+        """The routing phase: serve requests in enqueue (FIFO) order.
 
-        Serves requests in ascending enqueue sequence — exactly the FIFO
-        order of the scan scheduler, because a deque processed with
-        ``for _ in range(len(queue))`` also handles each message once per
-        cycle in most-recent-enqueue order.  A message with no free
-        candidate parks on its candidates' waiter lists (when parking is
-        on) instead of being re-polled every cycle; _wake_waiters puts it
-        back with its original sequence number, so the service order
-        after a wake is identical to the scan scheduler's queue order.
+        A message with no free candidate parks on its candidates' waiter
+        lists instead of being re-polled every cycle; _wake_waiters puts
+        it back with its original sequence number, so the service order
+        after a wake is the order a FIFO queue that re-polls every
+        blocked message each cycle (the reference stepper) would have
+        served it in.  While an observer is attached nothing parks: one
+        on_message_blocked event per blocked cycle is its contract.
         """
         heap = self._route_heap
         batch = sorted(heap)  # unique seqs: messages never compared
         heap.clear()
         policy = self.config.selection_policy
         rng = self._rng_routing
-        sanitizer = self.sanitizer
         obs = self._obs
-        parking = self._parking
-        num_vcs = self.fabric.num_vcs
         progressed = False
         for entry in batch:
             message = entry[1]
@@ -532,20 +475,12 @@ class Engine:
                 message.cached_candidates = candidates
             chosen = self._select(candidates, policy, rng)
             if chosen is None:
-                if parking:
+                if obs is None:
                     self._park(message, candidates)
-                    continue
-                if sanitizer is not None:
-                    sanitizer.record_blocked(
-                        message,
-                        [divmod(flat, num_vcs) for flat in candidates],
-                    )
-                if obs is not None:
+                else:
                     obs.on_message_blocked(self, message, candidates)
-                heappush(heap, entry)  # retry next cycle
+                    heappush(heap, entry)  # retry next cycle
                 continue
-            if sanitizer is not None:
-                sanitizer.clear(message.msg_id)
             self._allocate(message, chosen)
             if obs is not None:
                 obs.on_vc_acquired(self, message, chosen)
@@ -618,44 +553,10 @@ class Engine:
             flats = self._table.intern(entry, state)
         return flats
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _route(self) -> bool:
-        queue = self._route_queue
-        policy = self.config.selection_policy
-        rng = self._rng_routing
-        sanitizer = self.sanitizer
-        obs = self._obs
-        num_vcs = self.fabric.num_vcs
-        progressed = False
-        for _ in range(len(queue)):
-            message = queue.popleft()
-            candidates = message.cached_candidates
-            if candidates is None:
-                candidates = self._compute_candidates(message)
-                message.cached_candidates = candidates
-            chosen = self._select(candidates, policy, rng)
-            if chosen is None:
-                if sanitizer is not None:
-                    sanitizer.record_blocked(
-                        message,
-                        [divmod(flat, num_vcs) for flat in candidates],
-                    )
-                if obs is not None:
-                    obs.on_message_blocked(self, message, candidates)
-                queue.append(message)  # retry next cycle, FIFO order kept
-                continue
-            if sanitizer is not None:
-                sanitizer.clear(message.msg_id)
-            self._allocate(message, chosen)
-            if obs is not None:
-                obs.on_vc_acquired(self, message, chosen)
-            progressed = True
-        return progressed
-
     def _compute_candidates(self, message: Message) -> Sequence[int]:
-        """Candidates computed for this request alone: the reference the
-        table is held to (the scan scheduler), and the only path for
-        states without a key.  Asks the engine's own algorithm."""
+        """Candidates computed for this request alone: the only path for
+        states without a key, and what the reference stepper holds the
+        table to.  Asks the engine's own algorithm."""
         return flat_candidates(
             self.algorithm,
             self.fabric.num_vcs,
@@ -738,44 +639,7 @@ class Engine:
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _transmit(self) -> bool:
-        saf = self._saf
-        ideal = self._ideal
-        priority = self._highest_class_first
-        cycle = self.cycle
-        moved = polls = 0
-        handle_arrival = self._handle_flit_arrival
-        pending = list(self._active_channels)
-        while pending:
-            retry: List[PhysicalChannel] = []
-            progress = False
-            polls += len(pending)
-            for channel in pending:
-                vc = channel.transmit(cycle, saf, ideal, priority)
-                if vc is None:
-                    # Re-poll only channels blocked on a condition that
-                    # can still change this cycle (buffer space / SAF
-                    # assembly); every other failure is final, so the
-                    # fixpoint converges in far fewer passes.
-                    if ideal and channel.retry_hint:
-                        retry.append(channel)
-                    continue
-                progress = True
-                moved += 1
-                handle_arrival(vc)
-            if not ideal or not progress:
-                break
-            # Ideal flow control: slots freed this pass may unblock
-            # channels that failed earlier in the same cycle (simultaneous
-            # shift on the clock edge).  Iterate to the fixpoint; the
-            # settled-flits rule still caps every flit at one hop/cycle.
-            pending = retry
-        self.flits_moved_total += moved
-        self.polls_total += polls
-        return moved > 0
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _transmit_active(self) -> bool:
-        """Transmission phase of the activity-tracked scheduler.
+        """The transmission phase.
 
         Polls only channels *armed* for the current cycle instead of the
         whole active set.  A channel is armed by every event that can
@@ -811,7 +675,7 @@ class Engine:
         polls that fail with no side effect.
 
         The per-channel poll is :meth:`PhysicalChannel.transmit` fused
-        inline (the scan scheduler still calls the method, and the
+        inline (the reference stepper still calls the method, and the
         golden-trace identity tests pin the two code paths against each
         other), so the arming predicates and the arrival bookkeeping can
         reuse the values the poll just loaded instead of re-reading
@@ -829,10 +693,14 @@ class Engine:
         cycle = self.cycle
         next_cycle = cycle + 1
         moved = polls = 0
-        # Flit tracing shadows _handle_flit_arrival with an instance
-        # attribute; use it instead of the fused arrival epilogue so the
-        # observer hook keeps firing per flit.
-        traced = self.__dict__.get("_handle_flit_arrival")
+        # Flit tracing: the observer's per-flit hook, called ahead of
+        # the arrival bookkeeping of every move.
+        obs = self._obs
+        on_flit = (
+            obs.on_flit_arrival
+            if obs is not None and obs.trace_flit_moves
+            else None
+        )
         controller = self.controller
         delivering = self._delivering
         # The active set is insertion-ordered by ascending active_seq, so
@@ -1046,11 +914,10 @@ class Engine:
                             down_ch.queue_cycle = cycle
                             retry.append(down_ch)
                 # After the arming reads (a release below would clear the
-                # upstream/downstream links read above):
-                # _handle_flit_arrival, fused, on the poll's locals.
-                if traced is not None:
-                    traced(vc)
-                    continue
+                # upstream/downstream links read above): the arrival
+                # bookkeeping, on the poll's locals.
+                if on_flit is not None:
+                    on_flit(self, vc)
                 if downstream is None:  # vc is owner.path[-1]
                     if vc.dst_node != owner.dst:
                         # The worm's front advanced into an intermediate
@@ -1078,28 +945,6 @@ class Engine:
         self.flits_moved_total += moved
         self.polls_total += polls
         return moved > 0
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _handle_flit_arrival(self, vc: VirtualChannel) -> None:
-        owner = vc.owner
-        if vc is owner.path[-1] and vc.dst_node != owner.dst:
-            # The worm's front advanced into an intermediate router:
-            # request the next channel once the router has seen the
-            # head flit (wormhole/VCT) or the whole packet (SAF).
-            trigger = owner.length if self._saf else 1
-            if vc.flits_in == trigger:
-                self._enqueue_route(owner)
-        elif vc.dst_node == owner.dst and vc.flits_in == 1:
-            self._delivering.append(vc)
-        upstream = vc.upstream
-        if upstream is None:
-            if owner.flits_to_inject == 0:
-                self.controller.injection_complete(
-                    owner.src, owner.msg_class
-                )
-        elif upstream.occupancy == 0 and upstream.flits_out >= owner.length:
-            # upstream.drained, inlined (this runs once per flit moved).
-            self._release(upstream, owner)
 
     # ------------------------------------------------------------------
     # phase 4: ejection
@@ -1165,37 +1010,53 @@ class Engine:
         if vc.waiters is not None:
             self._wake_waiters(vc)
 
+    def _waiting_messages(self) -> List[Message]:
+        """Messages whose routing request is pending, in service order."""
+        entries = self._route_heap + [
+            (message.route_seq, message)
+            for message in self._parked.values()
+        ]
+        entries.sort()  # unique seqs: messages never compared
+        return [entry[1] for entry in entries]
+
     def _report_deadlock(self) -> None:
-        stuck = []
-        if self._active_scheduler:
-            waiting: List[Message] = [
-                entry[1] for entry in sorted(self._route_heap)
-            ]
-            waiting.extend(self._parked.values())
-        else:
-            waiting = list(self._route_queue)
-        for message in waiting[:8]:
-            stuck.append(
-                f"msg#{message.msg_id} {message.src}->{message.dst} "
-                f"head at {message.head_node}"
-            )
+        waiting = self._waiting_messages()
+        stuck = [
+            f"msg#{message.msg_id} {message.src}->{message.dst} "
+            f"head at {message.head_node}"
+            for message in waiting[:8]
+        ]
         summary = (
             f"no progress for {self.config.deadlock_threshold} cycles at "
             f"cycle {self.cycle} with {self.in_flight} messages in flight "
             f"(algorithm={self.algorithm.name}); sample of waiting "
             f"messages: {'; '.join(stuck) or 'none in route queue'}"
         )
-        if self.sanitizer is None:
-            if self._obs is not None:
-                self._obs.on_deadlock(self, summary, None)
+        report = None
+        if self.config.sanitize:
+            # Nothing was granted for deadlock_threshold cycles, so every
+            # waiting message failed its last attempt: what it holds is
+            # its live path and what it waits on is its cached candidate
+            # set.  The wait-for graph needs no upkeep before this point.
+            graph = WaitForGraph()
+            num_vcs = self.fabric.num_vcs
+            for message in waiting:
+                graph.record_blocked(
+                    message,
+                    [
+                        divmod(flat, num_vcs)
+                        for flat in message.cached_candidates or ()
+                    ],
+                )
+            report = graph.build_report()
+        if self._obs is not None:
+            self._obs.on_deadlock(self, summary, report)
+        if report is None:
             raise DeadlockError(
                 summary
                 + " (run with SimulationConfig.sanitize=True for a "
                 "wait-for-graph diagnosis)"
             )
-        report = self.sanitizer.build_report()
-        if self._obs is not None:
-            self._obs.on_deadlock(self, summary, report)
         raise DeadlockError(summary + "\n" + report.format(), report=report)
 
     # ------------------------------------------------------------------
@@ -1224,18 +1085,9 @@ class Engine:
 
     def _iter_live_messages(self) -> Iterator[Message]:
         seen = set()
-        for message in self._route_queue:
-            if message.msg_id not in seen:
-                seen.add(message.msg_id)
-                yield message
-        for _, message in self._route_heap:
-            if message.msg_id not in seen:
-                seen.add(message.msg_id)
-                yield message
-        for message in self._parked.values():
-            if message.msg_id not in seen:
-                seen.add(message.msg_id)
-                yield message
+        for message in self._waiting_messages():
+            seen.add(message.msg_id)
+            yield message
         for channel in self._active_channels:
             for vc in channel.vcs:
                 owner = vc.owner
@@ -1247,8 +1099,8 @@ class Engine:
         """Hashable digest of the engine's complete dynamic state.
 
         Two engines driven through the same configuration must agree on
-        this no matter which scheduler ran them — it is the equivalence
-        oracle of the scan-vs-active fuzz tests.  Scheduler-internal
+        this no matter which stepper ran them — it is the equivalence
+        oracle of the ScanEngine-vs-Engine fuzz tests.  Scheduling
         bookkeeping (armed stamps, retry hints, waiter lists, parking
         epochs) is deliberately excluded; everything that can influence
         future simulated behaviour is included, down to the rng stream
@@ -1276,15 +1128,9 @@ class Engine:
             )
             for channel in self._channels
         )
-        if self._active_scheduler:
-            pending = sorted(
-                [entry[1].msg_id for entry in self._route_heap]
-                + list(self._parked)
-            )
-        else:
-            pending = sorted(
-                message.msg_id for message in self._route_queue
-            )
+        pending = sorted(
+            message.msg_id for message in self._waiting_messages()
+        )
         messages_fp = tuple(
             sorted(
                 (

@@ -1,13 +1,15 @@
 """Runtime wait-for-graph sanitizer for the simulation engine.
 
-With ``SimulationConfig.sanitize=True`` the engine reports every failed
-virtual-channel allocation here: the blocked message's *held* resources
-(the virtual channels its worm currently occupies) and its *requested*
-resources (the candidate channels it is waiting on, all busy).  The graph
-is maintained incrementally — a message's edges are replaced whenever it
-blocks again and dropped when it allocates — so when the watchdog trips,
-:meth:`WaitForGraph.build_report` can immediately search the current
-hold->request graph for a cycle and name the `(link, vc_class)` resources
+With ``SimulationConfig.sanitize=True`` a watchdog trip builds the
+hold->request graph of everything that is stuck and searches it for a
+cycle.  The graph costs nothing before that: the engine hands over its
+waiting messages once, at the trip, and each one's *held* resources are
+the virtual channels its worm occupies (its live ``path``) and its
+*requested* resources are its cached candidate set, all busy.  That is
+sound because the watchdog only trips after ``deadlock_threshold`` cycles
+in which nothing was granted, so every waiting message failed its last
+allocation attempt and nothing it holds has moved since.
+:meth:`WaitForGraph.build_report` names the `(link, vc_class)` resources
 and blocked messages involved, upgrading the bare "no progress for N
 cycles" :class:`~repro.util.errors.DeadlockError` into an actionable
 diagnostic.
@@ -20,7 +22,7 @@ moves, the cycle is exactly the diagnostic a developer needs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.analysis.dependency_graph import Resource, find_cycle
 
@@ -133,7 +135,7 @@ class DeadlockReport:
 
 
 class WaitForGraph:
-    """Incrementally maintained hold->request graph of blocked messages."""
+    """Hold->request graph of blocked messages."""
 
     def __init__(self) -> None:
         self._blocked: Dict[int, BlockedMessage] = {}
@@ -146,11 +148,10 @@ class WaitForGraph:
         message: "Message",
         requested: List[Resource],
     ) -> None:
-        """(Re-)record a message that failed this cycle's allocation.
+        """Record a message that is blocked waiting on *requested*.
 
-        The held set is re-derived from the message's current channel
-        chain — the tail may have drained some channels since the last
-        failure, so stale edges are replaced, not accumulated.
+        The held set is the message's current channel chain; recording a
+        message again replaces its edges.
         """
         held = [(vc.link.index, vc.vc_class) for vc in message.path]
         self._blocked[message.msg_id] = BlockedMessage(
@@ -161,10 +162,6 @@ class WaitForGraph:
             held=held,
             requested=requested,
         )
-
-    def clear(self, msg_id: int) -> None:
-        """Drop a message's edges after it successfully allocates."""
-        self._blocked.pop(msg_id, None)
 
     def edges(self) -> Dict[Resource, Set[Resource]]:
         """The current hold->request edge set."""

@@ -1,6 +1,6 @@
 """Fixture: DET002 silent — the allowlisted measurement site.
 
-``simulator/engine.py::Engine._step_observed`` is in
+``simulator/engine.py::Engine._step_profiled`` is in
 ``DET002_ALLOWED_FUNCTIONS``, so its wall-clock reads pass.
 """
 
@@ -8,7 +8,7 @@ from time import perf_counter
 
 
 class Engine:
-    def _step_observed(self):
+    def _step_profiled(self):
         started = perf_counter()
         self.step()
         return perf_counter() - started

@@ -16,6 +16,7 @@ import pytest
 
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
+from repro.simulator.reference import ScanEngine
 from repro.traffic.arrivals import GeometricArrivals
 from repro.util.rng import STREAM_ARRIVALS, STREAM_ROUTING, RngStreams
 
@@ -40,9 +41,13 @@ SEED_GOLDEN_MODES = {
     ("wormhole", "ideal", "highest_class"): (46193, 1346),
 }
 
+#: Both steppers are held to the seed engine's traces: the reference
+#: (which *is* the seed loop) and the engine every result comes from.
+STEPPERS = {"scan": ScanEngine, "active": Engine}
+
 
 class TestGoldenTraces:
-    @pytest.mark.parametrize("scheduler", ["scan", "active"])
+    @pytest.mark.parametrize("scheduler", list(STEPPERS))
     @pytest.mark.parametrize("algorithm", sorted(SEED_GOLDEN_TRACES))
     def test_algorithm_trace_matches_seed_engine(self, algorithm, scheduler):
         config = SimulationConfig(
@@ -51,9 +56,8 @@ class TestGoldenTraces:
             algorithm=algorithm,
             offered_load=0.5,
             seed=7,
-            scheduler=scheduler,
         )
-        engine = Engine(config)
+        engine = STEPPERS[scheduler](config)
         engine.run_cycles(3000)
         trace = (
             engine.flits_moved_total,
@@ -63,7 +67,7 @@ class TestGoldenTraces:
         assert trace == SEED_GOLDEN_TRACES[algorithm]
         assert engine.conservation_check()
 
-    @pytest.mark.parametrize("scheduler", ["scan", "active"])
+    @pytest.mark.parametrize("scheduler", list(STEPPERS))
     @pytest.mark.parametrize(
         "switching,flow_control,mux_policy", sorted(SEED_GOLDEN_MODES)
     )
@@ -79,9 +83,8 @@ class TestGoldenTraces:
             switching=switching,
             flow_control=flow_control,
             mux_policy=mux_policy,
-            scheduler=scheduler,
         )
-        engine = Engine(config)
+        engine = STEPPERS[scheduler](config)
         engine.run_cycles(2000)
         key = (switching, flow_control, mux_policy)
         assert (
@@ -100,7 +103,7 @@ class TestObservedGoldenTraces:
     it, so the schedule stays bit-identical to the seed engine.
     """
 
-    @pytest.mark.parametrize("scheduler", ["scan", "active"])
+    @pytest.mark.parametrize("scheduler", list(STEPPERS))
     @pytest.mark.parametrize("algorithm", sorted(SEED_GOLDEN_TRACES))
     def test_observed_trace_matches_seed_engine(self, algorithm, scheduler):
         config = SimulationConfig(
@@ -109,7 +112,6 @@ class TestObservedGoldenTraces:
             algorithm=algorithm,
             offered_load=0.5,
             seed=7,
-            scheduler=scheduler,
             obs=True,
             obs_options={
                 "stride": 16,
@@ -117,7 +119,7 @@ class TestObservedGoldenTraces:
                 "trace_limit": 1000,
             },
         )
-        engine = Engine(config)
+        engine = STEPPERS[scheduler](config)
         engine.run_cycles(3000)
         trace = (
             engine.flits_moved_total,

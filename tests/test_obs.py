@@ -28,6 +28,7 @@ from repro.obs import (
     validate_trace_lines,
 )
 from repro.simulator.engine import Engine
+from repro.simulator.reference import ScanEngine
 from repro.util.errors import ConfigurationError
 
 
@@ -231,14 +232,34 @@ class TestObserverAccounting:
         with pytest.raises(ConfigurationError):
             Engine(tiny_config()).attach_observer(observer)
 
-    def test_detach_restores_class_method(self):
-        engine, observer = _observed_engine(
-            cycles=10, trace_flits=True
-        )
-        assert "_handle_flit_arrival" in engine.__dict__
-        assert engine.detach_observer() is observer
-        assert "_handle_flit_arrival" not in engine.__dict__
-        assert engine.observer is None
+    def test_flit_tracing_follows_attach_and_detach(self):
+        """``flit_moved`` events fire per flit while a tracing observer
+        is attached, in the reference stepper's order, and not at all
+        while none is."""
+        config = tiny_config(offered_load=0.9)
+        sequences = []
+        for stepper in (ScanEngine, Engine):
+            engine = stepper(config)
+            events = []
+            for _ in range(2):
+                observer = Observer(
+                    ObsConfig(trace_flits=True, trace_limit=10**6)
+                )
+                engine.attach_observer(observer)
+                before = engine.flits_moved_total
+                engine.run_cycles(300)
+                moved = engine.flits_moved_total - before
+                assert engine.detach_observer() is observer
+                assert engine.observer is None
+                engine.run_cycles(100)  # detached: the hook is silent
+                assert engine.flits_moved_total > before + moved
+                assert observer.event_counts["flit_moved"] == moved > 0
+                events += [
+                    event for event in observer.trace.events
+                    if event["event"] == "flit_moved"
+                ]
+            sequences.append(events)
+        assert sequences[0] == sequences[1]
 
 
 class TestExport:

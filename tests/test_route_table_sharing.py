@@ -28,6 +28,7 @@ from repro.routing.tables import RouteTable, route_table, shared_table
 from repro.simulator.batch import BatchEngine
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
+from repro.simulator.reference import ScanEngine
 from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
 
@@ -128,14 +129,14 @@ class TestSharingIsSpeedOnly:
         assert _trajectory(config, between=disturb) == undisturbed
 
     def test_scan_reference_agrees_on_a_pregrown_table(self):
-        """The scan scheduler never reads the table, so scan == active
-        on a table other points filled pins the table's contents to the
-        per-request reference."""
+        """The reference stepper never reads the table, so scan ==
+        active on a table other points filled pins the table's contents
+        to the per-request reference."""
         config = _point("nbc", "torus")
         for load in (0.2, 0.9):
             run_point(dataclasses.replace(config, offered_load=load))
         active = Engine(config)
-        scan = Engine(dataclasses.replace(config, scheduler="scan"))
+        scan = ScanEngine(config)
         for _ in range(12):
             active.run_cycles(32)
             scan.run_cycles(32)

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.obs.observer import Observer
 from repro.routing.base import RoutingAlgorithm
+from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
-from repro.simulator.sanitizer import DeadlockReport, WaitForGraph
+from repro.simulator.reference import ScanEngine
+from repro.simulator.sanitizer import WaitForGraph
 from repro.topology.torus import Torus
 from repro.util.errors import DeadlockError
 from tests.conftest import tiny_config
@@ -31,25 +34,44 @@ class _Clockwise(RoutingAlgorithm):
         return [(self.topology.out_link(current, 0, 1), 0)]
 
 
-def _deadlock_report(config, algorithm) -> DeadlockError:
-    engine = Engine(config, algorithm=algorithm)
+def _deadlock_report(
+    config, algorithm, stepper=Engine, attach_at=None
+) -> DeadlockError:
+    """Run to the watchdog trip; *attach_at* attaches an observer at
+    that cycle (before the trip) instead of from construction."""
+    engine = stepper(config, algorithm=algorithm)
     with pytest.raises(DeadlockError, match="no progress") as excinfo:
+        if attach_at is not None:
+            engine.run_cycles(attach_at)
+            engine.attach_observer(Observer())
         engine.run_cycles(30000)
     return excinfo.value
 
 
+def _clockwise_case(**overrides):
+    config = tiny_config(
+        radix=8,
+        n_dims=1,
+        offered_load=1.0,
+        message_length=8,
+        deadlock_threshold=500,
+        sanitize=True,
+        seed=2,
+        **overrides,
+    )
+    return config, _Clockwise(Torus(8, 1))
+
+
+def _never_routes_case(**overrides):
+    config = tiny_config(
+        offered_load=0.5, deadlock_threshold=300, sanitize=True, **overrides
+    )
+    return config, _NeverRoutes(Torus(4, 2))
+
+
 class TestSanitizedDeadlockReport:
     def test_cycle_named_with_resources_and_messages(self):
-        config = tiny_config(
-            radix=8,
-            n_dims=1,
-            offered_load=1.0,
-            message_length=8,
-            deadlock_threshold=500,
-            sanitize=True,
-            seed=2,
-        )
-        error = _deadlock_report(config, _Clockwise(Torus(8, 1)))
+        error = _deadlock_report(*_clockwise_case())
         report = error.report
         assert report is not None
         # A genuine resource cycle, every resource held by a named message.
@@ -64,14 +86,11 @@ class TestSanitizedDeadlockReport:
         assert "blocked messages" in text
         assert "holds" in text and "waits on" in text
 
-    def test_broken_algorithm_reports_blockage_without_cycle(self, torus4):
+    def test_broken_algorithm_reports_blockage_without_cycle(self):
         """The watchdog's regression algorithm (_NeverRoutes) starves
         messages on an empty candidate set: blocked messages are named,
         but there is no hold/wait cycle to report."""
-        config = tiny_config(
-            offered_load=0.5, deadlock_threshold=300, sanitize=True
-        )
-        error = _deadlock_report(config, _NeverRoutes(torus4))
+        error = _deadlock_report(*_never_routes_case())
         report = error.report
         assert report is not None
         assert report.cycle is None
@@ -87,9 +106,59 @@ class TestSanitizedDeadlockReport:
         assert error.report is None
         assert "sanitize=True" in str(error)
 
-    def test_sanitizer_off_by_default(self):
-        engine = Engine(tiny_config())
-        assert engine.sanitizer is None
+    @pytest.mark.parametrize(
+        "observed",
+        [{}, {"obs": True}, {"attach_at": 200}],
+        ids=["unobserved", "observed", "attached-mid-run"],
+    )
+    @pytest.mark.parametrize("case", [_clockwise_case, _never_routes_case])
+    def test_report_equals_the_reference_steppers(self, case, observed):
+        """The graph is built at the trip from the waiting set (heap plus
+        parked) and each message's cached candidates; the reference
+        re-polls every blocked message every cycle and must name the
+        same cycle, holders and blockage — whether the engine parked,
+        re-polled for an observer, or switched between the two."""
+        attach_at = observed.get("attach_at")
+        config, algorithm = case(obs=observed.get("obs", False))
+        reports = [
+            _deadlock_report(config, algorithm, stepper, attach_at)
+            for stepper in (ScanEngine, Engine)
+        ]
+        reference, report = (error.report for error in reports)
+        assert report.cycle == reference.cycle
+        assert report.holders == reference.holders
+        assert [
+            (entry.msg_id, entry.held, entry.requested)
+            for entry in report.blocked
+        ] == [
+            (entry.msg_id, entry.held, entry.requested)
+            for entry in reference.blocked
+        ]
+        assert len(report.blocked) > 0
+        assert str(reports[0]) == str(reports[1])
+
+    def test_sanitizer_costs_no_routing_attempts(self):
+        """``sanitize`` only gates the report: blocked messages park and
+        channels are polled exactly as without it (counts, not timing)."""
+
+        def counts(algorithm, sanitize):
+            engine = Engine(SimulationConfig(
+                radix=6, n_dims=2, algorithm=algorithm, offered_load=0.8,
+                seed=42, sanitize=sanitize,
+            ))
+            select, attempts = engine._select, []
+
+            def counted(*args):
+                attempts.append(None)
+                return select(*args)
+
+            engine._select = counted
+            engine.run_cycles(1200)
+            assert engine._parked, "not congested enough to park"
+            return len(attempts), engine.polls_total, engine.flits_moved_total
+
+        for algorithm in ("ecube", "nbc"):
+            assert counts(algorithm, True) == counts(algorithm, False)
 
     def test_sanitized_run_matches_unsanitized_results(self):
         """The sanitizer observes; it must not perturb the simulation."""
@@ -132,13 +201,6 @@ class TestWaitForGraph:
         self._blocked(graph, 1, [(0, 0)], [(3, 0)])  # tail drained, re-blocked
         assert graph.edges() == {(0, 0): {(3, 0)}}
         assert len(graph) == 1
-
-    def test_clear_removes_message(self):
-        graph = WaitForGraph()
-        self._blocked(graph, 1, [(0, 0)], [(1, 0)])
-        graph.clear(1)
-        assert graph.edges() == {}
-        graph.clear(99)  # unknown ids are fine
 
     def test_report_finds_two_message_cycle(self):
         graph = WaitForGraph()

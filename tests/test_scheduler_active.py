@@ -1,13 +1,14 @@
-"""Scan vs. activity-tracked scheduler equivalence.
+"""Reference stepper vs. ``Engine`` equivalence.
 
-``SimulationConfig.scheduler`` selects between the seed engine's full
-per-cycle rescan ("scan") and the event-driven activity-tracked
-scheduler ("active").  The two must be *bit-identical*: same flit
-schedule, same counters, same rng stream positions, same per-channel
-state.  ``Engine.state_fingerprint()`` digests exactly that state
-(scheduler bookkeeping like armed stamps and parked-waiter lists is
-excluded — it is allowed to differ), so fingerprint equality after the
-same number of cycles is the equivalence oracle used throughout.
+``repro.simulator.reference.ScanEngine`` is the seed engine's full
+per-cycle rescan; ``Engine`` tracks activity and re-examines a blocked
+resource only when a condition it waits on changes.  The two must be
+*bit-identical*: same flit schedule, same counters, same rng stream
+positions, same per-channel state.  ``Engine.state_fingerprint()``
+digests exactly that state (scheduling bookkeeping like armed stamps and
+parked-waiter lists is excluded — it is allowed to differ), so
+fingerprint equality after the same number of cycles is the equivalence
+oracle used throughout.
 
 Covered here:
 
@@ -23,7 +24,8 @@ Covered here:
 * the routing-decision memo: cached candidate sets must resolve to the
   same objects a fresh computation produces, and disabling the memo
   must not change the schedule;
-* config validation and the scheduler-dependent engine wiring.
+* ``SimulationConfig.scheduler``: validated, part of the store address,
+  and read by no stepper.
 """
 
 import random
@@ -32,6 +34,7 @@ import pytest
 
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
+from repro.simulator.reference import ScanEngine
 from repro.util.errors import ConfigurationError
 
 ALGORITHMS = ("ecube", "nlast", "2pn", "phop", "nhop", "nbc")
@@ -44,14 +47,14 @@ CHECK_EVERY = 16
 
 
 def _run_pair(cycles, at_cycle=None, **options):
-    """Run a scan and an active engine in lockstep on the same config.
+    """Run a ScanEngine and an Engine in lockstep on the same config.
 
     *at_cycle* maps a cycle count to a callable applied to both engines
     when they reach it (attach/detach an observer mid-run).
     """
     scan, active = (
-        Engine(SimulationConfig(scheduler=scheduler, **options))
-        for scheduler in ("scan", "active")
+        stepper(SimulationConfig(**options))
+        for stepper in (ScanEngine, Engine)
     )
     stops = sorted(
         set(range(CHECK_EVERY, cycles, CHECK_EVERY))
@@ -96,7 +99,7 @@ class TestSchedulerIdentity:
         assert scan.flits_moved_total > 0  # the run exercised the fabric
         assert active.conservation_check()
 
-    # Where the disarm rule of _transmit_active is most delicate: a sole
+    # Where the disarm rule of Engine._transmit is most delicate: a sole
     # owner's "can it move next cycle" must be exact for every buffer
     # depth, for worms shorter than their path (releases mid-flight), for
     # a source that queues, and under both other switching modes.
@@ -151,7 +154,7 @@ class TestSchedulerIdentity:
             offered_load=0.6,
             seed=9,
         )
-        assert active.observer is None and active._parking
+        assert active.observer is None
         assert active.conservation_check()
 
     def test_fingerprint_detects_divergence(self):
@@ -267,14 +270,13 @@ class TestTransmitPolls:
 
 
 class TestRoutingMemo:
-    def _congested(self, algorithm, scheduler="active"):
-        return Engine(SimulationConfig(
+    def _congested(self, algorithm, stepper=Engine):
+        return stepper(SimulationConfig(
             radix=4,
             n_dims=2,
             algorithm=algorithm,
             offered_load=0.6,
             seed=5,
-            scheduler=scheduler,
         ))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -330,18 +332,18 @@ class TestRoutingMemo:
         )
 
     def test_memo_only_engages_for_active_scheduler(self, monkeypatch):
-        """The scan scheduler is the reference: it never consults the
+        """The scan stepper is the reference: it never consults the
         table, neither to read nor to fill it."""
-        engine = self._congested("phop", scheduler="scan")
+        engine = self._congested("phop", stepper=ScanEngine)
 
         class _Untouchable(dict):
             def get(self, *args):  # pragma: no cover - failure path
-                raise AssertionError("scan scheduler probed the table")
+                raise AssertionError("scan stepper probed the table")
 
         engine._route_entries = _Untouchable()
         monkeypatch.setattr(
             engine._table, "intern",
-            lambda *args: pytest.fail("scan scheduler filled the table"),
+            lambda *args: pytest.fail("scan stepper filled the table"),
         )
         interned = len(engine._table.entries)
         engine.run_cycles(400)
@@ -350,31 +352,115 @@ class TestRoutingMemo:
 
 
 class TestSchedulerConfig:
+    """``scheduler`` is validated and addressed, and selects no code."""
+
+    TINY = dict(
+        radix=4, n_dims=2, algorithm="nbc", offered_load=0.5, seed=13,
+        warmup_cycles=200, sample_cycles=150, gap_cycles=30,
+        min_samples=2, max_samples=3,
+    )
+
     def test_rejects_unknown_scheduler(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(scheduler="bogus")
 
+    def test_both_values_build_the_same_engine(self):
+        scan, active = (
+            Engine(SimulationConfig(scheduler=scheduler, **self.TINY))
+            for scheduler in ("scan", "active")
+        )
+        assert type(scan) is type(active) is Engine
+        for _ in range(20):
+            scan.run_cycles(CHECK_EVERY)
+            active.run_cycles(CHECK_EVERY)
+            assert scan.state_fingerprint() == active.state_fingerprint()
+        assert scan.polls_total == active.polls_total > 0
+
+    def test_reference_runs_a_whole_point(self):
+        """The reference is passed in by name; run_point drives it like
+        any engine and reports the same point."""
+        from repro.experiments.runner import run_point
+
+        config = SimulationConfig(**self.TINY)
+        fast = run_point(config)
+        # (SimulationResult equality leaves wall_seconds out.)
+        assert fast == run_point(config, engine=ScanEngine(config))
+        assert fast.samples_used >= 2 and fast.messages_delivered > 0
+
+    def test_no_source_module_reads_the_scheduler_field(self):
+        """Only config.py (validation) touches ``.scheduler``; campaign
+        identity reaches it through the dataclass's field list."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        readers = sorted(
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if any(
+                isinstance(node, ast.Attribute) and node.attr == "scheduler"
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+        )
+        assert readers == ["simulator/config.py"]
+
+    def _congested(self, stepper):
+        return stepper(SimulationConfig(**{**self.TINY, "offered_load": 0.9}))
+
     def test_scan_engine_uses_fifo_queue(self):
-        engine = Engine(SimulationConfig(radix=4, scheduler="scan"))
-        assert engine._route_pending is engine._route_queue
-        assert not engine._parking
+        """The reference re-polls one FIFO queue: nothing ever parks, and
+        the container the depth probe reads holds every waiting message."""
+        engine = self._congested(ScanEngine)
+        deepest = 0
+        for _ in range(300):
+            engine.step()
+            assert not engine._parked and not engine._route_heap
+            waiting = engine._waiting_messages()
+            assert len(engine._route_pending) == len(waiting)
+            deepest = max(deepest, len(waiting))
+        assert deepest > 1
 
     def test_active_engine_uses_heap_and_parking(self):
-        engine = Engine(SimulationConfig(radix=4, scheduler="active"))
-        assert engine._route_pending is engine._route_heap
-        assert engine._parking
-
-    def test_sanitizer_disables_parking(self):
-        engine = Engine(
-            SimulationConfig(radix=4, scheduler="active", sanitize=True)
-        )
-        assert not engine._parking
+        """Engine's waiting set is its heap plus the parked messages, in
+        the reference's FIFO order, and congestion does park some."""
+        scan, active = self._congested(ScanEngine), self._congested(Engine)
+        most_parked = 0
+        for _ in range(300):
+            scan.step()
+            active.step()
+            waiting = [m.msg_id for m in active._waiting_messages()]
+            assert waiting == [m.msg_id for m in scan._waiting_messages()]
+            assert len(waiting) == (
+                len(active._route_pending) + len(active._parked)
+            )
+            most_parked = max(most_parked, len(active._parked))
+        assert most_parked > 1
 
     def test_observer_attach_detach_toggles_parking(self):
+        """One msg_blocked event per blocked cycle is the observer's
+        contract: attaching returns every parked message to the heap and
+        nothing parks until it is detached again."""
         from repro.obs.observer import ObsConfig, Observer
 
-        engine = Engine(SimulationConfig(radix=4, scheduler="active"))
-        engine.attach_observer(Observer(ObsConfig(stride=64)))
-        assert not engine._parking
+        scan, engine = self._congested(ScanEngine), self._congested(Engine)
+        while not engine._parked:
+            scan.step()
+            engine.step()
+        for stepper in (scan, engine):
+            stepper.attach_observer(Observer(ObsConfig(stride=64)))
+        assert not engine._parked
+        for _ in range(100):
+            scan.step()
+            engine.step()
+            assert not engine._parked
+        # The reference re-polls every blocked message every cycle.
+        assert (
+            engine.observer.event_counts["msg_blocked"]
+            == scan.observer.event_counts["msg_blocked"]
+            > 100
+        )
         engine.detach_observer()
-        assert engine._parking
+        engine.run_cycles(100)
+        assert engine._parked
