@@ -43,6 +43,12 @@ Besides ``seconds`` they carry the exact counts the time is made of:
 route-table entries interned, ``candidates()`` calls, and collections
 per generation (``gc.get_stats()`` deltas).
 
+A third informational block, ``batch_phases`` (never gated either),
+says where a batch step's time goes: per algorithm, one extra short
+pass of the B=32 congested point with a timer wrapped — from here, the
+engine has no hook and no flag for it — around each of
+``BatchEngine``'s phase methods (seconds and calls).
+
 The report is written to ``BENCH_engine_speed.json`` and committed, so
 the repo carries its own performance trajectory.  ``--compare BASELINE``
 turns the run into a regression gate covering both backends: current
@@ -64,6 +70,7 @@ measurements, where interference only ever slows a run down.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import gc
 import json
@@ -72,7 +79,7 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy
 
@@ -90,6 +97,19 @@ WARMUP_CYCLES = 1500
 
 #: Lockstep batch widths measured per algorithm.
 BATCH_SIZES = (1, 8, 32)
+
+#: Phases timed by the ``batch_phases`` pass and the ``BatchEngine``
+#: method each one is.  The epilogue runs inside the transmit kernel
+#: (reported net of it) and message completion inside ejection; what a
+#: step spends outside all of them (the deferred-write flush, lane
+#: counters, the watchdog) is the row's ``other_seconds``.
+BATCH_PHASES = (
+    ("generate", "_generate"),
+    ("eject", "_eject"),
+    ("route", "_route"),
+    ("transmit", "_transmit_kernel"),
+    ("epilogue", "_epilogue"),
+)
 
 #: Rows checked by the --compare regression gate, with the throughput
 #: field each is judged on.  Object and batch backends are both gated;
@@ -194,6 +214,24 @@ def time_engine(
     return best
 
 
+def warm_batch_engine(
+    algorithm: str, offered_load: float, lanes: int
+) -> BatchEngine:
+    """A steady-state batch engine at the suite's network point.
+
+    All lanes share one config and differ only by seed (42, 43, ...),
+    matching how ``repro-sweep --backend batch`` claims seed-batches.
+    """
+    config = dataclasses.replace(
+        speed_config(algorithm, offered_load, "conservative"),
+        backend="batch",
+        identity="relaxed",
+    )
+    engine = BatchEngine(config, [42 + lane for lane in range(lanes)])
+    engine.run_cycles(WARMUP_CYCLES)
+    return engine
+
+
 def time_batch(
     algorithm: str,
     offered_load: float,
@@ -203,26 +241,12 @@ def time_batch(
 ) -> Dict[str, object]:
     """Time one lockstep batch point; best-of-*repeats* observation.
 
-    All lanes share one config and differ only by seed (42, 43, ...),
-    matching how ``repro-sweep --backend batch`` claims seed-batches.
     The headline is ``aggregate_cycles_per_sec``: summed simulated
     cycles across lanes per wall second.
     """
-    config = SimulationConfig(
-        radix=8,
-        n_dims=2,
-        algorithm=algorithm,
-        offered_load=offered_load,
-        seed=42,
-        flow_control="conservative",
-        backend="batch",
-        identity="relaxed",
-    )
-    seeds = [42 + lane for lane in range(lanes)]
     best: Optional[Dict[str, object]] = None
     for _ in range(max(1, repeats)):
-        engine = BatchEngine(config, seeds)
-        engine.run_cycles(WARMUP_CYCLES)
+        engine = warm_batch_engine(algorithm, offered_load, lanes)
         flits_before = sum(
             lane.flits_moved_total for lane in engine.lanes
         )
@@ -259,6 +283,54 @@ def time_batch(
     if repeats > 1:
         best["repeats"] = repeats
     return best
+
+
+def time_batch_phases(
+    algorithm: str, offered_load: float, cycles: int, lanes: int
+) -> Dict[str, object]:
+    """Where one batch point's step time goes, phase by phase.
+
+    The timers are instance attributes shadowing the engine's phase
+    methods for this one pass (a few hundred timer calls per thousand
+    steps: well under 1% of a B=32 step).
+    """
+    engine = warm_batch_engine(algorithm, offered_load, lanes)
+    totals: Dict[str, List[float]] = {
+        name: [0.0, 0] for name, _method in BATCH_PHASES
+    }
+
+    def timed(name: str, method: str) -> Callable[..., object]:
+        inner = getattr(engine, method)
+        total = totals[name]
+
+        def phase(*args: object) -> object:
+            start = time.perf_counter()
+            result = inner(*args)
+            total[0] += time.perf_counter() - start
+            total[1] += 1
+            return result
+
+        return phase
+
+    for name, method in BATCH_PHASES:
+        setattr(engine, method, timed(name, method))
+    start = time.perf_counter()
+    engine.run_cycles(cycles)
+    elapsed = time.perf_counter() - start
+    totals["transmit"][0] -= totals["epilogue"][0]
+    return {
+        "offered_load": offered_load,
+        "lanes": lanes,
+        "timed_cycles": cycles,
+        "seconds": round(elapsed, 4),
+        "other_seconds": round(
+            elapsed - sum(total[0] for total in totals.values()), 4
+        ),
+        "phases": {
+            name: {"seconds": round(seconds, 4), "calls": int(calls)}
+            for name, (seconds, calls) in totals.items()
+        },
+    }
 
 
 #: Cold rows: (name, cycles per point, the points in running order).
@@ -352,7 +424,7 @@ def run_speed_suite(
     engines: Dict[str, Dict[str, object]] = {}
     report: Dict[str, object] = {
         "benchmark": "bench_engine_speed",
-        "schema_version": 7,
+        "schema_version": 8,
         "quick": quick,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc
@@ -404,6 +476,12 @@ def run_speed_suite(
             )
             rows[f"batch_relaxed_b{lanes}"] = row
         engines[algorithm] = rows
+    report["batch_phases"] = {
+        algorithm: time_batch_phases(
+            algorithm, CONGESTED_LOAD, cycles // 5, BATCH_SIZES[-1]
+        )
+        for algorithm in SPEED_ALGORITHMS
+    }
     return report
 
 
@@ -453,7 +531,8 @@ def compare_reports(
     ``cycles_per_sec``, batch rows by ``aggregate_cycles_per_sec``)
     fails when it falls below ``baseline * machine_scale *
     (1 - tolerance)``; ``moves_per_poll`` is held to the unscaled
-    baseline; the ``cold`` rows are listed, never judged.  When the
+    baseline; the ``cold`` and ``batch_phases`` rows are listed, never
+    judged.  When the
     baseline's ``host`` metadata differs from this machine's, every
     would-be failure is downgraded to a warning: idle-point rescaling
     corrects for raw speed but not for cache-hierarchy or SIMD
@@ -544,7 +623,40 @@ def compare_reports(
             f"{cur['candidates_calls']} vs {base['candidates_calls']} "
             "candidates() calls  (info)"
         )
+    # So is the batch phase split (schema >= 8).
+    baseline_phases = baseline.get("batch_phases", {})
+    for algorithm, cur in current.get("batch_phases", {}).items():
+        base = baseline_phases.get(algorithm)
+        if not base:
+            lines.append(
+                f"{algorithm:6s} {'batch_phases':22s} "
+                "(baseline lacks the batch phase rows; not compared)"
+            )
+            continue
+        lines.append(
+            f"{algorithm:6s} {'batch_phases':22s} "
+            + _phase_line(cur, base, scale)
+            + "  (info)"
+        )
     return ok, lines
+
+
+def _phase_line(
+    row: Dict[str, object],
+    base: Optional[Dict[str, object]] = None,
+    scale: float = 1.0,
+) -> str:
+    """``phase ms/step`` pairs of one ``batch_phases`` row, each beside
+    the scaled baseline's when *base* is given."""
+    parts = []
+    for name, phase in row["phases"].items():
+        text = f"{name} {1e3 * phase['seconds'] / row['timed_cycles']:.2f}"
+        if base is not None and name in base["phases"]:
+            per_step = base["phases"][name]["seconds"] / base["timed_cycles"]
+            text += f" ({1e3 * per_step / scale:.2f})"
+        parts.append(text)
+    other = 1e3 * row["other_seconds"] / row["timed_cycles"]
+    return " ".join(parts) + f" other {other:.2f} ms/step"
 
 
 def print_report(report: Dict[str, object]) -> None:
@@ -570,6 +682,8 @@ def print_report(report: Dict[str, object]) -> None:
             print(
                 f"{algorithm:6s} {point:22s} {rate:>10.0f} cyc/s  {extra}"
             )
+    for algorithm, row in report["batch_phases"].items():
+        print(f"{algorithm:6s} {'batch_phases':22s} {_phase_line(row)}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,28 +5,32 @@ differing only by seed — advance in lockstep, one shared cycle at a time.
 All per-virtual-channel state (ownership, buffer occupancy, worm flit
 counters, arrival/departure stamps, lifetime counters) and all per-physical-
 channel state (round-robin pointer, activity sequence) live in flat numpy
-arrays with a leading batch axis, and message state is structure-of-arrays
+arrays with a leading batch axis; message state is structure-of-arrays
 (:class:`repro.simulator.soa.MessageSlab`: per-message columns in
-``[B, M]`` slabs addressed by free-list-recycled slots), so every phase of
-a cycle is a handful of array-at-once kernels instead of a Python scan
-per lane.  There is one stepper and no mode switch.
+``[B, M]`` slabs addressed by free-list-recycled slots); and the lanes'
+random streams and counters are lane-stacked arrays too
+(:class:`repro.simulator.soa.StreamStack`, the ``[6, B]`` counter
+matrix).  Every phase of a cycle is therefore a handful of array-at-once
+kernels whatever B is, instead of a Python scan per lane.  There is one
+stepper and no mode switch.
 
 **What this backend is for.**  Aggregate throughput of multi-seed
-replications: 2-3x the object engine per core at B=32 (1.8-3.1x by
+replications: 2-3x the object engine per core at B=32 (1.7-2.9x by
 algorithm; ``docs/performance.md``, the ledger's ``replicate_b32``
-workload).  It is slower than the object
-engine below B of about 16.
+workload), more at B=64.  It is slower than the object engine below B
+of about 16.
 
 **Contract: statistical, not bitwise** (``identity="relaxed"``, the only
 identity a ``backend="batch"`` config can carry).  Per-lane numpy
 Generators replace the object engine's ``random.Random`` streams, with
-draws batched per phase (geometric arrival gaps and destination uniforms
-prefetched through stream-order-preserving buffers, routing tie-breaks
-drawn per round), and routing/VC allocation is a round-based vectorized
+draws batched per phase (geometric arrival gaps, destination uniforms
+and the 32-bit words behind the routing tie-breaks, each prefetched
+through a stream-order-preserving lane stack), and routing/VC
+allocation is a round-based vectorized
 kernel gathering candidate sets from the dense rows of the
 :class:`repro.routing.tables.RouteTable` both engines share.  Results
 are deterministic per (config, seed) and independent of batch
-composition — each lane's draw and buffer consumption sequence depends
+composition — each lane's draw and refill sequence depends
 only on its own state — but differ per seed from the object engine's;
 their *distributions* are validated against object-engine runs by
 :mod:`repro.analysis.equivalence` (``repro-equivalence``).  The
@@ -59,8 +63,12 @@ Wormhole and VCT, both mux policies, and all selection policies are
 supported (conservative wormhole uses the 2-flit buffers
 ``effective_buffer_depth`` already assigns it).
 
-**Performance structure.**  Per cycle: generation writes admitted
-messages as column scatters; routing is a park/wake pass (blocked
+**Performance structure.**  Per cycle: generation serves every due
+lane's gap redraws and destination uniforms with one gather each from
+the stream stacks and writes admitted messages as column scatters
+(slots popped and ids numbered for all lanes at once, through the one
+``segments`` helper that every "entries of each lane" computation
+uses); routing is a park/wake pass (blocked
 requests re-test only when a candidate VC's release stamp advances — see
 ``_rel_stamp``) over a tombstoning
 :class:`~repro.simulator.soa.RequestPool`; array writes from VC
@@ -71,9 +79,13 @@ absolute indices ``b*C*V + flat``; and move consequences (release
 bookkeeping, ejection, injection completion, per-winner commits) are
 masked scatters in the per-cycle epilogue, applied in ascending
 moving-channel ``active_seq`` order — the object engine's poll order
-over its insertion-ordered active set.  What remains per cycle is numpy
-kernel dispatch roughly balanced across transmit, route, and generate —
-the residual floor recorded in docs/performance.md.
+over its insertion-ordered active set.  Lane bookkeeping (flit counts,
+progress, the watchdog, lane clocks) is mask ops over ``[B]`` counter
+rows.  Python runs per lane only when one refills a stream (once per
+4096 draws), grows the slab, stops or fails.  What remains per cycle is
+numpy kernel dispatch, most of it transmit's per-move scatters and the
+routing rounds — the residual floor recorded in docs/performance.md
+("SoA message state").
 """
 
 from __future__ import annotations
@@ -94,11 +106,19 @@ import numpy as np
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.tables import route_table
 from repro.simulator.config import SimulationConfig
-from repro.simulator.injection import InjectionController
-from repro.simulator.soa import DeliverQueue, MessageSlab, RequestPool
+from repro.simulator.soa import (
+    DeliverQueue,
+    MessageSlab,
+    RequestPool,
+    STREAM_CHUNK,
+    Segments,
+    StreamStack,
+    segments,
+    tiebreaks,
+)
 from repro.stats.counters import SampleRecord
 from repro.topology.base import Topology
-from repro.traffic.arrivals import GapBuffer, UniformBuffer
+from repro.traffic.arrivals import geometric_gaps
 from repro.traffic.base import (
     TrafficPattern,
     destinations_from_uniforms,
@@ -122,8 +142,23 @@ _LOAD_INF = np.int64(1) << 62
 _ARR_NEVER = 1 << 60
 
 
+#: Rows of the engine's ``[6, B]`` lane-counter matrix.
+_CYCLE, _GENERATED, _DELIVERED, _FLITS, _REFUSED, _PROGRESS = range(6)
+
+
 class _Lane:
-    """Per-seed scalar state: everything that is not a flat array."""
+    """What is per seed and not an array: the seed's random streams,
+    sample bookkeeping, what froze when the lane stopped, its error.
+
+    The lane's counters are a column of the engine's counter matrix,
+    which the phases update for all lanes at once; the lane holds that
+    column to read from (and nothing else of the engine: a finished
+    engine must be freed by reference count, not wait for the cycle
+    collector).  The batch path counts a message when it is admitted,
+    so ``generated_total`` is also the admitted count and the next
+    message id, and ``in_flight`` is what was generated and not yet
+    delivered.
+    """
 
     __slots__ = (
         "index",
@@ -133,25 +168,15 @@ class _Lane:
         "gen_destinations",
         "gen_routing",
         "injection_rate",
-        "arr_buf",
-        "dst_buf",
-        "controller",
         "delivering",
         "frozen_pending",
-        "cycle",
-        "in_flight",
-        "msg_counter",
-        "generated_total",
-        "delivered_total",
-        "flits_moved_total",
-        "last_progress",
         "sample",
-        "sample_chunks",
         "sample_flits_base",
         "sample_generated_base",
         "sample_refused_base",
         "sample_vc_base",
         "error",
+        "_counts",
     )
 
     def __init__(
@@ -159,15 +184,13 @@ class _Lane:
         index: int,
         seed: int,
         injection_rate: float,
-        injection_limit: Optional[int],
+        counts: np.ndarray,
     ) -> None:
         self.index = index
         self.seed = seed
         self.injection_rate = injection_rate
         self.rng = RngStreams(seed)
-        #: Holds the admitted/refused counts; occupancy against the
-        #: limit lives in the engine's ``_outst`` array.
-        self.controller = InjectionController(injection_limit)
+        self._counts = counts
         #: Flat VC indices delivering at their destination, frozen here
         #: when the lane stops (running lanes' entries live in the
         #: engine's shared deliver queue).
@@ -176,17 +199,7 @@ class _Lane:
         #: (the shared pool drops them; fingerprints and deadlock
         #: reports still need the pending set).
         self.frozen_pending: List[int] = []
-        self.cycle = 0
-        self.in_flight = 0
-        self.msg_counter = 0
-        self.generated_total = 0
-        self.delivered_total = 0
-        self.flits_moved_total = 0
-        self.last_progress = 0
         self.sample: Optional[SampleRecord] = None
-        #: Delivery buffering: per-cycle (latency, hops) array chunks,
-        #: materialized into the sample at end_sample.
-        self.sample_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self.sample_flits_base = 0
         self.sample_generated_base = 0
         self.sample_refused_base = 0
@@ -196,16 +209,35 @@ class _Lane:
         self.refresh_streams()
 
     def refresh_streams(self) -> None:
-        """Per-phase numpy Generators for the current rng epoch."""
+        """Per-phase numpy Generators for the current rng epoch (the
+        engine's stream stacks draw from whichever are current)."""
         self.gen_arrivals = self.rng.numpy_stream(STREAM_ARRIVALS)
         self.gen_destinations = self.rng.numpy_stream(STREAM_DESTINATIONS)
         self.gen_routing = self.rng.numpy_stream(STREAM_ROUTING)
-        # Prefetch buffers over the fresh streams: every arrival /
-        # destination draw goes through these (stream order preserved;
-        # see GapBuffer), so they renew with the generators on epoch
-        # boundaries.
-        self.arr_buf = GapBuffer(self.injection_rate, self.gen_arrivals)
-        self.dst_buf = UniformBuffer(self.gen_destinations)
+
+    @property
+    def cycle(self) -> int:
+        return int(self._counts[_CYCLE])
+
+    @property
+    def generated_total(self) -> int:
+        return int(self._counts[_GENERATED])
+
+    @property
+    def delivered_total(self) -> int:
+        return int(self._counts[_DELIVERED])
+
+    @property
+    def in_flight(self) -> int:
+        return int(self._counts[_GENERATED] - self._counts[_DELIVERED])
+
+    @property
+    def flits_moved_total(self) -> int:
+        return int(self._counts[_FLITS])
+
+    @property
+    def refused(self) -> int:
+        return int(self._counts[_REFUSED])
 
 
 class BatchEngine:
@@ -449,6 +481,7 @@ class BatchEngine:
         self._txable_f = np.zeros(n, dtype=bool)
 
         self._lane_on = np.ones(b, dtype=bool)
+        self._n_running = b
         self._lane_mask_f = np.ones(n, dtype=bool)
         self._all_on = True
 
@@ -463,23 +496,61 @@ class BatchEngine:
         self._pa_act_blocks: List[Tuple[np.ndarray, np.ndarray]] = []
 
         self.cycle = 0
+        #: Lane counters, one row per kind (see ``_Lane``): updated by
+        #: segment adds and mask ops, never per lane.
+        counts = np.zeros((6, b), dtype=np.int64)
+        self._lane_cycle = counts[_CYCLE]
+        self._generated = counts[_GENERATED]
+        self._delivered = counts[_DELIVERED]
+        self._flits = counts[_FLITS]
+        self._refused = counts[_REFUSED]
+        self._last_progress = counts[_PROGRESS]
         self.lanes: List[_Lane] = [
-            _Lane(index, seed, self.injection_rate, config.injection_limit)
+            _Lane(index, seed, self.injection_rate, counts[:, index])
             for index, seed in enumerate(self.seeds)
         ]
+        # The three per-lane random streams, lane-stacked: a phase's
+        # draws for every lane are one gather (StreamStack).  The draw
+        # callbacks read the lane's current generator and close over
+        # the lane list only — never the engine, which would tie every
+        # finished engine into a reference cycle.
+        lanes = self.lanes
+
+        def draw_gaps(index: int, count: int) -> np.ndarray:
+            lane = lanes[index]
+            return geometric_gaps(
+                count, lane.injection_rate, lane.gen_arrivals
+            )
+
+        def draw_uniforms(index: int, count: int) -> np.ndarray:
+            return lanes[index].gen_destinations.random(count)
+
+        def draw_words(index: int, count: int) -> np.ndarray:
+            return lanes[index].gen_routing.integers(
+                0, 2**32, size=count, dtype=np.uint32
+            )
+
+        width = STREAM_CHUNK + nn
+        self._arr_gaps = StreamStack(b, np.int64, draw_gaps, width)
+        self._dst_uniforms = StreamStack(b, np.float64, draw_uniforms, width)
+        self._tie_words = StreamStack(b, np.uint32, draw_words, width)
+        #: Lanes with an open sample, and their deliveries so far as
+        #: (lane, latency, hops) blocks in completion order, split per
+        #: lane at end_sample.
+        self._sampling = np.zeros(b, dtype=bool)
+        self._delivery_blocks: List[Tuple[np.ndarray, ...]] = []
         # Lane-fused arrival schedule: every lane's per-node due cycles
         # in one [B, N] array, polled with one mask per cycle instead of
-        # one numpy round-trip per lane.  Gap redraws stay per lane
-        # (each lane's own stream), so a lane's arrival sequence is
-        # independent of the batch composition.
+        # one numpy round-trip per lane.  Gaps come from each lane's own
+        # stream, so a lane's arrival sequence is independent of the
+        # batch composition.
         self._gen_due = np.empty((b, nn), dtype=np.int64)
         self._gen_due_f = self._gen_due.reshape(-1)
-        for lane in self.lanes:
+        for index in range(b):
             # First arrivals at or after cycle 0 (cf.
-            # BatchedGeometricArrivals.start(0, gen)).
-            self._gen_due[lane.index] = -1 + lane.arr_buf.take(nn)
+            # GeometricArrivals.start).
+            self._gen_due[index] = -1 + self._arr_gaps.take_lane(index, nn)
         self._gen_next = int(self._gen_due.min())
-        self._running: List[Tuple[int, _Lane]] = list(enumerate(self.lanes))
 
     # ------------------------------------------------------------------
     # public driving interface
@@ -487,11 +558,12 @@ class BatchEngine:
 
     @property
     def has_running_lanes(self) -> bool:
-        return bool(self._running)
+        return bool(self._n_running)
 
     @property
     def running_lane_indices(self) -> List[int]:
-        return [b for b, _ in self._running]
+        indices: List[int] = np.nonzero(self._lane_on)[0].tolist()
+        return indices
 
     def lane_errors(self) -> Dict[int, DeadlockError]:
         """Deadlock errors recorded per failed lane index."""
@@ -503,10 +575,8 @@ class BatchEngine:
 
     def stop_lane(self, index: int) -> None:
         """Freeze a finished lane; the rest keep advancing in lockstep."""
-        self._running = [
-            (b, lane) for b, lane in self._running if b != index
-        ]
         self._lane_on[index] = False
+        self._n_running = int(self._lane_on.sum())
         self._lane_mask_f = np.repeat(self._lane_on, self._cv)
         self._all_on = False
         # A frozen lane must stop generating: its due row would
@@ -538,21 +608,20 @@ class BatchEngine:
         each of them).
         """
         end = self.cycle + cycles
+        lane_on = self._lane_on
         while self.cycle < end:
-            running = self._running
-            if not running:
+            if not self._n_running:
                 self.cycle = end
                 return
-            if all(lane.in_flight == 0 for _, lane in running):
-                next_due = self._gen_next
-                if next_due > self.cycle:
-                    target = next_due if next_due < end else end
-                    delta = target - self.cycle
-                    self.cycle = target
-                    for _, lane in running:
-                        lane.cycle += delta
-                    if self.cycle == end:
-                        return
+            next_due = self._gen_next
+            if next_due > self.cycle and not (
+                self._generated != self._delivered
+            )[lane_on].any():
+                target = next_due if next_due < end else end
+                self._lane_cycle[lane_on] += target - self.cycle
+                self.cycle = target
+                if target == end:
+                    return
             self.step()
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
@@ -561,60 +630,50 @@ class BatchEngine:
 
         Every per-message consequence (injection completion, release
         bookkeeping, ejection accounting, the epilogue, the winner
-        commits) runs as masked array kernels over the slab — the
-        per-lane loop below touches only O(B) progress counters, never
-        messages.
+        commits) runs as masked array kernels over the slab, and the
+        per-lane ones (flit counts, progress, the watchdog) as mask ops
+        over the lane counters — no Python runs per lane unless one
+        refills a stream, grows the slab, stops or fails.
         """
         cyc = self.cycle
-        running = self._running
-        if self._gen_next <= cyc:
-            self._generate(cyc)
-        eject_flags: Optional[np.ndarray] = None
-        if self._dv.n:
-            eject_flags = self._eject(cyc)
         progress = self._progress
         progress[:] = False
+        if self._gen_next <= cyc:
+            self._generate(cyc)
+        if self._dv.n:
+            self._eject(cyc)
         if self._pool.n:
             self._route(cyc)
-        moves: Optional[np.ndarray] = None
         if self._owned_any:
             self._flush()
             moves = self._transmit_kernel(cyc)
-        dead: List[Tuple[int, _Lane]] = []
-        threshold = self.config.deadlock_threshold
-        moves_list = moves.tolist() if moves is not None else None
-        prog_list = progress.tolist()
-        ej_list = (
-            eject_flags.tolist() if eject_flags is not None else None
-        )
-        for b, lane in running:
-            progressed = prog_list[b]
-            if moves_list is not None:
-                moved = moves_list[b]
-                if moved:
-                    lane.flits_moved_total += moved
-                    progressed = True
-            if ej_list is not None and ej_list[b]:
-                progressed = True
-            if progressed:
-                lane.last_progress = cyc
-            elif lane.in_flight and cyc - lane.last_progress > threshold:
-                dead.append((b, lane))
-        for b, lane in dead:
-            self._fail_lane(b, lane)
+            if moves is not None:
+                self._flits += moves
+                np.logical_or(progress, moves, out=progress)
+        # Stopped lanes never progress: their stale stamps only send
+        # the test below to its second line.
+        last = self._last_progress
+        last[progress] = cyc
+        stalled = last < cyc - self.config.deadlock_threshold
+        if stalled.any():
+            stalled &= self._lane_on
+            stalled &= self._generated != self._delivered
+            for b in np.nonzero(stalled)[0].tolist():
+                self._fail_lane(b)
         self.cycle = cyc + 1
-        for _, lane in self._running:
-            lane.cycle = self.cycle
+        self._lane_cycle[self._lane_on] = cyc + 1
 
     def advance_streams(self, index: int) -> None:
         """Fresh random streams for one lane (between sampling periods)."""
         lane = self.lanes[index]
         lane.rng.advance_epoch()
         lane.refresh_streams()
+        for stack in (self._arr_gaps, self._dst_uniforms, self._tie_words):
+            stack.reset(index)
         # Re-draw the lane's pending gaps from the fresh stream
-        # (cf. BatchedGeometricArrivals.reseed).
-        self._gen_due[index] = self.cycle + lane.arr_buf.take(
-            self._num_nodes
+        # (cf. GeometricArrivals.reseed).
+        self._gen_due[index] = self.cycle + self._arr_gaps.take_lane(
+            index, self._num_nodes
         )
         self._gen_next = int(self._gen_due.min())
 
@@ -624,29 +683,39 @@ class BatchEngine:
         lane = self.lanes[index]
         assert lane.sample is None, "a sample is already active"
         lane.sample = SampleRecord(lane.cycle)
-        lane.sample_chunks = []
         lane.sample_flits_base = lane.flits_moved_total
-        lane.sample_generated_base = lane.controller.admitted
-        lane.sample_refused_base = lane.controller.refused
+        lane.sample_generated_base = lane.generated_total
+        lane.sample_refused_base = lane.refused
         lane.sample_vc_base = self.vc_class_totals(index)
+        self._sampling[index] = True
 
     def end_sample(self, index: int) -> SampleRecord:
         lane = self.lanes[index]
         sample = lane.sample
         assert sample is not None, "no sample is active"
-        # Materialize the buffered per-cycle delivery chunks (the
-        # completion kernel never touches the record itself).
-        for lat, hops in lane.sample_chunks:
-            sample.extend_deliveries(lat.tolist(), hops.tolist())
-        lane.sample_chunks = []
+        # Materialize the lane's share of the buffered delivery blocks
+        # (the completion kernel never touches the record itself) and
+        # leave the other lanes' rows for their own end_sample.
+        blocks = self._delivery_blocks
+        if blocks:
+            lanes_d, lat, hops = (
+                np.concatenate(parts) for parts in zip(*blocks)
+            )
+            mine = lanes_d == index
+            sample.extend_deliveries(lat[mine].tolist(), hops[mine].tolist())
+            rest = ~mine
+            blocks.clear()
+            if rest.any():
+                blocks.append((lanes_d[rest], lat[rest], hops[rest]))
+        self._sampling[index] = False
         sample.cycles = lane.cycle - sample.start_cycle
         sample.flits_moved = (
             lane.flits_moved_total - lane.sample_flits_base
         )
         sample.generated = (
-            lane.controller.admitted - lane.sample_generated_base
+            lane.generated_total - lane.sample_generated_base
         )
-        sample.refused = lane.controller.refused - lane.sample_refused_base
+        sample.refused = lane.refused - lane.sample_refused_base
         sample.vc_usage = [
             total - base
             for total, base in zip(
@@ -664,14 +733,16 @@ class BatchEngine:
     def _generate(self, cycle: int) -> None:
         """Lane-fused generation straight into the message slab.
 
-        One due-mask poll over every lane's per-node schedule; per due
-        lane: batched gap redraws and destination draws (the lane's own
-        streams, sizes determined only by its own schedule —
-        composition-independent), vectorized injection-limit admission
-        against the outstanding array (due nodes are unique within a
-        poll because gaps are >= 1, so counts cannot interact within a
-        cycle), then one block write of the admitted messages' slab
-        columns and route requests.  No message objects are built.
+        One due-mask poll over every lane's per-node schedule; the due
+        lanes' gap redraws and destination uniforms are one gather each
+        from the stream stacks (each lane's own streams, counts
+        determined only by its own schedule — composition-independent),
+        then vectorized injection-limit admission against the
+        outstanding array (due nodes are unique within a poll because
+        gaps are >= 1, so counts cannot interact within a cycle), then
+        one block write of the admitted messages' slab columns and
+        route requests, slots popped and ids numbered for all lanes at
+        once.  No message objects are built.
 
         Frozen lanes hold _ARR_NEVER rows and never match the mask.
         Due node ids come out in ascending node order per lane (the
@@ -683,33 +754,15 @@ class BatchEngine:
         n = self._num_nodes
         lanes_h = hits // n
         nodes_h = hits - lanes_h * n
-        cuts = np.nonzero(lanes_h[1:] != lanes_h[:-1])[0] + 1
-        bounds = np.empty(cuts.shape[0] + 2, dtype=np.intp)
-        bounds[0] = 0
-        bounds[1:-1] = cuts
-        bounds[-1] = hits.shape[0]
-        lanes = self.lanes
-        dest_table = self._dest_table
-        # Only the prefetch-buffer slices are per lane (each lane's own
-        # streams, sizes determined only by its own schedule); the
-        # destination transform is elementwise per draw, so it — and
-        # everything downstream: interning gathers, admission, the
-        # slab/pool block writes — fuses across lanes into one batch
-        # keyed by the lane-id column.
-        u_parts: List[np.ndarray] = []
-        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            lane = lanes[int(lanes_h[s])]
-            due_f[hits[s:e]] = cycle + lane.arr_buf.take(e - s)
-            u_parts.append(lane.dst_buf.take(e - s))
+        seg = segments(lanes_h)
+        due_f[hits] = cycle + self._arr_gaps.take(seg)
+        ub = self._dst_uniforms.take(seg)
         self._gen_next = int(self._gen_due.min())
-        if not u_parts:
-            return
-        ub = (
-            u_parts[0]
-            if len(u_parts) == 1
-            else np.concatenate(u_parts)
-        )
-        dsts = destinations_from_uniforms(dest_table, nodes_h, ub)
+        # The destination transform is elementwise per draw, so it —
+        # and everything downstream: interning gathers, admission, the
+        # slab/pool block writes — runs as one batch keyed by the
+        # lane-id column.
+        dsts = destinations_from_uniforms(self._dest_table, nodes_h, ub)
         act = dsts >= 0
         if not act.any():
             return
@@ -731,9 +784,7 @@ class BatchEngine:
             okey = lb * self._outst.shape[1] + cls * n + srcs
             admit = self._outst_f[okey] < limit
             if not admit.all():
-                ref_l = np.bincount(lb[~admit], minlength=self._b)
-                for b in np.nonzero(ref_l)[0].tolist():
-                    lanes[b].controller.refused += int(ref_l[b])
+                self._refused += np.bincount(lb[~admit], minlength=self._b)
                 lb = lb[admit]
                 if not lb.shape[0]:
                     return
@@ -744,34 +795,13 @@ class BatchEngine:
                 cls = cls[admit]
                 okey = okey[admit]
             self._outst_f[okey] += 1
-        total = lb.shape[0]
         slab = self._slab
-        slots = np.empty(total, dtype=np.int32)
-        mids = np.empty(total, dtype=np.int64)
-        seqs = np.empty(total, dtype=np.int64)
-        arange_t = np.arange(total, dtype=np.int64)
-        cuts2 = np.nonzero(lb[1:] != lb[:-1])[0] + 1
-        bounds2 = np.empty(cuts2.shape[0] + 2, dtype=np.intp)
-        bounds2[0] = 0
-        bounds2[1:-1] = cuts2
-        bounds2[-1] = total
-        for s, e in zip(bounds2[:-1].tolist(), bounds2[1:].tolist()):
-            b = int(lb[s])
-            lane = lanes[b]
-            count = e - s
-            slab.ensure(b, count)
-            slots[s:e] = slab.alloc(b, count)
-            within = arange_t[s:e] - s
-            mids[s:e] = lane.msg_counter + within
-            seq0 = int(self._rseq[b])
-            seqs[s:e] = seq0 + within
-            self._rseq[b] = seq0 + count
-            lane.msg_counter += count
-            lane.generated_total += count
-            lane.in_flight += count
-            lane.controller.admitted += count
-        # Column views are read after every ensure() — growth replaces
-        # them but preserves slot numbers, so `g` stays valid.
+        seg = segments(lb)
+        slots = slab.alloc(seg)
+        mids = self._draw_seqs(seg, self._generated)
+        seqs = self._draw_seqs(seg, self._rseq)
+        # Column views are read after alloc() — growth replaces them
+        # but preserves slot numbers, so `g` stays valid.
         g = lb * slab.capacity + slots
         slab.src_f[g] = srcs
         slab.dst_f[g] = dd
@@ -909,7 +939,7 @@ class BatchEngine:
             if policy == "first":
                 k = free.argmax(axis=1)
             elif policy == "random":
-                t = self._tiebreaks(lanes_p[alive], nfree)
+                t = tiebreaks(self._tie_words, lanes_p[alive], nfree)
                 rank = free.cumsum(axis=1) - 1
                 k = (free & (rank == t[:, None])).argmax(axis=1)
             else:  # least_multiplexed
@@ -919,8 +949,8 @@ class BatchEngine:
                     free, owned_ch_f[absc // v], _LOAD_INF
                 )
                 tie = loads == loads.min(axis=1)[:, None]
-                t = self._tiebreaks(
-                    lanes_p[alive], tie.sum(axis=1)
+                t = tiebreaks(
+                    self._tie_words, lanes_p[alive], tie.sum(axis=1)
                 )
                 rank = tie.cumsum(axis=1) - 1
                 k = (tie & (rank == t[:, None])).argmax(axis=1)
@@ -945,7 +975,9 @@ class BatchEngine:
                 self._pa_act_blocks.append(
                     (
                         ch_abs[idx],
-                        self._draw_seqs(lanes_p[jw[idx]], self._nact),
+                        self._draw_seqs(
+                            segments(lanes_p[jw[idx]]), self._nact
+                        ),
                     )
                 )
             self._owned_any += int(jw.shape[0])
@@ -990,61 +1022,18 @@ class BatchEngine:
             pool.prune()
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _draw_seqs(
-        self, nb: np.ndarray, counter: np.ndarray
-    ) -> np.ndarray:
-        """Per-lane consecutive sequence numbers for the lane-sorted id
-        array *nb* (non-empty), advancing *counter* in place.
+    def _draw_seqs(self, seg: Segments, counter: np.ndarray) -> np.ndarray:
+        """Per-lane consecutive sequence numbers for the lane-sorted ids
+        of *seg* (their ``segments``), advancing *counter* in place.
 
-        Used for route-request seqs (epilogue order) and active-set
-        seqs (commit order): each lane's entries take consecutive
-        numbers from its own counter, exactly a per-lane sequential
-        increment order.
+        Used for message ids, route-request seqs (epilogue order) and
+        active-set seqs (commit order): each lane's entries take
+        consecutive numbers from its own counter, exactly a per-lane
+        sequential increment order.
         """
-        cuts = np.nonzero(nb[1:] != nb[:-1])[0] + 1
-        starts = np.empty(cuts.shape[0] + 1, dtype=np.intp)
-        starts[0] = 0
-        starts[1:] = cuts
-        counts = np.empty(starts.shape[0], dtype=np.int64)
-        counts[:-1] = np.diff(starts)
-        counts[-1] = nb.shape[0] - starts[-1]
-        seg_lanes = nb[starts]
-        base = counter[seg_lanes]
-        within = np.arange(nb.shape[0], dtype=np.int64) - np.repeat(
-            starts, counts
-        )
-        counter[seg_lanes] += counts
-        return np.repeat(base, counts) + within
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _tiebreaks(
-        self, lane_ids: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        """Per-lane batched tie-break draws: t[j] uniform in [0, high[j]).
-
-        Entries with high <= 1 draw nothing (Engine._select consumes rng
-        only on a real choice, and the lane streams keep that discipline
-        so draw counts stay lane-local).  *lane_ids* is
-        non-decreasing (requests are built lane by lane), so the needed
-        draws split into contiguous per-lane segments, each served by one
-        Generator.integers call on its own lane's routing stream.
-        """
-        t = np.zeros(high.shape[0], dtype=np.int64)
-        need = np.nonzero(high > 1)[0]
-        if not need.shape[0]:
-            return t
-        nl = lane_ids[need]
-        cuts = np.nonzero(nl[1:] != nl[:-1])[0] + 1
-        bounds = np.empty(cuts.shape[0] + 2, dtype=np.intp)
-        bounds[0] = 0
-        bounds[1:-1] = cuts
-        bounds[-1] = nl.shape[0]
-        lanes = self.lanes
-        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            idx = need[s:e]
-            gen = lanes[int(nl[s])].gen_routing
-            t[idx] = gen.integers(high[idx])
-        return t
+        seqs = counter[seg.ids] + seg.within
+        counter[seg.lanes] += seg.counts
+        return seqs
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _epilogue(
@@ -1070,13 +1059,14 @@ class BatchEngine:
         if r0.shape[0]:
             rows0 = slab.row_f[g[r0]]
             cf = self._table.cand_flat[rows0]
+            nb = ev_b[r0]
             cand_abs = np.where(
-                cf >= 0, cf + (ev_b[r0] * self._cv)[:, None], -1
+                cf >= 0, cf + (nb * self._cv)[:, None], -1
             )
             self._pool.extend(
-                ev_b[r0],
+                nb,
                 ev_slot[r0].astype(np.int32),
-                self._draw_seqs(ev_b[r0], self._rseq),
+                self._draw_seqs(segments(nb), self._rseq),
                 cand_abs,
             )
             slab.wait_f[g[r0]] = cycle
@@ -1105,7 +1095,7 @@ class BatchEngine:
             slab.tail_flat_f[g[r3]] = ev_flat[r3]
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _eject(self, cycle: int) -> np.ndarray:
+    def _eject(self, cycle: int) -> None:
         """Array-at-once ejection over the deliver queue.
 
         Only settled flits (present since the start of the cycle) are
@@ -1114,7 +1104,7 @@ class BatchEngine:
         exactly as in Engine._eject.  The per-message ejected count
         lives in the slab (gathered through the owner array, which
         stores slots), and completed messages retire through one masked
-        kernel (_complete).
+        kernel (_complete).  Lanes that ejected have progressed.
         """
         dv = self._dv
         ea = dv.abs[:dv.n]
@@ -1129,22 +1119,20 @@ class BatchEngine:
         gp = (pa // self._cv) * slab.capacity + self._owner_f[pa]
         ej_new = slab.ej_f[gp] + ps
         slab.ej_f[gp] = ej_new
-        flags = np.zeros(self._b, dtype=bool)
-        flags[pa // self._cv] = True
+        self._progress[pa // self._cv] = True
         comp = np.nonzero(ej_new >= self._length)[0]
         if comp.shape[0]:
             self._complete(cycle, pa[comp], gp[comp])
             keep = np.ones(dv.n, dtype=bool)
             keep[pos_idx[comp]] = False
             dv.keep(keep)
-        return flags
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _complete(
         self, cycle: int, comp_abs: np.ndarray, g: np.ndarray
     ) -> None:
         """Retire fully-ejected messages: release the last VC, free the
-        slot, buffer the sample delivery stats as array chunks.
+        slot, buffer the sampling lanes' delivery stats as one block.
 
         The stable lane sort preserves each lane's deliver-queue
         registration order, the order sample deliveries are reported
@@ -1156,28 +1144,22 @@ class BatchEngine:
         np.subtract.at(self._owned_ch_f, comp_abs // self._v, 1)
         self._owned_any -= int(comp_abs.shape[0])
         slab.live_f[g] = False
-        cap = slab.capacity
         bo = comp_abs // self._cv
         order = np.argsort(bo, kind="stable")
         go = g[order]
         bo = bo[order]
-        lat = cycle - slab.born_f[go]
-        hops = slab.dist_f[go].astype(np.int64)
-        slots = (go - bo * cap).astype(np.int32)
-        cuts = np.nonzero(bo[1:] != bo[:-1])[0] + 1
-        bounds = np.empty(cuts.shape[0] + 2, dtype=np.intp)
-        bounds[0] = 0
-        bounds[1:-1] = cuts
-        bounds[-1] = bo.shape[0]
-        lanes = self.lanes
-        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            lane = lanes[int(bo[s])]
-            count = e - s
-            lane.in_flight -= count
-            lane.delivered_total += count
-            slab.release(int(bo[s]), slots[s:e])
-            if lane.sample is not None:
-                lane.sample_chunks.append((lat[s:e], hops[s:e]))
+        seg = segments(bo)
+        self._delivered[seg.lanes] += seg.counts
+        slab.release(seg, (go - bo * slab.capacity).astype(np.int32))
+        sampled = self._sampling[bo]
+        if sampled.any():
+            lat = cycle - slab.born_f[go]
+            hops = slab.dist_f[go].astype(np.int64)
+            if not sampled.all():
+                bo = bo[sampled]
+                lat = lat[sampled]
+                hops = hops[sampled]
+            self._delivery_blocks.append((bo, lat, hops))
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _flush(self) -> None:
@@ -1381,8 +1363,9 @@ class BatchEngine:
     # shared bookkeeping
     # ------------------------------------------------------------------
 
-    def _fail_lane(self, b: int, lane: _Lane) -> None:
+    def _fail_lane(self, b: int) -> None:
         """Record a deadlock on one lane and freeze it; others continue."""
+        lane = self.lanes[b]
         stuck = []
         # The lane's blocked requests sit in the shared pool (this runs
         # before stop_lane drops them); report from the slab.
@@ -1534,14 +1517,20 @@ class BatchEngine:
         delivering = tuple(
             (f // v, f % v) for f in dflats
         )
-        controller = lane.controller
         next_due = int(self._gen_due[b].min())
-        # repr keeps the generator-state dicts hashable.
-        rng_fp: Tuple[Any, ...] = tuple(
-            repr(lane.rng.numpy_stream(name).bit_generator.state)
-            for name in (
-                STREAM_ARRIVALS, STREAM_DESTINATIONS, STREAM_ROUTING
-            )
+        # repr keeps the generator-state dicts hashable.  Arrivals and
+        # destinations report the physical generator (the refill
+        # schedule is part of the lane's state); the routing stream,
+        # whose prefetch is an implementation detail of tiebreaks(),
+        # reports its logical position.
+        rng_fp: Tuple[Any, ...] = (
+            repr(lane.gen_arrivals.bit_generator.state),
+            repr(lane.gen_destinations.bit_generator.state),
+            repr(
+                lane.rng.numpy_state_after(
+                    STREAM_ROUTING, self._tie_words.consumed(b)
+                )
+            ),
         )
         # Rebuild the outstanding-injection items from the _outst array
         # (the object controller deletes keys that reach zero).
@@ -1558,14 +1547,14 @@ class BatchEngine:
         )
         return (
             lane.cycle,
-            lane.msg_counter,
+            lane.generated_total,  # the next message id
             lane.flits_moved_total,
             lane.generated_total,
             lane.delivered_total,
             lane.in_flight,
             next_due,
-            controller.admitted,
-            controller.refused,
+            lane.generated_total,  # every generated message was admitted
+            lane.refused,
             outst_items,
             tuple(pending),
             messages_fp,

@@ -1,13 +1,14 @@
-"""Structure-of-arrays message state for the batch backend.
+"""Structure-of-arrays state for the batch backend.
 
 A Python object per in-flight worm puts ~0.5M scalar attribute touches
 per congested window on the hot path (release bookkeeping, the transmit
-epilogue, ejection accounting, the per-winner commit loop).  This
-module holds message state as flat numpy columns carrying a leading
-batch axis instead, so the batch engine's per-cycle phases read and
-write it with masked gathers/scatters only.
+epilogue, ejection accounting, the per-winner commit loop), and a
+Python object per lane and random stream puts one call per lane per
+cycle there.  This module holds both as flat numpy arrays carrying a
+leading batch axis instead, so the batch engine's per-cycle phases read
+and write them with masked gathers/scatters only, whatever B is.
 
-Three containers:
+Four containers:
 
 * :class:`MessageSlab` — one row per in-flight message, ``[B, M]``
   columns (src/dst/length/flits-injected/flits-ejected/head/route-row/
@@ -26,14 +27,24 @@ Three containers:
 * :class:`DeliverQueue` — absolute VC indices currently delivering at
   their destination, in registration order (the order a stopped lane
   keeps in ``lane.delivering``).
+* :class:`StreamStack` — one random stream of every lane, prefetched
+  into a ``[B, K]`` stack with per-lane read cursors and served to a
+  whole phase by one gather.  Each lane's row refills from its own
+  generator by a rule that depends on that lane's takes alone, so the
+  draws a lane sees — and the generator state each refill leaves — are
+  independent of the batch composition.  :func:`tiebreaks` turns a
+  stack of raw 32-bit words into bounded integers.
 
-All three grow by doubling and never shrink; the engine holds exactly
-one of each.
+Everything that addresses "the entries of each lane" in a lane-sorted
+id array goes through :func:`segments`.  The first three containers
+grow by doubling, the stack widens to fit, none ever shrinks; the
+engine holds exactly one slab, pool and queue and one stack per stream
+kind.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Tuple
+from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -42,6 +53,53 @@ INITIAL_SLOTS = 256
 
 #: Initial request-pool / deliver-queue capacity (entries).
 INITIAL_ENTRIES = 256
+
+#: Draws prefetched per stack refill (amortizes the Generator call and
+#: the transform over ~a hundred polls of the lane).
+STREAM_CHUNK = 4096
+
+
+class Segments(NamedTuple):
+    """A lane-sorted id array and its per-lane runs."""
+
+    ids: np.ndarray
+    #: Per run: its lane, where it starts, its length.
+    lanes: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    #: Per entry: its offset within its run.
+    within: np.ndarray
+
+
+# repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
+def segments(lane_ids: np.ndarray) -> Segments:
+    """Split the non-empty, non-decreasing *lane_ids* into per-lane runs.
+
+    Every per-lane quantity of a phase is then one gather or one
+    segment add: entry ``j`` of lane ``b`` reads ``base[b] + within[j]``
+    and lane ``b``'s cursor advances by its run's count.  A single run
+    (B=1, or a near-idle cycle) is recognised from the two ends and
+    pays no segmentation.
+    """
+    n = lane_ids.shape[0]
+    if lane_ids[0] == lane_ids[-1]:
+        return Segments(
+            lane_ids,
+            lane_ids[:1],
+            np.zeros(1, dtype=np.intp),
+            np.full(1, n, dtype=np.intp),
+            np.arange(n, dtype=np.intp),
+        )
+    cuts = np.nonzero(lane_ids[1:] != lane_ids[:-1])[0]
+    starts = np.empty(cuts.shape[0] + 1, dtype=np.intp)
+    starts[0] = 0
+    np.add(cuts, 1, out=starts[1:])
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    within = np.arange(n, dtype=np.intp)
+    within -= np.repeat(starts, counts)
+    return Segments(lane_ids, lane_ids[starts], starts, counts, within)
 
 
 class MessageView(NamedTuple):
@@ -71,7 +129,7 @@ class MessageSlab:
     owner arrays store the slot (not a message id), and every column has
     a flat 1-D view addressed by the global index ``g = b * M + slot``
     (recomputed by callers after any potential growth point — ``alloc``
-    is the only one).
+    is the only one on the cycle path).
     """
 
     # Column types (created via setattr from _COLUMNS in __init__).
@@ -144,6 +202,7 @@ class MessageSlab:
         "cls_f",
         "live_f",
         "_free",
+        "_free_f",
         "_free_top",
         "grow_count",
     )
@@ -182,6 +241,7 @@ class MessageSlab:
         self._free = np.tile(
             np.arange(capacity, dtype=np.int32), (batch, 1)
         )
+        self._free_f = self._free.reshape(-1)
         self._free_top = np.full(batch, capacity, dtype=np.int64)
         self.grow_count = 0
 
@@ -192,9 +252,9 @@ class MessageSlab:
     def live_count(self, lane: int) -> int:
         return int(np.count_nonzero(self.live[lane]))
 
-    def ensure(self, lane: int, count: int) -> None:
-        """Grow until lane *lane* has at least *count* free slots."""
-        while int(self._free_top[lane]) < count:
+    def ensure(self, lanes: np.ndarray, counts: np.ndarray) -> None:
+        """Grow until every lane of *lanes* has its count of free slots."""
+        while (self._free_top[lanes] < counts).any():
             self.grow()
 
     def grow(self) -> None:
@@ -223,25 +283,32 @@ class MessageSlab:
             np.arange(old, new, dtype=np.int32), self.batch
         )
         self._free = free
+        self._free_f = free.reshape(-1)
         self._free_top = tops + old
         self.capacity = new
         self.grow_count += 1
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def alloc(self, lane: int, count: int) -> np.ndarray:
-        """Pop *count* slot numbers for lane *lane* (after ``ensure``)."""
-        top = int(self._free_top[lane])
-        slots = self._free[lane, top - count:top].copy()
-        self._free_top[lane] = top - count
-        return slots
+    def alloc(self, seg: Segments) -> np.ndarray:
+        """Pop one slot per entry of the lane-sorted ids *seg* holds
+        (see :func:`segments`), each lane off its own stack, growing
+        first if any lane is short."""
+        self.ensure(seg.lanes, seg.counts)
+        top = self._free_top
+        top[seg.lanes] -= seg.counts
+        return self._free_f[
+            seg.ids * self.capacity + top[seg.ids] + seg.within
+        ]
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def release(self, lane: int, slots: np.ndarray) -> None:
-        """Push completed messages' slots back on lane *lane*'s stack."""
-        top = int(self._free_top[lane])
-        count = slots.shape[0]
-        self._free[lane, top:top + count] = slots
-        self._free_top[lane] = top + count
+    def release(self, seg: Segments, slots: np.ndarray) -> None:
+        """Push completed messages' *slots* back, each on the stack of
+        its entry of the lane-sorted ids *seg* holds."""
+        top = self._free_top
+        self._free_f[
+            seg.ids * self.capacity + top[seg.ids] + seg.within
+        ] = slots
+        top[seg.lanes] += seg.counts
 
     def view(self, lane: int, slot: int) -> MessageView:
         """One row as a named tuple (cold path: reports, tests)."""
@@ -440,6 +507,156 @@ class DeliverQueue:
         return taken
 
 
+class StreamStack:
+    """One random stream per lane, prefetched into ``[B, K]`` rows.
+
+    ``draw(lane, count)`` returns the next *count* values of that
+    lane's stream; lane ``b``'s unread values are
+    ``buf[b, pos[b]:end[b]]``.  A take of ``count`` values refills the
+    row first when ``pos + count > end``: it draws
+    ``max(STREAM_CHUNK, count)`` fresh values and keeps the unread tail
+    in front of them.  numpy Generators consume their stream uniformly
+    across call sizes, so the values served are exactly those of
+    unbuffered ``draw`` calls, and since the rule looks at nothing but
+    the lane's own cursor, so is the generator state after every
+    refill.  ``drawn`` counts the values pulled from each generator
+    since the lane's last :meth:`reset`, so ``consumed`` is the
+    stream's logical position whatever has been prefetched.
+    """
+
+    __slots__ = ("buf", "flat", "pos", "end", "drawn", "_draw")
+
+    def __init__(
+        self,
+        batch: int,
+        dtype: type,
+        draw: Callable[[int, int], np.ndarray],
+        width: int = STREAM_CHUNK,
+    ) -> None:
+        self.buf = np.empty((batch, width), dtype=dtype)
+        self.flat = self.buf.reshape(-1)
+        self.pos = np.zeros(batch, dtype=np.intp)
+        self.end = np.zeros(batch, dtype=np.intp)
+        self.drawn = np.zeros(batch, dtype=np.int64)
+        self._draw = draw
+
+    def reset(self, lane: int) -> None:
+        """Forget lane *lane*'s prefetched values (its stream renewed)."""
+        self.pos[lane] = self.end[lane] = self.drawn[lane] = 0
+
+    def consumed(self, lane: int) -> int:
+        """Values lane *lane* has been served since its last reset."""
+        return int(self.drawn[lane] - self.end[lane] + self.pos[lane])
+
+    def _refill(self, lane: int, count: int) -> None:
+        pos = int(self.pos[lane])
+        tail = int(self.end[lane]) - pos
+        fresh = self._draw(lane, max(STREAM_CHUNK, count))
+        end = tail + fresh.shape[0]
+        if end > self.buf.shape[1]:
+            wide = np.empty((self.buf.shape[0], end), dtype=self.buf.dtype)
+            wide[:, :self.buf.shape[1]] = self.buf
+            self.buf = wide
+            self.flat = wide.reshape(-1)
+        row = self.buf[lane]
+        # Overlapping when the tail is long: numpy copies as if through
+        # a temporary.
+        row[:tail] = row[pos:pos + tail]
+        row[tail:end] = fresh
+        self.pos[lane] = 0
+        self.end[lane] = end
+        self.drawn[lane] += fresh.shape[0]
+
+    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
+    def take_lane(self, lane: int, count: int) -> np.ndarray:
+        """Lane *lane*'s next *count* values (a view: read it before
+        the lane's next take)."""
+        pos = int(self.pos[lane])
+        if pos + count > self.end[lane]:
+            self._refill(lane, count)
+            pos = 0
+        self.pos[lane] = pos + count
+        return self.buf[lane, pos:pos + count]
+
+    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
+    def take(self, seg: Segments) -> np.ndarray:
+        """One value per entry of the lane-sorted ids *seg* holds (see
+        :func:`segments`): entry ``j`` gets its lane's next unread
+        value after those of the lane's earlier entries — what
+        ``take_lane`` per run would serve, in one gather."""
+        lane_ids, seg_lanes, _starts, counts, within = seg
+        if seg_lanes.shape[0] == 1:
+            return self.take_lane(int(seg_lanes[0]), lane_ids.shape[0])
+        pos = self.pos
+        short = pos[seg_lanes] + counts > self.end[seg_lanes]
+        if short.any():
+            for i in np.nonzero(short)[0].tolist():
+                self._refill(int(seg_lanes[i]), int(counts[i]))
+        at = pos[lane_ids] + within
+        at += lane_ids * self.buf.shape[1]
+        pos[seg_lanes] += counts
+        return self.flat[at]
+
+
+_LOW32 = 0xFFFFFFFF
+
+
+# repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
+def tiebreaks(
+    words: StreamStack, lane_ids: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """Tie-break draws: ``t[j]`` uniform in ``[0, high[j])`` from the
+    32-bit word stream of lane ``lane_ids[j]`` (*lane_ids* lane-sorted).
+
+    Lemire's multiply-shift with rejection, one word per draw: ``t`` is
+    the high half of ``word * high``, redrawn while the low half falls
+    under ``(2**32 - high) % high`` — element for element what
+    ``Generator.integers(high)`` computes on the same stream, so a
+    lane's draws and stream position are those of one ``integers`` call
+    per lane and routing round (``tests/test_lane_streams.py`` holds
+    numpy to that).  Entries with ``high <= 1`` draw nothing
+    (``Engine._select`` consumes rng only on a real choice, and the
+    lane streams keep that discipline so draw counts stay lane-local).
+    """
+    t = np.zeros(high.shape[0], dtype=np.int64)
+    need = np.nonzero(high > 1)[0]
+    if not need.shape[0]:
+        return t
+    bound = high[need]
+    seg = segments(lane_ids[need])
+    product = words.take(seg).astype(np.int64)
+    product *= bound
+    # The rejection threshold is below the bound, so this test is a
+    # cheap superset of it (about bound / 2**32 of the draws).
+    if ((product & _LOW32) < bound).any():
+        _redraw_rejected(words, seg, bound, product)
+    t[need] = product >> 32
+    return t
+
+
+def _redraw_rejected(
+    words: StreamStack, seg: Segments, bound: np.ndarray, product: np.ndarray
+) -> None:
+    """Redo in place, one word at a time, the run of every lane that
+    drew a rejected word: the redraw shifts the lane's later draws by
+    one word, as in numpy."""
+    rejected = (product & _LOW32) < (2**32 - bound) % bound
+    runs = np.nonzero(np.add.reduceat(rejected, seg.starts))[0]
+    for i in runs.tolist():
+        lane = int(seg.lanes[i])
+        start = int(seg.starts[i])
+        count = int(seg.counts[i])
+        words.pos[lane] -= count  # hand the run's words back
+        for j in range(start, start + count):
+            limit = int(bound[j])
+            threshold = (2**32 - limit) % limit
+            while True:
+                m = int(words.take_lane(lane, 1)[0]) * limit
+                if (m & _LOW32) >= threshold:
+                    break
+            product[j] = m
+
+
 __all__ = [
     "DeliverQueue",
     "INITIAL_ENTRIES",
@@ -447,4 +664,9 @@ __all__ = [
     "MessageSlab",
     "MessageView",
     "RequestPool",
+    "STREAM_CHUNK",
+    "Segments",
+    "StreamStack",
+    "segments",
+    "tiebreaks",
 ]

@@ -98,9 +98,9 @@ def geometric_gaps(
     """*count* geometric interarrival gaps (support 1, 2, 3, ...).
 
     The batched inverse-CDF transform — the same per-draw math as
-    :meth:`GeometricArrivals._gap`, over a numpy Generator.  Shared by
-    :class:`BatchedGeometricArrivals` and the batch engine's lane-fused
-    arrival kernel.
+    :meth:`GeometricArrivals._gap`, over a numpy Generator: what the
+    batch engine's arrival stack (:class:`repro.simulator.soa.StreamStack`)
+    refills each lane's row with.  The degenerate rates touch no stream.
     """
     if rate >= 1.0:
         return np.ones(count, dtype=np.int64)
@@ -111,134 +111,7 @@ def geometric_gaps(
     return gaps.astype(np.int64) + 1
 
 
-#: Draws prefetched per buffer refill (amortizes Generator call and
-#: transform overhead across ~a hundred per-lane polls).
-_BUFFER_CHUNK = 4096
-
-
-class GapBuffer:
-    """Buffered :func:`geometric_gaps` over one lane's arrival stream.
-
-    ``take(k)`` yields exactly the gaps ``geometric_gaps(k, ...)``
-    would — numpy Generators consume the underlying stream uniformly,
-    so prefetching a chunk and serving slices preserves the draw
-    sequence bit for bit while replacing per-poll Generator calls and
-    inverse-CDF transforms with one buffered refill per ~hundred
-    polls.  Consumption sizes depend only on the owning lane's own
-    schedule, keeping arrival draws lane-composition-independent.
-    """
-
-    __slots__ = ("rate", "gen", "_buf", "_pos")
-
-    def __init__(
-        self, rate: float, gen: "np.random.Generator"
-    ) -> None:
-        self.rate = rate
-        self.gen = gen
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def take(self, count: int) -> np.ndarray:
-        """The next *count* gaps (a read-only view into the buffer)."""
-        if self.rate >= 1.0:
-            return np.ones(count, dtype=np.int64)
-        if self.rate <= 0.0:
-            return np.full(count, _NEVER, dtype=np.int64)
-        pos = self._pos
-        if pos + count > self._buf.shape[0]:
-            fresh = geometric_gaps(
-                max(_BUFFER_CHUNK, count), self.rate, self.gen
-            )
-            self._buf = np.concatenate([self._buf[pos:], fresh])
-            self._pos = pos = 0
-        self._pos = pos + count
-        return self._buf[pos:pos + count]
-
-
-class UniformBuffer:
-    """Buffered ``Generator.random`` draws, served in stream order.
-
-    Same contract as :class:`GapBuffer` but for raw uniforms (the
-    destination draws): ``take(k)`` returns exactly the uniforms
-    ``gen.random(k)`` would.
-    """
-
-    __slots__ = ("gen", "_buf", "_pos")
-
-    def __init__(self, gen: "np.random.Generator") -> None:
-        self.gen = gen
-        self._buf = np.empty(0, dtype=np.float64)
-        self._pos = 0
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def take(self, count: int) -> np.ndarray:
-        """The next *count* uniforms (a read-only view)."""
-        pos = self._pos
-        if pos + count > self._buf.shape[0]:
-            fresh = self.gen.random(max(_BUFFER_CHUNK, count))
-            self._buf = np.concatenate([self._buf[pos:], fresh])
-            self._pos = pos = 0
-        self._pos = pos + count
-        return self._buf[pos:pos + count]
-
-
-class BatchedGeometricArrivals:
-    """Vectorized counterpart of :class:`GeometricArrivals`.
-
-    Same geometric interarrival process, but the per-node due cycles live
-    in one numpy array and every redraw is a batched inverse-CDF over a
-    numpy :class:`~numpy.random.Generator` — one vector draw per poll
-    instead of one scalar draw per message.  Used by the batch backend's
-    relaxed identity mode; the draw *order* differs from the heap-based
-    scalar process (statistically equivalent, not bit-identical).
-    """
-
-    __slots__ = ("num_nodes", "rate", "next_due", "_due", "_started")
-
-    def __init__(self, num_nodes: int, rate: float) -> None:
-        require_probability(rate, "rate")
-        self.num_nodes = num_nodes
-        self.rate = rate
-        self.next_due = _NEVER
-        self._due = np.full(num_nodes, _NEVER, dtype=np.int64)
-        self._started = False
-
-    def _gaps(self, count: int, gen: np.random.Generator) -> np.ndarray:
-        return geometric_gaps(count, self.rate, gen)
-
-    def start(self, now: int, gen: np.random.Generator) -> None:
-        """Schedule every node's first arrival at or after cycle *now*."""
-        self._started = True
-        self._due = now - 1 + self._gaps(self.num_nodes, gen)
-        self.next_due = int(self._due.min()) if self.num_nodes else _NEVER
-
-    def pop_due(self, now: int, gen: np.random.Generator) -> np.ndarray:
-        """Nodes generating a message at cycle *now*; reschedules each.
-
-        Returns the due node ids in ascending node order (the scalar
-        process yields them in heap order — a relaxed-identity
-        difference).  Gaps are >= 1, so a node fires at most once per
-        poll.
-        """
-        assert self._started, "call start() before polling arrivals"
-        due = self._due
-        nodes = np.nonzero(due <= now)[0]
-        if nodes.shape[0]:
-            due[nodes] = now + self._gaps(nodes.shape[0], gen)
-            self.next_due = int(due.min())
-        return nodes
-
-    def reseed(self, now: int, gen: np.random.Generator) -> None:
-        """Re-draw all pending gaps from a fresh stream."""
-        self._due = now + self._gaps(self.num_nodes, gen)
-        self.next_due = int(self._due.min()) if self.num_nodes else _NEVER
-
-
 __all__ = [
-    "BatchedGeometricArrivals",
-    "GapBuffer",
     "GeometricArrivals",
-    "UniformBuffer",
     "geometric_gaps",
 ]

@@ -13,7 +13,7 @@ experiment is reproducible from one integer.
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
@@ -79,11 +79,28 @@ class RngStreams:
         require_type(name, str, "name")
         existing = self._numpy_streams.get(name)
         if existing is None:
-            existing = np.random.Generator(
-                np.random.PCG64(self._derive_seed(name))
-            )
+            existing = self._fresh_numpy_stream(name)
             self._numpy_streams[name] = existing
         return existing
+
+    def _fresh_numpy_stream(self, name: str) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self._derive_seed(name)))
+
+    def numpy_state_after(self, name: str, words: int) -> Dict[str, Any]:
+        """Bit-generator state of this epoch's :meth:`numpy_stream`
+        *name* once *words* 32-bit draws have been taken from it.
+
+        A consumer that prefetches leaves the physical generator ahead
+        of what it has handed out; this replays the stream from the
+        epoch's seed to the logical position instead (the half-used
+        64-bit word — ``has_uint32`` / ``uinteger`` — comes out as the
+        live generator would hold it).  Cold path: costs *words* draws.
+        """
+        require_type(name, str, "name")
+        replay = self._fresh_numpy_stream(name)
+        replay.integers(0, 2**32, size=words, dtype=np.uint32)
+        state: Dict[str, Any] = replay.bit_generator.state
+        return state
 
     def advance_epoch(self) -> None:
         """Replace every existing stream with a freshly seeded one.
@@ -95,9 +112,7 @@ class RngStreams:
         for name in list(self._streams):
             self._streams[name] = random.Random(self._derive_seed(name))
         for name in list(self._numpy_streams):
-            self._numpy_streams[name] = np.random.Generator(
-                np.random.PCG64(self._derive_seed(name))
-            )
+            self._numpy_streams[name] = self._fresh_numpy_stream(name)
 
     def spawn(self, label: str) -> "RngStreams":
         """Derive an independent child family (e.g. one per node)."""

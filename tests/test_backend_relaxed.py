@@ -21,7 +21,7 @@ from repro.routing.registry import make_algorithm
 from repro.routing.tables import RouteTable
 from repro.simulator.batch import BatchEngine
 from repro.topology.torus import Torus
-from repro.traffic.arrivals import BatchedGeometricArrivals, geometric_gaps
+from repro.traffic.arrivals import geometric_gaps
 from repro.traffic.base import sample_destinations
 from repro.traffic.uniform import UniformTraffic
 from repro.util.errors import ConfigurationError
@@ -215,24 +215,29 @@ class TestGeometricGaps:
 
     def test_batched_arrivals_match_scalar_distribution(self):
         # Same process, different draw order: compare arrival *counts*
-        # over a long window between the heap-based and batched
-        # implementations (they share the inverse-CDF math).
+        # over a long window between the heap-based process and a
+        # one-lane batch engine's own due array (they share the
+        # inverse-CDF math).
         from repro.traffic.arrivals import GeometricArrivals
         import random as pyrandom
 
-        cycles, nodes, rate = 4000, 16, 0.2
+        cycles, nodes = 4000, 16
+        engine = BatchEngine(
+            relaxed_config(offered_load=0.5, injection_limit=None), [7]
+        )
+        rate = engine.injection_rate
+        assert engine.topology.num_nodes == nodes and 0.05 < rate < 0.5
         rng = pyrandom.Random(7)
         scalar = GeometricArrivals(nodes, rate)
         scalar.start(0, rng)
         scalar_count = 0
         for cycle in range(cycles):
             scalar_count += len(scalar.pop_due(cycle, rng))
-        batched = BatchedGeometricArrivals(nodes, rate)
-        gen = np.random.Generator(np.random.PCG64(7))
-        batched.start(0, gen)
-        batched_count = 0
-        for cycle in range(cycles):
-            batched_count += len(batched.pop_due(cycle, gen))
+        # Every due entry generates (uniform traffic has no self
+        # destinations and nothing is refused), so the lane's message
+        # count is its arrival count.
+        engine.run_cycles(cycles)
+        batched_count = engine.lanes[0].generated_total
         expected = cycles * nodes * rate
         sigma = math.sqrt(cycles * nodes * rate * (1 - rate))
         assert abs(scalar_count - expected) < 6 * sigma

@@ -13,7 +13,9 @@ The SoA contract, pinned here:
   :class:`DeadlockError` carrying live-message context from the slab,
   while surviving lanes keep generating and stay conserved;
 * the :class:`MessageSlab` / :class:`RequestPool` primitives handle
-  their growth, recycle, and tombstone edge cases.
+  their growth, recycle, and tombstone edge cases, and a
+  :class:`StreamStack` row replays its unbuffered stream
+  (``tests/test_lane_streams.py`` has the many-lane cases).
 """
 
 import random
@@ -27,13 +29,11 @@ from repro.simulator.soa import (
     DEAD_STAMP,
     MessageSlab,
     RequestPool,
+    StreamStack,
+    segments,
 )
 from repro.topology.torus import Torus
-from repro.traffic.arrivals import (
-    GapBuffer,
-    UniformBuffer,
-    geometric_gaps,
-)
+from repro.traffic.arrivals import geometric_gaps
 from repro.util.errors import DeadlockError
 from tests.conftest import tiny_config
 
@@ -233,25 +233,31 @@ class TestPerLaneDeadlock:
             assert view.flits_ejected >= 0
 
 
+def lane_run(lane, count):
+    """The segments of *count* entries of one lane."""
+    return segments(np.full(count, lane, dtype=np.intp))
+
+
 class TestMessageSlabPrimitives:
     def test_alloc_release_recycles_lifo(self):
         slab = MessageSlab(2, capacity=4)
-        first = slab.alloc(0, 2)
+        first = slab.alloc(lane_run(0, 2))
         assert first.tolist() == [2, 3]
         assert slab.free_slots(0) == 2
         assert slab.free_slots(1) == 4  # lanes have separate stacks
-        slab.release(0, np.array([3], dtype=np.int32))
-        assert slab.alloc(0, 1).tolist() == [3]  # most recent first
+        slab.release(lane_run(0, 1), np.array([3], dtype=np.int32))
+        assert slab.alloc(lane_run(0, 1)).tolist() == [3]  # most recent first
         assert slab.free_slots(0) == 2
 
     def test_exhaustion_grows_and_preserves_rows(self):
         slab = MessageSlab(2, capacity=2)
-        slots = slab.alloc(0, 2)
+        slots = slab.alloc(lane_run(0, 2))
         slab.src[0, slots] = [4, 5]
         slab.mid[0, slots] = [40, 50]
         slab.live[0, slots] = True
         assert slab.free_slots(0) == 0
-        slab.ensure(0, 3)  # needs two doublings: 2 -> 4 -> 8
+        # Needs two doublings: 2 -> 4 -> 8.
+        slab.ensure(np.array([0]), np.array([3]))
         assert slab.capacity == 8
         assert slab.grow_count == 2
         # Existing rows kept their slot numbers and contents.
@@ -263,7 +269,7 @@ class TestMessageSlabPrimitives:
         assert slab.free_slots(1) == 8
         assert slab.head_flat[1].tolist() == [-1] * 8
         # Fresh slots never collide with the two still in use.
-        fresh = slab.alloc(0, 6)
+        fresh = slab.alloc(lane_run(0, 6))
         assert sorted(fresh.tolist() + slots.tolist()) == list(range(8))
 
     def test_flat_views_alias_after_growth(self):
@@ -347,13 +353,20 @@ class TestRequestPoolPrimitives:
         assert pool.cand[:, 3].tolist() == [1, 2, 3, 4]
 
 
+def gap_stack(rate, gen):
+    """A one-lane stack of geometric gaps at *rate* over *gen*."""
+    return StreamStack(
+        1, np.int64, lambda lane, count: geometric_gaps(count, rate, gen)
+    )
+
+
 class TestRngBuffers:
-    """Prefetch buffers must replay the unbuffered stream bit-for-bit."""
+    """A stack row must replay the unbuffered stream bit-for-bit."""
 
     def test_gap_buffer_matches_unbuffered_stream(self):
         takes = [3, 1, 40, 7, 5000, 2, 11]  # spans several refills
-        buffered = GapBuffer(0.23, np.random.default_rng(9))
-        chunks = [buffered.take(count).copy() for count in takes]
+        buffered = gap_stack(0.23, np.random.default_rng(9))
+        chunks = [buffered.take_lane(0, count).copy() for count in takes]
         direct = geometric_gaps(
             sum(takes), 0.23, np.random.default_rng(9)
         )
@@ -362,14 +375,17 @@ class TestRngBuffers:
     def test_gap_buffer_degenerate_rates_touch_no_stream(self):
         gen = np.random.default_rng(3)
         state = repr(gen.bit_generator.state)
-        assert GapBuffer(1.0, gen).take(5).tolist() == [1] * 5
-        assert (GapBuffer(0.0, gen).take(3) > 10**9).all()
+        assert gap_stack(1.0, gen).take_lane(0, 5).tolist() == [1] * 5
+        assert (gap_stack(0.0, gen).take_lane(0, 3) > 10**9).all()
         assert repr(gen.bit_generator.state) == state
 
     def test_uniform_buffer_matches_unbuffered_stream(self):
         takes = [1, 16, 4096, 2, 300]
-        buffered = UniformBuffer(np.random.default_rng(17))
-        chunks = [buffered.take(count).copy() for count in takes]
+        gen = np.random.default_rng(17)
+        buffered = StreamStack(
+            1, np.float64, lambda lane, count: gen.random(count)
+        )
+        chunks = [buffered.take_lane(0, count).copy() for count in takes]
         direct = np.random.default_rng(17).random(sum(takes))
         assert np.array_equal(np.concatenate(chunks), direct)
 
@@ -433,9 +449,9 @@ class TestOutstandingGrowth:
         assert not doubled._outst[:, used:].any()
         for index in range(len(seeds)):
             lane, ref_lane = doubled.lanes[index], reference.lanes[index]
-            assert lane.controller.refused > 0, "test needs refusals"
-            assert lane.controller.admitted == ref_lane.controller.admitted
-            assert lane.controller.refused == ref_lane.controller.refused
+            assert lane.refused > 0, "test needs refusals"
+            assert lane.generated_total == ref_lane.generated_total
+            assert lane.refused == ref_lane.refused
             assert doubled.state_fingerprint(index) == (
                 reference.state_fingerprint(index)
             )

@@ -6,8 +6,8 @@ congested batch rows are additionally held to flit-event throughput,
 the ideal-flow-control congested row to its (unscaled) transmit poll
 efficiency, and rows from older baseline schemas that lack a gated field are
 skipped with a warning instead of failing the gate; the informational
-cold-start rows are listed, never judged, and skipped with a warning
-against a baseline that predates them.
+cold-start and batch-phase rows are listed, never judged, and skipped
+with a warning against a baseline that predates them.
 """
 
 import copy
@@ -22,6 +22,18 @@ COLD_ROW = {
     "entries_interned": 10437,
     "candidates_calls": 10437,
     "gc_collections": [55, 5, 0],
+}
+
+
+#: One informational batch phase split (schema 8), two of its phases.
+PHASE_ROW = {
+    "timed_cycles": 600,
+    "seconds": 1.5,
+    "other_seconds": 0.3,
+    "phases": {
+        "route": {"seconds": 0.6, "calls": 600},
+        "transmit": {"seconds": 0.6, "calls": 600},
+    },
 }
 
 
@@ -176,6 +188,32 @@ class TestCompareGate:
         # Still not a substitute for the gated rows.
         current["engines"] = {}
         assert not compare_reports(current, baseline, tolerance=0.2)[0]
+
+    def test_schema7_baseline_without_batch_phases_warns_not_fails(self):
+        """The phase split came with schema 8; against an older baseline
+        it is skipped with a warning and the gate still judges."""
+        current = report()
+        current["batch_phases"] = {"ecube": copy.deepcopy(PHASE_ROW)}
+        ok, lines = compare_reports(current, report(), tolerance=0.2)
+        assert ok
+        skips = [line for line in lines if "batch_phases" in line]
+        assert len(skips) == 1
+        assert "baseline lacks the batch phase rows" in skips[0]
+
+    def test_batch_phases_are_listed_never_judged(self):
+        baseline = report()
+        baseline["batch_phases"] = {"ecube": copy.deepcopy(PHASE_ROW)}
+        current = report()
+        slow = copy.deepcopy(PHASE_ROW)
+        slow["phases"]["route"]["seconds"] = 6.0  # ten times the baseline's
+        current["batch_phases"] = {"ecube": slow}
+        ok, lines = compare_reports(current, baseline, tolerance=0.2)
+        assert ok
+        listed = [line for line in lines if "batch_phases" in line]
+        assert len(listed) == 1
+        assert "route 10.00 (1.00)" in listed[0]
+        assert "transmit 1.00 (1.00)" in listed[0]
+        assert "(info)" in listed[0] and "REGRESSION" not in listed[0]
 
     def test_empty_overlap_fails_the_gate(self):
         ok, lines = compare_reports(
