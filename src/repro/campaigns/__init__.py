@@ -8,28 +8,26 @@ The pieces, layered bottom-up:
   content-addressed store shared across campaigns.
 * :mod:`repro.campaigns.spec` — :class:`CampaignSpec`, the declarative
   (topology x traffic x algorithm x load x seed) grid.
-* :mod:`repro.campaigns.executors` — the executor seam (serial /
-  process pool) over :func:`repro.experiments.parallel.run_points`.
-* :mod:`repro.campaigns.orchestrator` — :func:`run_campaign`.
+* :mod:`repro.campaigns.orchestrator` — :func:`run_campaign`: expand,
+  :func:`repro.experiments.parallel.run_points` over the store, report.
+  (:mod:`repro.campaigns.executors` is the one binding it calls through,
+  kept until the ledger stops patching it.)
 * :mod:`repro.campaigns.export` — CSV/tables straight from the store.
 * :mod:`repro.campaigns.cli` — the ``repro-campaign`` entry point.
 
 Exports resolve lazily: :mod:`repro.experiments.parallel` imports the
 store layer from here, so importing this package must not (circularly)
-pull in the executor layer.
+pull in the orchestrator.
 """
 
 from types import MappingProxyType
 
 __all__ = [
-    "CampaignExecutor",
     "CampaignReport",
     "CampaignSpec",
     "ResultStore",
-    "SerialExecutor",
     "TrafficSpec",
     "campaign_signature",
-    "make_executor",
     "point_key",
     "run_campaign",
 ]
@@ -38,17 +36,14 @@ __all__ = [
 # drift from the parent — the DET005 worker-shared-state discipline).
 _LAZY_EXPORTS = MappingProxyType(
     {
-        "CampaignExecutor": ("repro.campaigns.executors", "CampaignExecutor"),
         "CampaignReport": ("repro.campaigns.orchestrator", "CampaignReport"),
         "CampaignSpec": ("repro.campaigns.spec", "CampaignSpec"),
         "ResultStore": ("repro.campaigns.store", "ResultStore"),
-        "SerialExecutor": ("repro.campaigns.executors", "SerialExecutor"),
         "TrafficSpec": ("repro.campaigns.spec", "TrafficSpec"),
         "campaign_signature": (
             "repro.campaigns.identity",
             "campaign_signature",
         ),
-        "make_executor": ("repro.campaigns.executors", "make_executor"),
         "point_key": ("repro.campaigns.identity", "point_key"),
         "run_campaign": ("repro.campaigns.orchestrator", "run_campaign"),
     }

@@ -213,35 +213,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_status(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    store = ResultStore(args.store)
-    signatures = store.signatures()
-    print(f"store: {args.store}")
-    print(
-        f"records: {len(store)} across {len(signatures)} campaign "
-        f"signature(s)"
-    )
-    if spec is not None:
-        cached, missing = store.coverage(spec.expand())
-        total = cached + len(missing)
-        percent = 100.0 * cached / total if total else 100.0
+    with ResultStore(args.store) as store:
+        signatures = store.signatures()
+        print(f"store: {args.store}")
         print(
-            f"campaign {spec.name!r}: {cached}/{total} points cached "
-            f"({percent:.1f}%)"
+            f"records: {len(store)} across {len(signatures)} campaign "
+            f"signature(s)"
         )
-        for config in missing[:5]:
-            print(f"  missing: {config.label()}")
-        if len(missing) > 5:
-            print(f"  ... and {len(missing) - 5} more")
+        if spec is not None:
+            cached, missing = store.coverage(spec.expand())
+            total = cached + len(missing)
+            percent = 100.0 * cached / total if total else 100.0
+            print(
+                f"campaign {spec.name!r}: {cached}/{total} points cached "
+                f"({percent:.1f}%)"
+            )
+            for config in missing[:5]:
+                print(f"  missing: {config.label()}")
+            if len(missing) > 5:
+                print(f"  ... and {len(missing) - 5} more")
     return 0
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
-    stats = store.gc(
-        purge_sidecars=args.purge_sidecars,
-        max_age_days=args.max_age_days,
-        max_size_mb=args.max_size_mb,
-    )
+    with ResultStore(args.store) as store:
+        stats = store.gc(
+            purge_sidecars=args.purge_sidecars,
+            max_age_days=args.max_age_days,
+            max_size_mb=args.max_size_mb,
+        )
     print(f"store: {args.store}")
     print(
         f"records: {stats['live_records']} live; "
@@ -268,9 +268,9 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     spec = _require_spec(args)
-    store = ResultStore(args.store)
     try:
-        pairs = collect(spec, store)
+        with ResultStore(args.store) as store:
+            pairs = collect(spec, store)
     except IncompleteCampaignError as error:
         print(str(error), file=sys.stderr)
         return 3

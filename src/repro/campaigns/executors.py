@@ -1,90 +1,9 @@
-"""Executor seam: how a campaign's pending points actually run.
-
-An executor turns a list of pending
-:class:`~repro.simulator.config.SimulationConfig` points into
-:class:`~repro.stats.summary.SimulationResult`s, recording each finished
-point into the campaign sink as it lands.  Both shipped executors
-delegate to :func:`repro.experiments.parallel.run_points`, which already
-implements deterministic submission-order results, per-point persistence
-and the batch backend's seed-batch grouping — the seam exists so a
-multi-host work-queue executor can slot in later without touching the
-orchestrator.
+"""The binding :func:`~repro.campaigns.orchestrator.run_campaign` reaches
+``run_points`` through — what is left of the executor seam.  The frozen
+ledger (``benchmarks/ledger/trace.py``) patches this attribute by name;
+the module goes with the next ``benchmark`` PR.
 """
 
-from __future__ import annotations
+from repro.experiments.parallel import run_points
 
-from typing import Callable, List, Optional, Sequence
-
-from repro.experiments.parallel import ResultSink, run_points
-from repro.simulator.config import SimulationConfig
-from repro.stats.summary import SimulationResult
-
-Progress = Callable[[str], None]
-
-
-class CampaignExecutor:
-    """Base executor: runs points serially in process."""
-
-    name = "serial"
-
-    def __init__(self, batch_size: int = 32) -> None:
-        self.batch_size = batch_size
-
-    @property
-    def jobs(self) -> int:
-        return 1
-
-    def run(
-        self,
-        configs: Sequence[SimulationConfig],
-        sink: Optional[ResultSink] = None,
-        progress: Optional[Progress] = None,
-    ) -> List[SimulationResult]:
-        return run_points(
-            configs,
-            jobs=self.jobs,
-            checkpoint=sink,
-            progress=progress,
-            batch_size=self.batch_size,
-        )
-
-    def describe(self) -> str:
-        return self.name
-
-
-SerialExecutor = CampaignExecutor
-
-
-class ProcessPoolCampaignExecutor(CampaignExecutor):
-    """Fan pending points out to a local process pool."""
-
-    name = "pool"
-
-    def __init__(self, jobs: int, batch_size: int = 32) -> None:
-        super().__init__(batch_size=batch_size)
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._jobs = jobs
-
-    @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    def describe(self) -> str:
-        return f"{self.name} x{self._jobs}"
-
-
-def make_executor(jobs: int = 1, batch_size: int = 32) -> CampaignExecutor:
-    """The standard executor for a local run: serial or process pool."""
-    if jobs <= 1:
-        return SerialExecutor(batch_size=batch_size)
-    return ProcessPoolCampaignExecutor(jobs, batch_size=batch_size)
-
-
-__all__ = [
-    "CampaignExecutor",
-    "ProcessPoolCampaignExecutor",
-    "ResultSink",
-    "SerialExecutor",
-    "make_executor",
-]
+__all__ = ["run_points"]

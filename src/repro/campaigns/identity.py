@@ -18,7 +18,7 @@ The identity is split the same way sweep checkpoints always split it:
 
 These definitions were born in :mod:`repro.experiments.parallel` (which
 re-exports them unchanged); they live here so the campaign store can use
-them without importing the executor machinery.
+them without importing the scheduler.
 """
 
 from __future__ import annotations

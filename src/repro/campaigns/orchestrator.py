@@ -1,64 +1,28 @@
-"""Campaign orchestration: spec -> store lookups -> executor -> report.
+"""Campaign orchestration: spec -> ``run_points`` over the store -> report.
 
-:func:`run_campaign` expands a :class:`~repro.campaigns.spec.CampaignSpec`,
-serves every point already in the :class:`~repro.campaigns.store.ResultStore`
-from disk (a cache hit costs no simulation at all), hands the remainder
-to an executor, and records each fresh completion into the store as it
-lands — so an interrupted campaign resumes per point, and the *next*
-campaign that shares points starts from them for free.
+:func:`run_campaign` expands a :class:`~repro.campaigns.spec.CampaignSpec`
+and hands the whole point list, with the
+:class:`~repro.campaigns.store.ResultStore`, to
+:func:`repro.experiments.parallel.run_points` — the one place a point
+list meets the store.  Every point already stored is served from disk (a
+cache hit costs no simulation at all) and each fresh completion is
+appended as it lands, so an interrupted campaign resumes per point, and
+the *next* campaign (or ``repro-sweep --checkpoint``) that shares points
+starts from them for free.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional
 
-from repro.campaigns.executors import (
-    CampaignExecutor,
-    Progress,
-    make_executor,
-)
+from repro.campaigns import executors
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
+from repro.experiments.parallel import format_eta
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
-
-
-class StoreSink:
-    """run_points checkpoint adapter that appends into a ResultStore."""
-
-    def __init__(self, store: ResultStore) -> None:
-        self.store = store
-        self.completed = 0
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        # Cache hits are resolved by the orchestrator before the executor
-        # runs (it has the full configs; a bare point key is ambiguous
-        # across campaigns), so the executor always simulates.
-        return None
-
-    def record(
-        self,
-        key: str,
-        result: SimulationResult,
-        config: Optional[SimulationConfig] = None,
-    ) -> None:
-        if config is None:
-            raise ValueError(
-                "StoreSink.record needs the point's config to address "
-                "the store"
-            )
-        self.store.put(config, result)
-        self.completed += 1
-
-
-def _format_eta(seconds: float) -> str:
-    seconds = max(int(round(seconds)), 0)
-    hours, rest = divmod(seconds, 3600)
-    minutes, secs = divmod(rest, 60)
-    return f"{hours}:{minutes:02d}:{secs:02d}"
 
 
 @dataclass
@@ -81,7 +45,7 @@ class CampaignReport:
         return (
             f"campaign {self.name!r}: {self.total} points, "
             f"cache hits: {self.cached}/{self.total}, "
-            f"simulated {self.simulated} in {_format_eta(self.seconds)}"
+            f"simulated {self.simulated} in {format_eta(self.seconds)}"
         )
 
 
@@ -89,8 +53,7 @@ def run_campaign(
     spec: CampaignSpec,
     store: ResultStore,
     jobs: int = 1,
-    executor: Optional[CampaignExecutor] = None,
-    progress: Optional[Progress] = None,
+    progress: Optional[Callable[[str], None]] = None,
     verbose: bool = False,
     batch_size: int = 32,
 ) -> CampaignReport:
@@ -99,68 +62,38 @@ def run_campaign(
     Results come back in the spec's expansion order.  Fresh points are
     appended to the store as they finish; a second identical run is
     100% cache hits and performs zero engine invocations.
-    """
-    if progress is None:
-        def progress(line: str) -> None:
-            if verbose:
-                print(line, file=sys.stderr)
 
+    The report's cached / simulated split is read off the store's
+    growth — every fresh point is exactly one new record — so the store
+    is probed once per point, by ``run_points``.  A spec that lists the
+    same point twice simulates it twice into one record, and the report
+    counts the second copy as cached.
+    """
     started = monotonic()
     configs = spec.expand()
-    total = len(configs)
-    results: List[Optional[SimulationResult]] = [None] * total
-    pending: List[int] = []
-    for index, config in enumerate(configs):
-        cached = store.get(config)
-        if cached is not None:
-            results[index] = cached
-        else:
-            pending.append(index)
-    hits = total - len(pending)
-    if executor is None:
-        executor = make_executor(jobs, batch_size=batch_size)
-    progress(
-        f"campaign {spec.name!r}: {total} points, {hits} cached, "
-        f"{len(pending)} to simulate (executor: {executor.describe()})"
+    held = len(store)
+    # Through the module attribute the ledger's tracer patches.
+    results = executors.run_points(
+        configs,
+        jobs=jobs,
+        verbose=verbose,
+        progress=progress,
+        batch_size=batch_size,
+        store=store,
     )
-
-    if pending:
-        sink = StoreSink(store)
-        run_started = monotonic()
-
-        def eta_progress(line: str) -> None:
-            # run_points reports per-point lines against the *pending*
-            # subset; re-frame them against the whole campaign and
-            # append the ETA implied by the simulation rate so far.
-            done = sink.completed
-            if done and "[skip]" not in line:
-                elapsed = monotonic() - run_started
-                remaining = (len(pending) - done) * (elapsed / done)
-                line = (
-                    f"{line} | campaign {hits + done}/{total}, "
-                    f"eta {_format_eta(remaining)}"
-                )
-            progress(line)
-
-        fresh = executor.run(
-            [configs[index] for index in pending],
-            sink=sink,
-            progress=eta_progress,
-        )
-        for index, result in zip(pending, fresh):
-            results[index] = result
-
+    simulated = len(store) - held
     report = CampaignReport(
         name=spec.name,
-        total=total,
-        cached=hits,
-        simulated=len(pending),
+        total=len(configs),
+        cached=len(configs) - simulated,
+        simulated=simulated,
         seconds=round(monotonic() - started, 3),
         configs=configs,
-        results=[result for result in results if result is not None],
+        results=results,
     )
-    progress(report.summary())
+    if progress is not None:
+        progress(report.summary())
     return report
 
 
-__all__ = ["CampaignReport", "StoreSink", "run_campaign"]
+__all__ = ["CampaignReport", "run_campaign"]

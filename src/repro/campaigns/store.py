@@ -2,11 +2,14 @@
 
 One :class:`ResultStore` file holds one JSON record per finished
 simulation point, keyed by the point's content address
-(:func:`~repro.campaigns.identity.result_key`).  The store is shared
-across campaigns: any campaign whose expansion contains a previously
+(:func:`~repro.campaigns.identity.identify`), and is the only result
+format on disk (JSONL, schema v2): ``repro-sweep --checkpoint`` and
+``repro-campaign --store`` name the same kind of file.  The store is
+shared across campaigns: any point list containing a previously
 simulated config gets that point served from disk instead of
 re-simulated, bit-identical to a fresh run (results are a pure function
-of the config).
+of the config).  :meth:`ResultStore.get` and :meth:`ResultStore.put`,
+both addressed by config, are the whole record API.
 
 Durability discipline:
 
@@ -17,19 +20,17 @@ Durability discipline:
   of points already stored.  A torn final line from a killed process is
   recovered on the next load.
 * **Nothing untrusted is silently overwritten.**  Corrupt lines and
-  records with an unknown schema version are surfaced with a warning,
-  and the original file is preserved as a ``<path>.corrupt`` /
-  ``<path>.stale`` sidecar before the store rewrites itself from the
-  salvageable records.
+  records the store does not recognise (an unknown schema version, no
+  stored config — a v1 whole-file ``repro-sweep`` checkpoint is one such
+  line) are surfaced with a warning, and the original file is preserved
+  byte for byte as a ``<path>.corrupt`` sidecar before the store
+  rewrites itself from the salvageable records.  Nothing is migrated:
+  what is not a v2 record is re-simulated.
 * **Collision hygiene.**  Every record carries the config dict it was
   simulated from; a lookup whose config disagrees with the stored one
   (a key collision, or a corrupted record) is surfaced and treated as a
   miss rather than served wrong data, and an append that would pair an
   existing key with a different config raises.
-
-Legacy ``repro-sweep --checkpoint`` files (schema v1: one JSON document
-rewritten per point) are migrated in place on first open, so existing
-campaigns resume transparently through the store.
 """
 
 from __future__ import annotations
@@ -42,17 +43,13 @@ import time
 import warnings
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from repro.campaigns.identity import identify, result_key
+from repro.campaigns.identity import identify
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
 from repro.util.errors import ReproError
 
 #: Store record schema version ("v" field of every record line).
 STORE_VERSION = 2
-
-#: Schema version of the legacy whole-file checkpoint format that
-#: :class:`ResultStore` migrates in place.
-LEGACY_CHECKPOINT_VERSION = 1
 
 
 class StoreWarning(UserWarning):
@@ -63,9 +60,9 @@ class StoreIntegrityError(ReproError):
     """Two different configs mapped to the same store key."""
 
 
-def _quarantine(path: str, suffix: str, reason: str) -> None:
+def _quarantine(path: str, reason: str) -> None:
     """Preserve an untrusted store file as a sidecar and warn about it."""
-    sidecar = path + suffix
+    sidecar = path + ".corrupt"
     try:
         shutil.copy2(path, sidecar)
     except OSError as error:  # pragma: no cover - copy failure is exotic
@@ -83,24 +80,15 @@ def _quarantine(path: str, suffix: str, reason: str) -> None:
 
 
 class ResultStore:
-    """Append-only result store over one JSONL file.
+    """Append-only result store over one JSONL file."""
 
-    *legacy_signature* applies only when *path* holds a legacy (v1)
-    whole-file checkpoint: a legacy file recorded by a **different**
-    campaign is quarantined as ``<path>.stale`` instead of migrated
-    (matching the old checkpoint's trust rule).  ``None`` migrates any
-    structurally valid legacy file.
-    """
-
-    def __init__(
-        self, path: str, legacy_signature: Optional[str] = None
-    ) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self._records: Dict[str, Dict[str, Any]] = {}
         self._decoded: Dict[str, SimulationResult] = {}
         #: The append handle, opened by the first write and kept.
         self._handle: Optional[TextIO] = None
-        self._load(legacy_signature)
+        self._load()
 
     def close(self) -> None:
         """Release the append handle; a later write reopens it."""
@@ -116,7 +104,7 @@ class ResultStore:
 
     # -- loading ---------------------------------------------------------
 
-    def _load(self, legacy_signature: Optional[str]) -> None:
+    def _load(self) -> None:
         if not os.path.exists(self.path):
             return
         try:
@@ -125,21 +113,10 @@ class ResultStore:
         except OSError as error:
             _quarantine(
                 self.path,
-                ".corrupt",
                 f"store file {self.path!r} is unreadable ({error}); "
                 "starting fresh",
             )
             return
-        if not lines:
-            return
-        try:
-            first = json.loads(lines[0])
-        except json.JSONDecodeError:
-            first = None
-        if isinstance(first, dict) and "points" in first:
-            self._adopt_legacy(first, legacy_signature)
-            return
-
         bad = 0
         for line in lines:
             try:
@@ -152,62 +129,25 @@ class ResultStore:
                 or record.get("v") != STORE_VERSION
                 or record.get("kind") != "point"
                 or "key" not in record
+                or not isinstance(record.get("config"), dict)
             ):
                 bad += 1
                 continue
-            # Last record wins: a re-append (e.g. a legacy record
-            # upgraded with its config) shadows the earlier line.
+            # Last record wins, should two writers have appended one key.
             self._records[record["key"]] = record
         if bad:
             _quarantine(
                 self.path,
-                ".corrupt",
                 f"store file {self.path!r}: skipped {bad} corrupt or "
                 f"unrecognized record line(s) of {len(lines)}",
             )
             self._rewrite()
 
-    def _adopt_legacy(
-        self, data: Dict[str, Any], legacy_signature: Optional[str]
-    ) -> None:
-        """Migrate a v1 whole-file checkpoint into store records."""
-        if data.get("version") != LEGACY_CHECKPOINT_VERSION:
-            _quarantine(
-                self.path,
-                ".stale",
-                f"checkpoint file {self.path!r} has unknown schema "
-                f"version {data.get('version')!r}; starting fresh",
-            )
-            self._rewrite()
-            return
-        signature = data.get("signature")
-        if legacy_signature is not None and signature != legacy_signature:
-            _quarantine(
-                self.path,
-                ".stale",
-                f"checkpoint file {self.path!r} was recorded by a "
-                "different campaign (signature mismatch); starting fresh",
-            )
-            self._rewrite()
-            return
-        for point, payload in data.get("points", {}).items():
-            key = result_key(str(signature), point)
-            self._records[key] = {
-                "kind": "point",
-                "v": STORE_VERSION,
-                "key": key,
-                "signature": signature,
-                "point": point,
-                "config": None,  # legacy checkpoints stored no configs
-                "result": payload,
-            }
-        self._rewrite()
-
     def _rewrite(self) -> None:
         """Atomically rewrite the file from the in-memory records.
 
-        Only used for one-time recovery/migration; the steady-state
-        write path is the append in :meth:`put_record`.
+        Only used for one-time recovery and ``gc``; the steady-state
+        write path is the append in :meth:`put`.
         """
         self.close()  # the handle's file is about to be replaced
         directory = os.path.dirname(os.path.abspath(self.path))
@@ -248,15 +188,6 @@ class ResultStore:
             self._decoded[key] = cached
         return cached
 
-    def get_record(
-        self, signature: str, point: str
-    ) -> Optional[SimulationResult]:
-        """Result stored for one (campaign signature, point key), if any."""
-        key = result_key(signature, point)
-        if key not in self._records:
-            return None
-        return self._decode(key)
-
     def get(self, config: SimulationConfig) -> Optional[SimulationResult]:
         """Result stored for *config*, verified against the stored config.
 
@@ -269,8 +200,7 @@ class ResultStore:
         record = self._records.get(key)
         if record is None:
             return None
-        stored = record.get("config")
-        if stored is not None and stored != requested:
+        if record["config"] != requested:
             warnings.warn(
                 f"store record {key} does not match the requested config "
                 "(fingerprint collision?); treating it as a miss",
@@ -282,42 +212,23 @@ class ResultStore:
 
     # -- writing ---------------------------------------------------------
 
-    def put_record(
-        self,
-        signature: str,
-        point: str,
-        result: SimulationResult,
-        config_dict: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Append one finished point; returns False if already stored.
+    def put(self, config: SimulationConfig, result: SimulationResult) -> bool:
+        """Append *config*'s finished result; returns False if already stored.
 
-        Raises :class:`StoreIntegrityError` when *point* is already
-        stored under the same key with a **different** config — the
-        collision-hygiene guarantee.  A legacy record (no stored config)
-        is upgraded in place when the config is now known.
+        Raises :class:`StoreIntegrityError` when the key already holds a
+        result for a **different** config — the collision-hygiene
+        guarantee.
         """
-        key = result_key(signature, point)
-        return self._put(key, signature, point, result, config_dict)
-
-    def _put(
-        self, key: str, signature: str, point: str,
-        result: SimulationResult, config_dict: Optional[Dict[str, Any]],
-    ) -> bool:
+        signature, point, key, config_dict = identify(config)
         existing = self._records.get(key)
         if existing is not None:
-            stored = existing.get("config")
-            if (
-                stored is not None
-                and config_dict is not None
-                and stored != config_dict
-            ):
+            if existing["config"] != config_dict:
                 raise StoreIntegrityError(
                     f"store key {key} already holds a result for a "
                     f"different config (point {existing.get('point')!r}); "
                     "refusing to overwrite"
                 )
-            if stored is not None or config_dict is None:
-                return False  # identical identity: nothing to add
+            return False  # identical identity: nothing to add
         record = {
             "kind": "point",
             "v": STORE_VERSION,
@@ -343,13 +254,7 @@ class ResultStore:
         self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()  # the record reaches the OS before we return
         self._records[key] = record
-        self._decoded.pop(key, None)
         return True
-
-    def put(self, config: SimulationConfig, result: SimulationResult) -> bool:
-        """Append *config*'s finished result; returns False if cached."""
-        signature, point, key, config_dict = identify(config)
-        return self._put(key, signature, point, result, config_dict)
 
     # -- maintenance -----------------------------------------------------
 
@@ -363,18 +268,19 @@ class ResultStore:
         """Compact the store file down to one line per live record.
 
         The append-only write path can leave superseded lines behind —
-        a legacy record re-appended with its config, or shadowed
-        duplicates after a crash-recovery load — which cost disk and
-        load time but are never served.  ``gc`` atomically rewrites the
-        file from the live in-memory records (the exact set lookups are
-        answered from), dropping everything else.  With
-        *purge_sidecars*, quarantine sidecars (``<path>.corrupt`` /
-        ``<path>.stale``) left by earlier recoveries are deleted too —
-        only ask for that once their contents have been inspected.
+        one key appended by two writers sharing the file — which cost
+        disk and load time but are never served.  ``gc`` atomically
+        rewrites the file from the live in-memory records (the exact
+        set lookups are answered from), dropping everything else.  With
+        *purge_sidecars*, quarantine sidecars left by earlier recoveries
+        are deleted too (``<path>.corrupt``, and the ``<path>.stale``
+        that stores before the v1 checkpoint format was dropped wrote;
+        nothing writes one now) — only ask for that once their contents
+        have been inspected.
 
         Retention budgets evict *live* records, oldest first by their
         ``recorded_at`` stamp (records predating the stamp sort as
-        epoch 0, so legacy entries go first):
+        epoch 0, so they go first):
 
         * *max_age_days* drops every record older than the cutoff
           (relative to *now*, default wall clock — injectable for
@@ -473,7 +379,6 @@ class ResultStore:
 
 
 __all__ = [
-    "LEGACY_CHECKPOINT_VERSION",
     "STORE_VERSION",
     "ResultStore",
     "StoreIntegrityError",

@@ -141,8 +141,8 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
             "append-only result-store file recording each finished "
             "point (one JSON record per line); re-running with the "
             "same file resumes an interrupted campaign instead of "
-            "restarting it (legacy whole-file checkpoints are migrated "
-            "in place; see also repro-campaign)"
+            "restarting it.  The file is a store repro-campaign reads "
+            "(status / export / run --store) and the reverse"
         ),
     )
     parser.add_argument(

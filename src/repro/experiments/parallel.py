@@ -1,10 +1,12 @@
-"""Parallel sweep execution: fan independent points out to worker processes.
+"""The one scheduler: every point list meets the result store here.
 
 Every point of a load sweep — one (algorithm, traffic, offered load, seed)
 combination — is an independent simulation: nothing is shared between
 points except the immutable :class:`~repro.simulator.config.SimulationConfig`
-that describes each one.  This module exploits that by scheduling points
-over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+that describes each one.  :func:`run_points` is the only function that
+takes a list of them to results, for ``repro-sweep`` and
+``repro-campaign`` alike, serially or over a
+:class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * **Nothing mutable crosses process boundaries.**  Each worker receives a
   pickled config and builds its own topology, algorithm and traffic
@@ -14,114 +16,53 @@ over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   (the rng streams derive from ``config.seed`` via an explicit integer
   mix, never from process state), so completion order cannot affect
   results; they are reassembled in submission order.
-* **Checkpointing.**  With a checkpoint path, every finished point is
-  appended to a content-addressed result-store file
-  (:class:`repro.campaigns.store.ResultStore`) keyed by the point's
-  identity and campaign signature (a hash of the shared config fields).
-  Re-running an interrupted campaign skips completed points — including
+* **One sink.**  With a :class:`repro.campaigns.store.ResultStore`
+  (``store=``, or ``checkpoint_path=`` to have one opened and closed
+  here) every config is looked up with ``store.get(config)`` — under its
+  *own* content address, checked against the config stored beside the
+  result — and every completion is appended with ``store.put(config,
+  result)`` as it lands.  A list may mix campaigns freely; a sweep's
+  checkpoint file is a store ``repro-campaign`` reads, and the reverse.
+  Re-running an interrupted list skips completed points — including
   individual members of a batch-backend seed group — and a worker
   failure never discards finished sibling points: everything completed
-  is persisted before the error propagates.  Corrupt or stale
-  checkpoint files are surfaced with a warning and preserved as
-  ``.corrupt``/``.stale`` sidecars, never silently overwritten; legacy
-  (v1, whole-file JSON) checkpoints are migrated in place.
-* **Ordered progress reporting.**  Progress lines are emitted as points
-  finish, tagged ``[done/total]``, so a long 16x16 campaign is watchable
-  from the terminal.
+  is persisted before the error propagates.  Files the store does not
+  recognise (v1 whole-file checkpoints included) are preserved as a
+  ``.corrupt`` sidecar with a warning, never silently overwritten.
+* **Ordered progress reporting.**  With a listener, a header counts the
+  points found in the store, each of those gets a ``[skip]`` line, and
+  each completion a ``[done/total]`` line with the ETA its rate
+  implies, so a long 16x16 campaign is watchable from the terminal.
 
 Worker processes are only worth their startup cost for real campaigns;
 ``jobs=1`` (the default everywhere) runs the exact same point list in
-process, through the same checkpoint logic.
+process, through the same store logic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
-from contextlib import closing
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from time import monotonic
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaigns.identity import (
     SIGNATURE_EXCLUDED,
     campaign_signature,
-    config_record_dict,
     point_key,
 )
-from repro.campaigns.store import LEGACY_CHECKPOINT_VERSION, ResultStore
+from repro.campaigns.store import ResultStore
 from repro.experiments.runner import run_batch, run_point
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
 
-#: Schema version of the legacy whole-file checkpoint layout (kept for
-#: the in-place migration; new checkpoints are store records).
-CHECKPOINT_VERSION = LEGACY_CHECKPOINT_VERSION
-
-
-class ResultSink(Protocol):
-    """What run_points needs from a checkpoint/result store.
-
-    :class:`SweepCheckpoint` (one campaign's resume guard) and
-    :class:`repro.campaigns.orchestrator.StoreSink` (the campaign
-    orchestrator's store adapter) both speak it.
-    """
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """A previously recorded result for *key*, if any."""
-
-    def record(
-        self,
-        key: str,
-        result: SimulationResult,
-        config: Optional[SimulationConfig] = None,
-    ) -> None:
-        """Persist one finished point."""
-
-
-class SweepCheckpoint:
-    """Per-point resume guard for one campaign, backed by a ResultStore.
-
-    Thin adapter: the store holds one append-only record per finished
-    point (shared across campaigns — recording a point is O(that
-    record), not O(points so far)); this class scopes lookups to one
-    campaign's signature so ``repro-sweep --checkpoint`` behaves exactly
-    as before.  Legacy whole-file checkpoints are migrated on open;
-    corrupt or foreign files are quarantined with a warning instead of
-    silently overwritten.
-    """
-
-    def __init__(self, path: str, signature: str) -> None:
-        self.path = path
-        self.signature = signature
-        self._store = ResultStore(path, legacy_signature=signature)
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        return self._store.get_record(self.signature, key)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def close(self) -> None:
-        self._store.close()
-
-    def record(
-        self,
-        key: str,
-        result: SimulationResult,
-        config: Optional[SimulationConfig] = None,
-    ) -> None:
-        """Append one finished point (O(record) bytes, not O(N))."""
-        config_dict = config_record_dict(config) if config is not None else None
-        self._store.put_record(self.signature, key, result, config_dict)
+def format_eta(seconds: float) -> str:
+    """*seconds* as ``H:MM:SS`` (progress lines, campaign summaries)."""
+    seconds = max(int(round(seconds)), 0)
+    hours, rest = divmod(seconds, 3600)
+    minutes, secs = divmod(rest, 60)
+    return f"{hours}:{minutes:02d}:{secs:02d}"
 
 
 def _run_point_worker(config: SimulationConfig) -> SimulationResult:
@@ -185,66 +126,70 @@ def run_points(
     verbose: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     batch_size: int = 32,
-    checkpoint: Optional[ResultSink] = None,
+    store: Optional[ResultStore] = None,
 ) -> List[SimulationResult]:
     """Run every config, fanning out to *jobs* worker processes.
 
     Results come back in the order of *configs* regardless of completion
-    order.  With a checkpoint (a path, or any object speaking the
-    ``get``/``record`` protocol — e.g. a campaign store sink),
-    previously completed points are skipped and new completions are
-    persisted as they land.
+    order.  With a *store* (or a *checkpoint_path*, which opens one for
+    the duration of the call), every config the store already holds a
+    result for is served from it and every new completion is appended
+    as it lands; each config is addressed on its own, so one list may
+    mix message lengths, switching modes or whole campaigns.
 
     Points whose config selects ``backend="batch"`` are grouped into
     seed-batches of at most *batch_size*: a worker claims a whole batch
     (points identical except for the seed) and runs it in one lockstep
     :class:`~repro.simulator.batch.BatchEngine`, instead of one point.
-    Per-seed results and checkpoint records do not depend on the
-    grouping.
+    Per-seed results and store records do not depend on the grouping.
+
+    Progress lines go to *progress*, or to stderr when *verbose*; with
+    neither, none is formatted.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if progress is None:
-        def progress(line: str) -> None:
-            if verbose:
-                print(line, file=sys.stderr)
-
-    if checkpoint is None and checkpoint_path is not None:
-        signature = (
-            campaign_signature(configs[0]) if configs else "empty"
-        )
-        with closing(SweepCheckpoint(checkpoint_path, signature)) as owned:
+    if store is None and checkpoint_path is not None:
+        with ResultStore(checkpoint_path) as owned:
             return run_points(
-                configs, jobs, progress=progress, batch_size=batch_size,
-                checkpoint=owned,
+                configs, jobs, verbose=verbose, progress=progress,
+                batch_size=batch_size, store=owned,
             )
+    if progress is None and verbose:
+        def progress(line: str) -> None:
+            print(line, file=sys.stderr)
 
     total = len(configs)
-    results: List[Optional[SimulationResult]] = [None] * total
-    pending: List[int] = []
-    for index, config in enumerate(configs):
-        cached = (
-            checkpoint.get(point_key(config)) if checkpoint else None
+    results: List[Optional[SimulationResult]] = (
+        [None] * total if store is None
+        else [store.get(config) for config in configs]
+    )
+    pending = [index for index in range(total) if results[index] is None]
+    done = hits = total - len(pending)
+    if progress is not None and store is not None:
+        progress(
+            f"{total} points: {hits} in the store, "
+            f"{len(pending)} to simulate"
         )
-        if cached is not None:
-            results[index] = cached
-            progress(f"  [skip] {config.label()} (checkpointed)")
-        else:
-            pending.append(index)
-
-    done = total - len(pending)
+        for config, cached in zip(configs, results):
+            if cached is not None:
+                progress(f"  [skip] {config.label()} (checkpointed)")
+    started = monotonic()
 
     def finish(index: int, result: SimulationResult) -> None:
         nonlocal done
         results[index] = result
-        if checkpoint is not None:
-            checkpoint.record(
-                point_key(configs[index]), result, configs[index]
-            )
+        if store is not None:
+            store.put(configs[index], result)
         done += 1
-        progress(f"  [{done}/{total}] {result}")
+        if progress is not None:
+            # The ETA the simulation rate so far implies.
+            rate = (monotonic() - started) / (done - hits)
+            progress(
+                f"  [{done}/{total}] {result} "
+                f"| eta {format_eta((total - done) * rate)}"
+            )
 
     # One task per point for the object backend; one task per
     # seed-batch for the batch backend.  Mixed lists are handled
@@ -314,7 +259,7 @@ def run_points(
                     except Exception as exc:
                         if error is None:
                             error = exc
-                if error is not None and checkpoint is None:
+                if error is not None and store is None:
                     break  # nothing to persist: fail fast
             if error is not None:
                 raise error
@@ -346,10 +291,8 @@ def run_sweep_points(
 
 
 __all__ = [
-    "CHECKPOINT_VERSION",
-    "ResultSink",
-    "SweepCheckpoint",
     "campaign_signature",
+    "format_eta",
     "point_key",
     "run_points",
     "run_sweep_points",

@@ -50,10 +50,10 @@ from repro.campaigns.store import (
     StoreIntegrityError,
     StoreWarning,
 )
-from repro.experiments import paper_figures
+from repro.experiments import paper_figures, parallel
 from repro.experiments.parallel import run_sweep_points
 from repro.experiments.runner import run_point
-from repro.experiments.sweep import PAPER_LOADS
+from repro.experiments.sweep import PAPER_LOADS, sweep_algorithms
 from repro.util.errors import ConfigurationError
 from tests.conftest import tiny_config
 
@@ -74,6 +74,7 @@ def tiny_spec(
     algorithms=("ecube",),
     loads=(0.2,),
     seeds=(7,),
+    base=(),
     **kwargs,
 ):
     """A fast campaign over the same 4x4 torus tiny_config uses."""
@@ -83,7 +84,7 @@ def tiny_spec(
         loads=tuple(loads),
         seeds=tuple(seeds),
         topologies=("torus:4x2",),
-        base=dict(TINY_BASE),
+        base=dict(TINY_BASE, **dict(base)),
         **kwargs,
     )
 
@@ -276,11 +277,12 @@ class TestResultStore:
         result = run_point(config)
         store = ResultStore(str(tmp_path / "store.jsonl"))
         store.put(config, result)
-        other = config_record_dict(tiny_config(seed=5))
+        # Forge the collision: the key now holds another config's record.
+        store._records[config_key(config)]["config"] = config_record_dict(
+            tiny_config(seed=5)
+        )
         with pytest.raises(StoreIntegrityError, match="different config"):
-            store.put_record(
-                campaign_signature(config), point_key(config), result, other
-            )
+            store.put(config, result)
 
     def test_mismatched_stored_config_is_a_miss(self, tmp_path):
         """A record whose config disagrees with the lookup is never served."""
@@ -491,6 +493,104 @@ class TestCrossCampaignMemoization:
         assert report.results == [run_point(c) for c in spec.expand()]
 
 
+class TestSweepCheckpointIsACampaignStore:
+    """`repro-sweep --checkpoint` and `repro-campaign --store` name the
+    same file: what either front-end simulated, the other is served."""
+
+    NAMES, LOADS = ("ecube", "nbc"), (0.2, 0.4)
+
+    def _spec(self, **kwargs):
+        return tiny_spec(
+            name="grid", algorithms=self.NAMES, loads=self.LOADS, **kwargs
+        )
+
+    def test_a_campaign_is_served_from_a_sweeps_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "shared.jsonl")
+        series = sweep_algorithms(
+            tiny_config(seed=7), self.NAMES, self.LOADS, checkpoint=path
+        )
+        boobytrap_workers(monkeypatch)
+        report = run_campaign(self._spec(), ResultStore(path))
+        assert report.all_cached
+        assert report.results == series["ecube"] + series["nbc"]
+
+    def test_a_sweep_is_served_from_a_campaigns_store(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = str(tmp_path / "shared.jsonl")
+        with ResultStore(path) as store:
+            report = run_campaign(self._spec(), store)
+        boobytrap_workers(monkeypatch)
+        series = sweep_algorithms(
+            tiny_config(seed=7), self.NAMES, self.LOADS,
+            verbose=True, checkpoint=path,
+        )
+        assert series["ecube"] + series["nbc"] == report.results
+        header, *lines = capsys.readouterr().err.splitlines()
+        assert header == "4 points: 4 in the store, 0 to simulate"
+        assert len(lines) == 4 and all("[skip]" in line for line in lines)
+
+    def test_a_figure_and_its_campaign_spec_share_a_store(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "fig3.jsonl")
+        series = paper_figures.figure3(
+            profile="tiny", offered_loads=(0.2,), checkpoint=path
+        )
+        boobytrap_workers(monkeypatch)
+        spec = paper_figures.figure_campaign_spec(
+            "3", profile="tiny", offered_loads=(0.2,)
+        )
+        report = run_campaign(spec, ResultStore(path))
+        assert report.all_cached and report.total == len(series)
+        assert report.results == [
+            results[0] for results in series.values()
+        ]
+
+    @pytest.mark.parametrize("sweep_first", [True, False])
+    def test_a_batch_seed_group_resumes_across_the_front_ends(
+        self, tmp_path, monkeypatch, sweep_first
+    ):
+        """Two of three seeds recorded by one front-end: the other
+        re-runs only the third, in a batch of one."""
+        path = str(tmp_path / "batch.jsonl")
+        base = tiny_config(
+            flow_control="conservative", backend="batch", identity="relaxed"
+        )
+
+        def sweep(seeds):
+            return sweep_algorithms(
+                base, ["ecube"], (0.3,), checkpoint=path, seeds=seeds
+            )["ecube"]
+
+        def campaign(seeds):
+            spec = tiny_spec(
+                name="batch", loads=(0.3,), seeds=seeds,
+                base=dict(flow_control="conservative", backend="batch",
+                          identity="relaxed"),
+            )
+            with ResultStore(path) as store:
+                return run_campaign(spec, store).results
+
+        first, second = (sweep, campaign) if sweep_first else (campaign, sweep)
+        recorded = first((1, 2))
+        ran = []
+        real_worker = parallel._run_batch_worker
+
+        def counting(batch):
+            ran.extend(config.seed for config in batch)
+            return real_worker(batch)
+
+        monkeypatch.setattr(
+            "repro.experiments.parallel._run_batch_worker", counting
+        )
+        resumed = second((1, 2, 3))
+        assert ran == [3]
+        assert resumed[:2] == recorded
+
+
 class TestOrchestrator:
     def test_report_counts_and_summary(self, tmp_path, monkeypatch):
         store = ResultStore(str(tmp_path / "store.jsonl"))
@@ -512,9 +612,42 @@ class TestOrchestrator:
             store,
             progress=lines.append,
         )
-        assert any("2 to simulate" in line for line in lines)
-        assert any("eta " in line and "campaign" in line for line in lines)
+        assert lines[0] == "2 points: 0 in the store, 2 to simulate"
+        assert "[1/2]" in lines[1] and "| eta 0:00:0" in lines[1]
+        assert "[2/2]" in lines[2] and lines[2].endswith("| eta 0:00:00")
         assert "cache hits: 0/2" in lines[-1]
+
+    def test_the_store_is_probed_once_per_point(self, tmp_path, monkeypatch):
+        """One get per point, one put per simulated point: the report's
+        split comes from the store's growth, not from a second probe."""
+        calls = {"get": 0, "put": 0}
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _real=getattr(ResultStore, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(ResultStore, name, counted)
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        spec = tiny_spec(name="probe", loads=(0.2, 0.3, 0.4))
+        configs = spec.expand()
+        store.put(configs[0], run_point(configs[0]))
+        calls.update(get=0, put=0)
+        cold = run_campaign(spec, store)
+        assert (cold.cached, cold.simulated) == (1, 2)
+        assert calls == {"get": 3, "put": 2}
+        calls.update(get=0, put=0)
+        assert run_campaign(spec, store).all_cached
+        assert calls == {"get": 3, "put": 0}
+
+    def test_a_point_listed_twice_counts_once_as_simulated(self, tmp_path):
+        """The documented limit of reading the split off ``len(store)``:
+        a duplicate is simulated twice into one record."""
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        spec = tiny_spec(name="twice", algorithms=("ecube", "ecube"))
+        report = run_campaign(spec, store)
+        assert (report.total, report.cached, report.simulated) == (2, 1, 1)
+        assert report.results[0] == report.results[1]
+        assert len(store) == 1
 
 
 class TestExport:

@@ -7,12 +7,15 @@ The contract of :mod:`repro.experiments.parallel`:
   same seeds — all six algorithms on a small torus;
 * a checkpoint file makes re-running a campaign skip completed points,
   while a checkpoint from a *different* campaign is rejected;
+* a checkpoint is a result store addressed config by config: one list
+  may mix campaigns (message lengths, switching modes) and each point
+  resumes to its own result;
 * checkpoints are append-only store records: recording a point costs
-  O(that record) bytes, corrupt/stale files are quarantined with a
-  warning instead of silently overwritten, legacy whole-file
-  checkpoints migrate in place, an interrupted batch-backend seed group
-  resumes per member, and a failed worker never discards its finished
-  siblings;
+  O(that record) bytes, files the store does not recognise (v1
+  whole-file checkpoints included) are quarantined with a warning
+  instead of silently overwritten, an interrupted batch-backend seed
+  group resumes per member, and a failed worker never discards its
+  finished siblings;
 * results survive the JSON roundtrip used by the checkpoint file.
 """
 
@@ -22,11 +25,10 @@ import os
 
 import pytest
 
+from repro.campaigns.identity import identify
 from repro.campaigns.store import STORE_VERSION, ResultStore, StoreWarning
 from repro.experiments import parallel
 from repro.experiments.parallel import (
-    CHECKPOINT_VERSION,
-    SweepCheckpoint,
     campaign_signature,
     point_key,
     run_points,
@@ -101,8 +103,9 @@ class TestCheckpointResume:
             configs, checkpoint_path=path, progress=lines.append
         )
         assert resumed == first
-        assert len(lines) == len(configs)
-        assert all("[skip]" in line for line in lines)
+        assert lines[0] == "2 points: 2 in the store, 0 to simulate"
+        assert len(lines) == 1 + len(configs)
+        assert all("[skip]" in line for line in lines[1:])
 
     def test_partial_checkpoint_runs_only_missing_points(
         self, tmp_path, monkeypatch
@@ -186,71 +189,102 @@ class TestCheckpointResume:
 
 
 class TestLegacyCheckpointMigration:
-    def _configs(self):
-        return run_sweep_points(tiny_config(seed=6), ["ecube"], (0.2, 0.4))
-
-    def _legacy_payload(self, configs, results, signature=None, version=None):
-        return json.dumps(
-            {
-                "version": (
-                    CHECKPOINT_VERSION if version is None else version
-                ),
-                "signature": (
-                    campaign_signature(configs[0])
-                    if signature is None
-                    else signature
-                ),
-                "points": {
-                    point_key(config): result.to_json_dict()
-                    for config, result in zip(configs, results)
-                },
-            }
-        )
+    """The v1 whole-file checkpoint format is gone: such a file is
+    content the store does not recognise, quarantined like any other."""
 
     def test_legacy_checkpoint_resumes_and_migrates(
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "sweep.ckpt.json"
-        configs = self._configs()
+        configs = run_sweep_points(tiny_config(seed=6), ["ecube"], (0.2, 0.4))
         first = run_points(configs)
-        path.write_text(self._legacy_payload(configs, first))
+        original = json.dumps(
+            {
+                "version": 1,
+                "signature": campaign_signature(configs[0]),
+                "points": {
+                    point_key(config): result.to_json_dict()
+                    for config, result in zip(configs, first)
+                },
+            }
+        )
+        path.write_text(original)
 
-        def boom(config):
-            raise AssertionError(f"re-ran migrated point {config.label()}")
+        ran = []
+
+        def counting(config):
+            ran.append(point_key(config))
+            return run_point(config)
 
         monkeypatch.setattr(
-            "repro.experiments.parallel._run_point_worker", boom
+            "repro.experiments.parallel._run_point_worker", counting
         )
-        resumed = run_points(configs, checkpoint_path=str(path))
+        with pytest.warns(StoreWarning, match="unrecognized record"):
+            resumed = run_points(configs, checkpoint_path=str(path))
+        # Nothing was served from the v1 file: every point re-simulated.
+        assert ran == [point_key(config) for config in configs]
         assert resumed == first
-        # The file was migrated in place to one record line per point.
+        # Its bytes are preserved, and the path now holds a v2 store.
+        assert (tmp_path / "sweep.ckpt.json.corrupt").read_text() == original
+        assert not (tmp_path / "sweep.ckpt.json.stale").exists()
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == len(configs)
         assert all(record["v"] == STORE_VERSION for record in records)
 
-    def test_unknown_version_goes_stale_with_warning(self, tmp_path):
-        path = tmp_path / "sweep.ckpt.json"
-        configs = self._configs()[:1]
-        first = run_points(configs)
-        original = self._legacy_payload(configs, first, version=99)
-        path.write_text(original)
-        with pytest.warns(StoreWarning, match="unknown schema version"):
-            results = run_points(configs, checkpoint_path=str(path))
-        assert len(results) == 1
-        assert (tmp_path / "sweep.ckpt.json.stale").read_text() == original
 
-    def test_foreign_legacy_checkpoint_goes_stale(self, tmp_path):
-        path = tmp_path / "sweep.ckpt.json"
-        configs = self._configs()
-        first = run_points(configs)
-        original = self._legacy_payload(
-            configs, first, signature="0123456789abcdef"
+@pytest.mark.parametrize(
+    "field, value", [("message_length", 4), ("switching", "vct")]
+)
+class TestMixedCampaignList:
+    """One list, one checkpoint, configs that differ in a field that is
+    neither algorithm, load nor seed — other campaign signatures, and
+    for ``message_length`` the same ``point_key``.  Each config is
+    filed under, and served from, its own address."""
+
+    def _configs(self, field, value):
+        first = tiny_config(seed=6, offered_load=0.3, message_length=16)
+        return [first, dataclasses.replace(first, **{field: value})]
+
+    def test_first_run_files_each_config_under_its_own_key(
+        self, tmp_path, field, value
+    ):
+        path = tmp_path / "mixed.ckpt.json"
+        configs = self._configs(field, value)
+        assert run_points(configs, checkpoint_path=str(path)) == run_points(
+            configs
         )
-        path.write_text(original)
-        with pytest.warns(StoreWarning, match="different campaign"):
-            resumed = run_points(configs, checkpoint_path=str(path))
-        assert resumed == first  # re-simulated, not trusted from the file
-        assert (tmp_path / "sweep.ckpt.json.stale").read_text() == original
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["key"] for record in records] == [
+            identify(config)[2] for config in configs
+        ]
+        assert [record["config"][field] for record in records] == [
+            getattr(config, field) for config in configs
+        ]
+
+    def test_resume_serves_each_config_its_own_result(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        path = str(tmp_path / "mixed.ckpt.json")
+        configs = self._configs(field, value)
+        fresh = run_points(configs)
+        assert fresh[0].average_latency != fresh[1].average_latency
+        run_points(configs[:1], checkpoint_path=path)
+
+        ran = []
+
+        def counting(config):
+            ran.append(config)
+            return run_point(config)
+
+        monkeypatch.setattr(
+            "repro.experiments.parallel._run_point_worker", counting
+        )
+        assert run_points(configs, checkpoint_path=path) == fresh
+        assert ran == configs[1:]  # only the missing config simulated
+        assert run_points(configs, checkpoint_path=path) == fresh
+        assert len(ran) == 1
+        with ResultStore(path) as store:
+            assert [store.get(config) for config in configs] == fresh
 
 
 class TestAppendOnlyCheckpoint:
@@ -259,11 +293,10 @@ class TestAppendOnlyCheckpoint:
         path = str(tmp_path / "store.jsonl")
         base = tiny_config(seed=6)
         result = run_point(base)
-        checkpoint = SweepCheckpoint(path, campaign_signature(base))
+        store = ResultStore(path)
         sizes = []
         for seed in range(10, 30):
-            config = dataclasses.replace(base, seed=seed)
-            checkpoint.record(point_key(config), result, config)
+            store.put(dataclasses.replace(base, seed=seed), result)
             sizes.append(os.path.getsize(path))
         deltas = [after - before for before, after in zip(sizes, sizes[1:])]
         # O(record) bytes per append: every delta is one record's size
@@ -275,10 +308,10 @@ class TestAppendOnlyCheckpoint:
         path = str(tmp_path / "store.jsonl")
         config = tiny_config(seed=6)
         result = run_point(config)
-        checkpoint = SweepCheckpoint(path, campaign_signature(config))
-        checkpoint.record(point_key(config), result, config)
+        store = ResultStore(path)
+        assert store.put(config, result)
         size = os.path.getsize(path)
-        checkpoint.record(point_key(config), result, config)
+        assert not store.put(config, result)
         assert os.path.getsize(path) == size
 
 
@@ -300,16 +333,16 @@ class TestBatchGroupResume:
 
         # Simulate dying mid-group: the process goes down right after
         # persisting the second of the group's three members.
-        real_record = SweepCheckpoint.record
+        real_put = ResultStore.put
         recorded = []
 
-        def dying_record(self, key, result, config=None):
-            real_record(self, key, result, config)
-            recorded.append(key)
+        def dying_put(self, config, result):
+            real_put(self, config, result)
+            recorded.append(config.seed)
             if len(recorded) == 2:
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(SweepCheckpoint, "record", dying_record)
+        monkeypatch.setattr(ResultStore, "put", dying_put)
         with pytest.raises(KeyboardInterrupt):
             run_points(configs, checkpoint_path=path, batch_size=4)
         monkeypatch.undo()
@@ -348,12 +381,8 @@ class TestWorkerFailureSalvage:
             run_points(configs, jobs=2, checkpoint_path=path)
 
         # The good point completed in its worker and was checkpointed
-        # (the run's checkpoint is scoped to configs[0]'s signature).
-        store = ResultStore(path)
-        assert (
-            store.get_record(campaign_signature(bad), point_key(good))
-            is not None
-        )
+        # under its own address, whatever else the list held.
+        assert ResultStore(path).get(good) is not None
 
         ran = []
 

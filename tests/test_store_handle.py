@@ -19,9 +19,8 @@ import warnings
 import pytest
 
 import repro
-from repro.campaigns.identity import campaign_signature
 from repro.campaigns.store import ResultStore, StoreWarning
-from repro.experiments.parallel import SweepCheckpoint, run_points
+from repro.experiments.parallel import run_points
 from repro.experiments.runner import run_point
 from tests.conftest import tiny_config
 
@@ -183,16 +182,39 @@ class TestLoad:
     def test_a_legacy_checkpoint_is_known_by_its_first_record_line(
         self, tmp_path, result
     ):
-        """The sniff reads the first non-blank line, split once."""
+        """A v1 whole-file checkpoint is one line that is no record:
+        quarantined byte for byte, nothing served, the store empty."""
         path = tmp_path / "sweep.ckpt.json"
         legacy = {
             "version": 1,
             "signature": "feedfacefeedface",
             "points": {"p": result.to_json_dict()},
         }
-        path.write_text("\n" + json.dumps(legacy) + "\n")
-        store = ResultStore(str(path))
-        assert store.get_record("feedfacefeedface", "p") == result
+        original = "\n" + json.dumps(legacy) + "\n"
+        path.write_text(original)
+        with pytest.warns(StoreWarning, match="skipped 1 corrupt"):
+            store = ResultStore(str(path))
+        assert len(store) == 0
+        assert (tmp_path / "sweep.ckpt.json.corrupt").read_text() == original
+        assert path.read_text() == ""
+        assert seeds(path) == []  # rewritten empty: no second warning
+
+    def test_a_record_without_its_config_is_not_a_record(
+        self, tmp_path, result
+    ):
+        """What stores migrated from v1 checkpoints still hold."""
+        path = tmp_path / "store.jsonl"
+        with ResultStore(str(path)) as store:
+            store.put(tiny_config(seed=1), result)
+            store.put(tiny_config(seed=2), result)
+        first, second = map(json.loads, path.read_text().splitlines())
+        second["config"] = None
+        path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        with pytest.warns(StoreWarning, match="skipped 1 corrupt"):
+            recovered = ResultStore(str(path))
+        assert recovered.get(tiny_config(seed=1)) == result
+        assert recovered.get(tiny_config(seed=2)) is None
+        assert seeds(path) == [1]
 
 
 class TestSweepCheckpoint:
@@ -200,27 +222,28 @@ class TestSweepCheckpoint:
         self, tmp_path, monkeypatch
     ):
         closed = []
-        real_close = SweepCheckpoint.close
+        real_close = ResultStore.close
 
         def recording_close(self):
+            wrote = self._handle is not None
             real_close(self)
-            closed.append(self._store._handle)
+            closed.append((wrote, self._handle))
 
-        monkeypatch.setattr(SweepCheckpoint, "close", recording_close)
+        monkeypatch.setattr(ResultStore, "close", recording_close)
         path = tmp_path / "sweep.ckpt.jsonl"
         configs = [tiny_config(seed=seed) for seed in (1, 2)]
         fresh = run_points(configs, checkpoint_path=str(path))
-        assert closed == [None]
+        assert closed == [(True, None)]
         assert run_points(configs, checkpoint_path=str(path)) == fresh
-        assert closed == [None, None]
+        assert closed == [(True, None), (False, None)]
+        monkeypatch.undo()
         assert seeds(path) == [1, 2]
 
     def test_a_callers_checkpoint_stays_open(self, tmp_path):
         """run_points closes only what it opened itself."""
         path = tmp_path / "sweep.ckpt.jsonl"
-        config = tiny_config()
-        checkpoint = SweepCheckpoint(str(path), campaign_signature(config))
-        run_points([config], checkpoint=checkpoint)
-        assert checkpoint._store._handle is not None
-        checkpoint.close()
-        assert checkpoint._store._handle is None
+        store = ResultStore(str(path))
+        run_points([tiny_config()], store=store)
+        assert store._handle is not None
+        store.close()
+        assert store._handle is None
