@@ -38,6 +38,12 @@ class _HopState:
     def __init__(self, vc_class: Any) -> None:
         self.vc_class = vc_class
 
+    def __copy__(self) -> "_HopState":
+        # copy.copy() of a slotted object otherwise goes through
+        # __reduce_ex__ and _reconstruct: ~45% of a cold
+        # RouteTable.successor.
+        return _HopState(self.vc_class)
+
 
 class HopClassScheme(RoutingAlgorithm):
     """Base for positive-hop, negative-hop and bonus-card schemes."""

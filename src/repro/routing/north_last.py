@@ -52,6 +52,13 @@ class _NorthLastState:
         self.ecube_order = ecube_order
         self.wraps = 0
 
+    def __copy__(self) -> "_NorthLastState":
+        # Skips copy.copy()'s generic __reduce_ex__ round trip (see
+        # _HopState.__copy__).
+        clone = _NorthLastState(self.ecube_order)
+        clone.wraps = self.wraps
+        return clone
+
 
 class NorthLast(RoutingAlgorithm):
     """Glass & Ni's north-last turn-model algorithm for 2-D networks."""

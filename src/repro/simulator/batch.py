@@ -2,8 +2,8 @@
 
 B simulations of one (topology, algorithm, traffic, load) configuration —
 differing only by seed — advance in lockstep, one shared cycle at a time.
-All per-virtual-channel state (ownership, buffer occupancy, worm flit
-counters, arrival/departure stamps, lifetime counters) and all per-physical-
+All per-virtual-channel state (ownership, buffer occupancy, the worm's
+flit counter, flits retired by released worms) and all per-physical-
 channel state (round-robin pointer, activity sequence) live in flat numpy
 arrays with a leading batch axis; message state is structure-of-arrays
 (:class:`repro.simulator.soa.MessageSlab`: per-message columns in
@@ -79,13 +79,15 @@ absolute indices ``b*C*V + flat``; and move consequences (release
 bookkeeping, ejection, injection completion, per-winner commits) are
 masked scatters in the per-cycle epilogue, applied in ascending
 moving-channel ``active_seq`` order — the object engine's poll order
-over its insertion-ordered active set.  Lane bookkeeping (flit counts,
-progress, the watchdog, lane clocks) is mask ops over ``[B]`` counter
-rows.  Python runs per lane only when one refills a stream (once per
-4096 draws), grows the slab, stops or fails.  What remains per cycle is
-numpy kernel dispatch, most of it transmit's per-move scatters and the
-routing rounds — the residual floor recorded in docs/performance.md
-("SoA message state").
+over its insertion-ordered active set.  A move writes only what the
+cycle path reads; what only events read is gathered on head flits and
+emptying moves, and lifetime accounting happens at release.  Lane
+bookkeeping (flit counts, progress, the watchdog, lane clocks) is mask
+ops over ``[B]`` counter rows.  Python runs per lane only when one
+refills a stream (once per 4096 draws), grows the slab, stops or fails.
+What remains per cycle is numpy kernel dispatch, most of it the routing
+rounds and transmit's per-move scatters — the residual floor recorded
+in docs/performance.md ("Transmit pays per event").
 """
 
 from __future__ import annotations
@@ -252,15 +254,13 @@ class BatchEngine:
     array                     shape/dtype    meaning
     ========================  =============  ==================================
     ``owner``                 [B, C*V] i64   owner's slab slot, -1 when free
-    ``occ/fin/fout``          [B, C*V] i32   buffer occupancy / flits in / out
-    ``la/ld``                 [B, C*V] i32   last arrival/departure cycle (-1)
-    ``carried``               [B, C*V] i64   lifetime flits carried
+    ``occ/fin``               [B, C*V] i16   buffer occupancy / flits in
+    ``carried``               [B, C*V] i64   flits of *released* worms
     ``up``                    [B, C*V] i32   upstream flat index, -1 at source
-    ``up_abs``                [B, C*V] intp  absolute upstream index (gather)
-    ``inject``                [B, C*V] i32   source-side flits_to_inject
-    ``issrc/front/isdst``     [B, C*V] bool  source-fed / worm front / at dst
+    ``up_abs``                [B, C*V] intp  absolute supply index (gather)
+    ``inject``                [B, C*V] i16   source-side flits_to_inject
+    ``front/isdst``           [B, C*V] bool  worm front / at dst
     ``rr_next``               [B, C]   i32   round-robin cursor
-    ``ch_moved/last_tx``      [B, C]         lifetime moves / last move cycle
     ``active_seq``            [B, C]   i64   active-set insertion order
     ``rr_key``                [B, C, V] i16  mux scan rank of each VC
     ========================  =============  ==================================
@@ -407,17 +407,14 @@ class BatchEngine:
         self._occ_f = self._supply_pool[:n_flat]
         self._occ = self._occ_f.reshape(b, cv)
         self._fin, self._fin_f = flat2(np.int16)
-        self._fout, self._fout_f = flat2(np.int16)
-        self._la, self._la_f = flat2(np.int32, -1)
-        self._ld, self._ld_f = flat2(np.int32, -1)
+        #: Flits of *released* worms (_flush); the owner's are its ``fin``.
         self._carried, self._carried_f = flat2(np.int64)
         self._up, self._up_f = flat2(np.int32, -1)
         # Absolute supply index for the one big gather in the transmit
         # kernel: the upstream VC's occupancy cell, or the VC's own
-        # inject cell (pool offset + abs) when source-fed; 0 (a valid
-        # dummy) when unowned.
+        # inject cell (pool offset + abs: ``>= n_flat`` means
+        # source-fed); 0 (a valid dummy) when unowned.
         self._up_abs, self._up_abs_f = flat2(np.intp)
-        self._issrc, self._issrc_f = flat2(bool)
         self._inject_f = self._supply_pool[n_flat:]
         self._inject = self._inject_f.reshape(b, cv)
         self._front, self._front_f = flat2(bool)
@@ -425,10 +422,6 @@ class BatchEngine:
 
         self._rr_next = np.zeros((b, c), dtype=np.int32)
         self._rr_next_f = self._rr_next.reshape(-1)
-        self._ch_moved = np.zeros((b, c), dtype=np.int64)
-        self._ch_moved_f = self._ch_moved.reshape(-1)
-        self._last_tx = np.full((b, c), -1, dtype=np.int32)
-        self._last_tx_f = self._last_tx.reshape(-1)
         self._active_seq = np.full((b, c), -1, dtype=np.int64)
         self._active_seq_f = self._active_seq.reshape(-1)
 
@@ -964,14 +957,14 @@ class BatchEngine:
             ca = chosen[win]
             ro = r[win]
             g_w = g_p[jw]
-            # Reserved-VC counts and 0->1 activations, in commit order.
+            # Reserved-VC counts and 0->1 activations: the first winner
+            # on each idle channel, kept in request order.
             ch_abs = ca // v
-            first = np.zeros(ch_abs.shape[0], dtype=bool)
-            first[np.unique(ch_abs, return_index=True)[1]] = True
-            newly = first & (owned_ch_f[ch_abs] == 0)
+            idle = np.nonzero(owned_ch_f[ch_abs] == 0)[0]
             np.add.at(owned_ch_f, ch_abs, 1)
-            if newly.any():
-                idx = np.nonzero(newly)[0]
+            if idle.shape[0]:
+                first = np.unique(ch_abs[idle], return_index=True)[1]
+                idx = idle[np.sort(first)]
                 self._pa_act_blocks.append(
                     (
                         ch_abs[idx],
@@ -1098,23 +1091,22 @@ class BatchEngine:
     def _eject(self, cycle: int) -> None:
         """Array-at-once ejection over the deliver queue.
 
-        Only settled flits (present since the start of the cycle) are
-        consumed; ejection never stamps last_departure_cycle, so the
-        freed slots are visible to this same cycle's transmission — both
-        exactly as in Engine._eject.  The per-message ejected count
-        lives in the slab (gathered through the owner array, which
-        stores slots), and completed messages retire through one masked
-        kernel (_complete).  Lanes that ejected have progressed.
+        Ejection runs before transmission, so every buffered flit is
+        settled and consumed, and the freed slots are visible to this
+        same cycle's transmission — as in Engine._eject.  The
+        per-message ejected count lives in the slab (gathered through
+        the owner array, which stores slots), and completed messages
+        retire through one masked kernel (_complete).  Lanes that
+        ejected have progressed.
         """
         dv = self._dv
         ea = dv.abs[:dv.n]
         occ_f = self._occ_f
-        settled = occ_f[ea] - (self._la_f[ea] == cycle)
+        settled = occ_f[ea]
         pos_idx = np.nonzero(settled > 0)[0]
         pa = ea[pos_idx]
         ps = settled[pos_idx]
-        occ_f[pa] -= ps
-        self._fout_f[pa] += ps
+        occ_f[pa] = 0
         slab = self._slab
         gp = (pa // self._cv) * slab.capacity + self._owner_f[pa]
         ej_new = slab.ej_f[gp] + ps
@@ -1166,9 +1158,10 @@ class BatchEngine:
         """Apply the deferred allocation/release writes as array scatters.
 
         Releases apply before allocations so a VC freed in one cycle and
-        re-reserved the next lands owned.  Stale per-VC fields on *free*
-        cells (front/up/issrc from a previous owner) are harmless: every
-        kernel read of them is masked by ``owner >= 0``.
+        re-reserved the next lands owned, its worm's flits retired into
+        ``carried`` before ``fin`` restarts.  Stale per-VC fields on
+        *free* cells (fin/front/up from a previous owner) are harmless:
+        every kernel read of them is masked by ``owner >= 0``.
         """
         rel_blocks = self._pend_rel_blocks
         if rel_blocks:
@@ -1179,6 +1172,7 @@ class BatchEngine:
             )
             self._owner_f[rel] = -1
             self._txable_f[rel] = False
+            self._carried_f[rel] += self._fin_f[rel]
             rel_blocks.clear()
         blocks = self._pa_blocks
         if blocks:
@@ -1218,14 +1212,10 @@ class BatchEngine:
         self._owner_f[a] = ids
         self._txable_f[a] = True
         self._fin_f[a] = 0
-        self._fout_f[a] = 0
-        self._la_f[a] = -1
-        self._ld_f[a] = -1
         self._up_f[a] = up.astype(np.int32)
         # Source-fed VCs gather supply from their own inject cell in the
         # pool's upper half (see _supply_pool).
         self._up_abs_f[a] = np.where(src, a + self._n_flat, up_abs)
-        self._issrc_f[a] = src
         self._front_f[a] = True
         # The upstream VC stops being the worm front (its head moved
         # on); disjoint from `a` — a message allocates at most one
@@ -1291,69 +1281,70 @@ class BatchEngine:
         if mv.shape[0] == 0:
             return None
         vm = self._sc_min_f[mv] & 63
-        bm = mv // c
-        flat = (mv - bm * c) * v + vm
-        abs_m = bm * self._cv + flat
+        abs_m = mv * v + vm
 
-        # -- commit: target VC side -----------------------------------
+        # -- commit: target VC side (nothing stamped or counted per
+        # flit: ``fin`` is the accounting, retired at release) ---------
         self._occ_f[abs_m] += 1
         fin_new = self._fin_f[abs_m] + 1
         self._fin_f[abs_m] = fin_new
         self._txable_f[abs_m[fin_new == length]] = False
-        self._la_f[abs_m] = cycle
-        self._carried_f[abs_m] += 1
-        self._ch_moved_f[mv] += 1
-        self._last_tx_f[mv] = cycle
         if not self._priority:
             rrn = self._nextv[vm]
             self._rr_next_f[mv] = rrn
             self._rr_key2[mv] = self._rrk_table[rrn]
 
-        # -- commit: upstream / source side ---------------------------
-        srcm = self._issrc_f[abs_m]
-        upm = ~srcm
-        up_g = self._up_f[abs_m]
-        ua = self._up_abs_f[abs_m][upm]
-        self._occ_f[ua] -= 1
-        fout_new = self._fout_f[ua] + 1
-        self._fout_f[ua] = fout_new
-        self._ld_f[ua] = cycle
-        sa = abs_m[srcm]
-        inj_new = self._inject_f[sa] - 1
-        self._inject_f[sa] = inj_new
+        # -- commit: upstream / source side, one decrement through the
+        # supply pool whichever feeds the VC ---------------------------
+        pool = self._supply_pool
+        sup = self._up_abs_f[abs_m]
+        left = pool[sup] - 1
+        pool[sup] = left
+        n_flat = self._n_flat
+        sa = sup[sup >= n_flat]
         if sa.shape[0]:
             # Per-message injected-flit accounting lives in the slab
             # (owner cells store the slot).
+            sa -= n_flat
             slab = self._slab
             gi = (sa // self._cv) * slab.capacity + self._owner_f[sa]
             slab.inj_f[gi] += 1
 
+        bm = mv // c
         lane_moves = np.bincount(bm, minlength=b)
 
         # -- sparse move consequences ---------------------------------
         # Events pack into one int8 code per move (bit0 route request,
         # bit1 delivery, bit2 injection-complete, bit3 upstream release)
-        # so the epilogue masks one array.
-        k = abs_m.shape[0]
-        head = fin_new == 1
-        isdst_g = self._isdst_f[abs_m]
-        code = np.zeros(k, dtype=np.int8)
-        code[head & self._front_f[abs_m] & ~isdst_g] = 1
-        code[head & isdst_g] = 2
-        code[srcm] |= (inj_new == 0) << 2
-        code[upm] |= ((self._occ_f[ua] == 0) & (fout_new >= length)) << 3
+        # so the epilogue masks one array; head flits raise the first
+        # two, moves that empty their supply the last two.
+        code = np.zeros(abs_m.shape[0], dtype=np.int8)
+        hd = np.nonzero(fin_new == 1)[0]
+        if hd.shape[0]:
+            ha = abs_m[hd]
+            code[hd] = np.where(self._isdst_f[ha], 2, self._front_f[ha])
+        dry = np.nonzero(left == 0)[0]
+        if dry.shape[0]:
+            src = sup[dry] >= n_flat
+            code[dry[src]] |= 4
+            # An emptied VC has passed on ``fin - occ == fin`` flits.
+            rel = dry[~src]
+            code[rel[self._fin_f[sup[rel]] >= length]] |= 8
         idx = np.nonzero(code)[0]
         if idx.shape[0] == 0:
             return lane_moves
         # Object-engine order: events fire as their channels are polled,
         # in ascending active-set insertion order within each lane.
-        seqs = self._active_seq_f[mv]
-        sel = idx[np.lexsort((seqs[idx], bm[idx]))]
+        bi = bm[idx]
+        order = np.lexsort((self._active_seq_f[mv[idx]], bi))
+        sel = idx[order]
+        bs = bi[order]
+        abs_s = abs_m[sel]
         self._epilogue(
-            bm[sel],
-            flat[sel],
-            self._owner_f[abs_m[sel]],
-            up_g[sel].astype(np.int64),
+            bs,
+            abs_s - bs * self._cv,
+            self._owner_f[abs_s],
+            self._up_f[abs_s].astype(np.int64),
             code[sel],
             cycle,
         )
@@ -1396,13 +1387,23 @@ class BatchEngine:
     # introspection (mirrors the object engine's helpers, per lane)
     # ------------------------------------------------------------------
 
+    def _carried_row(self, index: int) -> np.ndarray:
+        """Lifetime flits per VC of one lane, after a ``_flush()``:
+        retired worms' plus the live ``fin`` of owned cells."""
+        return self._carried[index] + np.where(
+            self._owner[index] >= 0, self._fin[index], 0
+        )
+
     def vc_class_totals(self, index: int) -> List[int]:
-        """Lifetime flits carried per VC class in one lane."""
-        carried = self._carried[index].reshape(self._c, self._v)
+        """Lifetime flits carried per VC class in one lane
+        (``_flush()``es first: which ``fin`` is live reads ``owner``)."""
+        self._flush()
+        carried = self._carried_row(index).reshape(self._c, self._v)
         return [int(x) for x in carried.sum(axis=0)]
 
     def network_flits(self, index: int) -> int:
-        """Flits currently buffered in one lane's network."""
+        """Flits currently buffered in one lane's network (no
+        ``_flush()`` needed: ``occ`` writes are never deferred)."""
         return int(self._occ[index].sum())
 
     def _iter_live_messages(self, lane: _Lane) -> Iterator[Any]:
@@ -1431,12 +1432,15 @@ class BatchEngine:
         )
 
     def state_fingerprint(self, index: int) -> Tuple:
-        """Per-lane digest with the fields of Engine.state_fingerprint.
+        """Per-lane digest of everything the lane's future depends on.
 
         Equal for equal lane states: the composition and golden tests
-        compare it across batch groupings and commits.  It is not
-        comparable with an object engine's digest (other rng streams,
-        other schedules).
+        compare it across batch groupings and commits.  Laid out like
+        ``Engine.state_fingerprint`` minus the last arrival / departure
+        / transmit cycles, which nothing here reads or keeps; flits out
+        (``fin - occ``), ``carried`` and the per-channel move count are
+        derived.  Not comparable with an object engine's digest (other
+        rng streams, other schedules).
         """
         self._flush()
         lane = self.lanes[index]
@@ -1452,13 +1456,10 @@ class BatchEngine:
         ).tolist()
         occ_l = self._occ[b].tolist()
         fin_l = self._fin[b].tolist()
-        fout_l = self._fout[b].tolist()
-        la_l = self._la[b].tolist()
-        ld_l = self._ld[b].tolist()
-        car_l = self._carried[b].tolist()
-        chm_l = self._ch_moved[b].tolist()
+        carried = self._carried_row(b)
+        car_l = carried.tolist()
+        chm_l = carried.reshape(self._c, v).sum(axis=1).tolist()
         rr_l = self._rr_next[b].tolist()
-        ltx_l = self._last_tx[b].tolist()
         channels_fp = []
         for c in range(self._c):
             base = c * v
@@ -1473,15 +1474,11 @@ class BatchEngine:
                             owner_id if owner_id >= 0 else None,
                             occ_l[f],
                             fin_l[f],
-                            fout_l[f],
-                            la_l[f],
-                            ld_l[f],
+                            fin_l[f] - occ_l[f],
                             car_l[f],
                         )
                     )
-            channels_fp.append(
-                (chm_l[c], rr_l[c], ltx_l[c], tuple(vcs_fp))
-            )
+            channels_fp.append((chm_l[c], rr_l[c], tuple(vcs_fp)))
         slab = self._slab
         slots_p, _seqs = self._pool.lane_entries(b)
         mid_row = slab.mid[b]

@@ -8,7 +8,10 @@ the sha256 of every lane's ``state_fingerprint`` after a fixed number of
 hand-driven cycles (a stopped lane and a stream refresh included) and
 the full ``run_batch`` results minus ``wall_seconds``.  It was recorded
 at the last commit that still carried the strict stepper beside this
-one, and the tree must reproduce it byte for byte.
+one, and the tree must reproduce it byte for byte.  (The fingerprint
+hashes — not the results — were re-recorded once since, from a parent
+checkout with the three stamp fields the fingerprint stopped carrying
+projected out; recipe in ``.claude/skills/verify/SKILL.md``.)
 
 Regenerate (only when a change is *meant* to move batch output)::
 
