@@ -256,103 +256,6 @@ def run_suite(
     return reports
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro-equivalence`` console entry point."""
-    import argparse
-    import json
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro-equivalence",
-        description=(
-            "Statistical equivalence of the batch backend against "
-            "the object engine (the bit-exact reference)."
-        ),
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=30,
-        help="seeds per engine per point (default 30)",
-    )
-    parser.add_argument(
-        "--algorithms", default=",".join(SUITE_ALGORITHMS),
-        help="comma-separated algorithm names",
-    )
-    parser.add_argument(
-        "--topologies", default=",".join(SUITE_TOPOLOGIES),
-        help="comma-separated topologies",
-    )
-    parser.add_argument(
-        "--radix", type=int, default=8, help="network radix (default 8)"
-    )
-    parser.add_argument(
-        "--load", type=float, default=0.4,
-        help="offered load (default 0.4)",
-    )
-    parser.add_argument(
-        "--rel-tol", type=float, default=0.05,
-        help="practical tolerance on relative mean difference",
-    )
-    parser.add_argument(
-        "--z", type=float, default=3.0,
-        help="statistical threshold in Welch standard errors",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=(
-            "CI preset: 8 seeds, radix 6, short samples, rel-tol 0.15 "
-            "— a fast regression tripwire, not a publication check"
-        ),
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the full report as JSON",
-    )
-    args = parser.parse_args(argv)
-
-    kwargs: Dict[str, Any] = dict(
-        algorithms=[a for a in args.algorithms.split(",") if a],
-        topologies=[t for t in args.topologies.split(",") if t],
-        num_seeds=args.seeds,
-        radix=args.radix,
-        offered_load=args.load,
-        rel_tol=args.rel_tol,
-        z=args.z,
-    )
-    if args.smoke:
-        kwargs.update(
-            num_seeds=min(args.seeds, 8),
-            radix=6,
-            message_length=8,
-            samples=2,
-            warmup_cycles=500,
-            sample_cycles=600,
-            rel_tol=max(args.rel_tol, 0.15),
-        )
-
-    reports = run_suite(
-        progress=lambda line: print(line, flush=True), **kwargs
-    )
-    failed = [report for report in reports if not report.passed]
-    for report in failed:
-        print(
-            f"\nDiscrepant point {report.topology}/{report.algorithm} "
-            f"(load {report.offered_load}, {report.num_seeds} seeds):"
-        )
-        for metric in report.failures:
-            print("  " + metric.describe())
-    if args.json:
-        payload = [dataclasses.asdict(report) for report in reports]
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    total = len(reports)
-    print(
-        f"\nequivalence: {total - len(failed)}/{total} points passed",
-        file=sys.stderr,
-    )
-    return 1 if failed else 0
-
-
 __all__ = [
     "MetricComparison",
     "PointReport",
@@ -361,5 +264,4 @@ __all__ = [
     "compare_metric",
     "compare_point",
     "run_suite",
-    "main",
 ]

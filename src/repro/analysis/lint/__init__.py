@@ -8,21 +8,18 @@ statically checkable determinism discipline — no global random state, no
 wall-clock in the core, no hash-ordered decisions, no worker-shared
 mutable state, full serializer coverage, and allocation-free hot paths.
 
-See ``docs/static-analysis.md`` for the rule catalogue and the waiver
-syntax, and the ``repro-lint`` console script for the CLI.
+Statuses, cache and report formats are the battery seam's
+(:mod:`repro.analysis.battery`).  See ``docs/static-analysis.md`` for
+the rule catalogue and the waiver syntax; ``repro-check lint`` is the
+CLI.
 """
 
 from repro.analysis.lint.finding import (
-    ALL_STATUSES,
     Finding,
     SEVERITY_ERROR,
     SEVERITY_WARNING,
-    STATUS_OPEN,
-    STATUS_WAIVED,
     Waiver,
-    summarize,
 )
-from repro.analysis.lint.report import format_summary, format_table
 from repro.analysis.lint.rules import (
     DET002_ALLOWED_FUNCTIONS,
     ModuleContext,
@@ -33,7 +30,6 @@ from repro.analysis.lint.rules import (
     register_rule,
 )
 from repro.analysis.lint.runner import (
-    FindingCache,
     LintRun,
     analyze_source,
     apply_waivers,
@@ -44,10 +40,8 @@ from repro.analysis.lint.runner import (
 )
 
 __all__ = [
-    "ALL_STATUSES",
     "DET002_ALLOWED_FUNCTIONS",
     "Finding",
-    "FindingCache",
     "LintRun",
     "ModuleContext",
     "RULES",
@@ -55,18 +49,13 @@ __all__ = [
     "SERIALIZE_EXCLUDE_ATTR",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "STATUS_OPEN",
-    "STATUS_WAIVED",
     "Waiver",
     "analyze_source",
     "apply_waivers",
     "build_context",
     "default_root",
-    "format_summary",
-    "format_table",
     "lint_code_hash",
     "parse_waivers",
     "register_rule",
     "run_lint",
-    "summarize",
 ]

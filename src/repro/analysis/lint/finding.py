@@ -10,7 +10,9 @@ earlier analyses — the same contract as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.analysis.battery import STATUS_OPEN, STATUS_WAIVED, clip
 
 #: Finding severities.  ``error`` findings gate CI; ``warning`` findings
 #: are advisory (no current rule emits one, but the report machinery
@@ -18,14 +20,8 @@ from typing import Any, Dict, List
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: Finding statuses.  A finding is ``open`` unless a well-formed inline
-#: waiver comment (``repro-lint: ignore[RULE] reason``) covers its line,
-#: in which case it is ``waived`` but still reported — suppressions stay
-#: auditable.
-STATUS_OPEN = "open"
-STATUS_WAIVED = "waived"
-
-ALL_STATUSES = (STATUS_OPEN, STATUS_WAIVED)
+#: How a status reads in the finding table.
+_STATUS_MARK = {STATUS_OPEN: "OPEN", STATUS_WAIVED: "waived"}
 
 
 @dataclass
@@ -41,8 +37,11 @@ class Finding:
       stripped), so reports are readable without opening the file.
     * ``hint`` — how to fix it (or how to waive it when the code is
       intentionally exempt).
-    * ``status``/``waiver`` — waiver bookkeeping; ``waiver`` carries the
-      mandatory reason text of the covering waiver comment.
+    * ``status``/``waiver`` — a finding is ``open`` unless a well-formed
+      inline waiver comment (``repro-check: ignore[RULE] reason``) covers
+      its line, in which case it is ``waived`` but still reported —
+      suppressions stay auditable; ``waiver`` carries the mandatory
+      reason text of the covering comment.
     """
 
     rule: str
@@ -68,6 +67,27 @@ class Finding:
     def location(self) -> str:
         """``path:line`` — the clickable anchor used by reports."""
         return f"{self.path}:{self.line}"
+
+    def row(self) -> Tuple[str, ...]:
+        """The finding under :attr:`LintRun.header`."""
+        return (
+            self.rule,
+            self.severity,
+            self.location,
+            _STATUS_MARK.get(self.status, self.status),
+            clip(self.message, 64),
+        )
+
+    def note(self) -> Optional[str]:
+        """The waiver's reason, or the open finding and how to fix it."""
+        if self.status == STATUS_WAIVED:
+            return f"waived: {self.rule} at {self.location} -- {self.waiver}"
+        if self.ok:
+            return None
+        hint = f" (hint: {self.hint})" if self.hint else ""
+        return (
+            f"OPEN: {self.rule} at {self.location} -- {self.message}{hint}"
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -103,7 +123,7 @@ class Finding:
 
 @dataclass
 class Waiver:
-    """One parsed ``# repro-lint: ignore[...]`` comment.
+    """One parsed ``# repro-check: ignore[...]`` comment.
 
     ``line`` is the source line the waiver *covers*: the comment's own
     line for a trailing comment, the following line for a comment that
@@ -123,21 +143,9 @@ class Waiver:
         return line == self.line and rule in self.rules
 
 
-def summarize(findings: List[Finding]) -> Dict[str, int]:
-    """Status histogram over *findings* (every status key always present)."""
-    summary = {status: 0 for status in ALL_STATUSES}
-    for finding in findings:
-        summary[finding.status] += 1
-    return summary
-
-
 __all__ = [
-    "ALL_STATUSES",
     "Finding",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "STATUS_OPEN",
-    "STATUS_WAIVED",
     "Waiver",
-    "summarize",
 ]

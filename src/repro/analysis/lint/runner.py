@@ -6,15 +6,15 @@ rule, applies inline waivers, and collects
 :class:`~repro.analysis.lint.finding.Finding` records.
 
 Findings are pure functions of the source code, so they are cached per
-file: the cache key is the SHA-256 of the file's own content plus a hash
-of the lint package itself (any rule edit invalidates everything, an
-unchanged file replays instantly).  This is the same contract as
-``repro-verify``'s result cache, but file-granular, so a one-file edit
-re-analyzes one file.
+file in the ``lint`` section of the battery cache
+(:class:`repro.analysis.battery.Cache`): the section is keyed on a hash
+of the lint package itself (any rule edit invalidates everything), each
+entry on the SHA-256 of its file's content, so an unchanged file replays
+instantly and a one-file edit re-analyzes one file.
 
 Waiver discipline (the auditable-suppression contract):
 
-* ``# repro-lint: ignore[DET003] reason`` waives matching findings on
+* ``# repro-check: ignore[DET003] reason`` waives matching findings on
   its own line, or on the next line when the comment stands alone.
 * A waiver **must** carry a reason; a bare ``ignore[...]`` does not
   waive anything and is itself reported (rule ``WVR001``).
@@ -26,21 +26,22 @@ Waiver discipline (the auditable-suppression contract):
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import repro
-from repro.analysis.lint.finding import (
-    Finding,
+from repro.analysis.battery import (
+    Cache,
+    REPORT_VERSION,
+    Run,
+    STATUS_OPEN,
     STATUS_WAIVED,
-    Waiver,
-    summarize,
+    source_hash,
 )
+from repro.analysis.lint.finding import Finding, Waiver
 from repro.analysis.lint.rules import (
     ModuleContext,
     RULES,
@@ -49,11 +50,9 @@ from repro.analysis.lint.rules import (
 )
 from repro.util.errors import ConfigurationError
 
-_CACHE_VERSION = 1
-
-#: Waiver comments: ``repro-lint: ignore[RULE1,RULE2] mandatory reason``.
+#: Waiver comments: ``repro-check: ignore[RULE1,RULE2] mandatory reason``.
 WAIVER_PATTERN = re.compile(
-    r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(.*)$"
+    r"#\s*repro-check:\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(.*)$"
 )
 
 # The waiver-audit meta rules are emitted by the runner itself (never
@@ -136,7 +135,7 @@ def apply_waivers(
                     ),
                     witness=witness,
                     hint=(
-                        "append the why: # repro-lint: "
+                        "append the why: # repro-check: "
                         "ignore[RULE] <reason>"
                     ),
                 )
@@ -209,18 +208,18 @@ def lint_code_hash() -> str:
     """SHA-256 over the lint package itself: any rule edit invalidates
     every cached verdict."""
     package_root = Path(__file__).resolve().parent
-    digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
+    return source_hash(package_root, [package_root])
 
 
 @dataclass
-class LintRun:
+class LintRun(Run):
     """All findings of one runner invocation plus run metadata."""
+
+    noun: ClassVar[str] = "findings"
+    statuses: ClassVar[Tuple[str, ...]] = (STATUS_OPEN, STATUS_WAIVED)
+    header: ClassVar[Tuple[str, ...]] = (
+        "rule", "severity", "location", "status", "message"
+    )
 
     findings: List[Finding] = field(default_factory=list)
     rules_hash: str = ""
@@ -229,16 +228,17 @@ class LintRun:
     files_cached: int = 0
     wall_time: float = 0.0
 
-    def summary(self) -> Dict[str, int]:
-        return summarize(self.findings)
+    @property
+    def records(self) -> List[Finding]:
+        return self.findings
 
-    def ok(self) -> bool:
-        """True when no open error-severity finding exists."""
-        return all(finding.ok for finding in self.findings)
+    def scope(self) -> str:
+        cached = f", {self.files_cached} cached" if self.files_cached else ""
+        return f"{self.files_analyzed} analyzed files{cached}"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "version": _CACHE_VERSION,
+            "version": REPORT_VERSION,
             "rules_hash": self.rules_hash,
             "root": self.root,
             "files_analyzed": self.files_analyzed,
@@ -249,71 +249,19 @@ class LintRun:
         }
 
 
-class FindingCache:
-    """JSON-file cache of per-file findings keyed on content hashes."""
-
-    def __init__(self, path: Optional[str], rules_hash: str) -> None:
-        self.path = path
-        self.rules_hash = rules_hash
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._dirty = False
-        if path is not None and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-        except (OSError, ValueError):
-            return  # unreadable cache: start fresh
-        if (
-            data.get("version") == _CACHE_VERSION
-            and data.get("rules_hash") == self.rules_hash
-        ):
-            entries = data.get("files", {})
-            if isinstance(entries, dict):
-                self._entries = entries
-
-    def get(self, relpath: str, source_sha: str) -> Optional[List[Finding]]:
-        entry = self._entries.get(relpath)
-        if entry is None or entry.get("sha") != source_sha:
-            return None
-        try:
-            findings = [
-                Finding.from_dict(item) for item in entry.get("findings", [])
-            ]
-        except (KeyError, TypeError, ValueError):
-            return None
-        for finding in findings:
-            finding.cached = True
-        return findings
-
-    def put(
-        self, relpath: str, source_sha: str, findings: List[Finding]
-    ) -> None:
-        stored = []
-        for finding in findings:
-            item = finding.to_dict()
-            item["cached"] = False  # replays mark themselves at load time
-            stored.append(item)
-        self._entries[relpath] = {"sha": source_sha, "findings": stored}
-        self._dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        payload = {
-            "version": _CACHE_VERSION,
-            "rules_hash": self.rules_hash,
-            "files": self._entries,
-        }
-        with open(self.path, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=1, sort_keys=True)
-            stream.write("\n")
+def _replay(entry: Dict[str, Any], source_sha: str) -> Optional[List[Finding]]:
+    """A cached file's findings, if they were derived from this content."""
+    if entry["sha"] != source_sha:
+        return None
+    return [
+        Finding.from_dict(dict(item, cached=True))
+        for item in entry["findings"]
+    ]
 
 
 def default_root() -> Path:
-    """The installed ``repro`` package — what ``repro-lint --all`` scans."""
+    """The installed ``repro`` package — what ``repro-check lint`` scans
+    when given no root."""
     return Path(repro.__file__).resolve().parent
 
 
@@ -335,15 +283,13 @@ def run_lint(
     if not base.is_dir():
         raise ConfigurationError(f"lint root {base} is not a directory")
     rules_hash = lint_code_hash()
-    cache = FindingCache(
-        cache_path if rules is None else None, rules_hash
-    )
+    cache = Cache(cache_path if rules is None else None, "lint", rules_hash)
     run = LintRun(rules_hash=rules_hash, root=str(base))
     for path in sorted(base.rglob("*.py")):
         relpath = path.relative_to(base).as_posix()
         source = path.read_text(encoding="utf-8")
         source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        cached = cache.get(relpath, source_sha)
+        cached = cache.get(relpath, lambda entry: _replay(entry, source_sha))
         if cached is not None:
             run.findings.extend(cached)
             run.files_cached += 1
@@ -364,14 +310,19 @@ def run_lint(
             ]
         run.findings.extend(findings)
         run.files_analyzed += 1
-        cache.put(relpath, source_sha, findings)
+        cache.put(
+            relpath,
+            {
+                "sha": source_sha,
+                "findings": [finding.to_dict() for finding in findings],
+            },
+        )
     cache.save()
     run.wall_time = time.perf_counter() - started
     return run
 
 
 __all__ = [
-    "FindingCache",
     "LintRun",
     "WAIVER_PATTERN",
     "analyze_source",

@@ -1,11 +1,12 @@
-"""Deadlock-freedom verification framework (``repro-verify``).
+"""Deadlock-freedom verification framework.
 
 A registry of named structural checks (:mod:`~repro.analysis.verify.checks`)
 runs over every registered routing algorithm x a matrix of mesh/torus
 topologies (:mod:`~repro.analysis.verify.runner`), producing structured
-pass/fail/waived verdicts with witnesses (:mod:`~repro.analysis.verify.result`)
-rendered as JSON or a text table (:mod:`~repro.analysis.verify.report`).
-See ``docs/verification.md``.
+pass/fail/waived verdicts with witnesses (:mod:`~repro.analysis.verify.result`).
+Statuses, cache and report formats are the battery seam's
+(:mod:`repro.analysis.battery`); ``repro-check verify`` is the CLI.  See
+``docs/verification.md``.
 """
 
 from repro.analysis.verify.checks import (
@@ -18,8 +19,7 @@ from repro.analysis.verify.checks import (
     find_waiver,
     register_check,
 )
-from repro.analysis.verify.report import format_summary, format_table
-from repro.analysis.verify.result import CheckResult, summarize
+from repro.analysis.verify.result import CheckResult
 from repro.analysis.verify.runner import (
     DEFAULT_TOPOLOGIES,
     VerificationRun,
@@ -39,11 +39,8 @@ __all__ = [
     "Waiver",
     "evaluate",
     "find_waiver",
-    "format_summary",
-    "format_table",
     "parse_topology",
     "register_check",
     "run_verification",
-    "summarize",
     "verification_code_hash",
 ]

@@ -45,15 +45,14 @@ from repro.analysis.invariants import (
     count_minimal_paths,
     enumerate_paths,
 )
-from repro.analysis.verify.result import (
-    CheckResult,
+from repro.analysis.battery import (
     STATUS_ERROR,
     STATUS_FAIL,
     STATUS_PASS,
     STATUS_SKIPPED,
     STATUS_WAIVED,
-    Witness,
 )
+from repro.analysis.verify.result import CheckResult, Witness
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.hop_base import HopClassScheme
 from repro.util.errors import ReproError

@@ -11,23 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-#: One virtual channel, as named in witnesses: (link index, vc class).
-Witness = List[Tuple[int, int]]
-
-#: Result statuses, in increasing order of severity.
-STATUS_PASS = "pass"
-STATUS_SKIPPED = "skipped"
-STATUS_WAIVED = "waived"
-STATUS_FAIL = "fail"
-STATUS_ERROR = "error"
-
-ALL_STATUSES = (
+from repro.analysis.battery import (
+    STATUS_ERROR,
+    STATUS_FAIL,
     STATUS_PASS,
     STATUS_SKIPPED,
     STATUS_WAIVED,
-    STATUS_FAIL,
-    STATUS_ERROR,
+    clip,
 )
+
+#: One virtual channel, as named in witnesses: (link index, vc class).
+Witness = List[Tuple[int, int]]
+
+#: How a status reads in the verdict table.
+_STATUS_MARK = {
+    STATUS_PASS: "ok",
+    STATUS_SKIPPED: "--",
+    STATUS_WAIVED: "WAIVED",
+    STATUS_FAIL: "FAIL",
+    STATUS_ERROR: "ERROR",
+}
 
 
 @dataclass
@@ -59,6 +62,26 @@ class CheckResult:
     def ok(self) -> bool:
         """True unless the result is an unwaived failure."""
         return self.status != STATUS_FAIL
+
+    def row(self) -> Tuple[str, ...]:
+        """The result under :attr:`VerificationRun.header`."""
+        return (
+            self.topology,
+            self.algorithm,
+            self.check,
+            _STATUS_MARK.get(self.status, self.status),
+            "cached" if self.cached else f"{self.wall_time:.2f}s",
+            clip(self.detail, 60),
+        )
+
+    def note(self) -> Optional[str]:
+        """The waiver's reason, or what failed."""
+        where = f"{self.algorithm}/{self.check} on {self.topology}"
+        if self.status == STATUS_WAIVED and self.waiver:
+            return f"waived: {where} -- {self.waiver}"
+        if self.status in (STATUS_FAIL, STATUS_ERROR):
+            return f"{self.status.upper()}: {where} -- {self.detail}"
+        return None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -96,22 +119,7 @@ class CheckResult:
         )
 
 
-def summarize(results: List[CheckResult]) -> Dict[str, int]:
-    """Status histogram over *results* (every status key always present)."""
-    summary = {status: 0 for status in ALL_STATUSES}
-    for result in results:
-        summary[result.status] += 1
-    return summary
-
-
 __all__ = [
-    "ALL_STATUSES",
     "CheckResult",
-    "STATUS_ERROR",
-    "STATUS_FAIL",
-    "STATUS_PASS",
-    "STATUS_SKIPPED",
-    "STATUS_WAIVED",
     "Witness",
-    "summarize",
 ]

@@ -4,34 +4,39 @@ The runner sweeps every registered routing algorithm (or a chosen subset)
 over a matrix of mesh/torus topologies, evaluates every applicable check,
 and collects :class:`~repro.analysis.verify.result.CheckResult` verdicts.
 
-Verdicts are pure functions of the source code, so they are cached keyed
-on a hash of the packages the checks depend on (``repro.routing``,
-``repro.topology``, ``repro.analysis``, ``repro.util``): a CI re-run on
-an unchanged tree replays the cache instead of re-walking every state
-space.  Any edit to those packages changes the hash and invalidates the
-whole cache — conservative, but never stale.
+Verdicts are pure functions of the source code, so they are cached in
+the ``verify`` section of the battery cache
+(:class:`repro.analysis.battery.Cache`), keyed on a hash of the packages
+the checks depend on (``repro.routing``, ``repro.topology``,
+``repro.analysis``, ``repro.util``): a CI re-run on an unchanged tree
+replays the cache instead of re-walking every state space.  Any edit to
+those packages changes the hash and invalidates the whole section —
+conservative, but never stale.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import repro
-from repro.analysis.verify.checks import CHECKS, evaluate
-from repro.analysis.verify.result import (
-    CheckResult,
+from repro.analysis.battery import (
+    Cache,
+    REPORT_VERSION,
+    Run,
     STATUS_ERROR,
     STATUS_FAIL,
+    STATUS_PASS,
     STATUS_SKIPPED,
-    summarize,
+    STATUS_WAIVED,
+    source_hash,
 )
+from repro.analysis.verify.checks import CHECKS, evaluate
+from repro.analysis.verify.result import CheckResult
 from repro.routing.registry import iter_algorithms
+from repro.topology import split_topology
 from repro.topology.base import Topology
 from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
@@ -47,81 +52,64 @@ _HASHED_SUBPACKAGES = ("routing", "topology", "analysis", "util")
 #: and no-wrap variants of the paper's 2-D networks.
 DEFAULT_TOPOLOGIES = ("torus:4x4", "mesh:4x4")
 
-_CACHE_VERSION = 1
-
 
 def parse_topology(spec: str) -> Tuple[str, Topology]:
     """Build the topology named by a ``kind:RxR[xR...]`` spec string.
 
-    ``torus:4x4`` is a 4-ary 2-cube; ``mesh:3x3x3`` a 3-ary 3-mesh.  The
-    radix must be uniform across dimensions (the paper's k-ary n-cubes).
-    Returns the normalised label together with the topology.
+    ``torus:4x4`` is a 4-ary 2-cube; ``mesh:3x3x3`` a 3-ary 3-mesh: one
+    radix per dimension (a campaign spec gives it once), uniform across
+    dimensions (the paper's k-ary n-cubes).  Returns the normalised
+    label together with the topology.
     """
-    kind, _, shape = spec.partition(":")
-    kind = kind.strip().lower()
-    if kind not in ("torus", "mesh") or not shape:
-        raise ConfigurationError(
-            f"bad topology spec {spec!r}; expected e.g. 'torus:4x4' "
-            "or 'mesh:3x3x3'"
-        )
-    try:
-        radices = [int(part) for part in shape.lower().split("x")]
-    except ValueError:
-        raise ConfigurationError(
-            f"bad topology shape in {spec!r}; expected integers "
-            "separated by 'x'"
-        ) from None
+    kind, radices = split_topology(spec)
     if len(set(radices)) != 1:
         raise ConfigurationError(
-            f"non-uniform radix in {spec!r}; k-ary n-cubes need the "
-            "same radix in every dimension"
+            f"topology spec {spec!r}: non-uniform radix; k-ary n-cubes "
+            "need the same radix in every dimension"
         )
     radix, n_dims = radices[0], len(radices)
     topology = (
         Torus(radix, n_dims) if kind == "torus" else Mesh(radix, n_dims)
     )
-    label = f"{kind}:" + "x".join(str(radix) for _ in range(n_dims))
-    return label, topology
+    return f"{kind}:" + "x".join(map(str, radices)), topology
 
 
 def verification_code_hash() -> str:
     """SHA-256 over the source files the verdicts depend on."""
     package_root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
-    for subpackage in _HASHED_SUBPACKAGES:
-        directory = package_root / subpackage
-        for path in sorted(directory.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-    return digest.hexdigest()
+    return source_hash(
+        package_root,
+        [package_root / subpackage for subpackage in _HASHED_SUBPACKAGES],
+    )
 
 
 @dataclass
-class VerificationRun:
+class VerificationRun(Run):
     """All verdicts of one runner invocation plus run metadata."""
+
+    noun: ClassVar[str] = "verdicts"
+    statuses: ClassVar[Tuple[str, ...]] = (
+        STATUS_PASS, STATUS_SKIPPED, STATUS_WAIVED, STATUS_FAIL, STATUS_ERROR
+    )
+    header: ClassVar[Tuple[str, ...]] = (
+        "topology", "algorithm", "check", "status", "time", "detail"
+    )
 
     results: List[CheckResult] = field(default_factory=list)
     code_hash: str = ""
     topologies: List[str] = field(default_factory=list)
     wall_time: float = 0.0
 
-    def summary(self) -> Dict[str, int]:
-        return summarize(self.results)
+    @property
+    def records(self) -> List[CheckResult]:
+        return self.results
 
-    def ok(self, fail_on_error: bool = False) -> bool:
-        """True when no unwaived failure (nor error, if requested) exists."""
-        for result in self.results:
-            if result.status == STATUS_FAIL:
-                return False
-            if fail_on_error and result.status == STATUS_ERROR:
-                return False
-        return True
+    def scope(self) -> str:
+        return ", ".join(self.topologies)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "version": _CACHE_VERSION,
+            "version": REPORT_VERSION,
             "code_hash": self.code_hash,
             "topologies": list(self.topologies),
             "wall_time": round(self.wall_time, 6),
@@ -130,66 +118,8 @@ class VerificationRun:
         }
 
 
-class ResultCache:
-    """JSON-file cache of verdicts keyed on the verification code hash."""
-
-    def __init__(self, path: Optional[str], code_hash: str) -> None:
-        self.path = path
-        self.code_hash = code_hash
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._dirty = False
-        if path is not None and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-        except (OSError, ValueError):
-            return  # unreadable cache: start fresh
-        if (
-            data.get("version") == _CACHE_VERSION
-            and data.get("code_hash") == self.code_hash
-        ):
-            entries = data.get("results", {})
-            if isinstance(entries, dict):
-                self._entries = entries
-
-    @staticmethod
-    def _key(topology: str, algorithm: str, check: str) -> str:
-        return f"{topology}|{algorithm}|{check}"
-
-    def get(
-        self, topology: str, algorithm: str, check: str
-    ) -> Optional[CheckResult]:
-        entry = self._entries.get(self._key(topology, algorithm, check))
-        if entry is None:
-            return None
-        try:
-            result = CheckResult.from_dict(entry)
-        except (KeyError, TypeError, ValueError):
-            return None
-        result.cached = True
-        return result
-
-    def put(self, result: CheckResult) -> None:
-        key = self._key(result.topology, result.algorithm, result.check)
-        stored = result.to_dict()
-        stored["cached"] = False  # replays mark themselves at load time
-        self._entries[key] = stored
-        self._dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        payload = {
-            "version": _CACHE_VERSION,
-            "code_hash": self.code_hash,
-            "results": self._entries,
-        }
-        with open(self.path, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=1, sort_keys=True)
-            stream.write("\n")
+def _replay(entry: Dict[str, Any]) -> CheckResult:
+    return CheckResult.from_dict(dict(entry, cached=True))
 
 
 def run_verification(
@@ -222,7 +152,7 @@ def run_verification(
         selected = list(CHECKS.values())
 
     code_hash = verification_code_hash()
-    cache = ResultCache(cache_path, code_hash)
+    cache = Cache(cache_path, "verify", code_hash)
     run = VerificationRun(code_hash=code_hash)
 
     for spec in specs:
@@ -243,7 +173,8 @@ def run_verification(
                 )
                 continue
             for check in selected:
-                cached = cache.get(label, name, check.name)
+                key = f"{label}|{name}|{check.name}"
+                cached = cache.get(key, _replay)
                 if cached is not None:
                     run.results.append(cached)
                     continue
@@ -252,7 +183,7 @@ def run_verification(
                 result.wall_time = time.perf_counter() - check_started
                 run.results.append(result)
                 if result.status != STATUS_ERROR:
-                    cache.put(result)
+                    cache.put(key, result.to_dict())
     cache.save()
     run.wall_time = time.perf_counter() - started
     return run
@@ -261,7 +192,6 @@ def run_verification(
 __all__ = [
     "DEFAULT_TOPOLOGIES",
     "INSTANTIATE_CHECK",
-    "ResultCache",
     "VerificationRun",
     "parse_topology",
     "run_verification",

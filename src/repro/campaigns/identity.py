@@ -83,6 +83,10 @@ def _derive_shared(values: Tuple[Any, ...]) -> Tuple[str, str]:
         name: value[0] if type(value) is tuple else json.dumps(value)
         for name, value in zip(_SHARED_FIELDS, values)
     }
+    # An address component that is no longer a config field:
+    # ``scheduler`` left SimulationConfig when it had long selected no
+    # code, and results stay addressed under the default it always had.
+    texts["scheduler"] = '"active"'
     blob = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
     texts.update(dict.fromkeys(POINT_FIELDS, "null"))
     stored = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))

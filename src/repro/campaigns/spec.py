@@ -37,28 +37,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.experiments.profiles import PROFILES, apply_profile
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.simulator.config import SimulationConfig
+from repro.topology import split_topology
 from repro.util.errors import ConfigurationError
-
-#: Topology kinds a spec may name (mirrors SimulationConfig validation).
-TOPOLOGY_KINDS = ("torus", "mesh")
 
 
 def parse_topology(spec: str) -> Tuple[str, int, int]:
     """Parse ``"torus:16x2"`` / ``"mesh:4x3"`` into (kind, radix, n_dims)."""
-    kind, _, shape = spec.partition(":")
-    if kind not in TOPOLOGY_KINDS:
-        raise ConfigurationError(
-            f"topology spec {spec!r}: kind must be one of "
-            f"{TOPOLOGY_KINDS}, got {kind!r}"
-        )
-    radix_text, _, dims_text = shape.partition("x")
-    try:
-        radix, n_dims = int(radix_text), int(dims_text)
-    except ValueError:
+    kind, numbers = split_topology(spec)
+    if len(numbers) != 2:
         raise ConfigurationError(
             f"topology spec {spec!r}: expected '<kind>:<radix>x<dims>', "
             f"e.g. 'torus:16x2'"
-        ) from None
+        )
+    radix, n_dims = numbers
     if radix < 2 or n_dims < 1:
         raise ConfigurationError(
             f"topology spec {spec!r}: radix must be >= 2 and dims >= 1"
@@ -300,7 +291,6 @@ def grid_label(config: SimulationConfig) -> Tuple[str, str]:
 
 __all__ = [
     "CampaignSpec",
-    "TOPOLOGY_KINDS",
     "TrafficSpec",
     "format_topology",
     "grid_label",

@@ -22,7 +22,7 @@ from repro.util.errors import ConfigurationError, RoutingError
 # register_algorithm() extends this table at import time only, so the
 # parent and ProcessPool workers build identical copies by importing the
 # same modules.
-# repro-lint: ignore[DET005] write-once registry, extended at import only
+# repro-check: ignore[DET005] write-once registry, extended at import only
 _FACTORIES: Dict[str, Callable[[Topology], RoutingAlgorithm]] = {
     ECube.name: ECube,
     NorthLast.name: NorthLast,

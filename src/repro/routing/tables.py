@@ -35,7 +35,9 @@ table: nothing is ever aliased by class name.
 numbers entries and lays them out as numpy rows so whole request batches
 gather at once:
 
-* ``cand_flat[row, k]`` — flat VC index of candidate *k*, ``-1`` padded;
+* ``cand_flat[row, k]`` — flat VC index of candidate *k*, ``-1`` padded
+  to the widest row interned so far (no wider: the batch stepper's
+  per-request arrays all take this width);
 * ``cand_ch[row, k]`` — physical-channel index (for load gathers);
 * ``cand_dst[row, k]`` — the node the hop lands on;
 * ``count[row]`` — number of candidates;
@@ -86,10 +88,6 @@ from repro.util.errors import ConfigurationError
 #: Row capacity of the first dense allocation; doubled on demand.
 _INITIAL_ROWS = 256
 
-#: Initial candidate width; widened on demand (nbc's first-hop cross
-#: product of links x initial classes is the widest shipped case).
-_INITIAL_WIDTH = 8
-
 #: An entry's key: (node, destination, algorithm state key).
 EntryKey = Tuple[int, int, Hashable]
 
@@ -131,7 +129,10 @@ class RouteTable:
         # -- dense rows (batch stepper only; see the module docstring) --
         self._index: Dict[EntryKey, int] = {}
         self.size = 0
-        shape = (0, _INITIAL_WIDTH)
+        # As wide as the widest row interned so far, exactly: every
+        # [n, width] array the batch stepper gathers through these is
+        # padding beyond that (e-cube has 1 candidate, nbc up to 9).
+        shape = (0, 1)
         self.cand_flat = np.full(shape, -1, dtype=np.int64)
         self.cand_ch = np.zeros(shape, dtype=np.int64)
         self.cand_dst = np.zeros(shape, dtype=np.int64)
@@ -209,8 +210,7 @@ class RouteTable:
         capacity, width = self.cand_flat.shape
         if row == capacity:
             capacity = max(_INITIAL_ROWS, 2 * capacity)
-        while width < len(flats):
-            width *= 2
+        width = max(width, len(flats))
         if (capacity, width) != self.cand_flat.shape:
             self._resize(capacity, width)
         v = self._v

@@ -37,15 +37,6 @@ FLOW_CONTROL_MODES = ("ideal", "conservative")
 #: Physical-channel multiplexer policies.
 MUX_POLICIES = ("round_robin", "highest_class")
 
-#: Values ``SimulationConfig.scheduler`` accepts.  The field is an address
-#: component, like ``identity``: it is in every store signature and
-#: selects no code.  :class:`repro.simulator.engine.Engine` is the one
-#: cycle loop; the full per-cycle rescan that "scan" names is the test
-#: reference :class:`repro.simulator.reference.ScanEngine`, constructed
-#: by name and bit-identical to it, so results stored under either value
-#: are the same numbers.
-SCHEDULERS = ("scan", "active")
-
 #: Simulation backends: "object" is the per-object Python engine
 #: (:class:`repro.simulator.engine.Engine`), the only bit-exact path and
 #: the one every option works on; "batch" is the vectorized flat-array
@@ -55,6 +46,16 @@ SCHEDULERS = ("scan", "active")
 #: conservative flow control and wormhole/VCT switching (see the batch
 #: module docstring).
 BACKENDS = ("object", "batch")
+
+#: Fields that take one of a fixed set of values, in the order they are
+#: validated.
+_CHOICES = (
+    ("switching", SWITCHING_MODES),
+    ("selection_policy", SELECTION_POLICIES),
+    ("flow_control", FLOW_CONTROL_MODES),
+    ("mux_policy", MUX_POLICIES),
+    ("backend", BACKENDS),
+)
 
 #: The identity each backend's results carry: what their numbers are
 #: identical *to*, recorded in every store signature.  It follows from
@@ -103,10 +104,6 @@ class SimulationConfig:
     #: model); "highest_class" is a strict priority scan from the top
     #: class down, giving the most-progressed worms bandwidth first.
     mux_policy: str = "round_robin"
-    #: Not a switch (see :data:`SCHEDULERS`): validated, carried into
-    #: every campaign-store signature, and read by no engine.  Leave it
-    #: at the default; it stays a field so stored addresses do not move.
-    scheduler: str = "active"
     #: Simulation backend: "object" runs one seed per engine (bit-exact;
     #: parallelise with ``jobs``); "batch" runs whole seed-batches in
     #: lockstep over flat numpy arrays (statistically equivalent; requires
@@ -162,26 +159,16 @@ class SimulationConfig:
     obs_options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        require(self.topology in ("torus", "mesh"),
+        # Messages are formatted on the failing branch only: a config is
+        # built (dataclasses.replace) once per point of every expansion.
+        if self.topology not in ("torus", "mesh"):
+            raise ConfigurationError(
                 f"topology must be 'torus' or 'mesh', got {self.topology!r}")
-        require(self.switching in SWITCHING_MODES,
-                f"switching must be one of {SWITCHING_MODES}, "
-                f"got {self.switching!r}")
-        require(self.selection_policy in SELECTION_POLICIES,
-                f"selection_policy must be one of {SELECTION_POLICIES}, "
-                f"got {self.selection_policy!r}")
-        require(self.flow_control in FLOW_CONTROL_MODES,
-                f"flow_control must be one of {FLOW_CONTROL_MODES}, "
-                f"got {self.flow_control!r}")
-        require(self.mux_policy in MUX_POLICIES,
-                f"mux_policy must be one of {MUX_POLICIES}, "
-                f"got {self.mux_policy!r}")
-        require(self.scheduler in SCHEDULERS,
-                f"scheduler must be one of {SCHEDULERS}, "
-                f"got {self.scheduler!r}")
-        require(self.backend in BACKENDS,
-                f"backend must be one of {BACKENDS}, "
-                f"got {self.backend!r}")
+        for name, choices in _CHOICES:
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigurationError(
+                    f"{name} must be one of {choices}, got {value!r}")
         if self.backend == "batch":
             require(self.flow_control == "conservative",
                     "backend='batch' requires flow_control='conservative' "
@@ -258,7 +245,6 @@ class SimulationConfig:
 __all__ = [
     "BACKENDS",
     "BACKEND_IDENTITY",
-    "SCHEDULERS",
     "SELECTION_POLICIES",
     "SWITCHING_MODES",
     "SimulationConfig",

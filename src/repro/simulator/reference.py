@@ -12,9 +12,8 @@ nothing is armed, so it is slower everywhere — and bit-identical in every
 simulated quantity, which the golden traces, the fingerprint matrix and
 the fuzz tests of ``tests/test_scheduler_active.py`` pin.
 
-Nothing selects it: construct it by name (``ScanEngine(config)``, or
-``run_point(config, engine=ScanEngine(config))`` for a whole point); the
-config's ``scheduler`` field is part of a point's store address only.
+No config value selects it: construct it by name (``ScanEngine(config)``,
+or ``run_point(config, engine=ScanEngine(config))`` for a whole point).
 """
 
 from __future__ import annotations

@@ -13,12 +13,12 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.check import main as check_main
 from repro.analysis.equivalence import (
     SUITE_ALGORITHMS,
     SUITE_TOPOLOGIES,
     compare_metric,
     compare_point,
-    main as equivalence_main,
     run_suite,
 )
 from repro.experiments.runner import run_point
@@ -100,7 +100,7 @@ class TestComparePoint:
         # the mean wait is ~1.2 cycles, so the relaxed mode's small
         # absolute wait offset (see docs/performance.md, "identity
         # modes") is amplified in relative terms.  The publication
-        # check is the radix-8 suite (repro-equivalence), where the
+        # check is the radix-8 suite (repro-check equivalence), where the
         # offset sits well inside the 5% gate.
         report = compare_point(
             config, seeds=[11, 12, 13, 14], rel_tol=0.25
@@ -142,8 +142,9 @@ class TestComparePoint:
 
     def test_cli_smoke_single_point(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
-        code = equivalence_main(
+        code = check_main(
             [
+                "equivalence",
                 "--smoke",
                 "--seeds", "3",
                 "--algorithms", "ecube",

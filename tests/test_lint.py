@@ -1,4 +1,5 @@
-"""Tests for ``repro.analysis.lint``: rules, waivers, caching, CLI.
+"""Tests for ``repro.analysis.lint``: rules, waivers, caching, and the
+``repro-check lint`` CLI.
 
 Rule behaviour is proven against the fixture tree in
 ``tests/lint_fixtures``: every ``bad/`` module must trigger exactly its
@@ -13,15 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.battery import STATUS_OPEN, STATUS_WAIVED
+from repro.analysis.check import main as check_main
 from repro.analysis.lint import (
     RULES,
-    STATUS_OPEN,
-    STATUS_WAIVED,
     analyze_source,
     lint_code_hash,
     run_lint,
 )
-from repro.analysis.lint.cli import main as lint_main
 from repro.util.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -50,6 +50,11 @@ GOOD_CASES = [
     "ser001_ok.py",
     "hot001_ok.py",
 ]
+
+
+def lint_main(argv):
+    """``repro-check lint ARGV``."""
+    return check_main(["lint", *argv])
 
 
 def analyze_fixture(root, relpath, rules=None):
@@ -150,25 +155,25 @@ class TestRulesSilent:
 WAIVED_SOURCE = (
     "def order(items):\n"
     "    key = lambda item: id(item)"
-    "  # repro-lint: ignore[DET004] documented tie-break\n"
+    "  # repro-check: ignore[DET004] documented tie-break\n"
     "    return sorted(items, key=key)\n"
 )
 
 REASONLESS_SOURCE = (
     "def order(items):\n"
-    "    key = lambda item: id(item)  # repro-lint: ignore[DET004]\n"
+    "    key = lambda item: id(item)  # repro-check: ignore[DET004]\n"
     "    return sorted(items, key=key)\n"
 )
 
 STANDALONE_SOURCE = (
     "def order(items):\n"
-    "    # repro-lint: ignore[DET004] documented tie-break\n"
+    "    # repro-check: ignore[DET004] documented tie-break\n"
     "    key = lambda item: id(item)\n"
     "    return sorted(items, key=key)\n"
 )
 
 UNUSED_SOURCE = (
-    "# repro-lint: ignore[DET004] nothing here to waive\n"
+    "# repro-check: ignore[DET004] nothing here to waive\n"
     "def order(items):\n"
     "    return sorted(items)\n"
 )
@@ -213,7 +218,7 @@ class TestWaivers:
 
     def test_docstring_mentions_are_not_waivers(self):
         source = (
-            '"""Docs quoting repro-lint: ignore[DET004] syntax."""\n'
+            '"""Docs quoting repro-check: ignore[DET004] syntax."""\n'
             "def order(items):\n"
             "    return sorted(items, key=lambda item: id(item))\n"
         )
@@ -292,7 +297,8 @@ class TestCache:
 
 class TestRealTree:
     def test_installed_package_has_zero_open_findings(self):
-        """The acceptance gate: repro-lint runs clean on src/repro."""
+        """The acceptance gate: the lint battery runs clean on
+        src/repro."""
         run = run_lint(cache_path=None)
         open_findings = [
             finding
@@ -349,7 +355,11 @@ class TestCli:
         assert "unknown rules" in capsys.readouterr().err
 
     def test_root_and_all_conflict(self, capsys):
-        assert lint_main([str(GOOD), "--all"]) == 2
+        """``--all`` named the default and went with the old script: with
+        a root, as before, a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([str(GOOD), "--all"])
+        assert exit_info.value.code == 2
 
     def test_cli_cache_roundtrip(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.json")

@@ -24,8 +24,8 @@ Covered here:
 * the routing-decision memo: cached candidate sets must resolve to the
   same objects a fresh computation produces, and disabling the memo
   must not change the schedule;
-* ``SimulationConfig.scheduler``: validated, part of the store address,
-  and read by no stepper.
+* ``SimulationConfig`` has no ``scheduler`` field: the reference is
+  built by name, and no module reads such an attribute.
 """
 
 import random
@@ -35,7 +35,6 @@ import pytest
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
 from repro.simulator.reference import ScanEngine
-from repro.util.errors import ConfigurationError
 
 ALGORITHMS = ("ecube", "nlast", "2pn", "phop", "nhop", "nbc")
 
@@ -352,7 +351,8 @@ class TestRoutingMemo:
 
 
 class TestSchedulerConfig:
-    """``scheduler`` is validated and addressed, and selects no code."""
+    """No config value selects a stepper: the reference is built by
+    name."""
 
     TINY = dict(
         radix=4, n_dims=2, algorithm="nbc", offered_load=0.5, seed=13,
@@ -361,20 +361,11 @@ class TestSchedulerConfig:
     )
 
     def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(scheduler="bogus")
-
-    def test_both_values_build_the_same_engine(self):
-        scan, active = (
-            Engine(SimulationConfig(scheduler=scheduler, **self.TINY))
-            for scheduler in ("scan", "active")
-        )
-        assert type(scan) is type(active) is Engine
-        for _ in range(20):
-            scan.run_cycles(CHECK_EVERY)
-            active.run_cycles(CHECK_EVERY)
-            assert scan.state_fingerprint() == active.state_fingerprint()
-        assert scan.polls_total == active.polls_total > 0
+        """The field is gone, so every value of it is unknown — the two
+        it used to accept included."""
+        for value in ("bogus", "scan", "active"):
+            with pytest.raises(TypeError):
+                SimulationConfig(scheduler=value)
 
     def test_reference_runs_a_whole_point(self):
         """The reference is passed in by name; run_point drives it like
@@ -388,8 +379,8 @@ class TestSchedulerConfig:
         assert fast.samples_used >= 2 and fast.messages_delivered > 0
 
     def test_no_source_module_reads_the_scheduler_field(self):
-        """Only config.py (validation) touches ``.scheduler``; campaign
-        identity reaches it through the dataclass's field list."""
+        """Nothing reads a ``.scheduler`` attribute; campaign identity
+        spells the address component as a literal."""
         import ast
         from pathlib import Path
 
@@ -404,7 +395,7 @@ class TestSchedulerConfig:
                 for node in ast.walk(ast.parse(path.read_text()))
             )
         )
-        assert readers == ["simulator/config.py"]
+        assert readers == []
 
     def _congested(self, stepper):
         return stepper(SimulationConfig(**{**self.TINY, "offered_load": 0.9}))

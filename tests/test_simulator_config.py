@@ -51,6 +51,34 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(flow_control="wishful")
 
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("topology", "hypercube",
+             "topology must be 'torus' or 'mesh', got 'hypercube'"),
+            ("switching", "circuit",
+             "switching must be one of ('wormhole', 'vct', 'saf'), "
+             "got 'circuit'"),
+            ("selection_policy", "psychic",
+             "selection_policy must be one of ('least_multiplexed', "
+             "'random', 'first'), got 'psychic'"),
+            ("flow_control", "wishful",
+             "flow_control must be one of ('ideal', 'conservative'), "
+             "got 'wishful'"),
+            ("mux_policy", "lottery",
+             "mux_policy must be one of ('round_robin', 'highest_class'), "
+             "got 'lottery'"),
+            ("backend", "gpu",
+             "backend must be one of ('object', 'batch'), got 'gpu'"),
+        ],
+    )
+    def test_rejection_names_the_field_the_choices_and_the_value(
+        self, field, value, text
+    ):
+        with pytest.raises(ConfigurationError) as error:
+            SimulationConfig(**{field: value})
+        assert str(error.value) == text
+
     def test_rejects_negative_load(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(offered_load=-0.5)

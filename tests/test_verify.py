@@ -1,4 +1,5 @@
-"""The deadlock-freedom verification framework (repro-verify)."""
+"""The deadlock-freedom verification framework and its CLI,
+``repro-check verify``."""
 
 import json
 import shutil
@@ -6,22 +7,26 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.battery import Cache, format_summary, format_table
+from repro.analysis.check import main as check_main
 from repro.analysis.verify import (
     CHECKS,
     evaluate,
     find_waiver,
-    format_summary,
-    format_table,
     parse_topology,
     run_verification,
     verification_code_hash,
 )
-from repro.analysis.verify.result import CheckResult, summarize
-from repro.analysis.verify.runner import INSTANTIATE_CHECK, ResultCache
-from repro.experiments.cli_verify import main as verify_main
+from repro.analysis.verify.result import CheckResult
+from repro.analysis.verify.runner import INSTANTIATE_CHECK, VerificationRun
 from repro.routing.positive_hop import PositiveHop
 from repro.routing.registry import make_algorithm
 from repro.util.errors import ConfigurationError
+
+
+def verify_main(argv):
+    """``repro-check verify ARGV``."""
+    return check_main(["verify", *argv])
 
 
 class TestTopologyParsing:
@@ -37,12 +42,43 @@ class TestTopologyParsing:
         assert topology.n_dims == 3
         assert not any(link.wraps for link in topology.links)
 
+    @pytest.mark.parametrize("spelling", ["Torus:4x4", "torus:4X4", " TORUS:4x4"])
+    def test_kind_and_shape_are_read_in_any_case(self, spelling):
+        """As the verify battery always read them; the campaign grammar
+        shares the reader, so it accepts them too."""
+        from repro.campaigns.spec import parse_topology as parse_campaign
+
+        label, topology = parse_topology(spelling)
+        assert label == "torus:4x4"
+        assert (topology.radix, topology.n_dims) == (4, 2)
+        assert parse_campaign(spelling) == ("torus", 4, 4)
+
     @pytest.mark.parametrize(
         "bad", ["grid:4x4", "torus", "torus:4x8", "torus:axb", ":4x4"]
     )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             parse_topology(bad)
+
+    @pytest.mark.parametrize("bad", ["grid:4x4", ":4x4", "torus", "torus:axb"])
+    def test_malformed_specs_read_the_same_to_both_grammars(self, bad):
+        """One radix per dimension here, ``<radix>x<dims>`` in campaign
+        specs: two meanings of ``4x4``, one reading of the string."""
+        from repro.campaigns.spec import parse_topology as parse_campaign
+
+        with pytest.raises(ConfigurationError) as here:
+            parse_topology(bad)
+        with pytest.raises(ConfigurationError) as there:
+            parse_campaign(bad)
+        assert str(here.value) == str(there.value)
+        assert repr(bad) in str(here.value)
+
+    def test_the_two_grammars_differ_in_what_the_integers_mean(self):
+        from repro.campaigns.spec import parse_topology as parse_campaign
+
+        _, topology = parse_topology("torus:4x4")
+        assert (topology.radix, topology.n_dims) == (4, 2)
+        assert parse_campaign("torus:4x4") == ("torus", 4, 4)
 
 
 class TestChecks:
@@ -177,10 +213,11 @@ class TestRunner:
         run_verification(
             ["torus:4x4"], algorithms=["ecube"], cache_path=cache_path
         )
-        stale = ResultCache(cache_path, code_hash="something-else")
-        assert (
-            stale.get("torus:4x4", "ecube", "candidate_minimality") is None
-        )
+        key = "torus:4x4|ecube|candidate_minimality"
+        fresh = Cache(cache_path, "verify", verification_code_hash())
+        assert fresh.get(key, dict)["status"] == "pass"
+        stale = Cache(cache_path, "verify", "something-else")
+        assert stale.get(key, dict) is None
 
     @staticmethod
     def _touch_invalidates(tmp_path, monkeypatch, relative):
@@ -258,7 +295,7 @@ class TestResultSerialization:
             CheckResult("c", "a", "t", status)
             for status in ("pass", "pass", "fail", "waived")
         ]
-        assert summarize(results) == {
+        assert VerificationRun(results=results).summary() == {
             "pass": 2,
             "fail": 1,
             "waived": 1,
@@ -269,11 +306,10 @@ class TestResultSerialization:
 
 class TestCli:
     def test_acceptance_invocation(self, tmp_path, capsys):
-        """repro-verify --all --topology torus:4x4 --json out.json"""
+        """repro-check verify --topology torus:4x4 --json out.json"""
         out = tmp_path / "out.json"
         code = verify_main(
             [
-                "--all",
                 "--topology",
                 "torus:4x4",
                 "--json",
@@ -314,4 +350,4 @@ class TestCli:
 
     def test_bad_topology_is_usage_error(self, capsys):
         assert verify_main(["--topology", "klein-bottle:4x4"]) == 2
-        assert "repro-verify" in capsys.readouterr().err
+        assert "repro-check: topology spec" in capsys.readouterr().err
