@@ -1,30 +1,24 @@
 """Shared helpers for the benchmark suite.
 
-Every paper artifact (Figures 3-5 and the Section 3.4 VCT experiment) has
-one benchmark that regenerates its series, prints the latency/throughput
-tables, and asserts the paper's qualitative claims (the *shape checks*).
+The inventory, ablation and extension studies of the paper, one
+pytest-benchmark file each.  (Figures 3-5 and the Section 3.4 VCT
+experiment are ``repro-campaign run --figure N --tables --check``.)
 
 The network/sampling scale is selected by the ``REPRO_PROFILE`` environment
-variable (see :mod:`repro.experiments.profiles`):
+variable, read here and nowhere else (see :mod:`repro.experiments.profiles`
+for the profiles):
 
 * default for benchmarks: ``quick`` — 8x8 torus, minutes for the suite;
 * ``scaled`` — 8x8 with the full convergence discipline;
 * ``paper`` — the 16x16 torus of the paper (slow: tens of minutes per
-  figure in pure Python; use for documented full runs).
+  study in pure Python; use for documented full runs).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 import pytest
-
-from repro.experiments.paper_figures import format_checks
-
-#: Offered loads used by the figure benchmarks (a subset of the paper's
-#: ladder keeps the default suite fast while spanning the full range).
-BENCH_LOADS: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def active_profile(default: str = "quick") -> str:
@@ -34,20 +28,6 @@ def active_profile(default: str = "quick") -> str:
     if name not in PROFILES:
         raise RuntimeError(f"unknown REPRO_PROFILE {name!r}")
     return name
-
-
-def report(title: str, series, checks) -> None:
-    """Print a figure's tables and shape checks, then assert them."""
-    from repro.experiments.tables import format_figure, peak_summary
-
-    print()
-    print(format_figure(series, title))
-    print()
-    print(peak_summary(series))
-    print()
-    print(format_checks(checks))
-    failed = [claim for claim, passed in checks if not passed]
-    assert not failed, f"shape checks failed: {failed}"
 
 
 @pytest.fixture

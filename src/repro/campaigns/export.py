@@ -2,9 +2,10 @@
 
 A campaign's export never simulates: it expands the spec, pulls every
 point from the store (failing loudly when points are missing), and
-renders the same CSV/tables the sweep CLI produces — plus the campaign
-context columns (topology, seed) a cross-topology grid needs.  Exports
-are deterministic: the same store contents produce byte-identical files.
+renders one CSV row per point — the campaign context columns (topology,
+seed) a cross-topology grid needs, then the result's own — and the
+paper-style tables per (topology, traffic) grid.  Exports are
+deterministic: the same store contents produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ and hands the whole point list, with the
 list meets the store.  Every point already stored is served from disk (a
 cache hit costs no simulation at all) and each fresh completion is
 appended as it lands, so an interrupted campaign resumes per point, and
-the *next* campaign (or ``repro-sweep --checkpoint``) that shares points
-starts from them for free.
+the *next* campaign (or ``sweep_algorithms(checkpoint=)``) that shares
+points starts from them for free.
 """
 
 from __future__ import annotations

@@ -32,13 +32,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.profiles import PROFILES, apply_profile
-from repro.routing.registry import ALGORITHM_NAMES
-from repro.simulator.config import SimulationConfig
+from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
+from repro.simulator.config import BACKEND_IDENTITY, SimulationConfig
 from repro.topology import split_topology
-from repro.util.errors import ConfigurationError
+from repro.traffic.registry import make_traffic
+from repro.util.errors import ConfigurationError, ReproError
 
 
 def parse_topology(spec: str) -> Tuple[str, int, int]:
@@ -121,7 +122,8 @@ class CampaignSpec:
     #: the SimulationConfig defaults.
     profile: Optional[str] = None
     #: Extra SimulationConfig field overrides shared by every point
-    #: (switching, flow_control, sampling schedule, ...).
+    #: (switching, flow_control, sampling schedule, ...).  A ``backend``
+    #: without an ``identity`` gets the one its results carry.
     base: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -148,12 +150,12 @@ class CampaignSpec:
                 raise ConfigurationError(
                     f"campaign {self.name!r}: {what} must be non-empty"
                 )
-        unknown = set(self.algorithms) - set(ALGORITHM_NAMES)
-        if unknown:
-            raise ConfigurationError(
-                f"campaign {self.name!r}: unknown algorithms "
-                f"{sorted(unknown)}; choose from {list(ALGORITHM_NAMES)}"
-            )
+        for name in self.algorithms:
+            if name not in ALGORITHM_NAMES:
+                raise ConfigurationError(
+                    f"campaign {self.name!r}: unknown routing algorithm "
+                    f"{name!r}; choose from {list(ALGORITHM_NAMES)}"
+                )
         if self.profile is not None and self.profile not in PROFILES:
             raise ConfigurationError(
                 f"campaign {self.name!r}: unknown profile "
@@ -169,6 +171,9 @@ class CampaignSpec:
                 f"campaign {self.name!r}: base overrides {sorted(overlap)} "
                 "conflict with the spec's own grid axes"
             )
+        identity = BACKEND_IDENTITY.get(self.base.get("backend"))
+        if identity is not None and "identity" not in self.base:
+            self.base = dict(self.base, identity=identity)
 
     # -- expansion -------------------------------------------------------
 
@@ -184,10 +189,44 @@ class CampaignSpec:
 
     def base_config(self) -> SimulationConfig:
         """The shared config before the grid axes are applied."""
-        config = SimulationConfig(**self.base)
+        try:
+            config = SimulationConfig(**self.base)
+        except TypeError as error:  # no such field, or a mistyped value
+            raise ConfigurationError(
+                f"campaign {self.name!r}: base: {error}"
+            ) from None
         if self.profile is not None:
             config = apply_profile(config, self.profile)
         return config
+
+    def check_buildable(self) -> None:
+        """Raise ConfigurationError unless every (topology, traffic) and
+        (topology, algorithm) combination of the grid builds.
+
+        The pre-flight of ``repro-campaign run``: nlast on a 3-D network
+        or an unknown traffic pattern stops the campaign before any
+        point simulates, not after the points ahead of it are stored.
+        Not part of :meth:`expand`, which warm runs pay for per pass.
+        """
+        shared = self.base_config()
+        for label in self.topologies:
+            kind, radix, n_dims = parse_topology(label)
+            topology = dataclasses.replace(
+                shared, topology=kind, radix=radix, n_dims=n_dims
+            ).build_topology()
+            try:
+                for traffic in self.traffics:
+                    what = f"traffic {traffic.label()}"
+                    make_traffic(
+                        traffic.pattern, topology, **traffic.options_dict()
+                    )
+                for algorithm in self.algorithms:
+                    what = f"algorithm {algorithm}"
+                    make_algorithm(algorithm, topology)
+            except (ReproError, TypeError) as error:
+                raise ConfigurationError(
+                    f"campaign {self.name!r}: {what} on {label}: {error}"
+                ) from None
 
     def expand(self) -> List[SimulationConfig]:
         """Every point of the campaign, in the documented order."""

@@ -3,8 +3,8 @@
 One :class:`ResultStore` file holds one JSON record per finished
 simulation point, keyed by the point's content address
 (:func:`~repro.campaigns.identity.identify`), and is the only result
-format on disk (JSONL, schema v2): ``repro-sweep --checkpoint`` and
-``repro-campaign --store`` name the same kind of file.  The store is
+format on disk (JSONL, schema v2): ``repro-campaign --store`` and
+``sweep_algorithms(checkpoint=)`` name the same kind of file.  The store is
 shared across campaigns: any point list containing a previously
 simulated config gets that point served from disk instead of
 re-simulated, bit-identical to a fresh run (results are a pure function
@@ -21,9 +21,9 @@ Durability discipline:
   recovered on the next load.
 * **Nothing untrusted is silently overwritten.**  Corrupt lines and
   records the store does not recognise (an unknown schema version, no
-  stored config — a v1 whole-file ``repro-sweep`` checkpoint is one such
-  line) are surfaced with a warning, and the original file is preserved
-  byte for byte as a ``<path>.corrupt`` sidecar before the store
+  stored config — a v1 whole-file sweep checkpoint is one such line)
+  are surfaced with a warning, and the original file is preserved byte
+  for byte as a ``<path>.corrupt`` sidecar before the store
   rewrites itself from the salvageable records.  Nothing is migrated:
   what is not a v2 record is re-simulated.
 * **Collision hygiene.**  Every record carries the config dict it was

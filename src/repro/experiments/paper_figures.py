@@ -9,28 +9,22 @@ throughput panel) plus one experiment described in prose:
 * **Section 3.4** — virtual cut-through comparison of 2pn, nbc and e-cube
   under uniform traffic.
 
-Each ``figureN`` function returns per-algorithm sweep series; the
-``check_*`` functions encode the qualitative claims the paper draws from
-each figure, so benchmarks can assert that the reproduction preserves the
-*shape* of the results (who wins, roughly by how much) without demanding
-cycle-exact numbers.
+:func:`figure_campaign_spec` gives each artifact's grid as a
+:class:`~repro.campaigns.spec.CampaignSpec` (``repro-campaign run
+--figure N`` runs it); the ``check_*`` functions encode the qualitative
+claims the paper draws from each figure, so a run can assert that the
+reproduction preserves the *shape* of the results (who wins, roughly by
+how much) without demanding cycle-exact numbers.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.experiments.profiles import (
-    PROFILES,
-    apply_profile,
-    current_profile,
-)
-from repro.experiments.sweep import (
-    PAPER_LOADS,
-    peak_throughput,
-    sweep_algorithms,
-)
+from repro.campaigns.spec import CampaignSpec, TrafficSpec
+from repro.experiments.profiles import PROFILES
+from repro.experiments.sweep import PAPER_LOADS, peak_throughput
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
@@ -40,24 +34,9 @@ Series = Dict[str, List[SimulationResult]]
 ShapeCheck = Tuple[str, bool]
 
 
-def _base_config(profile: Optional[str], **overrides: object) -> SimulationConfig:
-    profile_name = profile if profile is not None else current_profile()
-    config = SimulationConfig(**overrides)  # type: ignore[arg-type]
-    return apply_profile(config, profile_name)
-
-
-def _obs_overrides(
-    obs: bool, obs_options: Optional[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Config overrides attaching observers to every point of a figure."""
-    if not obs:
-        return {}
-    return {"obs": True, "obs_options": dict(obs_options or {})}
-
-
 #: The (traffic, traffic_options, switching, algorithms) grid behind
-#: each paper figure — the declarative core the figure functions and
-#: :func:`figure_campaign_spec` share.
+#: each paper figure, which :func:`figure_campaign_spec` turns into a
+#: campaign.
 FIGURE_GRIDS: Mapping[str, Dict[str, Any]] = MappingProxyType(
     {
         "3": {
@@ -85,81 +64,6 @@ FIGURE_GRIDS: Mapping[str, Dict[str, Any]] = MappingProxyType(
             "algorithms": ("ecube", "2pn", "nbc"),
         },
     }
-)
-
-
-def _figure_sweep(
-    name: str, figure: str, doc: str, **option_names: str
-) -> Callable[..., Series]:
-    """The public sweep function *name* of one :data:`FIGURE_GRIDS` entry.
-
-    *option_names* maps an extra keyword of the function (figure 4's
-    ``hotspot_fraction``) to the traffic option it overrides.
-    """
-    grid = FIGURE_GRIDS[figure]
-
-    def sweep(
-        profile: Optional[str] = None,
-        offered_loads: Sequence[float] = PAPER_LOADS,
-        algorithms: Sequence[str] = grid["algorithms"],
-        seed: int = 1,
-        verbose: bool = False,
-        jobs: int = 1,
-        checkpoint: Optional[str] = None,
-        obs: bool = False,
-        obs_options: Optional[Dict[str, Any]] = None,
-        **overrides: Any,
-    ) -> Series:
-        unknown = sorted(set(overrides) - set(option_names))
-        if unknown:
-            raise TypeError(
-                f"{name}() got unexpected keyword arguments {unknown}"
-            )
-        options = dict(grid["traffic_options"])
-        options.update(
-            (option_names[key], value) for key, value in overrides.items()
-        )
-        config = _base_config(
-            profile,
-            traffic=grid["traffic"],
-            traffic_options=options,
-            switching=grid["switching"],
-            seed=seed,
-            **_obs_overrides(obs, obs_options),
-        )
-        return sweep_algorithms(
-            config,
-            algorithms,
-            offered_loads,
-            verbose,
-            jobs=jobs,
-            checkpoint=checkpoint,
-        )
-
-    sweep.__name__ = sweep.__qualname__ = name
-    sweep.__doc__ = doc
-    return sweep
-
-
-figure3 = _figure_sweep(
-    "figure3", "3", "Uniform traffic of 16-flit worms (paper Figure 3)."
-)
-figure4 = _figure_sweep(
-    "figure4",
-    "4",
-    "Hotspot traffic, 4% to the max-coordinate node (paper Figure 4).",
-    hotspot_fraction="fraction",
-)
-figure5 = _figure_sweep(
-    "figure5",
-    "5",
-    "Local traffic within a radius-3 neighbourhood (paper Figure 5).",
-    radius="radius",
-)
-vct_comparison = _figure_sweep(
-    "vct_comparison",
-    "vct",
-    "Virtual cut-through rerun of Section 3.4 (uniform traffic).",
 )
 
 
@@ -306,9 +210,8 @@ def check_vct(series: Series) -> List[ShapeCheck]:
     return checks
 
 
-#: Per-figure shape-check entry points, for harnesses (e.g. the
-#: ``repro-campaign`` export path) that rebuild a figure's series from
-#: stored results instead of running the ``figureN`` functions.
+#: Per-figure shape-check entry points (``repro-campaign run/export
+#: --figure N --check``).
 FIGURE_CHECKS: Mapping[
     str, Callable[[Series], List[ShapeCheck]]
 ] = MappingProxyType(
@@ -320,40 +223,32 @@ FIGURE_CHECKS: Mapping[
     }
 )
 
+
 def figure_campaign_spec(
     figure: str,
-    profile: Optional[str] = None,
-    seed: int = 1,
-    algorithms: Optional[Sequence[str]] = None,
-    offered_loads: Sequence[float] = PAPER_LOADS,
-):
+    profile: str = "scaled",
+) -> CampaignSpec:
     """The :class:`~repro.campaigns.spec.CampaignSpec` of one paper figure.
 
-    ``repro-campaign run --figure N`` uses this to serve figures out of
-    the campaign store: the spec expands to exactly the configs the
-    ``figureN`` functions run, so a figure regenerated from the store is
-    bit-identical to one swept directly.
+    ``repro-campaign run --figure N`` starts from this spec: the
+    figure's algorithms over the paper's load ladder on the profile's
+    torus, seed 1 (``dataclasses.replace`` any axis, as the CLI's axis
+    flags do).
     """
-    from repro.campaigns.spec import CampaignSpec, TrafficSpec
-
     grid = FIGURE_GRIDS.get(figure)
     if grid is None:
         raise KeyError(
             f"unknown figure {figure!r}; choose from {sorted(FIGURE_GRIDS)}"
         )
-    profile_name = profile if profile is not None else current_profile()
-    overrides = dict(PROFILES[profile_name])
+    overrides = dict(PROFILES[profile])
     radix = overrides.pop("radix", SimulationConfig.radix)
     base: Dict[str, Any] = dict(overrides)
     if grid["switching"] != "wormhole":
         base["switching"] = grid["switching"]
     return CampaignSpec(
-        name=f"figure-{figure}-{profile_name}",
-        algorithms=tuple(
-            algorithms if algorithms is not None else grid["algorithms"]
-        ),
-        loads=tuple(offered_loads),
-        seeds=(seed,),
+        name=f"figure-{figure}-{profile}",
+        algorithms=grid["algorithms"],
+        loads=PAPER_LOADS,
         topologies=(f"torus:{radix}x2",),
         traffics=(
             TrafficSpec(
@@ -382,10 +277,6 @@ __all__ = [
     "check_figure5",
     "check_low_load_latency",
     "check_vct",
-    "figure3",
-    "figure4",
-    "figure5",
     "figure_campaign_spec",
     "format_checks",
-    "vct_comparison",
 ]

@@ -4,8 +4,9 @@ Every point of a load sweep — one (algorithm, traffic, offered load, seed)
 combination — is an independent simulation: nothing is shared between
 points except the immutable :class:`~repro.simulator.config.SimulationConfig`
 that describes each one.  :func:`run_points` is the only function that
-takes a list of them to results, for ``repro-sweep`` and
-``repro-campaign`` alike, serially or over a
+takes a list of them to results, for ``repro-campaign`` and the
+library's :func:`~repro.experiments.sweep.sweep_algorithms` alike,
+serially or over a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * **Nothing mutable crosses process boundaries.**  Each worker receives a

@@ -4,9 +4,8 @@ The paper simulates 16x16 tori with long warm-ups.  That is reproducible
 here (profile ``paper``) but takes tens of minutes per figure in pure
 Python, so the default profile for benchmarks and examples is ``scaled``:
 an 8x8 torus with shorter sampling, which preserves every qualitative
-ranking the paper reports while finishing in minutes.  Select a profile via
-the ``REPRO_PROFILE`` environment variable or by passing ``profile=`` to
-the figure functions.
+ranking the paper reports while finishing in minutes.  Select a profile
+with ``repro-campaign ... --profile NAME`` or a spec's ``profile`` key.
 
 ==========  ======  =====================================================
 Profile     Torus   Intended use
@@ -21,7 +20,6 @@ Profile     Torus   Intended use
 from __future__ import annotations
 
 import dataclasses
-import os
 from types import MappingProxyType
 from typing import Dict, Mapping
 
@@ -66,20 +64,6 @@ PROFILES: Mapping[str, Dict[str, object]] = MappingProxyType({
     },
 })
 
-_ENV_VAR = "REPRO_PROFILE"
-
-
-def current_profile(default: str = "scaled") -> str:
-    """The profile selected by the environment (or *default*)."""
-    name = os.environ.get(_ENV_VAR, default)
-    if name not in PROFILES:
-        raise ConfigurationError(
-            f"{_ENV_VAR}={name!r} is not a known profile; "
-            f"choose from {sorted(PROFILES)}"
-        )
-    return name
-
-
 def apply_profile(
     config: SimulationConfig, profile: str
 ) -> SimulationConfig:
@@ -92,4 +76,4 @@ def apply_profile(
     return dataclasses.replace(config, **overrides)
 
 
-__all__ = ["PROFILES", "apply_profile", "current_profile"]
+__all__ = ["PROFILES", "apply_profile"]

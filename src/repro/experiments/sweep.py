@@ -44,28 +44,6 @@ from repro.stats.summary import SimulationResult
 PAPER_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-def run_sweep(
-    base_config: SimulationConfig,
-    offered_loads: Sequence[float] = PAPER_LOADS,
-    verbose: bool = False,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    batch_size: int = 32,
-) -> List[SimulationResult]:
-    """Run *base_config* at each offered load (one algorithm's curve)."""
-    configs = run_sweep_points(
-        base_config, [base_config.algorithm], offered_loads, seeds=seeds
-    )
-    return run_points(
-        configs,
-        jobs=jobs,
-        checkpoint_path=checkpoint,
-        verbose=verbose,
-        batch_size=batch_size,
-    )
-
-
 def sweep_algorithms(
     base_config: SimulationConfig,
     algorithms: Iterable[str],
@@ -136,7 +114,6 @@ def saturation_load(
 __all__ = [
     "PAPER_LOADS",
     "peak_throughput",
-    "run_sweep",
     "saturation_load",
     "sweep_algorithms",
 ]

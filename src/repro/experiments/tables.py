@@ -1,15 +1,14 @@
-"""Plain-text tables and CSV output for sweep results.
+"""Plain-text tables for sweep results.
 
 The paper presents its results as figures; lacking a plotting dependency,
 the harness prints the same series as aligned text tables — one row per
-offered load, one latency and one throughput column per algorithm — and
-can write CSV for external plotting.
+offered load, one latency and one throughput column per algorithm.  (CSV
+for external plotting is :func:`repro.campaigns.export.write_campaign_csv`.)
 """
 
 from __future__ import annotations
 
-import csv
-from typing import Dict, List, Sequence, TextIO
+from typing import Dict, List
 
 from repro.stats.summary import SimulationResult
 
@@ -68,22 +67,6 @@ def format_figure(
     return "\n".join(parts)
 
 
-def write_csv(
-    series: Dict[str, List[SimulationResult]], stream: TextIO
-) -> None:
-    """Write every result of a sweep as CSV rows."""
-    fieldnames = None
-    writer = None
-    for results in series.values():
-        for result in results:
-            row = result.to_dict()
-            if writer is None:
-                fieldnames = list(row)
-                writer = csv.DictWriter(stream, fieldnames=fieldnames)
-                writer.writeheader()
-            writer.writerow(row)
-
-
 def peak_summary(series: Dict[str, List[SimulationResult]]) -> str:
     """One line per algorithm: peak throughput and where it occurs."""
     lines = []
@@ -99,4 +82,4 @@ def peak_summary(series: Dict[str, List[SimulationResult]]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["format_figure", "format_table", "peak_summary", "write_csv"]
+__all__ = ["format_figure", "format_table", "peak_summary"]

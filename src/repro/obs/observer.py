@@ -14,7 +14,7 @@ calls from its observed step path.  The contract with the engine:
   an observed run is bit-identical to an unobserved one.
 
 ``metrics_summary`` folds everything into one JSON-ready aggregate
-(embedded in sweep checkpoints by ``--obs`` campaigns), and ``export``
+(embedded in the result store by ``obs=True`` campaigns), and ``export``
 writes the full artifact set: NDJSON trace, probe series (NDJSON +
 wide CSV), heatmap CSV/ASCII, and the metrics JSON.
 """

@@ -18,9 +18,11 @@ The contract of the campaign layer:
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 
+from repro.campaigns.cli import _load_spec, _parse_args
 from repro.campaigns.cli import main as campaign_main
 from repro.campaigns.export import (
     IncompleteCampaignError,
@@ -52,8 +54,11 @@ from repro.campaigns.store import (
 )
 from repro.experiments import paper_figures, parallel
 from repro.experiments.parallel import run_sweep_points
+from repro.experiments.profiles import apply_profile
 from repro.experiments.runner import run_point
 from repro.experiments.sweep import PAPER_LOADS, sweep_algorithms
+from repro.routing.registry import ALGORITHM_NAMES
+from repro.simulator.config import SimulationConfig
 from repro.util.errors import ConfigurationError
 from tests.conftest import tiny_config
 
@@ -494,8 +499,8 @@ class TestCrossCampaignMemoization:
 
 
 class TestSweepCheckpointIsACampaignStore:
-    """`repro-sweep --checkpoint` and `repro-campaign --store` name the
-    same file: what either front-end simulated, the other is served."""
+    """`sweep_algorithms(checkpoint=)` and `run_campaign`'s store name
+    the same file: what either simulated, the other is served."""
 
     NAMES, LOADS = ("ecube", "nbc"), (0.2, 0.4)
 
@@ -531,23 +536,6 @@ class TestSweepCheckpointIsACampaignStore:
         header, *lines = capsys.readouterr().err.splitlines()
         assert header == "4 points: 4 in the store, 0 to simulate"
         assert len(lines) == 4 and all("[skip]" in line for line in lines)
-
-    def test_a_figure_and_its_campaign_spec_share_a_store(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "fig3.jsonl")
-        series = paper_figures.figure3(
-            profile="tiny", offered_loads=(0.2,), checkpoint=path
-        )
-        boobytrap_workers(monkeypatch)
-        spec = paper_figures.figure_campaign_spec(
-            "3", profile="tiny", offered_loads=(0.2,)
-        )
-        report = run_campaign(spec, ResultStore(path))
-        assert report.all_cached and report.total == len(series)
-        assert report.results == [
-            results[0] for results in series.values()
-        ]
 
     @pytest.mark.parametrize("sweep_first", [True, False])
     def test_a_batch_seed_group_resumes_across_the_front_ends(
@@ -687,61 +675,24 @@ class TestExport:
 
 class TestFigureSpecs:
     def test_figure3_spec_expands_to_the_sweep_grid(self):
-        """`repro-campaign --figure 3` runs exactly figure3's configs."""
-        spec = paper_figures.figure_campaign_spec(
-            "3", profile="quick", seed=3
-        )
+        """`repro-campaign --figure 3` is the uniform sweep of every
+        algorithm over the paper's ladder on the profile's torus."""
+        spec = paper_figures.figure_campaign_spec("3", profile="quick")
         assert spec.name == "figure-3-quick"
-        expected = run_sweep_points(
-            paper_figures._base_config("quick", traffic="uniform", seed=3),
-            paper_figures.FIGURE_GRIDS["3"]["algorithms"],
+        assert spec.expand() == run_sweep_points(
+            apply_profile(SimulationConfig(traffic="uniform"), "quick"),
+            ALGORITHM_NAMES,
             PAPER_LOADS,
         )
-        assert spec.expand() == expected
 
-    @pytest.mark.parametrize(
-        "figure, function",
-        [
-            ("3", paper_figures.figure3),
-            ("4", paper_figures.figure4),
-            ("5", paper_figures.figure5),
-            ("vct", paper_figures.vct_comparison),
-        ],
-    )
-    def test_every_figure_function_sweeps_its_spec(
-        self, monkeypatch, figure, function
-    ):
-        """What `figureN()` hands to the sweep is `figure_campaign_spec(N)`
-        expanded: both read the one FIGURE_GRIDS entry."""
-        swept = []
-
-        def record(config, algorithms, loads, *args, **kwargs):
-            swept.extend(run_sweep_points(config, algorithms, loads))
-            return {}
-
-        monkeypatch.setattr(paper_figures, "sweep_algorithms", record)
-        function(profile="quick", seed=3)
-        spec = paper_figures.figure_campaign_spec(
-            figure, profile="quick", seed=3
-        )
-        assert swept and swept == spec.expand()
+    @pytest.mark.parametrize("figure", sorted(paper_figures.FIGURE_GRIDS))
+    def test_every_figure_spec_expands_its_grid(self, figure):
         grid = paper_figures.FIGURE_GRIDS[figure]
-        assert {c.traffic for c in swept} == {grid["traffic"]}
-        assert {c.switching for c in swept} == {grid["switching"]}
-        assert swept[0].traffic_options == grid["traffic_options"]
-
-    def test_figure_options_override_the_grid(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(
-            paper_figures, "sweep_algorithms",
-            lambda config, *args, **kwargs: seen.append(config) or {},
-        )
-        paper_figures.figure4(profile="quick", hotspot_fraction=0.1)
-        paper_figures.figure5(profile="quick", radius=2)
-        assert seen[0].traffic_options == {"fraction": 0.1}
-        assert seen[1].traffic_options == {"radius": 2}
-        with pytest.raises(TypeError, match="radius"):
-            paper_figures.figure3(profile="quick", radius=2)
+        configs = paper_figures.figure_campaign_spec(figure, "quick").expand()
+        assert len(configs) == len(grid["algorithms"]) * len(PAPER_LOADS)
+        assert {c.traffic for c in configs} == {grid["traffic"]}
+        assert {c.switching for c in configs} == {grid["switching"]}
+        assert configs[0].traffic_options == grid["traffic_options"]
 
     def test_vct_spec_pins_switching(self):
         spec = paper_figures.figure_campaign_spec("vct", profile="quick")
@@ -859,12 +810,78 @@ class TestCampaignCli:
 
     def test_usage_errors_exit_2(self, tmp_path, spec_file, capsys):
         store = str(tmp_path / "store.jsonl")
-        assert campaign_main(["run", "--store", store]) == 2  # no spec
+        for flag in ("--jobs", "--batch-size"):
+            assert campaign_main(
+                ["run", spec_file, "--store", store, flag, "0"]
+            ) == 2
+            assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
         assert campaign_main(
             ["run", spec_file, "--figure", "3", "--store", store]
         ) == 2  # both spec forms
+        assert not os.path.exists(store)
         campaign_main(["run", spec_file, "--store", store, "--quiet"])
         assert campaign_main(
             ["export", spec_file, "--store", store]
         ) == 2  # nothing to export
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "topology, argv, message",
+        [
+            ("torus:4x3", [], "algorithm nlast on torus:4x3: north-last"),
+            ("torus:4x2", ["--traffic", "bogus"],
+             "traffic bogus on torus:4x2: unknown traffic pattern"),
+        ],
+    )
+    def test_an_unbuildable_combination_stops_the_run_before_the_store(
+        self, tmp_path, capsys, monkeypatch, topology, argv, message
+    ):
+        """Not after the e-cube points ahead of it are simulated."""
+        boobytrap_workers(monkeypatch)
+        path = str(tmp_path / "spec.json")
+        dataclasses.replace(
+            tiny_spec(algorithms=("ecube", "nlast")), topologies=(topology,)
+        ).to_file(path)
+        store = str(tmp_path / "store.jsonl")
+        assert campaign_main(["run", path, "--store", store] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+        assert not os.path.exists(store)
+
+    def test_set_overrides_the_profile_of_a_flag_built_grid(self):
+        config = _load_spec(_parse_args(
+            ["run", "--profile", "tiny", "--set", "warmup_cycles=123",
+             "--set", "injection_limit=null", "--set", "switching=vct"]
+        )).expand()[0]
+        assert (config.warmup_cycles, config.sample_cycles) == (123, 400)
+        assert (config.injection_limit, config.switching) == (None, "vct")
+
+    def test_flags_a_spec_file_and_a_figure_name_one_grid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = str(tmp_path / "vct.json")
+        dataclasses.replace(
+            paper_figures.figure_campaign_spec("vct", "tiny"),
+            loads=(0.2, 0.4),
+        ).to_file(path)
+        spellings = [
+            ["--figure", "vct", "--profile", "tiny", "--loads", "0.2,0.4"],
+            ["--profile", "tiny", "--algorithms", "ecube,2pn,nbc",
+             "--loads", "0.2,0.4", "--seeds", "1", "--traffic", "uniform",
+             "--set", "switching=vct"],
+            [path],
+        ]
+        store = ["--store", str(tmp_path / "store.jsonl"), "--quiet"]
+        grids = [
+            _load_spec(_parse_args(["run"] + argv)).expand()
+            for argv in spellings
+        ]
+        assert len(grids[0]) == 6 and grids[0] == grids[1] == grids[2]
+        for index, argv in enumerate(spellings):
+            assert campaign_main(["run"] + argv + store) == 0
+            hits = 6 if index else 0
+            assert f"cache hits: {hits}/6" in capsys.readouterr().out
+            boobytrap_workers(monkeypatch)  # from the second run on
+            assert campaign_main(["status"] + argv + store[:2]) == 0
+            assert "6/6 points cached" in capsys.readouterr().out

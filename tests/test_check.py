@@ -24,12 +24,11 @@ REPO = Path(__file__).resolve().parent.parent
 GOOD = Path(__file__).parent / "lint_fixtures" / "good"
 
 
-def test_console_scripts_are_exactly_the_four():
+def test_console_scripts_are_exactly_the_three():
     text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
     section = text.split("[project.scripts]\n")[1].split("\n[")[0]
     scripts = dict(re.findall(r'^([\w-]+) = "(.+)"$', section, re.M))
     assert scripts == {
-        "repro-sweep": "repro.experiments.cli:main",
         "repro-campaign": "repro.campaigns.cli:main",
         "repro-obs": "repro.obs.cli:main",
         "repro-check": "repro.analysis.check:main",

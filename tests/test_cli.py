@@ -1,54 +1,56 @@
-"""Tests for the repro-sweep command-line interface."""
+"""`repro-campaign run` as the sweep front-end: flags in, tables out.
+
+What `repro-sweep` did, case for case, on the one CLI that is left.  The
+store-side subcommands are in `tests/test_campaigns.py::TestCampaignCli`.
+"""
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.campaigns.cli import main
+from repro.campaigns.orchestrator import CampaignReport
+from repro.campaigns.spec import CampaignSpec
+
+
+@pytest.fixture
+def store(tmp_path):
+    return tmp_path / "store.jsonl"
+
+
+@pytest.fixture
+def run(store):
+    """`main(["run", ...])` on the tiny profile over the test's store."""
+
+    def call(*argv):
+        return main(["run", "--profile", "tiny", "--quiet",
+                     "--store", str(store), *argv])
+
+    return call
 
 
 class TestCli:
-    def test_custom_sweep_runs(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_PROFILE", "tiny")
-        exit_code = main(
-            [
-                "--profile",
-                "tiny",
-                "--algorithms",
-                "ecube",
-                "--loads",
-                "0.2",
-                "--quiet",
-                "--csv",
-                str(tmp_path / "out.csv"),
-            ]
+    def test_custom_sweep_runs(self, run, capsys, tmp_path):
+        exit_code = run(
+            "--algorithms", "ecube", "--loads", "0.2", "--tables",
+            "--csv", str(tmp_path / "out.csv"),
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "Custom sweep" in out
-        assert "ecube" in out
+        assert "Campaign 'sweep-tiny': uniform traffic on torus:4x2" in out
+        assert "ecube: peak normalized throughput" in out
         assert (tmp_path / "out.csv").exists()
 
-    def test_figure_mode_reports_checks(self, capsys):
-        exit_code = main(
-            [
-                "--figure",
-                "vct",
-                "--profile",
-                "tiny",
-                "--algorithms",
-                "ecube,2pn,nbc",
-                "--loads",
-                "0.6",
-                "--quiet",
-            ]
+    def test_figure_mode_reports_checks(self, run, capsys):
+        exit_code = run(
+            "--figure", "vct", "--loads", "0.6", "--tables", "--check"
         )
         out = capsys.readouterr().out
-        assert "Paper figure vct" in out
-        assert "PASS" in out or "FAIL" in out
-        assert exit_code in (0, 1)
+        assert "Campaign 'figure-vct-tiny': uniform/vct traffic" in out
+        assert "[PASS] " in out or "[FAIL] " in out
+        assert exit_code == (1 if "[FAIL] " in out else 0)
 
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
-            main(["--figure", "99"])
+            main(["run", "--figure", "99"])
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -62,10 +64,14 @@ class TestCli:
              "unknown routing algorithm 'bogus'"),
             (["--seeds", "1,x"], "--seeds must be"),
             (["--seeds", ","], "--seeds must be"),
+            (["--set", "radix"], "--set takes FIELD=VALUE"),
+            (["--set", "warp=9"], "unexpected keyword argument 'warp'"),
+            (["--set", "seed=3"], "conflict with the spec's own grid axes"),
+            (["--check"], "--check needs --figure"),
         ],
     )
     def test_bad_lists_exit_2_before_simulating(
-        self, argv, message, capsys, monkeypatch
+        self, argv, message, run, store, capsys, monkeypatch
     ):
         def boobytrap(*args, **kwargs):
             raise AssertionError("a point simulated")
@@ -74,35 +80,43 @@ class TestCli:
             "repro.experiments.parallel.run_points", boobytrap
         )
         monkeypatch.setattr(
-            "repro.experiments.sweep.run_points", boobytrap
+            "repro.campaigns.executors.run_points", boobytrap
         )
-        assert main(["--profile", "tiny", "--quiet"] + argv) == 2
+        assert run(*argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert "Traceback" not in captured.err and not captured.out
+        assert not store.exists()
 
     def test_identity_is_not_a_flag(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--identity", "relaxed"])
+            main(["run", "--identity", "relaxed"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_backend_batch_fills_in_its_identity(self, monkeypatch):
+    def test_backend_batch_fills_in_its_identity(self, run, monkeypatch):
         seen = []
-        monkeypatch.setattr(
-            "repro.experiments.cli.sweep_algorithms",
-            lambda config, *args, **kwargs: seen.append(config) or {},
-        )
-        argv = ["--profile", "tiny", "--quiet", "--loads", "0.2",
-                "--flow-control", "conservative"]
-        assert main(argv + ["--backend", "batch"]) == 0
-        assert main(argv + ["--backend", "object"]) == 0
-        assert main(argv) == 0
+
+        def record(spec, store, **kwargs):
+            seen.append(spec.expand()[0])
+            return CampaignReport(spec.name, 0, 0, 0, 0.0)
+
+        monkeypatch.setattr("repro.campaigns.cli.run_campaign", record)
+        argv = ["--loads", "0.2", "--set", "flow_control=conservative"]
+        assert run(*argv, "--set", "backend=batch") == 0
+        assert run(*argv, "--set", "backend=object") == 0
+        assert run(*argv) == 0
         assert [(c.backend, c.identity) for c in seen] == [
             ("batch", "relaxed"), ("object", "strict"), ("object", "strict"),
         ]
+        # Filled in by the spec, so a spec file gets it too.
+        from_file = CampaignSpec.from_dict({
+            "name": "file", "algorithms": ["ecube"], "loads": [0.2],
+            "base": {"flow_control": "conservative", "backend": "batch"},
+        })
+        assert from_file.base["identity"] == "relaxed"
 
-    def test_backend_batch_without_conservative_exits_2(self, capsys):
-        assert main(
-            ["--profile", "tiny", "--quiet", "--backend", "batch"]
-        ) == 2
-        assert "--flow-control conservative" in capsys.readouterr().err
+    def test_backend_batch_without_conservative_exits_2(self, run, capsys):
+        assert run("--set", "backend=batch") == 2
+        err = capsys.readouterr().err
+        assert "backend='batch' requires flow_control='conservative'" in err
+        assert "hint: the batch backend needs --set flow_control=" in err

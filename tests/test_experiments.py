@@ -1,19 +1,11 @@
 """Tests for the experiment harness: runner, sweeps, tables, profiles."""
 
-import dataclasses
-import io
-
 import pytest
 
-from repro.experiments.profiles import (
-    PROFILES,
-    apply_profile,
-    current_profile,
-)
+from repro.experiments.profiles import PROFILES, apply_profile
 from repro.experiments.runner import run_point
 from repro.experiments.sweep import (
     peak_throughput,
-    run_sweep,
     saturation_load,
     sweep_algorithms,
 )
@@ -21,7 +13,6 @@ from repro.experiments.tables import (
     format_figure,
     format_table,
     peak_summary,
-    write_csv,
 )
 from repro.simulator.config import SimulationConfig
 from repro.util.errors import ConfigurationError
@@ -81,7 +72,9 @@ class TestRunPoint:
 class TestSweep:
     @pytest.fixture(scope="class")
     def small_sweep(self):
-        return run_sweep(tiny_config(seed=3), offered_loads=(0.1, 0.5, 0.9))
+        return sweep_algorithms(
+            tiny_config(seed=3), ["ecube"], offered_loads=(0.1, 0.5, 0.9)
+        )["ecube"]
 
     def test_one_result_per_load(self, small_sweep):
         assert [r.offered_load for r in small_sweep] == [0.1, 0.5, 0.9]
@@ -131,13 +124,6 @@ class TestTables:
         summary = peak_summary(series)
         assert "ecube" in summary and "nbc" in summary
 
-    def test_write_csv(self, series):
-        stream = io.StringIO()
-        write_csv(series, stream)
-        lines = stream.getvalue().strip().splitlines()
-        assert lines[0].startswith("algorithm,")
-        assert len(lines) == 1 + 4  # header + 2 algorithms x 2 loads
-
     def test_empty_series(self):
         assert format_table({}) == "(no data)"
 
@@ -156,16 +142,3 @@ class TestProfiles:
     def test_unknown_profile_raises(self):
         with pytest.raises(ConfigurationError):
             apply_profile(SimulationConfig(), "warp-speed")
-
-    def test_current_profile_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "tiny")
-        assert current_profile() == "tiny"
-
-    def test_current_profile_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert current_profile() == "scaled"
-
-    def test_bad_env_profile_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "nope")
-        with pytest.raises(ConfigurationError):
-            current_profile()

@@ -35,7 +35,7 @@ from repro.experiments.parallel import (
     run_sweep_points,
 )
 from repro.experiments.runner import run_point
-from repro.experiments.sweep import run_sweep, sweep_algorithms
+from repro.experiments.sweep import sweep_algorithms
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.stats.summary import SimulationResult
 from repro.util.errors import ConfigurationError
@@ -72,11 +72,8 @@ class TestSerialParallelIdentity:
 
     def test_sweep_helpers_expose_jobs(self):
         base = tiny_config(seed=3)
-        assert run_sweep(base, (0.2, 0.4), jobs=2) == run_sweep(
-            base, (0.2, 0.4)
-        )
-        series = sweep_algorithms(base, ["ecube", "nbc"], (0.3,), jobs=2)
-        assert series == sweep_algorithms(base, ["ecube", "nbc"], (0.3,))
+        series = sweep_algorithms(base, ["ecube", "nbc"], (0.2, 0.4), jobs=2)
+        assert series == sweep_algorithms(base, ["ecube", "nbc"], (0.2, 0.4))
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
