@@ -21,7 +21,6 @@ from repro.analysis.lint.finding import (
     Waiver,
 )
 from repro.analysis.lint.rules import (
-    DET002_ALLOWED_FUNCTIONS,
     ModuleContext,
     RULES,
     Rule,
@@ -40,7 +39,6 @@ from repro.analysis.lint.runner import (
 )
 
 __all__ = [
-    "DET002_ALLOWED_FUNCTIONS",
     "Finding",
     "LintRun",
     "ModuleContext",

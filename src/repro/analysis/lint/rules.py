@@ -13,9 +13,9 @@ makes nondeterminism more expensive:
   /``numpy.random``) outside :mod:`repro.util.rng`.  All stochastic
   choices must flow through seeded :class:`~repro.util.rng.RngStreams`.
 * ``DET002`` — wall-clock reads inside the deterministic core
-  (``simulator/``, ``routing/``, ``network/``, ``topology/``) outside
-  the explicit allowlist of measurement sites that feed
-  ``SimulationResult.wall_seconds`` and the phase profiler.
+  (``simulator/``, ``routing/``, ``network/``, ``topology/``), without
+  exception: ``experiments/`` times whole points and ``obs/`` times the
+  engine's phases from outside.
 * ``DET003`` — iteration (or list/tuple materialisation) of a ``set`` /
   ``frozenset`` whose hash order would feed a simulation decision,
   unless wrapped in ``sorted()`` — the scan→active scheduler's ordering
@@ -59,14 +59,6 @@ WALL_CLOCK_FREE_PACKAGES = ("simulator", "routing", "network", "topology")
 #: Packages where container iteration order feeds simulation decisions
 #: (DET003): the deterministic core plus traffic generation.
 ORDER_SENSITIVE_PACKAGES = WALL_CLOCK_FREE_PACKAGES + ("traffic",)
-
-#: Functions allowed to read wall-clock time inside the deterministic
-#: core: the phase-profiler sites of the profiled step path, which feed
-#: ``PhaseProfiler`` / ``SimulationResult.wall_seconds`` and never touch
-#: simulation state (pinned by the observed golden-trace tests).
-DET002_ALLOWED_FUNCTIONS = frozenset(
-    {"simulator/engine.py::Engine._step_profiled"}
-)
 
 #: Wall-clock entry points DET002 recognises, by qualified name.
 _WALL_CLOCK_CALLS = frozenset(
@@ -241,24 +233,6 @@ def _in_packages(*packages: str) -> Callable[[str], bool]:
     )
 
 
-def _qualnames(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield (dotted qualname, node) for every function in *tree*."""
-
-    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                name = f"{prefix}{child.name}"
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield name, child
-                yield from walk(child, f"{name}.")
-            else:
-                yield from walk(child, prefix)
-
-    yield from walk(tree, "")
-
-
 # ---------------------------------------------------------------------------
 # DET001 — global random state
 # ---------------------------------------------------------------------------
@@ -339,29 +313,16 @@ def det001_global_random(ctx: ModuleContext) -> List[Finding]:
 
 @register_rule(
     "DET002",
-    "no wall-clock reads in simulator/routing/network/topology outside "
-    "the measurement-site allowlist",
+    "no wall-clock reads in simulator/routing/network/topology",
     applies=_in_packages(*WALL_CLOCK_FREE_PACKAGES),
 )
 def det002_wall_clock(ctx: ModuleContext) -> List[Finding]:
     findings: List[Finding] = []
-    allowed_suffixes = {
-        entry.partition("::")[2]
-        for entry in DET002_ALLOWED_FUNCTIONS
-        if entry.startswith(f"{ctx.relpath}::")
-    }
-    covered: Set[int] = set()
-    for qualname, func in _qualnames(ctx.tree):
-        if qualname in allowed_suffixes:
-            end = getattr(func, "end_lineno", func.lineno)
-            covered.update(range(func.lineno, end + 1))
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         qualified = ctx.resolve(node.func)
         if qualified not in _WALL_CLOCK_CALLS:
-            continue
-        if node.lineno in covered:
             continue
         findings.append(
             _finding(
@@ -370,9 +331,8 @@ def det002_wall_clock(ctx: ModuleContext) -> List[Finding]:
                 node,
                 f"wall-clock read {qualified}() in the deterministic "
                 "core",
-                "time outside the core (experiments/ owns wall_seconds) "
-                "or extend DET002_ALLOWED_FUNCTIONS for a new "
-                "measurement site",
+                "time from outside the core: experiments/ owns "
+                "wall_seconds, obs/ wraps the engine's phase methods",
             )
         )
     return findings
@@ -1028,7 +988,6 @@ def hot001_hot_path(ctx: ModuleContext) -> List[Finding]:
 
 
 __all__ = [
-    "DET002_ALLOWED_FUNCTIONS",
     "HOT_PRAGMA",
     "ModuleContext",
     "ORDER_SENSITIVE_PACKAGES",

@@ -54,21 +54,20 @@ def run_point(
     # accumulator the observer uses for engine phases, here with the
     # runner's own schedule phases.
     timer = PhaseProfiler(("warmup", "sampling", "gap"))
+    run = {
+        phase: timer.timed(phase, engine.run_cycles) for phase in timer.phases
+    }
     try:
         # No counter reset after warm-up: VC usage is measured as
         # per-sample snapshot deltas (Engine.start_sample/end_sample), so
         # warm-up and gap-cycle traffic never leaks into the reported
         # statistics.
-        t0 = perf_counter()
-        engine.run_cycles(config.warmup_cycles)
-        timer.add("warmup", perf_counter() - t0)
+        run["warmup"](config.warmup_cycles)
 
         while True:
             engine.advance_streams()
             engine.start_sample()
-            t0 = perf_counter()
-            engine.run_cycles(config.sample_cycles)
-            timer.add("sampling", perf_counter() - t0)
+            run["sampling"](config.sample_cycles)
             samples.append(engine.end_sample())
             if checker.converged(samples):
                 converged = True
@@ -77,9 +76,7 @@ def run_point(
                 converged = False
                 break
             if config.gap_cycles:
-                t0 = perf_counter()
-                engine.run_cycles(config.gap_cycles)
-                timer.add("gap", perf_counter() - t0)
+                run["gap"](config.gap_cycles)
     finally:
         # Export even when the run dies (the trace of a deadlocked run,
         # ending in its deadlock event, is the most valuable one).

@@ -43,8 +43,8 @@ class Message:
         "path",
         "cached_candidates",
         "route_seq",
-        "parked",
         "park_epoch",
+        "blocked_at",
     )
 
     def __init__(
@@ -82,11 +82,13 @@ class Message:
         # Activity-tracked scheduler bookkeeping: the FIFO sequence number
         # of the message's current routing request (assigned per enqueue,
         # kept while the request is blocked so service order matches the
-        # reference stepper's queue discipline), and the parked flag plus
-        # its epoch counter, which invalidates stale waiter-list entries.
+        # reference stepper's queue discipline), the parking epoch, which
+        # every wake advances to invalidate stale waiter-list entries,
+        # and the cycle the request last failed at (set by _park: the
+        # start of the blocked episode an observer is told about).
         self.route_seq = -1
-        self.parked = False
         self.park_epoch = 0
+        self.blocked_at = -1
 
     # -- derived position ----------------------------------------------------
 

@@ -188,6 +188,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     if not rows:
         print("empty heatmap file", file=sys.stderr)
         return 1
+    missing = {"link", "src", "dst", "dim", "direction", column} - set(rows[0])
+    if missing:
+        names = ", ".join(sorted(missing))
+        print(f"INVALID heatmap: no {names} column", file=sys.stderr)
+        return 1
     rows.sort(key=lambda row: int(row[column]), reverse=True)
     print(f"top {min(args.top, len(rows))} links by {column}:")
     for row in rows[: args.top]:
@@ -229,6 +234,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except OSError as error:  # an unreadable input, an unwritable --out
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -59,10 +59,6 @@ class CongestionHeatmap:
             carried[index] += moved - last[index]
             last[index] = moved
 
-    def note_blocked(self, link_index: int) -> None:
-        """Charge one head-blocked wait to a candidate link."""
-        self.blocked[link_index] += 1
-
     # -- aggregation -------------------------------------------------------
 
     def totals(self) -> Dict[str, int]:

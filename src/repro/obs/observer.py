@@ -3,15 +3,19 @@
 An :class:`Observer` bundles the four observability surfaces —
 per-cycle probes, the structured event trace, spatial congestion
 heatmaps, and the phase profiler — behind a handful of hooks the engine
-calls from its observed step path.  The contract with the engine:
+calls.  The contract with the engine:
 
-* **Disabled means gone.**  An engine without an attached observer runs
-  the exact seed code path; the only residue is one ``is None`` check
-  per cycle, per generated message, and per routing attempt.  The
-  golden-trace tests pin the flit schedule either way.
+* **Observing selects no code path.**  The engine has one ``step`` and
+  one routing discipline; a hook site is an ``is None`` test around a
+  call, and the phase profile is timing wrappers put over the engine's
+  bound phase methods at ``bind`` and taken off at ``unbind``.
 * **Observation never perturbs.**  Hooks read engine state and write
   observer state; they never touch rng streams, channels, or queues, so
   an observed run is bit-identical to an unobserved one.
+* **Blocked waits arrive per episode**: once, with its length, when the
+  engine serves the message again (the reference stepper: per failed
+  attempt).  Episodes still open when the books are read are settled,
+  so the totals — blocked message-cycles — are the same either way.
 
 ``metrics_summary`` folds everything into one JSON-ready aggregate
 (embedded in the result store by ``obs=True`` campaigns), and ``export``
@@ -52,6 +56,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 METRICS_SCHEMA = "repro.obs.metrics"
 METRICS_SCHEMA_VERSION = 1
 
+#: The engine phase methods the profiler times: (phase, method name).
+_PHASE_METHODS = (
+    ("generation", "_generate_arrivals"),
+    ("ejection", "_eject"),
+    ("routing", "_route"),
+    ("transmission", "_transmit"),
+)
+
 
 @dataclasses.dataclass
 class ObsConfig:
@@ -69,7 +81,7 @@ class ObsConfig:
     trace_flits: bool = False
     #: Accumulate the spatial congestion heatmap.
     heatmap: bool = True
-    #: Time the engine phases (wall-clock; observed path only).
+    #: Time the engine phases (wall-clock).
     profile: bool = True
     #: Sample the per-channel / per-VC-class vector probes.
     vectors: bool = True
@@ -112,13 +124,13 @@ class Observer:
         self.event_counts: Dict[str, int] = {}
         self._engine: Optional["Engine"] = None
         self._first_cycle = 0
+        #: Set by unbind(): nothing is folded in from that cycle on.
+        self._last_cycle: Optional[int] = None
+        #: Blocked cycles before this one are booked (or preceded bind).
+        self._booked_to = 0
         self._stride = self.config.stride
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def bound(self) -> bool:
-        return self._engine is not None
 
     def bind(self, engine: "Engine") -> None:
         """Wire the observer to one engine (called by attach_observer)."""
@@ -127,7 +139,7 @@ class Observer:
                 "an Observer instance observes exactly one engine"
             )
         self._engine = engine
-        self._first_cycle = engine.cycle
+        self._first_cycle = self._booked_to = engine.cycle
         config = self.config
         if self._registry_override is not None:
             self.probes = self._registry_override
@@ -141,7 +153,12 @@ class Observer:
             heatmap = self.heatmap
             self.probes.register(
                 "blocked_waits_total",
-                lambda e: sum(heatmap.blocked),
+                lambda e: sum(heatmap.blocked)
+                + sum(  # open episodes: what a settle would book now
+                    max(0, e.cycle - max(m.blocked_at, self._booked_to))
+                    * len(m.cached_candidates or ())
+                    for m in _open_episodes(e)
+                ),
             )
         if config.trace:
             self.trace = TraceWriter(
@@ -155,14 +172,27 @@ class Observer:
             )
         if config.profile:
             self.profiler = PhaseProfiler()
+            timed = self.profiler.timed
+            for phase, name in _PHASE_METHODS:
+                setattr(engine, name, timed(phase, getattr(engine, name)))
+            vars(self)["on_cycle_end"] = timed("observe", self.on_cycle_end)
+
+    def unbind(self, engine: "Engine") -> None:
+        """Detached (by detach_observer): settle what is open, close
+        the books, take the phase timers off the engine."""
+        self._finalize()
+        self._last_cycle = engine.cycle
+        if self.profiler is not None:
+            for _, name in _PHASE_METHODS:
+                delattr(engine, name)
 
     @property
     def trace_flit_moves(self) -> bool:
         """Whether the engine should report individual flit arrivals."""
         return self.config.trace and self.config.trace_flits
 
-    def _count(self, event: str) -> None:
-        self.event_counts[event] = self.event_counts.get(event, 0) + 1
+    def _count(self, event: str, times: int = 1) -> None:
+        self.event_counts[event] = self.event_counts.get(event, 0) + times
 
     # -- engine hooks ------------------------------------------------------
 
@@ -194,21 +224,30 @@ class Observer:
         engine: "Engine",
         message: "Message",
         candidates: Sequence[int],
+        cycles: int,
     ) -> None:
-        """*candidates* are flat VC indices: ``divmod(flat, V)`` gives
+        """*message* failed allocation on the *cycles* consecutive
+        cycles from ``message.blocked_at`` on; those a settle booked
+        already (or that preceded ``bind``) are not booked again.
+
+        *candidates* are flat VC indices: ``divmod(flat, V)`` gives
         ``(link.index, vc_class)``."""
-        self._count(EVENT_MSG_BLOCKED)
+        cycles = min(cycles, message.blocked_at + cycles - self._booked_to)
+        if cycles <= 0:
+            return
+        self._count(EVENT_MSG_BLOCKED, cycles)
         num_vcs = engine.fabric.num_vcs
         heatmap = self.heatmap
         if heatmap is not None:
             for flat in candidates:
-                heatmap.note_blocked(flat // num_vcs)
+                heatmap.blocked[flat // num_vcs] += cycles
         if self.trace is not None:
             self.trace.emit(
                 engine.cycle,
                 EVENT_MSG_BLOCKED,
                 msg=message.msg_id,
                 node=message.head_node,
+                cycles=cycles,
                 candidates=[
                     list(divmod(flat, num_vcs)) for flat in candidates
                 ],
@@ -265,6 +304,8 @@ class Observer:
         summary: str,
         report: Optional["DeadlockReport"],
     ) -> None:
+        # (Through this cycle: the watchdog trips after its routing phase.)
+        self._settle(engine, engine.cycle + 1)
         self._count(EVENT_DEADLOCK)
         if self.trace is not None:
             fields: Dict[str, Any] = {"summary": summary}
@@ -288,21 +329,40 @@ class Observer:
 
     # -- aggregation -------------------------------------------------------
 
+    def _settle(self, engine: "Engine", through: int) -> None:
+        """Book every open blocked episode up to cycle *through*
+        (exclusive), as if it ended there.  Idempotent, and reads the
+        engine only: ``_booked_to`` is what keeps the engine's eventual
+        report of the episode from being booked twice."""
+        for message in _open_episodes(engine):
+            waited = through - message.blocked_at
+            self.on_message_blocked(
+                engine, message, message.cached_candidates or (), waited
+            )
+        self._booked_to = max(self._booked_to, through)
+
     def _finalize(self) -> None:
-        """Fold any counter tail accumulated since the last stride."""
-        if self._engine is not None and self.heatmap is not None:
-            self.heatmap.observe_channels(self._engine.fabric.channels)
+        """Fold in what the engine holds and has not reported: the open
+        blocked episodes, the flit counters since the last stride."""
+        engine = self._engine
+        if engine is None or self._last_cycle is not None:
+            return
+        self._settle(engine, engine.cycle)
+        if self.heatmap is not None:
+            self.heatmap.observe_channels(engine.fabric.channels)
 
     def metrics_summary(self) -> Dict[str, Any]:
         """One JSON-ready aggregate of everything observed."""
         self._finalize()
-        engine = self._engine
+        engine, last = self._engine, self._last_cycle
+        if last is None and engine is not None:
+            last = engine.cycle
         summary: Dict[str, Any] = {
             "schema": METRICS_SCHEMA,
             "version": METRICS_SCHEMA_VERSION,
             "stride": self.config.stride,
             "first_cycle": self._first_cycle,
-            "last_cycle": engine.cycle if engine is not None else None,
+            "last_cycle": last,
             "events": dict(sorted(self.event_counts.items())),
         }
         if self.trace is not None:
@@ -365,6 +425,15 @@ class Observer:
             json.dump(self.metrics_summary(), stream, indent=2)
             stream.write("\n")
         return written
+
+
+def _open_episodes(engine: "Engine") -> List["Message"]:
+    """Messages blocked since ``blocked_at`` whose episode the engine
+    has not reported: the parked ones, and those a release woke that
+    were not served since (the reference stepper has neither)."""
+    return list(engine._parked.values()) + [
+        m for _, m in engine._route_heap if m.cached_candidates is not None
+    ]
 
 
 __all__ = [

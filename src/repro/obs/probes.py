@@ -60,10 +60,12 @@ def _builtin_probes() -> List[Probe]:
     return [
         Probe("in_flight_messages", lambda e: e.in_flight),
         Probe("network_flits", lambda e: e.fabric.occupied_flits()),
-        # _route_pending is the stepper's pending-routing container (the
-        # engine's heap, the reference stepper's FIFO deque), so the
-        # depth probe reports the same quantity under either.
-        Probe("route_queue_depth", lambda e: len(e._route_pending)),
+        # The waiting set (the engine's heap plus its parked messages,
+        # the reference stepper's FIFO): the same quantity under either.
+        Probe(
+            "route_queue_depth",
+            lambda e: len(e._route_pending) + len(e._parked),
+        ),
         Probe(
             "injection_backlog",
             lambda e: e.controller.total_outstanding(),
@@ -138,9 +140,6 @@ class ProbeRegistry:
     def series(self, name: str) -> List[Sample]:
         """All retained samples of one probe, oldest first."""
         return self._series[name].to_list()
-
-    def dropped(self, name: str) -> int:
-        return self._series[name].dropped
 
     def __len__(self) -> int:
         return len(self._probes)

@@ -1,12 +1,12 @@
 """Lightweight phase profiler: where an observed engine spends its time.
 
 The engine's cycle has four phases (generation, ejection, routing,
-transmission); when profiling is enabled the observed step path wraps
-each phase call in a pair of ``perf_counter`` reads and accumulates the
-elapsed wall time here.  The profiler only ever runs on the observed
-path — a disabled engine executes zero timing code — and its numbers
-are wall-clock, so they are excluded from anything that must be
-deterministic.
+transmission).  The engine itself reads no clock: when profiling is
+enabled the observer wraps the engine's bound phase methods (and its own
+per-cycle hook, the ``observe`` phase) with :meth:`PhaseProfiler.timed`
+at ``bind`` and unwraps them at detach, so what is timed is the one
+``step`` every run executes.  The numbers are wall-clock, so they are
+excluded from anything that must be deterministic.
 
 The phase set is configurable: the sweep runner reuses the same
 accumulator with warmup/sampling/gap phases to time whole simulation
@@ -15,9 +15,10 @@ points (``SimulationResult.wall_seconds``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Sequence
 
-#: The engine phases timed by the observed step path (the default set).
+#: The engine phases an observer times (the default set).
 PHASES = ("generation", "ejection", "routing", "transmission", "observe")
 
 
@@ -36,6 +37,18 @@ class PhaseProfiler:
     def add(self, phase: str, elapsed: float) -> None:
         self.seconds[phase] += elapsed
         self.calls[phase] += 1
+
+    def timed(self, phase: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """*fn*, with the wall time of every call added to *phase*."""
+        add = self.add
+
+        def call(*args: Any) -> Any:
+            t0 = perf_counter()
+            result = fn(*args)
+            add(phase, perf_counter() - t0)
+            return result
+
+        return call
 
     def total_seconds(self) -> float:
         return sum(self.seconds.values())

@@ -9,13 +9,18 @@ tooling can parse it without knowing the simulator's internals:
   cycle number, the event type and type-specific fields;
 * a final ``footer`` record with the kept/dropped event counts, so a
   truncated trace is detectable (the event list is bounded by
-  ``limit`` — congested runs emit one ``blocked`` event per waiting
-  message per cycle, which adds up fast).
+  ``limit``).
 
 Event types (``EVENT_*`` constants): message created / refused,
-head blocked on an allocation attempt, virtual channel acquired, flit
-moved (opt-in, high volume), message delivered, and a deadlock report
-from the wait-for-graph sanitizer.
+head blocked, virtual channel acquired, flit moved (opt-in, high
+volume), message delivered, and a deadlock report from the
+wait-for-graph sanitizer.
+
+Version 2: a ``msg_blocked`` record stands for ``cycles`` consecutive
+failed attempts of one message — a blocked episode, written when the
+engine serves the message again or the episode is settled (one attempt
+under the reference stepper).  Version 1 wrote a record per attempt and
+no ``cycles``; its files are rejected, not migrated.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.util.validation import require_positive
 
 #: Schema identity embedded in every trace header.
 TRACE_SCHEMA = "repro.obs.trace"
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 EVENT_MSG_CREATED = "msg_created"
 EVENT_MSG_REFUSED = "msg_refused"
@@ -80,13 +85,6 @@ class TraceWriter:
     def events(self) -> List[Dict[str, Any]]:
         return self._events
 
-    def counts_by_type(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self._events:
-            name = record["event"]
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
     def write(self, stream: TextIO) -> None:
         """Write the NDJSON trace: header, events, footer."""
         header = {
@@ -123,6 +121,8 @@ def validate_trace_lines(lines: List[str]) -> Dict[str, int]:
     if len(lines) < 2:
         raise ValueError("trace must contain a header and a footer")
     records = [json.loads(line) for line in lines if line.strip()]
+    if not all(isinstance(record, dict) for record in records):
+        raise ValueError("a line is not a JSON object")
     header, body, footer = records[0], records[1:-1], records[-1]
     if header.get("record") != "header":
         raise ValueError("first record is not a header")
@@ -141,6 +141,10 @@ def validate_trace_lines(lines: List[str]) -> Dict[str, int]:
             raise ValueError(f"unknown event type {event!r}")
         if not isinstance(record.get("cycle"), int):
             raise ValueError("event record without an integer cycle")
+        if event == EVENT_MSG_BLOCKED and not isinstance(
+            record.get("cycles"), int
+        ):
+            raise ValueError("msg_blocked record without integer cycles")
         counts[event] = counts.get(event, 0) + 1
     if footer.get("events") != len(body):
         raise ValueError(

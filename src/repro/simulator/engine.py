@@ -39,7 +39,6 @@ from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 from operator import attrgetter
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Deque,
@@ -54,7 +53,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
-    from repro.obs.profile import PhaseProfiler
     from repro.traffic.trace import MessageTrace
 
 from repro.network.fabric import Fabric
@@ -196,8 +194,8 @@ class Engine:
         self._sample_refused_base = 0
         self._sample_vc_base: List[int] = []
 
-        # Optional repro.obs observer.  When None (the default) step()
-        # and every per-event hook check fail in one is-None test.
+        # Optional repro.obs observer.  It selects no code path: every
+        # hook site is one is-None test around a call.
         self._obs: Optional["Observer"] = None
         if config.obs:
             from repro.obs.observer import ObsConfig, Observer
@@ -212,10 +210,6 @@ class Engine:
 
     def step(self) -> None:
         """Advance the simulation by one cycle."""
-        obs = self._obs
-        if obs is not None and obs.profiler is not None:
-            self._step_profiled(obs, obs.profiler)
-            return
         progressed = False
         self._generate_arrivals()
         if self._delivering:
@@ -236,43 +230,11 @@ class Engine:
         ):
             self._report_deadlock()
         self.cycle += 1
+        obs = self._obs
         if obs is not None:
             # Observation only reads state (probes, heatmap), so observed
             # runs stay bit-identical to unobserved ones (golden traces).
             obs.on_cycle_end(self)
-
-    def _step_profiled(
-        self, obs: "Observer", profiler: "PhaseProfiler"
-    ) -> None:
-        """:meth:`step` with every phase timed: same phases, same order."""
-        progressed = False
-        t0 = perf_counter()
-        self._generate_arrivals()
-        profiler.add("generation", perf_counter() - t0)
-        if self._delivering:
-            t0 = perf_counter()
-            progressed |= self._eject()
-            profiler.add("ejection", perf_counter() - t0)
-        if self._route_pending:
-            t0 = perf_counter()
-            progressed |= self._route()
-            profiler.add("routing", perf_counter() - t0)
-        if self._active_channels:
-            t0 = perf_counter()
-            progressed |= self._transmit()
-            profiler.add("transmission", perf_counter() - t0)
-        if progressed:
-            self._last_progress = self.cycle
-        elif (
-            self.in_flight
-            and self.cycle - self._last_progress
-            > self.config.deadlock_threshold
-        ):
-            self._report_deadlock()
-        self.cycle += 1
-        t0 = perf_counter()
-        obs.on_cycle_end(self)
-        profiler.add("observe", perf_counter() - t0)
 
     def run_cycles(self, cycles: int) -> None:
         """Advance the simulation by *cycles* cycles.
@@ -325,17 +287,13 @@ class Engine:
             )
         observer.bind(self)
         self._obs = observer
-        # The observer's on_message_blocked hook must fire every cycle a
-        # message stays blocked, so nothing parks (parking skips those
-        # re-polls) while one is attached — and any already-parked
-        # message returns to the heap.
-        if self._parked:
-            self._unpark_all()
 
     def detach_observer(self) -> Optional["Observer"]:
         """Detach and return the observer (None if none was attached)."""
         observer = self._obs
         self._obs = None
+        if observer is not None:
+            observer.unbind(self)
         return observer
 
     # -- sampling --------------------------------------------------------
@@ -457,8 +415,9 @@ class Engine:
         it back with its original sequence number, so the service order
         after a wake is the order a FIFO queue that re-polls every
         blocked message each cycle (the reference stepper) would have
-        served it in.  While an observer is attached nothing parks: one
-        on_message_blocked event per blocked cycle is its contract.
+        served it in.  A woken message still carries its cached
+        candidates: that is how its blocked episode (the cycles since
+        _park stamped it) is recognised and reported to an observer.
         """
         heap = self._route_heap
         batch = sorted(heap)  # unique seqs: messages never compared
@@ -473,13 +432,13 @@ class Engine:
             if candidates is None:
                 candidates = self._memo_candidates(message)
                 message.cached_candidates = candidates
+            elif obs is not None:
+                obs.on_message_blocked(
+                    self, message, candidates, self.cycle - message.blocked_at
+                )
             chosen = self._select(candidates, policy, rng)
             if chosen is None:
-                if obs is None:
-                    self._park(message, candidates)
-                else:
-                    obs.on_message_blocked(self, message, candidates)
-                    heappush(heap, entry)  # retry next cycle
+                self._park(message, candidates)
                 continue
             self._allocate(message, chosen)
             if obs is not None:
@@ -493,13 +452,13 @@ class Engine:
         A blocked message consumes no rng (the free filter in _select
         returns before any randrange when nothing is free), so skipping
         its re-polls cannot perturb the random stream — parking is
-        invisible to the flit schedule.  Waiter entries carry a parking
-        epoch; stale entries from an earlier park of the same message
-        are ignored at wake time rather than eagerly removed.
+        invisible to the flit schedule.  Waiter entries carry the
+        message's parking epoch, which every wake advances: the entries
+        a wake leaves on the other candidates are ignored at their wake
+        time rather than eagerly removed.
         """
-        epoch = message.park_epoch + 1
-        message.park_epoch = epoch
-        message.parked = True
+        epoch = message.park_epoch
+        message.blocked_at = self.cycle
         self._parked[message.msg_id] = message
         vcs = self._vcs
         for flat in candidates:
@@ -517,20 +476,10 @@ class Engine:
         heap = self._route_heap
         parked = self._parked
         for epoch, message in waiters:  # type: ignore[union-attr]
-            if message.parked and message.park_epoch == epoch:
-                message.parked = False
+            if message.park_epoch == epoch:
+                message.park_epoch = epoch + 1
                 del parked[message.msg_id]
                 heappush(heap, (message.route_seq, message))
-
-    def _unpark_all(self) -> None:
-        """Return every parked message to the heap (observer attach)."""
-        heap = self._route_heap
-        for message in self._parked.values():
-            message.parked = False
-            heappush(heap, (message.route_seq, message))
-        self._parked.clear()
-        # Waiter-list entries left behind are invalidated by the parked
-        # flag / epoch check in _wake_waiters.
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _memo_candidates(self, message: Message) -> Sequence[int]:

@@ -55,8 +55,9 @@ class ScanEngine(Engine):
                 message.cached_candidates = candidates
             chosen = self._select(candidates, policy, rng)
             if chosen is None:
+                message.blocked_at = self.cycle
                 if obs is not None:
-                    obs.on_message_blocked(self, message, candidates)
+                    obs.on_message_blocked(self, message, candidates, 1)
                 queue.append(message)  # retry next cycle, FIFO order kept
                 continue
             self._allocate(message, chosen)

@@ -1,7 +1,7 @@
-"""Fixture: DET002 silent — the allowlisted measurement site.
+"""Fixture: DET002 fires — no function name exempts a wall-clock read.
 
-``simulator/engine.py::Engine._step_profiled`` is in
-``DET002_ALLOWED_FUNCTIONS``, so its wall-clock reads pass.
+Until ISSUE 24 ``simulator/engine.py::Engine._step_profiled`` was on an
+allowlist and this module was a *good* fixture; the list is gone.
 """
 
 from time import perf_counter

@@ -180,7 +180,7 @@ class TestTreeGate:
         out_after = capsys.readouterr().out
         assert before == after == 0
         assert "no findings" not in out_before + out_after  # --quiet held
-        assert out_before.startswith("0 findings over 8 analyzed files")
+        assert out_before.startswith("0 findings over 7 analyzed files")
         assert list(tmp_path.iterdir()) == []  # --no-cache held
 
     def test_retired_spellings_are_usage_errors(self, capsys):

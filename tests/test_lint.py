@@ -32,6 +32,7 @@ GOOD = FIXTURES / "good"
 BAD_CASES = [
     ("simulator/det001_random.py", "DET001"),
     ("simulator/det002_clock.py", "DET002"),
+    ("simulator/engine.py", "DET002"),
     ("simulator/det003_sets.py", "DET003"),
     ("det004_id.py", "DET004"),
     ("simulator/det005_state.py", "DET005"),
@@ -43,7 +44,6 @@ BAD_CASES = [
 GOOD_CASES = [
     "simulator/det001_ok.py",
     "util/rng.py",
-    "simulator/engine.py",
     "simulator/det003_ok.py",
     "det004_ok.py",
     "simulator/det005_ok.py",

@@ -89,8 +89,27 @@ class TestTraceWriter:
         trace.write(stream)
         header = json.loads(stream.getvalue().splitlines()[0])
         assert header["schema"] == "repro.obs.trace"
-        assert header["version"] == 1
+        assert header["version"] == 2
         assert header["meta"] == {"seed": 7}
+
+    def test_version_1_traces_are_rejected_not_migrated(self):
+        """v1 wrote one msg_blocked record per blocked cycle and no
+        ``cycles`` field; a v2 reader must not count those as episodes."""
+        trace = TraceWriter()
+        stream = io.StringIO()
+        trace.write(stream)
+        lines = stream.getvalue().splitlines()
+        lines[0] = lines[0].replace('"version": 2', '"version": 1')
+        with pytest.raises(ValueError, match="unexpected version 1"):
+            validate_trace_lines(lines)
+
+    def test_msg_blocked_records_must_carry_cycles(self):
+        trace = TraceWriter()
+        trace.emit(3, "msg_blocked", msg=0, node=1, candidates=[[0, 0]])
+        stream = io.StringIO()
+        trace.write(stream)
+        with pytest.raises(ValueError, match="cycles"):
+            validate_trace_lines(stream.getvalue().splitlines())
 
     @pytest.mark.parametrize(
         "lines",
@@ -103,15 +122,21 @@ class TestTraceWriter:
             ],
             [
                 '{"record": "header", "schema": "repro.obs.trace",'
-                ' "version": 1}',
+                ' "version": 2}',
                 '{"record": "event", "cycle": 1, "event": "not_a_type"}',
                 '{"record": "footer", "events": 1, "dropped": 0}',
             ],
             [
                 '{"record": "header", "schema": "repro.obs.trace",'
-                ' "version": 1}',
+                ' "version": 2}',
                 '{"record": "event", "cycle": 1, "event": "msg_created"}',
                 '{"record": "footer", "events": 7, "dropped": 0}',
+            ],
+            [
+                '{"record": "header", "schema": "repro.obs.trace",'
+                ' "version": 2}',
+                "[1]",  # a JSON value, but not a record
+                '{"record": "footer", "events": 1, "dropped": 0}',
             ],
         ],
     )
@@ -224,6 +249,41 @@ class TestObserverAccounting:
         counts = validate_trace_lines(stream.getvalue().splitlines())
         assert sum(counts.values()) == 500  # limit enforced
         assert observer.trace.dropped > 0
+
+    def test_settling_open_episodes_is_idempotent(self, tmp_path):
+        """export() and metrics_summary() both settle the blocked
+        episodes still open in the engine's parked set; doing it again
+        at the same cycle charges nothing, and the engine's eventual
+        report of such an episode charges only the remainder."""
+        config = tiny_config(offered_load=0.9)
+        engine, reference = Engine(config), ScanEngine(config)
+        for stepper in (engine, reference):
+            stepper.attach_observer(Observer(ObsConfig(trace_limit=10**6)))
+            stepper.run_cycles(700)
+        observer = engine.observer
+        assert engine._parked and not reference._parked
+        observer.export(str(tmp_path), prefix="point")
+        with open(tmp_path / "point.metrics.json") as stream:
+            exported = json.load(stream)
+        first = observer.metrics_summary()
+        second = observer.metrics_summary()
+        for summary in (exported, first):
+            summary.pop("profile")  # wall-clock
+        second.pop("profile")
+        assert exported == first == second
+        assert (
+            first["events"]["msg_blocked"]
+            == reference.observer.metrics_summary()["events"]["msg_blocked"]
+        )
+        # Settled mid-episode, then reported by the engine: no double
+        # charge.
+        for stepper in (engine, reference):
+            stepper.run_cycles(300)
+        assert (
+            observer.metrics_summary()["heatmap"]
+            == reference.observer.metrics_summary()["heatmap"]
+        )
+        assert observer.heatmap.blocked == reference.observer.heatmap.blocked
 
     def test_attach_twice_rejected(self):
         engine, observer = _observed_engine(cycles=10)

@@ -96,6 +96,35 @@ class TestTraceVerb:
         assert "INVALID" in capsys.readouterr().err
 
 
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys):
+        assert _run(["trace", str(tmp_path / "nonexistent")]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and error.count("\n") == 1
+        assert "nonexistent" in error
+
+    def test_non_object_line_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text(
+            '{"record": "header", "schema": "repro.obs.trace",'
+            ' "version": 2}\n[1]\n'
+            '{"record": "footer", "events": 1, "dropped": 0}\n'
+        )
+        assert _run(["trace", str(bad)]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("INVALID trace: ")
+        assert error.count("\n") == 1
+
+    def test_version_1_trace_rejected(self, tmp_path, capsys):
+        old = tmp_path / "v1.ndjson"
+        old.write_text(
+            '{"record": "header", "schema": "repro.obs.trace",'
+            ' "version": 1, "meta": {}}\n'
+            '{"record": "footer", "events": 0, "dropped": 0}\n'
+        )
+        assert _run(["trace", str(old)]) == 1
+        assert "unexpected version 1" in capsys.readouterr().err
+
+
 class TestHeatmapVerb:
     def test_ranks_links(self, tmp_path, capsys):
         out = tmp_path / "art"
@@ -112,6 +141,16 @@ class TestHeatmapVerb:
         ) == 0
         printed = capsys.readouterr().out
         assert "top 3 links by flits_carried" in printed
+
+    def test_foreign_csv_is_one_error_line(self, tmp_path, capsys):
+        foreign = tmp_path / "probes.csv"
+        foreign.write_text("cycle,in_flight_messages\n0,3\n")
+        assert _run(["heatmap", str(foreign)]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("INVALID heatmap: ")
+        assert "blocked_waits" in error and error.count("\n") == 1
+        assert _run(["heatmap", str(tmp_path / "nonexistent")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestProfileVerb:

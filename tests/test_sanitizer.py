@@ -116,8 +116,9 @@ class TestSanitizedDeadlockReport:
         """The graph is built at the trip from the waiting set (heap plus
         parked) and each message's cached candidates; the reference
         re-polls every blocked message every cycle and must name the
-        same cycle, holders and blockage — whether the engine parked,
-        re-polled for an observer, or switched between the two."""
+        same cycle, holders and blockage — observed or not (an observer
+        does not change how the engine parks), from the start or from
+        mid-run."""
         attach_at = observed.get("attach_at")
         config, algorithm = case(obs=observed.get("obs", False))
         reports = [
@@ -136,6 +137,44 @@ class TestSanitizedDeadlockReport:
         ]
         assert len(report.blocked) > 0
         assert str(reports[0]) == str(reports[1])
+
+    @pytest.mark.parametrize(
+        "observed",
+        [{"obs": True}, {"attach_at": 200}],
+        ids=["observed", "attached-mid-run"],
+    )
+    def test_trace_ends_with_settled_waits_then_the_deadlock(self, observed):
+        """At the trip every message is parked in an open episode: the
+        observer settles them (through the trip cycle, which the
+        reference polled too), then writes the deadlock event — and
+        settling again afterwards adds nothing."""
+        config, algorithm = _clockwise_case(obs=observed.get("obs", False))
+        books = []
+        for stepper in (ScanEngine, Engine):
+            engine = stepper(config, algorithm=algorithm)
+            with pytest.raises(DeadlockError):
+                if "attach_at" in observed:
+                    engine.run_cycles(observed["attach_at"])
+                    engine.attach_observer(Observer())
+                engine.run_cycles(30000)
+            observer = engine.observer
+            assert observer.trace.dropped == 0
+            counts = dict(observer.event_counts)
+            first = observer.metrics_summary()
+            assert observer.metrics_summary() == first
+            assert observer.event_counts == counts
+            books.append((counts, list(observer.heatmap.blocked)))
+        assert books[0] == books[1]
+        # (engine, observer: the Engine's, from the last iteration.)
+        *waits, last = observer.trace.events[-len(engine._parked) - 1:]
+        assert last["event"] == "deadlock" and engine._parked
+        assert [
+            (event["event"], event["cycle"], event["msg"]) for event in waits
+        ] == [
+            ("msg_blocked", engine.cycle, msg_id)
+            for msg_id in engine._parked
+        ]
+        assert all(event["cycles"] > 1 for event in waits)
 
     def test_sanitizer_costs_no_routing_attempts(self):
         """``sanitize`` only gates the report: blocked messages park and

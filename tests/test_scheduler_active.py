@@ -20,7 +20,9 @@ Covered here:
   its poll efficiency, and the uniqueness of its splice-heap keys;
 * a 50-configuration fuzz sweep over random short configs (switching,
   flow control, mux policy, selection policy, load, message length,
-  buffer depth, seeds);
+  buffer depth, seeds), once for the fingerprints and once for what an
+  observer on each stepper reports (blocked waits per episode vs per
+  cycle: same totals);
 * the routing-decision memo: cached candidate sets must resolve to the
   same objects a fresh computation produces, and disabling the memo
   must not change the schedule;
@@ -167,36 +169,82 @@ class TestSchedulerIdentity:
         assert a.state_fingerprint() != b.state_fingerprint()
 
 
+def _fuzz_configs():
+    """The fuzz sweep: 50 (cycles, options) pairs, the same every call."""
+    rng = random.Random(0xC0FFEE)
+    for _ in range(50):
+        switching = rng.choice(["wormhole", "wormhole", "vct", "saf"])
+        options = {
+            "radix": rng.choice([4, 4, 6]),
+            "n_dims": 2,
+            "topology": rng.choice(["mesh", "torus"]),
+            "algorithm": rng.choice(ALGORITHMS),
+            "switching": switching,
+            "flow_control": rng.choice(["ideal", "conservative"]),
+            "mux_policy": rng.choice(["round_robin", "highest_class"]),
+            "selection_policy": rng.choice(
+                ["least_multiplexed", "random", "first"]
+            ),
+            "offered_load": rng.choice([0.15, 0.3, 0.5, 0.7]),
+            "message_length": rng.choice([4, 8, 16]),
+            "injection_limit": rng.choice([1, 2, None]),
+            # VCT and SAF require buffers holding a whole packet; let
+            # the config default handle those modes.
+            "vc_buffer_depth": (
+                rng.choice([None, 1, 2, 4])
+                if switching == "wormhole" else None
+            ),
+            "seed": rng.randrange(10_000),
+        }
+        yield rng.randrange(200, 500), options
+
+
+def _observed_books(engine):
+    """Everything an observer reports that both steppers must agree on
+    (finalized: open blocked episodes settled, flit counters folded)."""
+    observer = engine.observer
+    observer.metrics_summary()
+    blocked_cycles = sum(
+        event["cycles"]
+        for event in observer.trace.events
+        if event["event"] == "msg_blocked"
+    )
+    assert observer.trace.dropped == 0
+    assert blocked_cycles == observer.event_counts.get("msg_blocked", 0)
+    return (
+        list(observer.heatmap.blocked),
+        list(observer.heatmap.carried),
+        dict(observer.event_counts),
+        {
+            name: observer.probes.series(name)
+            for name in observer.probes.scalar_names()
+        },
+    )
+
+
 class TestSchedulerFuzz:
     def test_fifty_random_configs_agree(self):
         """50 random short configs: fingerprints identical throughout."""
-        rng = random.Random(0xC0FFEE)
-        for trial in range(50):
-            switching = rng.choice(["wormhole", "wormhole", "vct", "saf"])
-            options = {
-                "radix": rng.choice([4, 4, 6]),
-                "n_dims": 2,
-                "topology": rng.choice(["mesh", "torus"]),
-                "algorithm": rng.choice(ALGORITHMS),
-                "switching": switching,
-                "flow_control": rng.choice(["ideal", "conservative"]),
-                "mux_policy": rng.choice(["round_robin", "highest_class"]),
-                "selection_policy": rng.choice(
-                    ["least_multiplexed", "random", "first"]
-                ),
-                "offered_load": rng.choice([0.15, 0.3, 0.5, 0.7]),
-                "message_length": rng.choice([4, 8, 16]),
-                "injection_limit": rng.choice([1, 2, None]),
-                # VCT and SAF require buffers holding a whole packet; let
-                # the config default handle those modes.
-                "vc_buffer_depth": (
-                    rng.choice([None, 1, 2, 4])
-                    if switching == "wormhole" else None
-                ),
-                "seed": rng.randrange(10_000),
-            }
-            cycles = rng.randrange(200, 500)
+        for cycles, options in _fuzz_configs():
             _run_pair(cycles, **options)
+
+    def test_fifty_random_configs_observe_alike(self):
+        """The same 50 with an observer on both steppers: the reference
+        reports a blocked message every cycle, the engine once per
+        episode, and every per-link and per-run total comes out equal —
+        as does each msg_blocked trace's sum of ``cycles``."""
+        blocked = 0
+        for cycles, options in _fuzz_configs():
+            scan, active = _run_pair(
+                cycles,
+                obs=True,
+                obs_options={"stride": 8, "trace_limit": 10**6},
+                **options,
+            )
+            books = _observed_books(active)
+            assert books == _observed_books(scan), options
+            blocked += books[2].get("msg_blocked", 0)
+        assert blocked > 10_000  # the sweep did congest
 
 
 class TestTransmitPolls:
@@ -429,29 +477,65 @@ class TestSchedulerConfig:
             most_parked = max(most_parked, len(active._parked))
         assert most_parked > 1
 
-    def test_observer_attach_detach_toggles_parking(self):
-        """One msg_blocked event per blocked cycle is the observer's
-        contract: attaching returns every parked message to the heap and
-        nothing parks until it is detached again."""
+    def test_observer_selects_no_scheduling(self):
+        """An observed engine is the program an unobserved one runs: same
+        state, same transmit polls, same parked set on every cycle."""
+        from repro.obs.observer import Observer
+
+        plain, observed = self._congested(Engine), self._congested(Engine)
+        observed.attach_observer(Observer())
+        most_parked = 0
+        for _ in range(300):
+            plain.step()
+            observed.step()
+            assert plain.state_fingerprint() == observed.state_fingerprint()
+            assert plain.polls_total == observed.polls_total
+            assert list(plain._parked) == list(observed._parked)
+            most_parked = max(most_parked, len(observed._parked))
+        assert most_parked > 1
+
+    def test_mid_run_observer_charges_its_own_window_only(self):
+        """Attached while messages are parked and detached 100 cycles
+        later, the observer books what the reference's observer books
+        over the same window: nothing from before the attach cycle, and
+        the episodes still open at detach up to the detach cycle."""
         from repro.obs.observer import ObsConfig, Observer
 
         scan, engine = self._congested(ScanEngine), self._congested(Engine)
-        while not engine._parked:
+        while not engine._parked or not any(
+            message.cached_candidates is not None
+            for _, message in engine._route_heap
+        ):
+            # Both kinds of open episode: parked, and woken but unserved.
             scan.step()
             engine.step()
+        observers = []
         for stepper in (scan, engine):
-            stepper.attach_observer(Observer(ObsConfig(stride=64)))
-        assert not engine._parked
-        for _ in range(100):
-            scan.step()
-            engine.step()
-            assert not engine._parked
-        # The reference re-polls every blocked message every cycle.
-        assert (
-            engine.observer.event_counts["msg_blocked"]
-            == scan.observer.event_counts["msg_blocked"]
-            > 100
-        )
-        engine.detach_observer()
-        engine.run_cycles(100)
+            observers.append(
+                Observer(ObsConfig(stride=8, trace_limit=10**6))
+            )
+            stepper.attach_observer(observers[-1])
+        assert engine._parked  # attaching returned nothing to the heap
+        for stepper in (scan, engine):
+            stepper.run_cycles(100)
         assert engine._parked
+        books = [_observed_books(stepper) for stepper in (scan, engine)]
+        assert books[0] == books[1]
+        assert books[0][2]["msg_blocked"] > 100
+        for stepper, observer in zip((scan, engine), observers):
+            assert stepper.detach_observer() is observer
+            # The phase timers went with it.
+            assert "_route" not in vars(stepper)
+        for stepper in (scan, engine):
+            stepper.run_cycles(100)
+        after = [
+            (
+                observer.metrics_summary()["last_cycle"],
+                observer.heatmap.blocked,
+                observer.heatmap.carried,
+                observer.event_counts,
+            )
+            for observer in observers
+        ]
+        assert after[0] == after[1]
+        assert after[1] == (engine.cycle - 100, *books[1][:3])
