@@ -80,13 +80,18 @@ def write_campaign_csv(
     pairs: Sequence[Tuple[SimulationConfig, SimulationResult]],
     stream: TextIO,
 ) -> None:
-    """Write the campaign's points as CSV, in expansion order."""
-    writer = None
-    for row in campaign_rows(pairs):
-        if writer is None:
-            writer = csv.DictWriter(stream, fieldnames=list(row))
-            writer.writeheader()
-        writer.writerow(row)
+    """Write the campaign's points as CSV, in expansion order.
+
+    Every row has the first row's columns in its order (one context
+    block, one ``SimulationResult.to_dict`` schema), so rows are written
+    by position: the bytes ``csv.DictWriter`` writes, without its
+    per-row key check and lookups.
+    """
+    rows = campaign_rows(pairs)
+    if rows:
+        writer = csv.writer(stream)
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
 
 
 def grid_series(

@@ -31,6 +31,7 @@ from operator import attrgetter
 from typing import Any, Dict, Tuple
 
 from repro.simulator.config import SimulationConfig
+from repro.stats.summary import unshared
 
 #: Config fields that vary between the points of one campaign; everything
 #: else must match for a stored result to be reused.
@@ -65,6 +66,26 @@ _PLAIN = frozenset((str, int, type(None)))
 _to_json = json.JSONEncoder(sort_keys=True, default=repr).encode
 
 
+def _spell(value: Any) -> Tuple[str]:
+    """``(JSON text of value,)``: the memo key of a non-plain value.
+
+    The values every campaign holds — finite floats, bools, empty
+    options — are spelled as ``json`` writes them, without the encoder.
+    """
+    kind = type(value)
+    if kind is float:
+        if value - value == 0.0:  # finite: json writes float.__repr__
+            return (float.__repr__(value),)
+    elif kind is bool:
+        return ("true",) if value else ("false",)
+    elif kind is dict:
+        if not value:
+            return ("{}",)
+    elif (kind is list or kind is tuple) and not value:
+        return ("[]",)
+    return (_to_json(value),)
+
+
 def point_key(config: SimulationConfig) -> str:
     """Stable identity of one sweep point within a campaign."""
     return (
@@ -75,10 +96,14 @@ def point_key(config: SimulationConfig) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _derive_shared(values: Tuple[Any, ...]) -> Tuple[str, str]:
-    """(signature, stored-config JSON with null point fields) of one set
-    of shared values.  Spelling the JSON field by field is byte for byte
-    what one ``sort_keys`` dump of the whole dict writes."""
+def _derive_shared(
+    values: Tuple[Any, ...],
+) -> Tuple[str, Dict[str, Any], Tuple[str, ...]]:
+    """(signature, stored-config template with null point fields, names
+    of its container values) of one set of shared values.  Spelling the
+    JSON field by field is byte for byte what one ``sort_keys`` dump of
+    the whole dict writes.  The template is parsed once, here, and never
+    handed out: :func:`identify` copies it."""
     texts = {
         name: value[0] if type(value) is tuple else json.dumps(value)
         for name, value in zip(_SHARED_FIELDS, values)
@@ -89,18 +114,29 @@ def _derive_shared(values: Tuple[Any, ...]) -> Tuple[str, str]:
     texts["scheduler"] = '"active"'
     blob = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
     texts.update(dict.fromkeys(POINT_FIELDS, "null"))
-    stored = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16], stored
+    template = json.loads(
+        "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
+    )
+    containers = tuple(
+        name for name, value in template.items()
+        if type(value) in (dict, list)
+    )
+    signature = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return signature, template, containers
 
 
-def _shared(config: SimulationConfig) -> Tuple[str, str]:
+def _shared(
+    config: SimulationConfig,
+) -> Tuple[str, Dict[str, Any], Tuple[str, ...]]:
     """The campaign-shared part of an identity, derived once per distinct
     set of values (a bounded memo).  The key is the values as they are
-    now, never the config instance, which is mutable."""
-    return _derive_shared(tuple(
-        value if type(value) in _PLAIN else (_to_json(value),)
+    now, never the config instance, which is mutable: a ``str`` / ``int``
+    / ``None`` is its own key, any other value the JSON text it is
+    hashed as."""
+    return _derive_shared(tuple([
+        value if type(value) in _PLAIN else _spell(value)
         for value in _shared_values(config)
-    ))
+    ]))
 
 
 def campaign_signature(config: SimulationConfig) -> str:
@@ -125,11 +161,15 @@ def identify(config: SimulationConfig) -> Tuple[str, str, str, Dict[str, Any]]:
     """(signature, point key, record key, stored config), derived once.
 
     The stored config is every field the result depends on (not the
-    backend, as for the signature), as the store's JSON reads back.
+    backend, as for the signature), as the store's JSON reads back.  It
+    is the caller's own: a copy of the memoised template whose dicts and
+    lists, empty ones included, are fresh.
     """
-    signature, stored_text = _shared(config)
+    signature, template, containers = _shared(config)
     point = point_key(config)
-    stored = json.loads(stored_text)
+    stored = template.copy()
+    for name in containers:
+        stored[name] = unshared(template[name])
     for name in POINT_FIELDS:
         value = getattr(config, name)
         if type(value) not in _PLAIN and type(value) is not float:

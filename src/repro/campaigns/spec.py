@@ -41,6 +41,10 @@ from repro.topology import split_topology
 from repro.traffic.registry import make_traffic
 from repro.util.errors import ConfigurationError, ReproError
 
+_CONFIG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SimulationConfig) if f.init
+)
+
 
 def parse_topology(spec: str) -> Tuple[str, int, int]:
     """Parse ``"torus:16x2"`` / ``"mesh:4x3"`` into (kind, radix, n_dims)."""
@@ -229,28 +233,29 @@ class CampaignSpec:
                 ) from None
 
     def expand(self) -> List[SimulationConfig]:
-        """Every point of the campaign, in the documented order."""
+        """Every point of the campaign, in the documented order.
+
+        Points are built from one kwargs dict per expansion; each is
+        validated by its own ``__post_init__``, shares the base's
+        ``obs_options`` and gets a fresh ``traffic_options``.
+        """
         shared = self.base_config()
+        kwargs = {name: getattr(shared, name) for name in _CONFIG_FIELDS}
         points: List[SimulationConfig] = []
         for topology in self.topologies:
-            kind, radix, n_dims = parse_topology(topology)
+            kwargs["topology"], kwargs["radix"], kwargs["n_dims"] = (
+                parse_topology(topology)
+            )
             for traffic in self.traffics:
+                kwargs["traffic"] = traffic.pattern
                 for algorithm in self.algorithms:
+                    kwargs["algorithm"] = algorithm
                     for load in self.loads:
+                        kwargs["offered_load"] = load
                         for seed in self.seeds:
-                            points.append(
-                                dataclasses.replace(
-                                    shared,
-                                    topology=kind,
-                                    radix=radix,
-                                    n_dims=n_dims,
-                                    traffic=traffic.pattern,
-                                    traffic_options=traffic.options_dict(),
-                                    algorithm=algorithm,
-                                    offered_load=load,
-                                    seed=seed,
-                                )
-                            )
+                            kwargs["seed"] = seed
+                            kwargs["traffic_options"] = traffic.options_dict()
+                            points.append(SimulationConfig(**kwargs))
         return points
 
     # -- serialization ---------------------------------------------------

@@ -188,8 +188,9 @@ class ResultStore:
             self._decoded[key] = cached
         return cached
 
-    def get(self, config: SimulationConfig) -> Optional[SimulationResult]:
-        """Result stored for *config*, verified against the stored config.
+    def _match(self, config: SimulationConfig) -> Optional[str]:
+        """Key of the record stored for *config*, verified against the
+        stored config; None on a miss.
 
         A record whose stored config disagrees with *config* (a key
         collision or a corrupted record) is surfaced with a warning and
@@ -205,10 +206,16 @@ class ResultStore:
                 f"store record {key} does not match the requested config "
                 "(fingerprint collision?); treating it as a miss",
                 StoreWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             return None
-        return self._decode(key)
+        return key
+
+    def get(self, config: SimulationConfig) -> Optional[SimulationResult]:
+        """Result stored for *config*, verified against the stored config
+        (a mismatch warns and is a miss)."""
+        key = self._match(config)
+        return None if key is None else self._decode(key)
 
     # -- writing ---------------------------------------------------------
 
@@ -371,9 +378,13 @@ class ResultStore:
     def coverage(
         self, configs: List[SimulationConfig]
     ) -> Tuple[int, List[SimulationConfig]]:
-        """(cached count, missing configs) for a campaign expansion."""
+        """(cached count, missing configs) for a campaign expansion.
+
+        Checked as :meth:`get` checks a lookup, without decoding (or
+        holding on to) a single result.
+        """
         missing = [
-            config for config in configs if self.get(config) is None
+            config for config in configs if self._match(config) is None
         ]
         return len(configs) - len(missing), missing
 

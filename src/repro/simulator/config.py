@@ -160,7 +160,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # Messages are formatted on the failing branch only: a config is
-        # built (dataclasses.replace) once per point of every expansion.
+        # built once per point of every campaign expansion.
         if self.topology not in ("torus", "mesh"):
             raise ConfigurationError(
                 f"topology must be 'torus' or 'mesh', got {self.topology!r}")

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Dict, FrozenSet, List, Optional
 
 
-def _unshared(value: Any) -> Any:
+def unshared(value: Any) -> Any:
     """*value* with fresh dicts and lists all the way down."""
     if isinstance(value, dict):
-        return {key: _unshared(item) for key, item in value.items()}
-    return [_unshared(v) for v in value] if isinstance(value, list) else value
+        return {key: unshared(item) for key, item in value.items()}
+    return [unshared(v) for v in value] if isinstance(value, list) else value
 
 
 @dataclass
@@ -143,7 +143,7 @@ class SimulationResult:
         to an equal :class:`SimulationResult`.
         """
         # What asdict() returns, without its deepcopy of every scalar.
-        return {f.name: _unshared(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: unshared(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "SimulationResult":
@@ -177,4 +177,4 @@ class SimulationResult:
         )
 
 
-__all__ = ["SimulationResult"]
+__all__ = ["SimulationResult", "unshared"]

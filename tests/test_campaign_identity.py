@@ -200,12 +200,18 @@ class TestGoldenPins:
 
 # -- the asdict reference, property-tested ---------------------------------
 
+#: Values Python equates or json spells specially: each must key apart
+#: from its look-alikes and be written as the reference writes it.
+_edges = st.sampled_from(
+    [0.0, -0.0, 80, 80.0, True, 1, False, 0, 1e16, 5e-324, "", "{}"]
+)
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-10**6, 10**6),
     st.floats(allow_nan=False),
     st.text(max_size=6),
+    _edges,
 )
 #: Values json cannot write: both derivations store their repr.
 _opaque = st.sampled_from(
@@ -243,11 +249,15 @@ def configs(draw):
         traffic=draw(st.sampled_from(["uniform", "hotspot"])),
         traffic_options=draw(_options),
         offered_load=draw(st.one_of(
-            st.floats(0, 2, allow_nan=False), st.integers(0, 2)
+            st.floats(0, 2, allow_nan=False), st.integers(0, 2),
+            st.sampled_from([0.0, -0.0, 1e16, True]),
         )),
         seed=draw(st.integers(0, 2**40)),
-        gap_cycles=draw(st.sampled_from([0, 80, 80.0, 300, True])),
-        relative_error=draw(st.sampled_from([0.05, 0.1, 0.5])),
+        gap_cycles=draw(st.sampled_from([0, 80, 80.0, 300, True, 1e16])),
+        relative_error=draw(st.one_of(
+            st.sampled_from([0.05, 0.1, 0.5, 5e-324]),
+            st.floats(5e-324, 2.2e-308),  # subnormal
+        )),
         sanitize=False if batch else draw(st.sampled_from([False, True, 1])),
         obs_options=draw(_options),
     )
@@ -357,6 +367,61 @@ class TestMemoSafety:
         stored["radix"] = 99
         assert config.traffic_options == {"hot": [1, 2]}
         assert_matches_reference(config)
+
+    def test_empty_options_in_the_stored_config_are_fresh_too(self, memo):
+        """A campaign's usual shape: both options dicts empty.  Filling
+        them in one returned dict reaches neither the memo, nor the
+        config, nor the dict another call returned."""
+        config = tiny_config()
+        first = identify(config)[3]
+        second = identify(config)[3]
+        for name in ("traffic_options", "obs_options"):
+            assert first[name] == {} and first[name] is not second[name]
+            first[name]["leak"] = [1]
+        assert (config.traffic_options, config.obs_options) == ({}, {})
+        assert identify(config)[3] == second
+        assert memo.cache_info().currsize == 1
+        assert_matches_reference(config)
+
+    def test_no_container_is_shared_with_the_memo_or_another_call(
+        self, memo
+    ):
+        config = tiny_config(
+            traffic_options={"hot": [1, {"deep": []}], "none": {}},
+            obs_options={"vectors": [[]]},
+        )
+        first, second = identify(config)[3], identify(config)[3]
+        template = identity._shared(config)[1]
+
+        def containers(value):
+            if isinstance(value, (dict, list)):
+                yield value
+                items = value.values() if isinstance(value, dict) else value
+                for item in items:
+                    yield from containers(item)
+
+        seen = [
+            {id(c) for c in containers(stored)}
+            for stored in (first, second, template)
+        ]
+        assert not seen[0] & seen[1]
+        assert not (seen[0] | seen[1]) & seen[2]
+
+    def test_a_memo_hit_neither_parses_nor_encodes(self, memo, monkeypatch):
+        """After a campaign's first point, a lookup is a memo probe: no
+        ``json.loads``, and no encoder for the values every campaign
+        holds (floats, bools, empty options)."""
+        spec = dict(gap_cycles=80.0, sanitize=True, relative_error=0.1)
+        identify(tiny_config(**spec))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("JSON round trip on a memo hit")
+
+        monkeypatch.setattr(json, "loads", boom)
+        monkeypatch.setattr(identity, "_to_json", boom)
+        for seed, load in ((1, 0.3), (2, 0.75), (3, 1)):
+            identify(tiny_config(seed=seed, offered_load=load, **spec))
+        assert memo.cache_info().hits == 3
 
     def test_the_memo_is_bounded(self, memo):
         """A many-signature expansion re-derives; it does not accumulate."""

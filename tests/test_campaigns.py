@@ -59,6 +59,7 @@ from repro.experiments.runner import run_point
 from repro.experiments.sweep import PAPER_LOADS, sweep_algorithms
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.simulator.config import SimulationConfig
+from repro.stats.summary import SimulationResult
 from repro.util.errors import ConfigurationError
 from tests.conftest import tiny_config
 
@@ -155,6 +156,62 @@ class TestCampaignSpec:
         ]
         assert all(c.radix == 4 and c.topology == "torus" for c in configs)
         assert all(c.warmup_cycles == 200 for c in configs)
+
+    def test_expand_builds_what_dataclasses_replace_built(self):
+        """Field by field, types included, against the per-point
+        ``dataclasses.replace`` construction expand() used to make."""
+        spec = dataclasses.replace(
+            tiny_spec(
+                algorithms=("ecube", "nbc"), loads=(0.2, 0.4), seeds=(1, 2),
+                traffics=(
+                    "uniform", TrafficSpec("hotspot", (("fraction", 0.1),))
+                ),
+                base=dict(
+                    obs=True, obs_options={"stride": 8}, gap_cycles=60.0
+                ),
+            ),
+            topologies=("torus:4x2", "mesh:4x2"),
+        )
+        shared = spec.base_config()
+        reference = [
+            dataclasses.replace(
+                shared, topology=kind, radix=radix, n_dims=n_dims,
+                traffic=traffic.pattern,
+                traffic_options=traffic.options_dict(),
+                algorithm=algorithm, offered_load=load, seed=seed,
+            )
+            for kind, radix, n_dims in map(parse_topology, spec.topologies)
+            for traffic in spec.traffics
+            for algorithm in spec.algorithms
+            for load in spec.loads
+            for seed in spec.seeds
+        ]
+        points = spec.expand()
+        assert len(points) == len(reference) == 32
+        for point, expected in zip(points, reference):
+            for name in (f.name for f in dataclasses.fields(SimulationConfig)):
+                value, want = getattr(point, name), getattr(expected, name)
+                assert (type(value), value) == (type(want), want), name
+        # As replace() left them: one obs_options object shared by every
+        # point, a traffic_options dict of each point's own.
+        assert len({id(point.obs_options) for point in points}) == 1
+        assert len({id(point.traffic_options) for point in points}) == 32
+        points[0].traffic_options["fraction"] = 0.5
+        assert points[1].traffic_options == {}
+        assert points[-1].traffic_options == {"fraction": 0.1}
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"loads": (0.2, -0.1)}, "offered_load"),
+            ({"base": {"relative_error": 1.5}}, "relative_error"),
+            ({"base": {"backend": "batch"}}, "conservative"),
+        ],
+    )
+    def test_expand_validates_every_point(self, kwargs, message):
+        """Each point still runs the config's own validation."""
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_spec(**kwargs).expand()
 
     def test_expanded_points_share_one_signature(self):
         configs = tiny_spec(
@@ -326,6 +383,30 @@ class TestResultStore:
         cached, missing = store.coverage(configs)
         assert cached == 1
         assert missing == [configs[1]]
+
+    def test_coverage_decodes_no_result(self, tmp_path, monkeypatch):
+        """``status`` counts cached points by key and stored config only:
+        no result is decoded, none is pinned in the store's memory, and
+        a mismatched record is a warned miss, as for ``get``."""
+        path = str(tmp_path / "store.jsonl")
+        configs = tiny_spec(loads=(0.2, 0.4, 0.6)).expand()
+        result = run_point(configs[0])
+        with ResultStore(path) as store:
+            for config in configs[:2]:
+                store.put(config, result)
+        reopened = ResultStore(path)
+        reopened._records[config_key(configs[1])]["config"] = (
+            config_record_dict(tiny_config(seed=5))
+        )
+
+        def boom(data):
+            raise AssertionError("coverage decoded a result")
+
+        monkeypatch.setattr(SimulationResult, "from_json_dict", boom)
+        with pytest.warns(StoreWarning, match="collision"):
+            cached, missing = reopened.coverage(configs)
+        assert (cached, missing) == (1, configs[1:])
+        assert reopened._decoded == {}
 
     def test_gc_compacts_superseded_lines(self, tmp_path):
         path = tmp_path / "store.jsonl"
