@@ -13,8 +13,6 @@ import re
 from time import perf_counter
 from typing import List, Optional, Sequence
 
-from repro.obs.profile import PhaseProfiler
-from repro.routing.base import RoutingAlgorithm
 from repro.simulator.batch import BatchEngine
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
@@ -28,19 +26,15 @@ from repro.traffic.load import max_offered_load
 
 
 def run_point(
-    config: SimulationConfig,
-    topology: Optional[Topology] = None,
-    algorithm: Optional[RoutingAlgorithm] = None,
-    traffic: Optional[TrafficPattern] = None,
-    engine: Optional[Engine] = None,
+    config: SimulationConfig, engine: Optional[Engine] = None
 ) -> SimulationResult:
     """Simulate one configuration until converged (or the sample cap).
 
-    Pre-built topology/algorithm/traffic objects may be supplied to avoid
-    reconstruction cost inside sweeps; they must be mutually consistent.
+    A pre-built *engine* (one built with a custom algorithm, or the
+    reference stepper) runs in place of ``Engine(config)``.
     """
     if engine is None:
-        engine = Engine(config, topology, algorithm, traffic)
+        engine = Engine(config)
     checker = ConvergenceChecker(
         engine.traffic.hop_class_weights(),
         relative_error=config.relative_error,
@@ -50,24 +44,18 @@ def run_point(
     observer = engine.observer
     samples: List[SampleRecord] = []
     converged = False
-    # Wall-clock accounting for sweep progress reporting: the same
-    # accumulator the observer uses for engine phases, here with the
-    # runner's own schedule phases.
-    timer = PhaseProfiler(("warmup", "sampling", "gap"))
-    run = {
-        phase: timer.timed(phase, engine.run_cycles) for phase in timer.phases
-    }
+    t0 = perf_counter()
     try:
         # No counter reset after warm-up: VC usage is measured as
         # per-sample snapshot deltas (Engine.start_sample/end_sample), so
         # warm-up and gap-cycle traffic never leaks into the reported
         # statistics.
-        run["warmup"](config.warmup_cycles)
+        engine.run_cycles(config.warmup_cycles)
 
         while True:
             engine.advance_streams()
             engine.start_sample()
-            run["sampling"](config.sample_cycles)
+            engine.run_cycles(config.sample_cycles)
             samples.append(engine.end_sample())
             if checker.converged(samples):
                 converged = True
@@ -76,7 +64,8 @@ def run_point(
                 converged = False
                 break
             if config.gap_cycles:
-                run["gap"](config.gap_cycles)
+                engine.run_cycles(config.gap_cycles)
+        wall_seconds = round(perf_counter() - t0, 4)
     finally:
         # Export even when the run dies (the trace of a deadlocked run,
         # ending in its deadlock event, is the most valuable one).
@@ -84,7 +73,7 @@ def run_point(
             observer.export(prefix=obs_export_prefix(config))
 
     result = summarize(config, engine, samples, converged, checker)
-    result.wall_seconds = round(timer.total_seconds(), 4)
+    result.wall_seconds = wall_seconds
     if observer is not None:
         result.obs_metrics = observer.metrics_summary()
     return result
@@ -96,11 +85,7 @@ def obs_export_prefix(config: SimulationConfig) -> str:
 
 
 def run_batch(
-    config: SimulationConfig,
-    seeds: Sequence[int],
-    topology: Optional[Topology] = None,
-    algorithm: Optional[RoutingAlgorithm] = None,
-    traffic: Optional[TrafficPattern] = None,
+    config: SimulationConfig, seeds: Sequence[int]
 ) -> List[SimulationResult]:
     """Simulate one configuration for many seeds in vectorized lockstep.
 
@@ -121,7 +106,7 @@ def run_batch(
     Raises :class:`~repro.util.errors.DeadlockError` if any lane's
     watchdog trips, like the object runner does for its single seed.
     """
-    engine = BatchEngine(config, seeds, topology, algorithm, traffic)
+    engine = BatchEngine(config, seeds)
     weights = engine.traffic.hop_class_weights()
     checkers = [
         ConvergenceChecker(

@@ -7,32 +7,25 @@ per-cycle hook, the ``observe`` phase) with :meth:`PhaseProfiler.timed`
 at ``bind`` and unwraps them at detach, so what is timed is the one
 ``step`` every run executes.  The numbers are wall-clock, so they are
 excluded from anything that must be deterministic.
-
-The phase set is configurable: the sweep runner reuses the same
-accumulator with warmup/sampling/gap phases to time whole simulation
-points (``SimulationResult.wall_seconds``).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List
 
-#: The engine phases an observer times (the default set).
+#: The engine phases an observer times.
 PHASES = ("generation", "ejection", "routing", "transmission", "observe")
 
 
 class PhaseProfiler:
     """Accumulated wall-time and call counts per phase."""
 
-    __slots__ = ("phases", "seconds", "calls")
+    __slots__ = ("seconds", "calls")
 
-    def __init__(self, phases: Sequence[str] = PHASES) -> None:
-        self.phases = tuple(phases)
-        self.seconds: Dict[str, float] = {
-            phase: 0.0 for phase in self.phases
-        }
-        self.calls: Dict[str, int] = {phase: 0 for phase in self.phases}
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
+        self.calls: Dict[str, int] = {phase: 0 for phase in PHASES}
 
     def add(self, phase: str, elapsed: float) -> None:
         self.seconds[phase] += elapsed
@@ -59,7 +52,7 @@ class PhaseProfiler:
                 "seconds": self.seconds[phase],
                 "calls": float(self.calls[phase]),
             }
-            for phase in self.phases
+            for phase in PHASES
             if self.calls[phase]
         }
 
@@ -69,7 +62,7 @@ class PhaseProfiler:
         lines: List[str] = [
             f"{'phase':<14}{'calls':>10}{'seconds':>12}{'share':>8}"
         ]
-        for phase in self.phases:
+        for phase in PHASES:
             if not self.calls[phase]:
                 continue
             seconds = self.seconds[phase]

@@ -118,9 +118,9 @@ def validate_trace_lines(lines: List[str]) -> Dict[str, int]:
     suite and available to external consumers as a quick integrity
     check.
     """
-    if len(lines) < 2:
-        raise ValueError("trace must contain a header and a footer")
     records = [json.loads(line) for line in lines if line.strip()]
+    if len(records) < 2:
+        raise ValueError("trace must contain a header and a footer")
     if not all(isinstance(record, dict) for record in records):
         raise ValueError("a line is not a JSON object")
     header, body, footer = records[0], records[1:-1], records[-1]

@@ -24,6 +24,7 @@ Covered:
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.simulator.batch import BatchEngine
 from repro.simulator.config import SimulationConfig
+from repro.simulator.engine import Engine
 from repro.topology.torus import Torus
 from repro.util.errors import ConfigurationError, DeadlockError
 from tests.conftest import tiny_config
@@ -263,22 +265,24 @@ class TestRunBatch:
             actual.pop("wall_seconds")
             assert actual == expected
 
-    def test_deadlock_raises_like_run_point(self):
+    def test_deadlock_raises_like_run_point(self, monkeypatch):
         topology = Torus(4, 2)
         config = batch_config(offered_load=0.01, deadlock_threshold=50)
-        with pytest.raises(DeadlockError, match="no progress"):
-            run_batch(
-                config, [1, 2], topology=topology,
+        monkeypatch.setattr(
+            "repro.experiments.runner.BatchEngine",
+            functools.partial(
+                BatchEngine, topology=topology,
                 algorithm=_NeverRoutes(topology),
-            )
+            ),
+        )
         with pytest.raises(DeadlockError, match="no progress"):
-            run_point(
-                dataclasses.replace(
-                    config, backend="object", identity="strict"
-                ),
-                topology=topology,
-                algorithm=_NeverRoutes(topology),
-            )
+            run_batch(config, [1, 2])
+        config = dataclasses.replace(
+            config, backend="object", identity="strict"
+        )
+        engine = Engine(config, topology, _NeverRoutes(topology))
+        with pytest.raises(DeadlockError, match="no progress"):
+            run_point(config, engine=engine)
 
 
 class TestUnsupportedConfigs:

@@ -4,7 +4,7 @@ What each battery checks is tested where it lives (``test_lint.py``,
 ``test_verify.py``, ``test_equivalence.py``, each through its
 ``repro-check`` subcommand).  Here: what they share — the cache file,
 the bare ``repro-check`` tree gate, where the shared flags may stand —
-and the names other code holds the seam to: the four console scripts,
+and the names other code holds the seam to: the two console scripts,
 and ``run_verification`` as the artifact ledger's probe calls it.
 """
 
@@ -24,13 +24,12 @@ REPO = Path(__file__).resolve().parent.parent
 GOOD = Path(__file__).parent / "lint_fixtures" / "good"
 
 
-def test_console_scripts_are_exactly_the_three():
+def test_console_scripts_are_exactly_the_two():
     text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
     section = text.split("[project.scripts]\n")[1].split("\n[")[0]
     scripts = dict(re.findall(r'^([\w-]+) = "(.+)"$', section, re.M))
     assert scripts == {
         "repro-campaign": "repro.campaigns.cli:main",
-        "repro-obs": "repro.obs.cli:main",
         "repro-check": "repro.analysis.check:main",
     }
 

@@ -1,8 +1,11 @@
 """`repro-campaign run` as the sweep front-end: flags in, tables out.
 
-What `repro-sweep` did, case for case, on the one CLI that is left.  The
+What `repro-sweep` did, case for case, on the one CLI that is left, and
+an observed point (`--set obs=true`) with its exported artifacts.  The
 store-side subcommands are in `tests/test_campaigns.py::TestCampaignCli`.
 """
+
+import json
 
 import pytest
 
@@ -120,3 +123,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert "backend='batch' requires flow_control='conservative'" in err
         assert "hint: the batch backend needs --set flow_control=" in err
+
+
+class TestObservedPoint:
+    """One observed tiny point, run once and shared by the class."""
+
+    @pytest.fixture(scope="class")
+    def observed(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("observed")
+        out, store = root / "obs", root / "store.jsonl"
+        options = json.dumps({"export_dir": str(out), "stride": 16})
+        exit_code = main([
+            "run", "--profile", "tiny", "--quiet", "--store", str(store),
+            "--algorithms", "ecube", "--loads", "0.4",
+            "--set", "obs=true", "--set", f"obs_options={options}",
+        ])
+        return exit_code, out, store
+
+    def test_exits_zero(self, observed):
+        exit_code, _, _ = observed
+        assert exit_code == 0
+
+    def test_exports_artifacts(self, observed):
+        _, out, _ = observed
+        suffixes = sorted(
+            ".".join(path.name.rsplit(".", 2)[-2:]) for path in out.iterdir()
+        )
+        assert suffixes == [
+            "heatmap.csv",
+            "heatmap.txt",
+            "metrics.json",
+            "probes.csv",
+            "probes.ndjson",
+            "trace.ndjson",
+        ]
+
+    def test_metrics_json_is_schema_versioned(self, observed):
+        _, out, _ = observed
+        metrics = json.loads(next(out.glob("*.metrics.json")).read_text())
+        assert metrics["schema"] == "repro.obs.metrics"
+        assert metrics["events"]["msg_created"] > 0
+
+    def test_store_record_carries_obs_metrics(self, observed):
+        _, out, store = observed
+        metrics = json.loads(next(out.glob("*.metrics.json")).read_text())
+        (record,) = map(json.loads, store.read_text().splitlines())
+        assert record["result"]["obs_metrics"] == metrics

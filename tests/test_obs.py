@@ -138,6 +138,7 @@ class TestTraceWriter:
                 "[1]",  # a JSON value, but not a record
                 '{"record": "footer", "events": 1, "dropped": 0}',
             ],
+            ["", ""],  # blank lines only
         ],
     )
     def test_validate_rejects_malformed(self, lines):
