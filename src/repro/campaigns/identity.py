@@ -59,10 +59,13 @@ SIGNATURE_EXCLUDED = POINT_FIELDS + ("backend",)
 _FIELDS = tuple(f.name for f in dataclasses.fields(SimulationConfig))
 _SHARED_FIELDS = tuple(n for n in _FIELDS if n not in SIGNATURE_EXCLUDED)
 _shared_values = attrgetter(*_SHARED_FIELDS)
+_point_values = attrgetter(*POINT_FIELDS)
 #: Types whose values are their own memo key.  Any other value is keyed
 #: by its JSON text, because Python equates values that JSON writes
 #: apart (80 == 80.0, True == 1, 0.0 == -0.0).
 _PLAIN = frozenset((str, int, type(None)))
+#: Types a stored config reads back as the same value.
+_READ_BACK_AS_IS = _PLAIN | {float}
 _to_json = json.JSONEncoder(sort_keys=True, default=repr).encode
 
 
@@ -86,13 +89,40 @@ def _spell(value: Any) -> Tuple[str]:
     return (_to_json(value),)
 
 
+def point_grid(
+    traffic: Any, topology: Any, radix: Any, n_dims: Any, switching: Any
+) -> str:
+    """The campaign-shared middle of a point key."""
+    return f"{traffic}|{topology}{radix}^{n_dims}|{switching}"
+
+
+def point_text(algorithm: Any, grid: str, offered_load: Any, seed: Any) -> str:
+    """A point key from its point fields and its :func:`point_grid`."""
+    return f"{algorithm}|{grid}|load={offered_load:.6g}|seed={seed}"
+
+
 def point_key(config: SimulationConfig) -> str:
     """Stable identity of one sweep point within a campaign."""
-    return (
-        f"{config.algorithm}|{config.traffic}|{config.topology}"
-        f"{config.radix}^{config.n_dims}|{config.switching}"
-        f"|load={config.offered_load:.6g}|seed={config.seed}"
+    return point_text(
+        config.algorithm,
+        point_grid(config.traffic, config.topology, config.radix,
+                   config.n_dims, config.switching),
+        config.offered_load,
+        config.seed,
     )
+
+
+def point_values(config: SimulationConfig) -> Tuple[Any, ...]:
+    """The ``POINT_FIELDS`` of *config* as its stored config reads back."""
+    values = _point_values(config)
+    for value in values:
+        if type(value) not in _READ_BACK_AS_IS:
+            return tuple([
+                value if type(value) in _READ_BACK_AS_IS
+                else json.loads(_to_json(value))
+                for value in values
+            ])
+    return values
 
 
 @functools.lru_cache(maxsize=256)
@@ -102,8 +132,9 @@ def _derive_shared(
     """(signature, stored-config template with null point fields, names
     of its container values) of one set of shared values.  Spelling the
     JSON field by field is byte for byte what one ``sort_keys`` dump of
-    the whole dict writes.  The template is parsed once, here, and never
-    handed out: :func:`identify` copies it."""
+    the whole dict writes.  The template is parsed once, here:
+    :func:`identify` hands out copies, :func:`locate` the template itself,
+    read-only."""
     texts = {
         name: value[0] if type(value) is tuple else json.dumps(value)
         for name, value in zip(_SHARED_FIELDS, values)
@@ -170,12 +201,21 @@ def identify(config: SimulationConfig) -> Tuple[str, str, str, Dict[str, Any]]:
     stored = template.copy()
     for name in containers:
         stored[name] = unshared(template[name])
-    for name in POINT_FIELDS:
-        value = getattr(config, name)
-        if type(value) not in _PLAIN and type(value) is not float:
-            value = json.loads(_to_json(value))
-        stored[name] = value
+    stored.update(zip(POINT_FIELDS, point_values(config)))
     return signature, point, result_key(signature, point), stored
+
+
+def locate(config: SimulationConfig) -> Tuple[str, str, str, Dict[str, Any]]:
+    """(signature, point key, record key, shared template): :func:`identify`
+    without the copy.
+
+    The template is the memo's own stored config with null point fields,
+    one object per distinct set of shared values: read it, or hold it to
+    recognise that set again, but never edit it.
+    """
+    signature, template, _ = _shared(config)
+    point = point_key(config)
+    return signature, point, result_key(signature, point), template
 
 
 def config_key(config: SimulationConfig) -> str:
@@ -195,6 +235,10 @@ __all__ = [
     "config_key",
     "config_record_dict",
     "identify",
+    "locate",
+    "point_grid",
     "point_key",
+    "point_text",
+    "point_values",
     "result_key",
 ]

@@ -31,6 +31,13 @@ Durability discipline:
   (a key collision, or a corrupted record) is surfaced and treated as a
   miss rather than served wrong data, and an append that would pair an
   existing key with a different config raises.
+
+In memory a record costs only what differs from the other points of its
+campaign: a :class:`_Frame` holds everything the records of one
+campaign share (the top-level fields and their order, the stored config
+with null point fields, the result's key order), once per distinct JSON
+text, and each record its three point fields, its result values and its
+``recorded_at``.  A rewrite spells every line back byte for byte.
 """
 
 from __future__ import annotations
@@ -43,13 +50,27 @@ import time
 import warnings
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from repro.campaigns.identity import identify
+from repro.campaigns.identity import (
+    POINT_FIELDS,
+    locate,
+    point_grid,
+    point_text,
+    point_values,
+)
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
 from repro.util.errors import ReproError
 
 #: Store record schema version ("v" field of every record line).
 STORE_VERSION = 2
+
+#: Top-level record fields held per point.  Every other one — ``kind``,
+#: ``v``, ``signature``, and whatever another writer added — is part of
+#: the record's frame.
+_PER_POINT = frozenset(("key", "point", "config", "result", "recorded_at"))
+
+#: The stored-config fields a point key's :func:`point_grid` reads.
+_GRID_FIELDS = ("traffic", "topology", "radix", "n_dims", "switching")
 
 
 class StoreWarning(UserWarning):
@@ -79,13 +100,209 @@ def _quarantine(path: str, reason: str) -> None:
     )
 
 
+def _tender(value: Any) -> bool:
+    """Whether ``==`` between two parsed JSON values of this one's type
+    can hide a difference in the text they were spelled with: a zero
+    float (``0.0 == -0.0``) or a non-empty container (``{"k": 1} ==
+    {"k": true}``, and dicts compare without key order)."""
+    if type(value) is float:
+        return value == 0.0
+    return type(value) in (dict, list) and bool(value)
+
+
+class _Frame:
+    """What the stored records of one campaign share, held once.
+
+    * ``names`` — the record's top-level keys, in order;
+    * ``fixed`` — the values of those outside :data:`_PER_POINT`;
+    * ``config`` — the stored config with its point fields null (the
+      shape of :func:`~repro.campaigns.identity.locate`'s template);
+    * ``result_keys`` — the key order of a dict result, or None when the
+      result is no dict and each record holds it as it is.
+
+    Two records share a frame only if these parts spell the same JSON
+    text, so ``80`` / ``80.0``, ``true`` / ``1`` and ``0.0`` / ``-0.0``
+    never merge.
+    """
+
+    __slots__ = (
+        "names", "fixed", "config", "result_keys", "signature", "grid",
+        "agrees", "_order", "_values", "_types", "_texts",
+    )
+
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        fixed: Tuple[Any, ...],
+        config: Dict[str, Any],
+        result_keys: Optional[Tuple[str, ...]],
+    ) -> None:
+        self.names = names
+        self.fixed = fixed
+        self.config = config
+        self.result_keys = result_keys
+        fixed_names = [name for name in names if name not in _PER_POINT]
+        self.signature = str(dict(zip(fixed_names, fixed)).get("signature"))
+        self.grid: Optional[str] = None
+        if all(name in config for name in _GRID_FIELDS):
+            self.grid = point_grid(*[config[name] for name in _GRID_FIELDS])
+        #: The identity template ``config`` was last found equal to: a
+        #: verdict kept together with the object it is about.
+        self.agrees: Optional[Dict[str, Any]] = None
+        self._order = (names, tuple(config), result_keys)
+        self._values = (*fixed, *config.values())
+        self._types = tuple(map(type, self._values))
+        self._texts = tuple(
+            (index, repr(value))
+            for index, value in enumerate(self._values)
+            if _tender(value)
+        )
+
+    def writes(
+        self,
+        names: Tuple[str, ...],
+        fixed: Tuple[Any, ...],
+        config: Dict[str, Any],
+        result_keys: Optional[Tuple[str, ...]],
+    ) -> bool:
+        """Whether a record parsed into these parts has this frame's text.
+
+        Equal parsed JSON values of one type spell the same text, but for
+        the :func:`_tender` ones, whose ``repr`` — like the JSON text,
+        key order and types included — tells them apart.
+        """
+        values = (*fixed, *config.values())
+        return (
+            (names, tuple(config), result_keys) == self._order
+            and values == self._values
+            and tuple(map(type, values)) == self._types
+            and all(repr(values[i]) == text for i, text in self._texts)
+        )
+
+
+class _Record:
+    """One stored point: its frame and what differs from point to point.
+
+    ``point`` is None when the stored point key is the one the stored
+    config derives, else ``(stored value,)``; ``result`` holds the
+    result's values in ``frame.result_keys`` order (the stored value
+    itself when ``result_keys`` is None).
+    """
+
+    __slots__ = (
+        "frame", "algorithm", "offered_load", "seed", "point", "result",
+        "recorded_at",
+    )
+
+    def __init__(
+        self,
+        frame: _Frame,
+        algorithm: Any,
+        offered_load: Any,
+        seed: Any,
+        point: Optional[Tuple[Any]],
+        result: Any,
+        recorded_at: Any,
+    ) -> None:
+        self.frame = frame
+        self.algorithm = algorithm
+        self.offered_load = offered_load
+        self.seed = seed
+        self.point = point
+        self.result = result
+        self.recorded_at = recorded_at
+
+    @property
+    def point_fields(self) -> Tuple[Any, Any, Any]:
+        return self.algorithm, self.offered_load, self.seed
+
+
+def _fixed(record: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The values of a record's top-level fields that its frame holds."""
+    return tuple([
+        value for name, value in record.items() if name not in _PER_POINT
+    ])
+
+
+def _derived_point(frame: _Frame, values: Tuple[Any, ...]) -> Optional[str]:
+    """The point key a stored config derives; None if it derives none."""
+    if frame.grid is None:
+        return None
+    algorithm, offered_load, seed = values
+    try:
+        return point_text(algorithm, frame.grid, offered_load, seed)
+    except (TypeError, ValueError):  # a load that is no number
+        return None
+
+
+def _point_slot(
+    frame: _Frame, values: Tuple[Any, ...], point: Any
+) -> Optional[Tuple[Any]]:
+    """:attr:`_Record.point` for a stored point key."""
+    return None if point == _derived_point(frame, values) else (point,)
+
+
+def _point(record: _Record) -> Any:
+    if record.point is not None:
+        return record.point[0]
+    return _derived_point(record.frame, record.point_fields)
+
+
+def _result(record: _Record) -> Any:
+    keys = record.frame.result_keys
+    return record.result if keys is None else dict(zip(keys, record.result))
+
+
+def _line(key: Any, record: _Record) -> str:
+    """The record's line: the text it was read from or written as."""
+    frame = record.frame
+    fixed = iter(frame.fixed)
+    data: Dict[str, Any] = {}
+    for name in frame.names:
+        if name == "key":
+            data[name] = key
+        elif name == "point":
+            data[name] = _point(record)
+        elif name == "config":
+            config = frame.config.copy()
+            for field, value in zip(POINT_FIELDS, record.point_fields):
+                if field in config:
+                    config[field] = value
+            data[name] = config
+        elif name == "result":
+            data[name] = _result(record)
+        elif name == "recorded_at":
+            data[name] = record.recorded_at
+        else:
+            data[name] = next(fixed)
+    return json.dumps(data) + "\n"
+
+
+def _serves(
+    record: _Record, template: Dict[str, Any], config: SimulationConfig
+) -> bool:
+    """Whether *record* was stored from *config*, whose shared part is
+    the identity memo's *template*: compared without building a dict."""
+    frame = record.frame
+    if frame.agrees is not template:
+        if frame.config != template:
+            return False
+        frame.agrees = template
+    return record.point_fields == point_values(config)
+
+
 class ResultStore:
     """Append-only result store over one JSONL file."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._records: Dict[str, Dict[str, Any]] = {}
+        self._records: Dict[str, _Record] = {}
         self._decoded: Dict[str, SimulationResult] = {}
+        #: Frames by signature (None for a signature that is no str).
+        self._frames: Dict[Optional[str], List[_Frame]] = {}
+        #: The last ``put``'s (identity template, frame): the next put of
+        #: its campaign reuses the frame without a check.
+        self._put_held: Optional[Tuple[Dict[str, Any], _Frame]] = None
         #: The append handle, opened by the first write and kept.
         self._handle: Optional[TextIO] = None
         self._load()
@@ -107,44 +324,94 @@ class ResultStore:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
+        lines = bad = 0
         try:
             with open(self.path, encoding="utf-8") as stream:
-                lines = [line for line in stream if line.strip()]
+                for line in stream:
+                    if not line.strip():
+                        continue
+                    lines += 1
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError:
+                        bad += 1
+                        continue
+                    if not self._admit(record):
+                        bad += 1
         except OSError as error:
+            self._records.clear()
             _quarantine(
                 self.path,
                 f"store file {self.path!r} is unreadable ({error}); "
                 "starting fresh",
             )
             return
-        bad = 0
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                bad += 1
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("v") != STORE_VERSION
-                or record.get("kind") != "point"
-                or "key" not in record
-                or not isinstance(record.get("config"), dict)
-            ):
-                bad += 1
-                continue
-            # Last record wins, should two writers have appended one key.
-            self._records[record["key"]] = record
         if bad:
             _quarantine(
                 self.path,
                 f"store file {self.path!r}: skipped {bad} corrupt or "
-                f"unrecognized record line(s) of {len(lines)}",
+                f"unrecognized record line(s) of {lines}",
             )
-            self._rewrite()
+            self._rewrite(self._records)
 
-    def _rewrite(self) -> None:
-        """Atomically rewrite the file from the in-memory records.
+    def _admit(self, record: Any) -> bool:
+        """Hold one parsed line in compact form; False if it is no v2
+        point record."""
+        if (
+            not isinstance(record, dict)
+            or record.get("v") != STORE_VERSION
+            or record.get("kind") != "point"
+            or "key" not in record
+            or not isinstance(record.get("config"), dict)
+        ):
+            return False
+        config = record["config"]
+        values = tuple([config.get(name) for name in POINT_FIELDS])
+        for name in POINT_FIELDS:
+            if name in config:
+                config[name] = None
+        result = record.get("result")
+        result_keys = None
+        if type(result) is dict:
+            result_keys, result = tuple(result), tuple(result.values())
+        frame = self._frame(
+            record.get("signature"),
+            tuple(record),
+            _fixed(record),
+            config,
+            result_keys,
+        )
+        # Last record wins, should two writers have appended one key.
+        self._records[record["key"]] = _Record(
+            frame,
+            *values,
+            _point_slot(frame, values, record.get("point")),
+            result,
+            record.get("recorded_at"),
+        )
+        return True
+
+    def _frame(
+        self,
+        signature: Any,
+        names: Tuple[str, ...],
+        fixed: Tuple[Any, ...],
+        config: Dict[str, Any],
+        result_keys: Optional[Tuple[str, ...]],
+    ) -> _Frame:
+        """The held frame these parts spell, or a new one holding them."""
+        bucket = self._frames.setdefault(
+            signature if type(signature) is str else None, []
+        )
+        for frame in bucket:
+            if frame.writes(names, fixed, config, result_keys):
+                return frame
+        frame = _Frame(names, fixed, config, result_keys)
+        bucket.append(frame)
+        return frame
+
+    def _rewrite(self, records: Dict[str, _Record]) -> None:
+        """Atomically rewrite the file from *records*.
 
         Only used for one-time recovery and ``gc``; the steady-state
         write path is the append in :meth:`put`.
@@ -156,8 +423,8 @@ class ResultStore:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                for record in self._records.values():
-                    stream.write(json.dumps(record) + "\n")
+                for key, record in records.items():
+                    stream.write(_line(key, record))
             os.replace(tmp_path, self.path)
         except BaseException:
             try:
@@ -175,16 +442,14 @@ class ResultStore:
         """Record count per campaign signature (for ``status``)."""
         counts: Dict[str, int] = {}
         for record in self._records.values():
-            signature = str(record.get("signature"))
+            signature = record.frame.signature
             counts[signature] = counts.get(signature, 0) + 1
         return counts
 
-    def _decode(self, key: str) -> SimulationResult:
+    def _decode(self, key: str, record: _Record) -> SimulationResult:
         cached = self._decoded.get(key)
         if cached is None:
-            cached = SimulationResult.from_json_dict(
-                self._records[key]["result"]
-            )
+            cached = SimulationResult.from_json_dict(_result(record))
             self._decoded[key] = cached
         return cached
 
@@ -197,11 +462,11 @@ class ResultStore:
         treated as a miss: the store never serves a result for a config
         it was not simulated from.
         """
-        _, _, key, requested = identify(config)
+        _, _, key, template = locate(config)
         record = self._records.get(key)
         if record is None:
             return None
-        if record["config"] != requested:
+        if not _serves(record, template, config):
             warnings.warn(
                 f"store record {key} does not match the requested config "
                 "(fingerprint collision?); treating it as a miss",
@@ -215,9 +480,32 @@ class ResultStore:
         """Result stored for *config*, verified against the stored config
         (a mismatch warns and is a miss)."""
         key = self._match(config)
-        return None if key is None else self._decode(key)
+        return None if key is None else self._decode(key, self._records[key])
 
     # -- writing ---------------------------------------------------------
+
+    def _put_frame(
+        self, template: Dict[str, Any], line: Dict[str, Any]
+    ) -> _Frame:
+        """The frame of *line*, a record :meth:`put` writes for
+        *template*'s campaign."""
+        result_keys = tuple(line["result"])
+        held = self._put_held
+        if (
+            held is None
+            or held[0] is not template
+            or held[1].result_keys != result_keys
+        ):
+            frame = self._frame(
+                line["signature"],
+                tuple(line),
+                _fixed(line),
+                template,
+                result_keys,
+            )
+            frame.agrees = template  # it spells the template's text
+            held = self._put_held = (template, frame)
+        return held[1]
 
     def put(self, config: SimulationConfig, result: SimulationResult) -> bool:
         """Append *config*'s finished result; returns False if already stored.
@@ -226,29 +514,41 @@ class ResultStore:
         result for a **different** config — the collision-hygiene
         guarantee.
         """
-        signature, point, key, config_dict = identify(config)
+        signature, point, key, template = locate(config)
         existing = self._records.get(key)
         if existing is not None:
-            if existing["config"] != config_dict:
+            if not _serves(existing, template, config):
                 raise StoreIntegrityError(
                     f"store key {key} already holds a result for a "
-                    f"different config (point {existing.get('point')!r}); "
+                    f"different config (point {_point(existing)!r}); "
                     "refusing to overwrite"
                 )
             return False  # identical identity: nothing to add
-        record = {
+        values = point_values(config)
+        stored = template.copy()
+        stored.update(zip(POINT_FIELDS, values))
+        data = result.to_json_dict()
+        line = {
             "kind": "point",
             "v": STORE_VERSION,
             "key": key,
             "signature": signature,
             "point": point,
-            "config": config_dict,
-            "result": result.to_json_dict(),
+            "config": stored,
+            "result": data,
             # Unix epoch seconds; drives the gc retention budgets.
             # Older records without the field sort as epoch 0 (evicted
             # first under any budget).
             "recorded_at": time.time(),
         }
+        frame = self._put_frame(template, line)
+        record = _Record(
+            frame,
+            *values,
+            _point_slot(frame, values, point),
+            tuple(data.values()),
+            line["recorded_at"],
+        )
         # Append-only: one line per point, O(record) bytes regardless of
         # how many points the store already holds.
         handle = self._handle
@@ -258,7 +558,7 @@ class ResultStore:
             directory = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(directory, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record) + "\n")
+        self._handle.write(json.dumps(line) + "\n")
         self._handle.flush()  # the record reaches the OS before we return
         self._records[key] = record
         return True
@@ -295,6 +595,10 @@ class ResultStore:
         * *max_size_mb* then evicts oldest-first until the rewritten
           file fits the budget (sized as each record's JSON line).
 
+        Evicted records leave memory only once the rewrite succeeded:
+        a failed one (a full disk) raises with the file and the store
+        as they were.
+
         Returns a stats dict: lines/bytes before and after, the number
         of superseded lines dropped, records evicted by each budget,
         and the sidecar paths removed.
@@ -308,48 +612,47 @@ class ResultStore:
             lines = sum(1 for line in text.splitlines() if line.strip())
             return lines, len(text.encode("utf-8"))
 
-        def stamp(key: str) -> float:
-            value = self._records[key].get("recorded_at")
+        def stamp(record: _Record) -> float:
+            value = record.recorded_at
             try:
                 return float(value) if value is not None else 0.0
             except (TypeError, ValueError):
                 return 0.0
 
         lines_before, bytes_before = measure()
+        live = dict(self._records)
 
         evicted_age = 0
         if max_age_days is not None:
             if now is None:
                 now = time.time()
             cutoff = now - max_age_days * 86400.0
-            stale = [
-                key for key in self._records if stamp(key) < cutoff
-            ]
-            for key in stale:
-                del self._records[key]
-                self._decoded.pop(key, None)
-            evicted_age = len(stale)
+            kept = {
+                key: record for key, record in live.items()
+                if not stamp(record) < cutoff
+            }
+            evicted_age = len(live) - len(kept)
+            live = kept
 
         evicted_size = 0
         if max_size_mb is not None:
             budget = max_size_mb * 1024.0 * 1024.0
-            # Size each record as the JSON line _rewrite would emit.
-            sizes = {
-                key: len(json.dumps(record)) + 1
-                for key, record in self._records.items()
-            }
+            # Size each record as the line _rewrite would emit.
+            sizes = {key: len(_line(key, record)) for key, record in live.items()}
             total = float(sum(sizes.values()))
             # Oldest first; key breaks recorded_at ties deterministically.
-            for key in sorted(self._records, key=lambda k: (stamp(k), k)):
+            for key in sorted(live, key=lambda k: (stamp(live[k]), k)):
                 if total <= budget:
                     break
                 total -= sizes[key]
-                del self._records[key]
-                self._decoded.pop(key, None)
+                del live[key]
                 evicted_size += 1
 
-        if lines_before or self._records or evicted_age or evicted_size:
-            self._rewrite()
+        if lines_before or live or evicted_age or evicted_size:
+            self._rewrite(live)
+        for key in self._records.keys() - live.keys():
+            self._decoded.pop(key, None)
+        self._records = live
         lines_after, bytes_after = measure()
 
         removed: List[str] = []

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, FrozenSet, List, Optional
+from typing import Any, ClassVar, Dict, FrozenSet, List, Optional, Tuple
 
 
 def unshared(value: Any) -> Any:
@@ -11,6 +12,12 @@ def unshared(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: unshared(item) for key, item in value.items()}
     return [unshared(v) for v in value] if isinstance(value, list) else value
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """Field names of a result class, collected once per class."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass
@@ -143,7 +150,10 @@ class SimulationResult:
         to an equal :class:`SimulationResult`.
         """
         # What asdict() returns, without its deepcopy of every scalar.
-        return {f.name: unshared(getattr(self, f.name)) for f in fields(self)}
+        return {
+            name: unshared(getattr(self, name))
+            for name in _field_names(type(self))
+        }
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "SimulationResult":
@@ -153,7 +163,9 @@ class SimulationResult:
         ``hop_class_latency`` into strings; they are converted back here
         so the round-trip is exact.
         """
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs = {
+            name: data[name] for name in _field_names(cls) if name in data
+        }
         for int_keyed in ("latency_percentiles", "hop_class_latency"):
             mapping = kwargs.get(int_keyed)
             if mapping:

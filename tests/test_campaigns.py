@@ -335,16 +335,21 @@ class TestResultStore:
         assert [r["v"] for r in records] == [STORE_VERSION]
 
     def test_same_key_different_config_refused(self, tmp_path):
+        path = tmp_path / "store.jsonl"
         config = tiny_config(seed=4)
         result = run_point(config)
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        store.put(config, result)
-        # Forge the collision: the key now holds another config's record.
-        store._records[config_key(config)]["config"] = config_record_dict(
-            tiny_config(seed=5)
-        )
-        with pytest.raises(StoreIntegrityError, match="different config"):
+        with ResultStore(str(path)) as store:
             store.put(config, result)
+        # Forge the collision in the file: the key now holds another
+        # config's record.
+        record = json.loads(path.read_text())
+        record["config"] = config_record_dict(tiny_config(seed=5))
+        path.write_text(json.dumps(record) + "\n")
+        forged = path.read_bytes()
+        tampered = ResultStore(str(path))
+        with pytest.raises(StoreIntegrityError, match="different config"):
+            tampered.put(config, result)
+        assert path.read_bytes() == forged  # nothing was appended
 
     def test_mismatched_stored_config_is_a_miss(self, tmp_path):
         """A record whose config disagrees with the lookup is never served."""
@@ -394,10 +399,14 @@ class TestResultStore:
         with ResultStore(path) as store:
             for config in configs[:2]:
                 store.put(config, result)
+        # Forge a collision in the file: the second point's key now
+        # holds another config's record.
+        with open(path, encoding="utf-8") as stream:
+            records = [json.loads(line) for line in stream]
+        records[1]["config"] = config_record_dict(tiny_config(seed=5))
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(json.dumps(r) + "\n" for r in records)
         reopened = ResultStore(path)
-        reopened._records[config_key(configs[1])]["config"] = (
-            config_record_dict(tiny_config(seed=5))
-        )
 
         def boom(data):
             raise AssertionError("coverage decoded a result")
@@ -450,27 +459,27 @@ class TestResultStore:
         assert not (tmp_path / "absent.jsonl").exists()
 
     def _stamped_store(self, tmp_path, stamps):
-        """A store with one record per (config, recorded_at) stamp.
+        """A store opened on one record per (config, recorded_at) stamp.
 
         Reuses one simulated result across seeds — retention only looks
-        at keys and stamps, not payloads — and returns the store plus
-        the configs in *stamps* order.
+        at keys and stamps, not payloads — forges the stamps in the file
+        and returns a store opened on it plus the configs in *stamps*
+        order.
         """
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        path = tmp_path / "store.jsonl"
         result = run_point(tiny_config(seed=40))
-        configs = []
-        for offset, stamp in enumerate(stamps):
-            config = tiny_config(seed=40 + offset)
-            store.put(config, result)
-            record = store._records[result_key(
-                campaign_signature(config), point_key(config)
-            )]
+        configs = [tiny_config(seed=40 + offset) for offset in range(len(stamps))]
+        with ResultStore(str(path)) as store:
+            for config in configs:
+                store.put(config, result)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record, stamp in zip(records, stamps):
             if stamp is None:
                 del record["recorded_at"]  # forge a legacy record
             else:
                 record["recorded_at"] = stamp
-            configs.append(config)
-        return store, configs
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return ResultStore(str(path)), configs
 
     def test_put_record_stamps_recorded_at(self, tmp_path):
         import time

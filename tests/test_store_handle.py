@@ -4,11 +4,13 @@ A store keeps its file open for appending between ``put`` calls.  What
 must survive that: every record has reached the OS when ``put`` returns
 (a killed writer loses nothing it reported stored), a write after the
 file was replaced — by this store's own ``gc`` / recovery rewrite, or by
-another process's — lands in the file now at the path, and ``close`` /
-``with`` release the handle.
+another process's — lands in the file now at the path, ``close`` /
+``with`` release the handle, and a ``gc`` rewrite the disk cannot hold
+leaves the file and the open store as they were.
 """
 
 import builtins
+import errno
 import json
 import os
 import subprocess
@@ -31,13 +33,18 @@ def result():
 
 
 def seeds(path):
-    """Seeds of the records a fresh store finds in the file at *path*."""
+    """Seeds of the records in the file at *path*, which a fresh store
+    must open without a warning and hold one each of."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         store = ResultStore(str(path))
-    return sorted(
-        record["config"]["seed"] for record in store._records.values()
-    )
+    with open(path, encoding="utf-8") as stream:
+        found = sorted(
+            json.loads(line)["config"]["seed"]
+            for line in stream if line.strip()
+        )
+    assert len(store) == len(found)
+    return found
 
 
 class TestHandleLifecycle:
@@ -215,6 +222,57 @@ class TestLoad:
         assert recovered.get(tiny_config(seed=1)) == result
         assert recovered.get(tiny_config(seed=2)) is None
         assert seeds(path) == [1]
+
+
+class TestFullDisk:
+    @pytest.mark.parametrize("lines_kept", [None, 1], ids=["compact", "size"])
+    def test_a_gc_that_cannot_write_changes_nothing(
+        self, tmp_path, result, monkeypatch, lines_kept
+    ):
+        """The disk fills while gc writes its temp file: gc raises, the
+        file is as it was, no temp file is left, the open store still
+        serves every record (those the budget would evict included) and
+        can append."""
+        path = tmp_path / "store.jsonl"
+        configs = [tiny_config(seed=seed) for seed in range(4)]
+        with ResultStore(str(path)) as store:
+            for config in configs:
+                store.put(config, result)
+        before = path.read_bytes()
+        budget = {}
+        if lines_kept is not None:
+            line = len(before.splitlines()[0]) + 1
+            budget["max_size_mb"] = (lines_kept * line + 10) / (1024 * 1024)
+        store = ResultStore(str(path))
+        real_fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.stream.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, *a, **k: FullDisk(real_fdopen(fd, *a, **k))
+        )
+        with pytest.raises(OSError) as raised:
+            store.gc(**budget)
+        monkeypatch.undo()
+        assert raised.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob(".campaign-store-*.tmp"))
+        assert len(store) == 4
+        assert all(store.get(config) == result for config in configs)
+        assert store.put(tiny_config(seed=9), result)
+        store.close()
+        assert seeds(path) == [0, 1, 2, 3, 9]
 
 
 class TestSweepCheckpoint:
