@@ -5,31 +5,19 @@ returns one record per verdict: :mod:`repro.analysis.lint` runs rules
 over source files and returns findings, :mod:`repro.analysis.verify`
 runs structural checks over (algorithm, topology) pairs and returns
 check results.  What they check differs; how a verdict is named,
-counted, cached, rendered and archived does not, and lives here once:
-the status vocabulary, the :class:`Run` base the batteries' run objects
-subclass, the source-hash :class:`Cache` (one JSON file, a section per
-battery) and the renderer (:func:`format_table`, :func:`format_summary`,
-:func:`write_json`).  ``repro-check`` (:mod:`repro.analysis.check`) is
-the one CLI over them.
+counted, rendered and archived does not, and lives here once: the
+status vocabulary, the :class:`Run` base the batteries' run objects
+subclass and the renderer (:func:`format_table`, :func:`format_summary`,
+:func:`write_json`).  A battery keeps no state between runs: every run
+computes every verdict it reports.  ``repro-check``
+(:mod:`repro.analysis.check`) is the one CLI over them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-import hashlib
 import json
-import os
-from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    Iterable,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, ClassVar, Dict, Sequence, Tuple
 
 #: Verdict statuses, in increasing order of severity.  ``open`` is a lint
 #: finding no waiver covers; ``fail`` / ``error`` are a check that did not
@@ -42,10 +30,8 @@ STATUS_OPEN = "open"
 STATUS_FAIL = "fail"
 STATUS_ERROR = "error"
 
-_CACHE_VERSION = 2
-
 #: The ``version`` every run's ``to_dict()`` report carries.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class Run(ABC):
@@ -93,83 +79,6 @@ class Run(ABC):
         for record in self.records:
             summary[record.status] += 1
         return summary
-
-
-def source_hash(root: Path, directories: Iterable[Path]) -> str:
-    """SHA-256 over every ``*.py`` file under *directories*, each named
-    relative to *root*: any edit there changes the hash."""
-    digest = hashlib.sha256()
-    for directory in directories:
-        for path in sorted(directory.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-    return digest.hexdigest()
-
-
-class Cache:
-    """One battery's section of the shared JSON cache file.
-
-    The file holds ``{battery: {"source_hash": ..., "entries": {...}}}``;
-    a section written under another hash is dropped at load, an
-    unreadable file is an empty one, and :meth:`save` rewrites this
-    battery's section beside the others as found.  *path* ``None`` is a
-    cache that never hits and never writes.
-    """
-
-    def __init__(
-        self, path: Optional[str], battery: str, code_hash: str
-    ) -> None:
-        self.path = path
-        self.battery = battery
-        self.code_hash = code_hash
-        self._sections: Dict[str, Any] = {}
-        self._entries: Dict[str, Any] = {}
-        self._dirty = False
-        if path is not None and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-            if data["version"] != _CACHE_VERSION:
-                return
-            sections = dict(data["batteries"])
-            section = sections.pop(self.battery, None) or {}
-            if section.get("source_hash") == self.code_hash:
-                self._entries = dict(section["entries"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return  # unreadable cache: start fresh
-        self._sections = sections
-
-    def get(self, key: str, decode: Callable[[Any], Any]) -> Any:
-        """``decode(entry)`` of the entry under *key*; None when there is
-        none or it does not decode (a malformed entry is a miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        try:
-            return decode(entry)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def put(self, key: str, entry: Any) -> None:
-        self._entries[key] = entry
-        self._dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        section = {"source_hash": self.code_hash, "entries": self._entries}
-        write_json(
-            self.path,
-            {
-                "version": _CACHE_VERSION,
-                "batteries": {**self._sections, self.battery: section},
-            },
-        )
 
 
 def clip(text: str, limit: int) -> str:
@@ -222,15 +131,13 @@ def format_summary(run: Run) -> str:
 def write_json(
     path: str, payload: Any, indent: int = 1, sort_keys: bool = True
 ) -> None:
-    """*payload* as a JSON file (the shape every report and the cache
-    are written in)."""
+    """*payload* as a JSON file (the shape every report is written in)."""
     with open(path, "w", encoding="utf-8") as stream:
         json.dump(payload, stream, indent=indent, sort_keys=sort_keys)
         stream.write("\n")
 
 
 __all__ = [
-    "Cache",
     "REPORT_VERSION",
     "Run",
     "STATUS_ERROR",
@@ -242,6 +149,5 @@ __all__ = [
     "clip",
     "format_summary",
     "format_table",
-    "source_hash",
     "write_json",
 ]

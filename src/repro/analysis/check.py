@@ -9,7 +9,10 @@
 * ``repro-check equivalence`` — the batch backend held to the object
   engine, statistically, over seeds (``docs/performance.md``);
 * ``repro-check`` alone — lint and verify on the installed tree with
-  their defaults, one cache file and one report: the CI gate.
+  their defaults, one report: the CI gate.
+
+Nothing is kept between runs: every form computes every verdict it
+reports and writes no file but the ``--json`` report.
 
 Examples::
 
@@ -47,9 +50,6 @@ from repro.analysis.verify import (
 )
 from repro.util.errors import ConfigurationError
 
-#: Default on-disk location of the battery cache (a section per battery).
-DEFAULT_CACHE = ".repro-check-cache.json"
-
 
 def _split(value: Optional[str]) -> Optional[List[str]]:
     if value is None:
@@ -59,7 +59,7 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
 
 def _build_parser() -> argparse.ArgumentParser:
     # The shared flags are spelled once, on parent parsers: ``report``
-    # for every form, ``tree`` for the cached batteries.  They default to
+    # for every form, ``tree`` for lint and verify.  They default to
     # SUPPRESS so that a subcommand's parser never resets what was given
     # before its name; main() parses into a namespace of the defaults.
     report = argparse.ArgumentParser(
@@ -75,14 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tree.add_argument(
         "--quiet", action="store_true",
         help="print only the summary, not the full table",
-    )
-    tree.add_argument(
-        "--cache", metavar="PATH",
-        help=f"battery cache file (default: {DEFAULT_CACHE})",
-    )
-    tree.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the battery cache",
     )
     tree.add_argument(
         "--fail-on-error", action="store_true",
@@ -183,22 +175,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_tree(args: argparse.Namespace) -> int:
-    """Run the cached battery the arguments name — or, with none named,
-    both with their defaults — against the one cache file."""
-    cache = None if args.no_cache else args.cache
+    """Run the battery the arguments name — or, with none named, lint
+    and verify with their defaults."""
     runs: Dict[str, Run] = {}
     if args.battery in (None, "lint"):
         runs["lint"] = run_lint(
             root=Path(args.root) if args.root is not None else None,
             rules=_split(args.rules),
-            cache_path=cache,
         )
     if args.battery in (None, "verify"):
         runs["verify"] = run_verification(
             topology_specs=args.topology,
             algorithms=_split(args.algorithms),
             checks=_split(args.checks),
-            cache_path=cache,
         )
     for index, run in enumerate(runs.values()):
         if index:
@@ -263,8 +252,7 @@ def _check_equivalence(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     defaults = argparse.Namespace(
-        json=None, quiet=False, cache=DEFAULT_CACHE, no_cache=False,
-        fail_on_error=False,
+        json=None, quiet=False, fail_on_error=False,
         # What lint and verify default to, for the form that names neither.
         root=None, rules=None, topology=None, algorithms=None, checks=None,
     )

@@ -8,7 +8,7 @@ statically checkable determinism discipline — no global random state, no
 wall-clock in the core, no hash-ordered decisions, no worker-shared
 mutable state, full serializer coverage, and allocation-free hot paths.
 
-Statuses, cache and report formats are the battery seam's
+Statuses and report formats are the battery seam's
 (:mod:`repro.analysis.battery`).  See ``docs/static-analysis.md`` for
 the rule catalogue and the waiver syntax; ``repro-check lint`` is the
 CLI.
@@ -33,7 +33,6 @@ from repro.analysis.lint.runner import (
     analyze_source,
     apply_waivers,
     default_root,
-    lint_code_hash,
     parse_waivers,
     run_lint,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "apply_waivers",
     "build_context",
     "default_root",
-    "lint_code_hash",
     "parse_waivers",
     "register_rule",
     "run_lint",

@@ -2,8 +2,7 @@
 
 One :class:`Finding` records one rule violation at one source location.
 Findings serialise to plain JSON dictionaries so CI can archive them and
-diff runs, and deserialise back so the runner's per-file cache can replay
-earlier analyses — the same contract as
+diff runs — the same contract as
 :class:`repro.analysis.verify.result.CheckResult`.
 """
 
@@ -54,7 +53,6 @@ class Finding:
     hint: str = ""
     status: str = STATUS_OPEN
     waiver: str = ""
-    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -101,24 +99,7 @@ class Finding:
             "hint": self.hint,
             "status": self.status,
             "waiver": self.waiver,
-            "cached": self.cached,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=data["rule"],
-            severity=data["severity"],
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=data["message"],
-            witness=data.get("witness", ""),
-            hint=data.get("hint", ""),
-            status=data.get("status", STATUS_OPEN),
-            waiver=data.get("waiver", ""),
-            cached=bool(data.get("cached", False)),
-        )
 
 
 @dataclass

@@ -727,35 +727,44 @@ _ITER_FORWARDERS = frozenset(
 )
 
 
+#: (target, value) of every assignment under a node, in ``ast.walk`` order.
+_Assignments = List[Tuple[ast.expr, ast.expr]]
+
+
+def _assignments(root: ast.AST) -> _Assignments:
+    pairs: _Assignments = []
+    for node in ast.walk(root):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs.append((target, node.value))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs.append((node.target, node.value))
+        elif isinstance(node, ast.AugAssign):
+            pairs.append((node.target, node.value))
+    return pairs
+
+
 def _numpy_tainted_names(
-    ctx: ModuleContext, func: ast.FunctionDef
+    ctx: ModuleContext,
+    module_pairs: _Assignments,
+    func_pairs: _Assignments,
 ) -> Tuple[Set[str], Set[str]]:
     """(local names, ``self.<attr>`` names) holding numpy arrays.
 
     A conservative dataflow pass: a name is array-tainted when assigned
     from a ``numpy.*`` call or from an expression derived from another
-    tainted name.  Locals are tracked inside *func*; ``self`` attributes
-    module-wide (arrays are typically built in ``__init__`` and looped
-    over in kernels).  Iterated to a fixpoint so chains like
+    tainted name.  Locals are tracked inside the function whose
+    assignments are *func_pairs*; ``self`` attributes module-wide, over
+    *module_pairs* (arrays are typically built in ``__init__`` and
+    looped over in kernels).  Iterated to a fixpoint so chains like
     ``a = numpy.zeros(...); b = a; c = b[mask]`` resolve regardless of
     statement order encountered by the walk.
     """
     local: Set[str] = set()
     attrs: Set[str] = set()
-
-    def assignments(root: ast.AST) -> Iterator[Tuple[ast.expr, ast.expr]]:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    yield target, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                yield node.target, node.value
-            elif isinstance(node, ast.AugAssign):
-                yield node.target, node.value
-
     for _ in range(4):  # fixpoint (chains deeper than 4 do not occur)
         changed = False
-        for target, value in assignments(ctx.tree):
+        for target, value in module_pairs:
             if not _is_numpy_expr(ctx, value, local, attrs):
                 continue
             if (
@@ -766,7 +775,7 @@ def _numpy_tainted_names(
             ):
                 attrs.add(target.attr)
                 changed = True
-        for target, value in assignments(func):
+        for target, value in func_pairs:
             if isinstance(target, ast.Name) and target.id not in local and (
                 _is_numpy_expr(ctx, value, local, attrs)
             ):
@@ -881,9 +890,14 @@ def hot001_hot_path(ctx: ModuleContext) -> List[Finding]:
         "boolean masks, fancy indexing); a deliberate scalar seam "
         "should iterate .tolist() output outside the pragma'd kernel"
     )
-    for func in _hot_functions(ctx):
+    hot = list(_hot_functions(ctx))
+    # Walked once per module, not once per hot function and round.
+    module_pairs = _assignments(ctx.tree) if hot else []
+    for func in hot:
         local = _local_names(func)
-        array_local, array_attrs = _numpy_tainted_names(ctx, func)
+        array_local, array_attrs = _numpy_tainted_names(
+            ctx, module_pairs, _assignments(func)
+        )
         for node in ast.walk(func):
             iter_sources: List[ast.expr] = []
             if isinstance(node, ast.For):

@@ -1,16 +1,10 @@
-"""Run the rule battery over a source tree, with per-file caching.
+"""Run the rule battery over a source tree.
 
 The runner walks every ``*.py`` file under the analyzed root (by default
 the installed ``repro`` package), parses it once, runs every applicable
 rule, applies inline waivers, and collects
-:class:`~repro.analysis.lint.finding.Finding` records.
-
-Findings are pure functions of the source code, so they are cached per
-file in the ``lint`` section of the battery cache
-(:class:`repro.analysis.battery.Cache`): the section is keyed on a hash
-of the lint package itself (any rule edit invalidates everything), each
-entry on the SHA-256 of its file's content, so an unchanged file replays
-instantly and a one-file edit re-analyzes one file.
+:class:`~repro.analysis.lint.finding.Finding` records.  Every run
+analyzes every file: nothing is kept from one run to the next.
 
 Waiver discipline (the auditable-suppression contract):
 
@@ -25,7 +19,6 @@ Waiver discipline (the auditable-suppression contract):
 
 from __future__ import annotations
 
-import hashlib
 import re
 import time
 from dataclasses import dataclass, field
@@ -34,12 +27,10 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import repro
 from repro.analysis.battery import (
-    Cache,
     REPORT_VERSION,
     Run,
     STATUS_OPEN,
     STATUS_WAIVED,
-    source_hash,
 )
 from repro.analysis.lint.finding import Finding, Waiver
 from repro.analysis.lint.rules import (
@@ -204,13 +195,6 @@ def _select_rules(names: Optional[List[str]]) -> List[Any]:
     return [RULES[name] for name in names if not name.startswith("WVR")]
 
 
-def lint_code_hash() -> str:
-    """SHA-256 over the lint package itself: any rule edit invalidates
-    every cached verdict."""
-    package_root = Path(__file__).resolve().parent
-    return source_hash(package_root, [package_root])
-
-
 @dataclass
 class LintRun(Run):
     """All findings of one runner invocation plus run metadata."""
@@ -222,10 +206,8 @@ class LintRun(Run):
     )
 
     findings: List[Finding] = field(default_factory=list)
-    rules_hash: str = ""
     root: str = ""
     files_analyzed: int = 0
-    files_cached: int = 0
     wall_time: float = 0.0
 
     @property
@@ -233,30 +215,17 @@ class LintRun(Run):
         return self.findings
 
     def scope(self) -> str:
-        cached = f", {self.files_cached} cached" if self.files_cached else ""
-        return f"{self.files_analyzed} analyzed files{cached}"
+        return f"{self.files_analyzed} analyzed files"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "version": REPORT_VERSION,
-            "rules_hash": self.rules_hash,
             "root": self.root,
             "files_analyzed": self.files_analyzed,
-            "files_cached": self.files_cached,
             "wall_time": round(self.wall_time, 6),
             "summary": self.summary(),
             "findings": [finding.to_dict() for finding in self.findings],
         }
-
-
-def _replay(entry: Dict[str, Any], source_sha: str) -> Optional[List[Finding]]:
-    """A cached file's findings, if they were derived from this content."""
-    if entry["sha"] != source_sha:
-        return None
-    return [
-        Finding.from_dict(dict(item, cached=True))
-        for item in entry["findings"]
-    ]
 
 
 def default_root() -> Path:
@@ -268,32 +237,21 @@ def default_root() -> Path:
 def run_lint(
     root: Optional[Path] = None,
     rules: Optional[List[str]] = None,
-    cache_path: Optional[str] = None,
 ) -> LintRun:
     """Analyze every ``*.py`` file under *root* and return the findings.
 
     *root* defaults to :func:`default_root`; *rules* defaults to the
-    whole registry.  *cache_path* enables the per-file result cache —
-    only honoured for full-battery runs, since a partial run's findings
-    would poison later full replays.
+    whole registry.
     """
     started = time.perf_counter()
     base = root if root is not None else default_root()
     base = base.resolve()
     if not base.is_dir():
         raise ConfigurationError(f"lint root {base} is not a directory")
-    rules_hash = lint_code_hash()
-    cache = Cache(cache_path if rules is None else None, "lint", rules_hash)
-    run = LintRun(rules_hash=rules_hash, root=str(base))
+    run = LintRun(root=str(base))
     for path in sorted(base.rglob("*.py")):
         relpath = path.relative_to(base).as_posix()
         source = path.read_text(encoding="utf-8")
-        source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        cached = cache.get(relpath, lambda entry: _replay(entry, source_sha))
-        if cached is not None:
-            run.findings.extend(cached)
-            run.files_cached += 1
-            continue
         try:
             findings = analyze_source(source, relpath, rules)
         except SyntaxError as exc:
@@ -310,14 +268,6 @@ def run_lint(
             ]
         run.findings.extend(findings)
         run.files_analyzed += 1
-        cache.put(
-            relpath,
-            {
-                "sha": source_sha,
-                "findings": [finding.to_dict() for finding in findings],
-            },
-        )
-    cache.save()
     run.wall_time = time.perf_counter() - started
     return run
 
@@ -328,7 +278,6 @@ __all__ = [
     "analyze_source",
     "apply_waivers",
     "default_root",
-    "lint_code_hash",
     "parse_waivers",
     "run_lint",
 ]

@@ -4,7 +4,7 @@ A registry of named structural checks (:mod:`~repro.analysis.verify.checks`)
 runs over every registered routing algorithm x a matrix of mesh/torus
 topologies (:mod:`~repro.analysis.verify.runner`), producing structured
 pass/fail/waived verdicts with witnesses (:mod:`~repro.analysis.verify.result`).
-Statuses, cache and report formats are the battery seam's
+Statuses and report formats are the battery seam's
 (:mod:`repro.analysis.battery`); ``repro-check verify`` is the CLI.  See
 ``docs/verification.md``.
 """
@@ -25,7 +25,6 @@ from repro.analysis.verify.runner import (
     VerificationRun,
     parse_topology,
     run_verification,
-    verification_code_hash,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "parse_topology",
     "register_check",
     "run_verification",
-    "verification_code_hash",
 ]

@@ -2,8 +2,7 @@
 
 One :class:`CheckResult` records the outcome of one (check, algorithm,
 topology) cell of the verification matrix.  Results serialise to plain
-JSON dictionaries so CI can archive them and diff runs, and deserialise
-back so the runner's cache can replay earlier verdicts.
+JSON dictionaries so CI can archive them and diff runs.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class CheckResult:
     witness: Witness = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
-    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -70,7 +68,7 @@ class CheckResult:
             self.algorithm,
             self.check,
             _STATUS_MARK.get(self.status, self.status),
-            "cached" if self.cached else f"{self.wall_time:.2f}s",
+            f"{self.wall_time:.2f}s",
             clip(self.detail, 60),
         )
 
@@ -94,29 +92,7 @@ class CheckResult:
             "witness": [list(resource) for resource in self.witness],
             "counts": dict(self.counts),
             "wall_time": round(self.wall_time, 6),
-            "cached": self.cached,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CheckResult":
-        return cls(
-            check=data["check"],
-            algorithm=data["algorithm"],
-            topology=data["topology"],
-            status=data["status"],
-            detail=data.get("detail", ""),
-            waiver=data.get("waiver"),
-            witness=[
-                (int(link), int(vc_class))
-                for link, vc_class in data.get("witness", [])
-            ],
-            counts={
-                key: int(value)
-                for key, value in data.get("counts", {}).items()
-            },
-            wall_time=float(data.get("wall_time", 0.0)),
-            cached=bool(data.get("cached", False)),
-        )
 
 
 __all__ = [

@@ -1,29 +1,19 @@
-"""Run the check battery over algorithms x topologies, with caching.
+"""Run the check battery over algorithms x topologies.
 
 The runner sweeps every registered routing algorithm (or a chosen subset)
 over a matrix of mesh/torus topologies, evaluates every applicable check,
 and collects :class:`~repro.analysis.verify.result.CheckResult` verdicts.
-
-Verdicts are pure functions of the source code, so they are cached in
-the ``verify`` section of the battery cache
-(:class:`repro.analysis.battery.Cache`), keyed on a hash of the packages
-the checks depend on (``repro.routing``, ``repro.topology``,
-``repro.analysis``, ``repro.util``): a CI re-run on an unchanged tree
-replays the cache instead of re-walking every state space.  Any edit to
-those packages changes the hash and invalidates the whole section —
-conservative, but never stale.
+Every run walks every check: a report holds only verdicts the run that
+wrote it computed.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-import repro
 from repro.analysis.battery import (
-    Cache,
     REPORT_VERSION,
     Run,
     STATUS_ERROR,
@@ -31,7 +21,6 @@ from repro.analysis.battery import (
     STATUS_PASS,
     STATUS_SKIPPED,
     STATUS_WAIVED,
-    source_hash,
 )
 from repro.analysis.verify.checks import CHECKS, evaluate
 from repro.analysis.verify.result import CheckResult
@@ -44,9 +33,6 @@ from repro.util.errors import ConfigurationError
 
 #: Result emitted when an algorithm refuses a topology altogether.
 INSTANTIATE_CHECK = "instantiate"
-
-#: Packages whose source determines every verdict.
-_HASHED_SUBPACKAGES = ("routing", "topology", "analysis", "util")
 
 #: Default verification matrix: small enough for exhaustive walks, wrap
 #: and no-wrap variants of the paper's 2-D networks.
@@ -74,15 +60,6 @@ def parse_topology(spec: str) -> Tuple[str, Topology]:
     return f"{kind}:" + "x".join(map(str, radices)), topology
 
 
-def verification_code_hash() -> str:
-    """SHA-256 over the source files the verdicts depend on."""
-    package_root = Path(repro.__file__).resolve().parent
-    return source_hash(
-        package_root,
-        [package_root / subpackage for subpackage in _HASHED_SUBPACKAGES],
-    )
-
-
 @dataclass
 class VerificationRun(Run):
     """All verdicts of one runner invocation plus run metadata."""
@@ -96,7 +73,6 @@ class VerificationRun(Run):
     )
 
     results: List[CheckResult] = field(default_factory=list)
-    code_hash: str = ""
     topologies: List[str] = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -110,7 +86,6 @@ class VerificationRun(Run):
     def to_dict(self) -> Dict[str, Any]:
         return {
             "version": REPORT_VERSION,
-            "code_hash": self.code_hash,
             "topologies": list(self.topologies),
             "wall_time": round(self.wall_time, 6),
             "summary": self.summary(),
@@ -118,21 +93,16 @@ class VerificationRun(Run):
         }
 
 
-def _replay(entry: Dict[str, Any]) -> CheckResult:
-    return CheckResult.from_dict(dict(entry, cached=True))
-
-
 def run_verification(
     topology_specs: Optional[List[str]] = None,
     algorithms: Optional[List[str]] = None,
     checks: Optional[List[str]] = None,
-    cache_path: Optional[str] = None,
 ) -> VerificationRun:
     """Evaluate the check battery and return every verdict.
 
     *topology_specs* defaults to :data:`DEFAULT_TOPOLOGIES`; *algorithms*
     defaults to the whole registry; *checks* defaults to every registered
-    check.  *cache_path* enables the source-hash result cache.
+    check.
     """
     started = time.perf_counter()
     specs = (
@@ -151,10 +121,7 @@ def run_verification(
     else:
         selected = list(CHECKS.values())
 
-    code_hash = verification_code_hash()
-    cache = Cache(cache_path, "verify", code_hash)
-    run = VerificationRun(code_hash=code_hash)
-
+    run = VerificationRun()
     for spec in specs:
         label, topology = parse_topology(spec)
         run.topologies.append(label)
@@ -173,18 +140,10 @@ def run_verification(
                 )
                 continue
             for check in selected:
-                key = f"{label}|{name}|{check.name}"
-                cached = cache.get(key, _replay)
-                if cached is not None:
-                    run.results.append(cached)
-                    continue
                 check_started = time.perf_counter()
                 result = evaluate(check, algorithm, label)
                 result.wall_time = time.perf_counter() - check_started
                 run.results.append(result)
-                if result.status != STATUS_ERROR:
-                    cache.put(key, result.to_dict())
-    cache.save()
     run.wall_time = time.perf_counter() - started
     return run
 
@@ -195,5 +154,4 @@ __all__ = [
     "VerificationRun",
     "parse_topology",
     "run_verification",
-    "verification_code_hash",
 ]

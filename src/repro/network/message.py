@@ -105,11 +105,6 @@ class Message:
         return bool(self.path) and self.path[-1].flits_in > 0
 
     @property
-    def hops_allocated(self) -> int:
-        """Hops committed so far (including not-yet-traversed head VC)."""
-        return len(self.path)
-
-    @property
     def delivered(self) -> bool:
         return self.flits_ejected >= self.length
 

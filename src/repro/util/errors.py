@@ -45,7 +45,3 @@ class DeadlockError(ReproError):
     def __init__(self, message: str, report: Optional[Any] = None) -> None:
         super().__init__(message)
         self.report = report
-
-
-class ConvergenceError(ReproError):
-    """A statistics run failed to produce a usable estimate."""

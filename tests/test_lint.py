@@ -1,5 +1,5 @@
-"""Tests for ``repro.analysis.lint``: rules, waivers, caching, and the
-``repro-check lint`` CLI.
+"""Tests for ``repro.analysis.lint``: rules, waivers, the runner, and
+the ``repro-check lint`` CLI.
 
 Rule behaviour is proven against the fixture tree in
 ``tests/lint_fixtures``: every ``bad/`` module must trigger exactly its
@@ -19,7 +19,6 @@ from repro.analysis.check import main as check_main
 from repro.analysis.lint import (
     RULES,
     analyze_source,
-    lint_code_hash,
     run_lint,
 )
 from repro.util.errors import ConfigurationError
@@ -227,79 +226,21 @@ class TestWaivers:
         assert findings[0].status == STATUS_OPEN
 
 
-CLEAN_MODULE = '"""A module with nothing to report."""\n\nVALUE = 1\n'
-
-
-class TestCache:
-    def _write(self, root, relpath, source):
-        path = root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source, encoding="utf-8")
-
-    def test_replay_and_edit_invalidation(self, tmp_path):
-        root = tmp_path / "pkg"
-        self._write(root, "simulator/mod.py", CLEAN_MODULE)
-        cache = str(tmp_path / "cache.json")
-
-        first = run_lint(root=root, cache_path=cache)
-        assert (first.files_analyzed, first.files_cached) == (1, 0)
-
-        second = run_lint(root=root, cache_path=cache)
-        assert (second.files_analyzed, second.files_cached) == (0, 1)
-
-        self._write(
-            root,
-            "simulator/mod.py",
-            "VALUE = sorted([], key=lambda item: id(item))\n",
-        )
-        third = run_lint(root=root, cache_path=cache)
-        assert third.files_analyzed == 1
-        assert [finding.rule for finding in third.findings] == ["DET004"]
-
-    def test_replayed_findings_are_marked_cached(self, tmp_path):
-        root = tmp_path / "pkg"
-        self._write(
-            root, "mod.py", "VALUE = sorted([], key=lambda item: id(item))\n"
-        )
-        cache = str(tmp_path / "cache.json")
-        fresh = run_lint(root=root, cache_path=cache)
-        assert all(not finding.cached for finding in fresh.findings)
-        replay = run_lint(root=root, cache_path=cache)
-        assert replay.findings and all(
-            finding.cached for finding in replay.findings
-        )
-
-    def test_subset_runs_bypass_the_cache(self, tmp_path):
-        root = tmp_path / "pkg"
-        self._write(root, "mod.py", CLEAN_MODULE)
-        cache = str(tmp_path / "cache.json")
-        run_lint(root=root, rules=["DET004"], cache_path=cache)
-        assert not (tmp_path / "cache.json").exists()
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        root = tmp_path / "pkg"
-        self._write(root, "mod.py", CLEAN_MODULE)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        run = run_lint(root=root, cache_path=str(cache))
-        assert run.files_analyzed == 1
-
+class TestRunner:
     def test_syntax_error_becomes_a_parse_finding(self, tmp_path):
         root = tmp_path / "pkg"
-        self._write(root, "broken.py", "def f(:\n")
-        run = run_lint(root=root, cache_path=None)
+        root.mkdir()
+        (root / "broken.py").write_text("def f(:\n", encoding="utf-8")
+        run = run_lint(root=root)
         assert [finding.rule for finding in run.findings] == ["PARSE"]
         assert not run.ok()
-
-    def test_rules_hash_is_stable(self):
-        assert lint_code_hash() == lint_code_hash()
 
 
 class TestRealTree:
     def test_installed_package_has_zero_open_findings(self):
         """The acceptance gate: the lint battery runs clean on
         src/repro."""
-        run = run_lint(cache_path=None)
+        run = run_lint()
         open_findings = [
             finding
             for finding in run.findings
@@ -309,7 +250,7 @@ class TestRealTree:
         assert open_findings == []
 
     def test_every_shipped_waiver_carries_a_reason(self):
-        run = run_lint(cache_path=None)
+        run = run_lint()
         waived = [
             finding
             for finding in run.findings
@@ -321,12 +262,12 @@ class TestRealTree:
 
 class TestCli:
     def test_clean_root_exits_zero(self, capsys):
-        assert lint_main([str(GOOD), "--no-cache", "--quiet"]) == 0
+        assert lint_main([str(GOOD), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "0 findings" in out
 
     def test_bad_root_exits_one(self, capsys):
-        assert lint_main([str(BAD), "--no-cache", "--fail-on-error"]) == 1
+        assert lint_main([str(BAD), "--fail-on-error"]) == 1
         out = capsys.readouterr().out
         for _, rule in BAD_CASES:
             assert rule in out
@@ -334,7 +275,7 @@ class TestCli:
     def test_json_report(self, tmp_path):
         report = tmp_path / "lint.json"
         code = lint_main(
-            [str(BAD), "--no-cache", "--quiet", "--json", str(report)]
+            [str(BAD), "--quiet", "--json", str(report)]
         )
         assert code == 1
         data = json.loads(report.read_text(encoding="utf-8"))
@@ -345,13 +286,13 @@ class TestCli:
     def test_rule_subset(self, capsys):
         assert (
             lint_main(
-                [str(GOOD), "--no-cache", "--quiet", "--rules", "DET001"]
+                [str(GOOD), "--quiet", "--rules", "DET001"]
             )
             == 0
         )
 
     def test_unknown_rule_exits_two(self, capsys):
-        assert lint_main([str(GOOD), "--no-cache", "--rules", "NOPE"]) == 2
+        assert lint_main([str(GOOD), "--rules", "NOPE"]) == 2
         assert "unknown rules" in capsys.readouterr().err
 
     def test_root_and_all_conflict(self, capsys):
@@ -360,9 +301,3 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             lint_main([str(GOOD), "--all"])
         assert exit_info.value.code == 2
-
-    def test_cli_cache_roundtrip(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache.json")
-        assert lint_main([str(GOOD), "--cache", cache, "--quiet"]) == 0
-        assert lint_main([str(GOOD), "--cache", cache, "--quiet"]) == 0
-        assert "cached" in capsys.readouterr().out

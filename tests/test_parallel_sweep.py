@@ -16,16 +16,23 @@ The contract of :mod:`repro.experiments.parallel`:
   instead of silently overwritten, an interrupted batch-backend seed
   group resumes per member, and a failed worker never discards its
   finished siblings;
+* a worker that dies outright breaks the run loudly, the store keeps
+  exactly what finished, and a rerun completes the campaign to the
+  bytes a clean run exports;
 * results survive the JSON roundtrip used by the checkpoint file.
 """
 
 import dataclasses
+import io
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.campaigns.export import collect, write_campaign_csv
 from repro.campaigns.identity import identify
+from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import STORE_VERSION, ResultStore, StoreWarning
 from repro.experiments import parallel
 from repro.experiments.parallel import (
@@ -393,6 +400,74 @@ class TestWorkerFailureSalvage:
         with pytest.raises(ConfigurationError, match="stride"):
             run_points(configs, checkpoint_path=path)
         assert ran == [point_key(bad)]  # the salvaged point was skipped
+
+
+class TestKilledWorker:
+    """A worker that dies outright (``os._exit``: no exception, no
+    cleanup, as under the OOM killer) breaks the pool."""
+
+    SPEC = CampaignSpec(
+        name="killed-worker",
+        algorithms=("ecube", "nbc"),
+        loads=(0.2, 0.3, 0.4),
+        seeds=(1, 2),
+        topologies=("torus:4x2",),
+        base=dict(
+            message_length=4, warmup_cycles=200, sample_cycles=300,
+            gap_cycles=50, min_samples=3, max_samples=3,
+        ),
+    )
+
+    def _export(self, path):
+        stream = io.StringIO()
+        with ResultStore(path) as store:
+            write_campaign_csv(collect(self.SPEC, store), stream)
+        return stream.getvalue()
+
+    def test_a_killed_worker_breaks_the_run_and_a_rerun_completes_it(
+        self, tmp_path, monkeypatch
+    ):
+        configs = self.SPEC.expand()
+        assert len(configs) == 12
+        clean = str(tmp_path / "clean.jsonl")
+        with ResultStore(clean) as store:
+            serial = run_points(configs, store=store)
+        victim = configs[5]
+        real_run_point = parallel.run_point
+
+        def dying(config):
+            if config == victim:
+                os._exit(1)
+            return real_run_point(config)
+
+        # Forked workers inherit the patched module binding.
+        monkeypatch.setattr(parallel, "run_point", dying)
+        path = str(tmp_path / "killed.jsonl")
+        with ResultStore(path) as store:
+            with pytest.raises(BrokenProcessPool):
+                run_points(configs, jobs=2, store=store)
+        monkeypatch.undo()
+
+        # The store keeps what finished, each point as a clean run has it.
+        with ResultStore(path) as store:
+            stored = [store.get(config) for config in configs]
+        assert stored[5] is None
+        kept = [i for i, result in enumerate(stored) if result is not None]
+        assert len(kept) < len(configs)
+        for index in kept:
+            assert stored[index].to_dict() == serial[index].to_dict()
+
+        ran = []
+
+        def counting(config):
+            ran.append(config)
+            return run_point(config)
+
+        monkeypatch.setattr(parallel, "_run_point_worker", counting)
+        with ResultStore(path) as store:
+            run_points(configs, store=store)
+        assert ran == [c for c, r in zip(configs, stored) if r is None]
+        assert self._export(path) == self._export(clean)
 
 
 class TestPointIdentity:

@@ -2,12 +2,10 @@
 ``repro-check verify``."""
 
 import json
-import shutil
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.battery import Cache, format_summary, format_table
+from repro.analysis.battery import format_summary, format_table
 from repro.analysis.check import main as check_main
 from repro.analysis.verify import (
     CHECKS,
@@ -15,7 +13,6 @@ from repro.analysis.verify import (
     find_waiver,
     parse_topology,
     run_verification,
-    verification_code_hash,
 )
 from repro.analysis.verify.result import CheckResult
 from repro.analysis.verify.runner import INSTANTIATE_CHECK, VerificationRun
@@ -194,77 +191,6 @@ class TestRunner:
         with pytest.raises(ConfigurationError, match="unknown checks"):
             run_verification(["torus:4x4"], checks=["nonsense"])
 
-    def test_cache_replays_results(self, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        first = run_verification(
-            ["torus:4x4"], algorithms=["ecube"], cache_path=cache
-        )
-        assert not any(r.cached for r in first.results)
-        second = run_verification(
-            ["torus:4x4"], algorithms=["ecube"], cache_path=cache
-        )
-        assert all(r.cached for r in second.results)
-        assert [r.to_dict()["status"] for r in second.results] == [
-            r.to_dict()["status"] for r in first.results
-        ]
-
-    def test_cache_invalidated_by_code_hash(self, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        run_verification(
-            ["torus:4x4"], algorithms=["ecube"], cache_path=cache_path
-        )
-        key = "torus:4x4|ecube|candidate_minimality"
-        fresh = Cache(cache_path, "verify", verification_code_hash())
-        assert fresh.get(key, dict)["status"] == "pass"
-        stale = Cache(cache_path, "verify", "something-else")
-        assert stale.get(key, dict) is None
-
-    @staticmethod
-    def _touch_invalidates(tmp_path, monkeypatch, relative):
-        """Appending a comment to *relative* (under src/repro) re-runs
-        every check instead of replaying the cache."""
-        import repro
-
-        package = Path(repro.__file__).resolve().parent
-        copy = tmp_path / "repro"
-        shutil.copytree(
-            package, copy, ignore=shutil.ignore_patterns("__pycache__")
-        )
-        # The hash reads the source tree beside repro/__init__.py.
-        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
-        cache = str(tmp_path / "cache.json")
-
-        def run():
-            return run_verification(
-                ["torus:4x4"], algorithms=["ecube"], cache_path=cache
-            )
-
-        first = run()
-        assert not any(r.cached for r in first.results)
-        assert all(r.cached for r in run().results)
-        with open(copy / relative, "a") as source:
-            source.write("# touched\n")
-        rerun = run()
-        assert not any(r.cached for r in rerun.results)
-        assert rerun.code_hash != first.code_hash
-
-    def test_touching_topology_base_invalidates_the_cache(
-        self, tmp_path, monkeypatch
-    ):
-        """Geometry lives in ``topology/base.py``: an edit there must
-        re-run every check, not replay verdicts walked on other tables."""
-        self._touch_invalidates(tmp_path, monkeypatch, "topology/base.py")
-
-    def test_touching_routing_tables_invalidates_the_cache(
-        self, tmp_path, monkeypatch
-    ):
-        """Candidate sets have one owner, ``routing/tables.py``: verdicts
-        walked before an edit there are not evidence about it."""
-        self._touch_invalidates(tmp_path, monkeypatch, "routing/tables.py")
-
-    def test_code_hash_is_stable(self):
-        assert verification_code_hash() == verification_code_hash()
-
     def test_reports_render(self):
         run = run_verification(["mesh:4x4"], algorithms=["ecube"])
         table = format_table(run)
@@ -274,22 +200,6 @@ class TestRunner:
 
 
 class TestResultSerialization:
-    def test_round_trip(self):
-        result = CheckResult(
-            check="acyclicity",
-            algorithm="2pn",
-            topology="torus:4x4",
-            status="waived",
-            detail="cycle found",
-            waiver="documented",
-            witness=[(3, 1), (5, 0)],
-            counts={"resources": 7},
-            wall_time=0.5,
-        )
-        clone = CheckResult.from_dict(result.to_dict())
-        assert clone.witness == [(3, 1), (5, 0)]
-        assert clone.status == "waived" and clone.ok
-
     def test_summarize_counts_all_statuses(self):
         results = [
             CheckResult("c", "a", "t", status)
@@ -314,8 +224,6 @@ class TestCli:
                 "torus:4x4",
                 "--json",
                 str(out),
-                "--cache",
-                str(tmp_path / "cache.json"),
             ]
         )
         assert code == 0
@@ -341,7 +249,6 @@ class TestCli:
                 "--topology",
                 "mesh:4x4",
                 "--quiet",
-                "--no-cache",
             ]
         )
         assert code == 0
