@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-check``, the one "check this tree" CLI.
 
-* ``repro-check lint [ROOT]`` — the determinism / hot-path rule battery
+* ``repro-check lint [ROOT]`` — the determinism / serializer rule battery
   over the ``repro`` source tree or any directory
   (``docs/static-analysis.md``);
 * ``repro-check verify`` — the deadlock-freedom / structure check
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = batteries.add_parser(
         "lint", parents=[report, tree],
         help=(
-            "determinism and hot-path discipline of the source tree "
+            "determinism and serializer discipline of the source tree "
             "(docs/static-analysis.md)"
         ),
     )

@@ -1,4 +1,4 @@
-"""``repro.analysis.lint`` — AST-based determinism & hot-path analyzer.
+"""``repro.analysis.lint`` — AST-based determinism analyzer.
 
 A rule-registry static analyzer in the mould of
 :mod:`repro.analysis.verify`: where the verify battery proves the
@@ -6,7 +6,7 @@ A rule-registry static analyzer in the mould of
 discipline, dependency acyclicity), this package proves the *engine's*
 statically checkable determinism discipline — no global random state, no
 wall-clock in the core, no hash-ordered decisions, no worker-shared
-mutable state, full serializer coverage, and allocation-free hot paths.
+mutable state, and full serializer coverage.
 
 Statuses and report formats are the battery seam's
 (:mod:`repro.analysis.battery`).  See ``docs/static-analysis.md`` for

@@ -1,4 +1,4 @@
-"""The registry of named determinism and hot-path discipline rules.
+"""The registry of named determinism and serialization rules.
 
 Each rule inspects one parsed module (an :class:`ast.Module` plus source
 context) and yields :class:`~repro.analysis.lint.finding.Finding` records.
@@ -31,23 +31,15 @@ makes nondeterminism more expensive:
   must appear in the serializer or in the class's explicit
   ``SERIALIZE_EXCLUDE`` set (the dropped-``SimulationResult``-columns
   bug).
-* ``HOT001`` — allocation-heavy constructs (``deepcopy``, f-string /
-  ``str.format`` / ``%`` formatting, comprehensions over loop-invariant
-  constants) inside functions marked with a ``# repro: hot`` pragma;
-  plus a numpy-aware sub-check: no per-element Python loops over numpy
-  arrays inside pragma'd kernels (the batch backend's array kernels
-  must stay whole-array — a Python loop over the batch axis silently
-  forfeits the vectorization the pragma promises).
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.analysis.lint.finding import Finding, SEVERITY_ERROR
 
@@ -82,10 +74,6 @@ _WALL_CLOCK_CALLS = frozenset(
 #: (SER001's explicit exclusion list).
 SERIALIZE_EXCLUDE_ATTR = "SERIALIZE_EXCLUDE"
 
-#: Marks a function as hot-path (HOT001), on the ``def`` line or the
-#: line directly above it.
-HOT_PRAGMA = re.compile(r"#\s*repro:\s*hot\b")
-
 
 @dataclass
 class ModuleContext:
@@ -97,7 +85,7 @@ class ModuleContext:
     tree: ast.Module
     imports: Dict[str, str]
     #: Real ``#`` comments by line number (tokenize-extracted, so string
-    #: literals that merely *mention* a pragma or waiver never match).
+    #: literals that merely *mention* a waiver never match).
     comments: Dict[int, str] = field(default_factory=dict)
 
     def witness(self, line: int) -> str:
@@ -692,317 +680,7 @@ def ser001_serializer_coverage(ctx: ModuleContext) -> List[Finding]:
     return findings
 
 
-# ---------------------------------------------------------------------------
-# HOT001 — hot-path allocation discipline
-# ---------------------------------------------------------------------------
-
-
-def _hot_functions(ctx: ModuleContext) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        first = node.decorator_list[0].lineno if node.decorator_list else (
-            node.lineno
-        )
-        # The pragma lives on the def line itself or on the line directly
-        # above the function (above its first decorator, if any).
-        candidates = (first - 1, node.lineno)
-        if any(
-            HOT_PRAGMA.search(ctx.comments.get(line, ""))
-            for line in candidates
-        ):
-            yield node
-
-
-#: Methods that step *out* of numpy land: their results are plain Python
-#: objects, so iterating them is a sanctioned scalar seam rather than a
-#: per-element loop over array storage.
-_NUMPY_SCALAR_METHODS = frozenset({"tolist", "item"})
-
-#: Builtins whose call forwards its argument's iteration: looping over
-#: ``enumerate(array)`` is still a per-element loop over the array.
-_ITER_FORWARDERS = frozenset(
-    {"enumerate", "zip", "reversed", "iter", "list", "tuple", "sorted",
-     "map", "filter"}
-)
-
-
-#: (target, value) of every assignment under a node, in ``ast.walk`` order.
-_Assignments = List[Tuple[ast.expr, ast.expr]]
-
-
-def _assignments(root: ast.AST) -> _Assignments:
-    pairs: _Assignments = []
-    for node in ast.walk(root):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                pairs.append((target, node.value))
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            pairs.append((node.target, node.value))
-        elif isinstance(node, ast.AugAssign):
-            pairs.append((node.target, node.value))
-    return pairs
-
-
-def _numpy_tainted_names(
-    ctx: ModuleContext,
-    module_pairs: _Assignments,
-    func_pairs: _Assignments,
-) -> Tuple[Set[str], Set[str]]:
-    """(local names, ``self.<attr>`` names) holding numpy arrays.
-
-    A conservative dataflow pass: a name is array-tainted when assigned
-    from a ``numpy.*`` call or from an expression derived from another
-    tainted name.  Locals are tracked inside the function whose
-    assignments are *func_pairs*; ``self`` attributes module-wide, over
-    *module_pairs* (arrays are typically built in ``__init__`` and
-    looped over in kernels).  Iterated to a fixpoint so chains like
-    ``a = numpy.zeros(...); b = a; c = b[mask]`` resolve regardless of
-    statement order encountered by the walk.
-    """
-    local: Set[str] = set()
-    attrs: Set[str] = set()
-    for _ in range(4):  # fixpoint (chains deeper than 4 do not occur)
-        changed = False
-        for target, value in module_pairs:
-            if not _is_numpy_expr(ctx, value, local, attrs):
-                continue
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr not in attrs
-            ):
-                attrs.add(target.attr)
-                changed = True
-        for target, value in func_pairs:
-            if isinstance(target, ast.Name) and target.id not in local and (
-                _is_numpy_expr(ctx, value, local, attrs)
-            ):
-                local.add(target.id)
-                changed = True
-        if not changed:
-            break
-    return local, attrs
-
-
-def _is_numpy_expr(
-    ctx: ModuleContext,
-    node: ast.expr,
-    local: Set[str],
-    attrs: Set[str],
-) -> bool:
-    """Does this expression (conservatively) evaluate to a numpy array?"""
-    if isinstance(node, ast.Name):
-        return node.id in local
-    if isinstance(node, ast.Starred):
-        return _is_numpy_expr(ctx, node.value, local, attrs)
-    if isinstance(node, ast.Call):
-        qualified = ctx.resolve(node.func)
-        if qualified is not None and qualified.startswith("numpy."):
-            return True
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in _NUMPY_SCALAR_METHODS:
-                return False
-            # Array methods (reshape/min/take/...) stay arrays.
-            return _is_numpy_expr(ctx, node.func.value, local, attrs)
-        return False
-    if isinstance(node, ast.Attribute):
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            return node.attr in attrs
-        if node.attr in _NUMPY_SCALAR_METHODS:
-            return False
-        return _is_numpy_expr(ctx, node.value, local, attrs)
-    if isinstance(node, ast.Subscript):
-        return _is_numpy_expr(ctx, node.value, local, attrs)
-    if isinstance(node, ast.BinOp):
-        return _is_numpy_expr(ctx, node.left, local, attrs) or (
-            _is_numpy_expr(ctx, node.right, local, attrs)
-        )
-    if isinstance(node, ast.UnaryOp):
-        return _is_numpy_expr(ctx, node.operand, local, attrs)
-    if isinstance(node, (ast.IfExp,)):
-        return _is_numpy_expr(ctx, node.body, local, attrs) or (
-            _is_numpy_expr(ctx, node.orelse, local, attrs)
-        )
-    return False
-
-
-def _loops_over_array(
-    ctx: ModuleContext,
-    iter_node: ast.expr,
-    local: Set[str],
-    attrs: Set[str],
-) -> bool:
-    """Does this ``for``/comprehension source iterate a numpy array?"""
-    if _is_numpy_expr(ctx, iter_node, local, attrs):
-        return True
-    if isinstance(iter_node, ast.Call) and isinstance(
-        iter_node.func, ast.Name
-    ):
-        name = iter_node.func.id
-        if name in _ITER_FORWARDERS:
-            return any(
-                _is_numpy_expr(ctx, arg, local, attrs)
-                for arg in iter_node.args
-            )
-        if name == "range":
-            # range(len(array)) / range(array.shape[0]): an index loop
-            # that almost certainly dereferences per element inside.
-            for arg in iter_node.args:
-                for sub in ast.walk(arg):
-                    if isinstance(sub, ast.Call) and isinstance(
-                        sub.func, ast.Name
-                    ) and sub.func.id == "len" and sub.args and (
-                        _is_numpy_expr(ctx, sub.args[0], local, attrs)
-                    ):
-                        return True
-                    if isinstance(sub, ast.Attribute) and (
-                        sub.attr in ("shape", "size")
-                    ) and _is_numpy_expr(ctx, sub.value, local, attrs):
-                        return True
-    return False
-
-
-def _local_names(func: ast.FunctionDef) -> Set[str]:
-    names = {arg.arg for arg in func.args.posonlyargs}
-    names.update(arg.arg for arg in func.args.args)
-    names.update(arg.arg for arg in func.args.kwonlyargs)
-    if func.args.vararg:
-        names.add(func.args.vararg.arg)
-    if func.args.kwarg:
-        names.add(func.args.kwarg.arg)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-    return names
-
-
-@register_rule(
-    "HOT001",
-    "no allocation-heavy constructs or per-element numpy loops inside "
-    "'# repro: hot' functions",
-)
-def hot001_hot_path(ctx: ModuleContext) -> List[Finding]:
-    findings: List[Finding] = []
-    numpy_hint = (
-        "replace the loop with whole-array numpy operations (ufuncs, "
-        "boolean masks, fancy indexing); a deliberate scalar seam "
-        "should iterate .tolist() output outside the pragma'd kernel"
-    )
-    hot = list(_hot_functions(ctx))
-    # Walked once per module, not once per hot function and round.
-    module_pairs = _assignments(ctx.tree) if hot else []
-    for func in hot:
-        local = _local_names(func)
-        array_local, array_attrs = _numpy_tainted_names(
-            ctx, module_pairs, _assignments(func)
-        )
-        for node in ast.walk(func):
-            iter_sources: List[ast.expr] = []
-            if isinstance(node, ast.For):
-                iter_sources = [node.iter]
-            elif isinstance(
-                node,
-                (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-            ):
-                iter_sources = [
-                    generator.iter for generator in node.generators
-                ]
-            for source in iter_sources:
-                if _loops_over_array(ctx, source, array_local, array_attrs):
-                    findings.append(
-                        _finding(
-                            "HOT001",
-                            ctx,
-                            source,
-                            "per-element Python loop over a numpy array "
-                            f"in hot function {func.name}() defeats "
-                            "vectorization",
-                            numpy_hint,
-                        )
-                    )
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                qualified = ctx.resolve(node.func)
-                if qualified in ("copy.deepcopy", "deepcopy"):
-                    findings.append(
-                        _finding(
-                            "HOT001",
-                            ctx,
-                            node,
-                            f"deepcopy in hot function {func.name}()",
-                            "copy explicitly, or restructure so the hot "
-                            "path never clones",
-                        )
-                    )
-                elif isinstance(node.func, ast.Attribute) and (
-                    node.func.attr == "format"
-                ):
-                    findings.append(
-                        _finding(
-                            "HOT001",
-                            ctx,
-                            node,
-                            f".format() call in hot function "
-                            f"{func.name}() allocates per cycle",
-                            "move string formatting out of the hot path "
-                            "(format lazily at report time)",
-                        )
-                    )
-            elif isinstance(node, ast.JoinedStr):
-                findings.append(
-                    _finding(
-                        "HOT001",
-                        ctx,
-                        node,
-                        f"f-string in hot function {func.name}() "
-                        "allocates per cycle",
-                        "move string formatting out of the hot path "
-                        "(format lazily at report time)",
-                    )
-                )
-            elif (
-                isinstance(node, ast.BinOp)
-                and isinstance(node.op, ast.Mod)
-                and isinstance(node.left, ast.Constant)
-                and isinstance(node.left.value, str)
-            ):
-                findings.append(
-                    _finding(
-                        "HOT001",
-                        ctx,
-                        node,
-                        f"%-formatting in hot function {func.name}()",
-                        "move string formatting out of the hot path",
-                    )
-                )
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp)
-            ):
-                iter_names = {
-                    sub.id
-                    for generator in node.generators
-                    for sub in ast.walk(generator.iter)
-                    if isinstance(sub, ast.Name)
-                }
-                if iter_names and not (iter_names & local):
-                    findings.append(
-                        _finding(
-                            "HOT001",
-                            ctx,
-                            node,
-                            "comprehension over loop-invariant globals "
-                            f"rebuilt on every call of {func.name}()",
-                            "hoist the comprehension to module scope or "
-                            "__init__ and reuse the built container",
-                        )
-                    )
-    return findings
-
-
 __all__ = [
-    "HOT_PRAGMA",
     "ModuleContext",
     "ORDER_SENSITIVE_PACKAGES",
     "RULES",

@@ -92,7 +92,6 @@ _INITIAL_ROWS = 256
 EntryKey = Tuple[int, int, Hashable]
 
 
-# repro: hot — per-request path (HOT001: no allocation-heavy constructs)
 def flat_candidates(
     algorithm: RoutingAlgorithm,
     num_vcs: int,
@@ -145,7 +144,6 @@ class RouteTable:
         self.node: List[int] = []
         self.dst: List[int] = []
 
-    # repro: hot — per-request path (HOT001: no allocation-heavy constructs)
     def intern(self, entry: EntryKey, state: Any) -> Tuple[int, ...]:
         """Compute and store the entry of one missed ``entries`` probe.
 

@@ -617,7 +617,6 @@ class BatchEngine:
                     return
             self.step()
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def step(self) -> None:
         """One lockstep cycle: the object engine's four phases, batched.
 
@@ -722,7 +721,6 @@ class BatchEngine:
     # phase 1: generation (lane-fused, straight into the slab)
     # ------------------------------------------------------------------
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _generate(self, cycle: int) -> None:
         """Lane-fused generation straight into the message slab.
 
@@ -848,7 +846,6 @@ class BatchEngine:
                     self._outst_f = wide.reshape(-1)
             self._ic_cls[key] = cid
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _route(self, cycle: int) -> None:
         """Round-based routing/VC allocation over the woken requests.
 
@@ -1014,7 +1011,6 @@ class BatchEngine:
         if pool.dead * 4 > pool.n:
             pool.prune()
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _draw_seqs(self, seg: Segments, counter: np.ndarray) -> np.ndarray:
         """Per-lane consecutive sequence numbers for the lane-sorted ids
         of *seg* (their ``segments``), advancing *counter* in place.
@@ -1028,7 +1024,6 @@ class BatchEngine:
         counter[seg.lanes] += seg.counts
         return seqs
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _epilogue(
         self,
         ev_b: np.ndarray,
@@ -1087,7 +1082,6 @@ class BatchEngine:
             # worm's tail, and the event's target VC is the next link.
             slab.tail_flat_f[g[r3]] = ev_flat[r3]
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _eject(self, cycle: int) -> None:
         """Array-at-once ejection over the deliver queue.
 
@@ -1119,7 +1113,6 @@ class BatchEngine:
             keep[pos_idx[comp]] = False
             dv.keep(keep)
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _complete(
         self, cycle: int, comp_abs: np.ndarray, g: np.ndarray
     ) -> None:
@@ -1153,7 +1146,6 @@ class BatchEngine:
                 hops = hops[sampled]
             self._delivery_blocks.append((bo, lat, hops))
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _flush(self) -> None:
         """Apply the deferred allocation/release writes as array scatters.
 
@@ -1198,7 +1190,6 @@ class BatchEngine:
             self._active_seq_f[chs] = seqs
             act_blocks.clear()
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _flush_alloc(
         self,
         a: np.ndarray,
@@ -1228,7 +1219,6 @@ class BatchEngine:
     # phase 4: transmission (the vectorized core)
     # ------------------------------------------------------------------
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _transmit_kernel(self, cycle: int) -> Optional[np.ndarray]:
         """Array-at-once conservative transmit over every lane and channel.
 

@@ -333,7 +333,6 @@ class Engine:
     # phase 1: generation
     # ------------------------------------------------------------------
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _generate_arrivals(self) -> None:
         if self._trace_events is not None:
             self._generate_trace_arrivals()
@@ -406,7 +405,6 @@ class Engine:
         # is >= everything in the heap and heappush is O(1) here.
         heappush(self._route_heap, (seq, message))
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _route(self) -> bool:
         """The routing phase: serve requests in enqueue (FIFO) order.
 
@@ -481,7 +479,6 @@ class Engine:
                 del parked[message.msg_id]
                 heappush(heap, (message.route_seq, message))
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _memo_candidates(self, message: Message) -> Sequence[int]:
         """The message's candidates, from the route table.
 
@@ -514,7 +511,6 @@ class Engine:
             message.dst,
         )
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _select(
         self,
         candidates: Sequence[int],
@@ -586,7 +582,6 @@ class Engine:
     # phase 3: transmission
     # ------------------------------------------------------------------
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _transmit(self) -> bool:
         """The transmission phase.
 
@@ -899,7 +894,6 @@ class Engine:
     # phase 4: ejection
     # ------------------------------------------------------------------
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _eject(self) -> bool:
         cycle = self.cycle
         still: List[VirtualChannel] = []

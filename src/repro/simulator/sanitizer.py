@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.analysis.dependency_graph import Resource, find_cycle
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.dependency_graph import Resource
     from repro.network.message import Message
 
 
@@ -173,6 +172,10 @@ class WaitForGraph:
 
     def build_report(self) -> DeadlockReport:
         """Search the current graph for a cycle and snapshot the blockage."""
+        # Imported here, at a deadlock: the engine does not load the
+        # analysis package (and its check batteries) to run.
+        from repro.analysis.dependency_graph import find_cycle
+
         holders: Dict[Resource, int] = {}
         for entry in self._blocked.values():
             for held in entry.held:

@@ -71,7 +71,6 @@ class Segments(NamedTuple):
     within: np.ndarray
 
 
-# repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
 def segments(lane_ids: np.ndarray) -> Segments:
     """Split the non-empty, non-decreasing *lane_ids* into per-lane runs.
 
@@ -288,7 +287,6 @@ class MessageSlab:
         self.capacity = new
         self.grow_count += 1
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def alloc(self, seg: Segments) -> np.ndarray:
         """Pop one slot per entry of the lane-sorted ids *seg* holds
         (see :func:`segments`), each lane off its own stack, growing
@@ -300,7 +298,6 @@ class MessageSlab:
             seg.ids * self.capacity + top[seg.ids] + seg.within
         ]
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def release(self, seg: Segments, slots: np.ndarray) -> None:
         """Push completed messages' *slots* back, each on the stack of
         its entry of the lane-sorted ids *seg* holds."""
@@ -401,7 +398,6 @@ class RequestPool:
         self.cand = wide
         self.width = width
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def extend(
         self,
         lanes: np.ndarray,
@@ -421,14 +417,12 @@ class RequestPool:
         self.cand[:, n:n + count] = cand.T
         self.n = n + count
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def kill(self, idx: np.ndarray) -> None:
         """Tombstone the indexed entries (request granted a VC)."""
         self.lane[idx] = -1
         self.blocked[idx] = DEAD_STAMP
         self.dead += int(idx.shape[0])
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def compact(self, keep: np.ndarray) -> None:
         """Drop the masked-out entries, preserving order."""
         count = int(keep.sum())
@@ -442,7 +436,6 @@ class RequestPool:
         self.cand[:, :count] = self.cand[:, :n][:, keep]
         self.n = count
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def prune(self) -> None:
         """Compact the tombstones away (amortized, threshold-driven)."""
         self.compact(self.lane[:self.n] >= 0)
@@ -476,7 +469,6 @@ class DeliverQueue:
         self.abs = np.zeros(capacity, dtype=np.intp)
         self.n = 0
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def extend(self, entries: np.ndarray) -> None:
         count = entries.shape[0]
         need = self.n + count
@@ -490,7 +482,6 @@ class DeliverQueue:
         self.abs[self.n:need] = entries
         self.n = need
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def keep(self, mask: np.ndarray) -> None:
         """Compact to the masked-in entries, preserving order."""
         kept = self.abs[:self.n][mask]
@@ -567,7 +558,6 @@ class StreamStack:
         self.end[lane] = end
         self.drawn[lane] += fresh.shape[0]
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def take_lane(self, lane: int, count: int) -> np.ndarray:
         """Lane *lane*'s next *count* values (a view: read it before
         the lane's next take)."""
@@ -578,7 +568,6 @@ class StreamStack:
         self.pos[lane] = pos + count
         return self.buf[lane, pos:pos + count]
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def take(self, seg: Segments) -> np.ndarray:
         """One value per entry of the lane-sorted ids *seg* holds (see
         :func:`segments`): entry ``j`` gets its lane's next unread
@@ -601,7 +590,6 @@ class StreamStack:
 _LOW32 = 0xFFFFFFFF
 
 
-# repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
 def tiebreaks(
     words: StreamStack, lane_ids: np.ndarray, high: np.ndarray
 ) -> np.ndarray:

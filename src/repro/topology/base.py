@@ -216,7 +216,6 @@ class Topology(ABC):
         """
         return self._dim_table(self.minimal_directions)
 
-    # repro: hot — per-message / per-cold-route lookup (HOT001)
     def distance(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes (a builtin ``int``)."""
         coords = self._coords_cache
@@ -228,7 +227,6 @@ class Topology(ABC):
             total += tables[dim][src_coords[dim]][dst_coords[dim]]
         return total
 
-    # repro: hot — per-cold-route lookup (HOT001)
     def directions(self, src: int, dst: int, dim: int) -> Tuple[int, ...]:
         """:meth:`minimal_directions`, read from the table."""
         coords = self._coords_cache
@@ -236,7 +234,6 @@ class Topology(ABC):
             coords[dst][dim]
         ]
 
-    # repro: hot — per-cold-route lookup (HOT001)
     def minimal_links(self, node: int, dst: int) -> Tuple[Link, ...]:
         """Links out of *node* that lie on some minimal path to *dst*.
 

@@ -144,7 +144,6 @@ def sample_destinations(
     return destinations_from_uniforms(table, srcs, gen.random(srcs.shape[0]))
 
 
-# repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
 def destinations_from_uniforms(
     table: np.ndarray, srcs: np.ndarray, u: np.ndarray
 ) -> np.ndarray:

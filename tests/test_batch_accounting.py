@@ -24,10 +24,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.lint.rules import _hot_functions, build_context
 from repro.simulator import batch as batch_module
 from repro.simulator.batch import BatchEngine
-from tests.conftest import tiny_config
+from tests.conftest import batch_cycle_functions, tiny_config
 
 
 def relaxed_config(**overrides):
@@ -164,11 +163,10 @@ class TestNothingPerFlit:
             assert not hasattr(engine, name + "_f")
 
     def test_one_full_set_unique_per_hot_function(self):
-        """A ``# repro: hot`` function may de-duplicate one whole set
+        """A per-cycle function may de-duplicate one whole set
         (``_route``: the chosen VCs, to resolve winners); any other
         ``np.unique`` there runs on a subscripted subset."""
-        ctx = build_context("simulator/batch.py", self.source)
-        hot = {func.name: func for func in _hot_functions(ctx)}
+        hot = batch_cycle_functions()
         assert {"_route", "_transmit_kernel", "_flush", "_eject"} <= set(hot)
         for name, func in hot.items():
             full = [

@@ -109,7 +109,7 @@ class TestTreeGate:
         out_after = capsys.readouterr().out
         assert before == after == 0
         assert "no findings" not in out_before + out_after  # --quiet held
-        assert out_before.startswith("0 findings over 7 analyzed files")
+        assert out_before.startswith("0 findings over 6 analyzed files")
 
     def test_retired_spellings_are_usage_errors(self, capsys):
         # ... and equivalence gains no flag its old script did not have.

@@ -19,7 +19,6 @@ import ast
 import gc
 import random
 import weakref
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,8 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.lint.rules import _hot_functions, build_context
-from repro.simulator import batch as batch_module
 from repro.simulator import soa
 from repro.simulator.batch import BatchEngine
 from repro.simulator.soa import (
@@ -40,7 +37,7 @@ from repro.simulator.soa import (
 )
 from repro.traffic.arrivals import geometric_gaps
 from repro.util.rng import STREAM_ROUTING, RngStreams
-from tests.conftest import tiny_config
+from tests.conftest import batch_cycle_functions, tiny_config
 
 #: stream kind -> (dtype, draw(gen, count)).
 KINDS = {
@@ -367,13 +364,9 @@ class TestNoPerLanePython:
                 assert calls <= consumed / STREAM_CHUNK + 3, (name, calls)
 
     def test_hot_functions_loop_over_no_lane(self):
-        """No ``# repro: hot`` function of batch.py iterates the lane
-        list (or a list of running lanes)."""
-        path = Path(batch_module.__file__)
-        ctx = build_context(
-            "simulator/batch.py", path.read_text(encoding="utf-8")
-        )
-        hot = list(_hot_functions(ctx))
+        """No per-cycle function of batch.py iterates the lane list (or
+        a list of running lanes)."""
+        hot = batch_cycle_functions().values()
         assert {"step", "_generate", "_route", "_complete"} <= {
             func.name for func in hot
         }

@@ -1,6 +1,12 @@
 """The top-level package surface used by the README and examples."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 
 class TestTopLevelImports:
@@ -28,6 +34,23 @@ class TestTopLevelImports:
         import repro
 
         assert repro.__version__
+
+    def test_the_engine_loads_no_analysis_module(self):
+        """Importing the engine (pool workers, both CLIs, every ledger
+        pass do) loads none of ``repro.analysis``: the sanitizer imports
+        its cycle search only at a deadlock."""
+        script = (
+            "import sys, repro.simulator.engine\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.analysis')))"
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=120,
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_readme_quickstart_snippet(self):
         """The exact code shown in README.md must keep working."""
