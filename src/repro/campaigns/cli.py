@@ -3,21 +3,24 @@
 Subcommands::
 
     repro-campaign run --figure 3 --profile quick --tables --check
+    repro-campaign run --figure abl-cc --profile quick --check
     repro-campaign run spec.json --store results/store.jsonl --jobs 8
     repro-campaign run --algorithms ecube,nbc --loads 0.2,0.4 --seeds 1,2 \\
                        --set flow_control=conservative --set backend=batch
-    repro-campaign status --store store.jsonl [spec.json | --figure N | axis flags]
+    repro-campaign status --store store.jsonl [spec.json | --figure ID | axis flags]
     repro-campaign gc --store store.jsonl [--purge-sidecars]
                       [--max-age-days D] [--max-size-mb M]
     repro-campaign export spec.json --store store.jsonl --csv out.csv
 
 This is the one place flags become a grid.  ``run``, ``status`` and
-``export`` name their campaign the same way: a spec file, ``--figure N``
-(a paper artifact's built-in spec) or neither (every algorithm over the
-paper's load ladder, uniform traffic) gives the starting grid, and the
-axis flags ``--algorithms`` / ``--loads`` / ``--seeds`` / ``--traffic``
-and ``--set FIELD=VALUE`` (any other :class:`SimulationConfig` field)
-replace parts of it.  Everything is validated before a point simulates.
+``export`` name their campaign the same way: a spec file, ``--figure ID``
+(a paper artifact's built-in specs: one, or one per value of a field the
+artifact varies, all against one store) or neither (every algorithm over
+the paper's load ladder, uniform traffic) gives the starting grid, and
+the axis flags ``--algorithms`` / ``--loads`` / ``--seeds`` /
+``--traffic`` and ``--set FIELD=VALUE`` (any other
+:class:`SimulationConfig` field) replace parts of each spec.  Everything
+is validated before a point simulates.
 
 ``run`` simulates only the points the store has never seen (a repeated
 campaign is 100% cache hits and performs zero engine invocations);
@@ -38,7 +41,6 @@ from repro.campaigns.export import (
     IncompleteCampaignError,
     collect,
     format_campaign_tables,
-    grid_series,
     write_campaign_csv,
 )
 from repro.campaigns.orchestrator import run_campaign
@@ -51,6 +53,7 @@ from repro.stats.summary import SimulationResult
 from repro.util.errors import ConfigurationError, ReproError
 
 _T = TypeVar("_T")
+Pair = Tuple[SimulationConfig, SimulationResult]
 
 #: Default store file: one shared store in the working directory, so
 #: every campaign run from the same place memoizes into the same pool.
@@ -67,10 +70,11 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--figure",
-        choices=sorted(paper_figures.FIGURE_GRIDS),
+        choices=sorted(paper_figures.ARTIFACTS),
         default=None,
-        help="start from the built-in spec of a paper artifact "
-             "(3, 4, 5, or vct) instead of a spec file",
+        help="start from the built-in specs of a paper artifact (a "
+             "figure: 3, 4, 5, vct; a study: abl-*, ext-tr) instead of "
+             "a spec file",
     )
     parser.add_argument(
         "--profile",
@@ -131,8 +135,8 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="with --figure: run the figure's shape checks on the "
-             "series (exit 1 when one fails)",
+        help="with --figure: judge the artifact's claims on seed "
+             "means (exit 1 when one fails)",
     )
 
 
@@ -244,22 +248,27 @@ def _names_a_campaign(args: argparse.Namespace) -> bool:
     )
 
 
-def _load_spec(args: argparse.Namespace) -> CampaignSpec:
-    """The campaign the arguments name, its shared config validated."""
+def _load_specs(args: argparse.Namespace) -> List[CampaignSpec]:
+    """The campaigns the arguments name, their shared configs validated."""
     if args.spec is not None and args.figure is not None:
         raise ReproError("give either a spec file or --figure, not both")
     if getattr(args, "check", False) and args.figure is None:
         raise ReproError("--check needs --figure")
     if args.spec is not None:
-        spec = CampaignSpec.from_file(args.spec)
+        specs = [CampaignSpec.from_file(args.spec)]
     else:
         # Bare, the grid is Figure 3's (every algorithm over the paper's
         # ladder, uniform traffic) under a name of its own.
-        spec = paper_figures.figure_campaign_spec(
+        specs = paper_figures.artifact_specs(
             args.figure or "3", profile=args.profile
         )
         if args.figure is None:
-            spec.name = f"sweep-{args.profile}"
+            specs[0].name = f"sweep-{args.profile}"
+    return [_with_flags(args, spec) for spec in specs]
+
+
+def _with_flags(args: argparse.Namespace, spec: CampaignSpec) -> CampaignSpec:
+    """*spec* with the axis flags and ``--set`` applied, validated."""
     axes: Dict[str, Any] = {}
     if args.algorithms is not None:
         axes["algorithms"] = _items(
@@ -297,17 +306,21 @@ def _load_spec(args: argparse.Namespace) -> CampaignSpec:
 
 def _write_outputs(
     args: argparse.Namespace,
-    spec: CampaignSpec,
-    pairs: Sequence[Tuple[SimulationConfig, SimulationResult]],
+    campaigns: Sequence[Tuple[CampaignSpec, List[Pair]]],
 ) -> int:
-    """What ``--tables`` / ``--check`` / ``--csv`` ask for, from the
-    campaign's (config, result) pairs; 1 when a shape check failed."""
+    """What ``--tables`` / ``--check`` / ``--csv`` ask for, from each
+    campaign's (config, result) pairs; 1 when a claim failed."""
     exit_code = 0
+    pairs = [pair for _, own in campaigns for pair in own]
     if args.tables:
-        print(format_campaign_tables(spec, pairs))
+        print("\n\n".join(
+            format_campaign_tables(spec, own) for spec, own in campaigns
+        ))
     if args.check:
-        (series,) = grid_series(pairs).values()  # a figure is one grid
-        checks = paper_figures.FIGURE_CHECKS[args.figure](series)
+        checks = paper_figures.evaluate(
+            paper_figures.ARTIFACTS[args.figure].claims,
+            paper_figures.pair_rows(pairs),
+        )
         if args.tables:
             print()
         print(paper_figures.format_checks(checks))
@@ -325,27 +338,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         ("--batch-size", args.batch_size)):
         if value < 1:
             raise ReproError(f"{flag} must be >= 1, got {value}")
-    spec = _load_spec(args)
-    spec.check_buildable()
+    specs = _load_specs(args)
+    for spec in specs:
+        spec.check_buildable()
     with ResultStore(args.store) as store:
-        report = run_campaign(
-            spec,
-            store,
-            jobs=args.jobs,
-            batch_size=args.batch_size,
-            verbose=not args.quiet,
-        )
-    print(report.summary())
+        reports = [
+            run_campaign(
+                spec,
+                store,
+                jobs=args.jobs,
+                batch_size=args.batch_size,
+                verbose=not args.quiet,
+            )
+            for spec in specs
+        ]
+    for report in reports:
+        print(report.summary())
     print(f"store: {args.store} ({len(store)} records)")
     if args.tables or args.check:
         print()
-    return _write_outputs(
-        args, spec, list(zip(report.configs, report.results))
-    )
+    return _write_outputs(args, [
+        (spec, list(zip(report.configs, report.results)))
+        for spec, report in zip(specs, reports)
+    ])
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    spec = _load_spec(args) if _names_a_campaign(args) else None
+    specs = _load_specs(args) if _names_a_campaign(args) else []
     with ResultStore(args.store) as store:
         signatures = store.signatures()
         print(f"store: {args.store}")
@@ -353,7 +372,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             f"records: {len(store)} across {len(signatures)} campaign "
             f"signature(s)"
         )
-        if spec is not None:
+        for spec in specs:
             cached, missing = store.coverage(spec.expand())
             total = cached + len(missing)
             percent = 100.0 * cached / total if total else 100.0
@@ -400,7 +419,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
+    specs = _load_specs(args)
     if not args.csv and not args.tables and not args.check:
         raise ReproError(
             "nothing to export: pass --csv PATH and/or --tables "
@@ -408,11 +427,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
         )
     try:
         with ResultStore(args.store) as store:
-            pairs = collect(spec, store)
+            campaigns = [(spec, collect(spec, store)) for spec in specs]
     except IncompleteCampaignError as error:
         print(str(error), file=sys.stderr)
         return 3
-    return _write_outputs(args, spec, pairs)
+    return _write_outputs(args, campaigns)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.profiles import PROFILES, apply_profile
-from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
+from repro.routing.registry import algorithm_factory, make_algorithm
 from repro.simulator.config import BACKEND_IDENTITY, SimulationConfig
 from repro.topology import split_topology
 from repro.traffic.registry import make_traffic
@@ -155,11 +155,12 @@ class CampaignSpec:
                     f"campaign {self.name!r}: {what} must be non-empty"
                 )
         for name in self.algorithms:
-            if name not in ALGORITHM_NAMES:
+            try:
+                algorithm_factory(name)
+            except ConfigurationError as error:
                 raise ConfigurationError(
-                    f"campaign {self.name!r}: unknown routing algorithm "
-                    f"{name!r}; choose from {list(ALGORITHM_NAMES)}"
-                )
+                    f"campaign {self.name!r}: {error}"
+                ) from None
         if self.profile is not None and self.profile not in PROFILES:
             raise ConfigurationError(
                 f"campaign {self.name!r}: unknown profile "

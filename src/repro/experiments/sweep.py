@@ -91,29 +91,8 @@ def peak_throughput(results: Sequence[SimulationResult]) -> float:
     )
 
 
-def saturation_load(
-    results: Sequence[SimulationResult],
-    latency_factor: float = 3.0,
-) -> Optional[float]:
-    """First offered load whose latency exceeds ``factor`` x the low-load one.
-
-    A simple operational definition of the saturation point used by the
-    shape checks; None when the sweep never saturates.
-    """
-    if not results:
-        return None
-    base = results[0].average_latency
-    if base <= 0:
-        return None
-    for result in results:
-        if result.average_latency > latency_factor * base:
-            return result.offered_load
-    return None
-
-
 __all__ = [
     "PAPER_LOADS",
     "peak_throughput",
-    "saturation_load",
     "sweep_algorithms",
 ]

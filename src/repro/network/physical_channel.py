@@ -140,7 +140,7 @@ class PhysicalChannel:
         down.  For hop schemes the class encodes hops travelled, so this
         gives channel bandwidth to the most-progressed worms first — an
         arbitration-level reading of the paper's "priority information"
-        (see ``benchmarks/bench_ablation_arbitration.py``).
+        (``repro-campaign run --figure abl-arb`` measures it).
         """
         if self.last_transmit_cycle == cycle:
             return None

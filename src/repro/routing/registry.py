@@ -41,12 +41,36 @@ def available_algorithms() -> List[str]:
     return sorted(_FACTORIES)
 
 
+def algorithm_factory(name: str) -> Callable[[Topology], RoutingAlgorithm]:
+    """The constructor *name* selects, without building anything.
+
+    *name* is a registered name, optionally with a ``x<lanes>`` suffix
+    that multiplies the algorithm's virtual channels into
+    interchangeable lanes (the paper's §4 extra-virtual-channel study):
+    ``"ecubex2"`` is e-cube with two lanes per dateline class.  Any
+    other name is a ConfigurationError.
+    """
+    factory = _FACTORIES.get(name)
+    if factory is not None:
+        return factory
+    match = re.fullmatch(r"(?P<base>.+)x(?P<lanes>\d+)", name)
+    if match and match.group("base") in _FACTORIES:
+        from repro.routing.multilane import with_lanes
+
+        inner = _FACTORIES[match.group("base")]
+        lanes = int(match.group("lanes"))
+        return lambda topology: with_lanes(inner(topology), lanes)
+    raise ConfigurationError(
+        f"unknown routing algorithm {name!r}; "
+        f"available: {', '.join(available_algorithms())} "
+        "(optionally with a x<lanes> suffix, e.g. 'ecubex2')"
+    )
+
+
 def make_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
     """Instantiate the algorithm called *name* on *topology*.
 
-    A ``x<lanes>`` suffix multiplies the algorithm's virtual channels into
-    interchangeable lanes (the paper's §4 extra-virtual-channel study):
-    ``"ecubex2"`` is e-cube with two lanes per dateline class.
+    *name* is parsed by :func:`algorithm_factory`.
 
     >>> from repro.topology import Torus
     >>> make_algorithm("phop", Torus(16, 2)).num_virtual_channels
@@ -54,20 +78,7 @@ def make_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
     >>> make_algorithm("ecubex4", Torus(16, 2)).num_virtual_channels
     8
     """
-    factory = _FACTORIES.get(name)
-    if factory is not None:
-        return factory(topology)
-    match = re.fullmatch(r"(?P<base>.+)x(?P<lanes>\d+)", name)
-    if match and match.group("base") in _FACTORIES:
-        from repro.routing.multilane import with_lanes
-
-        inner = _FACTORIES[match.group("base")](topology)
-        return with_lanes(inner, int(match.group("lanes")))
-    raise ConfigurationError(
-        f"unknown routing algorithm {name!r}; "
-        f"available: {', '.join(available_algorithms())} "
-        "(optionally with a x<lanes> suffix, e.g. 'ecubex2')"
-    )
+    return algorithm_factory(name)(topology)
 
 
 def iter_algorithms(
@@ -99,6 +110,7 @@ def register_algorithm(
 
 __all__ = [
     "ALGORITHM_NAMES",
+    "algorithm_factory",
     "available_algorithms",
     "iter_algorithms",
     "make_algorithm",

@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.campaigns.cli import _load_spec, _parse_args
+from repro.campaigns.cli import _load_specs, _parse_args
 from repro.campaigns.cli import main as campaign_main
 from repro.campaigns.export import (
     IncompleteCampaignError,
@@ -156,6 +156,17 @@ class TestCampaignSpec:
         ]
         assert all(c.radix == 4 and c.topology == "torus" for c in configs)
         assert all(c.warmup_cycles == 200 for c in configs)
+
+    def test_lane_suffixed_algorithms_are_grid_names(self):
+        """A spec takes every name ``make_algorithm`` parses."""
+        configs = tiny_spec(algorithms=("ecube", "ecubex2")).expand()
+        assert [c.algorithm for c in configs] == ["ecube", "ecubex2"]
+        (spec,) = _load_specs(_parse_args(["run", "--algorithms", "ecubex2"]))
+        assert spec.algorithms == ("ecubex2",)
+        with pytest.raises(
+            ConfigurationError, match="unknown routing algorithm 'ecubexx'"
+        ):
+            tiny_spec(algorithms=("ecubexx",))
 
     def test_expand_builds_what_dataclasses_replace_built(self):
         """Field by field, types included, against the per-point
@@ -767,7 +778,7 @@ class TestFigureSpecs:
     def test_figure3_spec_expands_to_the_sweep_grid(self):
         """`repro-campaign --figure 3` is the uniform sweep of every
         algorithm over the paper's ladder on the profile's torus."""
-        spec = paper_figures.figure_campaign_spec("3", profile="quick")
+        (spec,) = paper_figures.artifact_specs("3", profile="quick")
         assert spec.name == "figure-3-quick"
         assert spec.expand() == run_sweep_points(
             apply_profile(SimulationConfig(traffic="uniform"), "quick"),
@@ -775,26 +786,69 @@ class TestFigureSpecs:
             PAPER_LOADS,
         )
 
-    @pytest.mark.parametrize("figure", sorted(paper_figures.FIGURE_GRIDS))
+    @pytest.mark.parametrize("figure", sorted(paper_figures.ARTIFACTS))
     def test_every_figure_spec_expands_its_grid(self, figure):
-        grid = paper_figures.FIGURE_GRIDS[figure]
-        configs = paper_figures.figure_campaign_spec(figure, "quick").expand()
-        assert len(configs) == len(grid["algorithms"]) * len(PAPER_LOADS)
-        assert {c.traffic for c in configs} == {grid["traffic"]}
-        assert {c.switching for c in configs} == {grid["switching"]}
-        assert configs[0].traffic_options == grid["traffic_options"]
+        """Every artifact expands and builds at the quick profile, and
+        each side of each claim selects a point of its own expansion."""
+        artifact = paper_figures.ARTIFACTS[figure]
+        specs = paper_figures.artifact_specs(figure, "quick")
+        field, values = artifact.vary or (None, (None,))
+        assert [spec.base.get(field) for spec in specs] == list(values)
+        configs = [config for spec in specs for config in spec.expand()]
+        assert len(configs) == (
+            len(values) * len(artifact.algorithms) * len(artifact.loads)
+        )
+        assert {c.traffic for c in configs} == {artifact.traffic.pattern}
+        assert {c.switching for c in configs} == {artifact.switching}
+        assert {c.topology for c in configs} == {artifact.topology}
+        assert {c.seed for c in configs} == {artifact.seed}
+        assert configs[0].traffic_options == artifact.traffic.options_dict()
+        for spec in specs:
+            spec.check_buildable()
+        rows = [
+            dict(vars(config), achieved_utilization=0.0,
+                 average_latency=0.0, vc_class_usage=[1])
+            for config in configs
+        ]
+        verdicts = paper_figures.evaluate(artifact.claims, rows)
+        assert len(verdicts) == len(artifact.claims)
+
+    @pytest.mark.parametrize(
+        "figure, point",
+        [
+            ("abl-cc", dict(algorithm="ecube", offered_load=0.9, seed=106,
+                            injection_limit=1)),
+            ("abl-len", dict(algorithm="ecube", offered_load=0.05,
+                             seed=110, message_length=24)),
+            ("abl-arb", dict(algorithm="nbc", offered_load=0.8, seed=111,
+                             mux_policy="highest_class")),
+            ("abl-vc", dict(algorithm="ecubex4", offered_load=0.8,
+                            seed=109)),
+            ("ext-tr", dict(algorithm="nlast", offered_load=0.5, seed=108,
+                            topology="mesh", traffic="transpose")),
+        ],
+    )
+    def test_a_study_runs_the_points_of_its_question(self, figure, point):
+        """The study's points are single runs at the quick profile,
+        config for config (so the store serves them to either)."""
+        configs = [
+            config
+            for spec in paper_figures.artifact_specs(figure, "quick")
+            for config in spec.expand()
+        ]
+        assert apply_profile(SimulationConfig(**point), "quick") in configs
 
     def test_vct_spec_pins_switching(self):
-        spec = paper_figures.figure_campaign_spec("vct", profile="quick")
+        (spec,) = paper_figures.artifact_specs("vct", profile="quick")
         configs = spec.expand()
         assert all(config.switching == "vct" for config in configs)
         assert set(spec.algorithms) == set(
-            paper_figures.FIGURE_GRIDS["vct"]["algorithms"]
+            paper_figures.ARTIFACTS["vct"].algorithms
         )
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError, match="unknown figure"):
-            paper_figures.figure_campaign_spec("99")
+            paper_figures.artifact_specs("99")
 
 
 class TestCampaignCli:
@@ -940,19 +994,46 @@ class TestCampaignCli:
         assert not os.path.exists(store)
 
     def test_set_overrides_the_profile_of_a_flag_built_grid(self):
-        config = _load_spec(_parse_args(
+        config = _load_specs(_parse_args(
             ["run", "--profile", "tiny", "--set", "warmup_cycles=123",
              "--set", "injection_limit=null", "--set", "switching=vct"]
-        )).expand()[0]
+        ))[0].expand()[0]
         assert (config.warmup_cycles, config.sample_cycles) == (123, 400)
         assert (config.injection_limit, config.switching) == (None, "vct")
+
+    def test_a_varying_study_is_one_spec_per_value_in_one_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """`--figure abl-cc` runs its three injection limits into one
+        store; `status` and `export --check` read all three back."""
+        names = [
+            f"figure-abl-cc-tiny-injection_limit={limit}"
+            for limit in (1, 2, 8)
+        ]
+        argv = ["--figure", "abl-cc", "--profile", "tiny",
+                "--store", str(tmp_path / "store.jsonl")]
+        assert campaign_main(["run", "--quiet"] + argv) == 0
+        out = capsys.readouterr().out
+        assert [line.split("'")[1] for line in out.splitlines()
+                if line.startswith("campaign '")] == names
+        assert "store: " in out and "(3 records)" in out
+        boobytrap_workers(monkeypatch)
+        assert campaign_main(["status"] + argv) == 0
+        out = capsys.readouterr().out
+        for name in names:
+            assert f"campaign {name!r}: 1/1 points cached" in out
+        assert campaign_main(["export", "--check"] + argv) == 0
+        verdicts = capsys.readouterr().out.splitlines()
+        assert [line.split("] ", 1)[1] for line in verdicts] == [
+            claim.text for claim in paper_figures.ARTIFACTS["abl-cc"].claims
+        ]
 
     def test_flags_a_spec_file_and_a_figure_name_one_grid(
         self, tmp_path, capsys, monkeypatch
     ):
         path = str(tmp_path / "vct.json")
         dataclasses.replace(
-            paper_figures.figure_campaign_spec("vct", "tiny"),
+            paper_figures.artifact_specs("vct", "tiny")[0],
             loads=(0.2, 0.4),
         ).to_file(path)
         spellings = [
@@ -964,7 +1045,7 @@ class TestCampaignCli:
         ]
         store = ["--store", str(tmp_path / "store.jsonl"), "--quiet"]
         grids = [
-            _load_spec(_parse_args(["run"] + argv)).expand()
+            _load_specs(_parse_args(["run"] + argv))[0].expand()
             for argv in spellings
         ]
         assert len(grids[0]) == 6 and grids[0] == grids[1] == grids[2]

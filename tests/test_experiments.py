@@ -4,11 +4,7 @@ import pytest
 
 from repro.experiments.profiles import PROFILES, apply_profile
 from repro.experiments.runner import run_point
-from repro.experiments.sweep import (
-    peak_throughput,
-    saturation_load,
-    sweep_algorithms,
-)
+from repro.experiments.sweep import peak_throughput, sweep_algorithms
 from repro.experiments.tables import (
     format_figure,
     format_table,
@@ -86,13 +82,6 @@ class TestSweep:
         assert peak_throughput(small_sweep) == max(
             r.achieved_utilization for r in small_sweep
         )
-
-    def test_saturation_load_detected(self, small_sweep):
-        load = saturation_load(small_sweep, latency_factor=2.0)
-        assert load in (0.5, 0.9)
-
-    def test_saturation_none_when_flat(self, small_sweep):
-        assert saturation_load(small_sweep[:1], latency_factor=100) is None
 
     def test_sweep_algorithms_keys(self):
         series = sweep_algorithms(
