@@ -2,8 +2,9 @@
 
 The paper presents its results as figures; lacking a plotting dependency,
 the harness prints the same series as aligned text tables — one row per
-offered load, one latency and one throughput column per algorithm.  (CSV
-for external plotting is :func:`repro.campaigns.export.write_campaign_csv`.)
+offered load, one latency and one throughput column per algorithm, each
+cell the mean over that load's seeds.  (CSV for external plotting is
+:func:`repro.campaigns.export.write_campaign_csv`.)
 """
 
 from __future__ import annotations
@@ -11,6 +12,23 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.stats.summary import SimulationResult
+
+
+def _load_means(
+    results: List[SimulationResult], value: str
+) -> Dict[float, float]:
+    """*value* per offered load, averaged over that load's seeds.
+
+    ``sum / len`` in expansion order, as the claim evaluator
+    (``paper_figures._values``) reads seed means: one seed gives back
+    its own value exactly.
+    """
+    by_load: Dict[float, List[float]] = {}
+    for result in results:
+        by_load.setdefault(result.offered_load, []).append(
+            getattr(result, value)
+        )
+    return {load: sum(seeds) / len(seeds) for load, seeds in by_load.items()}
 
 
 def format_table(
@@ -21,22 +39,23 @@ def format_table(
     """Render one metric of a multi-algorithm sweep as an aligned table.
 
     *value* is any numeric attribute of :class:`SimulationResult`
-    (``achieved_utilization``, ``average_latency``, ...).
+    (``achieved_utilization``, ``average_latency``, ...).  One row per
+    offered load, in the first series' order; a cell is the mean over
+    that load's seeds, ``-`` where the algorithm has no point.
     """
     if not series:
         return "(no data)"
     algorithms = list(series)
-    loads = [result.offered_load for result in next(iter(series.values()))]
+    means = {
+        name: _load_means(results, value) for name, results in series.items()
+    }
     header = ["offered"] + algorithms
     rows = [header]
-    for index, load in enumerate(loads):
+    for load in means[algorithms[0]]:
         row = [f"{load:.2f}"]
         for name in algorithms:
-            results = series[name]
-            if index < len(results):
-                row.append(f"{getattr(results[index], value):.{precision}f}")
-            else:
-                row.append("-")
+            mean = means[name].get(load)
+            row.append("-" if mean is None else f"{mean:.{precision}f}")
         rows.append(row)
     widths = [
         max(len(row[col]) for row in rows) for col in range(len(header))
@@ -68,16 +87,16 @@ def format_figure(
 
 
 def peak_summary(series: Dict[str, List[SimulationResult]]) -> str:
-    """One line per algorithm: peak throughput and where it occurs."""
+    """One line per algorithm: peak seed-mean throughput and its load."""
     lines = []
     for name, results in series.items():
         if not results:
             continue
-        best = max(results, key=lambda r: r.achieved_utilization)
+        means = _load_means(results, "achieved_utilization")
+        load = max(means, key=means.__getitem__)
         lines.append(
             f"{name:>6}: peak normalized throughput "
-            f"{best.achieved_utilization:.3f} at offered load "
-            f"{best.offered_load:.2f}"
+            f"{means[load]:.3f} at offered load {load:.2f}"
         )
     return "\n".join(lines)
 

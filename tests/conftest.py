@@ -9,6 +9,7 @@ from typing import Dict
 import pytest
 
 from repro.analysis.lint.rules import build_context
+from repro.routing.base import RoutingAlgorithm
 from repro.simulator import batch as batch_module
 from repro.simulator.config import SimulationConfig
 from repro.topology.mesh import Mesh
@@ -66,9 +67,67 @@ def tiny_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**defaults)
 
 
+def batch_config(**overrides) -> SimulationConfig:
+    """``tiny_config`` on the batch backend (conservative flow control)."""
+    defaults = {
+        "flow_control": "conservative",
+        "backend": "batch",
+        "identity": "relaxed",
+    }
+    defaults.update(overrides)
+    return tiny_config(**defaults)
+
+
 @pytest.fixture
 def make_tiny_config():
     return tiny_config
+
+
+class NeverRoutes(RoutingAlgorithm):
+    """Deliberately broken: offers no candidates, so worms stall until
+    the watchdog fires (every shipped algorithm is deadlock-free, so a
+    genuine deadlock needs a broken router)."""
+
+    name = "never-routes"
+
+    @property
+    def num_virtual_channels(self):
+        return 1
+
+    def candidates(self, state, current, dst):
+        self._check_not_delivered(current, dst)
+        return []
+
+    def message_class(self, src, dst, state):
+        return 0
+
+
+def observed_books(engine):
+    """Everything an observer reports that both steppers must agree on
+    (finalized: open blocked episodes settled, flit counters folded).
+
+    ``Engine`` books a blocked message once per episode and
+    ``ScanEngine`` once per blocked cycle; the totals must match, as
+    must each ``msg_blocked`` trace's sum of ``cycles``.
+    """
+    observer = engine.observer
+    observer.metrics_summary()
+    blocked_cycles = sum(
+        event["cycles"]
+        for event in observer.trace.events
+        if event["event"] == "msg_blocked"
+    )
+    assert observer.trace.dropped == 0
+    assert blocked_cycles == observer.event_counts.get("msg_blocked", 0)
+    return (
+        list(observer.heatmap.blocked),
+        list(observer.heatmap.carried),
+        dict(observer.event_counts),
+        {
+            name: observer.probes.series(name)
+            for name in observer.probes.scalar_names()
+        },
+    )
 
 
 #: ``BatchEngine``'s per-cycle functions: ``step`` and everything it

@@ -12,12 +12,12 @@ Covered:
 * the full supported matrix — all six paper algorithms x mesh/torus x
   wormhole/VCT, both mux policies x all selection policies — compared
   by state fingerprint at an uneven cycle schedule (catches divergence
-  inside a run, not just at the end), conservation at every stop;
-* a randomized fuzz sweep over 50 sampled configurations, including
-  switching, injection limits and odd worm lengths;
+  inside a run, not just at the end), conservation at every stop
+  (drawn configurations are ``tests/test_differential.py``'s);
 * lane mechanics: B=1, a deadlock firing in a subset of lanes while the
-  rest continue lockstep, early-drained (stopped) lanes, idle
-  fast-forward beside a stopped lane;
+  rest continue lockstep (with the slab's context in each lane's
+  error), early-drained (stopped) lanes, idle fast-forward beside a
+  stopped lane;
 * :func:`run_batch` raising like :func:`run_point` when a lane dies;
 * unsupported configurations raising :class:`ConfigurationError`;
 * the parallel scheduler's seed-batch grouping.
@@ -25,33 +25,17 @@ Covered:
 
 import dataclasses
 import functools
-import random
 
 import pytest
 
 from repro.experiments.parallel import run_points, run_sweep_points
 from repro.experiments.runner import run_batch, run_point
-from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.simulator.batch import BatchEngine
-from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
 from repro.topology.torus import Torus
 from repro.util.errors import ConfigurationError, DeadlockError
-from tests.conftest import tiny_config
-
-
-def batch_config(**overrides) -> SimulationConfig:
-    """A 4x4 batch-capable (conservative) config for identity tests."""
-    defaults = {
-        "flow_control": "conservative",
-        "backend": "batch",
-        "identity": "relaxed",
-        "offered_load": 0.45,
-        "message_length": 4,
-    }
-    defaults.update(overrides)
-    return tiny_config(**defaults)
+from tests.conftest import NeverRoutes, batch_config, tiny_config
 
 
 def drive_both(config, seeds, schedule, **parts):
@@ -85,7 +69,8 @@ class TestMatrixIdentity:
     @pytest.mark.parametrize("switching", ["wormhole", "vct"])
     def test_fingerprint_identity(self, algorithm, topology, switching):
         config = batch_config(
-            algorithm=algorithm, topology=topology, switching=switching
+            algorithm=algorithm, topology=topology, switching=switching,
+            offered_load=0.45,
         )
         # Uneven chunks: identity must hold mid-warmup, mid-worm, and
         # deep into the congested steady state, not just at round marks.
@@ -116,53 +101,6 @@ class TestMatrixIdentity:
             )
 
 
-class TestFuzzIdentity:
-    def test_fifty_sampled_configs(self):
-        """Randomized composition sweep (fixed rng seed: reproducible)."""
-        rng = random.Random(20260808)
-        for trial in range(50):
-            config = batch_config(
-                algorithm=rng.choice(ALGORITHM_NAMES),
-                topology=rng.choice(["mesh", "torus"]),
-                switching=rng.choice(["wormhole", "vct"]),
-                selection_policy=rng.choice(
-                    ["least_multiplexed", "random", "first"]
-                ),
-                mux_policy=rng.choice(["round_robin", "highest_class"]),
-                offered_load=rng.choice([0.1, 0.3, 0.6, 0.9]),
-                message_length=rng.choice([2, 4, 7]),
-                injection_limit=rng.choice([None, 1, 2]),
-            )
-            seeds = [rng.randrange(1, 10_000) for _ in range(2)]
-            cycles = rng.randrange(60, 160)
-            for seed, expected, actual in drive_both(
-                config, seeds, (cycles,)
-            ):
-                assert actual == expected, (
-                    f"fuzz trial {trial} diverged: {config.label()} "
-                    f"seed {seed}"
-                )
-
-
-class _NeverRoutes(RoutingAlgorithm):
-    """Deliberately broken: offers no candidates, so worms stall until
-    the watchdog fires (all shipped algorithms are deadlock-free, so a
-    genuine per-lane deadlock needs a broken router)."""
-
-    name = "never-routes"
-
-    @property
-    def num_virtual_channels(self):
-        return 1
-
-    def candidates(self, state, current, dst):
-        self._check_not_delivered(current, dst)
-        return []
-
-    def message_class(self, src, dst, state):
-        return 0
-
-
 class TestBatchEdgeCases:
     def test_single_lane_batch(self):
         """B=1: the degenerate batch is the lane of a wider one."""
@@ -180,9 +118,11 @@ class TestBatchEdgeCases:
 
         With a broken router at a trickle load, lanes deadlock when
         their own traffic first stalls long enough — at different
-        cycles per seed.  At this horizon some seeds have tripped and
-        some have not; each lane must die, or sail past its siblings'
-        deaths unperturbed, exactly as it does alone.
+        cycles per seed.  At this horizon two seeds have tripped and two
+        have not; each lane must die, or sail past its siblings' deaths
+        unperturbed, exactly as it does alone.  A failed lane reports
+        live-message context from the slab and stays frozen while the
+        survivors run on to trip on their own, later.
         """
         topology = Torus(4, 2)
         config = batch_config(
@@ -191,7 +131,7 @@ class TestBatchEdgeCases:
         seeds = [1, 2, 3, 6]
         engine = BatchEngine(
             config, seeds, topology=topology,
-            algorithm=_NeverRoutes(topology),
+            algorithm=NeverRoutes(topology),
         )
         engine.run_cycles(200)
         errors = engine.lane_errors()
@@ -199,17 +139,31 @@ class TestBatchEdgeCases:
         assert engine.running_lane_indices == [0, 3]
         for index, error in errors.items():
             assert isinstance(error, DeadlockError)
-            assert f"seed {seeds[index]}" in str(error)
+            message = str(error)
+            # Live-message context comes from the slab view.
+            assert f"[batch lane {index}, seed {seeds[index]}]" in message
+            assert "request queued at cycle" in message
+            assert "->" in message  # msg#N src->dst head at ...
         for index, seed in enumerate(seeds):
             single = BatchEngine(
                 config, [seed], topology=topology,
-                algorithm=_NeverRoutes(topology),
+                algorithm=NeverRoutes(topology),
             )
             single.run_cycles(200)
             assert (0 in single.lane_errors()) == (index in errors)
             assert engine.state_fingerprint(index) == (
                 single.state_fingerprint(0)
             )
+        frozen = {index: engine.state_fingerprint(index) for index in errors}
+        # Survivors keep generating past their siblings' deaths, then
+        # trip on their own (later) first-arrival stalls.
+        engine.run_cycles(200)
+        late = engine.lane_errors()
+        assert sorted(late) == [0, 1, 2, 3]
+        assert "request queued at cycle" in str(late[0])
+        # The early failures' frozen state was never perturbed.
+        for index, fingerprint in frozen.items():
+            assert engine.state_fingerprint(index) == fingerprint
 
     def test_stopped_lane_does_not_perturb_survivors(self):
         """Early-drained lanes freeze; the rest keep their schedules."""
@@ -272,7 +226,7 @@ class TestRunBatch:
             "repro.experiments.runner.BatchEngine",
             functools.partial(
                 BatchEngine, topology=topology,
-                algorithm=_NeverRoutes(topology),
+                algorithm=NeverRoutes(topology),
             ),
         )
         with pytest.raises(DeadlockError, match="no progress"):
@@ -280,7 +234,7 @@ class TestRunBatch:
         config = dataclasses.replace(
             config, backend="object", identity="strict"
         )
-        engine = Engine(config, topology, _NeverRoutes(topology))
+        engine = Engine(config, topology, NeverRoutes(topology))
         with pytest.raises(DeadlockError, match="no progress"):
             run_point(config, engine=engine)
 

@@ -26,19 +26,9 @@ from repro.traffic.base import sample_destinations
 from repro.traffic.uniform import UniformTraffic
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStreams
-from tests.conftest import tiny_config
+from tests.conftest import batch_config, tiny_config
 
 ALGORITHMS = ("ecube", "2pn", "nbc", "nhop", "nlast", "phop")
-
-
-def relaxed_config(**overrides):
-    defaults = dict(
-        flow_control="conservative",
-        backend="batch",
-        identity="relaxed",
-    )
-    defaults.update(overrides)
-    return tiny_config(**defaults)
 
 
 class TestConfigValidation:
@@ -70,7 +60,7 @@ class TestConfigValidation:
 
 class TestRelaxedDeterminism:
     def test_repeat_runs_are_identical(self):
-        config = relaxed_config(algorithm="nbc", offered_load=0.3)
+        config = batch_config(algorithm="nbc", offered_load=0.3)
         seeds = [5, 6, 7]
         first = run_batch(config, seeds)
         second = run_batch(config, seeds)
@@ -80,7 +70,7 @@ class TestRelaxedDeterminism:
         # One 4-lane engine vs two 2-lane engines vs four singles: the
         # per-seed results must not depend on which seeds share an
         # engine (each lane draws from its own generators).
-        config = relaxed_config(algorithm="phop", offered_load=0.3)
+        config = batch_config(algorithm="phop", offered_load=0.3)
         seeds = [11, 12, 13, 14]
         together = run_batch(config, seeds)
         paired = run_batch(config, seeds[:2]) + run_batch(
@@ -93,14 +83,14 @@ class TestRelaxedDeterminism:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_conservation_across_algorithms(self, algorithm):
-        config = relaxed_config(algorithm=algorithm, offered_load=0.35)
+        config = batch_config(algorithm=algorithm, offered_load=0.35)
         engine = BatchEngine(config, [3, 4])
         engine.run_cycles(600)
         for index in range(2):
             assert engine.conservation_check(index)
 
     def test_mesh_conservation_and_determinism(self):
-        config = relaxed_config(
+        config = batch_config(
             algorithm="nhop", topology="mesh", offered_load=0.3
         )
         assert run_batch(config, [9, 10]) == run_batch(config, [9, 10])
@@ -223,7 +213,7 @@ class TestGeometricGaps:
 
         cycles, nodes = 4000, 16
         engine = BatchEngine(
-            relaxed_config(offered_load=0.5, injection_limit=None), [7]
+            batch_config(offered_load=0.5, injection_limit=None), [7]
         )
         rate = engine.injection_rate
         assert engine.topology.num_nodes == nodes and 0.05 < rate < 0.5

@@ -7,22 +7,18 @@ The SoA contract, pinned here:
 * results are invariant to slab sizing: a tiny slab that grows and
   recycles slots through the free list reproduces the default slab's
   fingerprints exactly;
-* conservation and lane-composition independence hold across a fuzzed
-  config grid (grouped lanes == singles, fingerprint-for-fingerprint);
-* a lane failing mid-run under SoA raises a per-lane
-  :class:`DeadlockError` carrying live-message context from the slab,
-  while surviving lanes keep generating and stay conserved;
+* the live messages a lane's slab walks are the lane's in-flight set
+  (conservation and lane-composition independence over drawn configs
+  are ``tests/test_differential.py``'s; a lane failing mid-run is
+  ``tests/test_backend_batch.py``'s per-lane deadlock test);
 * the :class:`MessageSlab` / :class:`RequestPool` primitives handle
   their growth, recycle, and tombstone edge cases, and a
   :class:`StreamStack` row replays its unbuffered stream
   (``tests/test_lane_streams.py`` has the many-lane cases).
 """
 
-import random
-
 import numpy as np
 
-from repro.routing.base import RoutingAlgorithm
 from repro.simulator import batch as batch_module
 from repro.simulator.batch import BatchEngine
 from repro.simulator.soa import (
@@ -32,40 +28,8 @@ from repro.simulator.soa import (
     StreamStack,
     segments,
 )
-from repro.topology.torus import Torus
 from repro.traffic.arrivals import geometric_gaps
-from repro.util.errors import DeadlockError
-from tests.conftest import tiny_config
-
-ALGORITHMS = ("ecube", "2pn", "nbc", "nhop", "nlast", "phop")
-
-
-def relaxed_config(**overrides):
-    defaults = dict(
-        flow_control="conservative",
-        backend="batch",
-        identity="relaxed",
-    )
-    defaults.update(overrides)
-    return tiny_config(**defaults)
-
-
-class _NeverRoutes(RoutingAlgorithm):
-    """Deliberately broken: offers no candidates, so worms stall until
-    the watchdog fires (shipped algorithms are deadlock-free)."""
-
-    name = "never-routes"
-
-    @property
-    def num_virtual_channels(self):
-        return 1
-
-    def candidates(self, state, current, dst):
-        self._check_not_delivered(current, dst)
-        return []
-
-    def message_class(self, src, dst, state):
-        return 0
+from tests.conftest import batch_config
 
 
 class TestZeroBatchMessage:
@@ -80,7 +44,7 @@ class TestZeroBatchMessage:
         # The one place a message becomes a Python object (reports and
         # introspection only).
         monkeypatch.setattr(MessageSlab, "view", boobytrap)
-        config = relaxed_config(algorithm="nbc", offered_load=0.45)
+        config = batch_config(algorithm="nbc", offered_load=0.45)
         engine = BatchEngine(config, [3, 4])
         engine.run_cycles(300)  # admissions, routing, deliveries
         for index in range(2):
@@ -96,7 +60,7 @@ class TestSlabSizingInvariance:
     """Free-list recycle and growth are behaviorally invisible."""
 
     def test_tiny_slab_reproduces_default_slab(self):
-        config = relaxed_config(algorithm="phop", offered_load=0.5)
+        config = batch_config(algorithm="phop", offered_load=0.5)
         seeds = [7, 8]
         default = BatchEngine(config, seeds)
         tiny = BatchEngine(config, seeds, slab_slots=2)
@@ -113,7 +77,7 @@ class TestSlabSizingInvariance:
             assert tiny.conservation_check(index)
 
     def test_slots_recycle_through_the_free_list(self):
-        config = relaxed_config(algorithm="ecube", offered_load=0.3)
+        config = batch_config(algorithm="ecube", offered_load=0.3)
         engine = BatchEngine(config, [5], slab_slots=4)
         engine.run_cycles(600)
         lane = engine.lanes[0]
@@ -126,7 +90,7 @@ class TestSlabSizingInvariance:
 
     def test_lane_stop_mid_worm_freezes_slab_state(self):
         """Stopping a lane with worms in flight parks its slab rows."""
-        config = relaxed_config(algorithm="nlast", offered_load=0.55)
+        config = batch_config(algorithm="nlast", offered_load=0.55)
         engine = BatchEngine(config, [5, 9, 13])
         engine.run_cycles(150)
         assert engine.lanes[1].in_flight > 0  # worms mid-route
@@ -143,82 +107,11 @@ class TestSlabSizingInvariance:
             assert engine.lanes[index].generated_total > 0
 
 
-class TestCompositionFuzz:
-    """Conservation + grouping-independence across a fuzzed grid."""
-
-    def test_fuzzed_configs_conserve_and_compose(self):
-        rng = random.Random(20260808)
-        for trial in range(50):
-            topology = rng.choice(("torus", "mesh"))
-            config = relaxed_config(
-                algorithm=rng.choice(ALGORITHMS),
-                topology=topology,
-                # The parity algorithms require an even-radix torus.
-                radix=4 if topology == "torus" else rng.choice((3, 4)),
-                offered_load=round(rng.uniform(0.1, 0.55), 3),
-                message_length=rng.choice((2, 4, 6)),
-                selection_policy=rng.choice(
-                    ("least_multiplexed", "random", "first")
-                ),
-                mux_policy=rng.choice(("round_robin", "highest_class")),
-            )
-            seeds = [rng.randrange(1, 10_000) for _ in range(2)]
-            grouped = BatchEngine(config, seeds)
-            grouped.run_cycles(220)
-            for index, seed in enumerate(seeds):
-                assert grouped.conservation_check(index), (
-                    f"fuzz trial {trial} broke conservation: "
-                    f"{config.label()} seed {seed}"
-                )
-                single = BatchEngine(config, [seed])
-                single.run_cycles(220)
-                assert grouped.state_fingerprint(index) == (
-                    single.state_fingerprint(0)
-                ), (
-                    f"fuzz trial {trial} grouping-dependent: "
-                    f"{config.label()} seed {seed}"
-                )
-
-
 class TestPerLaneDeadlock:
-    """A lane failing mid-run under SoA reports and freezes cleanly."""
-
-    def test_failed_lane_reports_slab_context_and_rest_continue(self):
-        topology = Torus(4, 2)
-        config = relaxed_config(
-            offered_load=0.0005, deadlock_threshold=50
-        )
-        seeds = [1, 2, 3, 6]
-        engine = BatchEngine(
-            config, seeds, topology=topology,
-            algorithm=_NeverRoutes(topology),
-        )
-        engine.run_cycles(200)
-        # At this horizon two lanes have tripped (their first arrivals
-        # stalled past the threshold) and two are still running.
-        errors = engine.lane_errors()
-        assert sorted(errors) == [1, 2]
-        assert engine.running_lane_indices == [0, 3]
-        for index, error in errors.items():
-            assert isinstance(error, DeadlockError)
-            message = str(error)
-            # Live-message context comes from the slab view.
-            assert f"[batch lane {index}, seed {seeds[index]}]" in message
-            assert "request queued at cycle" in message
-            assert "->" in message  # msg#N src->dst head at ...
-        frozen = {i: engine.state_fingerprint(i) for i in errors}
-        # Survivors keep generating past their siblings' deaths, then
-        # trip on their own (later) first-arrival stalls.
-        engine.run_cycles(200)
-        late = engine.lane_errors()
-        assert sorted(late) == [0, 1, 2, 3]
-        assert "request queued at cycle" in str(late[0])
-        # The early failures' frozen state was never perturbed.
-        for index, fingerprint in frozen.items():
-            assert engine.state_fingerprint(index) == fingerprint
+    """What a failing lane's report reads: the slab's live messages."""
 
     def test_iter_live_messages_walks_the_slab(self):
-        config = relaxed_config(algorithm="nbc", offered_load=0.5)
+        config = batch_config(algorithm="nbc", offered_load=0.5)
         engine = BatchEngine(config, [3])
         engine.run_cycles(120)
         lane = engine.lanes[0]
@@ -421,7 +314,7 @@ class TestOutstandingGrowth:
     CONFIG = dict(radix=8, algorithm="ecube", offered_load=0.6)
 
     def test_interning_all_pairs_reallocates_log_classes_times(self):
-        engine = BatchEngine(relaxed_config(**self.CONFIG), [3, 4])
+        engine = BatchEngine(batch_config(**self.CONFIG), [3, 4])
         n = engine._num_nodes
         arrays = {id(engine._outst): engine._outst}
         for key in range(n * n):
@@ -437,7 +330,7 @@ class TestOutstandingGrowth:
         assert engine._outst_f.base is engine._outst
 
     def test_admission_matches_per_class_grown_reference(self):
-        config = relaxed_config(**self.CONFIG)
+        config = batch_config(**self.CONFIG)
         seeds = [3, 4, 5]
         doubled = BatchEngine(config, seeds)
         reference = _PerClassGrown(config, seeds)

@@ -26,19 +26,7 @@ from hypothesis import strategies as st
 
 from repro.simulator import batch as batch_module
 from repro.simulator.batch import BatchEngine
-from tests.conftest import batch_cycle_functions, tiny_config
-
-
-def relaxed_config(**overrides):
-    defaults = dict(
-        flow_control="conservative",
-        backend="batch",
-        identity="relaxed",
-        message_length=8,
-        offered_load=0.5,
-    )
-    defaults.update(overrides)
-    return tiny_config(**defaults)
+from tests.conftest import batch_config, batch_cycle_functions
 
 
 def assert_accounted(engine, index):
@@ -62,8 +50,9 @@ class TestAccountingAtArbitraryCycles:
         self, first, second, lanes, algorithm, switching, mux_policy,
         tiny_slab,
     ):
-        config = relaxed_config(
-            algorithm=algorithm, switching=switching, mux_policy=mux_policy
+        config = batch_config(
+            algorithm=algorithm, switching=switching, mux_policy=mux_policy,
+            message_length=8, offered_load=0.5,
         )
         seeds = list(range(31, 31 + lanes))
         # Two slots per lane: the slab must grow within a few cycles.
@@ -89,7 +78,10 @@ class TestAccountingAtArbitraryCycles:
     def test_live_and_retired_flits_both_count(self):
         """The totals are not the retired array alone: mid-run some
         worms hold their VCs (live ``fin``) and some have released."""
-        engine = BatchEngine(relaxed_config(algorithm="nbc"), [3, 4])
+        engine = BatchEngine(
+            batch_config(algorithm="nbc", message_length=8, offered_load=0.5),
+            [3, 4],
+        )
         engine.run_cycles(150)
         for index in range(2):
             engine._flush()
@@ -100,7 +92,8 @@ class TestAccountingAtArbitraryCycles:
 
     def test_sample_vc_usage_sums_to_flits_moved(self):
         engine = BatchEngine(
-            relaxed_config(algorithm="nbc", offered_load=0.6), [5, 6, 7]
+            batch_config(algorithm="nbc", message_length=8, offered_load=0.6),
+            [5, 6, 7],
         )
         engine.run_cycles(90)
         for index in range(3):
@@ -121,7 +114,9 @@ def test_channels_activated_in_one_round_take_seqs_in_request_order():
     rounds where request order and channel order disagree, or this
     would pass with channel-sorted indices too."""
     engine = BatchEngine(
-        relaxed_config(radix=6, algorithm="nbc", offered_load=0.3), [21, 22]
+        batch_config(
+            radix=6, algorithm="nbc", message_length=8, offered_load=0.3
+        ), [21, 22]
     )
     v, c = engine._v, engine._c
     rounds = []
@@ -157,7 +152,9 @@ class TestNothingPerFlit:
         assert not re.findall(
             r"\b_(?:la|ld|last_tx|fout|ch_moved)(?:_f)?\b", self.source
         )
-        engine = BatchEngine(relaxed_config(), [1])
+        engine = BatchEngine(
+            batch_config(message_length=8, offered_load=0.5), [1]
+        )
         for name in ("_la", "_ld", "_last_tx", "_fout", "_ch_moved"):
             assert not hasattr(engine, name)
             assert not hasattr(engine, name + "_f")

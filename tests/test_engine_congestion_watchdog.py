@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.routing.base import RoutingAlgorithm
 from repro.simulator.engine import Engine
 from repro.util.errors import DeadlockError
-from tests.conftest import tiny_config
+from tests.conftest import NeverRoutes, tiny_config
 
 
 class TestCongestionControl:
@@ -46,32 +45,10 @@ class TestCongestionControl:
         assert engine.controller.refused == 0
 
 
-class _NeverRoutes(RoutingAlgorithm):
-    """Deliberately broken: requests a channel that is never granted."""
-
-    name = "never-routes"
-
-    def __init__(self, topology):
-        super().__init__(topology)
-        # Park a permanent fake owner on every class-0 virtual channel by
-        # simply offering an out-of-reach candidate list: an empty one.
-
-    @property
-    def num_virtual_channels(self):
-        return 1
-
-    def candidates(self, state, current, dst):
-        self._check_not_delivered(current, dst)
-        return []  # nothing to wait on: the message is stuck forever
-
-    def message_class(self, src, dst, state):
-        return 0
-
-
 class TestWatchdog:
     def test_stuck_network_raises_deadlock_error(self, torus4):
         config = tiny_config(offered_load=0.5, deadlock_threshold=300)
-        engine = Engine(config, algorithm=_NeverRoutes(torus4))
+        engine = Engine(config, algorithm=NeverRoutes(torus4))
         with pytest.raises(DeadlockError, match="no progress"):
             engine.run_cycles(5000)
 

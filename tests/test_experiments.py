@@ -1,5 +1,7 @@
 """Tests for the experiment harness: runner, sweeps, tables, profiles."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.profiles import PROFILES, apply_profile
@@ -115,6 +117,26 @@ class TestTables:
 
     def test_empty_series(self):
         assert format_table({}) == "(no data)"
+
+    def test_seeds_of_a_load_are_one_row_of_seed_means(self, series):
+        """Two seeds per load: one row per load, and the cells and the
+        peak are seed means, as the claim evaluator reads them."""
+        def point(load, utilization):
+            return dataclasses.replace(
+                series["nbc"][0],
+                offered_load=load,
+                achieved_utilization=utilization,
+            )
+
+        two_seeds = {"nbc": [point(0.3, 0.25), point(0.3, 0.35),
+                             point(0.6, 0.471), point(0.6, 0.477)]}
+        assert format_table(two_seeds).splitlines()[2:] == [
+            "   0.30  0.300",
+            "   0.60  0.474",
+        ]
+        assert peak_summary(two_seeds) == (
+            "   nbc: peak normalized throughput 0.474 at offered load 0.60"
+        )
 
 
 class TestProfiles:

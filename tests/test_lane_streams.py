@@ -8,9 +8,10 @@ and the many-lane ``MessageSlab.alloc`` / ``release`` promise:
   ``_ReferenceBuffer``), so the *generator state* after every take is
   that buffer's too — whatever the other lanes of the batch do;
 * ``tiebreaks`` is ``Generator.integers(high)`` on the lane's routing
-  stream, draw for draw, rejections included.  This file and
-  ``tests/test_relaxed_golden.py`` are what names a numpy release whose
-  ``integers`` stops being Lemire's method on ``next_uint32``;
+  stream, draw for draw, rejections included.  CI installs numpy
+  unpinned; this file and ``tests/test_relaxed_golden.py`` are what
+  names a numpy release whose ``integers`` stops being Lemire's method
+  on ``next_uint32``;
 * a cycle on which no lane refills, grows, stops or fails makes no
   Generator call and loops over no lane.
 """

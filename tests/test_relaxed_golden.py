@@ -13,6 +13,13 @@ hashes — not the results — were re-recorded once since, from a parent
 checkout with the three stamp fields the fingerprint stopped carrying
 projected out; recipe in ``.claude/skills/verify/SKILL.md``.)
 
+CI installs whatever numpy>=1.24 resolves to, unpinned.  The batch
+path's routing tie-breaks are Lemire's method over ``next_uint32``,
+computed in numpy arrays because that is what ``Generator.integers(high)``
+computes element by element; the digests here were recorded with
+``integers()``.  This file and ``tests/test_lane_streams.py`` are what
+names a numpy release where that stops being true.
+
 Regenerate (only when a change is *meant* to move batch output)::
 
     PYTHONPATH=src python tests/test_relaxed_golden.py

@@ -10,8 +10,7 @@ from repro.simulator.reference import ScanEngine
 from repro.simulator.sanitizer import WaitForGraph
 from repro.topology.torus import Torus
 from repro.util.errors import DeadlockError
-from tests.conftest import tiny_config
-from tests.test_engine_congestion_watchdog import _NeverRoutes
+from tests.conftest import NeverRoutes, tiny_config
 
 
 class _Clockwise(RoutingAlgorithm):
@@ -66,7 +65,7 @@ def _never_routes_case(**overrides):
     config = tiny_config(
         offered_load=0.5, deadlock_threshold=300, sanitize=True, **overrides
     )
-    return config, _NeverRoutes(Torus(4, 2))
+    return config, NeverRoutes(Torus(4, 2))
 
 
 class TestSanitizedDeadlockReport:
@@ -87,7 +86,7 @@ class TestSanitizedDeadlockReport:
         assert "holds" in text and "waits on" in text
 
     def test_broken_algorithm_reports_blockage_without_cycle(self):
-        """The watchdog's regression algorithm (_NeverRoutes) starves
+        """The watchdog's regression algorithm (NeverRoutes) starves
         messages on an empty candidate set: blocked messages are named,
         but there is no hold/wait cycle to report."""
         error = _deadlock_report(*_never_routes_case())
@@ -102,7 +101,7 @@ class TestSanitizedDeadlockReport:
 
     def test_unsanitized_deadlock_has_no_report_but_hints(self, torus4):
         config = tiny_config(offered_load=0.5, deadlock_threshold=300)
-        error = _deadlock_report(config, _NeverRoutes(torus4))
+        error = _deadlock_report(config, NeverRoutes(torus4))
         assert error.report is None
         assert "sanitize=True" in str(error)
 

@@ -18,11 +18,10 @@ Covered here:
   rule (buffer depths, short worms, a queueing source, SAF/VCT, strict
   priority, the sanitizer, an observer attached and detached mid-run),
   its poll efficiency, and the uniqueness of its splice-heap keys;
-* a 50-configuration fuzz sweep over random short configs (switching,
-  flow control, mux policy, selection policy, load, message length,
-  buffer depth, seeds), once for the fingerprints and once for what an
-  observer on each stepper reports (blocked waits per episode vs per
-  cycle: same totals);
+* (drawn configurations — every switching mode, flow control, mux and
+  selection policy, traffic pattern, load, worm length and buffer
+  depth — are ``tests/test_differential.py``'s, which holds the two
+  steppers to the same fingerprints and the same observed books);
 * the routing-decision memo: cached candidate sets must resolve to the
   same objects a fresh computation produces, and disabling the memo
   must not change the schedule;
@@ -30,13 +29,12 @@ Covered here:
   built by name, and no module reads such an attribute.
 """
 
-import random
-
 import pytest
 
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
 from repro.simulator.reference import ScanEngine
+from tests.conftest import observed_books
 
 ALGORITHMS = ("ecube", "nlast", "2pn", "phop", "nhop", "nbc")
 
@@ -167,84 +165,6 @@ class TestSchedulerIdentity:
         a.run_cycles(400)
         b.run_cycles(401)
         assert a.state_fingerprint() != b.state_fingerprint()
-
-
-def _fuzz_configs():
-    """The fuzz sweep: 50 (cycles, options) pairs, the same every call."""
-    rng = random.Random(0xC0FFEE)
-    for _ in range(50):
-        switching = rng.choice(["wormhole", "wormhole", "vct", "saf"])
-        options = {
-            "radix": rng.choice([4, 4, 6]),
-            "n_dims": 2,
-            "topology": rng.choice(["mesh", "torus"]),
-            "algorithm": rng.choice(ALGORITHMS),
-            "switching": switching,
-            "flow_control": rng.choice(["ideal", "conservative"]),
-            "mux_policy": rng.choice(["round_robin", "highest_class"]),
-            "selection_policy": rng.choice(
-                ["least_multiplexed", "random", "first"]
-            ),
-            "offered_load": rng.choice([0.15, 0.3, 0.5, 0.7]),
-            "message_length": rng.choice([4, 8, 16]),
-            "injection_limit": rng.choice([1, 2, None]),
-            # VCT and SAF require buffers holding a whole packet; let
-            # the config default handle those modes.
-            "vc_buffer_depth": (
-                rng.choice([None, 1, 2, 4])
-                if switching == "wormhole" else None
-            ),
-            "seed": rng.randrange(10_000),
-        }
-        yield rng.randrange(200, 500), options
-
-
-def _observed_books(engine):
-    """Everything an observer reports that both steppers must agree on
-    (finalized: open blocked episodes settled, flit counters folded)."""
-    observer = engine.observer
-    observer.metrics_summary()
-    blocked_cycles = sum(
-        event["cycles"]
-        for event in observer.trace.events
-        if event["event"] == "msg_blocked"
-    )
-    assert observer.trace.dropped == 0
-    assert blocked_cycles == observer.event_counts.get("msg_blocked", 0)
-    return (
-        list(observer.heatmap.blocked),
-        list(observer.heatmap.carried),
-        dict(observer.event_counts),
-        {
-            name: observer.probes.series(name)
-            for name in observer.probes.scalar_names()
-        },
-    )
-
-
-class TestSchedulerFuzz:
-    def test_fifty_random_configs_agree(self):
-        """50 random short configs: fingerprints identical throughout."""
-        for cycles, options in _fuzz_configs():
-            _run_pair(cycles, **options)
-
-    def test_fifty_random_configs_observe_alike(self):
-        """The same 50 with an observer on both steppers: the reference
-        reports a blocked message every cycle, the engine once per
-        episode, and every per-link and per-run total comes out equal —
-        as does each msg_blocked trace's sum of ``cycles``."""
-        blocked = 0
-        for cycles, options in _fuzz_configs():
-            scan, active = _run_pair(
-                cycles,
-                obs=True,
-                obs_options={"stride": 8, "trace_limit": 10**6},
-                **options,
-            )
-            books = _observed_books(active)
-            assert books == _observed_books(scan), options
-            blocked += books[2].get("msg_blocked", 0)
-        assert blocked > 10_000  # the sweep did congest
 
 
 class TestTransmitPolls:
@@ -519,7 +439,7 @@ class TestSchedulerConfig:
         for stepper in (scan, engine):
             stepper.run_cycles(100)
         assert engine._parked
-        books = [_observed_books(stepper) for stepper in (scan, engine)]
+        books = [observed_books(stepper) for stepper in (scan, engine)]
         assert books[0] == books[1]
         assert books[0][2]["msg_blocked"] > 100
         for stepper, observer in zip((scan, engine), observers):
