@@ -139,9 +139,12 @@ def _derive_shared(
         name: value[0] if type(value) is tuple else json.dumps(value)
         for name, value in zip(_SHARED_FIELDS, values)
     }
-    # An address component that is no longer a config field:
-    # ``scheduler`` left SimulationConfig when it had long selected no
-    # code, and results stay addressed under the default it always had.
+    # Address components that are no longer config fields: each left
+    # SimulationConfig when it changed no simulated number (the
+    # ``scheduler`` selected no code; every watchdog trip now reports,
+    # which ``sanitize`` once opted into), and results stay addressed
+    # under the default each always had.
+    texts["sanitize"] = "false"
     texts["scheduler"] = '"active"'
     blob = "{%s}" % ", ".join(f'"{n}": {texts[n]}' for n in sorted(texts))
     texts.update(dict.fromkeys(POINT_FIELDS, "null"))

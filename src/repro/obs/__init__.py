@@ -4,7 +4,7 @@ Four surfaces, one facade:
 
 * :class:`ProbeRegistry` — named per-cycle time series (occupancies,
   queue depths, cumulative totals) sampled every ``stride`` cycles into
-  ring buffers, exported as NDJSON and wide CSV;
+  bounded series, exported as NDJSON and wide CSV;
 * :class:`TraceWriter` — a schema-versioned NDJSON event trace
   (message created/refused/blocked/delivered, VC acquired, optional
   per-flit moves, deadlock reports);
@@ -27,7 +27,6 @@ from repro.obs.observer import (
 )
 from repro.obs.probes import Probe, ProbeRegistry
 from repro.obs.profile import PHASES, PhaseProfiler
-from repro.obs.ring import RingBuffer
 from repro.obs.trace import (
     EVENT_TYPES,
     TRACE_SCHEMA,
@@ -47,7 +46,6 @@ __all__ = [
     "PhaseProfiler",
     "Probe",
     "ProbeRegistry",
-    "RingBuffer",
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_VERSION",
     "TraceWriter",

@@ -71,7 +71,7 @@ class ObsConfig:
 
     #: Probe sampling period in cycles.
     stride: int = 32
-    #: Retained samples per probe (ring buffer capacity).
+    #: Retained samples per probe (the newest; older ones are dropped).
     ring_capacity: int = 2048
     #: Record the structured event trace.
     trace: bool = True
@@ -298,25 +298,22 @@ class Observer:
                 hops=message.distance,
             )
 
-    def on_deadlock(
-        self,
-        engine: "Engine",
-        summary: str,
-        report: Optional["DeadlockReport"],
-    ) -> None:
+    def on_deadlock(self, engine: "Engine", report: "DeadlockReport") -> None:
         # (Through this cycle: the watchdog trips after its routing phase.)
         self._settle(engine, engine.cycle + 1)
         self._count(EVENT_DEADLOCK)
         if self.trace is not None:
-            fields: Dict[str, Any] = {"summary": summary}
-            if report is not None:
-                fields["cycle_resources"] = (
+            self.trace.emit(
+                engine.cycle,
+                EVENT_DEADLOCK,
+                summary=report.summary,
+                cycle_resources=(
                     [list(resource) for resource in report.cycle]
                     if report.cycle
                     else None
-                )
-                fields["blocked_messages"] = len(report.blocked)
-            self.trace.emit(engine.cycle, EVENT_DEADLOCK, **fields)
+                ),
+                blocked_messages=len(report.blocked),
+            )
 
     def on_cycle_end(self, engine: "Engine") -> None:
         """Stride-gated sampling, called once per observed cycle."""

@@ -4,23 +4,27 @@ A :class:`Probe` is a named function of the engine returning either a
 scalar (message counts, queue depths, cumulative totals) or a vector
 (one value per physical channel or per virtual-channel class).  The
 :class:`ProbeRegistry` holds the set sampled by an observer; sampling
-happens every ``stride`` cycles into per-probe ring buffers, so the
+happens every ``stride`` cycles into per-probe bounded series (a
+``collections.deque`` of the newest ``ring_capacity`` samples), so the
 congestion build-up the paper discusses in Section 3.4 (wormhole worms
 backing up vs. VCT packets collapsing into buffers) is visible as a
 trajectory instead of a single end-of-run average.
 
 Cumulative probes (``*_total``) are sampled as raw counters; consumers
-difference adjacent samples for rates, which stays exact even when the
-ring buffer drops old samples.
+difference adjacent samples for rates, which stays exact even when a
+series drops old samples.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -29,8 +33,8 @@ from typing import (
     Union,
 )
 
-from repro.obs.ring import RingBuffer
 from repro.util.errors import ConfigurationError
+from repro.util.validation import require_positive, require_type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import Engine
@@ -88,12 +92,18 @@ def _builtin_probes() -> List[Probe]:
 
 
 class ProbeRegistry:
-    """The set of probes one observer samples, with their ring buffers."""
+    """The set of probes one observer samples, each into a series that
+    keeps its newest ``ring_capacity`` samples."""
 
     def __init__(self, ring_capacity: int = 2048) -> None:
+        # deque's maxlen must be an int.
+        require_type(ring_capacity, int, "ring_capacity")
+        require_positive(ring_capacity, "ring_capacity")
         self.ring_capacity = ring_capacity
         self._probes: Dict[str, Probe] = {}
-        self._series: Dict[str, RingBuffer] = {}
+        # Each item is a Sample; Any lets scalar_summary float() a
+        # scalar probe's value.
+        self._series: Dict[str, Deque[Any]] = {}
 
     @classmethod
     def default(
@@ -113,7 +123,7 @@ class ProbeRegistry:
                 f"probe {probe.name!r} is already registered"
             )
         self._probes[probe.name] = probe
-        self._series[probe.name] = RingBuffer(self.ring_capacity)
+        self._series[probe.name] = deque(maxlen=self.ring_capacity)
 
     def register(
         self, name: str, fn: ProbeFn, vector: bool = False
@@ -139,7 +149,7 @@ class ProbeRegistry:
 
     def series(self, name: str) -> List[Sample]:
         """All retained samples of one probe, oldest first."""
-        return self._series[name].to_list()
+        return list(self._series[name])
 
     def __len__(self) -> int:
         return len(self._probes)
@@ -150,7 +160,7 @@ class ProbeRegistry:
         """min/max/mean/last per scalar probe over the retained samples."""
         summary: Dict[str, Dict[str, float]] = {}
         for name in self.scalar_names():
-            samples = self._series[name].to_list()
+            samples = self._series[name]
             if not samples:
                 continue
             values = [float(value) for _, value in samples]
@@ -197,7 +207,7 @@ class ProbeRegistry:
         writer.writerow(["cycle"] + names)
         if not names:
             return
-        columns = [self._series[name].to_list() for name in names]
+        columns = [list(self._series[name]) for name in names]
         for row_index in range(len(columns[0])):
             cycle = columns[0][row_index][0]
             writer.writerow(

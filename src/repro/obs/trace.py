@@ -13,8 +13,8 @@ tooling can parse it without knowing the simulator's internals:
 
 Event types (``EVENT_*`` constants): message created / refused,
 head blocked, virtual channel acquired, flit moved (opt-in, high
-volume), message delivered, and a deadlock report from the
-wait-for-graph sanitizer.
+volume), message delivered, and the watchdog's deadlock report (its
+summary, wait-for cycle and blocked-message count).
 
 Version 2: a ``msg_blocked`` record stands for ``cycles`` consecutive
 failed attempts of one message — a blocked episode, written when the

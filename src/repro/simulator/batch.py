@@ -56,8 +56,12 @@ from the same state.
 * ``switching="saf"`` — store-and-forward reads the *live* upstream
   ``flits_in`` during the pass (packet assembly can complete mid-cycle),
   which is order-dependent even under conservative flow control.
-* ``obs=True`` / ``sanitize=True`` — per-cycle per-message hooks defeat
-  the point of batching; attach them to an object-backend run instead.
+* ``obs=True`` — per-cycle per-message hooks defeat the point of
+  batching; attach an observer to an object-backend run instead.
+
+A lane whose watchdog trips records the same wait-for report as the
+object engine (:mod:`repro.simulator.sanitizer`), built from its pending
+requests and VC owners when it fails (:meth:`BatchEngine._fail_lane`).
 
 Wormhole and VCT, both mux policies, and all selection policies are
 supported (conservative wormhole uses the 2-flit buffers
@@ -108,6 +112,7 @@ import numpy as np
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.tables import route_table
 from repro.simulator.config import SimulationConfig
+from repro.simulator.sanitizer import BlockedMessage, deadlock_error
 from repro.simulator.soa import (
     DeliverQueue,
     MessageSlab,
@@ -198,8 +203,8 @@ class _Lane:
         #: engine's shared deliver queue).
         self.delivering: List[int] = []
         #: Slab slots of route requests frozen when the lane stopped
-        #: (the shared pool drops them; fingerprints and deadlock
-        #: reports still need the pending set).
+        #: (the shared pool drops them; fingerprints still need the
+        #: pending set).
         self.frozen_pending: List[int] = []
         self.sample: Optional[SampleRecord] = None
         self.sample_flits_base = 0
@@ -277,37 +282,20 @@ class BatchEngine:
     ) -> None:
         if not seeds:
             raise ConfigurationError("batch backend needs at least one seed")
-        if config.flow_control != "conservative":
+        if config.backend != "batch":
+            # SimulationConfig ties conservative flow control, wormhole
+            # or VCT switching, no obs and identity="relaxed" to the
+            # backend; results are filed under the config's identity.
             raise ConfigurationError(
-                "the batch backend requires flow_control='conservative': "
-                "ideal flow control resolves same-cycle buffer reuse with "
-                "an order-dependent fixpoint that cannot be evaluated "
-                "array-at-once (see repro.simulator.batch)"
-            )
-        if config.switching == "saf":
-            raise ConfigurationError(
-                "the batch backend does not support switching='saf': "
-                "packet assembly completes mid-cycle, an order-dependent "
-                "condition (see repro.simulator.batch)"
-            )
-        if config.obs or config.sanitize:
-            raise ConfigurationError(
-                "the batch backend does not support obs/sanitize hooks; "
-                "use backend='object' for observed or sanitized runs"
+                "the batch backend runs backend='batch' configs only "
+                "(conservative flow control, wormhole or VCT switching, "
+                "no obs; statistically, not bitwise, equivalent results); "
+                "the bit-exact path for this config is backend='object'"
             )
         if config.message_length >= 2 ** 15:
             raise ConfigurationError(
                 "the batch backend stores flit counters as int16; "
                 f"message_length {config.message_length} does not fit"
-            )
-        if config.identity != "relaxed":
-            # Results are filed under the config's identity; a batch
-            # result must never carry the object engine's.
-            raise ConfigurationError(
-                "the batch backend's results are statistically, not "
-                "bitwise, equivalent to the object engine's: the config "
-                "must say backend='batch', identity='relaxed' (the "
-                "bit-exact path is backend='object')"
             )
         self.config = config
         self.topology = topology if topology is not None else (
@@ -578,8 +566,8 @@ class BatchEngine:
         self._gen_next = int(self._gen_due.min())
         # Pull the lane's pending requests and delivering entries out
         # of the shared pools so the remaining lanes' kernels never
-        # revisit them; both freeze on the lane (state_fingerprint and
-        # deadlock reports still need them).
+        # revisit them; both freeze on the lane (state_fingerprint
+        # still needs them).
         lane = self.lanes[index]
         slots_p, _seqs = self._pool.lane_entries(index)
         if slots_p.shape[0]:
@@ -1345,31 +1333,44 @@ class BatchEngine:
     # ------------------------------------------------------------------
 
     def _fail_lane(self, b: int) -> None:
-        """Record a deadlock on one lane and freeze it; others continue."""
+        """Record a deadlock on one lane and freeze it; others continue.
+
+        The report reads the lane's blocked requests from the shared
+        pool (before ``stop_lane`` drops them) and their rows from the
+        slab: what a message waits on is its route-table row, what it
+        holds the VCs it owns once deferred writes have landed.
+        """
         lane = self.lanes[b]
-        stuck = []
-        # The lane's blocked requests sit in the shared pool (this runs
-        # before stop_lane drops them); report from the slab.
+        self._flush()
+        v = self._v
+        owner = self._owner[b]
+        owned = np.nonzero(owner >= 0)[0]
+        held: Dict[int, List[Tuple[int, int]]] = {}
+        for f, slot in zip(owned.tolist(), owner[owned].tolist()):
+            held.setdefault(slot, []).append(divmod(f, v))
+        slab = self._slab
+        cand_flat = self._table.cand_flat
         slots_p, _seqs = self._pool.lane_entries(b)
-        for slot in slots_p[:8].tolist():
-            mv = self._slab.view(b, slot)
-            stuck.append(
-                f"msg#{mv.msg_id} {mv.src}->{mv.dst} "
-                f"head at {mv.head_node} "
-                f"(request queued at cycle {mv.wait_since})"
-            )
-        summary = (
-            f"no progress for {self.config.deadlock_threshold} cycles at "
-            f"cycle {self.cycle} with {lane.in_flight} messages in flight "
-            f"(algorithm={self.algorithm.name}); sample of waiting "
-            f"messages: {'; '.join(stuck) or 'none in route queue'}"
-        )
-        lane.error = DeadlockError(
-            summary
-            + f" [batch lane {b}, seed {lane.seed}]"
-            + " (run with backend='object' and "
-            "SimulationConfig.sanitize=True for a wait-for-graph "
-            "diagnosis)"
+        rows: List[BlockedMessage] = []
+        for slot in slots_p.tolist():
+            mv = slab.view(b, slot)
+            rows.append(BlockedMessage(
+                mv.msg_id,
+                mv.src,
+                mv.dst,
+                mv.head_node,
+                held.get(slot, []),
+                [divmod(f, v) for f in cand_flat[mv.route_row].tolist()
+                 if f >= 0],
+                queued_at=mv.wait_since,
+            ))
+        lane.error = deadlock_error(
+            rows,
+            self.config.deadlock_threshold,
+            self.cycle,
+            lane.in_flight,
+            self.algorithm.name,
+            where=f" [batch lane {b}, seed {lane.seed}]",
         )
         self.stop_lane(b)
 

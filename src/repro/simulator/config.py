@@ -138,14 +138,10 @@ class SimulationConfig:
 
     # -- safety ------------------------------------------------------------
     #: Cycles without any flit movement or channel grant (while traffic is
-    #: in flight) before the watchdog declares deadlock.
+    #: in flight) before the watchdog declares deadlock.  Every trip
+    #: raises a :class:`~repro.util.errors.DeadlockError` carrying the
+    #: wait-for graph of what is stuck (:mod:`repro.simulator.sanitizer`).
     deadlock_threshold: int = 20000
-    #: Opt-in wait-for-graph sanitizer: a watchdog trip reports the
-    #: actual resource cycle and the blocked messages instead of a bare
-    #: :class:`~repro.util.errors.DeadlockError`.  The hold->request
-    #: graph is built once, at the trip, from the engine's waiting set,
-    #: so a run that never trips does no work for it.
-    sanitize: bool = False
 
     # -- observability (repro.obs) -------------------------------------------
     #: Attach a :class:`repro.obs.Observer` to the engine.  Off by
@@ -176,8 +172,8 @@ class SimulationConfig:
                     "dependent and cannot be evaluated array-at-once)")
             require(self.switching != "saf",
                     "backend='batch' does not support switching='saf'")
-            require(not self.obs and not self.sanitize,
-                    "backend='batch' does not support obs/sanitize hooks")
+            require(not self.obs,
+                    "backend='batch' does not support obs hooks")
         if self.identity != BACKEND_IDENTITY[self.backend]:
             raise ConfigurationError(
                 f"backend={self.backend!r} produces "
@@ -198,6 +194,7 @@ class SimulationConfig:
                 "max_samples must be >= min_samples")
         require(0 < self.relative_error < 1,
                 "relative_error must be in (0, 1)")
+        require_positive(self.deadlock_threshold, "deadlock_threshold")
         if self.vc_buffer_depth is not None:
             require_positive(self.vc_buffer_depth, "vc_buffer_depth")
         if self.injection_limit is not None:

@@ -27,7 +27,8 @@ the full-packet-before-forwarding rule) — the three switching techniques
 the paper compares in Section 3.4.
 
 A watchdog raises :class:`~repro.util.errors.DeadlockError` if traffic is
-in flight but nothing has moved for a long time; all six paper algorithms
+in flight but nothing has moved for a long time, carrying the wait-for
+report of :mod:`repro.simulator.sanitizer`; all six paper algorithms
 are deadlock-free, so it fires only on buggy or deliberately broken
 algorithms (it is exercised in the test suite with one of those).
 """
@@ -63,13 +64,13 @@ from repro.routing.base import RoutingAlgorithm
 from repro.routing.tables import flat_candidates, route_table
 from repro.simulator.config import SimulationConfig
 from repro.simulator.injection import InjectionController
-from repro.simulator.sanitizer import WaitForGraph
+from repro.simulator.sanitizer import BlockedMessage, deadlock_error
 from repro.stats.counters import SampleRecord
 from repro.topology.base import Topology
 from repro.traffic.arrivals import GeometricArrivals
 from repro.traffic.base import TrafficPattern
 from repro.traffic.load import offered_load_to_rate
-from repro.util.errors import ConfigurationError, DeadlockError
+from repro.util.errors import ConfigurationError
 from repro.util.fingerprint import state_fingerprint as route_state_fingerprint
 from repro.util.rng import (
     STREAM_ARRIVALS,
@@ -157,8 +158,9 @@ class Engine:
         # could have made them ready (allocation, a flit arrival or
         # departure on an adjacent VC, an ejection).  The flit schedule
         # is bit-identical to polling everything every cycle, which
-        # repro.simulator.reference.ScanEngine does: the golden-trace and
-        # fuzz tests pin the two against each other.
+        # repro.simulator.reference.ScanEngine does: the golden-trace
+        # tests and the differential harness (tests/test_differential.py)
+        # pin the two against each other.
         self._route_heap: List[Tuple[int, Message]] = []
         #: The pending-routing container, as step() and the depth probe
         #: read it (the reference stepper points it at its own queue).
@@ -963,44 +965,33 @@ class Engine:
         return [entry[1] for entry in entries]
 
     def _report_deadlock(self) -> None:
-        waiting = self._waiting_messages()
-        stuck = [
-            f"msg#{message.msg_id} {message.src}->{message.dst} "
-            f"head at {message.head_node}"
-            for message in waiting[:8]
-        ]
-        summary = (
-            f"no progress for {self.config.deadlock_threshold} cycles at "
-            f"cycle {self.cycle} with {self.in_flight} messages in flight "
-            f"(algorithm={self.algorithm.name}); sample of waiting "
-            f"messages: {'; '.join(stuck) or 'none in route queue'}"
-        )
-        report = None
-        if self.config.sanitize:
-            # Nothing was granted for deadlock_threshold cycles, so every
-            # waiting message failed its last attempt: what it holds is
-            # its live path and what it waits on is its cached candidate
-            # set.  The wait-for graph needs no upkeep before this point.
-            graph = WaitForGraph()
-            num_vcs = self.fabric.num_vcs
-            for message in waiting:
-                graph.record_blocked(
-                    message,
+        # Nothing was granted for deadlock_threshold cycles, so every
+        # waiting message failed its last attempt: what it holds is its
+        # live path and what it waits on is its cached candidate set.
+        num_vcs = self.fabric.num_vcs
+        error = deadlock_error(
+            [
+                BlockedMessage(
+                    message.msg_id,
+                    message.src,
+                    message.dst,
+                    message.head_node,
+                    [(vc.link.index, vc.vc_class) for vc in message.path],
                     [
                         divmod(flat, num_vcs)
                         for flat in message.cached_candidates or ()
                     ],
                 )
-            report = graph.build_report()
+                for message in self._waiting_messages()
+            ],
+            self.config.deadlock_threshold,
+            self.cycle,
+            self.in_flight,
+            self.algorithm.name,
+        )
         if self._obs is not None:
-            self._obs.on_deadlock(self, summary, report)
-        if report is None:
-            raise DeadlockError(
-                summary
-                + " (run with SimulationConfig.sanitize=True for a "
-                "wait-for-graph diagnosis)"
-            )
-        raise DeadlockError(summary + "\n" + report.format(), report=report)
+            self._obs.on_deadlock(self, error.report)
+        raise error
 
     # ------------------------------------------------------------------
     # introspection helpers (used by tests and analysis)
@@ -1043,7 +1034,8 @@ class Engine:
 
         Two engines driven through the same configuration must agree on
         this no matter which stepper ran them — it is the equivalence
-        oracle of the ScanEngine-vs-Engine fuzz tests.  Scheduling
+        oracle of the ScanEngine-vs-Engine differential harness
+        (``tests/test_differential.py``).  Scheduling
         bookkeeping (armed stamps, retry hints, waiter lists, parking
         epochs) is deliberately excluded; everything that can influence
         future simulated behaviour is included, down to the rng stream

@@ -9,8 +9,9 @@ polls every active channel through :meth:`PhysicalChannel.transmit
 <repro.network.physical_channel.PhysicalChannel.transmit>` and iterates
 the ideal-flow-control fixpoint over the whole set.  Nothing parks and
 nothing is armed, so it is slower everywhere — and bit-identical in every
-simulated quantity, which the golden traces, the fingerprint matrix and
-the fuzz tests of ``tests/test_scheduler_active.py`` pin.
+simulated quantity, which the golden traces, the fingerprint matrix of
+``tests/test_scheduler_active.py`` and the differential harness of
+``tests/test_differential.py`` pin.
 
 No config value selects it: construct it by name (``ScanEngine(config)``,
 or ``run_point(config, engine=ScanEngine(config))`` for a whole point).

@@ -1,18 +1,17 @@
-"""Runtime wait-for-graph sanitizer for the simulation engine.
+"""The watchdog's diagnosis: a wait-for graph built at every trip.
 
-With ``SimulationConfig.sanitize=True`` a watchdog trip builds the
-hold->request graph of everything that is stuck and searches it for a
-cycle.  The graph costs nothing before that: the engine hands over its
-waiting messages once, at the trip, and each one's *held* resources are
-the virtual channels its worm occupies (its live ``path``) and its
-*requested* resources are its cached candidate set, all busy.  That is
-sound because the watchdog only trips after ``deadlock_threshold`` cycles
-in which nothing was granted, so every waiting message failed its last
-allocation attempt and nothing it holds has moved since.
-:meth:`WaitForGraph.build_report` names the `(link, vc_class)` resources
-and blocked messages involved, upgrading the bare "no progress for N
-cycles" :class:`~repro.util.errors.DeadlockError` into an actionable
-diagnostic.
+When the watchdog trips, both engines hand :func:`deadlock_error` one
+:class:`BlockedMessage` row per waiting message, in service order.  A
+row's *held* resources are the ``(link, vc_class)`` virtual channels its
+worm occupies and its *requested* resources are its candidate set, all
+busy.  That is sound because the watchdog only trips after
+``deadlock_threshold`` cycles in which nothing was granted, so every
+waiting message failed its last allocation attempt and nothing it holds
+has moved since.  The graph costs nothing before the trip: it is built
+once, from the rows, and searched for a hold->request cycle.  The
+resulting :class:`~repro.util.errors.DeadlockError` carries the one "no
+progress for N cycles" summary both engines write and the
+:class:`DeadlockReport` naming the resources and messages involved.
 
 Adaptive caveat (same as the static analysis): a message waits on its
 *whole* candidate set, so a cycle here is strong evidence, not proof, of
@@ -22,17 +21,25 @@ moves, the cycle is exactly the diagnostic a developer needs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+
+from repro.util.errors import DeadlockError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dependency_graph import Resource
-    from repro.network.message import Message
 
 
 class BlockedMessage:
-    """Snapshot of one message that failed to allocate a channel."""
+    """One message that failed to allocate a channel, as a report row.
 
-    __slots__ = ("msg_id", "src", "dst", "head_node", "held", "requested")
+    ``held`` lists its worm's VCs: the object engine in path order, tail
+    first; a batch lane in flat-index order.
+    """
+
+    __slots__ = (
+        "msg_id", "src", "dst", "head_node", "held", "requested",
+        "queued_at",
+    )
 
     def __init__(
         self,
@@ -42,6 +49,7 @@ class BlockedMessage:
         head_node: int,
         held: List[Resource],
         requested: List[Resource],
+        queued_at: Optional[int] = None,
     ) -> None:
         self.msg_id = msg_id
         self.src = src
@@ -49,6 +57,12 @@ class BlockedMessage:
         self.head_node = head_node
         self.held = held
         self.requested = requested
+        #: Cycle the pending request was queued, where the engine keeps
+        #: it (the batch slab does); named in the summary's sample.
+        self.queued_at = queued_at
+
+    def name(self) -> str:
+        return f"msg#{self.msg_id} {self.src}->{self.dst}"
 
     def describe(self) -> str:
         held = (
@@ -59,8 +73,8 @@ class BlockedMessage:
             or "nothing (empty candidate set)"
         )
         return (
-            f"msg#{self.msg_id} {self.src}->{self.dst} head at "
-            f"{self.head_node}: holds {held}; waits on {requested}"
+            f"{self.name()} head at {self.head_node}: holds {held}; "
+            f"waits on {requested}"
         )
 
 
@@ -70,14 +84,17 @@ def _resource_name(resource: Resource) -> str:
 
 
 class DeadlockReport:
-    """What the sanitizer found when the watchdog tripped."""
+    """What the wait-for graph showed when the watchdog tripped."""
 
     def __init__(
         self,
+        summary: str,
         cycle: Optional[List[Resource]],
         blocked: List[BlockedMessage],
         holders: Dict[Resource, int],
     ) -> None:
+        #: The watchdog's one-line "no progress for N cycles" summary.
+        self.summary = summary
         #: Resources along one hold->request cycle, or None when the
         #: wait-for graph is acyclic (e.g. messages stuck on an empty
         #: candidate set, or starvation rather than deadlock).
@@ -133,58 +150,71 @@ class DeadlockReport:
         return "\n".join(lines)
 
 
-class WaitForGraph:
-    """Hold->request graph of blocked messages."""
+def wait_for_edges(
+    blocked: Sequence[BlockedMessage],
+) -> Dict[Resource, Set[Resource]]:
+    """The hold->request edges of *blocked*: each held resource points
+    at everything its holder requests."""
+    edges: Dict[Resource, Set[Resource]] = {}
+    for entry in blocked:
+        for held in entry.held:
+            edges.setdefault(held, set()).update(entry.requested)
+    return edges
 
-    def __init__(self) -> None:
-        self._blocked: Dict[int, BlockedMessage] = {}
 
-    def __len__(self) -> int:
-        return len(self._blocked)
+def build_report(
+    blocked: Sequence[BlockedMessage], summary: str = ""
+) -> DeadlockReport:
+    """Search the wait-for graph of *blocked* for a cycle."""
+    # Imported here, at a deadlock: the engine does not load the
+    # analysis package (and its check batteries) to run.
+    from repro.analysis.dependency_graph import find_cycle
 
-    def record_blocked(
-        self,
-        message: "Message",
-        requested: List[Resource],
-    ) -> None:
-        """Record a message that is blocked waiting on *requested*.
+    holders: Dict[Resource, int] = {}
+    for entry in blocked:
+        for held in entry.held:
+            holders[held] = entry.msg_id
+    return DeadlockReport(
+        summary=summary,
+        cycle=find_cycle(wait_for_edges(blocked)),
+        blocked=sorted(blocked, key=lambda entry: entry.msg_id),
+        holders=holders,
+    )
 
-        The held set is the message's current channel chain; recording a
-        message again replaces its edges.
-        """
-        held = [(vc.link.index, vc.vc_class) for vc in message.path]
-        self._blocked[message.msg_id] = BlockedMessage(
-            msg_id=message.msg_id,
-            src=message.src,
-            dst=message.dst,
-            head_node=message.head_node,
-            held=held,
-            requested=requested,
+
+def deadlock_error(
+    blocked: Sequence[BlockedMessage],
+    threshold: int,
+    cycle: int,
+    in_flight: int,
+    algorithm: str,
+    where: str = "",
+) -> DeadlockError:
+    """The watchdog trip of either engine: the summary, naming the first
+    eight *blocked* rows (service order) and ending in *where*, then the
+    wait-for report; the error's ``report`` is the report."""
+    stuck = []
+    for entry in blocked[:8]:
+        queued = (
+            f" (request queued at cycle {entry.queued_at})"
+            if entry.queued_at is not None
+            else ""
         )
-
-    def edges(self) -> Dict[Resource, Set[Resource]]:
-        """The current hold->request edge set."""
-        edges: Dict[Resource, Set[Resource]] = {}
-        for entry in self._blocked.values():
-            for held in entry.held:
-                edges.setdefault(held, set()).update(entry.requested)
-        return edges
-
-    def build_report(self) -> DeadlockReport:
-        """Search the current graph for a cycle and snapshot the blockage."""
-        # Imported here, at a deadlock: the engine does not load the
-        # analysis package (and its check batteries) to run.
-        from repro.analysis.dependency_graph import find_cycle
-
-        holders: Dict[Resource, int] = {}
-        for entry in self._blocked.values():
-            for held in entry.held:
-                holders[held] = entry.msg_id
-        cycle = find_cycle(self.edges())
-        blocked = sorted(
-            self._blocked.values(), key=lambda entry: entry.msg_id
-        )
-        return DeadlockReport(cycle=cycle, blocked=blocked, holders=holders)
+        stuck.append(f"{entry.name()} head at {entry.head_node}{queued}")
+    summary = (
+        f"no progress for {threshold} cycles at cycle {cycle} with "
+        f"{in_flight} messages in flight (algorithm={algorithm}); sample "
+        f"of waiting messages: {'; '.join(stuck) or 'none in route queue'}"
+        f"{where}"
+    )
+    report = build_report(blocked, summary)
+    return DeadlockError(summary + "\n" + report.format(), report=report)
 
 
-__all__ = ["BlockedMessage", "DeadlockReport", "WaitForGraph"]
+__all__ = [
+    "BlockedMessage",
+    "DeadlockReport",
+    "build_report",
+    "deadlock_error",
+    "wait_for_edges",
+]

@@ -36,10 +36,10 @@ class DeadlockError(ReproError):
     during a simulation indicates a bug in an algorithm implementation (or a
     deliberately broken algorithm used in tests to validate the watchdog).
 
-    When the engine runs with ``SimulationConfig.sanitize=True``,
-    :attr:`report` carries the wait-for-graph sanitizer's
-    :class:`~repro.simulator.sanitizer.DeadlockReport` naming the cycle
-    of ``(link, vc_class)`` resources and the blocked messages.
+    A watchdog trip, on either backend, sets :attr:`report` to the
+    wait-for graph's :class:`~repro.simulator.sanitizer.DeadlockReport`
+    naming the cycle of ``(link, vc_class)`` resources and the blocked
+    messages.
     """
 
     def __init__(self, message: str, report: Optional[Any] = None) -> None:

@@ -48,24 +48,29 @@ with open(os.path.join(DATA, "identity_golden.json")) as _stream:
     GOLDEN = json.load(_stream)
 
 
+#: Address components that left ``SimulationConfig``, with the default
+#: ``identity`` spells literally for every config.
+RETIRED = {"sanitize": False, "scheduler": "active"}
+
+
 def golden_config(case):
-    """The config of one golden case, and the ``scheduler`` it was filed
-    under.  The fixture predates the field's removal: where it names one,
-    the value is an address component the dataclass no longer carries
-    (``identity`` spells the default, ``"active"``, literally)."""
+    """The config of one golden case, and the retired components it was
+    filed under.  The fixture predates the fields' removal: where it
+    names one, the value is an address component the dataclass no
+    longer carries."""
     fields = dict(case["config"])
-    scheduler = fields.pop("scheduler", "active")
-    return SimulationConfig(**fields), scheduler
+    retired = {name: fields.pop(name, RETIRED[name]) for name in RETIRED}
+    return SimulationConfig(**fields), retired
 
 
 def reference(config):
     """The derivation every store file so far was addressed by."""
-    shared = {**dataclasses.asdict(config), "scheduler": "active"}
+    shared = {**dataclasses.asdict(config), **RETIRED}
     for name in SIGNATURE_EXCLUDED:
         shared.pop(name, None)
     blob = json.dumps(shared, sort_keys=True, default=repr)
     signature = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    record = {**dataclasses.asdict(config), "scheduler": "active"}
+    record = {**dataclasses.asdict(config), **RETIRED}
     record.pop("backend", None)
     stored = json.loads(json.dumps(record, sort_keys=True, default=repr))
     point = point_key(config)
@@ -88,19 +93,19 @@ class TestGoldenPins:
         "case", GOLDEN, ids=[str(index) for index in range(len(GOLDEN))]
     )
     def test_addresses_match_the_parent_commit(self, case):
-        config, scheduler = golden_config(case)
+        config, retired = golden_config(case)
         signature, point, key, stored = identify(config)
-        if scheduler != "active":
-            # Filed under the other value of the retired ``scheduler``
-            # field: no config spells it any more, so this address is
-            # out of reach — and differs by that one component only.
+        if retired != RETIRED:
+            # Filed under another value of a retired field (``scheduler``
+            # or ``sanitize``): no config spells it any more, so this
+            # address is out of reach — and differs by that one
+            # component only.
+            assert sum(retired[n] != RETIRED[n] for n in RETIRED) == 1
             assert point == case["point_key"]
             assert (signature, key) != (
                 case["campaign_signature"], case["result_key"]
             )
-            assert {**stored, "scheduler": scheduler} == (
-                case["config_record_dict"]
-            )
+            assert {**stored, **retired} == case["config_record_dict"]
             return
         assert signature == case["campaign_signature"]
         assert point == case["point_key"]
@@ -183,8 +188,8 @@ class TestGoldenPins:
         shutil.copy(
             os.path.join(DATA, "store_parent_strict_batch.jsonl"), path
         )
-        config, scheduler = golden_config(GOLDEN[12])
-        assert scheduler == "scan"
+        config, retired = golden_config(GOLDEN[12])
+        assert retired["scheduler"] == "scan"
         assert (config.backend, config.identity) == ("object", "strict")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -258,7 +263,7 @@ def configs(draw):
             st.sampled_from([0.05, 0.1, 0.5, 5e-324]),
             st.floats(5e-324, 2.2e-308),  # subnormal
         )),
-        sanitize=False if batch else draw(st.sampled_from([False, True, 1])),
+        obs=False if batch else draw(st.sampled_from([False, True, 1])),
         obs_options=draw(_options),
     )
 
@@ -319,7 +324,7 @@ class TestMemoSafety:
         [
             ("gap_cycles", 80, 80.0),
             ("gap_cycles", 1, True),
-            ("sanitize", True, 1),
+            ("obs", True, 1),
             ("injection_limit", 1, True),
             ("traffic_options", {"k": 0.0}, {"k": -0.0}),
             ("traffic_options", {"k": 1}, {"k": True}),
@@ -411,7 +416,7 @@ class TestMemoSafety:
         """After a campaign's first point, a lookup is a memo probe: no
         ``json.loads``, and no encoder for the values every campaign
         holds (floats, bools, empty options)."""
-        spec = dict(gap_cycles=80.0, sanitize=True, relative_error=0.1)
+        spec = dict(gap_cycles=80.0, obs=True, relative_error=0.1)
         identify(tiny_config(**spec))
 
         def boom(*args, **kwargs):

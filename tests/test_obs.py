@@ -23,42 +23,12 @@ from repro.obs import (
     Observer,
     PhaseProfiler,
     ProbeRegistry,
-    RingBuffer,
     TraceWriter,
     validate_trace_lines,
 )
 from repro.simulator.engine import Engine
 from repro.simulator.reference import ScanEngine
 from repro.util.errors import ConfigurationError
-
-
-class TestRingBuffer:
-    def test_keeps_everything_under_capacity(self):
-        ring = RingBuffer(4)
-        for value in range(3):
-            ring.append(value)
-        assert ring.to_list() == [0, 1, 2]
-        assert ring.dropped == 0
-        assert ring.last() == 2
-
-    def test_overwrites_oldest_when_full(self):
-        ring = RingBuffer(3)
-        for value in range(10):
-            ring.append(value)
-        assert ring.to_list() == [7, 8, 9]
-        assert ring.dropped == 7
-        assert len(ring) == 3
-
-    def test_iterates_oldest_first(self):
-        ring = RingBuffer(2)
-        ring.append("a")
-        ring.append("b")
-        ring.append("c")
-        assert list(ring) == ["b", "c"]
-
-    def test_empty_last_raises(self):
-        with pytest.raises(IndexError):
-            RingBuffer(2).last()
 
 
 class TestTraceWriter:
@@ -179,6 +149,17 @@ class TestProbeRegistry:
         without = ProbeRegistry.default(vectors=False)
         assert len(without) < len(with_vectors)
         assert without.scalar_names() == without.names
+
+    def test_series_keeps_the_newest_samples_oldest_first(self):
+        registry = ProbeRegistry(ring_capacity=3)
+        registry.register("x", lambda e: e * 10)
+        for cycle in range(7):
+            registry.sample(cycle, cycle)
+        assert registry.series("x") == [(4, 40), (5, 50), (6, 60)]
+        assert registry.scalar_summary()["x"]["samples"] == 3.0
+        for capacity in (0, 2.5):
+            with pytest.raises(ConfigurationError, match="ring_capacity"):
+                ProbeRegistry(ring_capacity=capacity)
 
 
 def _observed_engine(cycles=1500, **obs_options):

@@ -39,7 +39,6 @@ VARIANTS = {
     "torus": dict(topology="torus"),
     "mesh": dict(topology="mesh"),
     "torus-vct": dict(topology="torus", switching="vct"),
-    "mesh-sanitize": dict(topology="mesh", sanitize=True),
 }
 
 

@@ -1,13 +1,19 @@
 """The runtime wait-for-graph sanitizer and its deadlock reports."""
 
+import dataclasses
+
 import pytest
 
 from repro.obs.observer import Observer
 from repro.routing.base import RoutingAlgorithm
-from repro.simulator.config import SimulationConfig
+from repro.simulator.batch import BatchEngine
 from repro.simulator.engine import Engine
 from repro.simulator.reference import ScanEngine
-from repro.simulator.sanitizer import WaitForGraph
+from repro.simulator.sanitizer import (
+    BlockedMessage,
+    build_report,
+    wait_for_edges,
+)
 from repro.topology.torus import Torus
 from repro.util.errors import DeadlockError
 from tests.conftest import NeverRoutes, tiny_config
@@ -47,6 +53,23 @@ def _deadlock_report(
     return excinfo.value
 
 
+def _lane_reports(config, algorithm, seeds, cycles=30000):
+    """Every lane's recorded DeadlockError after *cycles*, and the
+    engine (for its surviving lanes)."""
+    engine = BatchEngine(
+        config, seeds, topology=algorithm.topology, algorithm=algorithm
+    )
+    engine.run_cycles(cycles)
+    return engine.lane_errors(), engine
+
+
+def _as_batch(config):
+    return dataclasses.replace(
+        config, backend="batch", identity="relaxed",
+        flow_control="conservative",
+    )
+
+
 def _clockwise_case(**overrides):
     config = tiny_config(
         radix=8,
@@ -54,7 +77,6 @@ def _clockwise_case(**overrides):
         offered_load=1.0,
         message_length=8,
         deadlock_threshold=500,
-        sanitize=True,
         seed=2,
         **overrides,
     )
@@ -63,47 +85,122 @@ def _clockwise_case(**overrides):
 
 def _never_routes_case(**overrides):
     config = tiny_config(
-        offered_load=0.5, deadlock_threshold=300, sanitize=True, **overrides
+        **{"offered_load": 0.5, "deadlock_threshold": 300, **overrides}
     )
     return config, NeverRoutes(Torus(4, 2))
 
 
+def _assert_names_the_ring_cycle(error):
+    """A genuine resource cycle, every resource held by a named message
+    and of vc class 0 (all clockwise traffic uses it), in the text."""
+    report = error.report
+    assert report.cycle is not None and len(report.cycle) >= 2
+    for resource in report.cycle:
+        assert report.holders[resource] in report.cycle_messages()
+    assert all(vc_class == 0 for _, vc_class in report.cycle)
+    text = str(error)
+    assert "wait-for cycle" in text
+    assert "blocked messages" in text
+    assert "holds" in text and "waits on" in text
+
+
+def _assert_names_blockage_without_cycle(error):
+    """Messages starve on an empty candidate set: they are named, but
+    there is no hold/wait cycle to report."""
+    report = error.report
+    assert report.cycle is None
+    assert report.cycle_messages() == []
+    assert len(report.blocked) > 0
+    assert all(entry.requested == [] for entry in report.blocked)
+    assert "no wait-for cycle" in str(error)
+    assert "empty candidate set" in str(error)
+
+
+def _report_rows(report):
+    return (
+        report.cycle,
+        report.holders,
+        [
+            (entry.msg_id, entry.held, entry.requested, entry.queued_at)
+            for entry in report.blocked
+        ],
+    )
+
+
 class TestSanitizedDeadlockReport:
     def test_cycle_named_with_resources_and_messages(self):
-        error = _deadlock_report(*_clockwise_case())
-        report = error.report
-        assert report is not None
-        # A genuine resource cycle, every resource held by a named message.
-        assert report.cycle is not None and len(report.cycle) >= 2
-        for resource in report.cycle:
-            assert report.holders[resource] in report.cycle_messages()
-        # All clockwise traffic uses vc class 0.
-        assert all(vc_class == 0 for _, vc_class in report.cycle)
-        # The exception text carries the diagnostic.
-        text = str(error)
-        assert "wait-for cycle" in text
-        assert "blocked messages" in text
-        assert "holds" in text and "waits on" in text
+        _assert_names_the_ring_cycle(_deadlock_report(*_clockwise_case()))
 
     def test_broken_algorithm_reports_blockage_without_cycle(self):
-        """The watchdog's regression algorithm (NeverRoutes) starves
-        messages on an empty candidate set: blocked messages are named,
-        but there is no hold/wait cycle to report."""
-        error = _deadlock_report(*_never_routes_case())
-        report = error.report
-        assert report is not None
-        assert report.cycle is None
-        assert report.cycle_messages() == []
-        assert len(report.blocked) > 0
-        assert all(entry.requested == [] for entry in report.blocked)
-        assert "no wait-for cycle" in str(error)
-        assert "empty candidate set" in str(error)
+        """The watchdog's regression algorithm (NeverRoutes)."""
+        _assert_names_blockage_without_cycle(
+            _deadlock_report(*_never_routes_case())
+        )
 
-    def test_unsanitized_deadlock_has_no_report_but_hints(self, torus4):
-        config = tiny_config(offered_load=0.5, deadlock_threshold=300)
-        error = _deadlock_report(config, NeverRoutes(torus4))
-        assert error.report is None
-        assert "sanitize=True" in str(error)
+    def test_batch_lanes_name_the_ring_cycle(self):
+        config, algorithm = _clockwise_case()
+        errors, _ = _lane_reports(_as_batch(config), algorithm, [2, 3, 4])
+        assert sorted(errors) == [0, 1, 2]
+        for error in errors.values():
+            _assert_names_the_ring_cycle(error)
+
+    def test_batch_lanes_report_blockage_without_cycle(self):
+        config, algorithm = _never_routes_case()
+        errors, _ = _lane_reports(_as_batch(config), algorithm, [7, 8])
+        assert sorted(errors) == [0, 1]
+        for error in errors.values():
+            _assert_names_blockage_without_cycle(error)
+
+    def test_every_trip_reports(self):
+        """No knob gates the diagnosis: whichever stepper trips, the
+        error carries the report, and its text is the summary followed
+        by the formatted report."""
+        config, algorithm = _never_routes_case()
+        errors = [
+            _deadlock_report(config, algorithm, stepper)
+            for stepper in (Engine, ScanEngine)
+        ]
+        lanes, _ = _lane_reports(_as_batch(config), algorithm, [7])
+        errors.append(lanes[0])
+        for error in errors:
+            report = error.report
+            assert report.summary.startswith("no progress for 300 cycles")
+            assert str(error) == report.summary + "\n" + report.format()
+            assert "sanitize" not in str(error)
+        assert "[batch lane 0, seed 7]" in lanes[0].report.summary
+
+    @pytest.mark.parametrize(
+        "case, seeds, cycles",
+        [(_clockwise_case, [2, 3, 4], 30000),
+         (_never_routes_case, [1, 2, 3, 6], 200)],
+        ids=["clockwise", "never-routes-trickle"],
+    )
+    def test_batch_report_is_composition_independent(
+        self, case, seeds, cycles
+    ):
+        """A failing lane reports the same cycle, holders and blocked
+        rows alone as beside other seeds, and building a report only
+        reads state: a lane that does not trip keeps its lone run's
+        fingerprint."""
+        overrides = (
+            {"offered_load": 0.0005, "deadlock_threshold": 50}
+            if case is _never_routes_case else {}
+        )
+        config, algorithm = case(**overrides)
+        config = _as_batch(config)
+        errors, group = _lane_reports(config, algorithm, seeds, cycles)
+        assert errors
+        for index, seed in enumerate(seeds):
+            alone, single = _lane_reports(config, algorithm, [seed], cycles)
+            if index not in errors:
+                assert alone == {}
+                assert group.state_fingerprint(index) == (
+                    single.state_fingerprint(0)
+                )
+                continue
+            assert _report_rows(errors[index].report) == (
+                _report_rows(alone[0].report)
+            )
 
     @pytest.mark.parametrize(
         "observed",
@@ -175,84 +272,28 @@ class TestSanitizedDeadlockReport:
         ]
         assert all(event["cycles"] > 1 for event in waits)
 
-    def test_sanitizer_costs_no_routing_attempts(self):
-        """``sanitize`` only gates the report: blocked messages park and
-        channels are polled exactly as without it (counts, not timing)."""
-
-        def counts(algorithm, sanitize):
-            engine = Engine(SimulationConfig(
-                radix=6, n_dims=2, algorithm=algorithm, offered_load=0.8,
-                seed=42, sanitize=sanitize,
-            ))
-            select, attempts = engine._select, []
-
-            def counted(*args):
-                attempts.append(None)
-                return select(*args)
-
-            engine._select = counted
-            engine.run_cycles(1200)
-            assert engine._parked, "not congested enough to park"
-            return len(attempts), engine.polls_total, engine.flits_moved_total
-
-        for algorithm in ("ecube", "nbc"):
-            assert counts(algorithm, True) == counts(algorithm, False)
-
-    def test_sanitized_run_matches_unsanitized_results(self):
-        """The sanitizer observes; it must not perturb the simulation."""
-        plain = Engine(tiny_config(seed=11))
-        sanitized = Engine(tiny_config(seed=11, sanitize=True))
-        plain.run_cycles(1500)
-        sanitized.run_cycles(1500)
-        assert sanitized.delivered_total == plain.delivered_total
-        assert sanitized.flits_moved_total == plain.flits_moved_total
-        assert sanitized.conservation_check()
-
 
 class TestWaitForGraph:
-    class _FakeVc:
-        def __init__(self, link_index, vc_class):
-            self.link = type("L", (), {"index": link_index})()
-            self.vc_class = vc_class
-
-    class _FakeMessage:
-        def __init__(self, msg_id, src, dst, head_node, path):
-            self.msg_id = msg_id
-            self.src = src
-            self.dst = dst
-            self.head_node = head_node
-            self.path = path
-
-    def _blocked(self, graph, msg_id, held, requested):
-        path = [self._FakeVc(link, vc) for link, vc in held]
-        message = self._FakeMessage(msg_id, 0, 1, 2, path)
-        graph.record_blocked(message, requested)
+    @staticmethod
+    def _row(msg_id, held, requested):
+        return BlockedMessage(msg_id, 0, 1, 2, held, requested)
 
     def test_edges_union_over_held_resources(self):
-        graph = WaitForGraph()
-        self._blocked(graph, 1, [(0, 0), (1, 0)], [(2, 0)])
-        assert graph.edges() == {(0, 0): {(2, 0)}, (1, 0): {(2, 0)}}
-
-    def test_reblocking_replaces_stale_edges(self):
-        graph = WaitForGraph()
-        self._blocked(graph, 1, [(0, 0)], [(1, 0)])
-        self._blocked(graph, 1, [(0, 0)], [(3, 0)])  # tail drained, re-blocked
-        assert graph.edges() == {(0, 0): {(3, 0)}}
-        assert len(graph) == 1
+        edges = wait_for_edges([self._row(1, [(0, 0), (1, 0)], [(2, 0)])])
+        assert edges == {(0, 0): {(2, 0)}, (1, 0): {(2, 0)}}
 
     def test_report_finds_two_message_cycle(self):
-        graph = WaitForGraph()
-        self._blocked(graph, 1, [(0, 0)], [(1, 0)])
-        self._blocked(graph, 2, [(1, 0)], [(0, 0)])
-        report = graph.build_report()
+        report = build_report([
+            self._row(1, [(0, 0)], [(1, 0)]),
+            self._row(2, [(1, 0)], [(0, 0)]),
+        ])
         assert report.cycle is not None
         assert set(report.cycle) == {(0, 0), (1, 0)}
         assert sorted(report.cycle_messages()) == [1, 2]
         assert "wait-for cycle of 2 resources" in report.format()
 
     def test_report_truncates_long_blockage_lists(self):
-        graph = WaitForGraph()
-        for msg_id in range(20):
-            self._blocked(graph, msg_id, [], [(0, 0)])
-        text = graph.build_report().format(max_blocked=4)
-        assert "... and 16 more" in text
+        report = build_report(
+            [self._row(msg_id, [], [(0, 0)]) for msg_id in range(20)]
+        )
+        assert "... and 16 more" in report.format(max_blocked=4)

@@ -16,7 +16,7 @@ Covered here:
   observer enabled and disabled, fingerprints compared every 16 cycles;
 * fixed ideal-flow-control corner cases for the transmit phase's disarm
   rule (buffer depths, short worms, a queueing source, SAF/VCT, strict
-  priority, the sanitizer, an observer attached and detached mid-run),
+  priority, an observer attached and detached mid-run),
   its poll efficiency, and the uniqueness of its splice-heap keys;
 * (drawn configurations — every switching mode, flow control, mux and
   selection policy, traffic pattern, load, worm length and buffer
@@ -113,7 +113,6 @@ class TestSchedulerIdentity:
             {"switching": "saf"},
             {"switching": "vct"},
             {"mux_policy": "highest_class", "algorithm": "phop"},
-            {"sanitize": True},
         ],
         ids=lambda options: "-".join(
             f"{key}={value}" for key, value in options.items()

@@ -1,5 +1,7 @@
 """Unit tests for SimulationConfig validation and builders."""
 
+import dataclasses
+
 import pytest
 
 from repro.simulator.config import SimulationConfig
@@ -102,6 +104,23 @@ class TestValidation:
 
     def test_injection_limit_none_allowed(self):
         assert SimulationConfig(injection_limit=None).injection_limit is None
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_rejects_non_positive_deadlock_threshold(self, threshold):
+        """The watchdog trips once ``cycle - last_progress`` exceeds the
+        threshold: below 1, one idle cycle with traffic in flight would
+        count as a deadlock."""
+        with pytest.raises(ConfigurationError, match="deadlock_threshold"):
+            SimulationConfig(deadlock_threshold=threshold)
+
+    def test_no_knob_gates_the_deadlock_report(self):
+        """Every watchdog trip reports its wait-for graph; no field opts
+        into it."""
+        assert "sanitize" not in {
+            field.name for field in dataclasses.fields(SimulationConfig)
+        }
+        with pytest.raises(TypeError, match="sanitize"):
+            SimulationConfig(sanitize=True)
 
 
 class TestBuilders:
