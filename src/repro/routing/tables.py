@@ -138,6 +138,8 @@ class RouteTable:
         self.term = np.zeros(shape, dtype=bool)
         self.count = np.zeros(0, dtype=np.int64)
         self.succ = np.full(shape, -1, dtype=np.int64)
+        self._views()
+        self._links = algorithm.topology.links
         #: Per-row scalars for successor interning: where the row sits
         #: and a state that stands for every state with the row's key.
         self.rep_state: List[Any] = []
@@ -157,8 +159,22 @@ class RouteTable:
         self.entries[entry] = flats
         return flats
 
+    def _views(self) -> None:
+        """Memoryviews of the columns: the cold path's scalar reads and
+        stores go through them (plain ints, no numpy scalar boxing)."""
+        self._cells = tuple(
+            memoryview(column)
+            for column in (
+                self.cand_flat, self.cand_ch, self.cand_dst, self.term,
+                self.succ, self.count,
+            )
+        )
+
     def _resize(self, rows: int, width: int) -> None:
         """Reallocate the columns to ``rows x width``, contents kept."""
+        # Views pin their columns: drop them first, so each old column
+        # is freed as its replacement lands.
+        self._cells = ()
 
         def grown(old: np.ndarray, fill: int) -> np.ndarray:
             fresh = np.full((rows, width), fill, dtype=old.dtype)
@@ -173,6 +189,7 @@ class RouteTable:
         count = np.zeros(rows, dtype=np.int64)
         count[: self.count.shape[0]] = self.count
         self.count = count
+        self._views()
 
     def row_for(
         self,
@@ -212,15 +229,16 @@ class RouteTable:
         if (capacity, width) != self.cand_flat.shape:
             self._resize(capacity, width)
         v = self._v
-        links = self.algorithm.topology.links
+        links = self._links
+        flat_c, ch_c, dst_c, term_c, _succ_c, count_c = self._cells
         for k, flat in enumerate(flats):
             channel = flat // v
             landing = links[channel].dst
-            self.cand_flat[row, k] = flat
-            self.cand_ch[row, k] = channel
-            self.cand_dst[row, k] = landing
-            self.term[row, k] = landing == dst
-        self.count[row] = len(flats)
+            flat_c[row, k] = flat
+            ch_c[row, k] = channel
+            dst_c[row, k] = landing
+            term_c[row, k] = landing == dst
+        count_c[row] = len(flats)
         self.rep_state.append(state)
         self.node.append(node)
         self.dst.append(dst)
@@ -236,17 +254,18 @@ class RouteTable:
         for a hop that arrives at the destination (delivered messages
         request no further candidates).
         """
-        cached = int(self.succ[row, k])
+        cached = self._cells[4][row, k]
         if cached >= 0:
             return cached
-        algorithm = self.algorithm
-        link_index, vc_class = divmod(int(self.cand_flat[row, k]), self._v)
-        link = algorithm.topology.links[link_index]
-        advanced = algorithm.advance(
+        link_index, vc_class = divmod(self._cells[0][row, k], self._v)
+        link = self._links[link_index]
+        advanced = self.algorithm.advance(
             copy.copy(self.rep_state[row]), self.node[row], link, vc_class
         )
         succ = self.row_for(link.dst, self.dst[row], advanced)
-        self.succ[row, k] = succ
+        # row_for may have resized the columns: store through the
+        # views it left.
+        self._cells[4][row, k] = succ
         return succ
 
 

@@ -15,10 +15,9 @@ kernels whatever B is, instead of a Python scan per lane.  There is one
 stepper and no mode switch.
 
 **What this backend is for.**  Aggregate throughput of multi-seed
-replications: 2-3x the object engine per core at B=32 (1.7-2.9x by
-algorithm; ``docs/performance.md``, the ledger's ``replicate_b32``
-workload), more at B=64.  It is slower than the object engine below B
-of about 16.
+replications; how it compares with the object engine per core at each
+batch width B is measured once, in ``docs/performance.md`` ("Batch
+step kernels"): slower at B=1, ahead from B of about 4-8.
 
 **Contract: statistical, not bitwise** (``identity="relaxed"``, the only
 identity a ``backend="batch"`` config can carry).  Per-lane numpy
@@ -73,14 +72,16 @@ the stream stacks and writes admitted messages as column scatters
 (slots popped and ids numbered for all lanes at once, through the one
 ``segments`` helper that every "entries of each lane" computation
 uses); routing is a park/wake pass (blocked
-requests re-test only when a candidate VC's release stamp advances — see
-``_rel_stamp``) over a tombstoning
+requests re-test only when a candidate VC was released since the last
+pass — see ``_released``) over a tombstoning
 :class:`~repro.simulator.soa.RequestPool`; array writes from VC
 allocation/release are *deferred* into pending blocks flushed as one
 batched scatter just before the transmit kernel (``_flush``); the
 transmit/eject kernels index whole-array state through 1-D views with
-absolute indices ``b*C*V + flat``; and move consequences (release
-bookkeeping, ejection, injection completion, per-winner commits) are
+absolute indices ``b*C*V + flat`` — transmit's one dense pass over
+``[B*C*V]`` finds the candidate VCs, and supply, mux keys and each
+channel's winner are computed on those alone; and move consequences
+(release bookkeeping, ejection, injection completion, per-winner commits) are
 masked scatters in the per-cycle epilogue, applied in ascending
 moving-channel ``active_seq`` order — the object engine's poll order
 over its insertion-ordered active set.  A move writes only what the
@@ -89,9 +90,14 @@ emptying moves, and lifetime accounting happens at release.  Lane
 bookkeeping (flit counts, progress, the watchdog, lane clocks) is mask
 ops over ``[B]`` counter rows.  Python runs per lane only when one
 refills a stream (once per 4096 draws), grows the slab, stops or fails.
-What remains per cycle is numpy kernel dispatch, most of it the routing
-rounds and transmit's per-move scatters — the residual floor recorded
-in docs/performance.md ("Transmit pays per event").
+What remains per cycle is numpy kernel dispatch: 520-670 executed
+lines of this module and ``soa`` per step on an 8x8 torus, the same at
+any B, so a B=1 step costs a third to a half of a B=32 one.  Routing is the
+largest phase — its rounds re-gather the survivors' candidate rows and
+draw tie-breaks per round — then transmit's per-move commit and event
+epilogue, then generation; the first pass over a fresh route table adds
+the cold-path successor interning on top.  The measured split is in
+docs/performance.md ("Batch step kernels").
 """
 
 from __future__ import annotations
@@ -114,12 +120,14 @@ from repro.routing.tables import route_table
 from repro.simulator.config import SimulationConfig
 from repro.simulator.sanitizer import BlockedMessage, deadlock_error
 from repro.simulator.soa import (
+    DEAD_STAMP,
     DeliverQueue,
     MessageSlab,
     RequestPool,
     STREAM_CHUNK,
     Segments,
     StreamStack,
+    lane_order,
     segments,
     tiebreaks,
 )
@@ -143,6 +151,9 @@ from repro.util.rng import (
 #: Masked-out load in the least-multiplexed kernel (any value above
 #: every possible per-channel reserved-VC count works).
 _LOAD_INF = np.int64(1) << 62
+
+#: Mux key of a channel with no ready VC (above every packed key).
+_NO_KEY = np.int16(2**15 - 1)
 
 #: "Never due" sentinel for the arrival array (matches the
 #: geometric_gaps sentinel).
@@ -267,7 +278,6 @@ class BatchEngine:
     ``front/isdst``           [B, C*V] bool  worm front / at dst
     ``rr_next``               [B, C]   i32   round-robin cursor
     ``active_seq``            [B, C]   i64   active-set insertion order
-    ``rr_key``                [B, C, V] i16  mux scan rank of each VC
     ========================  =============  ==================================
     """
 
@@ -365,13 +375,12 @@ class BatchEngine:
         )
         self._pool = RequestPool(self._table.cand_flat.shape[1])
         self._dv = DeliverQueue()
-        #: Cycle each VC was last released (park/wake stamp): a pooled
-        #: request re-tests only when some candidate's stamp reaches its
-        #: blocked-at cycle.  One extra sentinel slot at the end holds
-        #: -inf so the pool's -1 candidate padding (which wraps to index
-        #: b*cv) can never trigger a wake.
-        self._rel_stamp = np.full(b * cv + 1, -1, dtype=np.int64)
-        self._rel_stamp[b * cv] = np.iinfo(np.int64).min
+        #: VCs released since the last routing pass (park/wake): a
+        #: pooled request re-tests only when one of its candidates is
+        #: set here.  One extra sentinel slot at the end stays False so
+        #: the pool's -1 candidate padding (which wraps to index b*cv)
+        #: can never trigger a wake.
+        self._released = np.zeros(b * cv + 1, dtype=bool)
         #: Per-lane route-request / active-set sequence counters.
         self._rseq = np.zeros(b, dtype=np.int64)
         self._nact = np.zeros(b, dtype=np.int64)
@@ -385,7 +394,12 @@ class BatchEngine:
 
         # Flit counters are int16 (validated above: message_length fits)
         # to halve the memory traffic of the per-cycle readiness scan.
-        self._owner, self._owner_f = flat2(np.int64, -1)
+        # One cell past the end stays "owned" (0): the route kernel's
+        # -1 candidate padding wraps to it and reads no free VC.
+        self._owner_ext = np.full(b * cv + 1, -1, dtype=np.int64)
+        self._owner_ext[b * cv] = 0
+        self._owner_f = self._owner_ext[:b * cv]
+        self._owner = self._owner_f.reshape(b, cv)
         # occ and inject share one backing pool so the transmit kernel's
         # supply check is a single gather: a VC's supply index is its
         # upstream's occupancy cell, or (pool_offset + own cell) when
@@ -421,39 +435,28 @@ class BatchEngine:
                 "the batch backend packs mux keys into 6-bit VC slots; "
                 f"{v} virtual channels per physical channel exceed 63"
             )
-        self._sentinel = np.int16(v << 6)
         #: Successor table for the round-robin cursor: nextv[v] = (v+1)%V.
         self._nextv = np.arange(1, v + 1, dtype=np.int32)
         self._nextv[v - 1] = 0
-        #: rrk_table[r] is the packed key row for cursor r.
         vrange = np.arange(v, dtype=np.int16)
-        self._rrk_table = (
-            ((vrange[None, :] - vrange[:, None]) % v) << 6 | vrange[None, :]
-        ).astype(np.int16)
+        #: mux_keys[r * V + vc] is the packed key of VC ``vc`` on a
+        #: channel whose round-robin cursor is r: cyclic rank
+        #: (vc - r) mod V, or under strict priority (whose cursors stay
+        #: 0) the static rank V - 1 - vc, highest class first.
         if self._priority:
-            # Static strict-priority key: highest class first.
-            self._rr_key = (
-                ((v - 1 - vrange) << 6 | vrange).astype(np.int16).reshape(1, 1, v)
-            )
-            self._rr_key2 = self._rr_key.reshape(1, v)
+            rank = np.tile(v - 1 - vrange, (v, 1))
         else:
-            # Cyclic round-robin rank (v - rr_next) mod V, maintained
-            # sparsely as rr_next moves; rr_next starts at 0 everywhere.
-            self._rr_key = np.tile(self._rrk_table[0], (b, c, 1))
-            self._rr_key2 = self._rr_key.reshape(b * c, v)
+            rank = (vrange[None, :] - vrange[:, None]) % v
+        self._mux_keys = (rank << 6 | vrange[None, :]).reshape(-1)
 
-        # Transmit-kernel scratch (one allocation per engine, not cycle).
         n = b * cv
         self._n_flat = n
-        self._sc_ready = np.zeros(n, dtype=bool)
-        self._sc_tmp = np.zeros(n, dtype=bool)
-        self._sc_upocc = np.zeros(n, dtype=np.int16)
-        self._sc_key = np.empty((b, c, v), dtype=np.int16)
-        self._sc_key_f = self._sc_key.reshape(-1)
-        self._sc_key2 = self._sc_key.reshape(b * c, v)
-        self._sc_min = np.empty((b, c), dtype=np.int16)
-        self._sc_min_f = self._sc_min.reshape(-1)
-        self._sc_move = np.empty(b * c, dtype=bool)
+        #: Transmit-kernel scratch: the candidate mask, each channel's
+        #: best mux key.
+        self._sc_cand = np.zeros(n, dtype=bool)
+        self._sc_best = np.empty(b * c, dtype=np.int16)
+        #: Routing scratch: first-claimant positions per VC / channel.
+        self._sc_claim = np.empty(n + 1, dtype=np.intp)
         # "Still transmitting" mask (owned AND worm not fully received),
         # maintained incrementally — set on allocation (_flush), cleared
         # when the last flit lands (_transmit_kernel) or on release — so
@@ -463,8 +466,6 @@ class BatchEngine:
 
         self._lane_on = np.ones(b, dtype=bool)
         self._n_running = b
-        self._lane_mask_f = np.ones(n, dtype=bool)
-        self._all_on = True
 
         # Deferred allocation/release writes, flushed as one batched
         # scatter per cycle (see _flush).
@@ -558,8 +559,9 @@ class BatchEngine:
         """Freeze a finished lane; the rest keep advancing in lockstep."""
         self._lane_on[index] = False
         self._n_running = int(self._lane_on.sum())
-        self._lane_mask_f = np.repeat(self._lane_on, self._cv)
-        self._all_on = False
+        # No VC of a frozen lane transmits again (nothing re-arms it:
+        # its requests leave the pool below).
+        self._txable_f[index * self._cv:(index + 1) * self._cv] = False
         # A frozen lane must stop generating: its due row would
         # otherwise keep matching the poll mask every cycle.
         self._gen_due[index] = _ARR_NEVER
@@ -786,7 +788,6 @@ class BatchEngine:
         slab.dst_f[g] = dd
         slab.dist_f[g] = self._ic_dist[key]
         slab.length_f[g] = self._length
-        slab.inj_f[g] = 0
         slab.ej_f[g] = 0
         slab.head_f[g] = srcs
         slab.head_flat_f[g] = -1
@@ -838,21 +839,21 @@ class BatchEngine:
         """Round-based routing/VC allocation over the woken requests.
 
         Park/wake, vectorized: a pooled request re-tests only when it
-        has never been tested or some cached candidate VC's release
-        stamp reached the cycle it blocked (a VC only turns free
-        through a release, so skipped requests provably have zero free
-        candidates — and since blocked requests consume no rng, the
-        stamp test's spurious wakes are draw-for-draw invisible,
-        exactly like the object engine's wake lists).
+        has never been tested or some cached candidate VC was released
+        since the last pass (a VC only turns free through a release, so
+        skipped requests provably have zero free candidates — and since
+        blocked requests consume no rng, spurious wakes are
+        draw-for-draw invisible, exactly like the object engine's wake
+        lists).
 
         The woken subset is ordered by (lane, seq) — the object engine's
-        sequential scan order — then each round evaluates candidate
-        freeness against the flushed owner array, applies the selection
-        policy with per-lane batched tie-break draws, resolves same-VC
-        conflicts by first occurrence, and commits the winners with
-        masked scatters only (owner/activation writes deferred to
-        _flush, slab columns updated in place).  Requests with no free
-        candidate park with this cycle's stamp.
+        sequential scan order, one packed-key sort (``lane_order``) —
+        then each round evaluates candidate freeness against the
+        flushed owner array, applies the selection policy with per-lane
+        batched tie-break draws, resolves same-VC conflicts by first
+        occurrence, and commits the winners with masked scatters only
+        (owner/activation writes deferred to _flush, slab columns
+        updated in place).  Requests with no free candidate park.
 
         Rng draws group per lane and depend only on that lane's own
         request state (lanes never contend for each other's VCs), so a
@@ -862,47 +863,51 @@ class BatchEngine:
         m = pool.n
         cand_cols = pool.cand[:, :m]
         blk = pool.blocked[:m]
-        # -1 candidate padding wraps to _rel_stamp's -inf sentinel;
-        # tombstones carry DEAD_STAMP and can never wake.  One 1-D
-        # gather per candidate position (the transposed pool layout)
-        # beats a single strided 2-D gather ~3x here.
-        rel_stamp = self._rel_stamp
-        wake = blk < 0
-        for w in range(cand_cols.shape[0]):
-            wake |= rel_stamp[cand_cols[w]] >= blk
+        # -1 candidate padding wraps to _released's False sentinel;
+        # tombstones carry DEAD_STAMP and never wake.
+        released = self._released
+        wake = released[cand_cols].any(axis=0)
+        released.fill(False)
+        wake &= blk != DEAD_STAMP
+        wake |= blk < 0
         test = np.nonzero(wake)[0]
         if not test.shape[0]:
             return
         lanes_all = pool.lane[:m]
-        order = test[np.lexsort((pool.seq[:m][test], lanes_all[test]))]
+        order = test[
+            lane_order(
+                lanes_all[test],
+                pool.seq[:m][test],
+                self._b,
+                int(self._rseq.max()),
+            )
+        ]
         lanes_p = lanes_all[order]
         slots_p = pool.slot[:m][order]
-        absc_p = cand_cols[:, order].T
-        valid_p = absc_p >= 0
         slab = self._slab
         g_p = lanes_p * slab.capacity + slots_p
         offs = lanes_p * self._cv
-        rows = slab.row_f[g_p]
         ups = slab.head_flat_f[g_p].astype(np.int64)
         table = self._table
         v = self._v
-        owner_f = self._owner_f
+        # Padded (-1) candidates wrap to the owner array's sentinel
+        # cell, which always reads owned.
+        owner = self._owner_ext
         owned_ch_f = self._owned_ch_f
+        claim = self._sc_claim
         policy = self.config.selection_policy
         progress = self._progress
-        mt = order.shape[0]
-        blocked = np.zeros(mt, dtype=bool)
-        alive = np.arange(mt, dtype=np.intp)
-        while alive.shape[0]:
+        blocked = np.zeros(order.shape[0], dtype=bool)
+        # The requests still routing this pass, as indices into the
+        # sorted arrays, their rows and their candidates.
+        alive = np.arange(order.shape[0], dtype=np.intp)
+        r = slab.row_f[g_p]
+        absc = cand_cols[:, order].T
+        while True:
             # Round start: land the previous round's reservations (and
             # any pending ejection releases) in the owner array.
             self._flush()
-            r = rows[alive]
-            valid = valid_p[alive]
-            # Padded (-1) candidates index a garbage cell; every read
-            # through `absc` is masked by `valid`.
-            absc = absc_p[alive]
-            free = valid & (owner_f[absc] < 0)
+            free = owner[absc] < 0
             nfree = free.sum(axis=1)
             has = nfree > 0
             if not has.all():
@@ -932,11 +937,14 @@ class BatchEngine:
                 )
                 rank = tie.cumsum(axis=1) - 1
                 k = (tie & (rank == t[:, None])).argmax(axis=1)
-            chosen = absc[np.arange(alive.shape[0]), k]
+            na = alive.shape[0]
+            pos = np.arange(na, dtype=np.intp)
+            chosen = absc[pos, k]
             # First occurrence per VC wins; requests are ordered by
             # (lane, route_seq), so this is the sequential scan order.
-            win = np.zeros(alive.shape[0], dtype=bool)
-            win[np.unique(chosen, return_index=True)[1]] = True
+            claim[chosen] = na
+            np.minimum.at(claim, chosen, pos)
+            win = claim[chosen] == pos
             jw = alive[win]
             kw = k[win]
             ca = chosen[win]
@@ -948,8 +956,10 @@ class BatchEngine:
             idle = np.nonzero(owned_ch_f[ch_abs] == 0)[0]
             np.add.at(owned_ch_f, ch_abs, 1)
             if idle.shape[0]:
-                first = np.unique(ch_abs[idle], return_index=True)[1]
-                idx = idle[np.sort(first)]
+                ch_idle = ch_abs[idle]
+                claim[ch_idle] = idle.shape[0]
+                np.minimum.at(claim, ch_idle, pos[:idle.shape[0]])
+                idx = idle[claim[ch_idle] == pos[:idle.shape[0]]]
                 self._pa_act_blocks.append(
                     (
                         ch_abs[idx],
@@ -967,21 +977,16 @@ class BatchEngine:
             src_mask = up < 0
             up_abs = np.where(src_mask, 0, offs[jw] + up)
             self._pa_blocks.append(
-                (
-                    ca,
-                    slots_p[jw].astype(np.int64),
-                    up,
-                    up_abs,
-                    src_mask,
-                    isdst,
-                )
+                (ca, slots_p[jw], up, up_abs, src_mask, isdst)
             )
             flat_w = ca - offs[jw]
             srows = table.succ[ro, kw]
             nonterm = np.nonzero(~isdst)[0]
             miss = nonterm[srows[nonterm] < 0]
-            for i in miss.tolist():
-                srows[i] = table.successor(int(ro[i]), int(kw[i]))
+            for i, row, k in zip(
+                miss.tolist(), ro[miss].tolist(), kw[miss].tolist()
+            ):
+                srows[i] = table.successor(row, k)
             slab.row_f[g_w[nonterm]] = srows[nonterm]
             slab.head_f[g_w] = table.cand_dst[ro, kw]
             slab.head_flat_f[g_w] = flat_w
@@ -989,9 +994,14 @@ class BatchEngine:
             slab.src_flat_f[g_w[sm]] = flat_w[sm]
             slab.tail_flat_f[g_w[sm]] = flat_w[sm]
             progress[lanes_p[jw]] = True
-            alive = alive[~win]
-        # Winners tombstone in place; the blocked park with this
-        # cycle's stamp (a release at or after it wakes them);
+            if win.all():
+                break
+            lose = ~win
+            alive = alive[lose]
+            r = r[lose]
+            absc = absc[lose]
+        # Winners tombstone in place; the blocked park, stamped with
+        # this cycle (a later release of a candidate wakes them);
         # untested parked entries stay put untouched.  Compaction is
         # amortized: only once tombstones reach a quarter of the pool.
         pool.blocked[:m][order[blocked]] = cycle
@@ -999,7 +1009,8 @@ class BatchEngine:
         if pool.dead * 4 > pool.n:
             pool.prune()
 
-    def _draw_seqs(self, seg: Segments, counter: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _draw_seqs(seg: Segments, counter: np.ndarray) -> np.ndarray:
         """Per-lane consecutive sequence numbers for the lane-sorted ids
         of *seg* (their ``segments``), advancing *counter* in place.
 
@@ -1063,7 +1074,7 @@ class BatchEngine:
         if r3.shape[0]:
             rel = ev_b[r3] * self._cv + ev_up[r3]
             self._pend_rel_blocks.append(rel)
-            self._rel_stamp[rel] = cycle
+            self._released[rel] = True
             np.subtract.at(self._owned_ch_f, rel // self._v, 1)
             self._owned_any -= int(r3.shape[0])
             # Releases are tail-order: the freed upstream VC was the
@@ -1113,7 +1124,7 @@ class BatchEngine:
         """
         slab = self._slab
         self._pend_rel_blocks.append(comp_abs)
-        self._rel_stamp[comp_abs] = cycle
+        self._released[comp_abs] = True
         np.subtract.at(self._owned_ch_f, comp_abs // self._v, 1)
         self._owned_any -= int(comp_abs.shape[0])
         slab.live_f[g] = False
@@ -1181,14 +1192,14 @@ class BatchEngine:
     def _flush_alloc(
         self,
         a: np.ndarray,
-        ids: np.ndarray,
+        slots: np.ndarray,
         up: np.ndarray,
         up_abs: np.ndarray,
         src: np.ndarray,
         isdst: np.ndarray,
     ) -> None:
         """Land one batch of allocation scatters in the flat arrays."""
-        self._owner_f[a] = ids
+        self._owner_f[a] = slots
         self._txable_f[a] = True
         self._fin_f[a] = 0
         self._up_f[a] = up.astype(np.int32)
@@ -1224,41 +1235,31 @@ class BatchEngine:
         b = self._b
         c = self._c
         v = self._v
-        ready = self._sc_ready
-        tmp = self._sc_tmp
         length = self._length
-        np.copyto(ready, self._txable_f)
-        np.less(self._occ_f, self._cap, out=tmp)
-        np.logical_and(ready, tmp, out=ready)
-        # Supply: the settled upstream occupancy, or the remaining source
-        # flits on source-fed VCs — one gather from the shared pool (a
-        # VC's supply index points at its upstream's occupancy cell or
-        # its own inject cell, set at allocation time).
-        np.take(self._supply_pool, self._up_abs_f, out=self._sc_upocc)
-        np.greater(self._sc_upocc, 0, out=tmp)
-        np.logical_and(ready, tmp, out=ready)
-        if not self._all_on:
-            np.logical_and(ready, self._lane_mask_f, out=ready)
+        # Candidates: VCs still receiving (owned, worm not fully
+        # through) with target space; ready ones also have supply — the
+        # settled upstream occupancy, or the remaining source flits on
+        # source-fed VCs, one gather from the shared pool (a VC's
+        # supply index points at its upstream's occupancy cell or its
+        # own inject cell, set at allocation time).
+        cand = self._sc_cand
+        np.less(self._occ_f, self._cap, out=cand)
+        np.logical_and(cand, self._txable_f, out=cand)
+        ready = np.flatnonzero(cand)
+        ready = ready[self._supply_pool[self._up_abs_f[ready]] > 0]
+        if not ready.shape[0]:
+            return None
 
         # Per-channel winner: the ready VC with the smallest packed mux
-        # key.  Not-ready VCs get their key pushed up by one sentinel
-        # (keys are < sentinel, so winner keys and the mover test are
-        # unaffected); a min fold per channel delivers the rank and
-        # (low six bits) the winning VC.
-        key_f = self._sc_key_f
-        np.logical_not(ready, out=tmp)
-        np.multiply(tmp, self._sentinel, out=key_f, casting="unsafe")
-        key2 = self._sc_key2
-        np.add(key2, self._rr_key2, out=key2)
-        minv_f = self._sc_min_f
-        np.copyto(minv_f, key2[:, 0])
-        for i in range(1, v):
-            np.minimum(minv_f, key2[:, i], out=minv_f)
-        np.less(self._sc_min_f, self._sentinel, out=self._sc_move)
-        mv = np.nonzero(self._sc_move)[0]  # absolute channel: b*C + c
-        if mv.shape[0] == 0:
-            return None
-        vm = self._sc_min_f[mv] & 63
+        # key; a min per channel delivers the rank and (low six bits)
+        # the winning VC, and channels left at the sentinel have none.
+        ch = ready // v  # absolute channel: b*C + c
+        keys = self._mux_keys[self._rr_next_f[ch] * v + (ready - ch * v)]
+        best = self._sc_best
+        best.fill(_NO_KEY)
+        np.minimum.at(best, ch, keys)
+        mv = np.flatnonzero(best < _NO_KEY)
+        vm = best[mv] & 63
         abs_m = mv * v + vm
 
         # -- commit: target VC side (nothing stamped or counted per
@@ -1268,9 +1269,7 @@ class BatchEngine:
         self._fin_f[abs_m] = fin_new
         self._txable_f[abs_m[fin_new == length]] = False
         if not self._priority:
-            rrn = self._nextv[vm]
-            self._rr_next_f[mv] = rrn
-            self._rr_key2[mv] = self._rrk_table[rrn]
+            self._rr_next_f[mv] = self._nextv[vm]
 
         # -- commit: upstream / source side, one decrement through the
         # supply pool whichever feeds the VC ---------------------------
@@ -1279,14 +1278,6 @@ class BatchEngine:
         left = pool[sup] - 1
         pool[sup] = left
         n_flat = self._n_flat
-        sa = sup[sup >= n_flat]
-        if sa.shape[0]:
-            # Per-message injected-flit accounting lives in the slab
-            # (owner cells store the slot).
-            sa -= n_flat
-            slab = self._slab
-            gi = (sa // self._cv) * slab.capacity + self._owner_f[sa]
-            slab.inj_f[gi] += 1
 
         bm = mv // c
         lane_moves = np.bincount(bm, minlength=b)
@@ -1314,7 +1305,9 @@ class BatchEngine:
         # Object-engine order: events fire as their channels are polled,
         # in ascending active-set insertion order within each lane.
         bi = bm[idx]
-        order = np.lexsort((self._active_seq_f[mv[idx]], bi))
+        order = lane_order(
+            bi, self._active_seq_f[mv[idx]], b, int(self._nact.max())
+        )
         sel = idx[order]
         bs = bi[order]
         abs_s = abs_m[sel]
@@ -1397,16 +1390,34 @@ class BatchEngine:
         ``_flush()`` needed: ``occ`` writes are never deferred)."""
         return int(self._occ[index].sum())
 
+    def _sync_injected(self, index: int) -> None:
+        """Fill one lane's slab ``inj`` column (flits that have left the
+        source), which no move writes, from the network state: a
+        message still holding its first-hop VC has injected ``length``
+        minus that VC's inject cell; one that released it, all its
+        flits; one that never held one (``src_flat`` -1), none.
+        ``_flush()``es first: which VCs a message holds reads
+        ``owner``."""
+        self._flush()
+        slab = self._slab
+        src = slab.src_flat[index].astype(np.int64)
+        held = src >= 0
+        a = index * self._cv + np.where(held, src, 0)
+        own = self._owner_f[a] == np.arange(slab.capacity)
+        left = np.where(held & own, self._inject_f[a], 0)
+        slab.inj[index] = np.where(held, self._length - left, 0)
+
     def _iter_live_messages(self, lane: _Lane) -> Iterator[Any]:
         # The slab's live slots are exactly the undelivered messages —
         # the set Engine._iter_live_messages walks via queue/heap/
         # parked/owners — and the yielded MessageView exposes the same
         # attribute names.
+        self._sync_injected(lane.index)
         return self._slab.iter_live(lane.index)
 
     def conservation_check(self, index: int) -> bool:
         """Invariant: every admitted flit is accounted for, per lane."""
-        self._flush()
+        self._sync_injected(index)
         lane = self.lanes[index]
         length = self._length
         expected = lane.generated_total * length
@@ -1433,7 +1444,7 @@ class BatchEngine:
         derived.  Not comparable with an object engine's digest (other
         rng streams, other schedules).
         """
-        self._flush()
+        self._sync_injected(index)
         lane = self.lanes[index]
         b = index
         v = self._v

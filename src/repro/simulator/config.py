@@ -41,8 +41,9 @@ MUX_POLICIES = ("round_robin", "highest_class")
 #: (:class:`repro.simulator.engine.Engine`), the only bit-exact path and
 #: the one every option works on; "batch" is the vectorized flat-array
 #: engine (:class:`repro.simulator.batch.BatchEngine`) that advances a
-#: whole batch of seeds of one configuration in lockstep (2-3x
-#: aggregate throughput per core at 32 seeds).  The batch backend requires
+#: whole batch of seeds of one configuration in lockstep (its throughput
+#: against the object engine, per batch width, is measured in
+#: docs/performance.md, "Batch step kernels").  The batch backend requires
 #: conservative flow control and wormhole/VCT switching (see the batch
 #: module docstring).
 BACKENDS = ("object", "batch")

@@ -20,9 +20,9 @@ Four containers:
 * :class:`RequestPool` — the pending route requests (lane, slot, seq)
   with each entry's cached candidate VCs and last-blocked cycle.
   Blocked requests stay pooled; the engine re-tests one only when a
-  candidate VC was released at or after the cycle it blocked (a
-  vectorized park/wake).  Spurious wakes are harmless — a blocked
-  request consumes no rng — so the stamp test's over-approximation is
+  candidate VC was released since its last routing pass (a vectorized
+  park/wake).  Spurious wakes are harmless — a blocked request
+  consumes no rng — so the flag test's over-approximation is
   draw-for-draw equivalent to exact wake lists.
 * :class:`DeliverQueue` — absolute VC indices currently delivering at
   their destination, in registration order (the order a stopped lane
@@ -36,7 +36,8 @@ Four containers:
   stack of raw 32-bit words into bounded integers.
 
 Everything that addresses "the entries of each lane" in a lane-sorted
-id array goes through :func:`segments`.  The first three containers
+id array goes through :func:`segments`, and every (lane, seq) order
+through :func:`lane_order`.  The first three containers
 grow by doubling, the stack widens to fit, none ever shrinks; the
 engine holds exactly one slab, pool and queue and one stack per stream
 kind.
@@ -89,16 +90,38 @@ def segments(lane_ids: np.ndarray) -> Segments:
             np.full(1, n, dtype=np.intp),
             np.arange(n, dtype=np.intp),
         )
-    cuts = np.nonzero(lane_ids[1:] != lane_ids[:-1])[0]
-    starts = np.empty(cuts.shape[0] + 1, dtype=np.intp)
-    starts[0] = 0
-    np.add(cuts, 1, out=starts[1:])
-    counts = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = n - starts[-1]
+    # Entries per lane id, and where each id's run starts.
+    per_id = np.bincount(lane_ids)
+    first = per_id.cumsum()
+    first -= per_id
+    lanes = np.flatnonzero(per_id)
     within = np.arange(n, dtype=np.intp)
-    within -= np.repeat(starts, counts)
-    return Segments(lane_ids, lane_ids[starts], starts, counts, within)
+    within -= first[lane_ids]
+    return Segments(lane_ids, lanes, first[lanes], per_id[lanes], within)
+
+
+def lane_order(
+    lane_ids: np.ndarray, seqs: np.ndarray, batch: int, seq_bound: int
+) -> np.ndarray:
+    """The permutation ``np.lexsort((seqs, lane_ids))`` returns, by one
+    sort of packed keys.
+
+    *lane_ids* lie in ``[0, batch)`` and *seqs* in ``[0, seq_bound)``
+    (the caller's lane count and sequence counter bound them); each pair
+    packs into the int64 ``lane << shift | seq``, ``shift`` the bit
+    length of the largest seq, and a stable sort keeps equal pairs in
+    input order as lexsort does.  Bounds that would not fit in 63 bits
+    raise ``OverflowError`` instead of wrapping.
+    """
+    shift = max(seq_bound - 1, 0).bit_length()
+    if max(batch - 1, 0).bit_length() + shift > 63:
+        raise OverflowError(
+            f"{batch} lanes and seqs below {seq_bound} do not pack "
+            "into 63 bits"
+        )
+    key = np.left_shift(lane_ids, shift, dtype=np.int64)
+    key |= seqs
+    return np.argsort(key, kind="stable")
 
 
 class MessageView(NamedTuple):
@@ -212,7 +235,9 @@ class MessageSlab:
         ("dst", np.int32, 0),
         ("dist", np.int32, 0),
         ("length", np.int32, 0),
-        ("inj", np.int32, 0),  # flits injected (have left the source)
+        # flits injected (have left the source); no move writes it, the
+        # batch engine derives it before a cold-path read
+        ("inj", np.int32, 0),
         ("ej", np.int32, 0),  # flits ejected at the destination
         ("head", np.int32, 0),  # head node
         ("head_flat", np.int32, -1),  # newest VC held (path tail)
@@ -340,12 +365,12 @@ class RequestPool:
 
     Entries persist while blocked.  Each entry caches its candidate
     VCs' *absolute* flat indices (``cand``, -1 padded — a request's
-    route-table row is fixed for its pool lifetime) and the cycle it
-    last blocked (``blocked``, -1 for never-tested entries), which is
-    what the engine's vectorized park/wake test gathers against.
+    route-table row is fixed for its pool lifetime), which is what the
+    engine's vectorized park/wake test gathers through, and the cycle
+    it last blocked (``blocked``, -1 for never-tested entries).
     ``cand`` is stored transposed — [width, capacity], one contiguous
-    row per candidate position — so the per-cycle wake test runs as
-    ``width`` cheap 1-D gathers instead of one strided 2-D gather.
+    row per candidate position — so the wake test's "any candidate"
+    reduction runs down contiguous rows.
 
     Winners are tombstoned in place (:meth:`kill` sets lane -1 and a
     ``DEAD_STAMP`` park stamp so they never wake) rather than
@@ -374,8 +399,6 @@ class RequestPool:
     def _reserve(self, extra: int) -> None:
         need = self.n + extra
         cap = self.lane.shape[0]
-        if need <= cap:
-            return
         while cap < need:
             cap *= 2
         for name in ("lane", "slot", "seq", "blocked"):
@@ -408,8 +431,9 @@ class RequestPool:
         count = lanes.shape[0]
         if cand.shape[1] != self.width:
             self.widen(cand.shape[1])
-        self._reserve(count)
         n = self.n
+        if n + count > self.lane.shape[0]:
+            self._reserve(count)
         self.lane[n:n + count] = lanes
         self.slot[n:n + count] = slots
         self.seq[n:n + count] = seqs
@@ -425,15 +449,16 @@ class RequestPool:
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop the masked-out entries, preserving order."""
-        count = int(keep.sum())
         n = self.n
+        idx = np.flatnonzero(keep)
+        count = idx.shape[0]
         if count == n:
             return
-        self.lane[:count] = self.lane[:n][keep]
-        self.slot[:count] = self.slot[:n][keep]
-        self.seq[:count] = self.seq[:n][keep]
-        self.blocked[:count] = self.blocked[:n][keep]
-        self.cand[:, :count] = self.cand[:, :n][:, keep]
+        self.lane[:count] = self.lane[idx]
+        self.slot[:count] = self.slot[idx]
+        self.seq[:count] = self.seq[idx]
+        self.blocked[:count] = self.blocked[idx]
+        self.cand[:, :count] = np.compress(keep, self.cand[:, :n], axis=1)
         self.n = count
 
     def prune(self) -> None:
@@ -655,6 +680,7 @@ __all__ = [
     "STREAM_CHUNK",
     "Segments",
     "StreamStack",
+    "lane_order",
     "segments",
     "tiebreaks",
 ]

@@ -33,6 +33,7 @@ from repro.simulator.soa import (
     STREAM_CHUNK,
     MessageSlab,
     StreamStack,
+    lane_order,
     segments,
     tiebreaks,
 )
@@ -104,6 +105,165 @@ class TestSegments:
             [3], [0], [4]
         )
         assert within.tolist() == [0, 1, 2, 3]
+
+
+class TestLaneOrder:
+    """One stable sort of packed ``lane << shift | seq`` keys is
+    ``np.lexsort((seq, lane))``, up to the packing bound."""
+
+    @pytest.mark.parametrize("batch", [1, 32, 64])
+    @pytest.mark.parametrize("size", [1, 300, 1500])
+    def test_equals_lexsort_up_to_the_bound(self, batch, size):
+        rng = np.random.default_rng(batch * 7919 + size)
+        top = 2 ** (63 - (batch - 1).bit_length())
+        for seq_bound in (1, 2, 1000, top):
+            lanes = rng.integers(0, batch, size)
+            # Small bounds repeat (lane, seq) pairs: ties keep input
+            # order, as lexsort's do.
+            seqs = rng.integers(0, seq_bound, size, dtype=np.int64)
+            seqs[:1] = seq_bound - 1
+            got = lane_order(lanes, seqs, batch, seq_bound)
+            assert np.array_equal(got, np.lexsort((seqs, lanes)))
+
+    @pytest.mark.parametrize("batch", [1, 32, 64])
+    def test_past_the_bound_raises_instead_of_wrapping(self, batch):
+        top = 2 ** (63 - (batch - 1).bit_length())
+        lanes = np.zeros(1, dtype=np.intp)
+        seqs = np.zeros(1, dtype=np.int64)
+        lane_order(lanes, seqs, batch, top)
+        with pytest.raises(OverflowError):
+            lane_order(lanes, seqs, batch, top + 1)
+        with pytest.raises(OverflowError):
+            lane_order(lanes, seqs, 2 * batch + 1, top)
+
+
+class _PerLaneSlab:
+    """The slab's free lists as plain per-lane Python stacks: pops and
+    pushes one lane at a time, top of the stack last, and grows like
+    ``MessageSlab.grow`` (every lane gains the fresh slots, in order)."""
+
+    def __init__(self, batch, capacity):
+        self.capacity = capacity
+        self.stacks = [list(range(capacity)) for _ in range(batch)]
+
+    def alloc(self, counts):
+        while any(len(self.stacks[b]) < n for b, n in enumerate(counts)):
+            old, self.capacity = self.capacity, 2 * self.capacity
+            for stack in self.stacks:
+                stack.extend(range(old, self.capacity))
+        slots = []
+        for b, n in enumerate(counts):
+            stack = self.stacks[b]
+            taken = stack[len(stack) - n:]
+            del stack[len(stack) - n:]
+            slots.extend(taken)
+        return slots
+
+    def release(self, per_lane):
+        for b, slots in enumerate(per_lane):
+            self.stacks[b].extend(slots)
+
+
+#: Per-lane entry counts of one call: B = 1 to 5, any lane may be absent.
+_COUNTS = st.integers(1, 5).flatmap(
+    lambda batch: st.lists(
+        st.integers(0, 4), min_size=batch, max_size=batch
+    ).filter(any)
+)
+
+
+class TestPerLaneBookkeeping:
+    """``segments``, ``BatchEngine._draw_seqs`` and the slab's many-lane
+    ``alloc`` / ``release`` are a plain per-lane loop, whatever the mix
+    of lanes: one lane, a single run, lanes absent from the call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=_COUNTS)
+    def test_segments_are_the_per_lane_runs(self, counts):
+        ids = lane_ids_of(counts)
+        same, lanes, starts, runs, within = segments(ids)
+        assert same is ids
+        expect_lanes, expect_starts, expect_within = [], [], []
+        at = 0
+        for b, count in enumerate(counts):
+            if count:
+                expect_lanes.append(b)
+                expect_starts.append(at)
+                expect_within.extend(range(count))
+                at += count
+        assert lanes.tolist() == expect_lanes
+        assert starts.tolist() == expect_starts
+        assert runs.tolist() == [c for c in counts if c]
+        assert within.tolist() == expect_within
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=_COUNTS,
+        base=st.lists(st.integers(0, 10**6), min_size=5, max_size=5),
+    )
+    def test_draw_seqs_numbers_each_lane_from_its_counter(
+        self, counts, base
+    ):
+        counter = np.array(base[:len(counts)], dtype=np.int64)
+        expect = list(counter.tolist())
+        seqs = []
+        for b, count in enumerate(counts):
+            for _ in range(count):
+                seqs.append(expect[b])
+                expect[b] += 1
+        got = BatchEngine._draw_seqs(segments(lane_ids_of(counts)), counter)
+        assert got.tolist() == seqs
+        assert counter.tolist() == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        steps=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(0, 5), min_size=4, max_size=4),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_alloc_release_is_the_per_lane_stack(self, batch, steps):
+        slab = MessageSlab(batch, capacity=2)
+        model = _PerLaneSlab(batch, 2)
+        held = [[] for _ in range(batch)]
+        for take, wanted in steps:
+            wanted = wanted[:batch]
+            if take:
+                counts = wanted
+                if not any(counts):
+                    continue
+                got = slab.alloc(segments(lane_ids_of(counts)))
+                assert got.tolist() == model.alloc(counts)
+                at = 0
+                for b, count in enumerate(counts):
+                    held[b].extend(got[at:at + count].tolist())
+                    at += count
+            else:
+                # Give back the most recent slots of each lane, newest
+                # last, as completions arrive in any order.
+                back = [
+                    held[b][len(held[b]) - min(n, len(held[b])):]
+                    for b, n in enumerate(wanted)
+                ]
+                if not any(back):
+                    continue
+                for b, slots in enumerate(back):
+                    del held[b][len(held[b]) - len(slots):]
+                ids = lane_ids_of([len(slots) for slots in back])
+                slab.release(
+                    segments(ids),
+                    np.array(sum(back, []), dtype=np.int32),
+                )
+                model.release(back)
+            assert slab.capacity == model.capacity
+            for b in range(batch):
+                top = slab.free_slots(b)
+                assert slab._free[b, :top].tolist() == model.stacks[b]
 
 
 class TestStackReplaysStreams:
