@@ -10,14 +10,16 @@ of the cycle) and a buffer slot that was free at the start of the cycle.
 ``transmit`` is the channel model's definition: the reference stepper
 (:mod:`repro.simulator.reference`) calls it once per active link per
 fixpoint pass per cycle, and the engine's transmit phase is this method
-fused inline, pinned to it by the golden traces.  Its scan only visits
-the *reserved* virtual channels: ``owned_idx`` is a sorted index list
-maintained by :meth:`VirtualChannel.reserve`/``release``, and the
-round-robin start position is located in it with one bisect.  For the
-hop schemes (16+ virtual channels of which a handful are reserved at any
-time) this removes almost the entire scan; the semantics are bit-identical
-to scanning every index and skipping the free ones (the test suite pins
-the engine's flit schedule against golden traces).
+fused inline (less the store-and-forward assembly test, which never fails
+there: see ``Engine._transmit``), pinned to it by the golden traces.  Its
+scan only visits the *reserved* virtual channels: ``owned_idx`` is a
+sorted index list maintained by :meth:`VirtualChannel.reserve`/
+``release``, and the round-robin start position is located in it with
+one bisect.  For the hop schemes (16+ virtual channels of which a handful
+are reserved at any time) this removes almost the entire scan; the
+semantics are bit-identical to scanning every index and skipping the free
+ones (the test suite pins the engine's flit schedule against golden
+traces).
 
 The channel also carries the activity-tracked scheduler's bookkeeping:
 ``armed_cycle`` stamps the latest cycle at which this channel may possibly
@@ -77,9 +79,11 @@ class PhysicalChannel:
         #: Set by a failed transmit: True when some virtual channel was
         #: blocked *only* on buffer space (or SAF packet assembly) — the
         #: two conditions that can still change later in the same cycle.
-        #: The engine's ideal-flow-control fixpoint re-polls only channels
-        #: with this hint; all other failures are final for the cycle
-        #: because settled-flit counts never increase mid-cycle.
+        #: Only the reference stepper (``ScanEngine``) reads it: its
+        #: ideal-flow-control fixpoint re-polls only channels with this
+        #: hint; all other failures are final for the cycle because
+        #: settled-flit counts never increase mid-cycle.  ``Engine``
+        #: re-polls by event instead and never consults it.
         self.retry_hint = False
         #: Latest cycle at which this channel might move a flit.  The
         #: activity-tracked scheduler polls a channel at cycle c only when

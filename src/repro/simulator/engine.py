@@ -27,10 +27,11 @@ the full-packet-before-forwarding rule) — the three switching techniques
 the paper compares in Section 3.4.
 
 A watchdog raises :class:`~repro.util.errors.DeadlockError` if traffic is
-in flight but nothing has moved for a long time, carrying the wait-for
-report of :mod:`repro.simulator.sanitizer`; all six paper algorithms
-are deadlock-free, so it fires only on buggy or deliberately broken
-algorithms (it is exercised in the test suite with one of those).
+in flight but nothing has moved anywhere for a long time, carrying the
+wait-for report of :mod:`repro.simulator.sanitizer`.  It detects a
+network-wide stall only: a partial deadlock — a knot of worms waiting on
+each other while traffic elsewhere still moves, such as the one 2pn
+forms on a 16x16 torus — never trips it and goes unseen.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappush
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -81,6 +82,24 @@ from repro.util.rng import (
 
 #: Sort key for re-poll lists (ascending active-set insertion order).
 _BY_ACTIVE_SEQ = attrgetter("active_seq")
+
+
+def _splice(
+    pending: List[PhysicalChannel], channel: PhysicalChannel, seq: int
+) -> None:
+    """Insert *channel* (``active_seq`` *seq*) into the sorted poll list.
+
+    A bisect on ``active_seq`` by hand: ``bisect.insort(key=)`` needs
+    Python 3.10.
+    """
+    lo, hi = 0, len(pending)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pending[mid].active_seq < seq:
+            lo = mid + 1
+        else:
+            hi = mid
+    pending.insert(lo, channel)
 
 
 class Engine:
@@ -178,6 +197,15 @@ class Engine:
         # of the free/best candidate filters is paid once per engine.
         self._free_scratch: List[VirtualChannel] = []
         self._best_scratch: List[VirtualChannel] = []
+        # Round-robin successor of each VC class: where a channel's scan
+        # starts after that class moved a flit.  Strict priority keeps
+        # every cursor at 0.
+        num_vcs = self.fabric.num_vcs
+        self._rr_after = (
+            (0,) * num_vcs
+            if self._highest_class_first
+            else tuple(range(1, num_vcs)) + (0,)
+        )
         self._refresh_streams()
 
         # lifetime counters
@@ -601,41 +629,63 @@ class Engine:
         reserved VC.  The readiness of that VC for the next cycle is
         recomputed right after the move, from the state the move left,
         and is written to ``armed_cycle`` either way — so a "next cycle"
-        arm set earlier in the cycle (by the downstream departure that
-        spliced the channel in, under one-flit ideal-flow-control
-        buffers) is cancelled when the VC it was set for has just
-        refilled.  This is sound for the same reason skipping is: every
-        term of the predicate (flits left, buffer space, a flit upstream,
-        assembly) changes only through a departure from the VC, an
-        arrival upstream, an ejection or an allocation, and each of those
-        arms the channel itself.  Channels with several reserved VCs are
-        still re-armed unconditionally.
+        arm set earlier in the cycle is cancelled when the VC it was set
+        for has just refilled.  This is sound for the same reason
+        skipping is: every term of the predicate (flits left, buffer
+        space, a flit upstream) changes only through a departure from
+        the VC, an arrival upstream, an ejection or an allocation, and
+        each of those arms the channel itself.  Channels
+        with several reserved VCs are still re-armed unconditionally.
+
+        A departure under ideal flow control splices the channel one hop
+        back into this cycle's passes — unless the VC it left already
+        holds the worm's tail (always so under SAF), when that channel
+        has nothing left to send into it — and the splice *carries* the
+        channel's next-cycle arm instead of evaluating it: the poll the
+        splice guarantees decides it.  A move rewrites ``armed_cycle``
+        from the post-move state as above, and a failed sole-owner poll
+        evaluates the same predicate on the spot; a spliced channel with
+        several reserved VCs is armed unconditionally, as always.
 
         Within the cycle, successes happen in ascending active-set order
-        — the full scan's order — because the armed subset is drained
-        through a min-heap keyed on ``active_seq``, and a move that could
-        unblock a channel mid-cycle (ideal flow control / SAF assembly)
-        splices that channel into the current pass when its turn is still
-        ahead, or into the next fixpoint pass when it already went.  That
-        reproduces the scan fixpoint's poll outcomes exactly, modulo
-        polls that fail with no side effect.
+        — the full scan's order — because each pass walks one poll list
+        sorted by ``active_seq``, and a departure that could unblock a
+        channel mid-cycle (ideal flow control) splices that channel into
+        the list at its ``active_seq`` position when its turn is still
+        ahead (the list is sorted, so that position lies past the
+        cursor), or into the next fixpoint pass when it already went.
+        That reproduces the scan fixpoint's poll outcomes exactly,
+        modulo polls that fail with no side effect.
+
+        Store-and-forward needs no test of its own here.  A worm requests
+        its next channel only once its whole packet sits in its front VC,
+        so every VC with an upstream VC is fed from an assembled packet —
+        the assembly test of :meth:`PhysicalChannel.transmit` never fails
+        on this path — and a VC that receives a flit has no downstream VC
+        yet: assembly completing never unblocks a consumer mid-cycle.
 
         The per-channel poll is :meth:`PhysicalChannel.transmit` fused
         inline (the reference stepper still calls the method, and the
         golden-trace identity tests pin the two code paths against each
         other), so the arming predicates and the arrival bookkeeping can
         reuse the values the poll just loaded instead of re-reading
-        half a dozen attribute chains per flit.  One flit per channel
-        per cycle needs no explicit guard here: a successful poll clears
-        the channel from every poll list for the rest of the cycle (the
+        half a dozen attribute chains per flit.  Every VC of the fabric
+        has the same capacity and every worm the configured length, so
+        both are read once per call.  One flit per channel per cycle
+        needs no explicit guard here: a successful poll clears the
+        channel from every poll list for the rest of the cycle (the
         queue_cycle/last_transmit_cycle splice guards below), so a
         channel is never polled again after it moved.  Lifetime flit
         counts are not touched per flit at all: ``flits_in`` already is
         the count, and :meth:`VirtualChannel.release` retires it.
         """
-        saf = self._saf
         ideal = self._ideal
         priority = self._highest_class_first
+        cap = self.fabric.vc_capacity
+        length = self.config.message_length
+        # Flits a worm's front VC holds when it requests its next channel.
+        route_at = length if self._saf else 1
+        rr_after = self._rr_after
         cycle = self.cycle
         next_cycle = cycle + 1
         moved = polls = 0
@@ -657,25 +707,12 @@ class Engine:
             if channel.armed_cycle >= cycle:
                 channel.queue_cycle = cycle
                 append_pending(channel)
-        # Channels spliced into the *current* pass by a mid-pass event,
-        # ahead of the poll position.  Almost always empty, so the inner
-        # loop degrades to a plain list walk.
-        aux: List[Tuple[int, PhysicalChannel]] = []
         while True:
-            progress = False
+            moved_before = moved
             retry: List[PhysicalChannel] = []
-            i = 0
-            n = len(pending)
-            polls += n
-            while i < n or aux:
-                if aux and (
-                    i >= n or aux[0][0] < pending[i].active_seq
-                ):
-                    channel = heappop(aux)[1]
-                    polls += 1
-                else:
-                    channel = pending[i]
-                    i += 1
+            # A splice ahead of the cursor is inserted into *pending*
+            # while this loop walks it; list iteration visits it.
+            for channel in pending:
                 # -- PhysicalChannel.transmit, fused ------------------
                 vcs = channel.vcs
                 owned = channel.owned_idx
@@ -694,17 +731,14 @@ class Engine:
                     else:
                         order = owned[start:] + owned[:start]
                 for idx in order:
-                    vc = vcs[idx]
-                    owner = vc.owner  # reserved: owned_idx lists no other
-                    owner_len = owner.length
+                    vc = vcs[idx]  # reserved: owned_idx lists no other
                     f_in = vc.flits_in
-                    if f_in >= owner_len:
+                    if f_in >= length:
                         # Whole worm already passed through: vc.upstream
                         # may be reused by another message, so this guard
                         # must come before any upstream access.
                         continue
                     occupancy = vc.occupancy
-                    cap = vc.capacity
                     if ideal:
                         if occupancy >= cap:
                             continue
@@ -718,11 +752,11 @@ class Engine:
                         continue
                     upstream = vc.upstream
                     if upstream is None:
+                        owner = vc.owner
                         inject_left = owner.flits_to_inject
                         if inject_left <= 0:
                             continue
                         owner.flits_to_inject = inject_left - 1
-                        up_occ = up_fin = up_fout = 0
                     else:
                         up_occ = upstream.occupancy
                         # settled_flits(cycle) <= 0, inlined.
@@ -732,157 +766,134 @@ class Engine:
                             <= 0
                         ):
                             continue
-                        up_fin = upstream.flits_in
-                        if saf and up_fin < owner_len:
-                            continue
-                        up_occ -= 1
-                        upstream.occupancy = up_occ
-                        up_fout = upstream.flits_out + 1
-                        upstream.flits_out = up_fout
+                        upstream.occupancy = up_occ = up_occ - 1
+                        upstream.flits_out += 1
                         upstream.last_departure_cycle = cycle
-                    occupancy += 1
-                    vc.occupancy = occupancy
-                    f_in += 1
-                    vc.flits_in = f_in
+                    vc.occupancy = occupancy = occupancy + 1
+                    vc.flits_in = f_in = f_in + 1
                     vc.last_arrival_cycle = cycle
                     channel.last_transmit_cycle = cycle
-                    if not priority:
-                        next_idx = idx + 1
-                        channel._rr_next = (
-                            0 if next_idx == channel.num_vcs else next_idx
-                        )
+                    channel._rr_next = rr_after[idx]
                     break
                 else:
                     # No ready VC.  Unlike the scan fixpoint (which
                     # re-polls every channel that failed on buffer space
                     # or assembly), same-cycle retries here are purely
                     # event-driven: a failed channel is re-queued below
-                    # exactly when a move frees its space or completes
-                    # its packet, and the scan's extra re-polls are
-                    # no-ops without such an event — so the success
-                    # sequence is unchanged.
+                    # exactly when a move frees its space, and the scan's
+                    # extra re-polls are no-ops without such an event —
+                    # so the success sequence is unchanged.
                     channel.queue_cycle = -1  # may be queued again
+                    if (
+                        # The arm a splice carried: the sole owner's
+                        # next-cycle readiness.  Each test reads a local
+                        # the one before it guarantees this poll loaded
+                        # (a source-fed VC that failed has nothing left
+                        # to inject, so only a flit upstream can arm).
+                        ideal
+                        and m == 1
+                        and f_in < length
+                        and occupancy < cap
+                        and upstream is not None
+                        and up_occ > 0
+                    ):
+                        channel.armed_cycle = next_cycle
                     continue
                 # -- move epilogue: event hooks + arrival bookkeeping --
-                progress = True
                 moved += 1
+                if on_flit is not None:
+                    on_flit(self, vc)
                 # Re-arm this channel for next cycle if other reserved VCs
-                # share it, or the VC that just moved can move again (more
-                # flits upstream, buffer space, assembly done).  For a
+                # share it, or the VC that just moved can move again (flits
+                # left, buffer space, a flit upstream).  For a
                 # sole owner that predicate, taken after the move, is the
                 # whole truth about next cycle, so a false answer also
                 # *cancels* a "next cycle" arm left by an earlier event
-                # this cycle (typically the downstream departure that
-                # spliced this channel in): each condition it found false
-                # turns true only through an event that re-arms the
-                # channel itself.
-                if m > 1 or (
-                    f_in < owner_len
-                    and occupancy < cap
-                    and (
-                        inject_left > 1
-                        if upstream is None
-                        else (
-                            up_occ > 0
-                            and (not saf or up_fin >= owner_len)
+                # this cycle: each condition it found false turns true
+                # only through an event that re-arms the channel itself.
+                if upstream is None:
+                    if m > 1 or (
+                        f_in < length and occupancy < cap and inject_left > 1
+                    ):
+                        channel.armed_cycle = next_cycle
+                    else:
+                        channel.armed_cycle = cycle
+                    if inject_left == 1:  # flits_to_inject hit zero
+                        owner = vc.owner
+                        controller.injection_complete(
+                            owner.src, owner.msg_class
                         )
-                    )
-                ):
-                    channel.armed_cycle = next_cycle
                 else:
-                    channel.armed_cycle = cycle
-                if upstream is not None:
+                    if m > 1 or (
+                        f_in < length and occupancy < cap and up_occ > 0
+                    ):
+                        channel.armed_cycle = next_cycle
+                    else:
+                        channel.armed_cycle = cycle
                     # The departed flit freed a slot in *upstream*: the
                     # channel feeding it may move next cycle — or this
-                    # one, under ideal flow control.  Queue it unless it
-                    # is already scheduled this cycle or already took
-                    # its one move.
+                    # one, under ideal flow control, where it is spliced
+                    # into this cycle's passes unless *upstream* already
+                    # holds the tail (always, under SAF), the channel is
+                    # already scheduled this cycle or already took its
+                    # one move.
+                    up_fin = upstream.flits_in
                     up_ch = upstream.channel
-                    uu = upstream.upstream
-                    if up_ch.armed_cycle < next_cycle and (
-                        up_ch.owned_count > 1
-                        or (
-                            up_fin < owner_len
-                            and (
-                                owner.flits_to_inject > 0
-                                if uu is None
-                                else (
-                                    uu.occupancy > 0
-                                    and (
-                                        not saf
-                                        or uu.flits_in >= owner_len
-                                    )
-                                )
-                            )
-                        )
-                    ):
-                        up_ch.armed_cycle = next_cycle
                     if (
                         ideal
+                        and up_fin < length
                         and up_ch.queue_cycle != cycle
                         and up_ch.last_transmit_cycle != cycle
                     ):
                         up_ch.queue_cycle = cycle
+                        if up_ch.owned_count > 1:
+                            up_ch.armed_cycle = next_cycle
                         up_seq = up_ch.active_seq
                         if up_seq > channel.active_seq:
-                            heappush(aux, (up_seq, up_ch))
+                            _splice(pending, up_ch, up_seq)
                         else:
                             retry.append(up_ch)
+                    elif up_ch.armed_cycle < next_cycle:
+                        if up_ch.owned_count > 1:
+                            up_ch.armed_cycle = next_cycle
+                        elif up_fin < length:
+                            uu = upstream.upstream
+                            if (
+                                vc.owner.flits_to_inject > 0
+                                if uu is None
+                                else uu.occupancy > 0
+                            ):
+                                up_ch.armed_cycle = next_cycle
+                    if up_occ == 0 and upstream.flits_out >= length:
+                        # upstream.drained, inlined.  The release touches
+                        # only *upstream*'s links, not the ones read below.
+                        self._release(upstream, vc.owner)
                 downstream = vc.downstream
-                if downstream is not None:
-                    # The arrived flit settles next cycle for the channel
-                    # forwarding out of *vc*; under SAF it may also have
-                    # completed packet assembly, a condition the scan
-                    # fixpoint lets take effect within the cycle (same
-                    # pass if the consumer's turn is still ahead, next
-                    # pass under ideal flow control otherwise).
-                    down_ch = downstream.channel
-                    if down_ch.armed_cycle < next_cycle and (
-                        down_ch.owned_count > 1
-                        or (
-                            downstream.flits_in < owner_len
-                            and downstream.occupancy
-                            < downstream.capacity
-                            and (not saf or f_in >= owner_len)
-                        )
-                    ):
-                        down_ch.armed_cycle = next_cycle
-                    if (
-                        saf
-                        and down_ch.queue_cycle != cycle
-                        and down_ch.last_transmit_cycle != cycle
-                    ):
-                        down_seq = down_ch.active_seq
-                        if down_seq > channel.active_seq:
-                            down_ch.queue_cycle = cycle
-                            heappush(aux, (down_seq, down_ch))
-                        elif ideal:
-                            down_ch.queue_cycle = cycle
-                            retry.append(down_ch)
-                # After the arming reads (a release below would clear the
-                # upstream/downstream links read above): the arrival
-                # bookkeeping, on the poll's locals.
-                if on_flit is not None:
-                    on_flit(self, vc)
                 if downstream is None:  # vc is owner.path[-1]
+                    owner = vc.owner
                     if vc.dst_node != owner.dst:
                         # The worm's front advanced into an intermediate
                         # router: request the next channel once the
                         # router has seen the head flit (wormhole/VCT)
                         # or the whole packet (SAF).
-                        if f_in == (owner_len if saf else 1):
+                        if f_in == route_at:
                             self._enqueue_route(owner)
                     elif f_in == 1:
                         delivering.append(vc)
-                if upstream is None:
-                    if inject_left == 1:  # flits_to_inject hit zero
-                        controller.injection_complete(
-                            owner.src, owner.msg_class
+                else:
+                    # The arrived flit settles next cycle for the channel
+                    # forwarding out of *vc*.
+                    down_ch = downstream.channel
+                    if down_ch.armed_cycle < next_cycle and (
+                        down_ch.owned_count > 1
+                        or (
+                            downstream.flits_in < length
+                            and downstream.occupancy < cap
                         )
-                elif up_occ == 0 and up_fout >= owner_len:
-                    # upstream.drained, inlined.
-                    self._release(upstream, owner)
-            if not ideal or not progress or not retry:
+                    ):
+                        down_ch.armed_cycle = next_cycle
+            polls += len(pending)
+            if not ideal or moved == moved_before or not retry:
                 break
             # Channels carry no ordering of their own; active_seq is
             # unique, so the key alone fixes the order.
