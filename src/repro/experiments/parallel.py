@@ -27,7 +27,9 @@ serially or over a
   Re-running an interrupted list skips completed points — including
   individual members of a batch-backend seed group — and a worker
   failure never discards finished sibling points: everything completed
-  is persisted before the error propagates.  Files the store does not
+  is persisted before the error propagates.  Without a store the first
+  failure cancels the points still queued and propagates at once.  Files
+  the store does not
   recognise (v1 whole-file checkpoints included) are preserved as a
   ``.corrupt`` sidecar with a warning, never silently overwritten.
 * **Ordered progress reporting.**  With a listener, a header counts the
@@ -261,7 +263,12 @@ def run_points(
                         if error is None:
                             error = exc
                 if error is not None and store is None:
-                    break  # nothing to persist: fail fast
+                    # Nothing to persist: fail fast.  Cancel the queued
+                    # points, or leaving the pool would run them all
+                    # first; started ones still finish.
+                    for future in remaining:
+                        future.cancel()
+                    break
             if error is not None:
                 raise error
 

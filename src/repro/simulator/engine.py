@@ -38,12 +38,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import deque
 from heapq import heappush
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -55,7 +53,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
-    from repro.traffic.trace import MessageTrace
 
 from repro.network.fabric import Fabric
 from repro.network.message import Message
@@ -111,7 +108,6 @@ class Engine:
         topology: Optional[Topology] = None,
         algorithm: Optional[RoutingAlgorithm] = None,
         traffic: Optional[TrafficPattern] = None,
-        trace: Optional["MessageTrace"] = None,
     ) -> None:
         self.config = config
         self.topology = topology if topology is not None else (
@@ -147,16 +143,6 @@ class Engine:
         )
         self.arrivals.start(0, self.rng.stream(STREAM_ARRIVALS))
         self.controller = InjectionController(config.injection_limit)
-
-        # Trace-driven mode (paper §4 future work): replay recorded send
-        # events with blocking-send semantics instead of stochastic
-        # arrivals.
-        if trace is not None:
-            trace.validate_for(self.topology)
-            self._trace_events: Optional[Deque] = deque(trace)
-        else:
-            self._trace_events = None
-        self._trace_pending: Deque[Tuple[int, int]] = deque()
 
         self.cycle = 0
         self.in_flight = 0
@@ -279,7 +265,7 @@ class Engine:
         end = self.cycle + cycles
         step = self.step
         while self.cycle < end:
-            if self.in_flight == 0 and self._trace_events is None:
+            if self.in_flight == 0:
                 next_due = self.arrivals.next_due
                 if next_due > self.cycle:
                     self.cycle = next_due if next_due < end else end
@@ -364,32 +350,12 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _generate_arrivals(self) -> None:
-        if self._trace_events is not None:
-            self._generate_trace_arrivals()
-            return
         if self.arrivals.next_due > self.cycle:
             return  # cheap peek: no heap traffic on arrival-free cycles
         due = self.arrivals.pop_due(self.cycle, self._rng_arrivals)
         rng_dest = self._rng_destinations
         for node in due:
             self._generate(node, rng_dest)
-
-    def _generate_trace_arrivals(self) -> None:
-        events = self._trace_events
-        while events and events[0][0] <= self.cycle:
-            _, src, dst = events.popleft()
-            self._trace_pending.append((src, dst))
-        # Blocking-send semantics: refused events retry every cycle, in
-        # issue order, until congestion control admits them.
-        for _ in range(len(self._trace_pending)):
-            src, dst = self._trace_pending.popleft()
-            if not self._inject(src, dst):
-                self._trace_pending.append((src, dst))
-
-    @property
-    def trace_exhausted(self) -> bool:
-        """True once every trace event has been admitted (trace mode)."""
-        return not self._trace_events and not self._trace_pending
 
     def _generate(self, src: int, rng: random.Random) -> None:
         dst = self.traffic.sample_destination(src, rng)

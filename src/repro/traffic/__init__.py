@@ -20,11 +20,6 @@ from repro.traffic.permutations import (
     TransposeTraffic,
 )
 from repro.traffic.registry import available_patterns, make_traffic
-from repro.traffic.trace import (
-    MessageTrace,
-    reduction_trace,
-    stencil_trace,
-)
 from repro.traffic.uniform import UniformTraffic
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "GeometricArrivals",
     "HotspotTraffic",
     "LocalTraffic",
-    "MessageTrace",
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
@@ -41,6 +35,4 @@ __all__ = [
     "make_traffic",
     "offered_load_to_rate",
     "rate_to_offered_load",
-    "reduction_trace",
-    "stencil_trace",
 ]

@@ -23,9 +23,9 @@ Every drawn config is held to:
 * **conservation**, on every engine and every batch lane;
 * **the latency floor** — every delivery takes at least m_l + hops - 1
   cycles (hops * m_l under SAF);
-* **exact zero-load latency** — a lone ``MessageTrace`` message crosses
-  d hops in exactly m_l + d - 1 cycles (d * m_l under SAF), on both
-  steppers;
+* **exact zero-load latency** — a lone message injected at cycle 0 into
+  an otherwise idle network (``offered_load=0``) crosses d hops in exactly
+  m_l + d - 1 cycles (d * m_l under SAF), on both steppers;
 * **no watchdog trip**, at a threshold (``DEADLOCK_THRESHOLD``) each run
   outlasts several times over;
 * **batch composition-independence** — each lane of a group (sampled)
@@ -51,7 +51,6 @@ from repro.simulator.engine import Engine
 from repro.simulator.reference import ScanEngine
 from repro.topology import TOPOLOGY_KINDS
 from repro.traffic.registry import available_patterns
-from repro.traffic.trace import MessageTrace
 from repro.util.errors import ConfigurationError
 from tests.conftest import observed_books
 
@@ -145,9 +144,11 @@ def _assert_zero_load_latency(config, route):
     dst = (src + 1 + route[1] % (num_nodes - 1)) % num_nodes
     hops = topology.distance(src, dst)
     expected = _floor(config, hops)
+    idle = dataclasses.replace(config, offered_load=0.0)
     for stepper in (Engine, ScanEngine):
-        engine = stepper(config, trace=MessageTrace([(0, src, dst)]))
+        engine = stepper(idle)
         engine.start_sample()
+        assert engine._inject(src, dst), f"{stepper.__name__}: {idle}"
         engine.run_cycles(expected + 1)
         assert engine.end_sample().deliveries == [(expected, hops)], (
             f"{stepper.__name__}: {src}->{dst}: {config}"

@@ -16,6 +16,7 @@ The contract of :mod:`repro.experiments.parallel`:
   instead of silently overwritten, an interrupted batch-backend seed
   group resumes per member, and a failed worker never discards its
   finished siblings;
+* without a store, the first failure cancels the points still queued;
 * a worker that dies outright breaks the run loudly, the store keeps
   exactly what finished, and a rerun completes the campaign to the
   bytes a clean run exports;
@@ -26,6 +27,7 @@ import dataclasses
 import io
 import json
 import os
+from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -400,6 +402,35 @@ class TestWorkerFailureSalvage:
         with pytest.raises(ConfigurationError, match="stride"):
             run_points(configs, checkpoint_path=path)
         assert ran == [point_key(bad)]  # the salvaged point was skipped
+
+
+class TestFailFast:
+    def test_without_a_store_a_failure_cancels_the_queued_points(
+        self, monkeypatch
+    ):
+        """With nothing to persist, the first failure must not wait for
+        the points still queued behind it: they are cancelled."""
+        submitted = []
+
+        class RecordingPool(Executor):
+            """Fails the first task at once; never starts another."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                future = Future()
+                if not submitted:
+                    future.set_exception(ConfigurationError("first failed"))
+                submitted.append(future)
+                return future
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        configs = [tiny_config(seed=seed) for seed in range(1, 8)]
+        with pytest.raises(ConfigurationError, match="first failed"):
+            run_points(configs, jobs=2)
+        assert len(submitted) == len(configs)
+        assert all(future.cancelled() for future in submitted[1:])
 
 
 class TestKilledWorker:

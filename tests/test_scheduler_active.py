@@ -176,12 +176,10 @@ class TestTransmitPolls:
     FLOOR = 0.85
 
     def test_lone_worm_on_idle_torus(self):
-        from repro.traffic.trace import MessageTrace
-
-        engine = Engine(
-            SimulationConfig(radix=8, n_dims=2, algorithm="ecube"),
-            trace=MessageTrace([(0, 0, 36)]),  # 4 + 4 hops
-        )
+        engine = Engine(SimulationConfig(
+            radix=8, n_dims=2, algorithm="ecube", offered_load=0.0,
+        ))
+        assert engine._inject(0, 36)  # 4 + 4 hops
         engine.run_cycles(64)
         assert engine.delivered_total == 1
         assert engine.flits_moved_total == 8 * engine.config.message_length
