@@ -8,8 +8,7 @@ Subcommands::
     repro-campaign run --algorithms ecube,nbc --loads 0.2,0.4 --seeds 1,2 \\
                        --set flow_control=conservative --set backend=batch
     repro-campaign status --store store.jsonl [spec.json | --figure ID | axis flags]
-    repro-campaign gc --store store.jsonl [--purge-sidecars]
-                      [--max-age-days D] [--max-size-mb M]
+    repro-campaign gc --store store.jsonl
     repro-campaign export spec.json --store store.jsonl --csv out.csv
 
 This is the one place flags become a grid.  ``run``, ``status`` and
@@ -181,20 +180,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         help="compact the store file (drop superseded record lines)",
     )
     _add_store_argument(gc)
-    gc.add_argument(
-        "--purge-sidecars", action="store_true",
-        help="also delete .corrupt/.stale quarantine sidecars left by "
-             "earlier recoveries (inspect them first)",
-    )
-    gc.add_argument(
-        "--max-age-days", type=float, default=None, metavar="D",
-        help="evict records older than D days (records without a "
-             "recorded_at stamp count as oldest)",
-    )
-    gc.add_argument(
-        "--max-size-mb", type=float, default=None, metavar="M",
-        help="evict oldest records until the store file fits M MiB",
-    )
 
     export = commands.add_parser(
         "export",
@@ -333,6 +318,10 @@ def _write_outputs(
     return exit_code
 
 
+def _print_to_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     for flag, value in (("--jobs", args.jobs),
                         ("--batch-size", args.batch_size)):
@@ -341,14 +330,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     specs = _load_specs(args)
     for spec in specs:
         spec.check_buildable()
+    progress = None if args.quiet else _print_to_stderr
     with ResultStore(args.store) as store:
         reports = [
             run_campaign(
                 spec,
                 store,
                 jobs=args.jobs,
+                progress=progress,
                 batch_size=args.batch_size,
-                verbose=not args.quiet,
             )
             for spec in specs
         ]
@@ -389,32 +379,14 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 def _cmd_gc(args: argparse.Namespace) -> int:
     with ResultStore(args.store) as store:
-        stats = store.gc(
-            purge_sidecars=args.purge_sidecars,
-            max_age_days=args.max_age_days,
-            max_size_mb=args.max_size_mb,
-        )
+        stats = store.gc()
     print(f"store: {args.store}")
     print(
         f"records: {stats['live_records']} live; "
         f"{stats['dropped_lines']} superseded line(s) dropped "
         f"({stats['lines_before']} -> {stats['lines_after']})"
     )
-    if args.max_age_days is not None:
-        print(
-            f"evicted {stats['evicted_age']} record(s) older than "
-            f"{args.max_age_days:g} day(s)"
-        )
-    if args.max_size_mb is not None:
-        print(
-            f"evicted {stats['evicted_size']} record(s) to fit "
-            f"{args.max_size_mb:g} MiB"
-        )
-    print(
-        f"bytes: {stats['bytes_before']} -> {stats['bytes_after']}"
-    )
-    for sidecar in stats["sidecars_removed"]:
-        print(f"removed sidecar: {sidecar}")
+    print(f"bytes: {stats['bytes_before']} -> {stats['bytes_after']}")
     return 0
 
 

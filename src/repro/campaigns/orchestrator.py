@@ -7,8 +7,9 @@ and hands the whole point list, with the
 list meets the store.  Every point already stored is served from disk (a
 cache hit costs no simulation at all) and each fresh completion is
 appended as it lands, so an interrupted campaign resumes per point, and
-the *next* campaign (or ``sweep_algorithms(checkpoint=)``) that shares
-points starts from them for free.
+the *next* campaign (or ``run_points(..., store=)`` call) that shares
+points starts from them for free.  The caller opens and closes the
+store, and receives progress lines only through *progress*.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ def run_campaign(
     store: ResultStore,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    verbose: bool = False,
     batch_size: int = 32,
 ) -> CampaignReport:
     """Run every point of *spec*, serving repeats from *store*.
 
     Results come back in the spec's expansion order.  Fresh points are
     appended to the store as they finish; a second identical run is
-    100% cache hits and performs zero engine invocations.
+    100% cache hits and performs zero engine invocations.  *progress*
+    receives ``run_points``' header, ``[skip]`` and ETA lines; the
+    report's :meth:`~CampaignReport.summary` is the caller's to print.
 
     The report's cached / simulated split is read off the store's
     growth — every fresh point is exactly one new record — so the store
@@ -76,13 +78,12 @@ def run_campaign(
     results = executors.run_points(
         configs,
         jobs=jobs,
-        verbose=verbose,
         progress=progress,
         batch_size=batch_size,
         store=store,
     )
     simulated = len(store) - held
-    report = CampaignReport(
+    return CampaignReport(
         name=spec.name,
         total=len(configs),
         cached=len(configs) - simulated,
@@ -91,9 +92,6 @@ def run_campaign(
         configs=configs,
         results=results,
     )
-    if progress is not None:
-        progress(report.summary())
-    return report
 
 
 __all__ = ["CampaignReport", "run_campaign"]

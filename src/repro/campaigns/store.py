@@ -3,13 +3,14 @@
 One :class:`ResultStore` file holds one JSON record per finished
 simulation point, keyed by the point's content address
 (:func:`~repro.campaigns.identity.identify`), and is the only result
-format on disk (JSONL, schema v2): ``repro-campaign --store`` and
-``sweep_algorithms(checkpoint=)`` name the same kind of file.  The store is
-shared across campaigns: any point list containing a previously
-simulated config gets that point served from disk instead of
-re-simulated, bit-identical to a fresh run (results are a pure function
-of the config).  :meth:`ResultStore.get` and :meth:`ResultStore.put`,
-both addressed by config, are the whole record API.
+format on disk (JSONL, schema v2).  Its owner opens it and hands the
+object to ``run_campaign`` or ``run_points(..., store=)``; nothing
+opens one on a caller's behalf.  The store is shared across campaigns:
+any point list containing a previously simulated config gets that point
+served from disk instead of re-simulated, bit-identical to a fresh run
+(results are a pure function of the config).  :meth:`ResultStore.get`
+and :meth:`ResultStore.put`, both addressed by config, are the whole
+record API.
 
 Durability discipline:
 
@@ -36,8 +37,10 @@ In memory a record costs only what differs from the other points of its
 campaign: a :class:`_Frame` holds everything the records of one
 campaign share (the top-level fields and their order, the stored config
 with null point fields, the result's key order), once per distinct JSON
-text, and each record its three point fields, its result values and its
-``recorded_at``.  A rewrite spells every line back byte for byte.
+text, and each record its three point fields, its result values and,
+on a line that carries one, its ``recorded_at`` (a wall-clock stamp
+earlier writers added; ``put`` writes none).  A rewrite spells every
+line back byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import json
 import os
 import shutil
 import tempfile
-import time
 import warnings
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
@@ -186,7 +188,9 @@ class _Record:
     ``point`` is None when the stored point key is the one the stored
     config derives, else ``(stored value,)``; ``result`` holds the
     result's values in ``frame.result_keys`` order (the stored value
-    itself when ``result_keys`` is None).
+    itself when ``result_keys`` is None); ``recorded_at`` is the
+    wall-clock stamp older lines carry (None on a line without one),
+    held so such a line is written back as it was read.
     """
 
     __slots__ = (
@@ -536,10 +540,6 @@ class ResultStore:
             "point": point,
             "config": stored,
             "result": data,
-            # Unix epoch seconds; drives the gc retention budgets.
-            # Older records without the field sort as epoch 0 (evicted
-            # first under any budget).
-            "recorded_at": time.time(),
         }
         frame = self._put_frame(template, line)
         record = _Record(
@@ -547,7 +547,7 @@ class ResultStore:
             *values,
             _point_slot(frame, values, point),
             tuple(data.values()),
-            line["recorded_at"],
+            None,
         )
         # Append-only: one line per point, O(record) bytes regardless of
         # how many points the store already holds.
@@ -565,43 +565,19 @@ class ResultStore:
 
     # -- maintenance -----------------------------------------------------
 
-    def gc(
-        self,
-        purge_sidecars: bool = False,
-        max_age_days: Optional[float] = None,
-        max_size_mb: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def gc(self) -> Dict[str, Any]:
         """Compact the store file down to one line per live record.
 
         The append-only write path can leave superseded lines behind —
         one key appended by two writers sharing the file — which cost
         disk and load time but are never served.  ``gc`` atomically
         rewrites the file from the live in-memory records (the exact
-        set lookups are answered from), dropping everything else.  With
-        *purge_sidecars*, quarantine sidecars left by earlier recoveries
-        are deleted too (``<path>.corrupt``, and the ``<path>.stale``
-        that stores before the v1 checkpoint format was dropped wrote;
-        nothing writes one now) — only ask for that once their contents
-        have been inspected.
-
-        Retention budgets evict *live* records, oldest first by their
-        ``recorded_at`` stamp (records predating the stamp sort as
-        epoch 0, so they go first):
-
-        * *max_age_days* drops every record older than the cutoff
-          (relative to *now*, default wall clock — injectable for
-          tests).
-        * *max_size_mb* then evicts oldest-first until the rewritten
-          file fits the budget (sized as each record's JSON line).
-
-        Evicted records leave memory only once the rewrite succeeded:
-        a failed one (a full disk) raises with the file and the store
-        as they were.
+        set lookups are answered from), each line spelled as it was
+        read, and drops everything else.  A rewrite the disk cannot
+        hold raises with the file as it was.
 
         Returns a stats dict: lines/bytes before and after, the number
-        of superseded lines dropped, records evicted by each budget,
-        and the sidecar paths removed.
+        of superseded lines dropped and the live record count.
         """
 
         def measure() -> Tuple[int, int]:
@@ -612,70 +588,17 @@ class ResultStore:
             lines = sum(1 for line in text.splitlines() if line.strip())
             return lines, len(text.encode("utf-8"))
 
-        def stamp(record: _Record) -> float:
-            value = record.recorded_at
-            try:
-                return float(value) if value is not None else 0.0
-            except (TypeError, ValueError):
-                return 0.0
-
         lines_before, bytes_before = measure()
-        live = dict(self._records)
-
-        evicted_age = 0
-        if max_age_days is not None:
-            if now is None:
-                now = time.time()
-            cutoff = now - max_age_days * 86400.0
-            kept = {
-                key: record for key, record in live.items()
-                if not stamp(record) < cutoff
-            }
-            evicted_age = len(live) - len(kept)
-            live = kept
-
-        evicted_size = 0
-        if max_size_mb is not None:
-            budget = max_size_mb * 1024.0 * 1024.0
-            # Size each record as the line _rewrite would emit.
-            sizes = {key: len(_line(key, record)) for key, record in live.items()}
-            total = float(sum(sizes.values()))
-            # Oldest first; key breaks recorded_at ties deterministically.
-            for key in sorted(live, key=lambda k: (stamp(live[k]), k)):
-                if total <= budget:
-                    break
-                total -= sizes[key]
-                del live[key]
-                evicted_size += 1
-
-        if lines_before or live or evicted_age or evicted_size:
-            self._rewrite(live)
-        for key in self._records.keys() - live.keys():
-            self._decoded.pop(key, None)
-        self._records = live
+        if lines_before or self._records:
+            self._rewrite(self._records)
         lines_after, bytes_after = measure()
-
-        removed: List[str] = []
-        if purge_sidecars:
-            for suffix in (".corrupt", ".stale"):
-                sidecar = self.path + suffix
-                if os.path.exists(sidecar):
-                    os.unlink(sidecar)
-                    removed.append(sidecar)
         return {
             "lines_before": lines_before,
             "lines_after": lines_after,
-            # Superseded-duplicate lines only; budget evictions are
-            # reported separately so the CLI's labels stay truthful.
-            "dropped_lines": max(
-                0, lines_before - lines_after - evicted_age - evicted_size
-            ),
+            "dropped_lines": lines_before - lines_after,
             "bytes_before": bytes_before,
             "bytes_after": bytes_after,
             "live_records": len(self._records),
-            "evicted_age": evicted_age,
-            "evicted_size": evicted_size,
-            "sidecars_removed": removed,
         }
 
     def coverage(

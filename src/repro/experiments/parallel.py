@@ -18,24 +18,23 @@ serially or over a
   mix, never from process state), so completion order cannot affect
   results; they are reassembled in submission order.
 * **One sink.**  With a :class:`repro.campaigns.store.ResultStore`
-  (``store=``, or ``checkpoint_path=`` to have one opened and closed
-  here) every config is looked up with ``store.get(config)`` — under its
-  *own* content address, checked against the config stored beside the
-  result — and every completion is appended with ``store.put(config,
-  result)`` as it lands.  A list may mix campaigns freely; a sweep's
-  checkpoint file is a store ``repro-campaign`` reads, and the reverse.
-  Re-running an interrupted list skips completed points — including
-  individual members of a batch-backend seed group — and a worker
-  failure never discards finished sibling points: everything completed
-  is persisted before the error propagates.  Without a store the first
-  failure cancels the points still queued and propagates at once.  Files
-  the store does not
+  (``store=``, opened and closed by the caller) every config is looked
+  up with ``store.get(config)`` — under its *own* content address,
+  checked against the config stored beside the result — and every
+  completion is appended with ``store.put(config, result)`` as it
+  lands.  A list may mix campaigns freely; the store is the one
+  ``repro-campaign`` reads and writes.  Re-running an interrupted list
+  skips completed points — including individual members of a
+  batch-backend seed group — and a worker failure never discards
+  finished sibling points: everything completed is persisted before the
+  error propagates.  Without a store the first failure cancels the
+  points still queued and propagates at once.  Files the store does not
   recognise (v1 whole-file checkpoints included) are preserved as a
   ``.corrupt`` sidecar with a warning, never silently overwritten.
-* **Ordered progress reporting.**  With a listener, a header counts the
-  points found in the store, each of those gets a ``[skip]`` line, and
-  each completion a ``[done/total]`` line with the ETA its rate
-  implies, so a long 16x16 campaign is watchable from the terminal.
+* **Ordered progress reporting.**  With a *progress* callable, a header
+  counts the points found in the store, each of those gets a ``[skip]``
+  line, and each completion a ``[done/total]`` line with the ETA its
+  rate implies, so a long 16x16 campaign is watchable from the terminal.
 
 Worker processes are only worth their startup cost for real campaigns;
 ``jobs=1`` (the default everywhere) runs the exact same point list in
@@ -45,7 +44,6 @@ process, through the same store logic.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from time import monotonic
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -125,8 +123,6 @@ def _batch_groups(
 def run_points(
     configs: Sequence[SimulationConfig],
     jobs: int = 1,
-    checkpoint_path: Optional[str] = None,
-    verbose: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     batch_size: int = 32,
     store: Optional[ResultStore] = None,
@@ -134,11 +130,10 @@ def run_points(
     """Run every config, fanning out to *jobs* worker processes.
 
     Results come back in the order of *configs* regardless of completion
-    order.  With a *store* (or a *checkpoint_path*, which opens one for
-    the duration of the call), every config the store already holds a
-    result for is served from it and every new completion is appended
-    as it lands; each config is addressed on its own, so one list may
-    mix message lengths, switching modes or whole campaigns.
+    order.  With a *store*, every config it already holds a result for
+    is served from it and every new completion is appended as it lands;
+    each config is addressed on its own, so one list may mix message
+    lengths, switching modes or whole campaigns.
 
     Points whose config selects ``backend="batch"`` are grouped into
     seed-batches of at most *batch_size*: a worker claims a whole batch
@@ -146,22 +141,12 @@ def run_points(
     :class:`~repro.simulator.batch.BatchEngine`, instead of one point.
     Per-seed results and store records do not depend on the grouping.
 
-    Progress lines go to *progress*, or to stderr when *verbose*; with
-    neither, none is formatted.
+    Progress lines go to *progress*; without it, none is formatted.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if store is None and checkpoint_path is not None:
-        with ResultStore(checkpoint_path) as owned:
-            return run_points(
-                configs, jobs, verbose=verbose, progress=progress,
-                batch_size=batch_size, store=owned,
-            )
-    if progress is None and verbose:
-        def progress(line: str) -> None:
-            print(line, file=sys.stderr)
 
     total = len(configs)
     results: List[Optional[SimulationResult]] = (

@@ -13,6 +13,7 @@ import re
 from time import perf_counter
 from typing import List, Optional, Sequence
 
+from repro.campaigns.identity import config_key
 from repro.simulator.batch import BatchEngine
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
@@ -80,8 +81,15 @@ def run_point(
 
 
 def obs_export_prefix(config: SimulationConfig) -> str:
-    """Filesystem-safe artifact prefix for one simulation point."""
-    return re.sub(r"[^A-Za-z0-9._^-]+", "_", config.label()).strip("_")
+    """Filesystem-safe artifact prefix for one simulation point.
+
+    The label names the point for a reader; the first 12 characters of
+    its store key tell apart the points the label does not (another
+    seed, message length, flow control, ...), so no two points of one
+    ``export_dir`` overwrite each other's artifacts.
+    """
+    slug = re.sub(r"[^A-Za-z0-9._^-]+", "_", config.label()).strip("_")
+    return f"{slug}_{config_key(config)[:12]}"
 
 
 def run_batch(

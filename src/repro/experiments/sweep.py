@@ -24,16 +24,15 @@ value is the same whichever point asked first and whatever process it
 sits in — history decides only which entries are already there.  A
 worker process simply starts with an empty one.
 
-``jobs`` fans the independent points of a sweep out to worker processes;
-``checkpoint`` persists per-point results to an append-only result-store
-file (:mod:`repro.campaigns.store`) so interrupted campaigns (e.g. a
-full-ladder 16x16 figure) resume instead of restarting — and so other
-campaigns sharing points (see ``repro-campaign``) reuse them for free.
+``jobs`` fans the independent points of a sweep out to worker
+processes.  A sweep persists nothing: a campaign that must survive an
+interruption, or share its points with the next one, runs through
+``repro-campaign`` (or ``run_points(..., store=)``) against a
+:class:`~repro.campaigns.store.ResultStore`.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.parallel import run_points, run_sweep_points
@@ -48,9 +47,7 @@ def sweep_algorithms(
     base_config: SimulationConfig,
     algorithms: Iterable[str],
     offered_loads: Sequence[float] = PAPER_LOADS,
-    verbose: bool = False,
     jobs: int = 1,
-    checkpoint: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
     batch_size: int = 32,
 ) -> Dict[str, List[SimulationResult]]:
@@ -62,21 +59,11 @@ def sweep_algorithms(
     (algorithm, load) point's seeds run in one lockstep batch.
     """
     names = list(algorithms)
-    loads = list(offered_loads)
-    if verbose and jobs > 1:
-        print(
-            f"sweeping {len(names)} algorithms x {len(loads)} loads "
-            f"on {jobs} workers ...",
-            file=sys.stderr,
-        )
-    configs = run_sweep_points(base_config, names, loads, seeds=seeds)
-    results = run_points(
-        configs,
-        jobs=jobs,
-        checkpoint_path=checkpoint,
-        verbose=verbose,
-        batch_size=batch_size,
+    configs = run_sweep_points(
+        base_config, names, list(offered_loads), seeds=seeds
     )
+    # Through the module attribute the ledger's tracer patches.
+    results = run_points(configs, jobs=jobs, batch_size=batch_size)
     per_algorithm = len(results) // len(names) if names else 0
     return {
         name: results[i * per_algorithm: (i + 1) * per_algorithm]

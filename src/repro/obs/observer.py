@@ -109,13 +109,8 @@ class ObsConfig:
 class Observer:
     """Collects probes, events, heatmaps and timings from one engine."""
 
-    def __init__(
-        self,
-        config: Optional[ObsConfig] = None,
-        probes: Optional[ProbeRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ObsConfig] = None) -> None:
         self.config = config if config is not None else ObsConfig()
-        self._registry_override = probes
         self.probes: Optional[ProbeRegistry] = None
         self.trace: Optional[TraceWriter] = None
         self.heatmap: Optional[CongestionHeatmap] = None
@@ -141,13 +136,10 @@ class Observer:
         self._engine = engine
         self._first_cycle = self._booked_to = engine.cycle
         config = self.config
-        if self._registry_override is not None:
-            self.probes = self._registry_override
-        else:
-            self.probes = ProbeRegistry.default(
-                ring_capacity=config.ring_capacity,
-                vectors=config.vectors,
-            )
+        self.probes = ProbeRegistry.default(
+            ring_capacity=config.ring_capacity,
+            vectors=config.vectors,
+        )
         if config.heatmap:
             self.heatmap = CongestionHeatmap(engine.topology)
             heatmap = self.heatmap

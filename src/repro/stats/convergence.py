@@ -8,8 +8,8 @@ Scheaffer et al., "Elementary Survey Sampling").  Two error bounds are
 computed, both at 2 standard errors (~95%):
 
 * the stratified estimator's own bound across strata, and
-* the bound from the variance of the per-sample mean latencies
-  (three or more most-recent samples).
+* the bound from the variance of the per-sample mean latencies of the
+  three most recent samples.
 
 A run converges when **both** bounds fall within 5% of their respective
 means; the minimum of three and the maximum of 10-15 samples, as well as
@@ -113,13 +113,10 @@ class ConvergenceChecker:
         weights: Dict[int, float],
         relative_error: float = 0.05,
         min_samples: int = 3,
-        window: int = 3,
     ) -> None:
         self.weights = weights
         self.relative_error = relative_error
         self.min_samples = min_samples
-        #: How many of the most recent samples feed criterion 2.
-        self.window = window
 
     def estimate(
         self, samples: Sequence[SampleRecord]
@@ -136,8 +133,8 @@ class ConvergenceChecker:
         estimate = self.estimate(samples)
         if estimate.relative_error > self.relative_error:
             return False
-        recent = samples[-max(self.window, 3):]
-        grand, bound = sample_means_bound(recent)
+        # Criterion 2 reads the three most recent samples.
+        grand, bound = sample_means_bound(samples[-3:])
         if grand <= 0:
             return False
         return bound / grand <= self.relative_error

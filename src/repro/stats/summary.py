@@ -66,8 +66,8 @@ class SimulationResult:
     #: clamped; ``None`` on results predating this field.
     offered_load_actual: Optional[float] = None
     #: Aggregated observability metrics (``repro.obs``), present when the
-    #: point ran with ``SimulationConfig.obs=True``; carried into sweep
-    #: checkpoint files.
+    #: point ran with ``SimulationConfig.obs=True``; carried into result
+    #: store records.
     obs_metrics: Optional[Dict[str, Any]] = None
     #: Wall-clock seconds this point took to simulate (warmup + samples +
     #: gaps), set by the sweep runner.  Excluded from equality on purpose:
@@ -80,7 +80,7 @@ class SimulationResult:
     #: Fields intentionally absent from the flat :meth:`to_dict` CSV row
     #: (the SER001 exclusion list — every other field must appear there):
     #: ``obs_metrics`` is a nested, schema-versioned aggregate that only
-    #: travels via :meth:`to_json_dict` checkpoints, and ``wall_seconds``
+    #: travels via :meth:`to_json_dict` records, and ``wall_seconds``
     #: is machine noise deliberately kept out of comparable tables (it is
     #: already excluded from equality above).
     SERIALIZE_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset(
@@ -143,10 +143,10 @@ class SimulationResult:
         }
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Lossless dict for JSON persistence (sweep checkpoints).
+        """Lossless dict for JSON persistence (result store records).
 
         Unlike :meth:`to_dict` (a flat CSV row), this captures *every*
-        field so a result written to a checkpoint file deserializes back
+        field so a result written to a store file deserializes back
         to an equal :class:`SimulationResult`.
         """
         # What asdict() returns, without its deepcopy of every scalar.

@@ -28,6 +28,7 @@ import functools
 
 import pytest
 
+from repro.campaigns.store import ResultStore
 from repro.experiments.parallel import run_points, run_sweep_points
 from repro.experiments.runner import run_batch, run_point
 from repro.routing.registry import ALGORITHM_NAMES
@@ -313,16 +314,18 @@ class TestParallelSeedBatches:
             ),
             ["ecube"], (0.4,), seeds=(3, 7),
         )
-        first = run_points(object_configs, checkpoint_path=path)
         batch_configs = run_sweep_points(
             base, ["ecube"], (0.4,), seeds=(3, 7)
         )
         lines = []
-        resumed = run_points(
-            batch_configs, checkpoint_path=path, progress=lines.append
-        )
+        with ResultStore(path) as store:
+            first = run_points(object_configs, store=store)
+            resumed = run_points(
+                batch_configs, store=store, progress=lines.append
+            )
         assert not any("[skip]" in line for line in lines)
         assert resumed != first
         # Each side finds its own records again.
-        assert run_points(object_configs, checkpoint_path=path) == first
-        assert run_points(batch_configs, checkpoint_path=path) == resumed
+        with ResultStore(path) as store:
+            assert run_points(object_configs, store=store) == first
+            assert run_points(batch_configs, store=store) == resumed

@@ -154,8 +154,9 @@ class TestGoldenPins:
 
     def test_store_written_now_reads_as_the_parent_wrote_it(self, tmp_path):
         """...and vice versa: the same records, put through this code,
-        make the same lines (but for the time stamp), so the parent
-        commit serves them as it serves its own."""
+        make the parent's lines but for the ``recorded_at`` stamp the
+        parent added and ``put`` no longer writes, so the parent commit
+        serves them as it serves its own."""
         parent_path = os.path.join(DATA, "store_parent.jsonl")
         parent = ResultStore(parent_path)
         configs = [golden_config(GOLDEN[i])[0] for i in (1, 2, 3)]
@@ -164,14 +165,14 @@ class TestGoldenPins:
             for config in configs:
                 assert store.put(config, parent.get(config))
 
-        def lines(text):
+        def unstamped(text):
             records = [json.loads(line) for line in text.splitlines()]
             for record in records:
                 del record["recorded_at"]
-            return [json.dumps(record) for record in records]
+            return "".join(json.dumps(record) + "\n" for record in records)
 
         with open(parent_path) as stream:
-            assert lines(path.read_text()) == lines(stream.read())
+            assert path.read_text() == unstamped(stream.read())
 
     def test_record_filed_under_scan_is_out_of_reach_not_wrong(
         self, tmp_path

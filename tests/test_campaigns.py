@@ -52,11 +52,11 @@ from repro.campaigns.store import (
     StoreIntegrityError,
     StoreWarning,
 )
-from repro.experiments import paper_figures, parallel
+from repro.experiments import paper_figures
 from repro.experiments.parallel import run_sweep_points
 from repro.experiments.profiles import apply_profile
 from repro.experiments.runner import run_point
-from repro.experiments.sweep import PAPER_LOADS, sweep_algorithms
+from repro.experiments.sweep import PAPER_LOADS
 from repro.routing.registry import ALGORITHM_NAMES
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
@@ -445,22 +445,19 @@ class TestResultStore:
         assert stats["dropped_lines"] == 2
         assert stats["live_records"] == 1
         assert stats["bytes_after"] < stats["bytes_before"]
-        assert stats["sidecars_removed"] == []
         # The surviving line still serves the record.
         assert ResultStore(str(path)).get(config) == result
 
-    def test_gc_purges_sidecars_only_on_request(self, tmp_path):
+    def test_gc_leaves_sidecars_alone(self, tmp_path):
+        """A quarantine sidecar is for a person to inspect and ``rm``."""
         path = tmp_path / "store.jsonl"
         config = tiny_config(seed=4)
         store = ResultStore(str(path))
         store.put(config, run_point(config))
         corrupt = tmp_path / "store.jsonl.corrupt"
         corrupt.write_text("quarantined junk\n")
-        assert store.gc()["sidecars_removed"] == []
-        assert corrupt.exists()
-        stats = store.gc(purge_sidecars=True)
-        assert stats["sidecars_removed"] == [str(corrupt)]
-        assert not corrupt.exists()
+        assert store.gc()["live_records"] == 1
+        assert corrupt.read_text() == "quarantined junk\n"
 
     def test_gc_on_missing_store_is_a_noop(self, tmp_path):
         store = ResultStore(str(tmp_path / "absent.jsonl"))
@@ -469,92 +466,15 @@ class TestResultStore:
         assert stats["dropped_lines"] == 0
         assert not (tmp_path / "absent.jsonl").exists()
 
-    def _stamped_store(self, tmp_path, stamps):
-        """A store opened on one record per (config, recorded_at) stamp.
-
-        Reuses one simulated result across seeds — retention only looks
-        at keys and stamps, not payloads — forges the stamps in the file
-        and returns a store opened on it plus the configs in *stamps*
-        order.
-        """
+    def test_put_writes_no_recorded_at(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        result = run_point(tiny_config(seed=40))
-        configs = [tiny_config(seed=40 + offset) for offset in range(len(stamps))]
-        with ResultStore(str(path)) as store:
-            for config in configs:
-                store.put(config, result)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        for record, stamp in zip(records, stamps):
-            if stamp is None:
-                del record["recorded_at"]  # forge a legacy record
-            else:
-                record["recorded_at"] = stamp
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        return ResultStore(str(path)), configs
-
-    def test_put_record_stamps_recorded_at(self, tmp_path):
-        import time
-
-        path = tmp_path / "store.jsonl"
-        before = time.time()
         store = ResultStore(str(path))
         config = tiny_config(seed=4)
         store.put(config, run_point(config))
         record = json.loads(path.read_text().splitlines()[0])
-        assert before <= record["recorded_at"] <= time.time()
-
-    def test_gc_max_age_evicts_oldest_records(self, tmp_path):
-        now = 1_000_000.0
-        store, (old, legacy, fresh) = self._stamped_store(
-            tmp_path, [now - 10 * 86400, None, now - 86400]
-        )
-        stats = store.gc(max_age_days=5, now=now)
-        # The stale record and the unstamped legacy one (treated as
-        # epoch 0, i.e. oldest) both go; the fresh one survives.
-        assert stats["evicted_age"] == 2
-        assert stats["evicted_size"] == 0
-        assert stats["live_records"] == 1
-        reloaded = ResultStore(str(tmp_path / "store.jsonl"))
-        assert reloaded.get(old) is None
-        assert reloaded.get(legacy) is None
-        assert reloaded.get(fresh) is not None
-
-    def test_gc_max_size_evicts_oldest_first(self, tmp_path):
-        store, configs = self._stamped_store(
-            tmp_path, [100.0, 200.0, 300.0]
-        )
-        line = (tmp_path / "store.jsonl").read_text().splitlines()[0]
-        # Budget for exactly two record lines: the oldest goes.
-        budget_mb = (2 * (len(line) + 1) + 10) / (1024 * 1024)
-        stats = store.gc(max_size_mb=budget_mb)
-        assert stats["evicted_size"] == 1
-        assert stats["evicted_age"] == 0
-        # Evictions are not misreported as superseded-duplicate lines.
-        assert stats["dropped_lines"] == 0
-        assert stats["live_records"] == 2
-        reloaded = ResultStore(str(tmp_path / "store.jsonl"))
-        assert reloaded.get(configs[0]) is None
-        assert reloaded.get(configs[1]) is not None
-        assert reloaded.get(configs[2]) is not None
-        size = (tmp_path / "store.jsonl").stat().st_size
-        assert size <= budget_mb * 1024 * 1024
-
-    def test_gc_zero_size_budget_empties_store(self, tmp_path):
-        store, configs = self._stamped_store(tmp_path, [100.0, 200.0])
-        stats = store.gc(max_size_mb=0.0)
-        assert stats["evicted_size"] == 2
-        assert stats["live_records"] == 0
-        assert (tmp_path / "store.jsonl").stat().st_size == 0
-
-    def test_gc_budgets_keep_everything_when_under(self, tmp_path):
-        store, configs = self._stamped_store(tmp_path, [100.0, 200.0])
-        import time
-
-        stats = store.gc(max_age_days=36500.0, max_size_mb=100.0,
-                         now=time.time())
-        assert stats["evicted_age"] == 0
-        assert stats["evicted_size"] == 0
-        assert stats["live_records"] == 2
+        assert list(record) == [
+            "kind", "v", "key", "signature", "point", "config", "result"
+        ]
 
 
 class TestCrossCampaignMemoization:
@@ -599,87 +519,6 @@ class TestCrossCampaignMemoization:
         assert report.results == [run_point(c) for c in spec.expand()]
 
 
-class TestSweepCheckpointIsACampaignStore:
-    """`sweep_algorithms(checkpoint=)` and `run_campaign`'s store name
-    the same file: what either simulated, the other is served."""
-
-    NAMES, LOADS = ("ecube", "nbc"), (0.2, 0.4)
-
-    def _spec(self, **kwargs):
-        return tiny_spec(
-            name="grid", algorithms=self.NAMES, loads=self.LOADS, **kwargs
-        )
-
-    def test_a_campaign_is_served_from_a_sweeps_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "shared.jsonl")
-        series = sweep_algorithms(
-            tiny_config(seed=7), self.NAMES, self.LOADS, checkpoint=path
-        )
-        boobytrap_workers(monkeypatch)
-        report = run_campaign(self._spec(), ResultStore(path))
-        assert report.all_cached
-        assert report.results == series["ecube"] + series["nbc"]
-
-    def test_a_sweep_is_served_from_a_campaigns_store(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        path = str(tmp_path / "shared.jsonl")
-        with ResultStore(path) as store:
-            report = run_campaign(self._spec(), store)
-        boobytrap_workers(monkeypatch)
-        series = sweep_algorithms(
-            tiny_config(seed=7), self.NAMES, self.LOADS,
-            verbose=True, checkpoint=path,
-        )
-        assert series["ecube"] + series["nbc"] == report.results
-        header, *lines = capsys.readouterr().err.splitlines()
-        assert header == "4 points: 4 in the store, 0 to simulate"
-        assert len(lines) == 4 and all("[skip]" in line for line in lines)
-
-    @pytest.mark.parametrize("sweep_first", [True, False])
-    def test_a_batch_seed_group_resumes_across_the_front_ends(
-        self, tmp_path, monkeypatch, sweep_first
-    ):
-        """Two of three seeds recorded by one front-end: the other
-        re-runs only the third, in a batch of one."""
-        path = str(tmp_path / "batch.jsonl")
-        base = tiny_config(
-            flow_control="conservative", backend="batch", identity="relaxed"
-        )
-
-        def sweep(seeds):
-            return sweep_algorithms(
-                base, ["ecube"], (0.3,), checkpoint=path, seeds=seeds
-            )["ecube"]
-
-        def campaign(seeds):
-            spec = tiny_spec(
-                name="batch", loads=(0.3,), seeds=seeds,
-                base=dict(flow_control="conservative", backend="batch",
-                          identity="relaxed"),
-            )
-            with ResultStore(path) as store:
-                return run_campaign(spec, store).results
-
-        first, second = (sweep, campaign) if sweep_first else (campaign, sweep)
-        recorded = first((1, 2))
-        ran = []
-        real_worker = parallel._run_batch_worker
-
-        def counting(batch):
-            ran.extend(config.seed for config in batch)
-            return real_worker(batch)
-
-        monkeypatch.setattr(
-            "repro.experiments.parallel._run_batch_worker", counting
-        )
-        resumed = second((1, 2, 3))
-        assert ran == [3]
-        assert resumed[:2] == recorded
-
-
 class TestOrchestrator:
     def test_report_counts_and_summary(self, tmp_path, monkeypatch):
         store = ResultStore(str(tmp_path / "store.jsonl"))
@@ -696,7 +535,7 @@ class TestOrchestrator:
     def test_progress_lines_carry_campaign_eta(self, tmp_path):
         store = ResultStore(str(tmp_path / "store.jsonl"))
         lines = []
-        run_campaign(
+        report = run_campaign(
             tiny_spec(name="eta", loads=(0.2, 0.3)),
             store,
             progress=lines.append,
@@ -704,7 +543,8 @@ class TestOrchestrator:
         assert lines[0] == "2 points: 0 in the store, 2 to simulate"
         assert "[1/2]" in lines[1] and "| eta 0:00:0" in lines[1]
         assert "[2/2]" in lines[2] and lines[2].endswith("| eta 0:00:00")
-        assert "cache hits: 0/2" in lines[-1]
+        assert len(lines) == 3  # the summary is the caller's to print
+        assert "cache hits: 0/2" in report.summary()
 
     def test_the_store_is_probed_once_per_point(self, tmp_path, monkeypatch):
         """One get per point, one put per simulated point: the report's
@@ -920,37 +760,12 @@ class TestCampaignCli:
             line = stream.read()
         with open(store, "w") as stream:
             stream.write(line * 2)  # shadowed duplicate
-        sidecar = tmp_path / "store.jsonl.stale"
-        sidecar.write_text("old schema\n")
         capsys.readouterr()
-        assert campaign_main(
-            ["gc", "--store", store, "--purge-sidecars"]
-        ) == 0
+        assert campaign_main(["gc", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "1 live" in out
         assert "1 superseded line(s) dropped (2 -> 1)" in out
-        assert "removed sidecar:" in out
-        assert not sidecar.exists()
-
-    def test_gc_subcommand_retention_budgets(
-        self, tmp_path, spec_file, capsys
-    ):
-        store = str(tmp_path / "store.jsonl")
-        campaign_main(["run", spec_file, "--store", store, "--quiet"])
-        capsys.readouterr()
-        # A generous age budget keeps the fresh record; a zero size
-        # budget then evicts it.
-        assert campaign_main(
-            ["gc", "--store", store, "--max-age-days", "365"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "evicted 0 record(s) older than 365 day(s)" in out
-        assert campaign_main(
-            ["gc", "--store", store, "--max-size-mb", "0"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "evicted 1 record(s) to fit 0 MiB" in out
-        assert len(ResultStore(store)) == 0
+        assert f"bytes: {2 * len(line)} -> {len(line)}" in out
 
     def test_usage_errors_exit_2(self, tmp_path, spec_file, capsys):
         store = str(tmp_path / "store.jsonl")

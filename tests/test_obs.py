@@ -9,6 +9,7 @@ Two properties anchor everything here:
   lifetime counters (events vs totals, heatmap vs flits moved).
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -359,6 +360,7 @@ class TestProfiler:
 
 class TestRunPointIntegration:
     def test_obs_metrics_in_result_and_checkpoint(self, tmp_path):
+        from repro.campaigns.store import ResultStore
         from repro.experiments.parallel import run_points
         from repro.experiments.runner import run_point
 
@@ -369,9 +371,11 @@ class TestRunPointIntegration:
         assert result.obs_metrics is not None
         assert result.obs_metrics["events"]["msg_created"] > 0
 
-        checkpoint = str(tmp_path / "ckpt.json")
-        first = run_points([config], checkpoint_path=checkpoint)
-        again = run_points([config], checkpoint_path=checkpoint)
+        path = str(tmp_path / "store.jsonl")
+        with ResultStore(path) as store:
+            first = run_points([config], store=store)
+        with ResultStore(path) as store:
+            again = run_points([config], store=store)
         assert again[0].obs_metrics == first[0].obs_metrics
 
     def test_export_dir_writes_artifacts(self, tmp_path):
@@ -385,6 +389,33 @@ class TestRunPointIntegration:
         prefix = obs_export_prefix(config)
         assert (out / f"{prefix}.trace.ndjson").exists()
         assert (out / f"{prefix}.heatmap.csv").exists()
+
+    def test_points_one_label_names_export_apart(self, tmp_path):
+        """The label names neither the seed nor the message length:
+        points differing only there must not overwrite each other's
+        artifacts in one export_dir."""
+        from repro.experiments.runner import obs_export_prefix, run_point
+
+        out = tmp_path / "artifacts"
+        base = tiny_config(
+            obs=True, obs_options={"export_dir": str(out), "stride": 16}
+        )
+        configs = [
+            base,
+            dataclasses.replace(base, seed=8),
+            dataclasses.replace(base, message_length=8),
+            dataclasses.replace(base, message_length=12),
+        ]
+        assert len({config.label() for config in configs}) == 1
+        for config in configs:
+            run_point(config)
+        suffixes = ("trace.ndjson", "probes.csv", "probes.ndjson",
+                    "heatmap.csv", "heatmap.txt", "metrics.json")
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            f"{obs_export_prefix(config)}.{suffix}"
+            for config in configs for suffix in suffixes
+        )
+        assert len(list(out.iterdir())) == 4 * 6
 
     def test_bad_obs_options_fail_at_engine_build(self):
         config = tiny_config(obs=True, obs_options={"nope": 1})

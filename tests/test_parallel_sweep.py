@@ -5,8 +5,8 @@ The contract of :mod:`repro.experiments.parallel`:
 * a parallel sweep (``jobs > 1``, real worker processes) returns
   **bit-identical** :class:`SimulationResult`s to the serial path for the
   same seeds — all six algorithms on a small torus;
-* a checkpoint file makes re-running a campaign skip completed points,
-  while a checkpoint from a *different* campaign is rejected;
+* a result store makes re-running a campaign skip completed points,
+  while the records of a *different* campaign are not trusted;
 * a checkpoint is a result store addressed config by config: one list
   may mix campaigns (message lengths, switching modes) and each point
   resumes to its own result;
@@ -49,6 +49,12 @@ from repro.routing.registry import ALGORITHM_NAMES
 from repro.stats.summary import SimulationResult
 from repro.util.errors import ConfigurationError
 from tests.conftest import tiny_config
+
+
+def run_stored(configs, path, **kwargs):
+    """``run_points`` over the store at *path*, opened and closed here."""
+    with ResultStore(str(path)) as store:
+        return run_points(configs, store=store, **kwargs)
 
 
 class TestSerialParallelIdentity:
@@ -96,7 +102,7 @@ class TestCheckpointResume:
     def test_resume_skips_completed_points(self, tmp_path, monkeypatch):
         path = str(tmp_path / "sweep.ckpt.json")
         configs = self._configs()
-        first = run_points(configs, checkpoint_path=path)
+        first = run_stored(configs, path)
 
         def boom(config):
             raise AssertionError(f"re-ran checkpointed point {config.label()}")
@@ -105,9 +111,7 @@ class TestCheckpointResume:
             "repro.experiments.parallel._run_point_worker", boom
         )
         lines = []
-        resumed = run_points(
-            configs, checkpoint_path=path, progress=lines.append
-        )
+        resumed = run_stored(configs, path, progress=lines.append)
         assert resumed == first
         assert lines[0] == "2 points: 2 in the store, 0 to simulate"
         assert len(lines) == 1 + len(configs)
@@ -118,7 +122,7 @@ class TestCheckpointResume:
     ):
         path = str(tmp_path / "sweep.ckpt.json")
         configs = self._configs()
-        run_points(configs[:1], checkpoint_path=path)
+        run_stored(configs[:1], path)
 
         ran = []
         real_worker = run_point
@@ -130,7 +134,7 @@ class TestCheckpointResume:
         monkeypatch.setattr(
             "repro.experiments.parallel._run_point_worker", counting
         )
-        results = run_points(configs, checkpoint_path=path)
+        results = run_stored(configs, path)
         assert ran == [point_key(configs[1])]
         assert len(results) == 2
 
@@ -139,7 +143,7 @@ class TestCheckpointResume:
     ):
         path = str(tmp_path / "sweep.ckpt.json")
         configs = self._configs()
-        run_points(configs, checkpoint_path=path)
+        run_stored(configs, path)
 
         # Same point identities, different campaign (sampling schedule).
         other = [
@@ -155,7 +159,7 @@ class TestCheckpointResume:
         monkeypatch.setattr(
             "repro.experiments.parallel._run_point_worker", counting
         )
-        run_points(other, checkpoint_path=path)
+        run_stored(other, path)
         assert len(ran) == len(other)  # nothing was trusted from the file
 
     def test_corrupt_checkpoint_warns_and_quarantines(self, tmp_path):
@@ -163,7 +167,7 @@ class TestCheckpointResume:
         path.write_text("{not json")
         configs = self._configs()[:1]
         with pytest.warns(StoreWarning, match="corrupt"):
-            results = run_points(configs, checkpoint_path=str(path))
+            results = run_stored(configs, path)
         assert len(results) == 1
         # The untrusted bytes were preserved, not silently overwritten...
         sidecar = tmp_path / "sweep.ckpt.json.corrupt"
@@ -176,7 +180,7 @@ class TestCheckpointResume:
     def test_checkpoint_file_layout(self, tmp_path):
         path = tmp_path / "sweep.ckpt.json"
         configs = self._configs()
-        run_points(configs, checkpoint_path=str(path))
+        run_stored(configs, path)
         # One self-contained JSON record line per finished point.
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == len(configs)
@@ -226,7 +230,7 @@ class TestLegacyCheckpointMigration:
             "repro.experiments.parallel._run_point_worker", counting
         )
         with pytest.warns(StoreWarning, match="unrecognized record"):
-            resumed = run_points(configs, checkpoint_path=str(path))
+            resumed = run_stored(configs, path)
         # Nothing was served from the v1 file: every point re-simulated.
         assert ran == [point_key(config) for config in configs]
         assert resumed == first
@@ -256,7 +260,7 @@ class TestMixedCampaignList:
     ):
         path = tmp_path / "mixed.ckpt.json"
         configs = self._configs(field, value)
-        assert run_points(configs, checkpoint_path=str(path)) == run_points(
+        assert run_stored(configs, path) == run_points(
             configs
         )
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -274,7 +278,7 @@ class TestMixedCampaignList:
         configs = self._configs(field, value)
         fresh = run_points(configs)
         assert fresh[0].average_latency != fresh[1].average_latency
-        run_points(configs[:1], checkpoint_path=path)
+        run_stored(configs[:1], path)
 
         ran = []
 
@@ -285,9 +289,9 @@ class TestMixedCampaignList:
         monkeypatch.setattr(
             "repro.experiments.parallel._run_point_worker", counting
         )
-        assert run_points(configs, checkpoint_path=path) == fresh
+        assert run_stored(configs, path) == fresh
         assert ran == configs[1:]  # only the missing config simulated
-        assert run_points(configs, checkpoint_path=path) == fresh
+        assert run_stored(configs, path) == fresh
         assert len(ran) == 1
         with ResultStore(path) as store:
             assert [store.get(config) for config in configs] == fresh
@@ -350,7 +354,7 @@ class TestBatchGroupResume:
 
         monkeypatch.setattr(ResultStore, "put", dying_put)
         with pytest.raises(KeyboardInterrupt):
-            run_points(configs, checkpoint_path=path, batch_size=4)
+            run_stored(configs, path, batch_size=4)
         monkeypatch.undo()
 
         seen = []
@@ -363,7 +367,7 @@ class TestBatchGroupResume:
         monkeypatch.setattr(
             "repro.experiments.parallel._run_batch_worker", counting
         )
-        resumed = run_points(configs, checkpoint_path=path, batch_size=4)
+        resumed = run_stored(configs, path, batch_size=4)
         assert seen == [3]  # only the unrecorded sibling re-ran
         assert resumed == full
 
@@ -384,7 +388,7 @@ class TestWorkerFailureSalvage:
         )
         configs = [bad, good]
         with pytest.raises(ConfigurationError, match="stride"):
-            run_points(configs, jobs=2, checkpoint_path=path)
+            run_stored(configs, path, jobs=2)
 
         # The good point completed in its worker and was checkpointed
         # under its own address, whatever else the list held.
@@ -400,7 +404,7 @@ class TestWorkerFailureSalvage:
             "repro.experiments.parallel._run_point_worker", counting
         )
         with pytest.raises(ConfigurationError, match="stride"):
-            run_points(configs, checkpoint_path=path)
+            run_stored(configs, path)
         assert ran == [point_key(bad)]  # the salvaged point was skipped
 
 

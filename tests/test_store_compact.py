@@ -1,14 +1,16 @@
 """What an open store holds per record, and that it loses nothing.
 
 A :class:`ResultStore` keeps each record as its point fields, its result
-values and its ``recorded_at``, beside one frame per campaign that holds
-the rest.  What must survive that:
+values and, on a line that carries one, its ``recorded_at`` stamp,
+beside one frame per campaign that holds the rest.  What must survive
+that:
 
 * frames are shared only between lines of the same JSON text — configs
   Python calls equal but JSON spells apart (``80`` / ``80.0``, ``true`` /
   ``1``, ``0.0`` / ``-0.0``) keep their own;
-* every accepted line — legacy ones without ``recorded_at``, ones with a
-  top-level key this code never writes, forged ones — is written back by
+* every accepted line — ones with the ``recorded_at`` stamp earlier
+  writers added, ones without it, ones with a top-level key this code
+  never writes, forged ones — is written back by
   ``gc`` byte for byte, and each point is served only to its own config;
 * the resident cost per record stays a fraction of the parsed line's.
 """
@@ -66,8 +68,12 @@ def mixed_store(tmp_path, result):
                 )
 
     def edit(records):
+        # Every line but the first carries the stamp stores written
+        # before ``put`` stopped writing one hold: the first is spelled
+        # as a fresh put writes it, the rest as an older store's lines.
+        for index, record in enumerate(records[1:]):
+            record["recorded_at"] = 1700000000.25 + index
         gap80, gap80f, _ = (records[i:i + 4] for i in range(0, 12, 4))
-        del gap80[0]["recorded_at"]  # a legacy line
         # Extra top-level keys, first and last; within one campaign,
         # 0.0 on one line and -0.0 on the next.
         records[1] = {"origin": {"writer": "elsewhere"}, **gap80[1]}
