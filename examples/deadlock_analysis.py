@@ -45,9 +45,9 @@ def main() -> None:
         verdict = "acyclic" if cycle is None else "HAS MAY-WAIT CYCLES"
         print(f"  {name:>5}: {edge_count:4d} edges, {verdict}")
     print(
-        "  (2pn's may-wait cycles are unrealizable under its "
-        "wait-for-any semantics — see DESIGN.md; the other five are "
-        "deadlock-free by graph acyclicity alone.)"
+        "  (2pn's deadlock freedom rests only on the paper's companion "
+        "report -- see DESIGN.md; the other five are deadlock-free by "
+        "graph acyclicity alone.)"
     )
 
     print("\n=== Lemma 1: strictly increasing ranks for the hop schemes ===")

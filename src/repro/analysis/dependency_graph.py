@@ -8,22 +8,20 @@ freedom (for adaptive algorithms it is not necessary — a message waits on
 the whole candidate set, so cycles of may-wait edges can be unrealizable;
 cf. Duato).
 
-The deterministic e-cube graph and the rank-layered hop-scheme graphs are
-acyclic and the test suite asserts so on small tori.  The nlast graph is
-acyclic by the wrap-count layering.  The tag-based 2pn graph *does* contain
-may-wait cycles (mixed wrap/non-wrap messages inside one tag class); the
-paper's deadlock-freedom claim for 2pn rests on the stronger reachability
-argument of its companion report, and the simulator's watchdog plus long
-overload stress tests provide the empirical evidence here.
+The e-cube, nlast and hop-scheme graphs are acyclic (the tests assert it
+on small networks).  2pn's graph has may-wait cycles on tori (mixed
+wrap/non-wrap messages in one tag class): its deadlock freedom rests only
+on the reachability argument of the paper's companion report, and a
+partial deadlock the global watchdog cannot see forms at 16x16, load 0.5,
+seed 1 (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.routing.base import RoutingAlgorithm
-from repro.util.fingerprint import state_fingerprint
+from repro.routing.relation import routing_relation
 
 #: One virtual channel: (link index, virtual-channel class).
 Resource = Tuple[int, int]
@@ -32,50 +30,21 @@ Resource = Tuple[int, int]
 def build_dependency_graph(
     algorithm: RoutingAlgorithm,
 ) -> Dict[Resource, Set[Resource]]:
-    """Enumerate every reachable hold->request dependency of *algorithm*.
-
-    Walks all (source, destination) pairs and, per pair, all reachable
-    (routing state, node, held resource) configurations.  Exponential only
-    in the path diversity of a single pair, which is small on the 4- and
-    6-ary test tori this is used on.
-    """
-    topology = algorithm.topology
-    edges: Dict[Resource, Set[Resource]] = {}
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            _walk_pair(algorithm, src, dst, edges)
-    return edges
-
-
-def _walk_pair(
-    algorithm: RoutingAlgorithm,
-    src: int,
-    dst: int,
-    edges: Dict[Resource, Set[Resource]],
-) -> None:
-    initial = algorithm.new_state(src, dst)
-    frontier: List[Tuple[Any, int, Optional[Resource]]] = [
-        (initial, src, None)
-    ]
-    seen: Set[Tuple[Hashable, int, Optional[Resource]]] = set()
-    while frontier:
-        state, node, held = frontier.pop()
-        marker = (state_fingerprint(state), node, held)
-        if marker in seen:
-            continue
-        seen.add(marker)
-        if node == dst:
-            continue
-        for link, vc_class in algorithm.candidates(state, node, dst):
-            resource = (link.index, vc_class)
-            if held is not None:
-                edges.setdefault(held, set()).add(resource)
-            next_state = algorithm.advance(
-                copy.copy(state), node, link, vc_class
-            )
-            frontier.append((next_state, link.dst, resource))
+    """Every reachable hold->request dependency of *algorithm*: holding
+    candidate *c* of a row, on a hop short of the destination, a message
+    may wait on every candidate of the row that hop leads to."""
+    relation = routing_relation(algorithm)
+    rows, v = relation.rows, relation.num_vcs
+    flat_edges: Dict[int, Set[int]] = {}
+    for flats, successors in rows.values():
+        for flat, successor in zip(flats, successors):
+            wanted = () if successor is None else rows[successor][0]
+            if wanted:
+                flat_edges.setdefault(flat, set()).update(wanted)
+    return {
+        divmod(held, v): {divmod(wanted, v) for wanted in targets}
+        for held, targets in flat_edges.items()
+    }
 
 
 def find_cycle(

@@ -1,27 +1,27 @@
-"""Machine checks for the algorithms' structural guarantees.
+"""Machine checks for the algorithms' structural guarantees, over the
+rows of :func:`~repro.routing.relation.routing_relation`.
 
 * Lemma 1 (paper Section 2.1): a wormhole algorithm derived from a
   deadlock-free SAF algorithm is deadlock-free when the buffer/channel
   ranks occupied along any path strictly increase —
-  :func:`check_rank_monotonicity` exhaustively verifies the increase for a
-  hop scheme on a topology.
+  :func:`check_rank_monotonicity`.
 * Minimality: every candidate hop must reduce the distance to the
-  destination — :func:`check_candidates_minimal` walks all reachable
-  states.
-* :func:`enumerate_paths` lists the link paths an algorithm permits for
-  one (src, dst) pair, used to verify full/partial adaptivity claims (a
-  fully adaptive algorithm must allow every minimal path).
+  destination — :func:`check_candidates_minimal`.
+
+:func:`enumerate_paths` lists the node paths one pair may take by a walk
+of its own: the tests' oracle for the relation's exact path count.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Hashable, List, Set, Tuple
+from functools import lru_cache
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.hop_base import HopClassScheme
+from repro.routing.relation import routing_relation
 from repro.util.errors import ReproError
-from repro.util.fingerprint import state_fingerprint
 
 
 class InvariantViolation(ReproError):
@@ -29,81 +29,55 @@ class InvariantViolation(ReproError):
 
 
 def check_rank_monotonicity(scheme: HopClassScheme) -> int:
-    """Verify ranks strictly increase along every reachable hop.
-
-    Walks every (src, dst) pair and every reachable (class, node)
-    configuration of *scheme*; raises :class:`InvariantViolation` on the
-    first non-increasing rank transition.  Returns the number of
-    transitions checked.
-    """
-    topology = scheme.topology
+    """Verify that the class after every reachable candidate hop is
+    within budget and ranks above the class the hop departs in; raises
+    :class:`InvariantViolation` or returns the number of hops checked."""
+    relation = routing_relation(scheme)
+    links, v = scheme.topology.links, relation.num_vcs
     checked = 0
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            frontier: List[Tuple[int, int]] = [
-                (vc_class, src)
-                for vc_class in scheme.initial_classes(src, dst)
-            ]
-            seen: Set[Tuple[int, int]] = set()
-            while frontier:
-                vc_class, node = frontier.pop()
-                if (vc_class, node) in seen or node == dst:
-                    continue
-                seen.add((vc_class, node))
-                next_class = scheme.class_after_hop(vc_class, node)
-                if next_class >= scheme.num_virtual_channels:
-                    raise InvariantViolation(
-                        f"{scheme.name}: class {next_class} exceeds the "
-                        f"{scheme.num_virtual_channels} provisioned virtual "
-                        f"channels (src={src}, dst={dst}, node={node})"
-                    )
-                for link in scheme.minimal_links(node, dst):
-                    rank_here = scheme.rank(vc_class, node)
-                    rank_next = scheme.rank(next_class, link.dst)
-                    checked += 1
-                    if rank_next <= rank_here:
-                        raise InvariantViolation(
-                            f"{scheme.name}: rank did not increase on hop "
-                            f"{node}->{link.dst} (class {vc_class}->"
-                            f"{next_class}, rank {rank_here}->{rank_next})"
-                        )
-                    frontier.append((next_class, link.dst))
+    for (node, dst, _key), (flats, _successors) in relation.rows.items():
+        for link, vc_class in ((links[flat // v], flat % v) for flat in flats):
+            after = scheme.class_after_hop(vc_class, node)
+            if after >= v:
+                raise InvariantViolation(
+                    f"{scheme.name}: class {after} exceeds the {v} "
+                    f"provisioned virtual channels (node={node}, dst={dst})"
+                )
+            here, there = scheme.rank(vc_class, node), scheme.rank(after, link.dst)
+            if there <= here:
+                raise InvariantViolation(
+                    f"{scheme.name}: rank did not increase on hop "
+                    f"{node}->{link.dst} (class {vc_class}->{after}, "
+                    f"rank {here}->{there})"
+                )
+            checked += 1
     return checked
 
 
 def check_candidates_minimal(
-    algorithm: RoutingAlgorithm, src: int, dst: int
+    algorithm: RoutingAlgorithm,
+    src: Optional[int] = None,
+    dst: Optional[int] = None,
 ) -> int:
-    """Verify every reachable candidate hop moves strictly closer to *dst*.
+    """Verify every candidate hop of the rows reachable from (*src*,
+    *dst*) — of every reachable row, when both are omitted — moves
+    strictly closer to its destination.
 
     Returns the number of candidates checked; raises
     :class:`InvariantViolation` otherwise.
     """
-    topology = algorithm.topology
-    checked = 0
-    frontier: List[Tuple[Any, int]] = [(algorithm.new_state(src, dst), src)]
-    seen: Set[Tuple[Hashable, int]] = set()
-    while frontier:
-        state, node = frontier.pop()
-        marker = (state_fingerprint(state), node)
-        if marker in seen or node == dst:
-            continue
-        seen.add(marker)
-        distance = topology.distance(node, dst)
-        for link, vc_class in algorithm.candidates(state, node, dst):
-            checked += 1
-            if topology.distance(link.dst, dst) != distance - 1:
+    pairs = None if src is None or dst is None else [(src, dst)]
+    relation = routing_relation(algorithm, pairs)
+    topology, v = algorithm.topology, relation.num_vcs
+    for (node, target, _key), (flats, _successors) in relation.rows.items():
+        closer = topology.distance(node, target) - 1
+        for landing in (topology.links[flat // v].dst for flat in flats):
+            if topology.distance(landing, target) != closer:
                 raise InvariantViolation(
-                    f"{algorithm.name}: non-minimal hop {node}->{link.dst} "
-                    f"while routing {src}->{dst}"
+                    f"{algorithm.name}: non-minimal hop {node}->{landing} "
+                    f"while routing to {target}"
                 )
-            next_state = algorithm.advance(
-                copy.copy(state), node, link, vc_class
-            )
-            frontier.append((next_state, link.dst))
-    return checked
+    return sum(len(flats) for flats, _successors in relation.rows.values())
 
 
 def enumerate_paths(
@@ -145,20 +119,14 @@ def count_minimal_paths(
 ) -> int:
     """Number of distinct minimal node paths in the underlying topology."""
     topology = algorithm.topology
-    memo: Dict[int, int] = {}
 
-    def recurse(node: int) -> int:
+    @lru_cache(maxsize=None)
+    def count(node: int) -> int:
         if node == dst:
             return 1
-        if node in memo:
-            return memo[node]
-        total = sum(
-            recurse(link.dst) for link in topology.minimal_links(node, dst)
-        )
-        memo[node] = total
-        return total
+        return sum(count(link.dst) for link in topology.minimal_links(node, dst))
 
-    return recurse(src)
+    return count(src)
 
 
 __all__ = [

@@ -1,38 +1,26 @@
 """The registry of named deadlock-freedom / structure checks.
 
 Each check inspects one routing algorithm instance (which carries its
-topology) and returns an :class:`Outcome`.  The registry maps check names
-to :class:`Check` records; :func:`evaluate` turns one (check, algorithm)
-cell into a :class:`~repro.analysis.verify.result.CheckResult`, applying
-the waiver table for known, documented failures.
-
-The battery encodes the paper's correctness claims:
-
-* ``rank_monotonicity`` — Lemma 1 for the hop schemes: buffer-class ranks
-  strictly increase along every reachable hop.
-* ``candidate_minimality`` — every algorithm is minimal (which also rules
-  out livelock).
-* ``acyclicity`` — Dally–Seitz channel-dependency acyclicity, with a
-  cycle witness on failure.  2pn on tori carries a documented waiver: its
-  *may-wait* graph is cyclic, and the paper's deadlock-freedom claim
-  rests on a reachability argument plus the empirical watchdog evidence.
-* ``vc_provisioning`` — the virtual-channel budget matches the paper's
-  closed-form requirements (Table 1).
-* ``adaptivity`` — the fully/partially/non-adaptive classification is
-  real: path enumeration against the minimal-path count.
-* ``escape_reachability`` — no reachable routing state is a dead end:
-  every undelivered configuration offers at least one provisioned
-  candidate, so a blocked worm always has a channel whose grant lets it
-  drain (the escape-style progress property that carries 2pn and nlast
-  where acyclicity alone does not certify them).
+topology) and returns an :class:`Outcome`; :func:`evaluate` turns one
+(check, algorithm) cell into a
+:class:`~repro.analysis.verify.result.CheckResult`, applying the waiver
+table for known, documented failures.  The battery encodes the paper's
+correctness claims — Lemma 1 for the hop schemes
+(``rank_monotonicity``), minimality (``candidate_minimality``),
+Dally–Seitz acyclicity with a cycle witness (``acyclicity``; 2pn on tori
+is waived: its claim rests only on the reachability argument of the
+paper's companion report), Table 1's VC budgets (``vc_provisioning``),
+the adaptivity classes by exact path counts (``adaptivity``), no dead
+end (``escape_reachability``) — plus the engines' route-table memo
+contract (``route_memo``).  All but ``vc_provisioning`` read one walk
+per algorithm instance, :func:`~repro.routing.relation.routing_relation`
+(its first check pays for it).
 """
 
 from __future__ import annotations
 
-import copy
-import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.dependency_graph import (
     build_dependency_graph,
@@ -43,7 +31,6 @@ from repro.analysis.invariants import (
     check_candidates_minimal,
     check_rank_monotonicity,
     count_minimal_paths,
-    enumerate_paths,
 )
 from repro.analysis.battery import (
     STATUS_ERROR,
@@ -55,8 +42,9 @@ from repro.analysis.battery import (
 from repro.analysis.verify.result import CheckResult, Witness
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.hop_base import HopClassScheme
+from repro.routing.multilane import MultiLane
+from repro.routing.relation import routing_relation
 from repro.util.errors import ReproError
-from repro.util.fingerprint import state_fingerprint
 
 
 @dataclass
@@ -69,6 +57,10 @@ class Outcome:
     counts: Dict[str, int] = field(default_factory=dict)
 
 
+#: What a check is: one algorithm in, one outcome out.
+CheckFn = Callable[[RoutingAlgorithm], Outcome]
+
+
 @dataclass(frozen=True)
 class Check:
     """One registered check."""
@@ -76,8 +68,7 @@ class Check:
     name: str
     description: str
     applies: Callable[[RoutingAlgorithm], bool]
-    run: Callable[[RoutingAlgorithm], Outcome]
-
+    run: CheckFn
 
 #: Registered checks, in registration (= presentation) order.
 CHECKS: Dict[str, Check] = {}
@@ -87,13 +78,10 @@ def register_check(
     name: str,
     description: str,
     applies: Optional[Callable[[RoutingAlgorithm], bool]] = None,
-) -> Callable[[Callable[[RoutingAlgorithm], Outcome]], Callable[
-        [RoutingAlgorithm], Outcome]]:
+) -> Callable[[CheckFn], CheckFn]:
     """Class-decorator-style registration of a check function."""
 
-    def decorator(
-        run: Callable[[RoutingAlgorithm], Outcome]
-    ) -> Callable[[RoutingAlgorithm], Outcome]:
+    def decorator(run: CheckFn) -> CheckFn:
         if name in CHECKS:
             raise ValueError(f"check {name!r} is already registered")
         CHECKS[name] = Check(
@@ -130,15 +118,14 @@ _2PN_WAIVER_REASON = (
     "2pn's may-wait dependency graph is cyclic on tori (mixed wrap/"
     "non-wrap messages share one tag class), but a message waits on its "
     "whole candidate set, so Dally-Seitz acyclicity is sufficient, not "
-    "necessary.  The paper's deadlock-freedom claim rests on the "
-    "reachability argument of its companion report; empirically backed "
-    "here by the watchdog overload stress tests "
-    "(tests/test_engine_congestion_watchdog.py) and the "
-    "escape_reachability check."
+    "necessary.  The waiver rests only on the reachability argument of "
+    "the paper's companion report: nothing in this repository shows 2pn "
+    "deadlock-free, and a partial deadlock the global watchdog cannot "
+    "see forms at 16x16, load 0.5, seed 1 (ROADMAP item 1)."
 )
 
-#: Known acceptable failures.  Base names only: a multilane wrapper
-#: (e.g. ``2pnx2``) inherits its inner algorithm's waiver by base name.
+#: Known acceptable failures.  Base names only: a lane wrapper
+#: (:class:`MultiLane`, e.g. ``2pnx2``) inherits its inner algorithm's.
 WAIVERS: List[Waiver] = [
     Waiver(
         check="acyclicity",
@@ -149,16 +136,20 @@ WAIVERS: List[Waiver] = [
 ]
 
 
+def _unwrap(algorithm: RoutingAlgorithm) -> Tuple[RoutingAlgorithm, int]:
+    """The algorithm under a lane wrapper, and its lane count."""
+    if isinstance(algorithm, MultiLane):
+        return algorithm.inner, algorithm.lanes
+    return algorithm, 1
+
+
 def find_waiver(check: str, algorithm: RoutingAlgorithm) -> Optional[str]:
     """The waiver reason for (check, algorithm), or None."""
-    base_name = algorithm.name.split("x")[0]
+    names = (algorithm.name, _unwrap(algorithm)[0].name)
     for waiver in WAIVERS:
-        if waiver.check != check:
-            continue
-        if waiver.algorithm not in (algorithm.name, base_name):
-            continue
-        if waiver.condition(algorithm):
-            return waiver.reason
+        if waiver.check == check and waiver.algorithm in names:
+            if waiver.condition(algorithm):
+                return waiver.reason
     return None
 
 
@@ -167,21 +158,27 @@ def find_waiver(check: str, algorithm: RoutingAlgorithm) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
+def _invariant(
+    check: Callable[[Any], int], algorithm: RoutingAlgorithm, unit: str, ok: str
+) -> Outcome:
+    """An :mod:`~repro.analysis.invariants` check as an outcome."""
+    try:
+        count = check(algorithm)
+    except InvariantViolation as exc:
+        return Outcome(STATUS_FAIL, str(exc))
+    return Outcome(
+        STATUS_PASS, f"{count} {unit} {ok} over all rows", counts={unit: count}
+    )
+
+
 @register_check(
     "rank_monotonicity",
     "Lemma 1: buffer-class ranks strictly increase along every hop",
     applies=lambda algorithm: isinstance(algorithm, HopClassScheme),
 )
 def _check_rank_monotonicity(algorithm: RoutingAlgorithm) -> Outcome:
-    assert isinstance(algorithm, HopClassScheme)
-    try:
-        checked = check_rank_monotonicity(algorithm)
-    except InvariantViolation as exc:
-        return Outcome(STATUS_FAIL, str(exc))
-    return Outcome(
-        STATUS_PASS,
-        f"{checked} rank transitions strictly increasing",
-        counts={"transitions": checked},
+    return _invariant(
+        check_rank_monotonicity, algorithm, "transitions", "increase rank"
     )
 
 
@@ -190,20 +187,8 @@ def _check_rank_monotonicity(algorithm: RoutingAlgorithm) -> Outcome:
     "every candidate hop moves strictly closer to the destination",
 )
 def _check_minimality(algorithm: RoutingAlgorithm) -> Outcome:
-    topology = algorithm.topology
-    checked = 0
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            try:
-                checked += check_candidates_minimal(algorithm, src, dst)
-            except InvariantViolation as exc:
-                return Outcome(STATUS_FAIL, str(exc))
-    return Outcome(
-        STATUS_PASS,
-        f"{checked} candidates minimal over all pairs",
-        counts={"candidates": checked},
+    return _invariant(
+        check_candidates_minimal, algorithm, "candidates", "minimal"
     )
 
 
@@ -234,30 +219,21 @@ def _check_acyclicity(algorithm: RoutingAlgorithm) -> Outcome:
 def _expected_virtual_channels(algorithm: RoutingAlgorithm) -> Optional[int]:
     """The paper's closed-form VC requirement, or None when unknown.
 
-    A trailing ``x<lanes>`` multiplies the base requirement (the multilane
-    wrapper of the paper's Section 4 study).
+    A lane wrapper (:class:`MultiLane`, the paper's Section 4 study)
+    multiplies its inner algorithm's requirement.
     """
     topology = algorithm.topology
-    name = algorithm.name
-    lanes = 1
-    match = re.fullmatch(r"(?P<base>.+?)x(?P<lanes>\d+)", name)
-    if match is not None:
-        name = match.group("base")
-        lanes = int(match.group("lanes"))
+    inner, lanes = _unwrap(algorithm)
     has_wrap = _has_wrap(algorithm)
-    base: Optional[int]
-    if name == "ecube":
-        base = 2 if has_wrap else 1
-    elif name == "nlast":
-        base = topology.n_dims + 1 if has_wrap else 1
-    elif name == "2pn":
-        base = 2**topology.n_dims
-    elif name == "phop":
-        base = topology.diameter + 1
-    elif name in ("nhop", "nbc"):
-        base = (topology.diameter + 1) // 2 + 1
-    else:
-        base = None
+    negative_hop = (topology.diameter + 1) // 2 + 1
+    base = {
+        "ecube": 2 if has_wrap else 1,
+        "nlast": topology.n_dims + 1 if has_wrap else 1,
+        "2pn": 2**topology.n_dims,
+        "phop": topology.diameter + 1,
+        "nhop": negative_hop,
+        "nbc": negative_hop,
+    }.get(inner.name)
     return None if base is None else base * lanes
 
 
@@ -291,82 +267,54 @@ def _check_vc_provisioning(algorithm: RoutingAlgorithm) -> Outcome:
 
 @register_check(
     "adaptivity",
-    "path enumeration matches the declared adaptivity class",
+    "the permitted-path count matches the declared adaptivity class",
 )
 def _check_adaptivity(algorithm: RoutingAlgorithm) -> Outcome:
-    topology = algorithm.topology
-    pairs = 0
-    adaptive_pairs = 0
-    restricted_pairs = 0
-    total_paths = 0
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            pairs += 1
-            permitted = len(enumerate_paths(algorithm, src, dst))
-            minimal = count_minimal_paths(algorithm, src, dst)
-            total_paths += permitted
-            if permitted == 0:
-                return Outcome(
-                    STATUS_FAIL,
-                    f"{algorithm.name} permits no path {src}->{dst}",
-                )
-            if permitted > minimal:
-                return Outcome(
-                    STATUS_FAIL,
-                    f"{algorithm.name} permits {permitted} paths "
-                    f"{src}->{dst} but only {minimal} minimal paths "
-                    "exist (non-minimal or duplicated routes)",
-                )
-            if permitted > 1:
-                adaptive_pairs += 1
-            if permitted < minimal:
-                restricted_pairs += 1
+    relation = routing_relation(algorithm)
+    pairs = len(relation.starts)
+    adaptive_pairs = restricted_pairs = total_paths = 0
+    for src, dst in relation.starts:
+        permitted = relation.path_count(src, dst)
+        minimal = count_minimal_paths(algorithm, src, dst)
+        if not 0 < permitted <= minimal:
+            return Outcome(
+                STATUS_FAIL,
+                f"{algorithm.name} permits {permitted} paths {src}->{dst}, "
+                f"where {minimal} minimal paths exist",
+            )
+        total_paths += permitted
+        adaptive_pairs += permitted > 1
+        restricted_pairs += permitted < minimal
     counts = {
         "pairs": pairs,
         "paths": total_paths,
         "adaptive_pairs": adaptive_pairs,
         "restricted_pairs": restricted_pairs,
     }
-    if algorithm.fully_adaptive and restricted_pairs:
+    fully, adaptive = algorithm.fully_adaptive, algorithm.adaptive
+    if fully and restricted_pairs:
+        wrong = (
+            f"claims full adaptivity but restricts {restricted_pairs}/"
+            f"{pairs} pairs below the minimal-path count"
+        )
+    elif not adaptive and adaptive_pairs:
+        wrong = (
+            f"claims determinism but offers a choice on "
+            f"{adaptive_pairs}/{pairs} pairs"
+        )
+    elif adaptive and not fully and pairs and not adaptive_pairs:
+        wrong = "claims partial adaptivity but offers no choice on any pair"
+    else:
+        kind = "fully adaptive" if fully else (
+            "partially adaptive" if adaptive else "deterministic"
+        )
         return Outcome(
-            STATUS_FAIL,
-            f"{algorithm.name} claims full adaptivity but restricts "
-            f"{restricted_pairs}/{pairs} pairs below the minimal-path "
-            "count",
+            STATUS_PASS,
+            f"{kind} classification confirmed over {pairs} pairs "
+            f"({total_paths} permitted paths)",
             counts=counts,
         )
-    if not algorithm.adaptive and adaptive_pairs:
-        return Outcome(
-            STATUS_FAIL,
-            f"{algorithm.name} claims determinism but offers a choice "
-            f"on {adaptive_pairs}/{pairs} pairs",
-            counts=counts,
-        )
-    if (
-        algorithm.adaptive
-        and not algorithm.fully_adaptive
-        and adaptive_pairs == 0
-        and pairs > 0
-    ):
-        return Outcome(
-            STATUS_FAIL,
-            f"{algorithm.name} claims partial adaptivity but offers no "
-            "choice on any pair",
-            counts=counts,
-        )
-    kind = (
-        "fully adaptive"
-        if algorithm.fully_adaptive
-        else ("partially adaptive" if algorithm.adaptive else "deterministic")
-    )
-    return Outcome(
-        STATUS_PASS,
-        f"{kind} classification confirmed over {pairs} pairs "
-        f"({total_paths} permitted paths)",
-        counts=counts,
-    )
+    return Outcome(STATUS_FAIL, f"{algorithm.name} {wrong}", counts=counts)
 
 
 @register_check(
@@ -374,54 +322,50 @@ def _check_adaptivity(algorithm: RoutingAlgorithm) -> Outcome:
     "no reachable routing state is a dead end; all candidates provisioned",
 )
 def _check_escape_reachability(algorithm: RoutingAlgorithm) -> Outcome:
-    topology = algorithm.topology
-    num_vcs = algorithm.num_virtual_channels
-    configurations = 0
-    candidates_seen = 0
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            frontier: List[Tuple[Any, int]] = [
-                (algorithm.new_state(src, dst), src)
-            ]
-            seen: Set[Tuple[Hashable, int]] = set()
-            while frontier:
-                state, node = frontier.pop()
-                marker = (state_fingerprint(state), node)
-                if marker in seen or node == dst:
-                    continue
-                seen.add(marker)
-                configurations += 1
-                choices = algorithm.candidates(state, node, dst)
-                if not choices:
-                    return Outcome(
-                        STATUS_FAIL,
-                        f"{algorithm.name}: dead end at node {node} while "
-                        f"routing {src}->{dst} (no candidate channel; a "
-                        "worm holding channels here could never drain)",
-                    )
-                for link, vc_class in choices:
-                    candidates_seen += 1
-                    if not 0 <= vc_class < num_vcs:
-                        return Outcome(
-                            STATUS_FAIL,
-                            f"{algorithm.name}: candidate class "
-                            f"{vc_class} on link {link.index} outside "
-                            f"the {num_vcs} provisioned virtual channels",
-                        )
-                    next_state = algorithm.advance(
-                        copy.copy(state), node, link, vc_class
-                    )
-                    frontier.append((next_state, link.dst))
+    relation = routing_relation(algorithm)
+    for (node, dst, key), (flats, _successors) in relation.rows.items():
+        if not flats:
+            return Outcome(
+                STATUS_FAIL,
+                f"{algorithm.name}: dead end at node {node} while routing "
+                f"to {dst} (state key {key!r}): a worm holding channels "
+                "here could never drain",
+            )
+    for (node, dst, key), (link, vc_class) in relation.unprovisioned.items():
+        return Outcome(
+            STATUS_FAIL,
+            f"{algorithm.name}: class {vc_class} on link {link} at node "
+            f"{node} (to {dst}, state key {key!r}) is outside the "
+            f"{relation.num_vcs} provisioned virtual channels",
+        )
+    candidates = sum(len(flats) for flats, _ in relation.rows.values())
     return Outcome(
         STATUS_PASS,
-        f"{configurations} reachable configurations, none a dead end; "
-        f"{candidates_seen} candidates all provisioned",
-        counts={
-            "configurations": configurations,
-            "candidates": candidates_seen,
-        },
+        f"{len(relation.rows)} reachable rows, none a dead end; "
+        f"{candidates} candidates all provisioned",
+        counts={"rows": len(relation.rows), "candidates": candidates},
+    )
+
+
+@register_check(
+    "route_memo",
+    "states with one route-table key route alike (the engines' memo)",
+)
+def _check_route_memo(algorithm: RoutingAlgorithm) -> Outcome:
+    relation = routing_relation(algorithm)
+    conflicts = relation.conflicts
+    counts = {"rows": len(relation.rows), "conflicts": len(conflicts)}
+    for key, other in conflicts.items():
+        return Outcome(
+            STATUS_FAIL,
+            f"{algorithm.name}: {len(conflicts)} route-table keys stand for "
+            f"states that route differently; first (node, dst, key) "
+            f"{key!r}: row {relation.rows[key]!r} vs {other!r}",
+            witness=[key],
+            counts=counts,
+        )
+    return Outcome(
+        STATUS_PASS, f"{len(relation.rows)} rows, one per key", counts=counts
     )
 
 
@@ -435,34 +379,20 @@ def evaluate(
 ) -> CheckResult:
     """Run one check on one algorithm, applying waivers, never raising."""
     if not check.applies(algorithm):
-        return CheckResult(
-            check=check.name,
-            algorithm=algorithm.name,
-            topology=topology_label,
-            status=STATUS_SKIPPED,
-            detail=f"not applicable to {algorithm.name}",
-        )
-    try:
-        outcome = check.run(algorithm)
-    except ReproError as exc:
-        return CheckResult(
-            check=check.name,
-            algorithm=algorithm.name,
-            topology=topology_label,
-            status=STATUS_ERROR,
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-    status = outcome.status
+        outcome = Outcome(STATUS_SKIPPED, f"not applicable to {algorithm.name}")
+    else:
+        try:
+            outcome = check.run(algorithm)
+        except ReproError as exc:
+            outcome = Outcome(STATUS_ERROR, f"{type(exc).__name__}: {exc}")
     waiver: Optional[str] = None
-    if status == STATUS_FAIL:
+    if outcome.status == STATUS_FAIL:
         waiver = find_waiver(check.name, algorithm)
-        if waiver is not None:
-            status = STATUS_WAIVED
     return CheckResult(
         check=check.name,
         algorithm=algorithm.name,
         topology=topology_label,
-        status=status,
+        status=outcome.status if waiver is None else STATUS_WAIVED,
         detail=outcome.detail,
         waiver=waiver,
         witness=outcome.witness,

@@ -8,7 +8,7 @@ JSON dictionaries so CI can archive them and diff runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.analysis.battery import (
     STATUS_ERROR,
@@ -19,8 +19,9 @@ from repro.analysis.battery import (
     clip,
 )
 
-#: One virtual channel, as named in witnesses: (link index, vc class).
-Witness = List[Tuple[int, int]]
+#: What a verdict points at: resources ``(link index, vc class)`` along a
+#: cycle, or one route-table key ``(node, dst, state key)``.
+Witness = List[Tuple[Hashable, ...]]
 
 #: How a status reads in the verdict table.
 _STATUS_MARK = {
@@ -41,7 +42,8 @@ class CheckResult:
       (check or algorithm not applicable) or ``error`` (the check itself
       crashed).
     * ``witness`` — for cycle checks, the resources along one offending
-      cycle; empty otherwise.
+      cycle; for ``route_memo``, the first conflicting row key; empty
+      otherwise.
     * ``counts`` — check-specific work counters (transitions walked,
       paths enumerated, ...), useful for spotting vacuous passes.
     """

@@ -570,11 +570,11 @@ class ResultStore:
 
         The append-only write path can leave superseded lines behind —
         one key appended by two writers sharing the file — which cost
-        disk and load time but are never served.  ``gc`` atomically
-        rewrites the file from the live in-memory records (the exact
-        set lookups are answered from), each line spelled as it was
-        read, and drops everything else.  A rewrite the disk cannot
-        hold raises with the file as it was.
+        disk and load time but are never served.  ``gc`` re-reads the
+        file as opening it does (the last record of a key wins; other
+        writers' lines are kept) and atomically rewrites it from the live
+        records, each line spelled as it was read.  A rewrite the disk
+        cannot hold raises with the file as it was.
 
         Returns a stats dict: lines/bytes before and after, the number
         of superseded lines dropped and the live record count.
@@ -589,6 +589,8 @@ class ResultStore:
             return lines, len(text.encode("utf-8"))
 
         lines_before, bytes_before = measure()
+        self._decoded.clear()
+        self._load()
         if lines_before or self._records:
             self._rewrite(self._records)
         lines_after, bytes_after = measure()

@@ -56,12 +56,10 @@ row: ``advance`` is applied to a shallow copy of the representative and
 the result is interned under its own key.  This is sound under a
 contract slightly stronger than :meth:`RoutingAlgorithm.state_key`'s:
 the advanced state's key must be determined by ``(state_key, current,
-link, vc_class)`` alone.  Every shipped algorithm satisfies it — e-cube
-is stateless, the hop schemes map ``(vc_class,)`` through
-``class_after_hop(vc_class, current)``, north-last increments its wrap
-count on wrap links, 2pn's tag never changes, and multi-lane delegates —
-and any custom algorithm whose ``advance`` consults state outside its
-key must not be run on the batch backend.  Row numbers depend on
+link, vc_class)`` alone.  ``repro-check verify``'s ``route_memo`` check
+holds an algorithm to both over every reachable row
+(:mod:`repro.routing.relation`); one that fails it must not be run on
+the batch backend.  Row numbers depend on
 interning order (a shared table may arrive pre-grown); nothing a lane
 reports may depend on them.
 
@@ -74,11 +72,11 @@ from __future__ import annotations
 
 import copy
 from functools import lru_cache
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Type
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.routing.base import RoutingAlgorithm
+from repro.routing.base import RouteChoice, RoutingAlgorithm
 from repro.routing.registry import make_algorithm
 from repro.topology.base import Topology
 from repro.topology.mesh import Mesh
@@ -99,15 +97,14 @@ def flat_candidates(
     node: int,
     dst: int,
 ) -> List[int]:
-    """``algorithm.candidates(state, node, dst)`` as flat VC indices.
+    """``algorithm.candidates(state, node, dst)`` as flat VC indices."""
+    return flatten(algorithm.candidates(state, node, dst), num_vcs)
 
-    The one definition of the int format: table entries and the object
-    engine's per-request reference path both come from here.
-    """
-    return [
-        link.index * num_vcs + vc_class
-        for link, vc_class in algorithm.candidates(state, node, dst)
-    ]
+
+def flatten(choices: Sequence[RouteChoice], num_vcs: int) -> List[int]:
+    """The one definition of the int format: table entries, the object
+    engine's per-request reference path and the routing relation."""
+    return [link.index * num_vcs + vc_class for link, vc_class in choices]
 
 
 class RouteTable:
@@ -306,6 +303,7 @@ __all__ = [
     "EntryKey",
     "RouteTable",
     "flat_candidates",
+    "flatten",
     "route_table",
     "shared_table",
 ]

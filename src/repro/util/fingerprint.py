@@ -1,12 +1,10 @@
 """Hashable fingerprints of per-message routing-state objects.
 
 Routing algorithms attach small opaque state objects to messages
-(:meth:`repro.routing.base.RoutingAlgorithm.new_state`).  The analysis
-walks — invariant checking, dependency-graph construction, the verifier's
-reachability sweeps — all need to deduplicate visited configurations, so
-they need a hashable key for states that may be plain values, ``__slots__``
-instances, or ordinary objects.  This module is the one shared definition
-of that key.
+(:meth:`repro.routing.base.RoutingAlgorithm.new_state`).  The walk of
+:mod:`repro.routing.relation` deduplicates visited states on this key, and
+the default ``state_key`` is it: one definition for states that may be
+plain values, ``__slots__`` instances or ordinary objects.
 """
 
 from __future__ import annotations

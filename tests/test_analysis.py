@@ -42,9 +42,10 @@ class TestDependencyGraphs:
         assert is_acyclic(graph)
 
     def test_2pn_torus_may_wait_graph_has_cycles(self, torus4):
-        """Documented nuance: 2pn's *may-wait* graph is cyclic on tori;
-        deadlock freedom rests on the unreachability of those cycles
-        (paper's companion report) — see the watchdog stress tests."""
+        """Documented nuance: 2pn's *may-wait* graph is cyclic on tori.
+        Its deadlock freedom rests only on the companion report's
+        argument that those cycles are unreachable; nothing here shows
+        it (a partial deadlock forms at 16x16: ROADMAP item 1)."""
         graph = build_dependency_graph(make_algorithm("2pn", torus4))
         assert find_cycle(graph) is not None
 

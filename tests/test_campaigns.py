@@ -448,6 +448,20 @@ class TestResultStore:
         # The surviving line still serves the record.
         assert ResultStore(str(path)).get(config) == result
 
+    def test_gc_keeps_another_writers_lines(self, tmp_path):
+        """A line appended after this store was opened is folded in
+        before the rewrite, as opening the file would read it."""
+        path = str(tmp_path / "store.jsonl")
+        config = tiny_config(seed=4)
+        result = run_point(config)
+        writer, compactor = ResultStore(path), ResultStore(path)
+        writer.put(config, result)
+        stats = compactor.gc()
+        assert stats["live_records"] == 1
+        assert stats["dropped_lines"] == 0
+        assert compactor.get(config) == result
+        assert len(ResultStore(path)) == 1
+
     def test_gc_leaves_sidecars_alone(self, tmp_path):
         """A quarantine sidecar is for a person to inspect and ``rm``."""
         path = tmp_path / "store.jsonl"

@@ -56,7 +56,7 @@ class TestTreeGate:
         second = capsys.readouterr().out
         assert list(tmp_path.iterdir()) == [report]
         assert _untimed(second) == _untimed(first) + f"wrote {report}\n"
-        assert "72 verdicts over torus:4x4, mesh:4x4" in second
+        assert "84 verdicts over torus:4x4, mesh:4x4" in second
         data = json.loads(report.read_text(encoding="utf-8"))
         assert sorted(data) == ["lint", "verify"]
         assert data["lint"]["summary"] == {"open": 0, "waived": 1}
@@ -141,6 +141,6 @@ class TestLedgerProbeContract:
         run = run_verification(["torus:4x4", "mesh:4x4"])
         assert isinstance(run, VerificationRun)
         assert isinstance(run.wall_time, float) and run.wall_time > 0
-        assert len(run.results) == 72
+        assert len(run.results) == 84
         statuses = {result.status for result in run.results}
         assert statuses == {"pass", "skipped", "waived"}

@@ -11,7 +11,13 @@ from repro.analysis.invariants import (
     count_minimal_paths,
     enumerate_paths,
 )
-from repro.routing.registry import ALGORITHM_NAMES, make_algorithm
+from repro.routing.registry import (
+    ALGORITHM_NAMES,
+    available_algorithms,
+    make_algorithm,
+)
+from repro.routing.relation import routing_relation
+from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
 
 _TORUS = Torus(6, 2)
@@ -79,6 +85,7 @@ def test_fully_adaptive_algorithms_allow_every_minimal_path(name, pair):
     algorithm = _ALGORITHMS[name]
     paths = enumerate_paths(algorithm, src, dst)
     assert len(paths) == count_minimal_paths(algorithm, src, dst)
+    assert routing_relation(algorithm).path_count(src, dst) == len(paths)
 
 
 @given(pair=_pairs)
@@ -86,6 +93,27 @@ def test_fully_adaptive_algorithms_allow_every_minimal_path(name, pair):
 def test_ecube_allows_exactly_one_path(pair):
     src, dst = pair
     assert len(enumerate_paths(_ALGORITHMS["ecube"], src, dst)) == 1
+    assert routing_relation(_ALGORITHMS["ecube"]).path_count(src, dst) == 1
+
+
+@pytest.mark.parametrize(
+    "topology", [Torus(4, 2), Mesh(4, 2)], ids=["torus4", "mesh4"]
+)
+@pytest.mark.parametrize(
+    "name", available_algorithms() + ["ecubex2", "2pnx2"]
+)
+def test_relation_path_count_equals_path_enumeration(name, topology):
+    """The battery's exact path count, over the relation's rows, against
+    the independent walk that lists every path, for every pair."""
+    algorithm = make_algorithm(name, topology)
+    relation = routing_relation(algorithm)
+    nodes = range(topology.num_nodes)
+    for src in nodes:
+        for dst in nodes:
+            if src != dst:
+                assert relation.path_count(src, dst) == len(
+                    enumerate_paths(algorithm, src, dst)
+                ), (src, dst)
 
 
 @given(pair=_pairs)
@@ -97,6 +125,7 @@ def test_nlast_path_count_between_ecube_and_fully_adaptive(pair):
     algorithm = _ALGORITHMS["nlast"]
     paths = enumerate_paths(algorithm, src, dst)
     assert 1 <= len(paths) <= count_minimal_paths(algorithm, src, dst)
+    assert routing_relation(algorithm).path_count(src, dst) == len(paths)
 
 
 @given(pair=_pairs)

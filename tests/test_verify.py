@@ -16,8 +16,14 @@ from repro.analysis.verify import (
 )
 from repro.analysis.verify.result import CheckResult
 from repro.analysis.verify.runner import INSTANTIATE_CHECK, VerificationRun
+from repro.routing import registry
 from repro.routing.positive_hop import PositiveHop
-from repro.routing.registry import make_algorithm
+from repro.routing.registry import (
+    ALGORITHM_NAMES,
+    make_algorithm,
+    register_algorithm,
+)
+from repro.routing.two_power_n import TwoPowerN
 from repro.util.errors import ConfigurationError
 
 
@@ -87,6 +93,7 @@ class TestChecks:
             "vc_provisioning",
             "adaptivity",
             "escape_reachability",
+            "route_memo",
         }
 
     @pytest.mark.parametrize("name", ["ecube", "nlast", "phop", "nhop", "nbc"])
@@ -159,6 +166,85 @@ class TestChecks:
         )
         assert result.status == "fail"
         assert "dead end" in result.detail
+
+    def test_escape_check_catches_unprovisioned_classes(self, torus4):
+        """A class past the budget would spell another channel's flat
+        index; the relation records it before flattening."""
+
+        class Underprovisioned(PositiveHop):
+            @property
+            def num_virtual_channels(self):
+                return 2
+
+        result = evaluate(
+            CHECKS["escape_reachability"],
+            Underprovisioned(torus4),
+            "torus:4x4",
+        )
+        assert result.status == "fail"
+        assert "outside the 2 provisioned" in result.detail
+
+
+class TestRouteMemo:
+    @pytest.mark.parametrize("spec", ["torus:4x4", "mesh:4x4", "torus:6x6"])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_paper_algorithms_keep_the_memo_contract(self, name, spec):
+        _, topology = parse_topology(spec)
+        result = evaluate(
+            CHECKS["route_memo"], make_algorithm(name, topology), spec
+        )
+        assert result.status == "pass", result.detail
+        assert result.counts["rows"] > 0
+        assert result.counts["conflicts"] == 0
+
+    def test_a_key_that_drops_what_candidates_read_fails(self, torus4):
+        """phop's candidates read the class pointer; a key without it
+        stands for states that route differently."""
+
+        class Keyless(PositiveHop):
+            def state_key(self, state):
+                return ()
+
+        result = evaluate(CHECKS["route_memo"], Keyless(torus4), "torus:4x4")
+        assert result.status == "fail"
+        assert result.counts["conflicts"] > 0
+        [(node, dst, key)] = result.witness
+        assert key == () and node != dst
+        assert "route differently" in result.detail
+
+
+class TestLaneInheritance:
+    def test_a_name_starting_2pnx_inherits_no_waiver(self):
+        """Only a lane wrapper inherits its inner algorithm's waiver: an
+        algorithm registered as ``2pnxalt`` is judged on its own."""
+
+        class TwoPowerNAlt(TwoPowerN):
+            name = "2pnxalt"
+
+        register_algorithm("2pnxalt", TwoPowerNAlt)
+        try:
+            run = run_verification(
+                ["torus:4x4"], algorithms=["2pnxalt"], checks=["acyclicity"]
+            )
+        finally:
+            del registry._FACTORIES["2pnxalt"]
+        [result] = run.results
+        assert result.status == "fail" and result.waiver is None
+        assert len(result.witness) >= 2
+
+    @pytest.mark.parametrize(
+        "name, status, lanes_budget",
+        [("ecubex2", "pass", 4), ("2pnx2", "waived", 8)],
+    )
+    def test_lane_wrappers_keep_their_verdicts(
+        self, name, status, lanes_budget, torus4
+    ):
+        algorithm = make_algorithm(name, torus4)
+        acyclicity = evaluate(CHECKS["acyclicity"], algorithm, "torus:4x4")
+        assert acyclicity.status == status
+        budget = evaluate(CHECKS["vc_provisioning"], algorithm, "torus:4x4")
+        assert budget.status == "pass"
+        assert budget.counts["expected"] == lanes_budget
 
 
 class TestRunner:
