@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 # Read-only lazy-import table (immutable so ProcessPool workers can never
-# drift from the parent — the DET005 worker-shared-state discipline).
+# drift from the parent; module state that drifts fails tier 1, e.g.
+# test_campaign_identity.py::TestGoldenPins).
 _LAZY_EXPORTS = MappingProxyType(
     {
         "SimulationConfig": ("repro.simulator.config", "SimulationConfig"),

@@ -6,10 +6,9 @@ machine-checks the Lemma-1 rank argument of the hop schemes and the
 adaptivity/minimality contracts; ``vc_usage`` quantifies the
 virtual-channel load balance behind the paper's nbc-vs-nhop discussion;
 ``verify`` packages all of it as a check battery with structured
-verdicts (see ``docs/verification.md``), ``lint`` is the
-determinism battery over the source tree, ``equivalence`` holds the
-batch backend to the object engine, and ``check`` is the one CLI
-(``repro-check``) over the three, on the ``battery`` seam.
+verdicts (see ``docs/verification.md``), rendered through ``battery``;
+``equivalence`` holds the batch backend to the object engine, and
+``check`` is the one CLI (``repro-check``) over the two.
 """
 
 from repro.analysis.dependency_graph import (

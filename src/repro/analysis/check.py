@@ -1,30 +1,24 @@
 """Command-line interface: ``repro-check``, the one "check this tree" CLI.
 
-* ``repro-check lint [ROOT]`` — the determinism / serializer rule battery
-  over the ``repro`` source tree or any directory
-  (``docs/static-analysis.md``);
 * ``repro-check verify`` — the deadlock-freedom / structure check
   battery over the algorithm registry and a matrix of topologies
   (``docs/verification.md``);
 * ``repro-check equivalence`` — the batch backend held to the object
-  engine, statistically, over seeds (``docs/performance.md``);
-* ``repro-check`` alone — lint and verify on the installed tree with
-  their defaults, one report: the CI gate.
+  engine, statistically, over seeds (``docs/performance.md``).
 
 Nothing is kept between runs: every form computes every verdict it
 reports and writes no file but the ``--json`` report.
 
 Examples::
 
-    repro-check --fail-on-error --json check-report.json       # CI gate
-    repro-check lint --rules DET001,DET003 src/repro
+    repro-check verify --fail-on-error --json check-report.json  # CI gate
     repro-check verify --algorithms 2pn,nlast --topology torus:4x4
     repro-check equivalence --smoke --json equivalence-smoke.json
 
-Exit status: 0 when every verdict holds or is waived (lint: no open
-finding; verify: pass / skipped / waived, and with ``--fail-on-error``
-no crashed check either; equivalence: every point passed), 1 otherwise,
-2 on a malformed request.
+Exit status: 0 when every verdict holds or is waived (verify: pass /
+skipped / waived, and with ``--fail-on-error`` no crashed check either;
+equivalence: every point passed), 1 otherwise, 2 on a malformed request
+(a missing subcommand included).
 """
 
 from __future__ import annotations
@@ -32,17 +26,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis import equivalence
-from repro.analysis.battery import (
-    Run,
-    format_summary,
-    format_table,
-    write_json,
-)
-from repro.analysis.lint import RULES, run_lint
+from repro.analysis.battery import format_summary, format_table, write_json
 from repro.analysis.verify import (
     CHECKS,
     DEFAULT_TOPOLOGIES,
@@ -59,7 +46,7 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
 
 def _build_parser() -> argparse.ArgumentParser:
     # The shared flags are spelled once, on parent parsers: ``report``
-    # for every form, ``tree`` for lint and verify.  They default to
+    # for every form, ``tree`` for verify.  They default to
     # SUPPRESS so that a subcommand's parser never resets what was given
     # before its name; main() parses into a namespace of the defaults.
     report = argparse.ArgumentParser(
@@ -79,34 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
     tree.add_argument(
         "--fail-on-error", action="store_true",
         help=(
-            "also exit non-zero when a check errors (CI mode; open "
-            "findings and unwaived failures always do)"
+            "also exit non-zero when a check errors (CI mode; "
+            "unwaived failures always do)"
         ),
     )
     parser = argparse.ArgumentParser(
         prog="repro-check",
         parents=[report, tree],
-        description=(
-            "Check this tree.  With no subcommand, lint and verify run "
-            "on the installed repro package with their defaults."
-        ),
+        description="Check this tree: the verify or the equivalence battery.",
     )
-    batteries = parser.add_subparsers(dest="battery", metavar="BATTERY")
-
-    lint = batteries.add_parser(
-        "lint", parents=[report, tree],
-        help=(
-            "determinism and serializer discipline of the source tree "
-            "(docs/static-analysis.md)"
-        ),
-    )
-    lint.add_argument(
-        "root", nargs="?", default=None,
-        help="directory to analyze (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--rules", default=None,
-        help=f"comma-separated rule ids (default: all of {', '.join(RULES)})",
+    batteries = parser.add_subparsers(
+        dest="battery", metavar="BATTERY", required=True
     )
 
     verify = batteries.add_parser(
@@ -174,36 +144,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tree(args: argparse.Namespace) -> int:
-    """Run the battery the arguments name — or, with none named, lint
-    and verify with their defaults."""
-    runs: Dict[str, Run] = {}
-    if args.battery in (None, "lint"):
-        runs["lint"] = run_lint(
-            root=Path(args.root) if args.root is not None else None,
-            rules=_split(args.rules),
-        )
-    if args.battery in (None, "verify"):
-        runs["verify"] = run_verification(
-            topology_specs=args.topology,
-            algorithms=_split(args.algorithms),
-            checks=_split(args.checks),
-        )
-    for index, run in enumerate(runs.values()):
-        if index:
-            print()
-        if not args.quiet:
-            print(format_table(run))
-            print()
-        print(format_summary(run))
+def _check_verify(args: argparse.Namespace) -> int:
+    run = run_verification(
+        topology_specs=args.topology,
+        algorithms=_split(args.algorithms),
+        checks=_split(args.checks),
+    )
+    if not args.quiet:
+        print(format_table(run))
+        print()
+    print(format_summary(run))
     if args.json:
-        # A named battery's report is its run; the tree check's report
-        # holds one run per battery.
-        payload: Any = {name: run.to_dict() for name, run in runs.items()}
-        write_json(args.json, payload.get(args.battery, payload))
+        write_json(args.json, run.to_dict())
         print(f"wrote {args.json}")
-    passed = all(run.ok(args.fail_on_error) for run in runs.values())
-    return 0 if passed else 1
+    return 0 if run.ok(args.fail_on_error) else 1
 
 
 def _check_equivalence(args: argparse.Namespace) -> int:
@@ -251,16 +205,12 @@ def _check_equivalence(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    defaults = argparse.Namespace(
-        json=None, quiet=False, fail_on_error=False,
-        # What lint and verify default to, for the form that names neither.
-        root=None, rules=None, topology=None, algorithms=None, checks=None,
-    )
+    defaults = argparse.Namespace(json=None, quiet=False, fail_on_error=False)
     args = _build_parser().parse_args(argv, defaults)
     try:
         if args.battery == "equivalence":
             return _check_equivalence(args)
-        return _check_tree(args)
+        return _check_verify(args)
     except ConfigurationError as exc:
         print(f"repro-check: {exc}", file=sys.stderr)
         return 2

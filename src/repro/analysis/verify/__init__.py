@@ -4,8 +4,8 @@ A registry of named structural checks (:mod:`~repro.analysis.verify.checks`)
 runs over every registered routing algorithm x a matrix of mesh/torus
 topologies (:mod:`~repro.analysis.verify.runner`), producing structured
 pass/fail/waived verdicts with witnesses (:mod:`~repro.analysis.verify.result`).
-Statuses and report formats are the battery seam's
-(:mod:`repro.analysis.battery`); ``repro-check verify`` is the CLI.  See
+Statuses and report formats live in :mod:`repro.analysis.battery`;
+``repro-check verify`` is the CLI.  See
 ``docs/verification.md``.
 """
 

@@ -15,7 +15,6 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.analysis.battery import (
     REPORT_VERSION,
-    Run,
     STATUS_ERROR,
     STATUS_FAIL,
     STATUS_PASS,
@@ -61,10 +60,9 @@ def parse_topology(spec: str) -> Tuple[str, Topology]:
 
 
 @dataclass
-class VerificationRun(Run):
+class VerificationRun:
     """All verdicts of one runner invocation plus run metadata."""
 
-    noun: ClassVar[str] = "verdicts"
     statuses: ClassVar[Tuple[str, ...]] = (
         STATUS_PASS, STATUS_SKIPPED, STATUS_WAIVED, STATUS_FAIL, STATUS_ERROR
     )
@@ -76,12 +74,21 @@ class VerificationRun(Run):
     topologies: List[str] = field(default_factory=list)
     wall_time: float = 0.0
 
-    @property
-    def records(self) -> List[CheckResult]:
-        return self.results
+    def ok(self, fail_on_error: bool = False) -> bool:
+        """False when a verdict must fail the invocation: an unwaived
+        failure, and with *fail_on_error* a crashed check as well."""
+        return all(
+            result.ok
+            and not (fail_on_error and result.status == STATUS_ERROR)
+            for result in self.results
+        )
 
-    def scope(self) -> str:
-        return ", ".join(self.topologies)
+    def summary(self) -> Dict[str, int]:
+        """Status histogram of the verdicts (every status always a key)."""
+        summary = {status: 0 for status in self.statuses}
+        for result in self.results:
+            summary[result.status] += 1
+        return summary
 
     def to_dict(self) -> Dict[str, Any]:
         return {

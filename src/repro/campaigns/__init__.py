@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 # Read-only lazy-import table (immutable so ProcessPool workers can never
-# drift from the parent — the DET005 worker-shared-state discipline).
+# drift from the parent; module state that drifts fails tier 1, e.g.
+# test_campaign_identity.py::TestGoldenPins).
 _LAZY_EXPORTS = MappingProxyType(
     {
         "CampaignReport": ("repro.campaigns.orchestrator", "CampaignReport"),

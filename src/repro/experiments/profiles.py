@@ -28,7 +28,8 @@ from repro.util.errors import ConfigurationError
 
 #: Per-profile overrides applied on top of SimulationConfig defaults.
 #: Immutable: a profile edited at runtime would silently diverge between
-#: the parent process and ProcessPool workers (DET005).
+#: the parent process and ProcessPool workers (a module-level memo of
+#: applied profiles fails test_campaigns.py::TestFigureSpecs).
 PROFILES: Mapping[str, Dict[str, object]] = MappingProxyType({
     "paper": {
         "radix": 16,

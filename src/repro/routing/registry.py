@@ -21,8 +21,9 @@ from repro.util.errors import ConfigurationError, RoutingError
 
 # register_algorithm() extends this table at import time only, so the
 # parent and ProcessPool workers build identical copies by importing the
-# same modules.
-# repro-check: ignore[DET005] write-once registry, extended at import only
+# same modules.  (Module state that changes after import does show: a
+# memo planted in experiments/profiles.py fails tier 1's
+# test_campaigns.py::TestFigureSpecs::test_a_study_runs_the_points_of_its_question.)
 _FACTORIES: Dict[str, Callable[[Topology], RoutingAlgorithm]] = {
     ECube.name: ECube,
     NorthLast.name: NorthLast,

@@ -81,7 +81,7 @@ from repro.routing.registry import make_algorithm
 from repro.topology.base import Topology
 from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RoutingError
 
 #: Row capacity of the first dense allocation; doubled on demand.
 _INITIAL_ROWS = 256
@@ -97,13 +97,29 @@ def flat_candidates(
     node: int,
     dst: int,
 ) -> List[int]:
-    """``algorithm.candidates(state, node, dst)`` as flat VC indices."""
-    return flatten(algorithm.candidates(state, node, dst), num_vcs)
+    """``algorithm.candidates(state, node, dst)`` as flat VC indices.
+
+    Every candidate an engine routes by passes here, so this is where a
+    class outside ``[0, num_vcs)`` is refused: flattened, it would name
+    another channel's virtual channel.
+    """
+    choices = algorithm.candidates(state, node, dst)
+    for _link, vc_class in choices:
+        if not 0 <= vc_class < num_vcs:
+            raise RoutingError(
+                f"routing algorithm {algorithm.name!r} offers "
+                f"virtual-channel class {vc_class} at node {node} for "
+                f"destination {dst}, but provisions only {num_vcs} "
+                f"(classes 0..{num_vcs - 1})"
+            )
+    return flatten(choices, num_vcs)
 
 
 def flatten(choices: Sequence[RouteChoice], num_vcs: int) -> List[int]:
     """The one definition of the int format: table entries, the object
-    engine's per-request reference path and the routing relation."""
+    engine's per-request reference path and the routing relation.
+    Unchecked, so the relation can record an unprovisioned class
+    rather than stop at it."""
     return [link.index * num_vcs + vc_class for link, vc_class in choices]
 
 

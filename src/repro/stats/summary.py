@@ -78,7 +78,8 @@ class SimulationResult:
     notes: Optional[str] = None
 
     #: Fields intentionally absent from the flat :meth:`to_dict` CSV row
-    #: (the SER001 exclusion list — every other field must appear there):
+    #: (every other field must appear there; tests/test_serializer_fields.py
+    #: and ``TestSerializerCoverage`` hold :meth:`to_dict` to this list):
     #: ``obs_metrics`` is a nested, schema-versioned aggregate that only
     #: travels via :meth:`to_json_dict` records, and ``wall_seconds``
     #: is machine noise deliberately kept out of comparable tables (it is
@@ -105,7 +106,9 @@ class SimulationResult:
         schema stays fixed across algorithms with different
         virtual-channel counts and topologies with different diameters.
         Omissions are the audited exception: :data:`SERIALIZE_EXCLUDE`
-        names them, and the SER001 lint rule holds this method to it.
+        names them, and tests/test_serializer_fields.py holds this method
+        (like every dataclass's ``to_dict``) to it; a dropped column also
+        fails the export's byte pin (test_campaign_export_golden.py).
         """
         return {
             "algorithm": self.algorithm,

@@ -18,7 +18,8 @@ from repro.traffic.uniform import UniformTraffic
 from repro.util.errors import ConfigurationError
 
 # Immutable: the pattern set is closed at import time, so parent and
-# ProcessPool workers always agree on it (DET005).
+# ProcessPool workers always agree on it (module state in traffic/ that
+# changes per draw fails test_campaign_identity.py::TestGoldenPins).
 _FACTORIES: Mapping[str, Callable[..., TrafficPattern]] = MappingProxyType(
     {
         UniformTraffic.name: UniformTraffic,

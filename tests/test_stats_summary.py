@@ -81,8 +81,11 @@ class TestSerializerCoverage:
     Adding a field to SimulationResult without exporting it silently
     drops data from CSV tables and checkpoints.  These tests enumerate
     the fields with dataclasses.fields() so they fail the moment a new
-    field is neither exported nor added to SERIALIZE_EXCLUDE — the same
-    contract the SER001 lint rule enforces statically.
+    field is neither exported nor added to SERIALIZE_EXCLUDE — the
+    contract tests/test_serializer_fields.py holds every dataclass's
+    to_dict to statically.  A dropped field also fails the export's
+    byte pin (test_campaign_export_golden.py::
+    test_library_export_matches_the_recorded_bytes, which runs first).
     """
 
     #: Fields that to_dict() flattens into differently-named columns.
