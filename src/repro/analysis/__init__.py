@@ -6,9 +6,9 @@ machine-checks the Lemma-1 rank argument of the hop schemes and the
 adaptivity/minimality contracts; ``vc_usage`` quantifies the
 virtual-channel load balance behind the paper's nbc-vs-nhop discussion;
 ``verify`` packages all of it as a check battery with structured
-verdicts (see ``docs/verification.md``), rendered through ``battery``;
-``equivalence`` holds the batch backend to the object engine, and
-``check`` is the one CLI (``repro-check``) over the two.
+verdicts (see ``docs/verification.md``); ``equivalence`` holds the
+batch backend to the object engine, and ``check`` is the one CLI
+(``repro-check``) over the two.  Importing this package loads neither.
 """
 
 from repro.analysis.dependency_graph import (
@@ -26,7 +26,6 @@ from repro.analysis.vc_usage import (
     coefficient_of_variation,
     usage_fractions,
 )
-from repro.analysis.verify import run_verification
 
 __all__ = [
     "build_dependency_graph",
@@ -37,6 +36,5 @@ __all__ = [
     "enumerate_paths",
     "find_cycle",
     "is_acyclic",
-    "run_verification",
     "usage_fractions",
 ]

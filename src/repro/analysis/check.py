@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis import equivalence
-from repro.analysis.battery import format_summary, format_table, write_json
-from repro.analysis.verify import (
-    CHECKS,
+from repro.analysis.verify.checks import CHECKS
+from repro.analysis.verify.runner import (
     DEFAULT_TOPOLOGIES,
+    format_summary,
+    format_table,
     run_verification,
 )
 from repro.util.errors import ConfigurationError
@@ -42,6 +44,15 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
     if value is None:
         return None
     return [part.strip() for part in value.split(",") if part.strip()]
+
+
+def _write_json(
+    path: str, payload: Any, indent: int = 1, sort_keys: bool = True
+) -> None:
+    """*payload* as a JSON file (the shape every report is written in)."""
+    with open(path, "w", encoding="utf-8") as stream:
+        json.dump(payload, stream, indent=indent, sort_keys=sort_keys)
+        stream.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +166,7 @@ def _check_verify(args: argparse.Namespace) -> int:
         print()
     print(format_summary(run))
     if args.json:
-        write_json(args.json, run.to_dict())
+        _write_json(args.json, run.to_dict())
         print(f"wrote {args.json}")
     return 0 if run.ok(args.fail_on_error) else 1
 
@@ -195,7 +206,7 @@ def _check_equivalence(args: argparse.Namespace) -> int:
     if args.json:
         # The format the archived equivalence reports were written in.
         payload = [dataclasses.asdict(report) for report in reports]
-        write_json(args.json, payload, indent=2, sort_keys=False)
+        _write_json(args.json, payload, indent=2, sort_keys=False)
     passed = sum(report.passed for report in reports)
     print(
         f"\nequivalence: {passed}/{len(reports)} points passed",

@@ -1,10 +1,12 @@
-"""Run the check battery over algorithms x topologies.
+"""Run the check battery over algorithms x topologies, and report it.
 
 The runner sweeps every registered routing algorithm (or a chosen subset)
-over a matrix of mesh/torus topologies, evaluates every applicable check,
-and collects :class:`~repro.analysis.verify.result.CheckResult` verdicts.
-Every run walks every check: a report holds only verdicts the run that
-wrote it computed.
+over a matrix of mesh/torus topologies, evaluates every check of
+:data:`~repro.analysis.verify.checks.CHECKS`, collects one
+:class:`~repro.analysis.verify.checks.CheckResult` per verdict and
+renders them (:func:`format_table`, :func:`format_summary`).  Every run
+walks every check: a report holds only verdicts the run that wrote it
+computed.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from repro.analysis.battery import (
-    REPORT_VERSION,
+from repro.analysis.verify.checks import (
+    CHECKS,
     STATUS_ERROR,
     STATUS_FAIL,
     STATUS_PASS,
     STATUS_SKIPPED,
     STATUS_WAIVED,
+    CheckResult,
+    evaluate,
 )
-from repro.analysis.verify.checks import CHECKS, evaluate
-from repro.analysis.verify.result import CheckResult
 from repro.routing.registry import iter_algorithms
 from repro.topology import split_topology
 from repro.topology.base import Topology
@@ -30,12 +32,52 @@ from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
 from repro.util.errors import ConfigurationError
 
+#: The ``version`` every run's ``to_dict()`` report carries.
+REPORT_VERSION = 2
+
 #: Result emitted when an algorithm refuses a topology altogether.
 INSTANTIATE_CHECK = "instantiate"
 
 #: Default verification matrix: small enough for exhaustive walks, wrap
 #: and no-wrap variants of the paper's 2-D networks.
 DEFAULT_TOPOLOGIES = ("torus:4x4", "mesh:4x4")
+
+#: How a status reads in the verdict table.
+_STATUS_MARK = {
+    STATUS_PASS: "ok",
+    STATUS_SKIPPED: "--",
+    STATUS_WAIVED: "WAIVED",
+    STATUS_FAIL: "FAIL",
+    STATUS_ERROR: "ERROR",
+}
+
+
+def clip(text: str, limit: int) -> str:
+    """*text* on one line, cut to *limit* characters for a table cell."""
+    text = text.replace("\n", " ")
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _row(result: CheckResult) -> Tuple[str, ...]:
+    """*result* under :attr:`VerificationRun.header`."""
+    return (
+        result.topology,
+        result.algorithm,
+        result.check,
+        _STATUS_MARK.get(result.status, result.status),
+        f"{result.wall_time:.2f}s",
+        clip(result.detail, 60),
+    )
+
+
+def _note(result: CheckResult) -> Optional[str]:
+    """*result*'s waiver reason, or what failed."""
+    where = f"{result.algorithm}/{result.check} on {result.topology}"
+    if result.status == STATUS_WAIVED and result.waiver:
+        return f"waived: {where} -- {result.waiver}"
+    if result.status in (STATUS_FAIL, STATUS_ERROR):
+        return f"{result.status.upper()}: {where} -- {result.detail}"
+    return None
 
 
 def parse_topology(spec: str) -> Tuple[str, Topology]:
@@ -100,6 +142,47 @@ class VerificationRun:
         }
 
 
+def format_table(run: VerificationRun) -> str:
+    """Every verdict of *run* as a fixed-width text table."""
+    rows = [_row(result) for result in run.results]
+    if not rows:
+        return "no verdicts"
+    widths = [
+        max([len(title)] + [len(row[column]) for row in rows])
+        for column, title in enumerate(run.header)
+    ]
+    lines = [
+        "  ".join(
+            title.ljust(width) for title, width in zip(run.header, widths)
+        ),
+        "  ".join("-" * width for width in widths),
+    ]
+    for row in rows:
+        lines.append(
+            "  ".join(
+                cell.ljust(width) for cell, width in zip(row, widths)
+            ).rstrip()
+        )
+    return "\n".join(lines)
+
+
+def format_summary(run: VerificationRun) -> str:
+    """One line of totals — how many verdicts over what, the status
+    counts, the wall time — then one line per verdict that has something
+    to say (waiver reasons, failures)."""
+    counts = ", ".join(
+        f"{count} {status}"
+        for status, count in run.summary().items()
+        if count
+    )
+    lines = [
+        f"{len(run.results)} verdicts over {', '.join(run.topologies)}: "
+        f"{counts or 'none'} ({run.wall_time:.2f}s)"
+    ]
+    lines.extend(filter(None, (_note(result) for result in run.results)))
+    return "\n".join(lines)
+
+
 def run_verification(
     topology_specs: Optional[List[str]] = None,
     algorithms: Optional[List[str]] = None,
@@ -108,8 +191,7 @@ def run_verification(
     """Evaluate the check battery and return every verdict.
 
     *topology_specs* defaults to :data:`DEFAULT_TOPOLOGIES`; *algorithms*
-    defaults to the whole registry; *checks* defaults to every registered
-    check.
+    defaults to the whole registry; *checks* defaults to every check.
     """
     started = time.perf_counter()
     specs = (
@@ -124,9 +206,7 @@ def run_verification(
                 f"unknown checks: {', '.join(unknown)}; "
                 f"available: {', '.join(CHECKS)}"
             )
-        selected = [CHECKS[name] for name in checks]
-    else:
-        selected = list(CHECKS.values())
+    selected = list(CHECKS) if checks is None else list(checks)
 
     run = VerificationRun()
     for spec in specs:
@@ -146,11 +226,9 @@ def run_verification(
                     )
                 )
                 continue
-            for check in selected:
-                check_started = time.perf_counter()
-                result = evaluate(check, algorithm, label)
-                result.wall_time = time.perf_counter() - check_started
-                run.results.append(result)
+            run.results.extend(
+                evaluate(check, algorithm, label) for check in selected
+            )
     run.wall_time = time.perf_counter() - started
     return run
 
@@ -158,7 +236,11 @@ def run_verification(
 __all__ = [
     "DEFAULT_TOPOLOGIES",
     "INSTANTIATE_CHECK",
+    "REPORT_VERSION",
     "VerificationRun",
+    "clip",
+    "format_summary",
+    "format_table",
     "parse_topology",
     "run_verification",
 ]

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.analysis.vc_usage import coefficient_of_variation
 from repro.campaigns.spec import CampaignSpec, TrafficSpec
 from repro.experiments.profiles import PROFILES
 from repro.experiments.sweep import PAPER_LOADS
@@ -235,9 +236,6 @@ ARTIFACTS: Mapping[str, Artifact] = MappingProxyType({
 
 def _metric(row: Mapping[str, Any], name: str) -> float:
     if name == VC_CV:
-        # Here, not at the top: repro.analysis loads the verify battery.
-        from repro.analysis.vc_usage import coefficient_of_variation
-
         return coefficient_of_variation(row["vc_class_usage"])
     return row[name]
 

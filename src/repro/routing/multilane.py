@@ -25,9 +25,12 @@ from repro.util.validation import require
 
 
 class MultiLane(RoutingAlgorithm):
-    """Wrap *inner*, multiplying every virtual-channel class into lanes."""
+    """Wrap *inner*, multiplying every virtual-channel class into lanes.
 
-    adaptive = True  # lane choice itself is adaptive
+    The adaptivity flags are *inner*'s: the paper's adaptivity classes
+    count node paths, and a choice among lanes of one class is no choice
+    of path.
+    """
 
     def __init__(self, inner: RoutingAlgorithm, lanes: int) -> None:
         require(lanes >= 1, f"lanes must be >= 1, got {lanes}")
@@ -36,7 +39,7 @@ class MultiLane(RoutingAlgorithm):
         self.lanes = lanes
         self.name = f"{inner.name}x{lanes}"
         self.fully_adaptive = inner.fully_adaptive
-        self.adaptive = inner.adaptive or lanes > 1
+        self.adaptive = inner.adaptive
 
     @property
     def num_virtual_channels(self) -> int:

@@ -275,19 +275,40 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError):
             CampaignSpec(**defaults)
 
-    def test_dict_roundtrip(self):
-        spec = tiny_spec(
+    @staticmethod
+    def _spec_off_defaults():
+        """A spec whose every field is away from its default, so that a
+        field ``to_dict`` drops cannot come back as the default."""
+        spec = CampaignSpec(
+            name="off-defaults",
             algorithms=("ecube", "nbc"),
             loads=(0.2, 0.4),
+            seeds=(3, 5),
+            topologies=("torus:4x2", "mesh:4x2"),
             traffics=(
                 TrafficSpec("hotspot", (("fraction", 0.04),)),
+                TrafficSpec("transpose"),
             ),
+            profile="tiny",
+            base={"message_length": 8},
         )
+        for spec_field in dataclasses.fields(CampaignSpec):
+            if spec_field.default is not dataclasses.MISSING:
+                default = spec_field.default
+            elif spec_field.default_factory is not dataclasses.MISSING:
+                default = spec_field.default_factory()
+            else:
+                continue
+            assert getattr(spec, spec_field.name) != default, spec_field.name
+        return spec
+
+    def test_dict_roundtrip(self):
+        spec = self._spec_off_defaults()
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
         json.dumps(spec.to_dict())  # must be JSON-serializable as-is
 
     def test_file_roundtrip(self, tmp_path):
-        spec = tiny_spec()
+        spec = self._spec_off_defaults()
         path = str(tmp_path / "spec.json")
         spec.to_file(path)
         assert CampaignSpec.from_file(path) == spec

@@ -52,6 +52,27 @@ class TestTopLevelImports:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_the_analysis_package_loads_no_battery(self):
+        """``repro.analysis`` (and so ``paper_figures``, which reads the
+        VC-usage spread from it) loads neither the verify battery nor the
+        CLI: only ``repro-check`` does."""
+        script = (
+            "import sys, repro.analysis.vc_usage\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.analysis.')))"
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=120,
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == str([
+            "repro.analysis.dependency_graph",
+            "repro.analysis.invariants",
+            "repro.analysis.vc_usage",
+        ])
+
     def test_readme_quickstart_snippet(self):
         """The exact code shown in README.md must keep working."""
         from repro import SimulationConfig, run_point

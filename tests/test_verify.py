@@ -5,18 +5,18 @@ import json
 
 import pytest
 
-from repro.analysis.battery import format_summary, format_table
 from repro.analysis.check import main as check_main
-from repro.analysis.verify import (
-    CHECKS,
-    evaluate,
-    find_waiver,
+from repro.analysis.verify.checks import CHECKS, CheckResult, evaluate
+from repro.analysis.verify.runner import (
+    INSTANTIATE_CHECK,
+    VerificationRun,
+    format_summary,
+    format_table,
     parse_topology,
     run_verification,
 )
-from repro.analysis.verify.result import CheckResult
-from repro.analysis.verify.runner import INSTANTIATE_CHECK, VerificationRun
 from repro.routing import registry
+from repro.routing.ecube import ECube
 from repro.routing.positive_hop import PositiveHop
 from repro.routing.registry import (
     ALGORITHM_NAMES,
@@ -99,12 +99,12 @@ class TestChecks:
     @pytest.mark.parametrize("name", ["ecube", "nlast", "phop", "nhop", "nbc"])
     def test_paper_algorithms_pass_acyclicity(self, name, torus4):
         algorithm = make_algorithm(name, torus4)
-        result = evaluate(CHECKS["acyclicity"], algorithm, "torus:4x4")
+        result = evaluate("acyclicity", algorithm, "torus:4x4")
         assert result.status == "pass", result.detail
 
     def test_2pn_acyclicity_waived_with_witness_on_torus(self, torus4):
         algorithm = make_algorithm("2pn", torus4)
-        result = evaluate(CHECKS["acyclicity"], algorithm, "torus:4x4")
+        result = evaluate("acyclicity", algorithm, "torus:4x4")
         assert result.status == "waived"
         assert result.waiver is not None and "may-wait" in result.waiver
         # The witness is a genuine cycle of (link, vc_class) resources.
@@ -112,14 +112,38 @@ class TestChecks:
 
     def test_2pn_acyclicity_passes_on_mesh(self, mesh4):
         algorithm = make_algorithm("2pn", mesh4)
-        result = evaluate(CHECKS["acyclicity"], algorithm, "mesh:4x4")
+        result = evaluate("acyclicity", algorithm, "mesh:4x4")
         assert result.status == "pass"
-        assert find_waiver("acyclicity", algorithm) is None
+        assert result.waiver is None
+
+    def test_2pn_cycle_on_mesh_is_not_waived(self, mesh4):
+        """The waiver needs wrap links: a cycle of an algorithm named
+        ``2pn`` on a mesh is a failure."""
+
+        class OneClass(TwoPowerN):
+            # Fully adaptive minimal routing on one class: turn cycles.
+            def candidates(self, state, current, dst):
+                return [
+                    (link, 0) for link, _ in super().candidates(
+                        state, current, dst
+                    )
+                ]
+
+        algorithm = OneClass(mesh4)
+        assert algorithm.name == "2pn"
+        result = evaluate("acyclicity", algorithm, "mesh:4x4")
+        assert result.status == "fail"
+        assert result.waiver is None
+        assert result.witness
+
+    def test_unknown_check_name_raises(self, torus4):
+        with pytest.raises(KeyError):
+            evaluate("no_such_check", make_algorithm("ecube", torus4), "t")
 
     def test_rank_check_skipped_for_non_hop_schemes(self, torus4):
         algorithm = make_algorithm("ecube", torus4)
         result = evaluate(
-            CHECKS["rank_monotonicity"], algorithm, "torus:4x4"
+            "rank_monotonicity", algorithm, "torus:4x4"
         )
         assert result.status == "skipped"
 
@@ -130,7 +154,7 @@ class TestChecks:
                 return 99
 
         result = evaluate(
-            CHECKS["vc_provisioning"], Overprovisioned(torus4), "torus:4x4"
+            "vc_provisioning", Overprovisioned(torus4), "torus:4x4"
         )
         assert result.status == "fail"
         assert result.counts == {"expected": 5, "actual": 99}
@@ -138,7 +162,7 @@ class TestChecks:
     def test_vc_provisioning_understands_lanes(self, torus4):
         algorithm = make_algorithm("ecubex2", torus4)
         result = evaluate(
-            CHECKS["vc_provisioning"], algorithm, "torus:4x4"
+            "vc_provisioning", algorithm, "torus:4x4"
         )
         assert result.status == "pass"
         assert result.counts["expected"] == 4
@@ -149,7 +173,7 @@ class TestChecks:
                 return super().candidates(state, current, dst)[:1]
 
         result = evaluate(
-            CHECKS["adaptivity"], NotReallyFull(torus4), "torus:4x4"
+            "adaptivity", NotReallyFull(torus4), "torus:4x4"
         )
         assert result.status == "fail"
         assert "claims full adaptivity" in result.detail
@@ -162,7 +186,7 @@ class TestChecks:
                 return super().candidates(state, current, dst)
 
         result = evaluate(
-            CHECKS["escape_reachability"], DeadEnd(torus4), "torus:4x4"
+            "escape_reachability", DeadEnd(torus4), "torus:4x4"
         )
         assert result.status == "fail"
         assert "dead end" in result.detail
@@ -177,7 +201,7 @@ class TestChecks:
                 return 2
 
         result = evaluate(
-            CHECKS["escape_reachability"],
+            "escape_reachability",
             Underprovisioned(torus4),
             "torus:4x4",
         )
@@ -191,7 +215,7 @@ class TestRouteMemo:
     def test_paper_algorithms_keep_the_memo_contract(self, name, spec):
         _, topology = parse_topology(spec)
         result = evaluate(
-            CHECKS["route_memo"], make_algorithm(name, topology), spec
+            "route_memo", make_algorithm(name, topology), spec
         )
         assert result.status == "pass", result.detail
         assert result.counts["rows"] > 0
@@ -205,7 +229,7 @@ class TestRouteMemo:
             def state_key(self, state):
                 return ()
 
-        result = evaluate(CHECKS["route_memo"], Keyless(torus4), "torus:4x4")
+        result = evaluate("route_memo", Keyless(torus4), "torus:4x4")
         assert result.status == "fail"
         assert result.counts["conflicts"] > 0
         [(node, dst, key)] = result.witness
@@ -240,9 +264,9 @@ class TestLaneInheritance:
         self, name, status, lanes_budget, torus4
     ):
         algorithm = make_algorithm(name, torus4)
-        acyclicity = evaluate(CHECKS["acyclicity"], algorithm, "torus:4x4")
+        acyclicity = evaluate("acyclicity", algorithm, "torus:4x4")
         assert acyclicity.status == status
-        budget = evaluate(CHECKS["vc_provisioning"], algorithm, "torus:4x4")
+        budget = evaluate("vc_provisioning", algorithm, "torus:4x4")
         assert budget.status == "pass"
         assert budget.counts["expected"] == lanes_budget
 
@@ -272,6 +296,43 @@ class TestRunner:
         assert {r.algorithm for r in instantiate} == {"nlast"}
         assert all(r.status == "skipped" for r in instantiate)
         assert run.ok()
+
+    def test_a_crashing_check_is_an_error_verdict(self, capsys):
+        """Any exception a check raises is an ``error`` verdict naming its
+        type, not a traceback; the other verdicts are still computed."""
+
+        class Crashing(ECube):
+            name = "crashing"
+
+            def candidates(self, state, current, dst):
+                raise IndexError("no such link")
+
+        register_algorithm("crashing", Crashing)
+        try:
+            run = run_verification(["torus:4x4"], algorithms=["crashing"])
+            code = verify_main(
+                ["--algorithms", "crashing", "--topology", "torus:4x4",
+                 "--fail-on-error"]
+            )
+        finally:
+            del registry._FACTORIES["crashing"]
+        assert {result.check: result.status for result in run.results} == {
+            "rank_monotonicity": "skipped",
+            "candidate_minimality": "error",
+            "acyclicity": "error",
+            "vc_provisioning": "skipped",
+            "adaptivity": "error",
+            "escape_reachability": "error",
+            "route_memo": "error",
+        }
+        assert all(
+            result.detail == "IndexError: no such link"
+            for result in run.results
+            if result.status == "error"
+        )
+        assert run.ok() and not run.ok(fail_on_error=True)
+        assert code == 1
+        assert "ERROR: crashing/acyclicity" in capsys.readouterr().out
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown checks"):
@@ -340,6 +401,19 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr()
         assert "verdicts" in captured.out
+
+    def test_lane_wrappers_pass_the_battery(self):
+        """A lane wrapper takes its adaptivity class from its inner
+        algorithm: a choice among lanes of one class is no choice of
+        path, so ``ecubex2`` is deterministic, as e-cube is."""
+        run = run_verification(algorithms=["ecubex2", "ecubex4", "2pnx2"])
+        assert run.ok(fail_on_error=True)
+        adaptivity = [
+            result.detail for result in run.results
+            if result.check == "adaptivity" and result.algorithm != "2pnx2"
+        ]
+        assert len(adaptivity) == 4
+        assert all(detail.startswith("deterministic") for detail in adaptivity)
 
     def test_bad_topology_is_usage_error(self, capsys):
         assert verify_main(["--topology", "klein-bottle:4x4"]) == 2
