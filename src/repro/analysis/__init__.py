@@ -7,8 +7,9 @@ adaptivity/minimality contracts; ``vc_usage`` quantifies the
 virtual-channel load balance behind the paper's nbc-vs-nhop discussion;
 ``verify`` packages all of it as a check battery with structured
 verdicts (see ``docs/verification.md``); ``equivalence`` holds the
-batch backend to the object engine, and ``check`` is the one CLI
-(``repro-check``) over the two.  Importing this package loads neither.
+batch backend to the object engine.  ``repro-campaign verify`` and
+``repro-campaign equivalence`` run the two.  Importing this package
+loads neither.
 """
 
 from repro.analysis.dependency_graph import (

@@ -41,6 +41,7 @@ from repro.experiments.parallel import run_points
 from repro.experiments.runner import run_batch
 from repro.simulator.config import SimulationConfig
 from repro.stats.summary import SimulationResult
+from repro.util.errors import ConfigurationError
 
 #: Algorithms x topologies covered by the full suite: every shipped
 #: adaptive scheme plus e-cube, on both paper topologies.
@@ -225,8 +226,20 @@ def run_suite(
     Conservative flow control throughout (the only node model the
     batch backend evaluates).  The sampling schedule is pinned
     (``min_samples == max_samples``) so both engines simulate identical
-    cycle counts.
+    cycle counts.  At least two seeds, since one has no variance and
+    leaves only the practical arm of the criterion; an empty algorithm or
+    topology selection, a negative *rel_tol* or *z* are errors too.
     """
+    algorithms, topologies = tuple(algorithms), tuple(topologies)
+    if not algorithms or not topologies:
+        raise ConfigurationError(
+            "equivalence needs at least one algorithm and one topology"
+        )
+    if num_seeds < 2 or not (rel_tol >= 0 and z >= 0):
+        raise ConfigurationError(
+            f"equivalence needs num_seeds >= 2, rel_tol >= 0 and z >= 0, "
+            f"got {num_seeds}, {rel_tol} and {z}"
+        )
     seeds = list(range(101, 101 + num_seeds))
     reports: List[PointReport] = []
     for topology in topologies:

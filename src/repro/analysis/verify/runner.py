@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.verify.checks import (
     CHECKS,
@@ -88,7 +88,7 @@ def parse_topology(spec: str) -> Tuple[str, Topology]:
     dimensions (the paper's k-ary n-cubes).  Returns the normalised
     label together with the topology.
     """
-    kind, radices = split_topology(spec)
+    kind, radices = split_topology(spec, "torus:16x16")
     if len(set(radices)) != 1:
         raise ConfigurationError(
             f"topology spec {spec!r}: non-uniform radix; k-ary n-cubes "
@@ -184,21 +184,25 @@ def format_summary(run: VerificationRun) -> str:
 
 
 def run_verification(
-    topology_specs: Optional[List[str]] = None,
-    algorithms: Optional[List[str]] = None,
-    checks: Optional[List[str]] = None,
+    topology_specs: Optional[Sequence[str]] = None,
+    algorithms: Optional[Sequence[str]] = None,
+    checks: Optional[Sequence[str]] = None,
 ) -> VerificationRun:
     """Evaluate the check battery and return every verdict.
 
     *topology_specs* defaults to :data:`DEFAULT_TOPOLOGIES`; *algorithms*
-    defaults to the whole registry; *checks* defaults to every check.
+    defaults to the whole registry; *checks* defaults to every check.  An
+    empty selection is an error: a run that checks nothing proves nothing.
     """
     started = time.perf_counter()
-    specs = (
-        list(topology_specs)
-        if topology_specs
-        else list(DEFAULT_TOPOLOGIES)
+    specs = list(
+        DEFAULT_TOPOLOGIES if topology_specs is None else topology_specs
     )
+    for what, selection in (
+        ("topologies", specs), ("algorithms", algorithms), ("checks", checks)
+    ):
+        if selection is not None and not selection:
+            raise ConfigurationError(f"verify needs at least one of {what}")
     if checks is not None:
         unknown = [name for name in checks if name not in CHECKS]
         if unknown:

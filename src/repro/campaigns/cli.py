@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro-campaign``.
+"""Command-line interface: ``repro-campaign``, the one CLI.
 
 Subcommands::
 
@@ -10,6 +10,8 @@ Subcommands::
     repro-campaign status --store store.jsonl [spec.json | --figure ID | axis flags]
     repro-campaign gc --store store.jsonl
     repro-campaign export spec.json --store store.jsonl --csv out.csv
+    repro-campaign verify --fail-on-error --json check-report.json
+    repro-campaign equivalence --smoke --json equivalence-smoke.json
 
 This is the one place flags become a grid.  ``run``, ``status`` and
 ``export`` name their campaign the same way: a spec file, ``--figure ID``
@@ -26,6 +28,18 @@ campaign is 100% cache hits and performs zero engine invocations);
 ``status`` reports store contents and a campaign's cache coverage;
 ``export`` regenerates CSVs and paper-style tables straight from the
 store, without simulating anything.
+
+``verify`` runs the deadlock-freedom / structure check battery over the
+algorithm registry and a matrix of topologies (``docs/verification.md``);
+``equivalence`` holds the batch backend to the object engine,
+statistically, over seeds (``docs/performance.md``).  Neither touches a
+store: each computes every verdict it reports and writes no file but its
+``--json`` report.
+
+Exit status: 0 on success (verify: every verdict pass / skipped / waived,
+and with ``--fail-on-error`` no crashed check either; equivalence: every
+point passed; run / export: every ``--check`` claim held), 1 otherwise,
+2 on a malformed request, 3 when ``export`` finds a campaign incomplete.
 """
 
 from __future__ import annotations
@@ -36,6 +50,14 @@ import json
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.analysis import equivalence
+from repro.analysis.verify.checks import CHECKS
+from repro.analysis.verify.runner import (
+    DEFAULT_TOPOLOGIES,
+    format_summary,
+    format_table,
+    run_verification,
+)
 from repro.campaigns.export import (
     IncompleteCampaignError,
     collect,
@@ -139,6 +161,13 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_report_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json", metavar="PATH",
+        help="also write the structured report to this JSON file",
+    )
+
+
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -146,7 +175,8 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
             "Regenerate the figures of Boppana & Chalasani (ISCA 1993) "
             "or run declarative simulation campaigns over a shared, "
             "content-addressed result store: repeated points are served "
-            "from disk instead of re-simulated."
+            "from disk instead of re-simulated.  verify and equivalence "
+            "check this tree."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -189,6 +219,70 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     _add_store_argument(export)
     _add_output_arguments(export)
 
+    verify = commands.add_parser(
+        "verify",
+        help="structural deadlock-freedom claims of every registered "
+             "routing algorithm (docs/verification.md)",
+    )
+    _add_report_argument(verify)
+    verify.add_argument(
+        "--quiet", action="store_true",
+        help="print only the summary, not the full table",
+    )
+    verify.add_argument(
+        "--fail-on-error", action="store_true",
+        help="also exit non-zero when a check errors (CI mode; "
+             "unwaived failures always do)",
+    )
+    verify.add_argument(
+        "--algorithms", default=None,
+        help="comma-separated algorithm names, x<lanes> suffixes allowed "
+             "(default: every registered algorithm)",
+    )
+    verify.add_argument(
+        "--topology", action="append", default=None, metavar="KIND:RxR",
+        help="topology to verify on, one radix per dimension (torus:4x4 "
+             "is a 4-ary 2-cube, unlike a spec file's torus:4x2), e.g. "
+             "torus:4x4 or mesh:3x3x3; repeatable "
+             f"(default: {', '.join(DEFAULT_TOPOLOGIES)})",
+    )
+    verify.add_argument(
+        "--checks", default=None,
+        help=f"comma-separated check names (default: all of "
+             f"{', '.join(CHECKS)})",
+    )
+
+    suite = commands.add_parser(
+        "equivalence",
+        help="statistical equivalence of the batch backend against the "
+             "object engine, the bit-exact reference (docs/performance.md)",
+    )
+    _add_report_argument(suite)
+    suite.add_argument(
+        "--algorithms", default=",".join(equivalence.SUITE_ALGORITHMS),
+        help="comma-separated algorithm names",
+    )
+    suite.add_argument(
+        "--topologies", default=",".join(equivalence.SUITE_TOPOLOGIES),
+        help="comma-separated topologies",
+    )
+    for flag, default, text in (
+        ("--seeds", 30, "seeds per engine per point"),
+        ("--radix", 8, "network radix"),
+        ("--load", 0.4, "offered load"),
+        ("--rel-tol", 0.05, "practical tolerance on relative mean difference"),
+        ("--z", 3.0, "statistical threshold in Welch standard errors"),
+    ):
+        suite.add_argument(
+            flag, type=type(default), default=default,
+            help=f"{text} (default {default})",
+        )
+    suite.add_argument(
+        "--smoke", action="store_true",
+        help="CI preset: 8 seeds, radix 6, short samples, rel-tol 0.15 "
+             "— a fast regression tripwire, not a publication check",
+    )
+
     return parser.parse_args(argv)
 
 
@@ -205,6 +299,21 @@ def _items(
         return tuple(convert(item) for item in items)
     except ValueError:
         raise ReproError(f"{flag} must be {kind}, got {text!r}") from None
+
+
+def _names(flag: str, text: Optional[str]) -> Optional[Tuple[str, ...]]:
+    """A comma-separated list of names, or None (the default) for None."""
+    if text is None:
+        return None
+    return _items(flag, text, str, "comma-separated names")
+
+
+def _at_least(*bounds: Tuple[str, float, float]) -> None:
+    """A ReproError unless each ``(flag, value, least)`` has
+    ``value >= least``."""
+    for flag, value, least in bounds:
+        if not value >= least:
+            raise ReproError(f"{flag} must be >= {least}, got {value}")
 
 
 def _load(text: str) -> float:
@@ -256,10 +365,7 @@ def _with_flags(args: argparse.Namespace, spec: CampaignSpec) -> CampaignSpec:
     """*spec* with the axis flags and ``--set`` applied, validated."""
     axes: Dict[str, Any] = {}
     if args.algorithms is not None:
-        axes["algorithms"] = _items(
-            "--algorithms", args.algorithms, str,
-            "comma-separated algorithm names",
-        )
+        axes["algorithms"] = _names("--algorithms", args.algorithms)
     if args.loads is not None:
         axes["loads"] = _items(
             "--loads", args.loads, _load,
@@ -323,10 +429,7 @@ def _print_to_stderr(line: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    for flag, value in (("--jobs", args.jobs),
-                        ("--batch-size", args.batch_size)):
-        if value < 1:
-            raise ReproError(f"{flag} must be >= 1, got {value}")
+    _at_least(("--jobs", args.jobs, 1), ("--batch-size", args.batch_size, 1))
     specs = _load_specs(args)
     for spec in specs:
         spec.check_buildable()
@@ -406,16 +509,91 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return _write_outputs(args, campaigns)
 
 
+def _write_json(path: str, payload: Any, indent: int, sort_keys: bool) -> None:
+    """*payload* as a JSON file, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as stream:
+        json.dump(payload, stream, indent=indent, sort_keys=sort_keys)
+        stream.write("\n")
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    run = run_verification(
+        topology_specs=args.topology,
+        algorithms=_names("--algorithms", args.algorithms),
+        checks=_names("--checks", args.checks),
+    )
+    if not args.quiet:
+        print(format_table(run))
+        print()
+    print(format_summary(run))
+    if args.json:
+        _write_json(args.json, run.to_dict(), indent=1, sort_keys=True)
+        print(f"wrote {args.json}")
+    return 0 if run.ok(args.fail_on_error) else 1
+
+
+def _cmd_equivalence(args: argparse.Namespace) -> int:
+    _at_least(
+        ("--seeds", args.seeds, 2), ("--rel-tol", args.rel_tol, 0),
+        ("--z", args.z, 0),
+    )
+    options: Dict[str, Any] = dict(
+        algorithms=_names("--algorithms", args.algorithms),
+        topologies=_names("--topologies", args.topologies),
+        num_seeds=args.seeds,
+        radix=args.radix,
+        offered_load=args.load,
+        rel_tol=args.rel_tol,
+        z=args.z,
+    )
+    if args.smoke:
+        options.update(
+            num_seeds=min(args.seeds, 8),
+            radix=6,
+            message_length=8,
+            samples=2,
+            warmup_cycles=500,
+            sample_cycles=600,
+            rel_tol=max(args.rel_tol, 0.15),
+        )
+    reports = equivalence.run_suite(
+        progress=lambda line: print(line, flush=True), **options
+    )
+    for report in reports:
+        if report.passed:
+            continue
+        print(
+            f"\nDiscrepant point {report.topology}/{report.algorithm} "
+            f"(load {report.offered_load}, {report.num_seeds} seeds):"
+        )
+        for metric in report.failures:
+            print("  " + metric.describe())
+    if args.json:
+        # The format the archived equivalence reports were written in.
+        payload = [dataclasses.asdict(report) for report in reports]
+        _write_json(args.json, payload, indent=2, sort_keys=False)
+    passed = sum(report.passed for report in reports)
+    print(
+        f"\nequivalence: {passed}/{len(reports)} points passed",
+        file=sys.stderr,
+    )
+    return 0 if passed == len(reports) else 1
+
+
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "run": _cmd_run,
+    "status": _cmd_status,
+    "gc": _cmd_gc,
+    "export": _cmd_export,
+    "verify": _cmd_verify,
+    "equivalence": _cmd_equivalence,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "gc":
-            return _cmd_gc(args)
-        return _cmd_export(args)
+        return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"repro-campaign {args.command}: {error}", file=sys.stderr)
         return 2

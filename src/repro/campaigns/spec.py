@@ -48,7 +48,7 @@ _CONFIG_FIELDS = tuple(
 
 def parse_topology(spec: str) -> Tuple[str, int, int]:
     """Parse ``"torus:16x2"`` / ``"mesh:4x3"`` into (kind, radix, n_dims)."""
-    kind, numbers = split_topology(spec)
+    kind, numbers = split_topology(spec, "torus:16x2")
     if len(numbers) != 2:
         raise ConfigurationError(
             f"topology spec {spec!r}: expected '<kind>:<radix>x<dims>', "
@@ -181,16 +181,6 @@ class CampaignSpec:
             self.base = dict(self.base, identity=identity)
 
     # -- expansion -------------------------------------------------------
-
-    @property
-    def point_count(self) -> int:
-        return (
-            len(self.topologies)
-            * len(self.traffics)
-            * len(self.algorithms)
-            * len(self.loads)
-            * len(self.seeds)
-        )
 
     def base_config(self) -> SimulationConfig:
         """The shared config before the grid axes are applied."""

@@ -101,7 +101,7 @@ def run_batch(
     a function of (config, seed) alone — whichever other seeds share
     the batch (the composition tests pin this) — and statistically, not
     bitwise, equivalent to ``run_point`` on the object engine
-    (``repro-check equivalence``).  Every lane follows the object
+    (``repro-campaign equivalence``).  Every lane follows the object
     runner's schedule — warm-up, then sampling periods with fresh
     streams and optional gaps — against its own convergence
     checker; a lane that converges (or hits the sample cap) is frozen

@@ -46,10 +46,6 @@ class Fabric:
         """Iterate every virtual channel in the fabric."""
         return iter(self.vcs)
 
-    def total_flits_moved(self) -> int:
-        """Lifetime flit-crossings summed over all physical channels."""
-        return sum(channel.flits_moved for channel in self.channels)
-
     def vc_class_totals(self) -> List[int]:
         """Flits carried per virtual-channel class, summed over channels."""
         totals = [0] * self.num_vcs

@@ -7,7 +7,7 @@ algorithms by the paper's short names.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.bonus_cards import NegativeHopBonusCards
@@ -83,7 +83,7 @@ def make_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
 
 
 def iter_algorithms(
-    topology: Topology, names: Optional[List[str]] = None
+    topology: Topology, names: Optional[Sequence[str]] = None
 ) -> Iterator[Tuple[str, Optional[RoutingAlgorithm], Optional[str]]]:
     """Instantiate every registered algorithm on *topology*, tolerantly.
 

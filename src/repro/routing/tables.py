@@ -56,7 +56,7 @@ row: ``advance`` is applied to a shallow copy of the representative and
 the result is interned under its own key.  This is sound under a
 contract slightly stronger than :meth:`RoutingAlgorithm.state_key`'s:
 the advanced state's key must be determined by ``(state_key, current,
-link, vc_class)`` alone.  ``repro-check verify``'s ``route_memo`` check
+link, vc_class)`` alone.  ``repro-campaign verify``'s ``route_memo`` check
 holds an algorithm to both over every reachable row
 (:mod:`repro.routing.relation`); one that fails it must not be run on
 the batch backend.  Row numbers depend on

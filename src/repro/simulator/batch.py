@@ -32,7 +32,7 @@ are deterministic per (config, seed) and independent of batch
 composition — each lane's draw and refill sequence depends
 only on its own state — but differ per seed from the object engine's;
 their *distributions* are validated against object-engine runs by
-:mod:`repro.analysis.equivalence` (``repro-check equivalence``).  The
+:mod:`repro.analysis.equivalence` (``repro-campaign equivalence``).  The
 bit-exact path for any configuration is ``backend="object"`` (one
 engine per seed, ``--jobs`` for cores).
 

@@ -68,10 +68,5 @@ class InjectionController:
         """
         return sum(self._outstanding.values())
 
-    def reset_counters(self) -> None:
-        """Zero the admitted/refused statistics (not the occupancy)."""
-        self.admitted = 0
-        self.refused = 0
-
 
 __all__ = ["InjectionController"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 class SampleRecord:
@@ -55,13 +55,6 @@ class SampleRecord:
         if not self.deliveries:
             return 0.0
         return sum(lat for lat, _ in self.deliveries) / len(self.deliveries)
-
-    def latencies_by_hops(self) -> Dict[int, List[int]]:
-        """Group latencies into hop-class strata."""
-        strata: Dict[int, List[int]] = {}
-        for latency, hops in self.deliveries:
-            strata.setdefault(hops, []).append(latency)
-        return strata
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -17,11 +17,12 @@ from typing import Sequence
 from repro.util.validation import require_positive
 
 
-def ideal_latency(message_length: int, hops: int, flit_time: int = 1) -> int:
-    """Contention-free latency of a message (paper eq. (2) with w = 0)."""
+def ideal_latency(message_length: int, hops: int) -> int:
+    """Contention-free latency of a message (paper eq. (2) with w = 0,
+    f_t = 1)."""
     require_positive(message_length, "message_length")
     require_positive(hops, "hops")
-    return (message_length + hops - 1) * flit_time
+    return message_length + hops - 1
 
 
 def achieved_utilization(

@@ -21,11 +21,13 @@ from repro.util.errors import ConfigurationError
 TOPOLOGY_KINDS = ("torus", "mesh")
 
 
-def split_topology(spec: str) -> Tuple[str, List[int]]:
+def split_topology(spec: str, example: str) -> Tuple[str, List[int]]:
     """Kind and integers of a ``kind:AxB[x...]`` spec, in any case.
 
     What the integers mean is the caller's grammar: radix and dimension
-    count to a campaign, one radix per dimension to ``repro-check verify``.
+    count to a campaign, one radix per dimension to ``repro-campaign
+    verify``.  A malformed spec is an error that quotes the caller's
+    *example* of its grammar.
     """
     kind, _, shape = spec.lower().partition(":")
     kind = kind.strip()
@@ -39,7 +41,7 @@ def split_topology(spec: str) -> Tuple[str, List[int]]:
     except ValueError:
         raise ConfigurationError(
             f"topology spec {spec!r}: expected integers separated by "
-            f"'x' after '{kind}:', e.g. 'torus:16x2'"
+            f"'x' after '{kind}:', e.g. {example!r}"
         ) from None
 
 

@@ -25,7 +25,6 @@ from repro.util.validation import require_type
 STREAM_ARRIVALS = "arrivals"
 STREAM_DESTINATIONS = "destinations"
 STREAM_ROUTING = "routing"
-STREAM_ARBITRATION = "arbitration"
 
 
 class RngStreams:
@@ -114,11 +113,6 @@ class RngStreams:
         for name in list(self._numpy_streams):
             self._numpy_streams[name] = self._fresh_numpy_stream(name)
 
-    def spawn(self, label: str) -> "RngStreams":
-        """Derive an independent child family (e.g. one per node)."""
-        child_seed = self._mix(self._root_seed, label, self._epoch)
-        return RngStreams(child_seed)
-
     def _derive_seed(self, name: str) -> int:
         return self._mix(self._root_seed, name, self._epoch)
 
@@ -134,7 +128,6 @@ class RngStreams:
 
 __all__ = [
     "RngStreams",
-    "STREAM_ARBITRATION",
     "STREAM_ARRIVALS",
     "STREAM_DESTINATIONS",
     "STREAM_ROUTING",

@@ -1,7 +1,7 @@
 """The batch backend's own identity: a lane is a function of (config, seed).
 
 The contract of :mod:`repro.simulator.batch` is statistical against the
-object engine (``repro-check equivalence``) and exact against itself: a lane
+object engine (``repro-campaign equivalence``) and exact against itself: a lane
 of a :class:`BatchEngine` has the **same state fingerprint** after any
 number of cycles whether its seed runs alone or beside any other seeds,
 whatever happens to those other lanes.  The single-lane engine is the

@@ -1,7 +1,7 @@
 """The batch backend's relaxed identity and its kernel helpers.
 
 Bit-identity to the object engine is not the batch backend's contract —
-that is statistical equivalence, checked by ``repro-check equivalence`` — but
+that is statistical equivalence, checked by ``repro-campaign equivalence`` — but
 it is still **deterministic**: the same config and seeds must reproduce
 the same results, run to run and regardless of how seeds are grouped
 into lockstep engines (``tests/test_backend_batch.py`` holds the

@@ -147,7 +147,7 @@ class TestCampaignSpec:
             algorithms=("ecube", "nbc"), loads=(0.2, 0.4), seeds=(1, 2)
         )
         configs = spec.expand()
-        assert spec.point_count == len(configs) == 8
+        assert len(configs) == 8
         assert [(c.algorithm, c.offered_load, c.seed) for c in configs] == [
             ("ecube", 0.2, 1), ("ecube", 0.2, 2),
             ("ecube", 0.4, 1), ("ecube", 0.4, 2),

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.check import main as check_main
+from repro.campaigns.cli import main as check_main
 from repro.analysis.equivalence import (
     SUITE_ALGORITHMS,
     SUITE_TOPOLOGIES,
@@ -22,6 +22,7 @@ from repro.analysis.equivalence import (
     run_suite,
 )
 from repro.experiments.runner import run_point
+from repro.util.errors import ConfigurationError
 from tests.conftest import tiny_config
 
 
@@ -100,7 +101,7 @@ class TestComparePoint:
         # the mean wait is ~1.2 cycles, so the relaxed mode's small
         # absolute wait offset (see docs/performance.md, "identity
         # modes") is amplified in relative terms.  The publication
-        # check is the radix-8 suite (repro-check equivalence), where the
+        # check is the radix-8 suite (repro-campaign equivalence), where the
         # offset sits well inside the 5% gate.
         report = compare_point(
             config, seeds=[11, 12, 13, 14], rel_tol=0.25
@@ -162,6 +163,32 @@ class TestComparePoint:
         assert all(
             metric["passed"] for metric in payload[0]["metrics"]
         )
+
+
+class TestDegenerateStatistics:
+    """One seed has no variance, so Welch's arm of the dual criterion is
+    empty; a negative tolerance or threshold means nothing.  Both the CLI
+    and the library refuse them before a point simulates."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "1"],
+        ["--rel-tol", "-0.1"],
+        ["--z", "-1"],
+    ])
+    def test_cli_exits_2(self, flags, capsys):
+        argv = ["equivalence", "--smoke", "--algorithms", "ecube",
+                "--topologies", "mesh", *flags]
+        assert check_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"repro-campaign equivalence: {flags[0]} must")
+
+    @pytest.mark.parametrize("options", [
+        {"num_seeds": 1}, {"rel_tol": -0.1}, {"z": -1.0},
+    ])
+    def test_run_suite_raises(self, options):
+        with pytest.raises(ConfigurationError, match="num_seeds >= 2"):
+            run_suite(algorithms=["ecube"], topologies=["mesh"], **options)
 
 
 def test_run_suite_progress_callback():

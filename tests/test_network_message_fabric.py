@@ -100,7 +100,6 @@ class TestFabric:
         assert vc.flits_carried_total == channel.flits_moved == 2
         assert channel.transmit(2, False, True) is vc
         assert vc.flits_carried_total == channel.flits_moved == 3
-        assert fabric.total_flits_moved() == 3
         assert fabric.vc_class_totals() == [0, 3]
 
     def test_occupied_flits(self, torus4):

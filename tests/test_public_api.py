@@ -55,7 +55,7 @@ class TestTopLevelImports:
     def test_the_analysis_package_loads_no_battery(self):
         """``repro.analysis`` (and so ``paper_figures``, which reads the
         VC-usage spread from it) loads neither the verify battery nor the
-        CLI: only ``repro-check`` does."""
+        equivalence suite: only ``repro-campaign``'s CLI module does."""
         script = (
             "import sys, repro.analysis.vc_usage\n"
             "print(sorted(m for m in sys.modules"

@@ -1,6 +1,6 @@
 """The batch backend's output is pinned across commits.
 
-``repro-check equivalence`` and the ledger bands are statistical, so nothing
+``repro-campaign equivalence`` and the ledger bands are statistical, so nothing
 else notices a change that moves every batch result by a little.
 ``tests/data/relaxed_golden.json`` holds, for eight configurations over
 the six algorithms x mesh/torus x wormhole/VCT and three seeds each,

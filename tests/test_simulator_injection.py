@@ -55,10 +55,3 @@ class TestCounters:
         assert controller.outstanding(5, "x") == 2
         controller.injection_complete(5, "x")
         assert controller.outstanding(5, "x") == 1
-
-    def test_reset_counters_keeps_occupancy(self):
-        controller = InjectionController(limit=1)
-        controller.try_admit(0, "a")
-        controller.reset_counters()
-        assert controller.admitted == 0
-        assert not controller.try_admit(0, "a")  # slot still held

@@ -34,11 +34,6 @@ class TestSampleRecord:
         record = sample_with([(10, 1), (20, 2)])
         assert record.mean_latency() == 15.0
 
-    def test_strata_grouping(self):
-        record = sample_with([(10, 1), (20, 2), (30, 1)])
-        strata = record.latencies_by_hops()
-        assert strata == {1: [10, 30], 2: [20]}
-
 
 class TestStratifiedLatency:
     def test_single_stratum(self):
@@ -153,9 +148,6 @@ class TestMetrics:
     def test_ideal_latency_paper_formula(self):
         """16-flit message over 8 hops: 16 + 8 - 1 = 23 cycles."""
         assert ideal_latency(16, 8) == 23
-
-    def test_ideal_latency_scales_with_flit_time(self):
-        assert ideal_latency(16, 8, flit_time=2) == 46
 
     def test_achieved_utilization(self):
         assert achieved_utilization(512, 100, 1024) == pytest.approx(0.005)

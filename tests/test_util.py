@@ -54,14 +54,6 @@ class TestRngStreams:
         assert repeat.stream("a").random() == after
         assert before != after
 
-    def test_spawn_children_are_independent(self):
-        parent = RngStreams(5)
-        child_a = parent.spawn("node-1")
-        child_b = parent.spawn("node-2")
-        assert (
-            child_a.stream("d").random() != child_b.stream("d").random()
-        )
-
     def test_rejects_non_int_seed(self):
         with pytest.raises(ConfigurationError):
             RngStreams("seed")  # type: ignore[arg-type]

@@ -1,11 +1,11 @@
 """The deadlock-freedom verification framework and its CLI,
-``repro-check verify``."""
+``repro-campaign verify``."""
 
 import json
 
 import pytest
 
-from repro.analysis.check import main as check_main
+from repro.campaigns.cli import main as check_main
 from repro.analysis.verify.checks import CHECKS, CheckResult, evaluate
 from repro.analysis.verify.runner import (
     INSTANTIATE_CHECK,
@@ -28,7 +28,7 @@ from repro.util.errors import ConfigurationError
 
 
 def verify_main(argv):
-    """``repro-check verify ARGV``."""
+    """``repro-campaign verify ARGV``."""
     return check_main(["verify", *argv])
 
 
@@ -73,8 +73,20 @@ class TestTopologyParsing:
             parse_topology(bad)
         with pytest.raises(ConfigurationError) as there:
             parse_campaign(bad)
-        assert str(here.value) == str(there.value)
+        # ... but for the example each grammar gives of itself.
+        assert str(here.value).replace("16x16", "16x2") == str(there.value)
         assert repr(bad) in str(here.value)
+
+    @pytest.mark.parametrize("bad", ["torus:", "torus:axb", "mesh:4x"])
+    def test_each_grammar_names_its_own_example(self, bad):
+        from repro.campaigns.spec import parse_topology as parse_campaign
+
+        with pytest.raises(ConfigurationError, match="e.g. 'torus:16x16'$"):
+            parse_topology(bad)
+        with pytest.raises(ConfigurationError, match="e.g. 'torus:16x2'$"):
+            parse_campaign(bad)
+        parse_topology("torus:16x16")
+        parse_campaign("torus:16x2")
 
     def test_the_two_grammars_differ_in_what_the_integers_mean(self):
         from repro.campaigns.spec import parse_topology as parse_campaign
@@ -363,7 +375,7 @@ class TestResultSerialization:
 
 class TestCli:
     def test_acceptance_invocation(self, tmp_path, capsys):
-        """repro-check verify --topology torus:4x4 --json out.json"""
+        """repro-campaign verify --topology torus:4x4 --json out.json"""
         out = tmp_path / "out.json"
         code = verify_main(
             [
@@ -417,4 +429,10 @@ class TestCli:
 
     def test_bad_topology_is_usage_error(self, capsys):
         assert verify_main(["--topology", "klein-bottle:4x4"]) == 2
-        assert "repro-check: topology spec" in capsys.readouterr().err
+        assert "repro-campaign verify: topology spec" in capsys.readouterr().err
+
+    def test_a_malformed_spec_is_answered_in_this_grammar(self, capsys):
+        """``torus:16x2``, a spec file's example, is not one to verify."""
+        assert verify_main(["--topology", "torus:"]) == 2
+        err = capsys.readouterr().err
+        assert "e.g. 'torus:16x16'" in err and "16x2" not in err

@@ -1,7 +1,7 @@
-"""The default ``repro-check verify`` report is pinned across commits.
+"""The default ``repro-campaign verify`` report is pinned across commits.
 
 ``tests/data/verify_golden.json`` is the ``--json`` report of
-``repro-check verify`` on the default matrix (every registered algorithm
+``repro-campaign verify`` on the default matrix (every registered algorithm
 on torus:4x4 and mesh:4x4) with every ``wall_time`` removed, the one
 thing two runs may differ in.  It was recorded before the battery's
 plumbing (check registry, outcome type, waiver table) was folded into a
@@ -16,13 +16,13 @@ Regenerate (only when a change is *meant* to move a verdict)::
 import json
 from pathlib import Path
 
-from repro.analysis.check import main as check_main
+from repro.campaigns.cli import main as check_main
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
 
 def _untimed_report(path):
-    """The report ``repro-check verify --json PATH`` writes, untimed."""
+    """The report ``repro-campaign verify --json PATH`` writes, untimed."""
     assert check_main(["verify", "--quiet", "--json", str(path)]) == 0
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     del report["wall_time"]
