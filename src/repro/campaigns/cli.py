@@ -74,6 +74,15 @@ from repro.stats.summary import SimulationResult
 from repro.util.errors import ConfigurationError, ReproError
 
 _T = TypeVar("_T")
+
+#: ``equivalence`` flags whose default ``--smoke`` changes: flag ->
+#: (default, default under ``--smoke``).  An explicit value always wins.
+_PRESET: Dict[str, Tuple[Any, Any]] = {
+    "--seeds": (30, 8),
+    "--radix": (8, 6),
+    "--rel-tol": (0.05, 0.15),
+}
+
 Pair = Tuple[SimulationConfig, SimulationResult]
 
 #: Default store file: one shared store in the working directory, so
@@ -273,14 +282,21 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         ("--rel-tol", 0.05, "practical tolerance on relative mean difference"),
         ("--z", 3.0, "statistical threshold in Welch standard errors"),
     ):
+        preset = _PRESET.get(flag)
         suite.add_argument(
-            flag, type=type(default), default=default,
-            help=f"{text} (default {default})",
+            flag, type=type(default),
+            # A preset flag stays None until _cmd_equivalence fills it,
+            # so --smoke can tell an explicit value from an absent one.
+            default=default if preset is None else None,
+            help=f"{text} (default {default}"
+                 + ("" if preset is None else f"; {preset[1]} with --smoke")
+                 + ")",
         )
     suite.add_argument(
         "--smoke", action="store_true",
         help="CI preset: 8 seeds, radix 6, short samples, rel-tol 0.15 "
-             "— a fast regression tripwire, not a publication check",
+             "unless given — a fast regression tripwire, not a publication "
+             "check",
     )
 
     return parser.parse_args(argv)
@@ -533,6 +549,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_equivalence(args: argparse.Namespace) -> int:
+    # Fill each preset flag the command line left out.
+    for flag, (full, smoke) in _PRESET.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, smoke if args.smoke else full)
     _at_least(
         ("--seeds", args.seeds, 2), ("--rel-tol", args.rel_tol, 0),
         ("--z", args.z, 0),
@@ -548,13 +569,10 @@ def _cmd_equivalence(args: argparse.Namespace) -> int:
     )
     if args.smoke:
         options.update(
-            num_seeds=min(args.seeds, 8),
-            radix=6,
             message_length=8,
             samples=2,
             warmup_cycles=500,
             sample_cycles=600,
-            rel_tol=max(args.rel_tol, 0.15),
         )
     reports = equivalence.run_suite(
         progress=lambda line: print(line, flush=True), **options

@@ -604,14 +604,21 @@ class Engine:
         with several reserved VCs are still re-armed unconditionally.
 
         A departure under ideal flow control splices the channel one hop
-        back into this cycle's passes — unless the VC it left already
-        holds the worm's tail (always so under SAF), when that channel
-        has nothing left to send into it — and the splice *carries* the
+        back into this cycle's passes when that channel can move now: the
+        VC the flit left still expects flits (not so once it holds the
+        worm's tail, always so under SAF) and has one to take, a settled
+        flit one hop further back or one left to inject.  Neither turns
+        true later in the cycle, so any other splice would buy a failed
+        poll (every VCT splice did: a packet-sized buffer a flit leaves
+        was not full); the departure arms that channel for the next
+        cycle instead, from the same predicate.  A splice *carries* the
         channel's next-cycle arm instead of evaluating it: the poll the
         splice guarantees decides it.  A move rewrites ``armed_cycle``
         from the post-move state as above, and a failed sole-owner poll
         evaluates the same predicate on the spot; a spliced channel with
-        several reserved VCs is armed unconditionally, as always.
+        several reserved VCs is armed unconditionally, as always.  An
+        ejection arms the channel feeding the delivering VC only while
+        that VC still expects flits.
 
         Within the cycle, successes happen in ascending active-set order
         — the full scan's order — because each pass walks one poll list
@@ -799,17 +806,27 @@ class Engine:
                     # The departed flit freed a slot in *upstream*: the
                     # channel feeding it may move next cycle — or this
                     # one, under ideal flow control, where it is spliced
-                    # into this cycle's passes unless *upstream* already
-                    # holds the tail (always, under SAF), the channel is
-                    # already scheduled this cycle or already took its
-                    # one move.
+                    # into this cycle's passes when it can move now: its
+                    # VC still expects flits (not so once it holds the
+                    # tail, always so under SAF) and has one to take, a
+                    # settled flit one hop further back or a flit left to
+                    # inject; and the channel is not already scheduled
+                    # this cycle and has not already taken its one move.
                     up_fin = upstream.flits_in
                     up_ch = upstream.channel
+                    uu = upstream.upstream
                     if (
                         ideal
                         and up_fin < length
                         and up_ch.queue_cycle != cycle
                         and up_ch.last_transmit_cycle != cycle
+                        and (
+                            vc.owner.flits_to_inject > 0
+                            if uu is None
+                            else uu.occupancy
+                            - (uu.last_arrival_cycle == cycle)
+                            > 0
+                        )
                     ):
                         up_ch.queue_cycle = cycle
                         if up_ch.owned_count > 1:
@@ -823,7 +840,6 @@ class Engine:
                         if up_ch.owned_count > 1:
                             up_ch.armed_cycle = next_cycle
                         elif up_fin < length:
-                            uu = upstream.upstream
                             if (
                                 vc.owner.flits_to_inject > 0
                                 if uu is None
@@ -892,9 +908,10 @@ class Engine:
                 # this VC may move again this very cycle (ejection runs
                 # before transmission, and _eject leaves
                 # last_departure_cycle untouched so even conservative
-                # flow control sees the slots immediately).
+                # flow control sees the slots immediately) — while the
+                # VC still expects flits.
                 channel = vc.channel
-                if channel.armed_cycle < cycle:
+                if channel.armed_cycle < cycle and vc.flits_in < owner.length:
                     channel.armed_cycle = cycle
             if owner.flits_ejected >= owner.length:
                 self._complete(vc, owner)

@@ -7,12 +7,20 @@ from pathlib import Path
 from typing import Dict
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.routing.base import RoutingAlgorithm
 from repro.simulator import batch as batch_module
 from repro.simulator.config import SimulationConfig
 from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
+
+#: What ``python -m tests.plants`` runs tier 1 under (with a fixed
+#: ``--hypothesis-seed``): every run of a plant draws the same examples,
+#: and a failure is reported as found, not shrunk.
+settings.register_profile(
+    "plants", database=None, phases=(Phase.explicit, Phase.generate)
+)
 
 
 @pytest.fixture(scope="session")

@@ -456,18 +456,25 @@ class TestResultStore:
         store = ResultStore(str(path))
         store.put(config, result)
         # Forge the on-disk state the append-only path can leave behind:
-        # the same record shadowed twice (last-record-wins on load).
+        # the same record shadowed twice, last with another result (the
+        # last record wins on load).
         line = path.read_text()
-        path.write_text(line * 3)
+        last = json.loads(line)
+        last["result"]["average_latency"] += 1.0
+        path.write_text(line * 2 + json.dumps(last) + "\n")
+        newest = dataclasses.replace(
+            result, average_latency=result.average_latency + 1.0
+        )
         reloaded = ResultStore(str(path))
+        assert reloaded.get(config) == newest
         stats = reloaded.gc()
         assert stats["lines_before"] == 3
         assert stats["lines_after"] == 1
         assert stats["dropped_lines"] == 2
         assert stats["live_records"] == 1
         assert stats["bytes_after"] < stats["bytes_before"]
-        # The surviving line still serves the record.
-        assert ResultStore(str(path)).get(config) == result
+        # The surviving line is the last one.
+        assert ResultStore(str(path)).get(config) == newest
 
     def test_gc_keeps_another_writers_lines(self, tmp_path):
         """A line appended after this store was opened is folded in

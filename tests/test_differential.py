@@ -33,7 +33,8 @@ Every drawn config is held to:
 
 Examples are derandomized: the same configs every run, as a fixed-seed
 sweep's were.  The pinned ``CONGESTED`` example proves the object paths
-are exercised under blocking, not only at light load.
+are exercised under blocking, not only at light load; pinned beside it,
+the same point under conservative flow control.
 """
 
 import dataclasses
@@ -198,6 +199,12 @@ CONGESTED = SimulationConfig(
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @example(config=CONGESTED, route=(0, 20))
+# Conservative flow control with several worms per channel, where a
+# slot freed this cycle must not count: no drawn example reaches it.
+@example(
+    config=dataclasses.replace(CONGESTED, flow_control="conservative"),
+    route=(0, 20),
+)
 @given(config=configs(), route=st.tuples(st.integers(0, 2**16),
                                          st.integers(0, 2**16)))
 def test_object_paths_hold_the_invariants(config, route):

@@ -67,12 +67,14 @@ class TestGoldenTraces:
         assert trace == SEED_GOLDEN_TRACES[algorithm]
         assert engine.conservation_check()
 
-    @pytest.mark.parametrize("scheduler", list(STEPPERS))
+    # Engine only: the modes' ScanEngine rows failed on no plant that
+    # the matrix and corner cases of test_scheduler_active.py and
+    # test_differential.py miss (docs/testing.md).
     @pytest.mark.parametrize(
         "switching,flow_control,mux_policy", sorted(SEED_GOLDEN_MODES)
     )
     def test_mode_trace_matches_seed_engine(
-        self, switching, flow_control, mux_policy, scheduler
+        self, switching, flow_control, mux_policy
     ):
         config = SimulationConfig(
             radix=4,
@@ -84,7 +86,7 @@ class TestGoldenTraces:
             flow_control=flow_control,
             mux_policy=mux_policy,
         )
-        engine = STEPPERS[scheduler](config)
+        engine = Engine(config)
         engine.run_cycles(2000)
         key = (switching, flow_control, mux_policy)
         assert (

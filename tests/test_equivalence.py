@@ -164,6 +164,22 @@ class TestComparePoint:
             metric["passed"] for metric in payload[0]["metrics"]
         )
 
+    @pytest.mark.parametrize("flags, expected", [
+        (["--radix", "3", "--rel-tol", "0.05"],
+         {"num_seeds": 8, "radix": 3, "rel_tol": 0.05}),
+        ([], {"num_seeds": 8, "radix": 6, "rel_tol": 0.15}),
+    ])
+    def test_smoke_fills_only_absent_flags(self, monkeypatch, flags, expected):
+        seen = {}
+        monkeypatch.setattr(
+            "repro.campaigns.cli.equivalence.run_suite",
+            lambda **options: seen.update(options) or [],
+        )
+        argv = ["equivalence", "--smoke", "--algorithms", "ecube",
+                "--topologies", "mesh", *flags]
+        assert check_main(argv) == 0
+        assert {key: seen[key] for key in expected} == expected
+
 
 class TestDegenerateStatistics:
     """One seed has no variance, so Welch's arm of the dual criterion is

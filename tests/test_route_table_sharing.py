@@ -84,8 +84,13 @@ def _table_key(config):
 
 
 class TestSharingIsSpeedOnly:
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    # Each algorithm in one variant, each variant twice: all 18 pairs
+    # failed on the same plants, which other tests fail on too
+    # (docs/testing.md).
+    @pytest.mark.parametrize("algorithm, variant", [
+        ("ecube", "torus"), ("nlast", "mesh"), ("2pn", "torus-vct"),
+        ("phop", "torus"), ("nhop", "mesh"), ("nbc", "torus-vct"),
+    ])
     def test_point_is_independent_of_process_history(
         self, algorithm, variant
     ):
@@ -319,11 +324,18 @@ class TestWhatTheGainRestsOn:
         in_flight = engine.in_flight
         gc.collect()
         objects, entries = len(gc.get_objects()), len(table.entries)
-        while len(table.entries) < entries + 10_000:
+        # Bounded, so an engine that stops delivering fails, not hangs
+        # (21 and 224 rounds at this seed).
+        for _ in range(100):
+            if len(table.entries) >= entries + 10_000:
+                break
             engine.run_cycles(100)
         # Compare like with like: a moment with as many worms in flight.
-        while engine.in_flight > in_flight:
+        for _ in range(2_000):
+            if engine.in_flight <= in_flight:
+                break
             engine.run_cycles(1)
+        assert engine.in_flight <= in_flight
         interned = len(table.entries) - entries
         gc.collect()
         grown = len(gc.get_objects()) - objects

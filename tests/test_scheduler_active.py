@@ -12,8 +12,8 @@ oracle used throughout.
 
 Covered here:
 
-* the full matrix of 6 algorithms x {mesh, torus} x {wormhole, vct},
-  observer enabled and disabled, fingerprints compared every 16 cycles;
+* the matrix of 6 algorithms x {mesh, torus} x {wormhole, vct}, VCT
+  observed and not, fingerprints compared every 16 cycles;
 * fixed ideal-flow-control corner cases for the transmit phase's disarm
   rule (buffer depths, short worms, a queueing source, SAF/VCT, strict
   priority, an observer attached and detached mid-run),
@@ -76,8 +76,12 @@ def _run_pair(cycles, at_cycle=None, **options):
 
 
 class TestSchedulerIdentity:
-    @pytest.mark.parametrize("obs", [False, True])
-    @pytest.mark.parametrize("switching", ["wormhole", "vct"])
+    # Observed only under VCT: every plant an observed wormhole row failed
+    # on, an unobserved one and test_differential.py fail on too
+    # (docs/testing.md).
+    @pytest.mark.parametrize(
+        "switching, obs", [("wormhole", False), ("vct", False), ("vct", True)]
+    )
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_matrix_fingerprint_identity(
@@ -103,16 +107,14 @@ class TestSchedulerIdentity:
     # owner's "can it move next cycle" must be exact for every buffer
     # depth, for worms shorter than their path (releases mid-flight), for
     # a source that queues, and under both other switching modes.
+    # (Depths 2 and 4 and VCT failed on no plant depth 1 and SAF miss.)
     @pytest.mark.parametrize(
         "options",
         [
             {"vc_buffer_depth": 1},
-            {"vc_buffer_depth": 2},
-            {"vc_buffer_depth": 4},
             {"message_length": 2, "radix": 6},
             {"injection_limit": 1, "offered_load": 0.8},
             {"switching": "saf"},
-            {"switching": "vct"},
             {"mux_policy": "highest_class", "algorithm": "phop"},
         ],
         ids=lambda options: "-".join(
@@ -250,7 +252,7 @@ class TestTransmitPolls:
         monkeypatch.setattr(engine_module, "_splice", checked_splice)
         return splices
 
-    @pytest.mark.parametrize("switching", ["wormhole", "vct"])
+    @pytest.mark.parametrize("switching", ["wormhole"])
     def test_splices_land_after_the_cursor_in_order(
         self, monkeypatch, switching
     ):
@@ -262,18 +264,23 @@ class TestTransmitPolls:
         engine.run_cycles(500)
         assert splices, "no in-pass splice happened"
 
-    def test_store_and_forward_splices_nothing(self, monkeypatch):
-        """Under SAF a departure always leaves the tail behind it.
+    @pytest.mark.parametrize("switching", ["saf", "vct"])
+    def test_store_and_forward_splices_nothing(self, monkeypatch, switching):
+        """Under SAF and VCT no departure finds a channel that can move.
 
-        A worm requests its next channel only once its whole packet is in,
-        so the VC a flit leaves has received its last flit and the channel
-        feeding it has nothing left to send: a splice would buy a failed
-        poll.  That the flit schedule needs none is what the ``ScanEngine``
-        ≡ ``Engine`` fingerprints above and the differential harness hold.
+        Under SAF a worm requests its next channel only once its whole
+        packet is in, so the VC a flit leaves has received its last flit
+        and the channel feeding it has nothing left to send.  Under VCT
+        the packet-sized buffer a flit leaves was not full, so the freed
+        slot is not what the channel feeding it waits for: it waits on a
+        flit further back, which cannot settle this cycle.  A splice would
+        buy a failed poll either way.  That the flit schedule needs none is what the
+        ``ScanEngine`` ≡ ``Engine`` fingerprints above and the
+        differential harness hold.
         """
         splices = self._record_splices(monkeypatch)
         engine = Engine(SimulationConfig(
-            radix=4, n_dims=2, algorithm="nbc", switching="saf",
+            radix=4, n_dims=2, algorithm="nbc", switching=switching,
             flow_control="ideal", offered_load=0.7, seed=11,
         ))
         engine.run_cycles(500)
@@ -467,13 +474,17 @@ class TestSchedulerConfig:
         from repro.obs.observer import ObsConfig, Observer
 
         scan, engine = self._congested(ScanEngine), self._congested(Engine)
-        while not engine._parked or not any(
-            message.cached_candidates is not None
-            for _, message in engine._route_heap
-        ):
+        for _ in range(2_000):  # 31 steps at this seed
+            if engine._parked and any(
+                message.cached_candidates is not None
+                for _, message in engine._route_heap
+            ):
+                break
             # Both kinds of open episode: parked, and woken but unserved.
             scan.step()
             engine.step()
+        else:
+            pytest.fail("no parked and woken-but-unserved messages at once")
         observers = []
         for stepper in (scan, engine):
             observers.append(
