@@ -12,7 +12,9 @@ A state routing unlike the first state of its key breaks the tables'
 memo contract: its key lands in ``conflicts`` (rows keep the first
 state's values).  A class outside ``[0, V)``, which would spell another
 channel's flat index, lands in ``unprovisioned``.  Keyless states
-(``state_key`` None) are keyed by their fingerprint.
+(``state_key`` None) are keyed by their fingerprint.  Like a route
+table's entries, the rows hold each candidate tuple, state key and flat
+index once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.tables import EntryKey, flatten
+from repro.routing.tables import EntryKey, SharedParts, flatten
 from repro.util.fingerprint import state_fingerprint
 
 #: One row: candidates as flat VC indices, and the row each one leads to.
@@ -92,11 +94,18 @@ def routing_relation(
 
     def entry(state: Any, node: int, dst: int) -> EntryKey:
         key = algorithm.state_key(state)
-        full = (node, dst, state_fingerprint(state) if key is None else key)
-        return keys.setdefault(full, full)  # one tuple per key
+        if key is None:
+            key = state_fingerprint(state)
+        full = (node, dst, key)
+        shared = keys.get(full)
+        if shared is None:  # one tuple per key, one state key per value
+            shared = (node, dst, parts.state_key(key))
+            keys[shared] = shared
+        return shared
 
     seen: Set[Tuple[Any, int]] = set()
     keys: Dict[EntryKey, EntryKey] = {}
+    parts = SharedParts()
     last_dst = -1
     for src, dst in pairs:
         if dst != last_dst:  # markers and keys never serve another dst
@@ -122,7 +131,7 @@ def routing_relation(
                 advanced = algorithm.advance(copy.copy(state), node, link, vc_class)
                 successors.append(entry(advanced, link.dst, dst))
                 stack.append((advanced, link.dst))
-            row = (tuple(flatten(choices, v)), tuple(successors))
+            row = (parts.flats(tuple(flatten(choices, v))), tuple(successors))
             if relation.rows.setdefault(key, row) != row:
                 relation.conflicts.setdefault(key, row)
     return relation

@@ -16,6 +16,11 @@ holds the state key, one more tuple) on the second.  A process that has
 routed a million requests gives a collection no more to walk than one
 that has routed none.
 
+**Each part of an entry is held once per table** (:class:`SharedParts`):
+equal candidate tuples are one object, so are equal state keys, and each
+flat index is one int.  Only identity is shared: values and order are
+exactly what ``candidates()`` gave.
+
 **Who shares a table.**  :func:`route_table` is the only way an engine
 gets one.  Engines that built their algorithm from a registry name on a
 stock :class:`Torus` / :class:`Mesh` share one table per (topology kind,
@@ -25,11 +30,12 @@ per point.  The table computes its entries with its *own* topology and
 algorithm instance, never an engine's, and keeps no message's live state
 (hop schemes mutate theirs in place): what it holds depends on which
 requests were made before only in *which* entries exist, never in their
-values, so sharing is invisible to every result.  The two most recently
-used tables are kept (algorithm-major sweeps need one; memory stays
-flat); an evicted table lives on for as long as an engine still holds
-it.  An engine handed an explicit ``algorithm=`` instance gets a private
-table: nothing is ever aliased by class name.
+values, so sharing is invisible to every result.  The most recently used
+table is kept, one per process: every sweep the package runs is
+algorithm-major, so a second slot would only keep the previous
+algorithm's rows alive.  An evicted table lives on for as long as an
+engine still holds it.  An engine handed an explicit ``algorithm=``
+instance gets a private table: nothing is ever aliased by class name.
 
 **Dense rows, for the batch stepper only.**  :meth:`RouteTable.row_for`
 numbers entries and lays them out as numpy rows so whole request batches
@@ -123,6 +129,34 @@ def flatten(choices: Sequence[RouteChoice], num_vcs: int) -> List[int]:
     return [link.index * num_vcs + vc_class for link, vc_class in choices]
 
 
+class SharedParts:
+    """One object per distinct flat index, candidate tuple and state key.
+
+    What a table's entries and rows, and the routing relation's rows, are
+    built from.  CPython keeps no ints above 256, so entries holding their
+    own copies are a quarter larger; 44–89% of a table's entries repeat
+    another's candidates; a hop scheme's table has tens of distinct state
+    keys over tens of thousands of entries.
+    """
+
+    def __init__(self) -> None:
+        self._ints: Dict[int, int] = {}
+        self._flat_sets: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self._state_keys: Dict[Hashable, Hashable] = {}
+
+    def flats(self, fresh: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The held tuple equal to *fresh*, held first if new."""
+        flats = self._flat_sets.get(fresh)
+        if flats is None:
+            flats = tuple(map(self._ints.setdefault, fresh, fresh))
+            self._flat_sets[flats] = flats
+        return flats
+
+    def state_key(self, key: Hashable) -> Hashable:
+        """The held state key equal to *key*, held first if new."""
+        return self._state_keys.setdefault(key, key)
+
+
 class RouteTable:
     """Interned candidate sets of one (topology, algorithm)."""
 
@@ -133,11 +167,8 @@ class RouteTable:
         #: order.  Engines probe this dict directly and call
         #: :meth:`intern` on a miss.
         self.entries: Dict[EntryKey, Tuple[int, ...]] = {}
-        # One int object per flat index, for all entries to share:
-        # CPython keeps no ints above 256, so entries holding their own
-        # copies are a quarter larger (1.5 MB of peak RSS on the 8x8
-        # Figure-3 ladder, where two tables are alive).
-        self._flat_ids: Dict[int, int] = {}
+        # Every entry and row holds these, never a copy.
+        self._parts = SharedParts()
         # -- dense rows (batch stepper only; see the module docstring) --
         self._index: Dict[EntryKey, int] = {}
         self.size = 0
@@ -163,12 +194,16 @@ class RouteTable:
         """Compute and store the entry of one missed ``entries`` probe.
 
         *state* is only read, for this one ``candidates`` call; *entry*
-        must be ``(node, dst, state_key(state))``.
+        must be ``(node, dst, state_key(state))``.  The entry is stored
+        under the table's own copy of the state key.
         """
-        fresh = flat_candidates(
-            self.algorithm, self._v, state, entry[0], entry[1]
+        node, dst, key = entry
+        flats = self._parts.flats(
+            tuple(flat_candidates(self.algorithm, self._v, state, node, dst))
         )
-        flats = tuple(map(self._flat_ids.setdefault, fresh, fresh))
+        shared = self._parts.state_key(key)
+        if shared is not key:
+            entry = (node, dst, shared)
         self.entries[entry] = flats
         return flats
 
@@ -227,10 +262,10 @@ class RouteTable:
                     "table-interned, which the batch backend requires "
                     "(run backend='object' instead)"
                 )
-        entry = (node, dst, key)
-        row = self._index.get(entry)
+        row = self._index.get((node, dst, key))
         if row is not None:
             return row
+        entry = (node, dst, self._parts.state_key(key))
         flats = self.entries.get(entry)
         if flats is None:
             flats = self.intern(entry, state)
@@ -282,7 +317,7 @@ class RouteTable:
         return succ
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def shared_table(
     kind: Type[Topology], radix: int, n_dims: int, name: str
 ) -> RouteTable:
@@ -318,6 +353,7 @@ def route_table(
 __all__ = [
     "EntryKey",
     "RouteTable",
+    "SharedParts",
     "flat_candidates",
     "flatten",
     "route_table",

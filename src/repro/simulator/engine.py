@@ -864,14 +864,12 @@ class Engine:
                         delivering.append(vc)
                 else:
                     # The arrived flit settles next cycle for the channel
-                    # forwarding out of *vc*.
+                    # forwarding out of *vc*: arm it when *downstream* can
+                    # take that flit (its other VCs arm it for their own).
                     down_ch = downstream.channel
                     if down_ch.armed_cycle < next_cycle and (
-                        down_ch.owned_count > 1
-                        or (
-                            downstream.flits_in < length
-                            and downstream.occupancy < cap
-                        )
+                        downstream.flits_in < length
+                        and downstream.occupancy < cap
                     ):
                         down_ch.armed_cycle = next_cycle
             polls += len(pending)
@@ -897,8 +895,9 @@ class Engine:
             owner = vc.owner
             # Only flits present since the start of the cycle are consumed,
             # giving the paper's exact zero-load latency m_l + d - 1.
-            # (settled_flits(cycle), inlined.)
-            flits = vc.occupancy - (vc.last_arrival_cycle == cycle)
+            # Ejection runs before this cycle's transmission, so no flit
+            # has arrived yet this cycle: every buffered flit has settled.
+            flits = vc.occupancy
             if flits > 0:
                 vc.occupancy -= flits
                 vc.flits_out += flits

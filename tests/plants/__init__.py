@@ -193,9 +193,15 @@ PLANTS: Tuple[Plant, ...] = (
     # -- routing/tables.py and routing/relation.py ----------------------
     Plant(
         "tables-interned-sorted", "src/repro/routing/tables.py",
-        "flats = tuple(map(self._flat_ids.setdefault, fresh, fresh))",
-        "flats = tuple(sorted(map(self._flat_ids.setdefault, fresh, fresh)))",
-        "RouteTable.intern", "candidate order",
+        "flats = tuple(map(self._ints.setdefault, fresh, fresh))",
+        "flats = tuple(sorted(map(self._ints.setdefault, fresh, fresh)))",
+        "SharedParts.flats", "candidate order",
+    ),
+    Plant(
+        "tables-candidates-unshared", "src/repro/routing/tables.py",
+        "flats = self._flat_sets.get(fresh)",
+        "flats = None",
+        "SharedParts.flats", "lost sharing",
     ),
     Plant(
         "tables-top-class-refused", "src/repro/routing/tables.py",

@@ -18,6 +18,7 @@ process.  Two groups of tests:
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -71,16 +72,22 @@ def _trajectory(config, between=None):
 
 
 def _evict(config):
-    """Run two other algorithms on the point's network: with two tables
+    """Run another algorithm on the point's network: with one table
     kept, the point's own is gone from the cache afterwards."""
-    others = [n for n in ALGORITHM_NAMES if n != config.algorithm][:2]
-    for name in others:
-        Engine(dataclasses.replace(config, algorithm=name)).run_cycles(40)
+    other = next(n for n in ALGORITHM_NAMES if n != config.algorithm)
+    Engine(dataclasses.replace(config, algorithm=other)).run_cycles(40)
 
 
 def _table_key(config):
     kind = Torus if config.topology == "torus" else Mesh
     return kind, config.radix, config.n_dims, config.algorithm
+
+
+def _assert_one_object_per_value(parts):
+    """Equal values among *parts* are the same object."""
+    first = {}
+    for part in parts:
+        assert first.setdefault(part, part) is part
 
 
 class TestSharingIsSpeedOnly:
@@ -297,12 +304,50 @@ class TestWhoSharesATable:
         for algorithm in ALGORITHM_NAMES:
             held.append(Engine(tiny_config(algorithm=algorithm)))
             info = shared_table.cache_info()
-            assert info.currsize <= info.maxsize == 2
+            assert info.currsize <= info.maxsize == 1
         # Evicted tables live on with the engines that hold them.
         assert len({id(engine._table) for engine in held}) == 6
 
 
 class TestWhatTheGainRestsOn:
+    @pytest.mark.parametrize("algorithm", ("ecube", "phop", "nbc"))
+    def test_equal_parts_are_one_object(self, algorithm):
+        """Within a table — its entries and its dense rows — and within
+        the routing relation, equal candidate tuples are one object, and
+        so are equal state keys."""
+        from repro.routing.relation import routing_relation
+
+        config = SimulationConfig(
+            radix=8, algorithm=algorithm, offered_load=0.3, seed=5,
+            flow_control="conservative",
+        )
+        engine = Engine(config)
+        engine.run_cycles(300)
+        batch = BatchEngine(
+            dataclasses.replace(config, backend="batch", identity="relaxed"),
+            [5, 6],
+        )
+        batch.run_cycles(300)
+        table = engine._table
+        assert batch._table is table and table.size > 100
+        _assert_one_object_per_value(table.entries.values())
+        _assert_one_object_per_value(
+            key for _node, _dst, key in itertools.chain(
+                table.entries, table._index
+            )
+        )
+        relation = routing_relation(engine.algorithm, [
+            (src, dst) for dst in range(0, 64, 9) for src in range(64)
+            if src != dst
+        ])
+        assert len(relation.rows) > 100
+        _assert_one_object_per_value(
+            flats for flats, _successors in relation.rows.values()
+        )
+        _assert_one_object_per_value(
+            key for _node, _dst, key in relation.rows
+        )
+
     def test_entries_are_invisible_to_the_collector(self):
         """Interning leaves no per-entry object for the cyclic collector
         to walk.  Values are int tuples, untracked on their first pass;

@@ -224,6 +224,20 @@ class TestTransmitPolls:
         assert engine.flits_moved_total > 40_000
         assert engine.flits_moved_total / engine.polls_total >= self.FLOOR
 
+    def test_arrival_arms_downstream_only_when_its_vc_can_move(self):
+        """An arrival arms the channel that forwards out of its VC only
+        when the VC downstream can take the flit, however many VCs that
+        channel has reserved: its other VCs arm it on their own events.
+        Arming on a reserved count above one as well cost 29 648 polls
+        here, 28 more, for the same flits."""
+        engine = Engine(SimulationConfig(
+            radix=4, n_dims=2, algorithm="nbc", offered_load=0.8,
+            message_length=4, seed=7,
+        ))
+        engine.run_cycles(700)
+        assert engine.flits_moved_total == 26_003
+        assert engine.polls_total <= 29_620
+
     @staticmethod
     def _record_splices(monkeypatch):
         """Check every in-pass splice as it lands; return the list of them.
