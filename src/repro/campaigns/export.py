@@ -11,7 +11,7 @@ deterministic: the same store contents produce byte-identical files.
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Sequence, TextIO, Tuple
+from typing import Dict, Iterator, List, Sequence, TextIO, Tuple
 
 from repro.campaigns.spec import CampaignSpec, grid_label
 from repro.campaigns.store import ResultStore
@@ -58,11 +58,11 @@ def collect(
     return pairs
 
 
-def campaign_rows(
+def _rows(
     pairs: Sequence[Tuple[SimulationConfig, SimulationResult]],
-) -> List[Dict[str, object]]:
-    """Flat CSV rows: campaign context columns + the result's row."""
-    rows = []
+) -> Iterator[Dict[str, object]]:
+    """Each point's flat CSV row, built as it is asked for: campaign
+    context columns + the result's row."""
     for config, result in pairs:
         row: Dict[str, object] = {
             "topology": config.topology,
@@ -72,8 +72,14 @@ def campaign_rows(
             "seed": config.seed,
         }
         row.update(result.to_dict())
-        rows.append(row)
-    return rows
+        yield row
+
+
+def campaign_rows(
+    pairs: Sequence[Tuple[SimulationConfig, SimulationResult]],
+) -> List[Dict[str, object]]:
+    """Flat CSV rows: campaign context columns + the result's row."""
+    return list(_rows(pairs))
 
 
 def write_campaign_csv(
@@ -85,12 +91,15 @@ def write_campaign_csv(
     Every row has the first row's columns in its order (one context
     block, one ``SimulationResult.to_dict`` schema), so rows are written
     by position: the bytes ``csv.DictWriter`` writes, without its
-    per-row key check and lookups.
+    per-row key check and lookups.  Each row is written as it is built;
+    none is kept.
     """
-    rows = campaign_rows(pairs)
-    if rows:
+    rows = _rows(pairs)
+    first = next(rows, None)
+    if first is not None:
         writer = csv.writer(stream)
-        writer.writerow(rows[0])
+        writer.writerow(first)
+        writer.writerow(first.values())
         writer.writerows(row.values() for row in rows)
 
 

@@ -33,24 +33,36 @@ Durability discipline:
   miss rather than served wrong data, and an append that would pair an
   existing key with a different config raises.
 
-In memory a record costs only what differs from the other points of its
-campaign: a :class:`_Frame` holds everything the records of one
-campaign share (the top-level fields and their order, the stored config
-with null point fields, the result's key order), once per distinct JSON
-text, and each record its three point fields, its result values and,
-on a line that carries one, its ``recorded_at`` (a wall-clock stamp
-earlier writers added; ``put`` writes none).  A rewrite spells every
-line back byte for byte.
+In memory a record holds only what differs from the other points of
+its campaign.  A :class:`_Frame` holds, once per distinct JSON text,
+what the records of one campaign share: the top-level fields and their
+order, the stored config with null point fields, the result's key order
+and value types, and the key order of each flat nested result dict
+(``latency_percentiles``, ``hop_class_latency``).  A record holds its
+three point fields, a tuple of its result values — each flat nested
+dict as the tuple of its values — and, on a line that carries one, its
+``recorded_at`` (a wall-clock stamp earlier writers added; ``put``
+writes none).  Each distinct str — a result value, a nested key, the
+``algorithm`` point field — is one object per store; numbers are each
+record's own.  A nested dict that holds a dict or a list
+(``obs_metrics``), an empty one and a list value are held as parsed.
+A rewrite spells every line back byte for byte.
+
+Writers share the file through an advisory ``fcntl.flock`` (POSIX
+only): ``put`` holds it for its append and ``gc`` from its re-read to
+its rewrite, so no line another process appends in between is lost.
 """
 
 from __future__ import annotations
 
+import fcntl
+import functools
 import json
 import os
 import shutil
 import tempfile
 import warnings
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import IO, Any, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.campaigns.identity import (
     POINT_FIELDS,
@@ -60,7 +72,7 @@ from repro.campaigns.identity import (
     point_values,
 )
 from repro.simulator.config import SimulationConfig
-from repro.stats.summary import SimulationResult
+from repro.stats.summary import SimulationResult, json_fields, unshared
 from repro.util.errors import ReproError
 
 #: Store record schema version ("v" field of every record line).
@@ -74,6 +86,13 @@ _PER_POINT = frozenset(("key", "point", "config", "result", "recorded_at"))
 #: The stored-config fields a point key's :func:`point_grid` reads.
 _GRID_FIELDS = ("traffic", "topology", "radix", "n_dims", "switching")
 
+#: Value types a nested result dict must not hold to be held flat.
+_CONTAINERS = frozenset((dict, list))
+
+#: What a dict result's frame holds of it: its key order, the type of
+#: each value, and per dict value its flat key order (None: held as is).
+_Shape = Tuple[Tuple[str, ...], Tuple[type, ...], Tuple[Any, ...]]
+
 
 class StoreWarning(UserWarning):
     """A campaign-store file needed recovery or was not trusted."""
@@ -81,6 +100,10 @@ class StoreWarning(UserWarning):
 
 class StoreIntegrityError(ReproError):
     """Two different configs mapped to the same store key."""
+
+
+class StoreBusyError(ReproError):
+    """``gc`` could take no lock and another writer appended meanwhile."""
 
 
 def _quarantine(path: str, reason: str) -> None:
@@ -112,6 +135,63 @@ def _tender(value: Any) -> bool:
     return type(value) in (dict, list) and bool(value)
 
 
+@functools.lru_cache(maxsize=64)
+def _dict_positions(kinds: Tuple[type, ...]) -> Tuple[int, ...]:
+    """Where a result whose values have these types holds a dict."""
+    return tuple([index for index, kind in enumerate(kinds) if kind is dict])
+
+
+def _shape(keys: Tuple[Any, ...], values: Sequence[Any]) -> _Shape:
+    """The :data:`_Shape` of a dict result with these keys and values:
+    a nested dict has a key order if it is not empty and holds no dict
+    or list, else None (a record holds it as it is)."""
+    kinds = tuple(map(type, values))
+    nested = []
+    for index in _dict_positions(kinds):
+        inner = values[index]
+        flat = inner and _CONTAINERS.isdisjoint(map(type, inner.values()))
+        nested.append(tuple(inner) if flat else None)
+    return keys, kinds, tuple(nested)
+
+
+def _json_keys(keys: Optional[Tuple[Any, ...]]) -> Optional[Tuple[str, ...]]:
+    """*keys* as JSON spells dict keys (``50`` -> ``"50"``); None when
+    they are None or two of them spell alike."""
+    if keys is None or all(type(key) is str for key in keys):
+        return keys
+    if all(type(key) is int for key in keys):
+        return tuple(map(str, keys))
+    spelled = tuple(json.loads(json.dumps(dict.fromkeys(keys, 0))))
+    return spelled if len(spelled) == len(keys) else None
+
+
+#: The scanner ``json.loads`` runs, called without its per-call checks.
+_scan = json.JSONDecoder().scan_once
+
+
+def _parse(line: str) -> Any:
+    """``json.loads(line)``: the scanner alone for a line that is one
+    JSON value and at most a newline, ``json.loads`` (and its error)
+    for any other."""
+    try:
+        value, end = _scan(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    if line[end:] in ("", "\n"):
+        return value
+    return json.loads(line)
+
+
+def _lock(stream: IO[Any]) -> bool:
+    """Take the store's advisory lock on *stream*'s file, waiting for
+    another writer's; False where the file system grants none."""
+    try:
+        fcntl.flock(stream.fileno(), fcntl.LOCK_EX)
+    except OSError:
+        return False
+    return True
+
+
 class _Frame:
     """What the stored records of one campaign share, held once.
 
@@ -120,16 +200,21 @@ class _Frame:
     * ``config`` — the stored config with its point fields null (the
       shape of :func:`~repro.campaigns.identity.locate`'s template);
     * ``result_keys`` — the key order of a dict result, or None when the
-      result is no dict and each record holds it as it is.
+      result is no dict and each record holds it as it is;
+    * ``strs`` — the result positions that hold a str, ``packed`` those
+      that hold a flat nested dict, with its key order, and ``kept``
+      the other dicts and the lists, which a record holds as they are.
 
     Two records share a frame only if these parts spell the same JSON
     text, so ``80`` / ``80.0``, ``true`` / ``1`` and ``0.0`` / ``-0.0``
-    never merge.
+    never merge; the store finds a record's frames by signature and
+    result :data:`_Shape`.
     """
 
     __slots__ = (
-        "names", "fixed", "config", "result_keys", "signature", "grid",
-        "agrees", "_order", "_values", "_types", "_texts",
+        "names", "fixed", "config", "result_keys", "strs", "packed", "kept",
+        "signature", "grid", "agrees", "_order", "_values", "_types",
+        "_texts",
     )
 
     def __init__(
@@ -137,12 +222,28 @@ class _Frame:
         names: Tuple[str, ...],
         fixed: Tuple[Any, ...],
         config: Dict[str, Any],
-        result_keys: Optional[Tuple[str, ...]],
+        shape: Optional[_Shape],
     ) -> None:
         self.names = names
         self.fixed = fixed
         self.config = config
-        self.result_keys = result_keys
+        self.result_keys: Optional[Tuple[str, ...]] = None
+        self.strs: Tuple[int, ...] = ()
+        self.packed: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
+        self.kept: Tuple[int, ...] = ()
+        if shape is not None:
+            self.result_keys, kinds, nested = shape
+            dicts = dict(zip(_dict_positions(kinds), nested))
+            self.strs = tuple(
+                [index for index, kind in enumerate(kinds) if kind is str]
+            )
+            self.packed = tuple(
+                [(index, keys) for index, keys in dicts.items() if keys]
+            )
+            self.kept = tuple([
+                index for index, kind in enumerate(kinds)
+                if kind is list or (kind is dict and not dicts[index])
+            ])
         fixed_names = [name for name in names if name not in _PER_POINT]
         self.signature = str(dict(zip(fixed_names, fixed)).get("signature"))
         self.grid: Optional[str] = None
@@ -151,7 +252,7 @@ class _Frame:
         #: The identity template ``config`` was last found equal to: a
         #: verdict kept together with the object it is about.
         self.agrees: Optional[Dict[str, Any]] = None
-        self._order = (names, tuple(config), result_keys)
+        self._order = (names, tuple(config))
         self._values = (*fixed, *config.values())
         self._types = tuple(map(type, self._values))
         self._texts = tuple(
@@ -165,21 +266,43 @@ class _Frame:
         names: Tuple[str, ...],
         fixed: Tuple[Any, ...],
         config: Dict[str, Any],
-        result_keys: Optional[Tuple[str, ...]],
     ) -> bool:
-        """Whether a record parsed into these parts has this frame's text.
+        """Whether a record of this frame's result shape, parsed into
+        these parts, has this frame's text.
 
         Equal parsed JSON values of one type spell the same text, but for
         the :func:`_tender` ones, whose ``repr`` — like the JSON text,
         key order and types included — tells them apart.
         """
         values = (*fixed, *config.values())
-        return (
-            (names, tuple(config), result_keys) == self._order
+        if not (
+            (names, tuple(config)) == self._order
             and values == self._values
             and tuple(map(type, values)) == self._types
-            and all(repr(values[i]) == text for i, text in self._texts)
-        )
+        ):
+            return False
+        for index, text in self._texts:
+            if repr(values[index]) != text:
+                return False
+        return True
+
+    def hold(
+        self, held: List[Any], texts: Dict[Any, Any], copy: bool
+    ) -> Tuple[Any, ...]:
+        """A record's result tuple from a list of its values in key
+        order, which it reuses: each str the store's one object of its
+        text, each flat nested dict the tuple of its values, and with
+        *copy* each other dict and list a fresh copy (``put`` holds none
+        of its caller's)."""
+        for index in self.strs:
+            text = held[index]
+            held[index] = texts.setdefault(text, text)
+        for index, _ in self.packed:
+            held[index] = tuple(held[index].values())
+        if copy:
+            for index in self.kept:
+                held[index] = unshared(held[index])
+        return tuple(held)
 
 
 class _Record:
@@ -187,8 +310,9 @@ class _Record:
 
     ``point`` is None when the stored point key is the one the stored
     config derives, else ``(stored value,)``; ``result`` holds the
-    result's values in ``frame.result_keys`` order (the stored value
-    itself when ``result_keys`` is None); ``recorded_at`` is the
+    result's values in ``frame.result_keys`` order, as
+    :meth:`_Frame.hold` made them (the stored value itself when
+    ``result_keys`` is None); ``recorded_at`` is the
     wall-clock stamp older lines carry (None on a line without one),
     held so such a line is written back as it was read.
     """
@@ -253,8 +377,15 @@ def _point(record: _Record) -> Any:
 
 
 def _result(record: _Record) -> Any:
-    keys = record.frame.result_keys
-    return record.result if keys is None else dict(zip(keys, record.result))
+    frame = record.frame
+    if frame.result_keys is None:
+        return record.result
+    values = record.result
+    if frame.packed:
+        values = list(values)
+        for index, keys in frame.packed:
+            values[index] = dict(zip(keys, values[index]))
+    return dict(zip(frame.result_keys, values))
 
 
 def _line(key: Any, record: _Record) -> str:
@@ -302,11 +433,18 @@ class ResultStore:
         self.path = path
         self._records: Dict[str, _Record] = {}
         self._decoded: Dict[str, SimulationResult] = {}
-        #: Frames by signature (None for a signature that is no str).
-        self._frames: Dict[Optional[str], List[_Frame]] = {}
-        #: The last ``put``'s (identity template, frame): the next put of
-        #: its campaign reuses the frame without a check.
-        self._put_held: Optional[Tuple[Dict[str, Any], _Frame]] = None
+        #: By (signature, result shape): that shape, its keys shared, and
+        #: its frames; None for a signature that is no str.
+        self._frames: Dict[
+            Tuple[Optional[str], Optional[_Shape]],
+            Tuple[Optional[_Shape], List[_Frame]],
+        ] = {}
+        #: One object per distinct str and key tuple the records hold.
+        self._texts: Dict[Any, Any] = {}
+        #: The last ``put``'s identity template, result keys, value types
+        #: and nested keys, and its frame: the next put of the same
+        #: campaign and shape reuses the frame without a check.
+        self._put_held: Optional[Tuple[Any, ...]] = None
         #: The append handle, opened by the first write and kept.
         self._handle: Optional[TextIO] = None
         self._load()
@@ -332,11 +470,11 @@ class ResultStore:
         try:
             with open(self.path, encoding="utf-8") as stream:
                 for line in stream:
-                    if not line.strip():
+                    if line.isspace():
                         continue
                     lines += 1
                     try:
-                        record = json.loads(line)
+                        record = _parse(line)
                     except json.JSONDecodeError:
                         bad += 1
                         continue
@@ -375,20 +513,25 @@ class ResultStore:
             if name in config:
                 config[name] = None
         result = record.get("result")
-        result_keys = None
+        shape = None
         if type(result) is dict:
-            result_keys, result = tuple(result), tuple(result.values())
+            result = list(result.values())
+            shape = _shape(tuple(record["result"]), result)
         frame = self._frame(
-            record.get("signature"),
-            tuple(record),
-            _fixed(record),
-            config,
-            result_keys,
+            record.get("signature"), tuple(record), _fixed(record), config,
+            shape,
         )
+        if shape is not None:
+            result = frame.hold(result, self._texts, False)
+        algorithm, offered_load, seed = values
+        if type(algorithm) is str:
+            algorithm = self._texts.setdefault(algorithm, algorithm)
         # Last record wins, should two writers have appended one key.
         self._records[record["key"]] = _Record(
             frame,
-            *values,
+            algorithm,
+            offered_load,
+            seed,
             _point_slot(frame, values, record.get("point")),
             result,
             record.get("recorded_at"),
@@ -401,18 +544,35 @@ class ResultStore:
         names: Tuple[str, ...],
         fixed: Tuple[Any, ...],
         config: Dict[str, Any],
-        result_keys: Optional[Tuple[str, ...]],
+        shape: Optional[_Shape],
     ) -> _Frame:
-        """The held frame these parts spell, or a new one holding them."""
-        bucket = self._frames.setdefault(
-            signature if type(signature) is str else None, []
-        )
+        """The held frame these parts spell, or a new one holding them
+        (its keys the store's one object of their text)."""
+        if type(signature) is not str:
+            signature = None
+        found = self._frames.get((signature, shape))
+        if found is None:
+            if shape is not None:
+                keys, kinds, nested = shape
+                shape = (
+                    self._share(keys),
+                    kinds,
+                    tuple([inner and self._share(inner) for inner in nested]),
+                )
+            found = self._frames[signature, shape] = (shape, [])
+        shape, bucket = found
         for frame in bucket:
-            if frame.writes(names, fixed, config, result_keys):
+            if frame.writes(names, fixed, config):
                 return frame
-        frame = _Frame(names, fixed, config, result_keys)
+        frame = _Frame(names, fixed, config, shape)
         bucket.append(frame)
         return frame
+
+    def _share(self, keys: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The store's one object of a key tuple, of its keys' texts."""
+        texts = self._texts
+        shared = tuple([texts.setdefault(key, key) for key in keys])
+        return texts.setdefault(shared, shared)
 
     def _rewrite(self, records: Dict[str, _Record]) -> None:
         """Atomically rewrite the file from *records*.
@@ -489,27 +649,31 @@ class ResultStore:
     # -- writing ---------------------------------------------------------
 
     def _put_frame(
-        self, template: Dict[str, Any], line: Dict[str, Any]
+        self,
+        template: Dict[str, Any],
+        line: Dict[str, Any],
+        values: Tuple[Any, ...],
     ) -> _Frame:
         """The frame of *line*, a record :meth:`put` writes for
-        *template*'s campaign."""
-        result_keys = tuple(line["result"])
+        *template*'s campaign, whose result holds *values*."""
+        names, kinds, nested = _shape(tuple(line["result"]), values)
         held = self._put_held
         if (
             held is None
             or held[0] is not template
-            or held[1].result_keys != result_keys
+            or held[1] != (names, kinds)
+            or held[2] != nested
         ):
             frame = self._frame(
                 line["signature"],
                 tuple(line),
                 _fixed(line),
                 template,
-                result_keys,
+                (names, kinds, tuple(map(_json_keys, nested))),
             )
             frame.agrees = template  # it spells the template's text
-            held = self._put_held = (template, frame)
-        return held[1]
+            held = self._put_held = (template, (names, kinds), nested, frame)
+        return held[3]
 
     def put(self, config: SimulationConfig, result: SimulationResult) -> bool:
         """Append *config*'s finished result; returns False if already stored.
@@ -531,7 +695,7 @@ class ResultStore:
         values = point_values(config)
         stored = template.copy()
         stored.update(zip(POINT_FIELDS, values))
-        data = result.to_json_dict()
+        names, data = json_fields(result)
         line = {
             "kind": "point",
             "v": STORE_VERSION,
@@ -539,29 +703,48 @@ class ResultStore:
             "signature": signature,
             "point": point,
             "config": stored,
-            "result": data,
+            "result": dict(zip(names, data)),
         }
-        frame = self._put_frame(template, line)
+        text = json.dumps(line) + "\n"
+        frame = self._put_frame(template, line, data)
+        algorithm, offered_load, seed = values
         record = _Record(
             frame,
-            *values,
+            self._texts.setdefault(algorithm, algorithm),
+            offered_load,
+            seed,
             _point_slot(frame, values, point),
-            tuple(data.values()),
+            frame.hold(list(data), self._texts, True),
             None,
         )
-        # Append-only: one line per point, O(record) bytes regardless of
-        # how many points the store already holds.
-        handle = self._handle
-        if handle is not None and not os.fstat(handle.fileno()).st_nlink:
-            self.close()  # another process replaced or removed the file
-        if self._handle is None:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(line) + "\n")
-        self._handle.flush()  # the record reaches the OS before we return
+        self._append(text)
         self._records[key] = record
         return True
+
+    def _append(self, text: str) -> None:
+        """Append one line to the file at the path, under its lock.
+
+        Append-only: O(record) bytes regardless of how many points the
+        store already holds.  A handle whose file was replaced while it
+        waited for the lock (another store's ``gc``) or removed is
+        reopened at the path.
+        """
+        while True:
+            if self._handle is None:
+                directory = os.path.dirname(os.path.abspath(self.path))
+                os.makedirs(directory, exist_ok=True)
+                self._handle = open(self.path, "a", encoding="utf-8")
+            handle = self._handle
+            locked = _lock(handle)
+            if os.fstat(handle.fileno()).st_nlink:
+                break
+            self.close()  # releases the lock on the file that is gone
+        try:
+            handle.write(text)
+            handle.flush()  # the record reaches the OS before we return
+        finally:
+            if locked:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # -- maintenance -----------------------------------------------------
 
@@ -573,8 +756,12 @@ class ResultStore:
         disk and load time but are never served.  ``gc`` re-reads the
         file as opening it does (the last record of a key wins; other
         writers' lines are kept) and atomically rewrites it from the live
-        records, each line spelled as it was read.  A rewrite the disk
-        cannot hold raises with the file as it was.
+        records, each line spelled as it was read.  It holds the file's
+        lock from the re-read to the rewrite, so a ``put`` of another
+        store waits and then appends to the new file; where the file
+        system grants no lock, ``gc`` raises :class:`StoreBusyError`
+        rather than drop a line appended since its read.  A rewrite the
+        disk cannot hold raises with the file as it was.
 
         Returns a stats dict: lines/bytes before and after, the number
         of superseded lines dropped and the live record count.
@@ -588,11 +775,35 @@ class ResultStore:
             lines = sum(1 for line in text.splitlines() if line.strip())
             return lines, len(text.encode("utf-8"))
 
-        lines_before, bytes_before = measure()
-        self._decoded.clear()
-        self._load()
-        if lines_before or self._records:
-            self._rewrite(self._records)
+        guard: Optional[IO[bytes]] = None
+        locked = False
+        while guard is None:
+            try:
+                guard = open(self.path, "rb")
+            except FileNotFoundError:
+                break
+            locked = _lock(guard)
+            if not os.fstat(guard.fileno()).st_nlink:
+                guard.close()  # replaced before we held it: lock the new one
+                guard = None
+        try:
+            lines_before, bytes_before = measure()
+            self._decoded.clear()
+            self._load()
+            if (
+                guard is not None
+                and not locked
+                and os.fstat(guard.fileno()).st_size != bytes_before
+            ):
+                raise StoreBusyError(
+                    f"store file {self.path!r} grew while gc read it and "
+                    "could not be locked; nothing was rewritten"
+                )
+            if lines_before or self._records:
+                self._rewrite(self._records)
+        finally:
+            if guard is not None:
+                guard.close()  # and with it the lock
         lines_after, bytes_after = measure()
         return {
             "lines_before": lines_before,
@@ -620,6 +831,7 @@ class ResultStore:
 __all__ = [
     "STORE_VERSION",
     "ResultStore",
+    "StoreBusyError",
     "StoreIntegrityError",
     "StoreWarning",
 ]

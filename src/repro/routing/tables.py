@@ -31,10 +31,14 @@ algorithm instance, never an engine's, and keeps no message's live state
 (hop schemes mutate theirs in place): what it holds depends on which
 requests were made before only in *which* entries exist, never in their
 values, so sharing is invisible to every result.  The most recently used
-table is kept, one per process: every sweep the package runs is
-algorithm-major, so a second slot would only keep the previous
-algorithm's rows alive.  An evicted table lives on for as long as an
-engine still holds it.  An engine handed an explicit ``algorithm=``
+table is kept, one per process.  Within one topology and traffic
+pattern every sweep the package runs is algorithm-major, but
+:meth:`~repro.campaigns.spec.CampaignSpec.expand` loops topology, then
+traffic, then algorithm, so a campaign over T traffic patterns interns
+each algorithm's table T times (docs/performance.md, "Route rows and
+memory", measured that at +15.5% ``candidates()`` calls and no
+measurable wall time on a two-algorithm, three-pattern grid).  An
+evicted table lives on for as long as an engine still holds it.  An engine handed an explicit ``algorithm=``
 instance gets a private table: nothing is ever aliased by class name.
 
 **Dense rows, for the batch stepper only.**  :meth:`RouteTable.row_for`

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Dict, FrozenSet, List, Optional, Tuple
 
@@ -18,6 +19,18 @@ def unshared(value: Any) -> Any:
 def _field_names(cls: type) -> Tuple[str, ...]:
     """Field names of a result class, collected once per class."""
     return tuple(f.name for f in fields(cls))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_getter(cls: type) -> Any:
+    return operator.attrgetter(*_field_names(cls))
+
+
+def json_fields(result: Any) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
+    """The keys of ``result.to_json_dict()`` and the values it copies,
+    not copied: for a caller that copies only what it keeps."""
+    cls = type(result)
+    return _field_names(cls), _field_getter(cls)(result)
 
 
 @dataclass
@@ -153,10 +166,8 @@ class SimulationResult:
         to an equal :class:`SimulationResult`.
         """
         # What asdict() returns, without its deepcopy of every scalar.
-        return {
-            name: unshared(getattr(self, name))
-            for name in _field_names(type(self))
-        }
+        names, values = json_fields(self)
+        return dict(zip(names, map(unshared, values)))
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "SimulationResult":
@@ -192,4 +203,4 @@ class SimulationResult:
         )
 
 
-__all__ = ["SimulationResult", "unshared"]
+__all__ = ["SimulationResult", "json_fields", "unshared"]

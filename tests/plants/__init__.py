@@ -231,6 +231,12 @@ PLANTS: Tuple[Plant, ...] = (
         "ResultStore._admit", "stale state",
     ),
     Plant(
+        "store-put-frame-ignores-nested-keys", "src/repro/campaigns/store.py",
+        "or held[2] != nested",
+        "or False",
+        "ResultStore._put_frame", "stale state",
+    ),
+    Plant(
         "identity-seed-unkeyed", "src/repro/campaigns/identity.py",
         "load={offered_load:.6g}|seed={seed}",
         "load={offered_load:.6g}",

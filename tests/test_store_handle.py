@@ -6,22 +6,29 @@ must survive that: every record has reached the OS when ``put`` returns
 file was replaced — by this store's own ``gc`` / recovery rewrite, or by
 another process's — lands in the file now at the path, ``close`` /
 ``with`` release the handle, and a ``gc`` rewrite the disk cannot hold
-leaves the file and the open store as they were.
+leaves the file and the open store as they were.  Writers in other
+processes share the file through its lock: no line one appends while
+another store's ``gc`` rewrites the file is lost.
 """
 
 import builtins
 import errno
+import fcntl
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import warnings
 
 import pytest
 
 import repro
-from repro.campaigns.store import ResultStore, StoreWarning
+from repro.campaigns import store as store_module
+from repro.campaigns.cli import main as campaign_main
+from repro.campaigns.store import ResultStore, StoreBusyError, StoreWarning
 from repro.experiments.parallel import run_points
 from repro.experiments.runner import run_point
 from tests.conftest import tiny_config
@@ -45,6 +52,13 @@ def seeds(path):
         )
     assert len(store) == len(found)
     return found
+
+
+def _environment():
+    """The environment a child process imports this tree's code with."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([source, root]))
 
 
 class TestHandleLifecycle:
@@ -152,11 +166,10 @@ class TestHandleLifecycle:
             os.kill(os.getpid(), signal.SIGKILL)
             """
         )
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        source = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, root]))
         done = subprocess.run(
-            [sys.executable, "-c", script, str(path)], env=env, timeout=120
+            [sys.executable, "-c", script, str(path)],
+            env=_environment(),
+            timeout=120,
         )
         assert done.returncode < 0  # died of the signal
         assert seeds(path) == list(range(6))
@@ -176,7 +189,138 @@ class TestHandleLifecycle:
         assert seeds(path) == [0, 1]  # rewritten clean: no second warning
 
 
+class TestConcurrentWriters:
+    def test_a_put_that_waited_through_a_gc_lands_in_the_new_file(
+        self, tmp_path, result, monkeypatch
+    ):
+        """A writer whose append waits for another store's gc finds its
+        handle's file replaced, and appends to the new one."""
+        path = tmp_path / "store.jsonl"
+        writer = ResultStore(str(path))
+        writer.put(tiny_config(seed=1), result)  # its handle: the old file
+        compactor = ResultStore(str(path))
+        waiting = threading.Event()
+        real_flock = fcntl.flock
+
+        def flock(fd, operation):
+            if threading.current_thread() is not threading.main_thread():
+                waiting.set()
+            return real_flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        real_rewrite = compactor._rewrite
+        stored = []
+        putter = threading.Thread(
+            target=lambda: stored.append(
+                writer.put(tiny_config(seed=2), result)
+            )
+        )
+
+        def rewrite(records):
+            putter.start()
+            assert waiting.wait(10), "the put took no lock"
+            time.sleep(0.2)
+            assert not stored, "the put did not wait for gc's lock"
+            real_rewrite(records)
+
+        monkeypatch.setattr(compactor, "_rewrite", rewrite)
+        compactor.gc()
+        putter.join(10)
+        assert not putter.is_alive()
+        assert stored == [True]
+        assert seeds(path) == [1, 2]
+        writer.close()
+
+    def test_gc_without_a_lock_refuses_a_file_that_grew(
+        self, tmp_path, result, monkeypatch
+    ):
+        """Where the file system grants no lock, a line appended between
+        gc's read and its rewrite makes gc refuse, not drop it."""
+        path = tmp_path / "store.jsonl"
+        writer = ResultStore(str(path))
+        writer.put(tiny_config(seed=1), result)
+
+        def no_lock(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_lock)
+        compactor = ResultStore(str(path))
+        real_load = compactor._load
+
+        def load():
+            real_load()
+            writer.put(tiny_config(seed=2), result)
+
+        monkeypatch.setattr(compactor, "_load", load)
+        with pytest.raises(StoreBusyError):
+            compactor.gc()
+        monkeypatch.undo()
+        writer.close()
+        assert seeds(path) == [1, 2]
+        assert ResultStore(str(path)).gc()["live_records"] == 2
+
+    def test_two_processes_appending_at_once_lose_nothing(self, tmp_path):
+        """Two ``repro-campaign run``s on disjoint grids share one store,
+        then ``gc`` runs: its export equals a serial store's, byte for
+        byte."""
+        grids = {}
+        for algorithm in ("ecube", "nbc"):
+            grids[algorithm] = tmp_path / f"{algorithm}.json"
+            grids[algorithm].write_text(json.dumps({
+                "name": "grid",
+                "algorithms": [algorithm],
+                "topologies": ["torus:4x2"],
+                "loads": [0.2, 0.4],
+                "seeds": [1, 2, 3],
+                "profile": "tiny",
+            }))
+        both = tmp_path / "both.json"
+        both.write_text(
+            grids["ecube"].read_text().replace(
+                '["ecube"]', '["ecube", "nbc"]'
+            )
+        )
+        shared, serial = tmp_path / "shared.jsonl", tmp_path / "serial.jsonl"
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.campaigns.cli", "run",
+                 str(grid), "--store", str(shared), "--quiet"],
+                env=_environment(), stdout=subprocess.DEVNULL,
+            )
+            for grid in grids.values()
+        ]
+        for grid in grids.values():
+            assert campaign_main(
+                ["run", str(grid), "--store", str(serial), "--quiet"]
+            ) == 0
+        assert [run.wait(timeout=300) for run in runs] == [0, 0]
+        stats = ResultStore(str(shared)).gc()
+        assert stats["lines_after"] == stats["live_records"] == 12
+        exports = []
+        for store in (shared, serial):
+            exports.append(tmp_path / f"{store.stem}.csv")
+            assert campaign_main(
+                ["export", str(both), "--store", str(store),
+                 "--csv", str(exports[-1])]
+            ) == 0
+        assert exports[0].read_bytes() == exports[1].read_bytes()
+
+
 class TestLoad:
+    @pytest.mark.parametrize("line", [
+        '{"a": 1}\n', '{"a": 1}', ' {"a": 1}\n', '{"a": 1}\r\n',
+        '{"a": 1} x\n', '{"a": 1}{"b": 2}\n', '{"a": \n',
+        '\ufeff{"a": 1}\n', '{"a": 1}\x0c\n', '[1, 2]\n', 'nul\n',
+    ])
+    def test_a_line_is_read_as_json_loads_reads_it(self, line):
+        def read(parse):
+            try:
+                return repr(parse(line))
+            except json.JSONDecodeError as error:
+                return str(error)
+
+        assert read(store_module._parse) == read(json.loads)
+
     def test_blank_lines_are_not_records(self, tmp_path, result):
         path = tmp_path / "store.jsonl"
         with ResultStore(str(path)) as store:
